@@ -90,6 +90,19 @@ class UsageError(ValueError):
 # -- experiment configuration ----------------------------------------------------
 
 
+_FLOAT_KEYS = (
+    "R",
+    "K",
+    "kappa",
+    "B",
+    "epsilon",
+    "delta",
+    "tail_mass_target",
+    "selection_threshold",
+    "tv_margin",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One declarative description of a run; no interactive state.
@@ -127,6 +140,14 @@ class ExperimentConfig:
 
     def _window_violations(self) -> list[str]:
         out: list[str] = []
+        # NaN fails every comparison below, so finiteness is checked first
+        for key in _FLOAT_KEYS:
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                out.append(f"{key} must be finite, got {value}")
+        for r in self.sweep:
+            if not math.isfinite(r):
+                out.append(f"sweep radii must be finite, got {r}")
         if self.n < 1:
             out.append("n must be at least 1")
         if self.R <= 0:

@@ -492,7 +492,9 @@ def _conditional_blocks(
         cert = density_certificate(law, radius)
         if cert.alpha < beta * (1.0 - 1e-6):
             raise RuntimeError(
-                "posterior density certificate fell below its block mass"
+                "posterior density certificate fell below its block mass in "
+                f"block {i - 1} (state {states[i - 1]} -> {states[i]}): alpha "
+                f"{cert.alpha!r} < block mass {beta!r} times (1 - 1e-6)"
             )
         laws.append(law)
         densities.append(beta)

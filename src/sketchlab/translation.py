@@ -215,10 +215,20 @@ def line_decomposition(
         e_quad = float(np.mean(w * power))
         e_double = _quadrature_line_energy(a, 2 * J)
         if abs(e_quad - e_double) > 1e-10:
-            raise RuntimeError("line quadrature drifts under node doubling")
+            raise RuntimeError(
+                "line quadrature drifts under node doubling on the line through "
+                f"{rep} along {vv}: {J} nodes give {e_quad!r}, {2 * J} give "
+                f"{e_double!r}, |difference| {abs(e_quad - e_double):.3e} "
+                "exceeds the tolerance 1e-10"
+            )
         e_direct = _direct_line_energy(a)
         if abs(e_direct - e_quad) > 1e-10:
-            raise RuntimeError("line energy mismatch between direct and quadrature forms")
+            raise RuntimeError(
+                "line energy mismatch between direct and quadrature forms on the "
+                f"line through {rep} along {vv}: direct {e_direct!r}, quadrature "
+                f"{e_quad!r} ({J} nodes), |difference| "
+                f"{abs(e_direct - e_quad):.3e} exceeds the tolerance 1e-10"
+            )
         if split is None:
             beta = 0.0
         else:

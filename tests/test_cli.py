@@ -376,6 +376,32 @@ class TestExtract:
         err = capsys.readouterr().err
         assert "2 configuration window violation(s)" in err
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("R", "inf"),
+            ("R", "nan"),
+            ("sweep", "4, inf"),
+            ("K", "nan"),
+            ("kappa", "nan"),
+            ("B", "inf"),
+            ("epsilon", "nan"),
+            ("delta", "nan"),
+            ("tail_mass_target", "inf"),
+            ("selection_threshold", "nan"),
+            ("tv_margin", "-inf"),
+        ],
+    )
+    def test_non_finite_value_exits_two(self, capsys, key, raw):
+        cfg = write_cfg(f"nonfinite-{key}-{raw}.cfg", f"M = 2\n{key} = {raw}\n")
+        verb = "tv-sweep" if key == "sweep" else "extract"
+        code = main([verb, "--config", str(cfg), "--out", str(suite_dir() / "nf")])
+        err = capsys.readouterr().err
+        assert code == 2
+        name = "sweep radii" if key == "sweep" else key
+        assert f"{name} must be finite" in err
+        assert "Traceback" not in err
+
 
 class TestTvSweep:
     def test_constant_sweep_decreasing(self):

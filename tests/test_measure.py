@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
+import sketchlab
 from sketchlab import dgauss, measure
 
 
@@ -185,6 +191,105 @@ class TestConvolve:
         right = measure.convolve(a, measure.convolve(b, c))
         assert left.atoms.keys() == right.atoms.keys()
         assert all(abs(left.atoms[p] - right.atoms[p]) <= 1e-12 for p in left.atoms)
+
+
+def scipy_direct_convolve(mu1, mu2, truncation=None):
+    """The convolve body before the shift-and-add kernel, kept as its
+    oracle: scipy's direct summation over the two dense boxes."""
+    n = mu1.dimension
+    box1, box2 = mu1.bounding_box(), mu2.bounding_box()
+    lo1 = np.array([b[0] for b in box1])
+    lo2 = np.array([b[0] for b in box2])
+    a1 = np.zeros([b[1] - b[0] + 1 for b in box1])
+    a1[tuple((mu1.points - lo1).T)] = mu1.masses
+    a2 = np.zeros([b[1] - b[0] + 1 for b in box2])
+    a2[tuple((mu2.points - lo2).T)] = mu2.masses
+    conv = signal.convolve(a1, a2, method="direct")
+    lo = lo1 + lo2
+    idx = np.argwhere(conv > 0.0)
+    pts = idx + lo
+    masses = conv[tuple(idx.T)]
+    if truncation is not None:
+        tb = tuple((int(a), int(b)) for a, b in truncation)
+        inside = np.all(
+            [(pts[:, i] >= tb[i][0]) & (pts[:, i] <= tb[i][1]) for i in range(n)],
+            axis=0,
+        )
+        pts, masses = pts[inside], masses[inside]
+    total = math.fsum(masses)
+    return measure.SparseMeasure(
+        n, zip(pts.tolist(), masses.tolist()), deficit=max(0.0, 1.0 - total)
+    )
+
+
+def boxed_measure(draw, n: int) -> measure.SparseMeasure:
+    # a random fill of a random box; masses span many decades so that a
+    # change in summation order shows in the low bits
+    shape = draw(st.tuples(*(st.integers(1, 9 if n < 3 else 5) for _ in range(n))))
+    corner = draw(st.tuples(*(st.integers(-5, 5) for _ in range(n))))
+    fill = draw(st.floats(0.05, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random(shape) < fill
+    keep.flat[rng.integers(keep.size)] = True
+    offsets = np.argwhere(keep)
+    masses = rng.random(len(offsets)) ** 12 + 1e-30
+    return measure.SparseMeasure(
+        n, zip((offsets + corner).tolist(), (masses / masses.sum()).tolist())
+    )
+
+
+@st.composite
+def convolution_inputs(draw):
+    n = draw(st.integers(1, 3))
+    mu1, mu2 = boxed_measure(draw, n), boxed_measure(draw, n)
+    truncation = draw(
+        st.none()
+        | st.lists(
+            st.tuples(st.integers(-8, 4), st.integers(0, 12)).map(
+                lambda t: (t[0], t[0] + t[1])
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return mu1, mu2, truncation
+
+
+def assert_same_measure(got, want):
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.masses, want.masses)
+    assert got.deficit == want.deficit
+
+
+class TestConvolveOracle:
+    @given(convolution_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_scipy_direct(self, inputs):
+        mu1, mu2, truncation = inputs
+        assert_same_measure(
+            measure.convolve(mu1, mu2, truncation),
+            scipy_direct_convolve(mu1, mu2, truncation),
+        )
+
+    def test_parity_symmetrize_input(self):
+        # the odd coset of gamma_8 against its reflection: 67x67 boxes
+        g = measure.gamma_truncated(2, 8.0)
+        odd = measure.restrict(g, lambda p: sum(p) % 2 == 1, renormalize=True)
+        rev = measure.reflect(odd)
+        assert_same_measure(measure.convolve(odd, rev), scipy_direct_convolve(odd, rev))
+
+    def test_cli_import_leaves_scipy_signal_out(self):
+        src = str(Path(sketchlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = "import sys, sketchlab.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestConvolvePowerFFT:

@@ -46,6 +46,7 @@ from sketchlab.streaming import (
     strict_padding,
     zoo_algorithm,
 )
+from sketchlab.streaming import _conditional_blocks, _FoldTable
 
 TARGET4 = SparseMeasure.uniform([(0, 0), (1, 0), (1, 1), (2, 1)])
 
@@ -326,6 +327,20 @@ def test_posterior_certificates_cover_block_masses():
     for law, beta in zip(posterior_laws(alg, seq, 8.0, 2), seq.per_block_densities):
         cert = density_certificate(law, 8.0)
         assert cert.alpha >= beta * (1.0 - 1e-6)
+
+
+def test_density_certificate_failure_names_its_numbers():
+    # the laws are cut from gamma_8, so a gamma_4 certificate falls short
+    alg = parity_algorithm(2)
+    table = _FoldTable(alg, gamma_truncated(2, 8.0))
+    with pytest.raises(RuntimeError) as err:
+        _conditional_blocks(table, (0, 1, 0), 4.0)
+    law = posterior_laws(alg, (0, 1, 0), 8.0, 2)[0]
+    alpha = density_certificate(law, 4.0).alpha
+    beta = conditioned_sequence(alg, (0, 1, 0), 8.0, 2).per_block_densities[0]
+    msg = str(err.value)
+    assert "block 0 (state 0 -> 1)" in msg
+    assert f"alpha {alpha!r} < block mass {beta!r} times (1 - 1e-6)" in msg
 
 
 def test_impossible_sequence_error():
