@@ -34,7 +34,6 @@ __all__ = [
     "parseval_check",
     "convolve",
     "convolve_many_fft",
-    "convolve_power_fft",
     "density_certificate",
     "large_spectrum_scan",
     "phase_of",
@@ -49,9 +48,9 @@ __all__ = [
 FFT_DUST = 1e-12
 
 
-def _reduce_coord(c: float) -> float:
-    # representative in [-1/2, 1/2)
-    return c - math.floor(c + 0.5)
+def _reduce_torus(arr: np.ndarray) -> np.ndarray:
+    """Representatives in [-1/2, 1/2) of real coordinates mod 1."""
+    return arr - np.floor(arr + 0.5)
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,10 @@ class TorusPoint:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coords", tuple(_reduce_coord(float(c)) for c in self.coords)
-        )
+        arr = np.asarray(self.coords, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError("torus coordinates must be finite")
+        object.__setattr__(self, "coords", tuple(float(c) for c in _reduce_torus(arr)))
 
     @classmethod
     def of(cls, coords: Sequence[float]) -> "TorusPoint":
@@ -392,19 +392,6 @@ def convolve_many_fft(
     if deficit_budget is not None and deficit > deficit_budget:
         raise ValueError("box too small: deficit exceeds the budget")
     return SparseMeasure(n, zip(pts.tolist(), masses.tolist()), deficit=deficit)
-
-
-def convolve_power_fft(
-    mu: SparseMeasure,
-    count: int,
-    box: Sequence[Sequence[int]] | None = None,
-    deficit_budget: float | None = None,
-) -> SparseMeasure:
-    """count-fold self-convolution of mu via one transform and a pointwise
-    power."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    return convolve_many_fft([mu] * count, box=box, deficit_budget=deficit_budget)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from .measure import (
     ScanReport,
     SparseMeasure,
     TorusPoint,
+    _grid_embed,
+    _reduce_torus,
     density_certificate,
     fourier_at,
     large_spectrum_scan,
@@ -70,10 +72,6 @@ class DissociationCapError(ValueError):
         self.partial = partial or []
 
 
-def _reduce_rows(arr: np.ndarray) -> np.ndarray:
-    return arr - np.floor(arr + 0.5)
-
-
 def _reduce_fraction(f: Fraction) -> Fraction:
     # representative of f mod 1 in [-1/2, 1/2)
     shift = (f + Fraction(1, 2)).numerator // (f + Fraction(1, 2)).denominator
@@ -118,7 +116,7 @@ def is_kappa_dissociated(
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = (idx[:, None] // powers) % 3
         eps = np.where(digits == 2, -1, digits)
-        sums = _reduce_rows(eps @ pts)
+        sums = _reduce_torus(eps @ pts)
         norms2 = np.einsum("ij,ij->i", sums, sums)
         bad = np.nonzero(norms2 < kappa * kappa)[0]
         if bad.size:
@@ -138,11 +136,11 @@ def signed_combinations(points: Sequence[TorusPoint] | np.ndarray) -> np.ndarray
     if m > 12:
         raise DissociationCapError("signed-combination enumeration too large")
     eps = np.array(list(itertools.product((-1, 0, 1), repeat=m)))
-    return _reduce_rows(eps @ pts)
+    return _reduce_torus(eps @ pts)
 
 
 def torus_distance_to_set(zeta: np.ndarray, combos: np.ndarray) -> float:
-    d = _reduce_rows(np.asarray(zeta, dtype=float) - combos)
+    d = _reduce_torus(np.asarray(zeta, dtype=float) - combos)
     return float(np.sqrt(np.einsum("ij,ij->i", d, d).min()))
 
 
@@ -272,7 +270,7 @@ class SketchLattice:
             list(itertools.product(*(range(k) for k in self.denominators))),
             dtype=float,
         )
-        return _reduce_rows(coeffs @ gens)
+        return _reduce_torus(coeffs @ gens)
 
 
 @dataclass(frozen=True)
@@ -362,8 +360,8 @@ def _chain_witness(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """First (eps, delta) in base-3 order with
     ||q^r a - sum_l eps_l q^l a - sum_w delta_w xi_w|| < kappa."""
-    target = _reduce_rows((q**r * a)[None, :])[0]
-    chain = np.stack([_reduce_rows((q**l * a)[None, :])[0] for l in range(r)])
+    target = _reduce_torus(q**r * a)
+    chain = np.stack([_reduce_torus(q**l * a) for l in range(r)])
     others = (
         np.stack([xi for _, _, xi in flat]) if flat else np.zeros((0, a.size))
     )
@@ -465,9 +463,7 @@ def extract_exact_structure(
         base = [xi for _, _, xi in flat]
         r = 0
         for r_try in range(1, r_star + 1):
-            trial = base + [
-                _reduce_rows((cfg.q**l * pick)[None, :])[0] for l in range(r_try)
-            ]
+            trial = base + [_reduce_torus(cfg.q**l * pick) for l in range(r_try)]
             if is_kappa_dissociated(np.stack(trial), kappa).dissociated:
                 r = r_try
             else:
@@ -509,14 +505,14 @@ def extract_exact_structure(
                 for d in range(n)
             )
         for l in range(r):
-            mag = abs(fourier_at(mu, _reduce_rows((cfg.q**l * pick)[None, :])[0]))
+            mag = abs(fourier_at(mu, _reduce_torus(cfg.q**l * pick)))
             floor_bound = 1.0 - cfg.q ** (2 * l) / cfg.K
             if mag < floor_bound - 1e-6:
                 warnings.append(
                     f"chain element q^{l} a_{j} magnitude {mag:.6f} below "
                     f"{floor_bound:.6f}"
                 )
-            flat.append((j, l, _reduce_rows((cfg.q**l * pick)[None, :])[0]))
+            flat.append((j, l, _reduce_torus(cfg.q**l * pick)))
         generators.append(t_j)
         denominators.append(k_j)
         relations.append(tuple(c_list))
@@ -773,15 +769,9 @@ def product_heavy_frequencies(
 ) -> list[TorusPoint]:
     """Grid frequencies where prod_i |mu_i_hat| >= threshold."""
     side = 2**grid_exponent
-    n = mus[0].dimension
-    prod = np.ones((side,) * n)
+    prod = np.ones((side,) * mus[0].dimension)
     for m in mus:
-        arr = np.zeros((side,) * n)
-        lo = m.points.min(axis=0)
-        if int((m.points.max(axis=0) - lo).max()) + 1 > side:
-            raise ValueError("grid smaller than support")
-        np.add.at(arr, tuple(((m.points - lo) % side).T), m.masses)
-        prod = prod * np.abs(np.fft.fftn(arr))
+        prod = prod * np.abs(np.fft.fftn(_grid_embed([m], side)[0]))
     out = []
     for raw in np.argwhere(prod >= threshold):
         k = tuple(int(c) for c in raw)

@@ -18,21 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .dgauss import TruncationPolicy, sample_truncated
-from .measure import (
-    SparseMeasure,
-    convolve_many_fft,
-    density_certificate,
-    gamma_truncated,
-)
-from .spectrum import (
-    ExactRouteConfig,
-    NearOriginBasis,
-    NearOriginConfig,
-    SketchLattice,
-    convolution_structure,
-    lattice_from_text,
-    lattice_to_text,
-)
+# convolve_many_fft is unused here, but benchmark/test_benchmark.py checks
+# that its tracer patches the transfer.convolve_many_fft alias
+from .measure import SparseMeasure, convolve_many_fft, gamma_truncated  # noqa: F401
+from .spectrum import SketchLattice, lattice_from_text, lattice_to_text
 from .streaming import (
     ProblemSpec,
     StateSequence,
@@ -330,15 +319,6 @@ def _modal_output(outputs: list, problem: ProblemSpec, y: tuple) -> object:
     return min(counts, key=lambda o: (-counts[o], repr(o)))
 
 
-def _landing_law(
-    laws: Sequence[SparseMeasure], route: str, dimension: int, radius: float
-) -> SparseMeasure:
-    factors = list(laws)
-    if route == "mollified":
-        factors.append(gamma_truncated(dimension, radius))
-    return convolve_many_fft(factors)
-
-
 def _build_decoder(
     alg: TurnstileAlgorithm,
     sketch: ExtractedSketch,
@@ -441,6 +421,9 @@ def extract_sketch(
 ) -> tuple[ExtractedSketch, FiberDecoder, ExtractionReport]:
     """Run the full reduction for one algorithm on one input distribution.
 
+    The sketch is the frequency structure that the translation
+    certification extracts and certifies, and the decoder's landing law
+    is the convolution it measured, so both are built once per run.
     Selection failures, certified-bound violations, failed smoothness
     checks, and in-theorem decoder conflicts all raise; the conflict
     gate only fires when the landing laws overlap (tv below 1/2 minus
@@ -482,53 +465,6 @@ def extract_sketch(
         policy=policy,
     )
     laws = tuple(posterior_laws(alg, sigma, cfg.radius, cfg.blocks, policy))
-    s_cert = max(density_certificate(law, cfg.radius).S for law in laws)
-    kappa = cfg.kappa if cfg.kappa is not None else 3.0 * math.sqrt(s_cert) / cfg.radius
-    if route == "exact":
-        structure = convolution_structure(
-            laws,
-            "exact",
-            ExactRouteConfig(
-                K=cfg.K,
-                Q=cfg.Q,
-                q=cfg.q,
-                R=cfg.radius,
-                kappa=cfg.kappa,
-                grid_exponent=cfg.grid_exponent,
-                refine=cfg.refine,
-            ),
-        )
-        sketch = ExtractedSketch(
-            route=route,
-            dimension=n,
-            sigma=sigma,
-            exact_lattice=structure,
-            provenance=cfg,
-        )
-        warnings = structure.warnings
-    else:
-        structure = convolution_structure(
-            laws,
-            "near_origin",
-            NearOriginConfig(
-                K=cfg.K,
-                kappa=kappa,
-                B=cfg.B,
-                Q=cfg.Q,
-                R=cfg.radius,
-                grid_exponent=cfg.grid_exponent,
-                refine=cfg.refine,
-            ),
-        )
-        sketch = ExtractedSketch(
-            route=route,
-            dimension=n,
-            sigma=sigma,
-            integer_matrix=structure.numerators,
-            denominator=structure.denominator,
-            provenance=cfg,
-        )
-        warnings = structure.warnings
     certify_cfg = TranslationConfig(
         D=max(1, math.ceil(diameter)),
         K=cfg.K,
@@ -544,7 +480,24 @@ def extract_sketch(
     translation = translation_invariance_certify(
         laws, route, certify_cfg, scenario=cfg.label
     )
-    landing_law = _landing_law(laws, route, n, cfg.radius)
+    structure = translation.structure
+    if route == "exact":
+        sketch = ExtractedSketch(
+            route=route,
+            dimension=n,
+            sigma=sigma,
+            exact_lattice=structure,
+            provenance=cfg,
+        )
+    else:
+        sketch = ExtractedSketch(
+            route=route,
+            dimension=n,
+            sigma=sigma,
+            integer_matrix=structure.numerators,
+            denominator=structure.denominator,
+            provenance=cfg,
+        )
     decoder = _build_decoder(
         alg,
         sketch,
@@ -555,7 +508,7 @@ def extract_sketch(
         policy,
         cfg.decoder_landings,
         seed,
-        landing_law,
+        translation.convolution,
     )
     hard = [
         c
@@ -580,7 +533,7 @@ def extract_sketch(
         smoothness=smoothness,
         translation=translation,
         conflicts=decoder.conflicts,
-        warnings=tuple(dict.fromkeys(tuple(warnings) + translation.warnings)),
+        warnings=tuple(dict.fromkeys(translation.warnings)),
     )
     return sketch, decoder, report
 

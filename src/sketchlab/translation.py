@@ -20,6 +20,8 @@ import numpy as np
 from .measure import (
     SparseMeasure,
     TorusPoint,
+    _grid_embed,
+    _reduce_torus,
     convolve_many_fft,
     density_certificate,
     gamma_truncated,
@@ -37,10 +39,6 @@ from .spectrum import (
 MAX_KERNEL_RADIUS = 12
 
 Structure = SketchLattice | NearOriginBasis | np.ndarray
-
-
-def _reduce(arr: np.ndarray) -> np.ndarray:
-    return arr - np.floor(arr + 0.5)
 
 
 def _direction(v: Sequence[int]) -> tuple[int, ...]:
@@ -267,11 +265,11 @@ def _structure_rows(W: Structure | Sequence[TorusPoint]) -> np.ndarray | None:
     if isinstance(W, NearOriginBasis):
         return None
     if isinstance(W, np.ndarray):
-        return _reduce(np.atleast_2d(np.asarray(W, dtype=float)))
+        return _reduce_torus(np.atleast_2d(np.asarray(W, dtype=float)))
     rows = [np.asarray(p, dtype=float) for p in W]
     if not rows:
         raise ValueError("empty frequency structure")
-    return _reduce(np.vstack(rows))
+    return _reduce_torus(np.vstack(rows))
 
 
 def _distance_to_structure(
@@ -285,7 +283,7 @@ def _distance_to_structure(
     """
     zetas = np.atleast_2d(np.asarray(zetas, dtype=float))
     if isinstance(W, NearOriginBasis):
-        r = _reduce(zetas)
+        r = _reduce_torus(zetas)
         B = W.span_matrix()
         if B.shape[0] == 0:
             return np.sqrt(np.einsum("ij,ij->i", r, r))
@@ -293,7 +291,7 @@ def _distance_to_structure(
         resid = r - (B.T @ sol).T
         return np.sqrt(np.einsum("ij,ij->i", resid, resid))
     rows = _structure_rows(W)
-    d = _reduce(zetas[:, None, :] - rows[None, :, :])
+    d = _reduce_torus(zetas[:, None, :] - rows[None, :, :])
     return np.sqrt(np.einsum("ijk,ijk->ij", d, d).min(axis=1))
 
 
@@ -319,19 +317,15 @@ def measured_structure_spread(
     Grid points only; the spread is a measured proxy for the theoretical
     neighborhood radius, not a certificate between grid nodes.
     """
-    n = nu.dimension
-    lo = nu.points.min(axis=0)
-    spread = int((nu.points.max(axis=0) - lo).max()) + 1
+    spread = int((nu.points.max(axis=0) - nu.points.min(axis=0)).max()) + 1
     side = min_side
     while side < spread:
         side *= 2
-    arr = np.zeros((side,) * n)
-    np.add.at(arr, tuple(((nu.points - lo) % side).T), nu.masses)
-    mags = np.abs(np.fft.fftn(arr))
+    mags = np.abs(np.fft.fftn(_grid_embed([nu], side)[0]))
     heavy = np.argwhere(mags > eta + 1e-12)
     if heavy.shape[0] == 0:
         return HeavySpread(eta, 0, 0.0, side)
-    zetas = _reduce(heavy.astype(float) / side)
+    zetas = _reduce_torus(heavy.astype(float) / side)
     dists = _distance_to_structure(zetas, W)
     return HeavySpread(eta, int(heavy.shape[0]), float(dists.max()), side)
 
@@ -704,6 +698,11 @@ class TranslationRecord:
 
 @dataclass(frozen=True)
 class TranslationReport:
+    """Certificates for one product of pieces, together with the frequency
+    structure they were certified against and the convolution they were
+    measured on (the pieces, plus the reference factor on the mollified
+    route)."""
+
     scenario: str
     route: str
     R: float
@@ -718,6 +717,8 @@ class TranslationReport:
     max_kernel_tv: float
     records: tuple[TranslationRecord, ...]
     warnings: tuple[str, ...]
+    structure: SketchLattice | NearOriginBasis
+    convolution: SparseMeasure
 
 
 def _integer_ball(n: int, D: int) -> list[tuple[int, ...]]:
@@ -768,7 +769,10 @@ def translation_invariance_certify(
     reference factor to the convolution), enumerates the shift kernel
     exhaustively over |v|_2 <= D, and runs the ball-reduction bound for
     every kernel shift plus a few non-kernel controls.  An empty kernel is
-    a valid outcome.
+    a valid outcome.  The scan grid exponent is raised until it covers the
+    widest piece, with a warning.  The report returns the structure and
+    the convolution it certified, so a caller reads them off instead of
+    building them again.
     """
     if not mus:
         raise ValueError("empty measure list")
@@ -896,6 +900,8 @@ def translation_invariance_certify(
         max_kernel_tv=max(kernel_tvs) if kernel_tvs else math.nan,
         records=tuple(records),
         warnings=tuple(warnings),
+        structure=structure,
+        convolution=nu,
     )
 
 

@@ -42,6 +42,18 @@ class TestTorusPoint:
         assert measure.TorusPoint.of([0.9]).norm == pytest.approx(0.1)
         assert measure.TorusPoint.of([0.0, 0.0]).norm == 0.0
 
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3))
+    @settings(max_examples=100)
+    def test_reduction_matches_scalar_rule(self, coords):
+        # the array reduction gives the bits of the scalar c - floor(c + 1/2)
+        tp = measure.TorusPoint.of(coords)
+        assert tp.coords == tuple(c - math.floor(c + 0.5) for c in coords)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            measure.TorusPoint((0.25, bad))
+
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=3))
     @settings(max_examples=50)
     def test_norm_zero_iff_integer(self, coords):
@@ -293,25 +305,27 @@ class TestConvolveOracle:
 
 
 class TestConvolvePowerFFT:
+    """k-fold self-convolution through convolve_many_fft([g] * k)."""
+
     def test_single_power_is_identity(self):
         g = measure.gamma_truncated(1, 4.0)
-        f1 = measure.convolve_power_fft(g, 1)
+        f1 = measure.convolve_many_fft([g])
         assert all(abs(f1.mass_at(p) - m) <= 1e-12 for p, m in g.atoms.items())
 
     def test_square_matches_direct(self):
         g = measure.gamma_truncated(1, 4.0)
-        f2 = measure.convolve_power_fft(g, 2)
+        f2 = measure.convolve_many_fft([g] * 2)
         d2 = measure.convolve(g, g)
         assert all(abs(f2.mass_at(p) - m) <= 1e-10 for p, m in d2.atoms.items())
 
     def test_point_mass_translates(self):
-        p5 = measure.convolve_power_fft(measure.SparseMeasure.point_mass([1]), 5)
+        p5 = measure.convolve_many_fft([measure.SparseMeasure.point_mass([1])] * 5)
         assert p5.atoms == {(5,): 1.0}
 
     def test_deficit_budget_enforced(self):
         g = measure.gamma_truncated(1, 4.0)
         with pytest.raises(ValueError):
-            measure.convolve_power_fft(g, 4, box=[(-2, 2)], deficit_budget=1e-6)
+            measure.convolve_many_fft([g] * 4, box=[(-2, 2)], deficit_budget=1e-6)
 
 
 class TestDensityCertificate:

@@ -353,6 +353,58 @@ def test_support_diameter_precondition():
         extract_sketch(parity_algorithm(2), wide, PARITY_PROBLEM, "exact", cfg, seed=0)
 
 
+@pytest.mark.parametrize("route", ["exact", "mollified"])
+def test_small_scan_grid_is_raised_to_cover_the_pieces(route, monkeypatch):
+    # the pieces outgrow a 2^6 grid; certification raises the exponent to 7,
+    # and the sketch is the structure it certified, built exactly once
+    import sketchlab.translation as translation
+
+    calls = Counter()
+
+    def spy(name):
+        inner = getattr(translation, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(translation, name, wrapped)
+
+    spy("convolution_structure")
+    spy("convolve_many_fft")
+    if route == "exact":
+        cfg = TransferConfig(
+            radius=8.0, blocks=2, samples=256, grid_exponent=6, label="parity-unit"
+        )
+        problem, reference = PARITY_PROBLEM, parity_extraction()[0]
+    else:
+        cfg = TransferConfig(
+            radius=8.0, blocks=2, samples=256, Q=8, grid_exponent=6, label="mollified-unit"
+        )
+        problem, reference = CAPPED_NORM, mollified_extraction()[0]
+    sketch, _, report = extract_sketch(
+        parity_algorithm(2), TARGET4, problem, route, cfg, seed=11
+    )
+    assert calls == {"convolution_structure": 1, "convolve_many_fft": 1}
+    assert "scan grid exponent raised to 7 to cover the pieces" in report.warnings
+    if route == "exact":
+        assert sketch.exact_lattice is report.translation.structure
+        assert sketch.exact_lattice.generators == reference.exact_lattice.generators
+        assert reference.exact_lattice.generators == ((Fraction(-1, 2), Fraction(-1, 2)),)
+    else:
+        assert sketch.integer_matrix == report.translation.structure.numerators
+        assert sketch.integer_matrix == reference.integer_matrix
+        assert sketch.denominator == reference.denominator == 8
+
+
+def test_landing_law_is_the_certified_convolution():
+    # oracle: the pieces convolved again, apart from the certification
+    _, _, report = parity_extraction()
+    nu = convolve_many_fft(list(report.laws))
+    assert np.array_equal(report.translation.convolution.points, nu.points)
+    assert np.array_equal(report.translation.convolution.masses, nu.masses)
+
+
 # -- kernel-TV coupling -------------------------------------------------------
 
 
