@@ -64,6 +64,7 @@ from .transfer import (
     extraction_to_text,
 )
 from .translation import (
+    MAX_KERNEL_RADIUS,
     TranslationConfig,
     convolution_tail_center,
     line_decomposition,
@@ -787,7 +788,22 @@ def _invariance_rows(cfg: ExperimentConfig) -> list[tuple]:
     return rows
 
 
+def _check_kernel_radius(cfg: ExperimentConfig, verb: str) -> None:
+    """Reject a D the kernel enumeration cannot walk before any stage runs.
+
+    tv-sweep and verify-lemmas enumerate every shift with |v|_2 <= D;
+    extract is not limited by D, since it certifies at the measured
+    diameter of its target.
+    """
+    if cfg.D > MAX_KERNEL_RADIUS:
+        raise UsageError(
+            f"{verb} enumerates every integer shift with |v|_2 <= D; "
+            f"D = {cfg.D} exceeds the cap {MAX_KERNEL_RADIUS}"
+        )
+
+
 def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path) -> int:
+    _check_kernel_radius(cfg, "verify-lemmas")
     rows: list[tuple] = []
     rows.extend(_decay_rows(cfg))
     rows.extend(_poisson_rows(cfg))
@@ -881,6 +897,7 @@ def _trend(values: Sequence[float]) -> str:
 
 
 def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
+    _check_kernel_radius(cfg, "tv-sweep")
     scenario = get_scenario(cfg.scenario)
     if cfg.n != scenario.dimension:
         raise UsageError(

@@ -530,13 +530,19 @@ def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
         raise ValueError("empty measure list")
     M = len(mus)
     out: dict[tuple[int, ...], float] = {}
+    # equal laws (same points, masses and deficit) are convolved once
+    convs: dict[tuple, SparseMeasure] = {}
     for m in mus:
-        big = m.support_size**2 > 4_000_000
-        conv = (
-            convolve_many_fft([m, reflect(m)])
-            if big
-            else convolve(m, reflect(m))
-        )
+        key = (m.points.shape, m.points.tobytes(), m.masses.tobytes(), m.deficit)
+        conv = convs.get(key)
+        if conv is None:
+            big = m.support_size**2 > 4_000_000
+            conv = (
+                convolve_many_fft([m, reflect(m)])
+                if big
+                else convolve(m, reflect(m))
+            )
+            convs[key] = conv
         for p, w in conv.atoms.items():
             out[p] = out.get(p, 0.0) + w / M
     total = math.fsum(out.values())

@@ -48,15 +48,33 @@ def _direction(v: Sequence[int]) -> tuple[int, ...]:
     return vv
 
 
-def _shift_difference(
-    nu: SparseMeasure, v: tuple[int, ...]
-) -> dict[tuple[int, ...], float]:
-    """Signed atom differences nu(x) - nu(x - v) over the union support."""
-    diff = dict(nu.atoms)
-    for p, m in nu.atoms.items():
-        q = tuple(a + b for a, b in zip(p, v))
-        diff[q] = diff.get(q, 0.0) - m
-    return diff
+def _lex_groups(
+    rows: np.ndarray, minor: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Order that sorts integer rows as Python tuples sort (ties broken by
+    the minor key), and flags marking where each distinct row starts in
+    that order."""
+    keys = tuple(rows[:, j] for j in range(rows.shape[1] - 1, -1, -1))
+    order = np.lexsort(keys if minor is None else (minor,) + keys)
+    s = rows[order]
+    starts = np.ones(s.shape[0], dtype=bool)
+    starts[1:] = (s[1:] != s[:-1]).any(axis=1)
+    return order, starts
+
+
+def _shift_difference(nu: SparseMeasure, v: tuple[int, ...]) -> np.ndarray:
+    """Signed atom differences nu(x) - nu(x - v), one per point of the
+    union support; each is a single subtraction (or a bare mass)."""
+    k = nu.points.shape[0]
+    both = np.concatenate([nu.points, nu.points + np.asarray(v, dtype=np.int64)])
+    order, starts = _lex_groups(both)
+    cell = np.empty(2 * k, dtype=np.int64)
+    cell[order] = np.cumsum(starts) - 1
+    here = np.zeros(int(starts.sum()))
+    back = np.zeros_like(here)
+    here[cell[:k]] = nu.masses
+    back[cell[k:]] = nu.masses
+    return here - back
 
 
 def tv_distance(nu: SparseMeasure, v: Sequence[int]) -> float:
@@ -64,62 +82,49 @@ def tv_distance(nu: SparseMeasure, v: Sequence[int]) -> float:
     vv = tuple(int(c) for c in v)
     if all(c == 0 for c in vv):
         return 0.0
-    diff = _shift_difference(nu, vv)
-    return 0.5 * math.fsum(abs(d) for d in diff.values())
+    return 0.5 * math.fsum(np.abs(_shift_difference(nu, vv)))
 
 
 def translation_energy(nu: SparseMeasure, v: Sequence[int]) -> float:
     """sum_y |nu(y) - nu(y - v)|^2, computed directly on the atom diff."""
     diff = _shift_difference(nu, _direction(v))
-    return math.fsum(d * d for d in diff.values())
+    return math.fsum(diff * diff)
 
 
 # -- line decomposition ------------------------------------------------------
 
+# Spectra are taken over chunks of at most this many doubled-count nodes
+# (8 lines at the default 4096 nodes), which keeps their memory near 1 MB;
+# 64-line chunks raised the peak RSS of a small extract by a fifth.
+LINE_CHUNK_NODES = 8 * 8192
 
-def _line_groups(
+
+def _line_coordinates(
     nu: SparseMeasure,
     v: tuple[int, ...],
     center: Sequence[float] | None,
-) -> dict[tuple[int, ...], dict[int, float]]:
-    """Atoms grouped by line representative.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Line representative and position ell of every atom, p = rep + ell v.
 
     The representative of {x + l v} is the point whose projection onto v,
     taken relative to the center, lands in (-|v|^2/2, |v|^2/2].  With the
     default center the rule is exact integer arithmetic.
     """
     vv = sum(c * c for c in v)
-    varr = np.array(v, dtype=float)
-    carr = None if center is None else np.asarray(center, dtype=float)
-    groups: dict[tuple[int, ...], dict[int, float]] = {}
-    for p, m in nu.atoms.items():
-        if carr is None:
-            num = sum(a * b for a, b in zip(p, v))
-            r0 = num % vv
-            r = r0 - vv if 2 * r0 > vv else r0
-            ell = (num - r) // vv
-        else:
-            s = float((np.array(p, dtype=float) - carr) @ varr) / vv
-            ell = math.ceil(s - 0.5)
-        rep = tuple(a - ell * b for a, b in zip(p, v))
-        line = groups.setdefault(rep, {})
-        line[ell] = line.get(ell, 0.0) + m
-    return groups
-
-
-def _line_array(profile: dict[int, float]) -> tuple[np.ndarray, int]:
-    lo = min(profile)
-    hi = max(profile)
-    a = np.zeros(hi - lo + 1)
-    for ell, m in profile.items():
-        a[ell - lo] = m
-    return a, lo
-
-
-def _direct_line_energy(a: np.ndarray) -> float:
-    padded = np.concatenate(([0.0], a, [0.0]))
-    d = np.diff(padded)
-    return float(d @ d)
+    varr = np.asarray(v, dtype=np.int64)
+    if center is None:
+        num = nu.points @ varr
+        r0 = num % vv
+        r = np.where(2 * r0 > vv, r0 - vv, r0)
+        ell = (num - r) // vv
+    else:
+        # One dot per atom: a matrix-vector product may round differently
+        # and move an atom that sits on a tie to the neighbouring line.
+        vf = varr.astype(float)
+        rel = nu.points.astype(float) - np.asarray(center, dtype=float)
+        s = np.array([float(row @ vf) for row in rel]) / vv
+        ell = np.ceil(s - 0.5).astype(np.int64)
+    return nu.points - ell[:, None] * varr, ell
 
 
 def _quadrature_nodes(length: int, nodes: int) -> int:
@@ -131,19 +136,19 @@ def _quadrature_nodes(length: int, nodes: int) -> int:
     return J
 
 
-def _line_spectrum(a: np.ndarray, J: int) -> tuple[np.ndarray, np.ndarray]:
-    """(|transform|^2, weights |1 - e(-t)|^2) at the J uniform nodes."""
-    padded = np.zeros(J)
-    padded[: a.size] = a
-    F = np.fft.fft(padded)
+def _node_weights(J: int) -> tuple[np.ndarray, np.ndarray]:
+    """The J uniform nodes t and the weights |1 - e(-t)|^2 = 4 sin^2(pi t)."""
     t = np.arange(J) / J
-    w = 4.0 * np.sin(math.pi * t) ** 2
-    return np.abs(F) ** 2, w
+    return t, 4.0 * np.sin(math.pi * t) ** 2
 
 
-def _quadrature_line_energy(a: np.ndarray, J: int) -> float:
-    power, w = _line_spectrum(a, J)
-    return float(np.mean(w * power))
+def _weighted_power(rows: np.ndarray, J: int, w: np.ndarray) -> np.ndarray:
+    """|transform|^2 times the weights |1 - e(-t)|^2 at J uniform nodes,
+    one line per row."""
+    p = np.abs(np.fft.fft(rows, n=J, axis=1))
+    p *= p
+    p *= w
+    return p
 
 
 @dataclass(frozen=True)
@@ -195,49 +200,78 @@ def line_decomposition(
     transform (with the node count auto-raised past twice the trig degree
     and a doubled-node check against drift).  A split point carves each
     line's quadrature into a near part and the tail term beyond |t| >
-    split.
+    split.  Lines are laid out as dense rows and their spectra are
+    batched: one FFT per chunk of lines that share a node count.
     """
     vv = _direction(v)
-    groups = _line_groups(nu, vv, center)
-    reps = sorted(groups)
     u = 0.0 if split is None else float(split)
-    masses = []
-    direct = []
-    quad = []
-    tails = []
-    line_nodes = []
-    for rep in reps:
-        a, _ = _line_array(groups[rep])
-        J = _quadrature_nodes(a.size, nodes)
-        power, w = _line_spectrum(a, J)
-        e_quad = float(np.mean(w * power))
-        e_double = _quadrature_line_energy(a, 2 * J)
+    rep, ell = _line_coordinates(nu, vv, center)
+    order, starts = _lex_groups(rep, minor=ell)
+    rep, ell, mass = rep[order], ell[order], nu.masses[order]
+    line = np.cumsum(starts) - 1
+    bounds = np.flatnonzero(np.append(starts, True))
+    first, end = bounds[:-1], bounds[1:]
+    lo = ell[first]
+    lengths = ell[end - 1] - lo + 1
+    # column of each atom in its line's row, which has a zero on each side
+    col = ell - lo[line] + 1
+    J_of = {L: _quadrature_nodes(L, nodes) for L in np.unique(lengths).tolist()}
+    line_nodes = np.array([J_of[L] for L in lengths.tolist()], dtype=np.int64)
+    count = first.size
+    quad = np.empty(count)
+    double = np.empty(count)
+    tails = np.zeros(count)
+    energies = [0.0] * count
+
+    for J in sorted(set(J_of.values())):
+        in_group = line_nodes == J
+        members = np.flatnonzero(in_group)
+        atoms = np.flatnonzero(in_group[line])
+        rows = np.zeros((members.size, int(lengths[members].max()) + 2))
+        # Each (representative, ell) holds exactly one atom, so this is a
+        # scatter, never a sum.
+        rows[(np.cumsum(in_group) - 1)[line[atoms]], col[atoms]] = mass[atoms]
+        # The exact-length diff of each line; more zero padding would change
+        # the dot product's rounding.
+        steps = np.diff(rows, axis=1)
+        for k, (i, L) in enumerate(zip(members.tolist(), lengths[members].tolist())):
+            d = steps[k, : L + 1]
+            energies[i] = float(d @ d)
+        t, w = _node_weights(J)
+        _, w2 = _node_weights(2 * J)
+        far = np.abs(t - np.floor(t + 0.5)) > u
+        chunk = max(1, LINE_CHUNK_NODES // (2 * J))
+        for c in range(0, members.size, chunk):
+            block = rows[c : c + chunk, 1:-1]
+            idx = members[c : c + chunk]
+            p = _weighted_power(block, J, w)
+            quad[idx] = p.mean(axis=1)
+            if split is not None and far.any():
+                # the copy keeps the mean's pairwise summation of a 1-D array
+                tails[idx] = np.ascontiguousarray(p[:, far]).mean(axis=1)
+            double[idx] = _weighted_power(block, 2 * J, w2).mean(axis=1)
+
+    reps = [tuple(r) for r in rep[first].tolist()]
+    quad_l = quad.tolist()
+    double_l = double.tolist()
+    J_l = line_nodes.tolist()
+    for i, r in enumerate(reps):
+        e_quad, e_double, e_direct, J = quad_l[i], double_l[i], energies[i], J_l[i]
         if abs(e_quad - e_double) > 1e-10:
             raise RuntimeError(
                 "line quadrature drifts under node doubling on the line through "
-                f"{rep} along {vv}: {J} nodes give {e_quad!r}, {2 * J} give "
+                f"{r} along {vv}: {J} nodes give {e_quad!r}, {2 * J} give "
                 f"{e_double!r}, |difference| {abs(e_quad - e_double):.3e} "
                 "exceeds the tolerance 1e-10"
             )
-        e_direct = _direct_line_energy(a)
         if abs(e_direct - e_quad) > 1e-10:
             raise RuntimeError(
                 "line energy mismatch between direct and quadrature forms on the "
-                f"line through {rep} along {vv}: direct {e_direct!r}, quadrature "
+                f"line through {r} along {vv}: direct {e_direct!r}, quadrature "
                 f"{e_quad!r} ({J} nodes), |difference| "
                 f"{abs(e_direct - e_quad):.3e} exceeds the tolerance 1e-10"
             )
-        if split is None:
-            beta = 0.0
-        else:
-            t = np.arange(J) / J
-            far = np.abs(t - np.floor(t + 0.5)) > u
-            beta = float(np.mean(w[far] * power[far])) if far.any() else 0.0
-        masses.append(math.fsum(groups[rep].values()))
-        direct.append(e_direct)
-        quad.append(e_quad)
-        tails.append(beta)
-        line_nodes.append(J)
+    masses = mass.tolist()
     n = nu.dimension
     c = tuple(0.0 for _ in range(n)) if center is None else tuple(
         float(x) for x in center
@@ -246,11 +280,13 @@ def line_decomposition(
         direction=vv,
         center=c,
         representatives=tuple(reps),
-        line_masses=tuple(masses),
-        line_energies=tuple(direct),
-        quadrature_energies=tuple(quad),
-        tail_terms=tuple(tails),
-        line_nodes=tuple(line_nodes),
+        line_masses=tuple(
+            math.fsum(masses[a:b]) for a, b in zip(first.tolist(), end.tolist())
+        ),
+        line_energies=tuple(energies),
+        quadrature_energies=tuple(quad_l),
+        tail_terms=tuple(tails.tolist()),
+        line_nodes=tuple(J_l),
         split=u,
     )
 
@@ -725,7 +761,9 @@ def _integer_ball(n: int, D: int) -> list[tuple[int, ...]]:
     """Nonzero integer vectors with |v|_2 <= D, one per sign pair, sorted
     by norm then lexicographically."""
     if D > MAX_KERNEL_RADIUS:
-        raise ValueError("kernel enumeration is exhaustive; D is capped at 12")
+        raise ValueError(
+            f"kernel enumeration is exhaustive; D is capped at {MAX_KERNEL_RADIUS}"
+        )
     out = []
     for v in itertools.product(range(-D, D + 1), repeat=n):
         if not any(v) or sum(c * c for c in v) > D * D:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from sketchlab import cli
 from sketchlab.cli import (
     KAPPA_FLOOR,
     SCENARIOS,
@@ -401,6 +402,53 @@ class TestExtract:
         name = "sweep radii" if key == "sweep" else key
         assert f"{name} must be finite" in err
         assert "Traceback" not in err
+
+
+class TestKernelRadiusCap:
+    """D above the enumeration cap is a usage error before any stage runs,
+    for the verbs that enumerate shifts up to D; extract certifies at its
+    target's own diameter, so a large D leaves it unchanged."""
+
+    @pytest.mark.parametrize("verb", ["tv-sweep", "verify-lemmas"])
+    def test_enumerating_verbs_reject_d_above_cap(self, capsys, monkeypatch, verb):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran before D was checked")
+
+        monkeypatch.setattr(cli, "select_state_sequence", no_stage)
+        monkeypatch.setattr(cli, "_decay_rows", no_stage)
+        cfg = write_cfg("d13.cfg", "M = 2\nD = 13\nscenario = constant\n")
+        out = suite_dir() / f"d13-{verb}"
+        code = main([verb, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "D = 13 exceeds the cap 12" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_cap_itself_is_accepted(self):
+        cfg = write_cfg(
+            "d12.cfg", "n = 2\nM = 2\nD = 12\nseed = 3\nscenario = constant\n"
+        )
+        out = suite_dir() / "d12-sweep"
+        assert main(["tv-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def test_extract_ignores_d_above_cap(self):
+        _, base = parity_run()
+        cfg = write_cfg(
+            "parity-d13.cfg",
+            "n = 2\nR = 8.0\nM = 2\nD = 13\nseed = 11\nscenario = parity\n",
+        )
+        out = suite_dir() / "parity-d13"
+        assert main(["extract", "--config", str(cfg), "--out", str(out)]) == 0
+        table = "extract.json"
+        assert (out / table).read_bytes() == (base / table).read_bytes()
+        # the sketch records the declared D in its provenance, and only there
+        ours, theirs = (
+            (d / "sketch_parity_exact.txt").read_text().splitlines()
+            for d in (out, base)
+        )
+        assert [a for a, b in zip(ours, theirs) if a != b] == ["cfg diameter 13"]
+        assert len(ours) == len(theirs)
 
 
 class TestTvSweep:

@@ -486,6 +486,34 @@ class TestSymmetrize:
                 tested += 1
         assert tested > 0
 
+    def test_equal_laws_are_convolved_once(self, monkeypatch):
+        g = measure.gamma_truncated(2, 3.0)
+        h = measure.translate(g, [1, 0])
+        # equal to g in points, masses and deficit, but a separate object
+        g_again = measure.SparseMeasure(2, dict(g.atoms), deficit=g.deficit)
+        pieces = [g, h, g_again, g, h]
+        # the loop that convolved every law, kept as the oracle
+        out: dict[tuple[int, ...], float] = {}
+        for m in pieces:
+            for p, w in measure.convolve(m, measure.reflect(m)).atoms.items():
+                out[p] = out.get(p, 0.0) + w / len(pieces)
+        want = measure.SparseMeasure(
+            2, out, deficit=max(0.0, 1.0 - math.fsum(out.values()))
+        )
+        calls = []
+        real = measure.convolve
+
+        def spy(mu1, mu2, truncation=None):
+            calls.append(mu1)
+            return real(mu1, mu2, truncation)
+
+        monkeypatch.setattr(measure, "convolve", spy)
+        sym = measure.symmetrize(pieces)
+        assert len(calls) == 2
+        assert np.array_equal(sym.points, want.points)
+        assert np.array_equal(sym.masses, want.masses)
+        assert sym.deficit == want.deficit
+
 
 class TestLineRestriction:
     def test_zero_frequency_gives_line_mass(self):

@@ -3,7 +3,9 @@
 Oracles: brute-force half-L1 summation for TV, direct difference sums
 for line energies (checked against the line-transform quadrature),
 per-line profiles via measure.line_profile, exact convolutions for the
-tail-center and certification walkthroughs.
+tail-center and certification walkthroughs, and the per-atom dict forms
+of the shift difference and the line decomposition, which the array
+versions must match bit for bit.
 """
 
 import functools
@@ -24,7 +26,9 @@ from sketchlab.measure import (
     restrict,
     translate,
 )
+from sketchlab import translation
 from sketchlab.translation import (
+    LineDecomposition,
     TranslationConfig,
     ball_reduction_tv_bound,
     convolution_tail_center,
@@ -163,6 +167,53 @@ def test_tv_cauchy_schwarz(mu, v):
     assert tv_distance(mu, v) <= 0.5 * math.sqrt(support) * math.sqrt(energy) + 1e-12
 
 
+def dict_shift_difference(nu, v):
+    """Per-atom dict form of the shift difference, kept as the oracle."""
+    diff = dict(nu.atoms)
+    for p, m in nu.atoms.items():
+        q = tuple(a + b for a, b in zip(p, v))
+        diff[q] = diff.get(q, 0.0) - m
+    return diff
+
+
+def measures_nd(max_atoms=12, span=6):
+    """Sub-probability measures on Z^n, n in {1, 2, 3}, masses over decades."""
+
+    def build(n):
+        coords = st.tuples(*[st.integers(-span, span)] * n)
+        weights = st.floats(1e-9, 1.0)
+        return st.lists(
+            st.tuples(coords, weights),
+            min_size=1,
+            max_size=max_atoms,
+            unique_by=lambda t: t[0],
+        ).map(
+            lambda items: SparseMeasure(
+                n, {p: w / math.fsum(x[1] for x in items) for p, w in items}
+            )
+        )
+
+    return st.integers(1, 3).flatmap(build)
+
+
+def directions_for(n):
+    return st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+
+
+measure_and_direction = measures_nd().flatmap(
+    lambda mu: st.tuples(st.just(mu), directions_for(mu.dimension))
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(measure_and_direction)
+def test_tv_and_energy_match_dict_oracle(case):
+    mu, v = case
+    diff = dict_shift_difference(mu, v)
+    assert tv_distance(mu, v) == 0.5 * math.fsum(abs(d) for d in diff.values())
+    assert translation_energy(mu, v) == math.fsum(d * d for d in diff.values())
+
+
 # -- line decomposition ----------------------------------------------------------
 
 
@@ -247,6 +298,182 @@ def test_line_invariants_random(mu, v):
     dec = line_decomposition(mu, v)
     assert dec.total_mass == pytest.approx(mu.total_mass, abs=1e-10)
     assert dec.total_energy == pytest.approx(translation_energy(mu, v), abs=1e-10)
+
+
+# The per-line form of line_decomposition that the batched pass replaced:
+# atoms grouped in a dict per representative, one FFT per line and node
+# count.  The batched pass must reproduce every field bit for bit.
+
+
+def dict_line_groups(nu, v, center):
+    vv = sum(c * c for c in v)
+    varr = np.array(v, dtype=float)
+    carr = None if center is None else np.asarray(center, dtype=float)
+    groups = {}
+    for p, m in nu.atoms.items():
+        if carr is None:
+            num = sum(a * b for a, b in zip(p, v))
+            r0 = num % vv
+            r = r0 - vv if 2 * r0 > vv else r0
+            ell = (num - r) // vv
+        else:
+            s = float((np.array(p, dtype=float) - carr) @ varr) / vv
+            ell = math.ceil(s - 0.5)
+        rep = tuple(a - ell * b for a, b in zip(p, v))
+        line = groups.setdefault(rep, {})
+        line[ell] = line.get(ell, 0.0) + m
+    return groups
+
+
+def dict_line_array(profile):
+    lo = min(profile)
+    a = np.zeros(max(profile) - lo + 1)
+    for ell, m in profile.items():
+        a[ell - lo] = m
+    return a
+
+
+def dict_direct_line_energy(a):
+    d = np.diff(np.concatenate(([0.0], a, [0.0])))
+    return float(d @ d)
+
+
+def dict_line_spectrum(a, J):
+    padded = np.zeros(J)
+    padded[: a.size] = a
+    t = np.arange(J) / J
+    return np.abs(np.fft.fft(padded)) ** 2, 4.0 * np.sin(math.pi * t) ** 2
+
+
+def dict_line_decomposition(nu, v, center=None, nodes=4096, split=None):
+    vv = tuple(int(c) for c in v)
+    groups = dict_line_groups(nu, vv, center)
+    reps = sorted(groups)
+    u = 0.0 if split is None else float(split)
+    masses, direct, quad, tails, line_nodes = [], [], [], [], []
+    for rep in reps:
+        a = dict_line_array(groups[rep])
+        J = translation._quadrature_nodes(a.size, nodes)
+        power, w = dict_line_spectrum(a, J)
+        e_quad = float(np.mean(w * power))
+        power2, w2 = dict_line_spectrum(a, 2 * J)
+        assert abs(e_quad - float(np.mean(w2 * power2))) <= 1e-10
+        e_direct = dict_direct_line_energy(a)
+        assert abs(e_direct - e_quad) <= 1e-10
+        if split is None:
+            beta = 0.0
+        else:
+            t = np.arange(J) / J
+            far = np.abs(t - np.floor(t + 0.5)) > u
+            beta = float(np.mean(w[far] * power[far])) if far.any() else 0.0
+        masses.append(math.fsum(groups[rep].values()))
+        direct.append(e_direct)
+        quad.append(e_quad)
+        tails.append(beta)
+        line_nodes.append(J)
+    n = nu.dimension
+    c = (0.0,) * n if center is None else tuple(float(x) for x in center)
+    return LineDecomposition(
+        direction=vv,
+        center=c,
+        representatives=tuple(reps),
+        line_masses=tuple(masses),
+        line_energies=tuple(direct),
+        quadrature_energies=tuple(quad),
+        tail_terms=tuple(tails),
+        line_nodes=tuple(line_nodes),
+        split=u,
+    )
+
+
+def assert_same_decomposition(got, want):
+    for field in LineDecomposition.__dataclass_fields__:
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def centers_for(n):
+    half = st.tuples(*[st.integers(-4, 4)] * n).map(
+        lambda k: tuple(c + 0.5 for c in k)
+    )
+    real = st.tuples(*[st.floats(-4.0, 4.0)] * n)
+    return st.none() | half | real
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    measure_and_direction.flatmap(
+        lambda case: st.tuples(
+            st.just(case),
+            centers_for(case[0].dimension),
+            st.none() | st.floats(0.0, 0.5),
+            st.sampled_from([4, 8, 16]),
+        )
+    )
+)
+def test_line_decomposition_matches_dict_oracle(args):
+    # small node counts put lines of different lengths in different groups
+    (mu, v), center, split, nodes = args
+    got = line_decomposition(mu, v, center=center, nodes=nodes, split=split)
+    want = dict_line_decomposition(mu, v, center=center, nodes=nodes, split=split)
+    assert_same_decomposition(got, want)
+
+
+@pytest.mark.parametrize("v", [(1, 1), (2, 1), (1, -1), (0, 3)])
+@pytest.mark.parametrize("center", [None, (0.5, 0.5), (3.0, -2.0)])
+def test_line_decomposition_matches_dict_oracle_on_a_convolution(v, center):
+    nu = parity_conv2()
+    got = line_decomposition(nu, v, center=center, split=0.05)
+    want = dict_line_decomposition(nu, v, center=center, split=0.05)
+    assert_same_decomposition(got, want)
+
+
+def two_group_measure():
+    # direction (1, 0), nodes 4: the line through (0, 0) holds 8 atoms and
+    # takes 32 nodes, the lines through (0, 1) and (0, 2) hold one atom and
+    # take 8, so the first line in representative order is in the group
+    # whose spectra come last
+    atoms = {(x, 0): 0.1 for x in range(8)}
+    atoms[(0, 1)] = 0.1
+    atoms[(3, 2)] = 0.1
+    return SparseMeasure(2, atoms)
+
+
+def corrupt_spectra(monkeypatch, counts):
+    real = translation._weighted_power
+
+    def fake(rows, J, w):
+        p = real(rows, J, w)
+        if J in counts:
+            p += 1e-6
+        return p
+
+    monkeypatch.setattr(translation, "_weighted_power", fake)
+
+
+def test_line_decomposition_groups_by_node_count():
+    dec = line_decomposition(two_group_measure(), (1, 0), nodes=4)
+    assert dec.representatives == ((0, 0), (0, 1), (0, 2))
+    assert dec.line_nodes == (32, 8, 8)
+
+
+def test_node_doubling_failure_names_first_line(monkeypatch):
+    corrupt_spectra(monkeypatch, {16, 64})  # the doubled counts only
+    with pytest.raises(RuntimeError) as err:
+        line_decomposition(two_group_measure(), (1, 0), nodes=4)
+    msg = str(err.value)
+    assert "drifts under node doubling on the line through (0, 0) along (1, 0)" in msg
+    assert "32 nodes give" in msg and "64 give" in msg
+    assert "tolerance 1e-10" in msg
+
+
+def test_direct_quadrature_mismatch_names_first_line(monkeypatch):
+    corrupt_spectra(monkeypatch, {8, 16, 32, 64})  # both counts alike
+    with pytest.raises(RuntimeError) as err:
+        line_decomposition(two_group_measure(), (1, 0), nodes=4)
+    msg = str(err.value)
+    assert "mismatch between direct and quadrature forms" in msg
+    assert "line through (0, 0) along (1, 0)" in msg
+    assert "(32 nodes)" in msg and "tolerance 1e-10" in msg
 
 
 # -- spectral energy bound --------------------------------------------------------
