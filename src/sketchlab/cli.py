@@ -155,6 +155,8 @@ class ExperimentConfig:
             out.append("R must be positive")
         if any(r <= 0 for r in self.sweep):
             out.append("sweep radii must be positive")
+        for r in sorted({r for r in self.sweep if self.sweep.count(r) > 1}):
+            out.append(f"sweep radius {r:g} is listed more than once")
         if self.M < 1:
             out.append("M must be at least 1")
         if self.K < 4:

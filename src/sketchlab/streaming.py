@@ -31,6 +31,7 @@ __all__ = [
     "canonical_realization",
     "run",
     "fold_block",
+    "fold_deltas",
     "exact_stream_sample",
     "mollified_stream_sample",
     "posterior_laws",
@@ -139,7 +140,9 @@ class TurnstileAlgorithm:
 
     The transition receives the block index first; uniform algorithms
     ignore it.  Non-uniform rule tables cover block indices below
-    `horizon`, and running past that is an error.
+    `horizon`, and running past that is an error.  Transitions must be
+    pure functions of (block index, state, update): `fold_deltas` calls
+    each distinct pair once and reuses the answer.
     """
 
     name: str
@@ -184,6 +187,47 @@ def fold_block(
     for u in canonical_realization(delta):
         s = alg.step(block_index, s, u)
     return s
+
+
+def fold_deltas(
+    alg: TurnstileAlgorithm,
+    deltas: np.ndarray,
+    block_index: int,
+    state: int | np.ndarray,
+    memo: dict,
+) -> np.ndarray:
+    """End states of the canonical blocks of every row of `deltas`.
+
+    Row k ends where `fold_block(alg, block_index, state, deltas[k])`
+    does; `state` is one start state or one per row.  All rows advance
+    together in the canonical order, and each distinct (state, update)
+    reached is sent through `alg.step` once and kept in `memo`, keyed
+    `(None if alg.uniform else block_index, state, coordinate, sign)`,
+    so the caller decides how long the transition table lives.
+    """
+    d = np.asarray(deltas, dtype=np.int64)
+    states = np.array(np.broadcast_to(state, d.shape[:1]), dtype=np.int64)
+    j = None if alg.uniform else block_index
+
+    def step(s: int, coordinate: int, sign: int) -> int:
+        key = (j, s, coordinate, sign)
+        nxt = memo.get(key)
+        if nxt is None:
+            nxt = memo[key] = alg.step(block_index, s, Update(coordinate, sign))
+        return nxt
+
+    for i in range(d.shape[1]):
+        steps = np.abs(d[:, i])
+        for sign in (1, -1):
+            moving = d[:, i] * sign > 0
+            for t in range(1, int(steps.max(initial=0)) + 1):
+                rows = np.flatnonzero(moving & (steps >= t))
+                if not rows.size:
+                    break
+                seen, where = np.unique(states[rows], return_inverse=True)
+                nxt = [step(s, i, sign) for s in seen.tolist()]
+                states[rows] = np.asarray(nxt, dtype=np.int64)[where]
+    return states
 
 
 def run(
@@ -441,27 +485,24 @@ class StateSequence:
 class _FoldTable:
     """Memoized partition of the block-delta support by next state.
 
-    Canonical blocks are built once per support point; uniform
-    algorithms share partitions across block indices.
+    The support points are folded through `fold_deltas` with the table's
+    own transition memo; uniform algorithms share partitions across
+    block indices.
     """
 
     def __init__(self, alg: TurnstileAlgorithm, support: SparseMeasure) -> None:
         self.alg = alg
         self.support = support
-        self.blocks = [canonical_realization(p) for p in support.points]
+        self.memo: dict = {}
         self.cache: dict[tuple[int | None, int], np.ndarray] = {}
 
     def next_states(self, block_index: int, state: int) -> np.ndarray:
         key = (None if self.alg.uniform else block_index, state)
         hit = self.cache.get(key)
         if hit is None:
-            alg = self.alg
-            hit = np.empty(len(self.blocks), dtype=np.int64)
-            for k, block in enumerate(self.blocks):
-                s = state
-                for u in block:
-                    s = alg.step(block_index, s, u)
-                hit[k] = s
+            hit = fold_deltas(
+                self.alg, self.support.points, block_index, state, self.memo
+            )
             self.cache[key] = hit
         return hit
 
@@ -584,6 +625,7 @@ def _success_estimate(
     states: tuple[int, ...],
     landings: int,
     rng: np.random.Generator,
+    memo: dict,
 ) -> float:
     """Mass-weighted validity of the closing answer over resampled landings."""
     closing_index = len(states) - 1
@@ -592,10 +634,8 @@ def _success_estimate(
     for y, m in sorted(target.atoms.items()):
         draws = resample_convolution(alg.dimension, laws, landings, rng)
         deltas = np.asarray(y, dtype=np.int64) - draws
-        ok = 0
-        for row in deltas:
-            state = fold_block(alg, closing_index, states[-1], row)
-            ok += problem.valid(y, alg.output(state))
+        ends = fold_deltas(alg, deltas, closing_index, states[-1], memo)
+        ok = sum(problem.valid(y, alg.output(s)) for s in ends.tolist())
         total += (m / weight) * (ok / landings)
     return total
 
@@ -636,16 +676,19 @@ def select_state_sequence(
         problem.ensure_satisfiable(y)
     seed_rng = np.random.default_rng(seed)
     stream_seeds = seed_rng.integers(0, 2**63, size=samples)
-    census: Counter[tuple[int, ...]] = Counter()
-    for s in stream_seeds:
-        smp = exact_stream_sample(target, radius, blocks, pol, int(s))
-        state = alg.initial_state
-        path = [state]
-        for j, block in enumerate(smp.stream.blocks[:blocks]):
-            for u in block:
-                state = alg.step(j, state, u)
-            path.append(state)
-        census[tuple(path)] += 1
+    prefixes = np.array(
+        [
+            exact_stream_sample(target, radius, blocks, pol, int(s)).deltas[:blocks]
+            for s in stream_seeds
+        ],
+        dtype=np.int64,
+    ).reshape(samples, blocks, alg.dimension)
+    paths = np.empty((samples, blocks + 1), dtype=np.int64)
+    paths[:, 0] = alg.initial_state
+    memo: dict = {}
+    for j in range(blocks):
+        paths[:, j + 1] = fold_deltas(alg, prefixes[:, j], j, paths[:, j], memo)
+    census = Counter(map(tuple, paths.tolist()))
     cut = 0.5 * 0.5**blocks if threshold is None else threshold
     survivors = sorted(
         st for st, c in census.items() if c / samples >= cut
@@ -665,6 +708,7 @@ def select_state_sequence(
             states,
             landings,
             np.random.default_rng((seed, *states)),
+            table.memo,
         )
         candidate = StateSequence(
             states=states,

@@ -26,7 +26,7 @@ from .streaming import (
     ProblemSpec,
     StateSequence,
     TurnstileAlgorithm,
-    fold_block,
+    fold_deltas,
     posterior_laws,
     resample_convolution,
     select_state_sequence,
@@ -337,6 +337,7 @@ def _build_decoder(
     close_index = sketch.sigma.block_count
     last_state = sketch.sigma.states[-1]
     table: dict = {}
+    memo: dict = {}
     representative: dict = {}
     conflicts: list[FiberConflict] = []
     for fiber_index, (value, members) in enumerate(fibers.items()):
@@ -348,10 +349,8 @@ def _build_decoder(
             deltas = deltas + sample_truncated(
                 radius, policy, int(rng.integers(2**63)), count=landings
             )
-        outputs = [
-            alg.output(fold_block(alg, close_index, last_state, tuple(int(c) for c in d)))
-            for d in deltas
-        ]
+        ends = fold_deltas(alg, deltas, close_index, last_state, memo)
+        outputs = [alg.output(s) for s in ends.tolist()]
         table[value] = _modal_output(outputs, problem, y_rep)
         representative[value] = y_rep
         if problem.kind == "promise":

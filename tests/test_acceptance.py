@@ -222,7 +222,7 @@ def test_c09_parity_extraction():
         assert min(abs(float(coord) - 0.5), abs(float(coord) + 0.5)) <= 1.0 / 2048
     assert result.method == "exact"
     assert result.success == 1.0
-    budget(60.0, start)
+    budget(50.0, start)
 
 
 def test_c10_mod3_extraction():
@@ -250,7 +250,7 @@ def test_c11_constant_dimension_and_sweep(tmp_path):
     rows = list(csv.reader(lines[2:]))
     assert rows and all(r[4] == "kernel" for r in rows)
     assert all(r[7] == "decreasing" for r in rows)
-    budget(180.0, start)
+    budget(30.0, start)
 
 
 def test_c12_parity_coset_rigidity():

@@ -404,6 +404,34 @@ class TestExtract:
         assert "Traceback" not in err
 
 
+class TestDuplicateSweepRadius:
+    """A radius listed twice would run its pass twice, write every row
+    twice and flatten every trend, so the config is refused first."""
+
+    def test_window_names_the_repeated_radius(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**parse_config_text("sweep = 4, 8.0, 4.0, 8, 16\n"))
+        msg = str(err.value)
+        assert "2 configuration window violation(s)" in msg
+        assert "sweep radius 4 is listed more than once" in msg
+        assert "sweep radius 8 is listed more than once" in msg
+        assert "16" not in msg
+
+    def test_tv_sweep_exits_two_before_any_stage(self, capsys, monkeypatch):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran before the sweep was checked")
+
+        monkeypatch.setattr(cli, "select_state_sequence", no_stage)
+        cfg = write_cfg("dup-sweep.cfg", "M = 2\nsweep = 4, 4\nscenario = constant\n")
+        out = suite_dir() / "dup-sweep"
+        code = main(["tv-sweep", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "sweep radius 4 is listed more than once" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestKernelRadiusCap:
     """D above the enumeration cap is a usage error before any stage runs,
     for the verbs that enumerate shifts up to D; extract certifies at its

@@ -1,14 +1,16 @@
 """Turnstile stream model tests.
 
 Oracles: frequency accumulators for canonical blocks and replay,
-restriction masses summed directly from the truncated Gaussian for the
-posterior laws, a brute-force joint enumeration for the factorization
+per-row `fold_block` and the per-update loops it replaced for the array
+fold, restriction masses summed directly from the truncated Gaussian
+for the posterior laws, a brute-force joint enumeration for the factorization
 identity, a prefix-scan for strict padding, and the exact truncated
 pmf behind the chi-square check of the noise marginal.
 """
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from sketchlab.streaming import (
     constant_algorithm,
     exact_stream_sample,
     fold_block,
+    fold_deltas,
     identity_box_algorithm,
     minimal_strict_pad,
     mod_counter_algorithm,
@@ -46,7 +49,7 @@ from sketchlab.streaming import (
     strict_padding,
     zoo_algorithm,
 )
-from sketchlab.streaming import _conditional_blocks, _FoldTable
+from sketchlab.streaming import _conditional_blocks, _FoldTable, _success_estimate
 
 TARGET4 = SparseMeasure.uniform([(0, 0), (1, 0), (1, 1), (2, 1)])
 
@@ -418,6 +421,198 @@ def test_resample_convolution_matches_laws():
     assert rows.shape == (256, 2)
     # both blocks have odd coordinate sums, so every row sums even
     assert all(int(r.sum()) % 2 == 0 for r in rows)
+
+
+# -- array fold ---------------------------------------------------------------
+
+FOLD_CASES = [
+    ("constant", {}),
+    ("parity", {}),
+    ("mod-counter", {"modulus": 3}),
+    ("identity-box", {"box_radius": 3}),
+    ("alternating", {"horizon": 4}),
+    ("rolling-hash", {}),
+]
+
+
+def rolling_hash_algorithm(dimension: int) -> TurnstileAlgorithm:
+    """Mixes every (coordinate, sign) into the state in arrival order, so
+    any change to the visiting order moves the end state."""
+    return TurnstileAlgorithm(
+        name="rolling-hash",
+        dimension=dimension,
+        state_bits=5,
+        initial_state=1,
+        transition=lambda j, s, u: (5 * s + 2 * u.coordinate + (u.sign > 0)) % 31,
+        output=lambda s: s,
+    )
+
+
+def counting(alg: TurnstileAlgorithm) -> tuple[TurnstileAlgorithm, Counter]:
+    calls: Counter = Counter()
+
+    def transition(j, s, u):
+        calls[(j, s, u.coordinate, u.sign)] += 1
+        return alg.transition(j, s, u)
+
+    return replace(alg, transition=transition), calls
+
+
+def visited_pairs(alg, block_index, state, rows) -> set:
+    """(state, coordinate, sign) of every unit step of the canonical blocks."""
+    out = set()
+    for row in rows:
+        s = state
+        for u in canonical_realization(row):
+            out.add((s, u.coordinate, u.sign))
+            s = alg.step(block_index, s, u)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(FOLD_CASES), n=st.integers(1, 3), data=st.data())
+def test_fold_deltas_matches_fold_block(case, n, data):
+    name, params = case
+    if name == "rolling-hash":
+        alg = rolling_hash_algorithm(n)
+    else:
+        alg = zoo_algorithm(name, n, **params)
+    rows = data.draw(
+        st.lists(st.one_of(st.just((0,) * n), vectors(n, 6)), max_size=12)
+    )
+    deltas = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    memo: dict = {}
+    # a non-uniform table is folded at every block index below its horizon,
+    # through one shared memo, so a rule leaking across blocks shows
+    for j in range(2 if alg.uniform else alg.horizon):
+        start = fold_block(alg, j, alg.initial_state, data.draw(vectors(n, 3)))
+        got = fold_deltas(alg, deltas, j, start, memo)
+        want = np.array([fold_block(alg, j, start, r) for r in rows], dtype=np.int64)
+        assert np.array_equal(got, want)
+        starts = [fold_block(alg, j, alg.initial_state, r[::-1]) for r in rows]
+        got = fold_deltas(alg, deltas, j, np.array(starts, dtype=np.int64), memo)
+        want = [fold_block(alg, j, s, r) for s, r in zip(starts, rows)]
+        assert np.array_equal(got, np.array(want, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "alg, blocks",
+    [(mod_counter_algorithm(2, 3), 3), (alternating_algorithm(2, horizon=4), 4)],
+)
+def test_fold_calls_each_distinct_transition_once(alg, blocks):
+    spy, calls = counting(alg)
+    support = gamma_truncated(2, 4.0)
+    table = _FoldTable(spy, support)
+    expected = set()
+    for j in range(blocks):
+        for start in range(3):
+            table.next_states(j, start)
+            pairs = visited_pairs(alg, j, start, support.points.tolist())
+            expected |= {(j, *p) for p in pairs}
+    if alg.uniform:
+        # one call per (state, update), whichever block reached it first
+        per_pair = Counter((s, c, g) for j, s, c, g in calls.elements())
+        assert set(per_pair) == {p[1:] for p in expected}
+    else:
+        per_pair = calls
+        assert set(per_pair) == expected
+    assert set(per_pair.values()) == {1}
+
+
+def test_transition_leaving_the_state_space_raises_from_posterior_laws():
+    leaky = TurnstileAlgorithm(
+        name="leaky",
+        dimension=2,
+        state_bits=1,
+        initial_state=0,
+        transition=lambda j, s, u: s + 1,
+        output=lambda s: s,
+    )
+    with pytest.raises(RuntimeError, match="left the declared 1-bit state space: 2"):
+        posterior_laws(leaky, (0, 1, 0), 4.0, 2)
+
+
+def loop_success_estimate(alg, problem, target, laws, states, landings, rng):
+    """`_success_estimate` as it was before the array fold: one
+    `fold_block` per resampled landing."""
+    closing_index = len(states) - 1
+    weight = target.total_mass
+    total = 0.0
+    for y, m in sorted(target.atoms.items()):
+        draws = resample_convolution(alg.dimension, laws, landings, rng)
+        deltas = np.asarray(y, dtype=np.int64) - draws
+        ok = 0
+        for row in deltas:
+            state = fold_block(alg, closing_index, states[-1], row)
+            ok += problem.valid(y, alg.output(state))
+        total += (m / weight) * (ok / landings)
+    return total
+
+
+IDENTITY = identity_box_algorithm(2, 40)
+_S1 = fold_block(IDENTITY, 0, IDENTITY.initial_state, (1, 0))
+IDENTITY_STATES = (IDENTITY.initial_state, _S1, fold_block(IDENTITY, 1, _S1, (2, -1)))
+
+
+@pytest.mark.parametrize(
+    "alg, states, problem",
+    [
+        (parity_algorithm(2), (0, 1, 0), PARITY_PROBLEM),
+        # the closing block of the alternating table flips parity per
+        # update, so about half of the landings are valid
+        (
+            alternating_algorithm(2, horizon=3),
+            (0, 3, 4),
+            ProblemSpec.relation_problem(lambda y, o: o < 3, outputs=tuple(range(6))),
+        ),
+        (
+            IDENTITY,
+            IDENTITY_STATES,
+            ProblemSpec.metric_approximation(
+                target=lambda y: y,
+                metric=lambda a, b: 0.0 if a == b else 1.0,
+                outputs=(),
+                epsilon=0.0,
+            ),
+        ),
+    ],
+)
+def test_success_estimate_matches_per_row_loop(alg, states, problem):
+    laws = posterior_laws(alg, states, 8.0, 2)
+    q = _success_estimate(
+        alg, problem, TARGET4, laws, states, 64, np.random.default_rng(9), {}
+    )
+    want = loop_success_estimate(
+        alg, problem, TARGET4, laws, states, 64, np.random.default_rng(9)
+    )
+    assert q == want
+    assert 0.0 < q <= 1.0
+
+
+@pytest.mark.parametrize(
+    "alg", [identity_box_algorithm(2, 3), alternating_algorithm(2, horizon=3)]
+)
+def test_selection_census_matches_per_update_loop(alg):
+    # threshold 1 keeps no survivor, so the census comes back whole
+    with pytest.raises(SelectionFailed) as err:
+        select_state_sequence(
+            alg, TARGET4, ProblemSpec.relation_problem(lambda y, o: True, (0,)),
+            8.0, 2, samples=96, seed=4, threshold=1.0,
+        )
+    census: Counter = Counter()
+    seeds = np.random.default_rng(4).integers(0, 2**63, size=96)
+    for s in seeds:
+        smp = exact_stream_sample(TARGET4, 8.0, 2, seed=int(s))
+        state = alg.initial_state
+        path = [state]
+        for j, block in enumerate(smp.stream.blocks[:2]):
+            for u in block:
+                state = alg.step(j, state, u)
+            path.append(state)
+        census[tuple(path)] += 1
+    assert len(census) > 1
+    ranked = sorted(census.items(), key=lambda kv: (-kv[1], kv[0]))
+    assert err.value.census == tuple(ranked)
 
 
 # -- state sequences ----------------------------------------------------------

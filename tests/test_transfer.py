@@ -1,6 +1,7 @@
 """Sketch extraction pipeline tests.
 
-Oracles: brute-force stream simulation for the decoder labels, direct
+Oracles: brute-force stream simulation for the decoder labels, the
+per-row `fold_block` loop for the decoder's landing folds, direct
 landing-law recomputation for the kernel TV coupling, exhaustive fiber
 analysis for the adversarial information ceiling, and direct residue
 arithmetic for the homomorphism checks.
@@ -17,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchlab import transfer
+from sketchlab.dgauss import TruncationPolicy
 from sketchlab.measure import SparseMeasure, convolve_many_fft
 from sketchlab.streaming import (
     ProblemSpec,
@@ -24,6 +27,7 @@ from sketchlab.streaming import (
     StateSequence,
     constant_algorithm,
     exact_stream_sample,
+    fold_block,
     identity_box_algorithm,
     mod_counter_algorithm,
     parity_algorithm,
@@ -36,6 +40,7 @@ from sketchlab.transfer import (
     SmoothnessError,
     TransferConfig,
     UncoveredFiber,
+    _build_decoder,
     evaluate_sketch,
     extract_sketch,
     extraction_from_text,
@@ -406,6 +411,62 @@ def test_landing_law_is_the_certified_convolution():
 
 
 # -- kernel-TV coupling -------------------------------------------------------
+
+
+def per_row_fold(alg, deltas, block_index, state, memo):
+    """The decoder's landing folds as they were before the array fold."""
+    return np.array(
+        [fold_block(alg, block_index, state, tuple(int(c) for c in d)) for d in deltas],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize(
+    "extraction, alg, target, problem, seed",
+    [
+        (parity_extraction, parity_algorithm(2), TARGET4, PARITY_PROBLEM, 11),
+        (mod3_extraction, mod3_algorithm(), MOD3_TARGET, MOD3_PROBLEM, 7),
+        (adversarial_extraction, parity_algorithm(2), MOD3_TARGET, MOD3_PROBLEM, 5),
+        (mollified_extraction, parity_algorithm(2), TARGET4, CAPPED_NORM, 11),
+    ],
+)
+def test_decoder_table_matches_per_row_loop(
+    extraction, alg, target, problem, seed, monkeypatch
+):
+    sketch, decoder, report = extraction()
+
+    def build():
+        return _build_decoder(
+            alg,
+            sketch,
+            target,
+            problem,
+            report.laws,
+            8.0,
+            TruncationPolicy.for_gaussian(2, 8.0),
+            sketch.provenance.decoder_landings,
+            seed,
+            report.translation.convolution,
+        )
+
+    # the modal vote hides most fold errors, so the landing outputs it is
+    # handed are compared too
+    seen: list = []
+    modal = transfer._modal_output
+
+    def recording_modal(outputs, problem, y):
+        seen.append(list(outputs))
+        return modal(outputs, problem, y)
+
+    def fields(d: FiberDecoder) -> tuple:
+        return d.table, d.representative, d.default, d.conflicts
+
+    monkeypatch.setattr(transfer, "_modal_output", recording_modal)
+    assert fields(build()) == fields(decoder)
+    array_outputs, seen[:] = seen[:], []
+    monkeypatch.setattr(transfer, "fold_deltas", per_row_fold)
+    assert fields(build()) == fields(decoder)
+    assert seen == array_outputs
 
 
 def test_same_fiber_tv_matches_certificates():
