@@ -343,9 +343,9 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class StreamSample:
-    """One draw from a stream model: the stream plus what produced it."""
+    """One draw from a stream model: its block deltas plus what produced
+    them.  `Stream.from_deltas(n, deltas)` replays it update by update."""
 
-    stream: Stream
     target: tuple[int, ...]
     deltas: tuple[tuple[int, ...], ...]
     noise: tuple[int, ...] | None = None
@@ -396,7 +396,7 @@ def exact_stream_sample(
     closing = np.asarray(y, dtype=np.int64) - xs.sum(axis=0)
     deltas = [tuple(int(c) for c in row) for row in xs]
     deltas.append(tuple(int(c) for c in closing))
-    return StreamSample(Stream.from_deltas(n, deltas), y, tuple(deltas))
+    return StreamSample(y, tuple(deltas))
 
 
 def mollified_stream_sample(
@@ -410,7 +410,7 @@ def mollified_stream_sample(
 
     The noise draw uses a seed stream disjoint from the prefix and target
     draws, so a seed whose noise is zero reproduces the exact model's
-    stream bit for bit.
+    deltas bit for bit.
     """
     n = target.dimension
     pol = _resolve_policy(n, radius, policy)
@@ -424,7 +424,7 @@ def mollified_stream_sample(
     closing = np.asarray(y, dtype=np.int64) + np.asarray(z) - xs.sum(axis=0)
     deltas = [tuple(int(c) for c in row) for row in xs]
     deltas.append(tuple(int(c) for c in closing))
-    return StreamSample(Stream.from_deltas(n, deltas), y, tuple(deltas), z)
+    return StreamSample(y, tuple(deltas), z)
 
 
 # -- conditioning on boundary states ---------------------------------------------

@@ -85,18 +85,7 @@ def tv_distance(nu: SparseMeasure, v: Sequence[int]) -> float:
     return 0.5 * math.fsum(np.abs(_shift_difference(nu, vv)))
 
 
-def translation_energy(nu: SparseMeasure, v: Sequence[int]) -> float:
-    """sum_y |nu(y) - nu(y - v)|^2, computed directly on the atom diff."""
-    diff = _shift_difference(nu, _direction(v))
-    return math.fsum(diff * diff)
-
-
 # -- line decomposition ------------------------------------------------------
-
-# Spectra are taken over chunks of at most this many doubled-count nodes
-# (8 lines at the default 4096 nodes), which keeps their memory near 1 MB;
-# 64-line chunks raised the peak RSS of a small extract by a fifth.
-LINE_CHUNK_NODES = 8 * 8192
 
 
 def _line_coordinates(
@@ -127,40 +116,56 @@ def _line_coordinates(
     return nu.points - ell[:, None] * varr, ell
 
 
-def _quadrature_nodes(length: int, nodes: int) -> int:
-    # The integrand is a trig polynomial of degree 2(length - 1) + 2; the
-    # uniform rule is exact once the node count clears that degree.
-    J = max(4, nodes)
-    while J < 2 * (length + 2):
-        J *= 2
-    return J
+def _fft_length(length: int) -> int:
+    """Smallest power of two holding the linear autocorrelation of a
+    difference sequence of length + 1 entries without wrap-around."""
+    return 1 << (2 * (length + 1) - 1).bit_length()
 
 
-def _node_weights(J: int) -> tuple[np.ndarray, np.ndarray]:
-    """The J uniform nodes t and the weights |1 - e(-t)|^2 = 4 sin^2(pi t)."""
-    t = np.arange(J) / J
-    return t, 4.0 * np.sin(math.pi * t) ** 2
+def _autocorrelations(steps: np.ndarray, N: int) -> np.ndarray:
+    """r_k = sum_j d_j d_{j+k} of every row d, from one rfft/irfft pair of
+    length N; lag k sits in column k."""
+    f = np.fft.rfft(steps, n=N, axis=1)
+    return np.fft.irfft(f.real * f.real + f.imag * f.imag, n=N, axis=1)
 
 
-def _weighted_power(rows: np.ndarray, J: int, w: np.ndarray) -> np.ndarray:
-    """|transform|^2 times the weights |1 - e(-t)|^2 at J uniform nodes,
-    one line per row."""
-    p = np.abs(np.fft.fft(rows, n=J, axis=1))
-    p *= p
-    p *= w
-    return p
+# unit roundoff of IEEE double precision
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _tail_roundoff(energy: float, N: int, u: float) -> float:
+    """A-priori bound on the rounding error of one closed-form tail.
+
+    The tail is r_0 (1 - 2u) minus twice the recursive sum of the L terms
+    r_k w_k, w_k = sin(2 pi k u) / (pi k), with L <= N/2 - 1.  Each weight
+    and product carries a few roundings whose absolute error is at most a
+    few units of |w_k| + 2u, and recursive summation adds gamma_{L-1}
+    times the sum of the magnitudes (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3-4).  With |r_k| <= r_0 and |w_k| <= 2u the
+    error is at most gamma_{N/2+8} r_0 (1 + 4 u N).  The bound takes the
+    FFT's r_k as given; their own error is what the np.correlate check in
+    line_decomposition measures, and the 1e-12 floor of the line check
+    absorbs it.
+    """
+    m = N // 2 + 8
+    gamma = m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
+    return gamma * energy * (1.0 + 4.0 * u * N)
 
 
 @dataclass(frozen=True)
 class LineDecomposition:
     """nu split along lines {x + l v}, one record per occupied line.
 
-    line_energies comes from the direct difference sum, and
-    quadrature_energies from the uniform-node integral of
-    |1 - e(-t)|^2 |nu_hat_{x,v}(t)|^2; the build fails unless the two
-    agree to 1e-10 per line.  tail_terms holds the part of each line's
-    quadrature over frequencies |t| beyond the split point (all zero
-    when no split is supplied).
+    Each line is carried by its difference sequence d (L + 1 entries for
+    a line spanning L positions) and the autocorrelation r_k of d, taken
+    with one FFT of length line_nodes (the smallest power of two >=
+    2(L + 1), so the correlation does not wrap).  line_energies is the
+    direct d . d and quadrature_energies the spectral r_0, the integral of
+    |1 - e(-t)|^2 |nu_hat_{x,v}(t)|^2 over the circle; the build fails
+    unless the two agree to 1e-10 per line.  tail_terms holds each line's
+    share of that integral over split < |t| <= 1/2, in closed form:
+    beta = r_0 (1 - 2u) - 2 sum_{k=1}^{L} r_k sin(2 pi k u) / (pi k) with
+    u = split (all zero when no split is supplied or u >= 1/2).
     """
 
     direction: tuple[int, ...]
@@ -190,21 +195,22 @@ def line_decomposition(
     nu: SparseMeasure,
     v: Sequence[int],
     center: Sequence[float] | None = None,
-    nodes: int = 4096,
     split: float | None = None,
 ) -> LineDecomposition:
     """Split nu into lines along v and compute both energy forms.
 
-    Every line energy is evaluated twice: directly as the sum of squared
-    successive differences, and as a uniform-node quadrature of the line
-    transform (with the node count auto-raised past twice the trig degree
-    and a doubled-node check against drift).  A split point carves each
-    line's quadrature into a near part and the tail term beyond |t| >
-    split.  Lines are laid out as dense rows and their spectra are
-    batched: one FFT per chunk of lines that share a node count.
+    Lines are laid out as dense rows and grouped by FFT length N; each
+    group takes one batched rfft/irfft for the autocorrelations of its
+    difference sequences.  Every line energy is evaluated twice, directly
+    as d . d and spectrally as r_0, and the two must agree to 1e-10.  For
+    the longest line of each group the FFT autocorrelation is checked lag
+    by lag against np.correlate to 1e-10.  A split u in [0, 1/2] gives
+    each line the closed-form tail beyond |t| > u, summed over k in
+    increasing order (the order _tail_roundoff bounds).
     """
     vv = _direction(v)
     u = 0.0 if split is None else float(split)
+    with_tail = split is not None and u < 0.5
     rep, ell = _line_coordinates(nu, vv, center)
     order, starts = _lex_groups(rep, minor=ell)
     rep, ell, mass = rep[order], ell[order], nu.masses[order]
@@ -215,61 +221,65 @@ def line_decomposition(
     lengths = ell[end - 1] - lo + 1
     # column of each atom in its line's row, which has a zero on each side
     col = ell - lo[line] + 1
-    J_of = {L: _quadrature_nodes(L, nodes) for L in np.unique(lengths).tolist()}
-    line_nodes = np.array([J_of[L] for L in lengths.tolist()], dtype=np.int64)
+    N_of = {L: _fft_length(L) for L in np.unique(lengths).tolist()}
+    fft_len = np.array([N_of[L] for L in lengths.tolist()], dtype=np.int64)
     count = first.size
-    quad = np.empty(count)
-    double = np.empty(count)
+    r0 = np.empty(count)
     tails = np.zeros(count)
-    energies = [0.0] * count
+    energies = np.empty(count)
+    k = np.arange(1, int(lengths.max()) + 1, dtype=float)
+    weights = np.sin(2.0 * math.pi * u * k) / (math.pi * k)
+    reps = [tuple(r) for r in rep[first].tolist()]
+    checks = []
 
-    for J in sorted(set(J_of.values())):
-        in_group = line_nodes == J
+    for N in sorted(set(N_of.values())):
+        in_group = fft_len == N
         members = np.flatnonzero(in_group)
         atoms = np.flatnonzero(in_group[line])
-        rows = np.zeros((members.size, int(lengths[members].max()) + 2))
+        span = lengths[members]
+        K = int(span.max())
+        rows = np.zeros((members.size, K + 2))
         # Each (representative, ell) holds exactly one atom, so this is a
         # scatter, never a sum.
         rows[(np.cumsum(in_group) - 1)[line[atoms]], col[atoms]] = mass[atoms]
-        # The exact-length diff of each line; more zero padding would change
-        # the dot product's rounding.
         steps = np.diff(rows, axis=1)
-        for k, (i, L) in enumerate(zip(members.tolist(), lengths[members].tolist())):
-            d = steps[k, : L + 1]
-            energies[i] = float(d @ d)
-        t, w = _node_weights(J)
-        _, w2 = _node_weights(2 * J)
-        far = np.abs(t - np.floor(t + 0.5)) > u
-        chunk = max(1, LINE_CHUNK_NODES // (2 * J))
-        for c in range(0, members.size, chunk):
-            block = rows[c : c + chunk, 1:-1]
-            idx = members[c : c + chunk]
-            p = _weighted_power(block, J, w)
-            quad[idx] = p.mean(axis=1)
-            if split is not None and far.any():
-                # the copy keeps the mean's pairwise summation of a 1-D array
-                tails[idx] = np.ascontiguousarray(p[:, far]).mean(axis=1)
-            double[idx] = _weighted_power(block, 2 * J, w2).mean(axis=1)
+        for j, (i, L) in enumerate(zip(members.tolist(), span.tolist())):
+            # the exact-length diff; more zero padding would change the
+            # dot product's rounding
+            d = steps[j, : L + 1]
+            energies[i] = d @ d
+        r = _autocorrelations(steps, N)
+        r0[members] = r[:, 0]
+        if with_tail:
+            # a running sum, so the trailing zeros of a short line's row
+            # leave its partial sum at column L - 1 untouched
+            run = np.cumsum(r[:, 1 : K + 1] * weights[:K], axis=1)
+            part = run[np.arange(members.size), span - 1]
+            tails[members] = r[:, 0] * (1.0 - 2.0 * u) - 2.0 * part
+        j = int(np.argmax(span))
+        checks.append((members[j], N, r[j, : span[j] + 1], steps[j, : span[j] + 1]))
 
-    reps = [tuple(r) for r in rep[first].tolist()]
-    quad_l = quad.tolist()
-    double_l = double.tolist()
-    J_l = line_nodes.tolist()
-    for i, r in enumerate(reps):
-        e_quad, e_double, e_direct, J = quad_l[i], double_l[i], energies[i], J_l[i]
-        if abs(e_quad - e_double) > 1e-10:
+    gap = np.abs(energies - r0)
+    bad = np.flatnonzero(gap > 1e-10)
+    if bad.size:
+        i = int(bad[0])
+        raise RuntimeError(
+            "line energy mismatch between direct and spectral forms on the "
+            f"line through {reps[i]} along {vv}: direct {float(energies[i])!r}, "
+            f"spectral r_0 {float(r0[i])!r} ({int(fft_len[i])}-point FFT), "
+            f"|difference| {float(gap[i]):.3e} exceeds the tolerance 1e-10"
+        )
+    for i, N, r, d in checks:
+        L = d.size - 1
+        direct = np.correlate(d, d, "full")[L:]
+        lag = int(np.argmax(np.abs(r - direct)))
+        if abs(r[lag] - direct[lag]) > 1e-10:
             raise RuntimeError(
-                "line quadrature drifts under node doubling on the line through "
-                f"{r} along {vv}: {J} nodes give {e_quad!r}, {2 * J} give "
-                f"{e_double!r}, |difference| {abs(e_quad - e_double):.3e} "
-                "exceeds the tolerance 1e-10"
-            )
-        if abs(e_direct - e_quad) > 1e-10:
-            raise RuntimeError(
-                "line energy mismatch between direct and quadrature forms on the "
-                f"line through {r} along {vv}: direct {e_direct!r}, quadrature "
-                f"{e_quad!r} ({J} nodes), |difference| "
-                f"{abs(e_direct - e_quad):.3e} exceeds the tolerance 1e-10"
+                "line autocorrelation mismatch between the FFT and np.correlate "
+                f"on the line through {reps[i]} along {vv} ({N}-point FFT): lag "
+                f"{lag}, FFT {float(r[lag])!r}, correlate {float(direct[lag])!r}, "
+                f"|difference| {abs(r[lag] - direct[lag]):.3e} exceeds the "
+                "tolerance 1e-10"
             )
     masses = mass.tolist()
     n = nu.dimension
@@ -283,10 +293,10 @@ def line_decomposition(
         line_masses=tuple(
             math.fsum(masses[a:b]) for a, b in zip(first.tolist(), end.tolist())
         ),
-        line_energies=tuple(energies),
-        quadrature_energies=tuple(quad_l),
+        line_energies=tuple(energies.tolist()),
+        quadrature_energies=tuple(r0.tolist()),
         tail_terms=tuple(tails.tolist()),
-        line_nodes=tuple(J_l),
+        line_nodes=tuple(fft_len.tolist()),
         split=u,
     )
 
@@ -351,7 +361,7 @@ def measured_structure_spread(
     how far the frequencies above eta stray from the structure.
 
     Grid points only; the spread is a measured proxy for the theoretical
-    neighborhood radius, not a certificate between grid nodes.
+    neighborhood radius, not a certificate between grid points.
     """
     spread = int((nu.points.max(axis=0) - nu.points.min(axis=0)).max()) + 1
     side = min_side
@@ -376,7 +386,8 @@ class LineEnergyRecord:
     energy: float
     main_bound: float
     beta: float
-    node_slack: float
+    roundoff: float
+    slack: float
     passed: bool
 
 
@@ -439,17 +450,19 @@ def spectral_energy_bound_check(
     eta: float,
     v: Sequence[int],
     center: Sequence[float] | None = None,
-    nodes: int = 4096,
     spread: HeavySpread | None = None,
 ) -> SpectralEnergyReport:
     """Check the per-line energy bound for the shift v against (W, delta, eta).
 
-    Each line must satisfy E <= (8 pi^2 / 3) u^3 p^2 + beta with
-    u = |v| delta, where beta is the quadrature of the line transform over
-    |t| > u; the betas must aggregate to at most 4 eta^2 plus node slack.
-    Violated preconditions (non-integral pairing, shift outside the
-    1/(2 delta) window, above-eta frequencies far from W) are reported
-    individually instead of raised.
+    Each line must satisfy E <= (8 pi^2 / 3) u^3 p^2 + beta + slack with
+    u = |v| delta, where E is the spectral line energy r_0, beta the
+    closed-form integral of the line's weighted power over |t| > u, and
+    the slack the a-priori roundoff allowance of that closed form
+    (_tail_roundoff) plus a 1e-12 floor; the betas must aggregate to at
+    most 4 eta^2.  Violated preconditions (non-integral pairing, shift
+    outside the 1/(2 delta) window, above-eta frequencies far from W) are
+    reported individually instead of raised, as are the first line over
+    its bound and an aggregate over budget.
     """
     vv = _direction(v)
     norm_v = math.sqrt(sum(c * c for c in vv))
@@ -467,12 +480,12 @@ def spectral_energy_bound_check(
             f" {spread.worst_distance:.6g} > delta from the structure"
         )
 
-    dec = line_decomposition(nu, vv, center=center, nodes=nodes, split=u)
+    dec = line_decomposition(nu, vv, center=center, split=u)
     records = []
     total_beta = 0.0
     total_energy = 0.0
     lines_ok = True
-    for rep, p, energy, beta, J in zip(
+    for rep, p, energy, beta, N in zip(
         dec.representatives,
         dec.line_masses,
         dec.quadrature_energies,
@@ -480,12 +493,18 @@ def spectral_energy_bound_check(
         dec.line_nodes,
     ):
         main_bound = (8.0 * math.pi**2 / 3.0) * u**3 * p * p
-        # Two boundary nodes of the split can fall just inside |t| <= u.
-        slack = 4.0 * math.pi**2 * u * u * p * p * (2.0 / J) + 1e-12
+        roundoff = _tail_roundoff(energy, N, u)
+        slack = roundoff + 1e-12
         ok = energy <= main_bound + beta + slack
-        lines_ok = lines_ok and ok
+        if lines_ok and not ok:
+            lines_ok = False
+            violations.append(
+                f"line through {rep}: energy {energy:.6g} exceeds main"
+                f" {main_bound:.6g} + beta {beta:.6g} + slack {slack:.6g}"
+                f" (roundoff allowance {roundoff:.3g} + floor 1e-12)"
+            )
         records.append(
-            LineEnergyRecord(rep, p, energy, main_bound, beta, slack, ok)
+            LineEnergyRecord(rep, p, energy, main_bound, beta, roundoff, slack, ok)
         )
         total_beta += beta
         total_energy += energy
@@ -537,7 +556,6 @@ def ball_reduction_tv_bound(
     eta: float,
     center: Sequence[float],
     H: float,
-    nodes: int = 4096,
     spread: HeavySpread | None = None,
 ) -> BallReductionReport:
     """Bound the translation TV by concentrating the comparison on a ball.
@@ -559,9 +577,7 @@ def ball_reduction_tv_bound(
     if H < norm_v:
         raise ValueError("ball radius H must be at least |v|")
     carr = np.asarray(center, dtype=float)
-    spectral = spectral_energy_bound_check(
-        nu, W, delta, eta, vv, nodes=nodes, spread=spread
-    )
+    spectral = spectral_energy_bound_check(nu, W, delta, eta, vv, spread=spread)
     main = math.pi * math.sqrt(2.0 * H) * norm_v * delta**1.5
     spectral_term = (4.0 * H) ** ((n + 1) / 2.0) * eta
     d = nu.points - carr
@@ -716,7 +732,6 @@ class TranslationConfig:
     level: float | None = None
     controls: int = 2
     max_kernel: int = 24
-    nodes: int = 4096
 
 
 @dataclass(frozen=True)
@@ -904,7 +919,6 @@ def translation_invariance_certify(
                 eta,
                 tail.center,
                 H,
-                nodes=cfg.nodes,
                 spread=spread,
             )
             records.append(
@@ -941,25 +955,3 @@ def translation_invariance_certify(
         structure=structure,
         convolution=nu,
     )
-
-
-def translation_report_to_text(report: TranslationReport) -> str:
-    """One header line, one warning line each, one record line per shift."""
-    head = (
-        f"scenario={report.scenario} route={report.route} R={report.R:.17g}"
-        f" pieces={report.pieces} eta={report.eta:.17g} delta={report.delta:.17g}"
-        f" H={report.H:.17g} deficit={report.deficit:.17g}"
-        f" rank={report.structure_rank} kernel_empty={int(report.kernel_empty)}"
-    )
-    lines = [head]
-    lines.append("center=" + ",".join(f"{c:.17g}" for c in report.center))
-    for w in report.warnings:
-        lines.append(f"warning={w}")
-    for r in report.records:
-        vec = ",".join(str(c) for c in r.vector)
-        lines.append(
-            f"{r.kind} v={vec} tv={r.tv:.17g} main={r.main_term:.17g}"
-            f" spectral={r.spectral_term:.17g} mass={r.mass_term:.17g}"
-            f" bound={r.bound:.17g} violations={r.violations} pass={int(r.passed)}"
-        )
-    return "\n".join(lines) + "\n"

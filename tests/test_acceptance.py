@@ -208,7 +208,7 @@ def test_c08_ball_reduction_tv():
     parity_kernels = [r for r in report.translation.records if r.kind == "kernel"]
     assert parity_kernels
     assert all(r.tv <= r.bound + 1e-9 for r in parity_kernels)
-    budget(70.0, start)
+    budget(40.0, start)
 
 
 def test_c09_parity_extraction():

@@ -204,29 +204,32 @@ def test_identity_box_records_and_overflows():
 def test_exact_sample_replays_to_target():
     for seed in range(50):
         smp = exact_stream_sample(TARGET4, 8.0, 3, seed=seed)
-        assert tuple(smp.stream.final_vector()) == smp.target
-        assert smp.stream.block_count == 4
+        stream = Stream.from_deltas(2, smp.deltas)
+        assert tuple(stream.final_vector()) == smp.target
+        assert stream.block_count == 4
         assert smp.noise is None
 
 
 def test_exact_sample_m0_is_single_target_block():
     smp = exact_stream_sample(TARGET4, 8.0, 0, seed=9)
-    assert smp.stream.block_count == 1
-    assert smp.stream.blocks[0] == canonical_realization(smp.target)
+    stream = Stream.from_deltas(2, smp.deltas)
+    assert stream.block_count == 1
+    assert stream.blocks[0] == canonical_realization(smp.target)
 
 
 def test_exact_sample_reports_additive_length():
     smp = exact_stream_sample(TARGET4, 8.0, 5, seed=21)
     lengths = [sum(abs(c) for c in d) for d in smp.deltas]
-    assert smp.stream.update_count == sum(lengths)
-    assert smp.stream.update_count <= 5 * max(lengths[:-1]) + lengths[-1]
+    stream = Stream.from_deltas(2, smp.deltas)
+    assert stream.update_count == sum(lengths)
+    assert stream.update_count <= 5 * max(lengths[:-1]) + lengths[-1]
 
 
 def test_mollified_sample_replays_to_target_plus_noise():
     for seed in range(50):
         smp = mollified_stream_sample(TARGET4, 8.0, 3, seed=seed)
         want = tuple(a + b for a, b in zip(smp.target, smp.noise))
-        assert tuple(smp.stream.final_vector()) == want
+        assert tuple(Stream.from_deltas(2, smp.deltas).final_vector()) == want
 
 
 def test_mollified_zero_noise_seed_reduces_to_exact():
@@ -238,7 +241,7 @@ def test_mollified_zero_noise_seed_reduces_to_exact():
     )
     exact = exact_stream_sample(target, 4.0, 0, seed=seed)
     moll = mollified_stream_sample(target, 4.0, 0, seed=seed)
-    assert moll.stream == exact.stream
+    assert moll.deltas == exact.deltas
     assert moll.target == exact.target
 
 
@@ -389,7 +392,7 @@ def test_factorization_against_monte_carlo():
         smp = exact_stream_sample(target, 4.0, 2, seed=int(s))
         state = 0
         path = [0]
-        for j, block in enumerate(smp.stream.blocks[:2]):
+        for j, block in enumerate(Stream.from_deltas(1, smp.deltas).blocks[:2]):
             for u in block:
                 state = alg.step(j, state, u)
             path.append(state)
@@ -605,7 +608,7 @@ def test_selection_census_matches_per_update_loop(alg):
         smp = exact_stream_sample(TARGET4, 8.0, 2, seed=int(s))
         state = alg.initial_state
         path = [state]
-        for j, block in enumerate(smp.stream.blocks[:2]):
+        for j, block in enumerate(Stream.from_deltas(2, smp.deltas).blocks[:2]):
             for u in block:
                 state = alg.step(j, state, u)
             path.append(state)

@@ -25,6 +25,7 @@ from sketchlab.streaming import (
     ProblemSpec,
     SelectionFailed,
     StateSequence,
+    Stream,
     constant_algorithm,
     exact_stream_sample,
     fold_block,
@@ -209,7 +210,7 @@ def test_parity_decoder_matches_simulation():
         point = SparseMeasure.point_mass(y)
         for s in range(50):
             smp = exact_stream_sample(point, 8.0, 2, seed=s)
-            outs[run(alg, smp.stream)[1]] += 1
+            outs[run(alg, Stream.from_deltas(2, smp.deltas))[1]] += 1
         majority = outs.most_common(1)[0][0]
         assert decoder.decode(sketch_apply(sketch, y)) == majority
         assert majority == PARITY_PROBLEM.label(y)

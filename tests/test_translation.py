@@ -1,13 +1,15 @@
 """Translation-distance tests.
 
 Oracles: brute-force half-L1 summation for TV, direct difference sums
-for line energies (checked against the line-transform quadrature),
+for line energies (checked against the spectral autocorrelation),
 per-line profiles via measure.line_profile, exact convolutions for the
-tail-center and certification walkthroughs, and the per-atom dict forms
-of the shift difference and the line decomposition, which the array
-versions must match bit for bit.
+tail-center and certification walkthroughs, the per-atom dict forms of
+the shift difference and the line decomposition, which the array
+versions must match bit for bit, and a fine midpoint quadrature of each
+line's tail integral.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -35,9 +37,7 @@ from sketchlab.translation import (
     line_decomposition,
     measured_structure_spread,
     spectral_energy_bound_check,
-    translation_energy,
     translation_invariance_certify,
-    translation_report_to_text,
     tv_distance,
 )
 
@@ -163,7 +163,7 @@ def test_tv_cauchy_schwarz(mu, v):
     keys = set(mu.atoms) | set(shifted)
     diffs = [mu.atoms.get(k, 0.0) - shifted.get(k, 0.0) for k in keys]
     support = sum(1 for d in diffs if d != 0.0)
-    energy = translation_energy(mu, v)
+    energy = dict_translation_energy(mu, v)
     assert tv_distance(mu, v) <= 0.5 * math.sqrt(support) * math.sqrt(energy) + 1e-12
 
 
@@ -174,6 +174,11 @@ def dict_shift_difference(nu, v):
         q = tuple(a + b for a, b in zip(p, v))
         diff[q] = diff.get(q, 0.0) - m
     return diff
+
+
+def dict_translation_energy(nu, v):
+    """sum_y |nu(y) - nu(y - v)|^2 over the dict shift difference."""
+    return math.fsum(d * d for d in dict_shift_difference(nu, v).values())
 
 
 def measures_nd(max_atoms=12, span=6):
@@ -207,11 +212,10 @@ measure_and_direction = measures_nd().flatmap(
 
 @settings(deadline=None, max_examples=80)
 @given(measure_and_direction)
-def test_tv_and_energy_match_dict_oracle(case):
+def test_tv_matches_dict_oracle(case):
     mu, v = case
     diff = dict_shift_difference(mu, v)
     assert tv_distance(mu, v) == 0.5 * math.fsum(abs(d) for d in diff.values())
-    assert translation_energy(mu, v) == math.fsum(d * d for d in diff.values())
 
 
 # -- line decomposition ----------------------------------------------------------
@@ -225,7 +229,7 @@ def test_line_masses_sum_to_total():
 def test_line_energy_identity_both_ways():
     dec = line_decomposition(parity_measure(), [1, 1])
     assert dec.total_energy == pytest.approx(
-        translation_energy(parity_measure(), [1, 1]), abs=1e-10
+        dict_translation_energy(parity_measure(), [1, 1]), abs=1e-10
     )
 
 
@@ -297,12 +301,13 @@ def test_line_tail_terms_bounded_by_energy():
 def test_line_invariants_random(mu, v):
     dec = line_decomposition(mu, v)
     assert dec.total_mass == pytest.approx(mu.total_mass, abs=1e-10)
-    assert dec.total_energy == pytest.approx(translation_energy(mu, v), abs=1e-10)
+    assert dec.total_energy == pytest.approx(dict_translation_energy(mu, v), abs=1e-10)
 
 
-# The per-line form of line_decomposition that the batched pass replaced:
-# atoms grouped in a dict per representative, one FFT per line and node
-# count.  The batched pass must reproduce every field bit for bit.
+# The per-line form of line_decomposition: atoms grouped in a dict per
+# representative, one FFT per line, and the closed-form tail summed term
+# by term in a Python loop.  The batched pass must reproduce every field
+# bit for bit.
 
 
 def dict_line_groups(nu, v, center):
@@ -333,19 +338,32 @@ def dict_line_array(profile):
     return a
 
 
-def dict_direct_line_energy(a):
-    d = np.diff(np.concatenate(([0.0], a, [0.0])))
-    return float(d @ d)
+def dict_line_steps(a):
+    return np.diff(np.concatenate(([0.0], a, [0.0])))
 
 
-def dict_line_spectrum(a, J):
-    padded = np.zeros(J)
-    padded[: a.size] = a
-    t = np.arange(J) / J
-    return np.abs(np.fft.fft(padded)) ** 2, 4.0 * np.sin(math.pi * t) ** 2
+def dict_fft_length(L):
+    N = 1
+    while N < 2 * (L + 1):
+        N *= 2
+    return N
 
 
-def dict_line_decomposition(nu, v, center=None, nodes=4096, split=None):
+def dict_autocorrelation(d, N):
+    f = np.fft.rfft(d, n=N)
+    return np.fft.irfft(f.real * f.real + f.imag * f.imag, n=N)
+
+
+def dict_tail(r, L, u):
+    k = np.arange(1, L + 1, dtype=float)
+    w = np.sin(2.0 * math.pi * u * k) / (math.pi * k)
+    acc = 0.0
+    for term in (r[1 : L + 1] * w).tolist():
+        acc += term
+    return float(r[0] * (1.0 - 2.0 * u) - 2.0 * acc)
+
+
+def dict_line_decomposition(nu, v, center=None, split=None):
     vv = tuple(int(c) for c in v)
     groups = dict_line_groups(nu, vv, center)
     reps = sorted(groups)
@@ -353,24 +371,17 @@ def dict_line_decomposition(nu, v, center=None, nodes=4096, split=None):
     masses, direct, quad, tails, line_nodes = [], [], [], [], []
     for rep in reps:
         a = dict_line_array(groups[rep])
-        J = translation._quadrature_nodes(a.size, nodes)
-        power, w = dict_line_spectrum(a, J)
-        e_quad = float(np.mean(w * power))
-        power2, w2 = dict_line_spectrum(a, 2 * J)
-        assert abs(e_quad - float(np.mean(w2 * power2))) <= 1e-10
-        e_direct = dict_direct_line_energy(a)
-        assert abs(e_direct - e_quad) <= 1e-10
-        if split is None:
-            beta = 0.0
-        else:
-            t = np.arange(J) / J
-            far = np.abs(t - np.floor(t + 0.5)) > u
-            beta = float(np.mean(w[far] * power[far])) if far.any() else 0.0
+        d = dict_line_steps(a)
+        L = a.size
+        N = dict_fft_length(L)
+        r = dict_autocorrelation(d, N)
+        e_direct = float(d @ d)
+        assert abs(e_direct - r[0]) <= 1e-10
         masses.append(math.fsum(groups[rep].values()))
         direct.append(e_direct)
-        quad.append(e_quad)
-        tails.append(beta)
-        line_nodes.append(J)
+        quad.append(float(r[0]))
+        tails.append(dict_tail(r, L, u) if split is not None and u < 0.5 else 0.0)
+        line_nodes.append(N)
     n = nu.dimension
     c = (0.0,) * n if center is None else tuple(float(x) for x in center)
     return LineDecomposition(
@@ -406,15 +417,14 @@ def centers_for(n):
             st.just(case),
             centers_for(case[0].dimension),
             st.none() | st.floats(0.0, 0.5),
-            st.sampled_from([4, 8, 16]),
         )
     )
 )
 def test_line_decomposition_matches_dict_oracle(args):
-    # small node counts put lines of different lengths in different groups
-    (mu, v), center, split, nodes = args
-    got = line_decomposition(mu, v, center=center, nodes=nodes, split=split)
-    want = dict_line_decomposition(mu, v, center=center, nodes=nodes, split=split)
+    # lines of different lengths land in different FFT-length groups
+    (mu, v), center, split = args
+    got = line_decomposition(mu, v, center=center, split=split)
+    want = dict_line_decomposition(mu, v, center=center, split=split)
     assert_same_decomposition(got, want)
 
 
@@ -427,10 +437,55 @@ def test_line_decomposition_matches_dict_oracle_on_a_convolution(v, center):
     assert_same_decomposition(got, want)
 
 
+def midpoint_tail(d, u, nodes=2**16):
+    """Midpoint rule for the integral of |sum_j d_j e(-j t)|^2 over
+    u < |t| <= 1/2: twice the integral over (u, 1/2] by evenness."""
+    t = u + (0.5 - u) * (np.arange(nodes) + 0.5) / nodes
+    j = np.arange(d.size)
+    re = np.cos(2.0 * math.pi * np.outer(t, j)) @ d
+    im = np.sin(2.0 * math.pi * np.outer(t, j)) @ d
+    return 2.0 * (0.5 - u) * float(np.mean(re * re + im * im))
+
+
+@settings(deadline=None, max_examples=40)
+@given(measure_and_direction, st.floats(0.0, 0.5))
+def test_line_tails_match_fine_quadrature(case, u):
+    mu, v = case
+    dec = line_decomposition(mu, v, split=u)
+    groups = dict_line_groups(mu, v, None)
+    for rep, energy, beta, N in zip(
+        dec.representatives, dec.quadrature_energies, dec.tail_terms, dec.line_nodes
+    ):
+        want = midpoint_tail(dict_line_steps(dict_line_array(groups[rep])), u)
+        # relative to the integral, up to the closed form's own rounding
+        allowance = translation._tail_roundoff(energy, N, u)
+        assert abs(beta - want) <= 1e-9 * want + allowance, (rep, beta, want)
+
+
+@settings(deadline=None, max_examples=40)
+@given(measure_and_direction, st.lists(st.floats(0.0, 0.5), min_size=2, max_size=4))
+def test_line_tails_sound_and_non_increasing_in_split(case, splits):
+    mu, v = case
+    us = sorted(splits)
+    decs = [line_decomposition(mu, v, split=u) for u in us]
+    for u, dec in zip(us, decs):
+        for p, energy, beta, N in zip(
+            dec.line_masses, dec.quadrature_energies, dec.tail_terms, dec.line_nodes
+        ):
+            main = (8.0 * math.pi**2 / 3.0) * u**3 * p * p
+            slack = translation._tail_roundoff(energy, N, u) + 1e-12
+            assert energy <= main + beta + slack
+    for near, far in zip(decs, decs[1:]):
+        for a, b, energy, N in zip(
+            near.tail_terms, far.tail_terms, near.quadrature_energies, near.line_nodes
+        ):
+            assert b <= a + 2.0 * translation._tail_roundoff(energy, N, 0.5)
+
+
 def two_group_measure():
-    # direction (1, 0), nodes 4: the line through (0, 0) holds 8 atoms and
-    # takes 32 nodes, the lines through (0, 1) and (0, 2) hold one atom and
-    # take 8, so the first line in representative order is in the group
+    # direction (1, 0): the line through (0, 0) spans 8 positions and takes
+    # a 32-point FFT, the lines through (0, 1) and (0, 2) hold one atom and
+    # take 4, so the first line in representative order is in the group
     # whose spectra come last
     atoms = {(x, 0): 0.1 for x in range(8)}
     atoms[(0, 1)] = 0.1
@@ -438,42 +493,54 @@ def two_group_measure():
     return SparseMeasure(2, atoms)
 
 
-def corrupt_spectra(monkeypatch, counts):
-    real = translation._weighted_power
+def corrupt_autocorrelations(monkeypatch, lengths, lags):
+    real = translation._autocorrelations
 
-    def fake(rows, J, w):
-        p = real(rows, J, w)
-        if J in counts:
-            p += 1e-6
-        return p
+    def fake(steps, N):
+        r = real(steps, N)
+        if N in lengths:
+            r[:, lags] += 1e-6
+        return r
 
-    monkeypatch.setattr(translation, "_weighted_power", fake)
+    monkeypatch.setattr(translation, "_autocorrelations", fake)
 
 
 def test_line_decomposition_groups_by_node_count():
-    dec = line_decomposition(two_group_measure(), (1, 0), nodes=4)
+    dec = line_decomposition(two_group_measure(), (1, 0))
     assert dec.representatives == ((0, 0), (0, 1), (0, 2))
-    assert dec.line_nodes == (32, 8, 8)
+    assert dec.line_nodes == (32, 4, 4)
 
 
-def test_node_doubling_failure_names_first_line(monkeypatch):
-    corrupt_spectra(monkeypatch, {16, 64})  # the doubled counts only
+def autocorrelation_failure(monkeypatch, N):
+    # lags past 0 only, so the direct check on r_0 still passes
+    corrupt_autocorrelations(monkeypatch, {N}, slice(1, None))
     with pytest.raises(RuntimeError) as err:
-        line_decomposition(two_group_measure(), (1, 0), nodes=4)
+        line_decomposition(two_group_measure(), (1, 0))
     msg = str(err.value)
-    assert "drifts under node doubling on the line through (0, 0) along (1, 0)" in msg
-    assert "32 nodes give" in msg and "64 give" in msg
-    assert "tolerance 1e-10" in msg
+    assert "mismatch between the FFT and np.correlate" in msg
+    assert "FFT " in msg and "correlate " in msg and "tolerance 1e-10" in msg
+    return msg
+
+
+def test_autocorrelation_failure_names_longest_line(monkeypatch):
+    msg = autocorrelation_failure(monkeypatch, 32)
+    assert "line through (0, 0) along (1, 0) (32-point FFT): lag 1" in msg
+
+
+def test_autocorrelation_check_covers_every_group(monkeypatch):
+    # both lines of the 4-point group span one position; the first is named
+    msg = autocorrelation_failure(monkeypatch, 4)
+    assert "line through (0, 1) along (1, 0) (4-point FFT): lag 1" in msg
 
 
 def test_direct_quadrature_mismatch_names_first_line(monkeypatch):
-    corrupt_spectra(monkeypatch, {8, 16, 32, 64})  # both counts alike
+    corrupt_autocorrelations(monkeypatch, {4, 32}, 0)  # every group alike
     with pytest.raises(RuntimeError) as err:
-        line_decomposition(two_group_measure(), (1, 0), nodes=4)
+        line_decomposition(two_group_measure(), (1, 0))
     msg = str(err.value)
-    assert "mismatch between direct and quadrature forms" in msg
+    assert "mismatch between direct and spectral forms" in msg
     assert "line through (0, 0) along (1, 0)" in msg
-    assert "(32 nodes)" in msg and "tolerance 1e-10" in msg
+    assert "(32-point FFT)" in msg and "tolerance 1e-10" in msg
 
 
 # -- spectral energy bound --------------------------------------------------------
@@ -534,8 +601,26 @@ def test_spectral_per_line_bound_structure():
         nu, np.array(W_PARITY), spread.worst_distance, 0.9, [1, 1], spread=spread
     )
     for line in report.lines:
-        assert line.energy <= line.main_bound + line.beta + line.node_slack
+        assert line.energy <= line.main_bound + line.beta + line.slack
+        assert line.slack == line.roundoff + 1e-12
         assert line.passed
+
+
+def test_spectral_line_failure_names_both_slack_terms(monkeypatch):
+    real = translation.line_decomposition
+
+    def without_tails(*args, **kwargs):
+        dec = real(*args, **kwargs)
+        return dataclasses.replace(dec, tail_terms=(0.0,) * len(dec.tail_terms))
+
+    monkeypatch.setattr(translation, "line_decomposition", without_tails)
+    report = spectral_energy_bound_check(
+        parity_conv2(), np.array(W_PARITY), 0.02, 0.9, [1, 1]
+    )
+    assert not report.passed
+    (msg,) = [s for s in report.violations if s.startswith("line through")]
+    assert "exceeds main" in msg and "+ beta 0 +" in msg
+    assert "roundoff allowance" in msg and "+ floor 1e-12)" in msg
 
 
 # -- ball reduction ----------------------------------------------------------------
@@ -830,20 +915,12 @@ def test_certify_enumeration_cap():
         )
 
 
-def test_certify_report_text_round_trip_fields():
-    text = translation_report_to_text(parity_report())
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("scenario=parity-4 route=exact R=8")
-    assert "kernel_empty=0" in lines[0]
-    record_lines = [l for l in lines if l.startswith(("kernel ", "control "))]
-    assert len(record_lines) == len(parity_report().records)
-    for line in record_lines:
-        fields = dict(
-            part.split("=", 1) for part in line.split()[1:]
-        )
-        assert {"v", "tv", "main", "spectral", "mass", "bound", "pass"} <= set(fields)
-        terms = float(fields["main"]) + float(fields["spectral"]) + float(fields["mass"])
-        assert terms == pytest.approx(float(fields["bound"]), rel=1e-12)
+def test_certify_record_terms_sum_to_bound():
+    records = parity_report().records
+    assert {r.kind for r in records} == {"kernel", "control"}
+    for r in records:
+        terms = r.main_term + r.spectral_term + r.mass_term
+        assert terms == pytest.approx(r.bound, rel=1e-12)
 
 
 def test_certify_deficit_reported():
