@@ -1,10 +1,9 @@
 """Discrete Gaussian primitives on Z^n.
 
 Mass functions exp(-pi (x-c)^T Sigma^{-1} (x-c)), truncated sums with
-certified tail bounds, an exact truncated sampler, and the handful of
-lattice-Gaussian inequalities (Poisson summation, smoothing parameter,
-shifted-center monotonicity, convolution domination) that the spectrum
-and translation modules lean on.
+certified tail bounds, an exact truncated sampler, and the two
+lattice-Gaussian checks (Poisson summation, convolution domination) that
+`verify-lemmas` runs.
 """
 
 from __future__ import annotations
@@ -30,11 +29,6 @@ __all__ = [
     "sample_truncated",
     "PoissonCheck",
     "poisson_identity_check",
-    "successive_minima",
-    "smoothing_eta_bound",
-    "InequalityCheck",
-    "shifted_sum_maximizer_check",
-    "multidim_upper_check",
     "DominationCheck",
     "gamma_conv_domination_check",
 ]
@@ -313,108 +307,6 @@ def poisson_identity_check(
     dual_total = rho_sum(GaussianShape(n, M, np.zeros(n)), dual_box).value
     rhs = dual_total / math.sqrt(float(np.linalg.det(M)))
     return PoissonCheck(lhs, rhs, abs(lhs - rhs) / rhs)
-
-
-def successive_minima(basis: np.ndarray) -> np.ndarray:
-    """All n successive minima of the lattice with the given basis columns.
-
-    Exhaustive enumeration inside the ball of radius max_i ||b_i||, which
-    is guaranteed to contain witnesses for every lambda_k. n <= 4 only.
-    """
-    B = np.asarray(basis, dtype=float)
-    n = B.shape[1]
-    if B.shape[0] != n:
-        raise ValueError("basis must be square (full-rank lattice)")
-    if n > 4:
-        raise ValueError("dimension capped at 4")
-    if abs(np.linalg.det(B)) < 1e-12:
-        raise ValueError("basis columns must be linearly independent")
-    r = max(float(np.linalg.norm(B[:, i])) for i in range(n))
-    Binv = np.linalg.inv(B)
-    bounds = [int(math.floor(float(np.linalg.norm(Binv[i])) * r)) for i in range(n)]
-    if np.prod([2 * b + 1 for b in bounds]) > 10**7:
-        raise ValueError("enumeration too large for this basis")
-    axes = [np.arange(-b, b + 1) for b in bounds]
-    coeffs = np.stack(
-        [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1
-    )
-    coeffs = coeffs[np.any(coeffs != 0, axis=1)]
-    vecs = coeffs @ B.T
-    norms = np.linalg.norm(vecs, axis=1)
-    inside = norms <= r + 1e-9
-    vecs, norms = vecs[inside], norms[inside]
-    order = np.argsort(norms, kind="stable")
-    minima: list[float] = []
-    chosen: list[np.ndarray] = []
-    for i in order:
-        cand = vecs[i]
-        if chosen:
-            Q = np.stack(chosen)
-            resid = cand - Q.T @ np.linalg.lstsq(Q.T, cand, rcond=None)[0]
-            if np.linalg.norm(resid) < 1e-9 * max(1.0, norms[i]):
-                continue
-        chosen.append(cand)
-        minima.append(float(norms[i]))
-        if len(minima) == n:
-            break
-    return np.asarray(minima)
-
-
-def smoothing_eta_bound(basis: np.ndarray, eps: float = 1.0 / 3.0) -> float:
-    """Upper bound sqrt(ln(2n(1 + 1/eps)) / pi) * lambda_n on the smoothing
-    parameter eta_eps of the lattice."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    B = np.asarray(basis, dtype=float)
-    n = B.shape[1]
-    lam_n = float(successive_minima(B)[-1])
-    return math.sqrt(math.log(2.0 * n * (1.0 + 1.0 / eps)) / math.pi) * lam_n
-
-
-@dataclass(frozen=True)
-class InequalityCheck:
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-def shifted_sum_maximizer_check(
-    radius: float,
-    center: Sequence[float],
-    box: Sequence[Sequence[int]] | None = None,
-) -> InequalityCheck:
-    """rho_{R,c}(Z^n) <= rho_R(Z^n), checked on tail-certified boxes."""
-    c = np.asarray(center, dtype=float).reshape(-1)
-    n = c.size
-    u = TruncationPolicy.for_gaussian(n, radius, 1e-14).radius
-    box_l = _validated_box(box, n) if box is not None else auto_box(n, u, c)
-    box_r = _validated_box(box, n) if box is not None else auto_box(n, u)
-    lhs = rho_sum(GaussianShape.spherical(n, radius, c), box_l).value
-    rhs = rho_sum(GaussianShape.spherical(n, radius), box_r).value
-    return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-12) + 1e-12)
-
-
-def multidim_upper_check(
-    M: np.ndarray,
-    center: Sequence[float],
-    box: Sequence[Sequence[int]] | None = None,
-) -> InequalityCheck:
-    """sum_z exp(-pi (z-c)^T M (z-c)) <= (1 + lambda_min(M)^{-1/2})^n."""
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    c = np.asarray(center, dtype=float).reshape(-1)
-    eigs = np.linalg.eigvalsh(M)
-    if eigs[0] <= 0.0:
-        raise ValueError("M must be positive definite")
-    r = math.sqrt(float(np.linalg.eigvalsh(np.linalg.inv(M))[-1]))
-    bx = (
-        _validated_box(box, n)
-        if box is not None
-        else auto_box(n, TruncationPolicy.for_gaussian(n, max(r, 1.0), 1e-14).radius, c)
-    )
-    lhs = rho_sum(GaussianShape(n, np.linalg.inv(M), c), bx).value
-    rhs = (1.0 + 1.0 / math.sqrt(float(eigs[0]))) ** n
-    return InequalityCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-12) + 1e-12)
 
 
 @dataclass(frozen=True)

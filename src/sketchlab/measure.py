@@ -1,6 +1,6 @@
 """Finitely supported probability measures on Z^n and their Fourier
 analysis: exact transforms, convolutions, dense-piece certificates,
-large-spectrum scans with a non-omission margin, and line restrictions.
+large-spectrum scans with a non-omission margin.
 
 Exact convolution is a shift-and-add whose per-cell summation order is
 that of scipy's direct path, so it returns the same bits and clips
@@ -21,7 +21,6 @@ __all__ = [
     "TorusPoint",
     "SparseMeasure",
     "DensePieceCertificate",
-    "PhaseCertificate",
     "ScanHit",
     "ScanReport",
     "gamma_truncated",
@@ -31,17 +30,11 @@ __all__ = [
     "fourier_at",
     "fourier_many",
     "expected_norm",
-    "parseval_check",
     "convolve",
     "convolve_many_fft",
     "density_certificate",
     "large_spectrum_scan",
-    "phase_of",
     "symmetrize",
-    "line_profile",
-    "line_restriction_fourier",
-    "measure_to_text",
-    "measure_from_text",
 ]
 
 # Numerical dust threshold for FFT convolutions; clipped mass goes to deficit.
@@ -87,12 +80,6 @@ class TorusPoint:
 
     def __sub__(self, other: "TorusPoint") -> "TorusPoint":
         return TorusPoint.of(self.array - other.array)
-
-    def scale(self, k: int) -> "TorusPoint":
-        return TorusPoint.of(k * self.array)
-
-    def distance(self, other: "TorusPoint") -> float:
-        return (self - other).norm
 
 
 class SparseMeasure:
@@ -274,21 +261,6 @@ def _grid_embed(mus: Sequence[SparseMeasure], side: int) -> list[np.ndarray]:
         np.add.at(arr, tuple(((m.points - lo) % side).T), m.masses)
         grids.append(arr)
     return grids
-
-
-def parseval_check(f: SparseMeasure, g: SparseMeasure, grid_exponent: int) -> float:
-    """Relative error between sum_x f(x) conj(g(x)) and the grid quadrature
-    of f_hat conj(g_hat); exact (up to roundoff) once the grid side covers
-    the joint support."""
-    side = 2**grid_exponent
-    fa, ga = _grid_embed([f, g], side)
-    lhs = math.fsum(
-        f.atoms[p] * g.atoms[p] for p in f.atoms.keys() & g.atoms.keys()
-    )
-    rhs = float(
-        np.real(np.vdot(np.fft.fftn(ga), np.fft.fftn(fa))) / side**f.dimension
-    )
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
 def _dense_box(mu: SparseMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -493,36 +465,6 @@ def large_spectrum_scan(
     )
 
 
-@dataclass(frozen=True)
-class PhaseCertificate:
-    frequency: TorusPoint
-    theta: float
-    cos_expectation: float
-    K: float
-    second_moment: float
-
-
-def _mod_half(t: np.ndarray) -> np.ndarray:
-    # distance to the nearest integer, elementwise
-    return np.abs(t - np.round(t))
-
-
-def phase_of(mu: SparseMeasure, zeta: TorusPoint, K: float) -> PhaseCertificate:
-    """Best phase theta for zeta: E cos(2 pi (<zeta,x> - theta)) = |mu_hat|.
-
-    When zeta is K-heavy the certificate also checks the second-moment
-    consequence E ||<zeta,x> - theta||^2_{R/Z} <= 1/(8K).
-    """
-    val = fourier_at(mu, zeta)
-    theta = (-math.atan2(val.imag, val.real) / (2.0 * math.pi)) % 1.0
-    dots = mu.points @ zeta.array - theta
-    cos_exp = float(np.cos(2.0 * math.pi * dots) @ mu.masses)
-    second = float((_mod_half(dots) ** 2) @ mu.masses)
-    if cos_exp >= 1.0 - 1.0 / K and second > 1.0 / (8.0 * K) + 1e-12:
-        raise RuntimeError("second-moment consequence violated for a heavy frequency")
-    return PhaseCertificate(zeta, theta, cos_exp, K, second)
-
-
 def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     """(1/M) sum_i mu_i * mu_i-reflected; the transform becomes the mean of
     |mu_hat_i|^2, hence real and nonnegative."""
@@ -547,53 +489,3 @@ def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
             out[p] = out.get(p, 0.0) + w / M
     total = math.fsum(out.values())
     return SparseMeasure(mus[0].dimension, out, deficit=max(0.0, 1.0 - total))
-
-
-def line_profile(
-    nu: SparseMeasure, x: Sequence[int], v: Sequence[int]
-) -> dict[int, float]:
-    """Masses of nu along the line {x + l v}, keyed by l."""
-    xv = tuple(int(c) for c in x)
-    vv = tuple(int(c) for c in v)
-    if all(c == 0 for c in vv):
-        raise ValueError("direction must be nonzero")
-    j = next(i for i, c in enumerate(vv) if c != 0)
-    out: dict[int, float] = {}
-    for p, m in nu.atoms.items():
-        d = tuple(a - b for a, b in zip(p, xv))
-        if d[j] % vv[j]:
-            continue
-        l = d[j] // vv[j]
-        if all(dc == l * vc for dc, vc in zip(d, vv)):
-            out[l] = out.get(l, 0.0) + m
-    return out
-
-
-def line_restriction_fourier(
-    nu: SparseMeasure, x: Sequence[int], v: Sequence[int], t: float
-) -> complex:
-    """nu_hat_{x,v}(t) = sum_l nu(x + l v) exp(-2 pi i l t)."""
-    prof = line_profile(nu, x, v)
-    return complex(
-        sum(m * np.exp(-2j * math.pi * l * t) for l, m in prof.items())
-    )
-
-
-def measure_to_text(mu: SparseMeasure) -> str:
-    lines = [f"n={mu.dimension} deficit={mu.deficit:.17g}"]
-    for p in sorted(mu.atoms):
-        coords = " ".join(str(c) for c in p)
-        lines.append(f"{coords} {mu.atoms[p]:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def measure_from_text(text: str) -> SparseMeasure:
-    rows = [r for r in text.splitlines() if r.strip()]
-    head = rows[0].split()
-    n = int(head[0].split("=", 1)[1])
-    deficit = float(head[1].split("=", 1)[1])
-    atoms: dict[tuple[int, ...], float] = {}
-    for row in rows[1:]:
-        parts = row.split()
-        atoms[tuple(int(c) for c in parts[:n])] = float(parts[n])
-    return SparseMeasure(n, atoms, deficit=deficit)

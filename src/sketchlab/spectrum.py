@@ -45,8 +45,6 @@ __all__ = [
     "RudinCheck",
     "greedy_dissociated_subset",
     "extract_exact_structure",
-    "verify_span",
-    "SpanCheck",
     "extract_near_origin_structure",
     "small_ball_check",
     "small_ball_exact_1d",
@@ -54,8 +52,6 @@ __all__ = [
     "convolution_structure",
     "lattice_to_text",
     "lattice_from_text",
-    "basis_to_text",
-    "basis_from_text",
 ]
 
 DISSOCIATION_CAP = 20
@@ -539,40 +535,6 @@ def extract_exact_structure(
     return replace(lattice, span_error=worst)
 
 
-@dataclass(frozen=True)
-class SpanCheck:
-    worst_distance: float
-    bound: float
-    passed: bool
-
-
-def span_bound_default(lattice: SketchLattice) -> float:
-    """5 lambda_q^{14 S} sqrt(S) / R with lambda_q = (q-1)/(q-2)."""
-    lam = (lattice.q - 1.0) / (lattice.q - 2.0)
-    return (
-        5.0
-        * lam ** (14.0 * lattice.s_certified)
-        * math.sqrt(lattice.s_certified)
-        / lattice.ambient_radius
-    )
-
-
-def verify_span(
-    lattice: SketchLattice,
-    heavy: Sequence[TorusPoint],
-    bound: float | None = None,
-    budget: int = FIBER_BUDGET,
-) -> SpanCheck:
-    """Worst torus distance from the heavy frequencies to the admissible
-    combination set of the lattice, against the given (or default) bound."""
-    combos = lattice.combination_points(budget)
-    worst = max(
-        (torus_distance_to_set(h.array, combos) for h in heavy), default=0.0
-    )
-    b = bound if bound is not None else span_bound_default(lattice)
-    return SpanCheck(worst, b, worst <= b + 1e-12)
-
-
 def extract_near_origin_structure(
     mu: SparseMeasure, cfg: NearOriginConfig
 ) -> NearOriginBasis:
@@ -880,27 +842,4 @@ def lattice_from_text(text: str) -> SketchLattice:
         span_error=float(head["span_error"]),
         fiber_bound=math.prod(ks) if ks else 1,
         s_certified=0.0,
-    )
-
-
-def basis_to_text(basis: NearOriginBasis) -> str:
-    lines = [
-        f"ell={basis.ell} n={basis.dimension} Q={basis.denominator} "
-        f"radius_bound={basis.radius_bound:.17g}"
-    ]
-    for w in basis.numerators:
-        lines.append(" ".join(str(c) for c in w))
-    return "\n".join(lines) + "\n"
-
-
-def basis_from_text(text: str) -> NearOriginBasis:
-    rows = [r for r in text.splitlines() if r.strip()]
-    head = dict(kv.split("=", 1) for kv in rows[0].split())
-    ell, n = int(head["ell"]), int(head["n"])
-    nums = tuple(tuple(int(c) for c in rows[1 + j].split()) for j in range(ell))
-    return NearOriginBasis(
-        dimension=n,
-        numerators=nums,
-        denominator=int(head["Q"]),
-        radius_bound=float(head["radius_bound"]),
     )

@@ -1,10 +1,11 @@
-"""Unit-update turnstile streams and finite-state simulation.
+"""Turnstile algorithms conditioned on their boundary states.
 
-Streams kept as blocks of signed unit updates, canonical realizations of
-integer deltas, deterministic algorithms with optional per-block rule
-changes, sampled stream models around a target distribution, posterior
-block laws after conditioning on a boundary-state sequence, and the
-empirical selection of a high-success sequence.
+Canonical unit-update realizations of integer block deltas,
+deterministic algorithms with optional per-block rule changes and the
+array fold that runs them over many deltas at once, sampled stream
+models around a target distribution, posterior block laws after
+conditioning on a boundary-state sequence, and the empirical selection
+of a high-success sequence.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .measure import SparseMeasure, density_certificate, gamma_truncated
 
 __all__ = [
     "Update",
-    "Stream",
     "StreamSample",
     "TurnstileAlgorithm",
     "StateSequence",
@@ -29,26 +29,17 @@ __all__ = [
     "ImpossibleSequence",
     "SelectionFailed",
     "canonical_realization",
-    "run",
     "fold_block",
     "fold_deltas",
     "exact_stream_sample",
-    "mollified_stream_sample",
     "posterior_laws",
-    "conditioned_sequence",
     "select_state_sequence",
     "resample_convolution",
-    "strict_padding",
-    "minimal_strict_pad",
-    "stream_to_text",
-    "stream_from_text",
     "constant_algorithm",
     "parity_algorithm",
     "mod_counter_algorithm",
     "identity_box_algorithm",
     "alternating_algorithm",
-    "zoo_algorithm",
-    "ZOO",
 ]
 
 
@@ -77,58 +68,6 @@ def canonical_realization(v: Sequence[int]) -> tuple[Update, ...]:
         s = 1 if c > 0 else -1
         out.extend(Update(i, s) for _ in range(abs(c)))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class Stream:
-    """A unit-update turnstile stream, kept with its block structure.
-
-    Blocks matter only to algorithms whose rules change between blocks;
-    the frequency vector ignores the grouping.
-    """
-
-    dimension: int
-    blocks: tuple[tuple[Update, ...], ...]
-
-    def __post_init__(self) -> None:
-        for block in self.blocks:
-            for u in block:
-                if u.coordinate >= self.dimension:
-                    raise ValueError("update coordinate outside the dimension")
-
-    @classmethod
-    def from_deltas(
-        cls, dimension: int, deltas: Sequence[Sequence[int]]
-    ) -> "Stream":
-        return cls(dimension, tuple(canonical_realization(d) for d in deltas))
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def update_count(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def updates(self) -> Iterator[Update]:
-        for block in self.blocks:
-            yield from block
-
-    def final_vector(self) -> np.ndarray:
-        out = np.zeros(self.dimension, dtype=np.int64)
-        for u in self.updates():
-            out[u.coordinate] += u.sign
-        return out
-
-    def prefix_minimum(self) -> np.ndarray:
-        """Per-coordinate minimum over every prefix frequency vector."""
-        acc = np.zeros(self.dimension, dtype=np.int64)
-        low = np.zeros(self.dimension, dtype=np.int64)
-        for u in self.updates():
-            acc[u.coordinate] += u.sign
-            if acc[u.coordinate] < low[u.coordinate]:
-                low[u.coordinate] = acc[u.coordinate]
-        return low
 
 
 # -- algorithms ----------------------------------------------------------------
@@ -230,27 +169,6 @@ def fold_deltas(
     return states
 
 
-def run(
-    alg: TurnstileAlgorithm, stream: Stream | Sequence[Update]
-) -> tuple[int, object]:
-    """Fold a stream through the algorithm and answer the final query.
-
-    A bare update sequence counts as a single block.  Non-uniform
-    algorithms refuse streams with more blocks than their rule horizon.
-    """
-    blocks = stream.blocks if isinstance(stream, Stream) else (tuple(stream),)
-    if not alg.uniform and len(blocks) > alg.horizon:
-        raise ValueError(
-            f"stream has {len(blocks)} blocks but the non-uniform rule "
-            f"table covers {alg.horizon}"
-        )
-    state = alg.initial_state
-    for j, block in enumerate(blocks):
-        for u in block:
-            state = alg.step(j, state, u)
-    return state, alg.output(state)
-
-
 # -- problems ------------------------------------------------------------------
 
 
@@ -343,12 +261,12 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class StreamSample:
-    """One draw from a stream model: its block deltas plus what produced
-    them.  `Stream.from_deltas(n, deltas)` replays it update by update."""
+    """One draw from a stream model: the target it lands on and its block
+    deltas.  Folding `canonical_realization` of each delta in order
+    replays it update by update."""
 
     target: tuple[int, ...]
     deltas: tuple[tuple[int, ...], ...]
-    noise: tuple[int, ...] | None = None
 
 
 def _subseeds(seed: int, count: int) -> list[int]:
@@ -397,34 +315,6 @@ def exact_stream_sample(
     deltas = [tuple(int(c) for c in row) for row in xs]
     deltas.append(tuple(int(c) for c in closing))
     return StreamSample(y, tuple(deltas))
-
-
-def mollified_stream_sample(
-    target: SparseMeasure,
-    radius: float,
-    blocks: int,
-    policy: TruncationPolicy | None = None,
-    seed: int = 0,
-) -> StreamSample:
-    """As the exact model, but the stream lands on Y plus Gaussian noise.
-
-    The noise draw uses a seed stream disjoint from the prefix and target
-    draws, so a seed whose noise is zero reproduces the exact model's
-    deltas bit for bit.
-    """
-    n = target.dimension
-    pol = _resolve_policy(n, radius, policy)
-    sx, sy, sz = _subseeds(seed, 3)
-    if blocks:
-        xs = sample_truncated(radius, pol, sx, count=blocks)
-    else:
-        xs = np.zeros((0, n), dtype=np.int64)
-    y = _draw_target(target, sy)
-    z = tuple(int(c) for c in sample_truncated(radius, pol, sz))
-    closing = np.asarray(y, dtype=np.int64) + np.asarray(z) - xs.sum(axis=0)
-    deltas = [tuple(int(c) for c in row) for row in xs]
-    deltas.append(tuple(int(c) for c in closing))
-    return StreamSample(y, tuple(deltas), z)
 
 
 # -- conditioning on boundary states ---------------------------------------------
@@ -582,26 +472,6 @@ def posterior_laws(
     return laws
 
 
-def conditioned_sequence(
-    alg: TurnstileAlgorithm,
-    states: Sequence[int],
-    radius: float,
-    blocks: int,
-    policy: TruncationPolicy | None = None,
-) -> StateSequence:
-    """Boundary states upgraded with their exact traversal probability."""
-    path = _check_states(alg, states, blocks)
-    pol = _resolve_policy(alg.dimension, radius, policy)
-    table = _FoldTable(alg, gamma_truncated(alg.dimension, radius, pol))
-    _, densities = _conditional_blocks(table, path, radius)
-    return StateSequence(
-        states=path,
-        probability=math.prod(densities),
-        per_block_densities=tuple(densities),
-        success_estimate=float("nan"),
-    )
-
-
 def resample_convolution(
     dimension: int,
     laws: Sequence[SparseMeasure],
@@ -721,79 +591,6 @@ def select_state_sequence(
     return best
 
 
-# -- strict streams ---------------------------------------------------------------
-
-
-def minimal_strict_pad(stream: Stream) -> tuple[int, ...]:
-    """Per-coordinate running deficit: the least pad keeping prefixes nonnegative."""
-    return tuple(int(max(0, -c)) for c in stream.prefix_minimum())
-
-
-def strict_padding(stream: Stream, pad: Sequence[int]) -> Stream:
-    """Prepend +1 updates and certify every prefix stays nonnegative.
-
-    An all-zero pad leaves the block structure untouched.  The padded
-    stream is replayed in full, and the first prefix dipping below zero
-    is named in the error.
-    """
-    pv = tuple(int(c) for c in pad)
-    if len(pv) != stream.dimension:
-        raise ValueError("pad dimension mismatch")
-    if any(c < 0 for c in pv):
-        raise ValueError("pad must be nonnegative")
-    blocks = stream.blocks
-    if any(pv):
-        blocks = (canonical_realization(pv),) + blocks
-    acc = [0] * stream.dimension
-    t = 0
-    for block in blocks:
-        for u in block:
-            t += 1
-            acc[u.coordinate] += u.sign
-            if acc[u.coordinate] < 0:
-                raise ValueError(
-                    f"prefix of length {t} drives coordinate "
-                    f"{u.coordinate} to {acc[u.coordinate]}"
-                )
-    return Stream(stream.dimension, blocks)
-
-
-# -- serialization -----------------------------------------------------------------
-
-
-def stream_to_text(stream: Stream) -> str:
-    lines = [f"# n={stream.dimension}"]
-    for j, block in enumerate(stream.blocks):
-        lines.append(f"# block {j}")
-        lines.extend(f"{u.coordinate} {u.sign:+d}" for u in block)
-    return "\n".join(lines) + "\n"
-
-
-def stream_from_text(text: str) -> Stream:
-    dimension: int | None = None
-    blocks: list[list[Update]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("n="):
-                dimension = int(body[2:])
-            elif body.startswith("block"):
-                blocks.append([])
-            continue
-        coord, sign = line.split()
-        if not blocks:
-            blocks.append([])
-        blocks[-1].append(Update(int(coord), int(sign)))
-    if dimension is None:
-        dimension = 1 + max(
-            (u.coordinate for b in blocks for u in b), default=-1
-        )
-    return Stream(dimension, tuple(tuple(b) for b in blocks))
-
-
 # -- algorithm zoo -----------------------------------------------------------------
 
 
@@ -910,24 +707,3 @@ def alternating_algorithm(dimension: int, horizon: int) -> TurnstileAlgorithm:
         uniform=False,
         horizon=horizon,
     )
-
-
-ZOO: dict[str, Callable[..., TurnstileAlgorithm]] = {
-    "constant": constant_algorithm,
-    "parity": parity_algorithm,
-    "mod-counter": mod_counter_algorithm,
-    "identity-box": identity_box_algorithm,
-    "alternating": alternating_algorithm,
-}
-
-
-def zoo_algorithm(name: str, dimension: int, **params) -> TurnstileAlgorithm:
-    """Build a reference algorithm from its registry name."""
-    try:
-        build = ZOO[name]
-    except KeyError:
-        known = ", ".join(sorted(ZOO))
-        raise ValueError(
-            f"unknown algorithm {name!r}; the registry has {known}"
-        ) from None
-    return build(dimension, **params)

@@ -186,10 +186,6 @@ class LineDecomposition:
     def total_energy(self) -> float:
         return math.fsum(self.line_energies)
 
-    @property
-    def total_tail(self) -> float:
-        return math.fsum(self.tail_terms)
-
 
 def line_decomposition(
     nu: SparseMeasure,

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from sketchlab import dgauss
+from sketchlab.measure import gamma_truncated
 
 
 def direct_rho_1d(R: float, center: float, width: int) -> float:
@@ -158,6 +161,31 @@ class TestSampler:
         se = math.sqrt(p * (1 - p) / 100_000)
         assert abs(p_hat - p) <= 3.0 * se
 
+    def test_marginal_chi_square(self):
+        # oracle: the exact truncated pmf, pooled into bins with expected
+        # count at least 5; seed 0 gives p = 0.0311
+        trials = 100_000
+        pol = dgauss.TruncationPolicy.for_gaussian(1, 4.0)
+        draws = dgauss.sample_truncated(4.0, pol, 0, count=trials)
+        counts = Counter(draws[:, 0].tolist())
+        law = gamma_truncated(1, 4.0)
+        expected = {
+            p[0]: trials * m / law.total_mass for p, m in law.atoms.items()
+        }
+        core = sorted(v for v, e in expected.items() if e >= 5.0)
+        lo, hi = core[0], core[-1]
+        obs = [sum(c for v, c in counts.items() if v < lo)]
+        exp = [sum(e for v, e in expected.items() if v < lo)]
+        for v in range(lo, hi + 1):
+            obs.append(counts.get(v, 0))
+            exp.append(expected.get(v, 0.0))
+        obs.append(sum(c for v, c in counts.items() if v > hi))
+        exp.append(sum(e for v, e in expected.items() if v > hi))
+        expv = np.array(exp) * (sum(obs) / math.fsum(exp))
+        chi2, p = stats.chisquare(np.array(obs, dtype=float), expv)
+        assert p >= 0.01
+        assert abs(p - 0.031122165665191333) < 1e-6
+
     def test_radius_below_R_rejected(self):
         pol = dgauss.TruncationPolicy(1, 1e-12, 0.5)
         with pytest.raises(ValueError):
@@ -175,8 +203,9 @@ class TestPoisson:
 
     def test_smooth_regime_corridor(self):
         # lambda_min(M^{-1}) >= eta_{1/3}(Z^n)^2 puts the sum within
-        # det(M)^{-1/2} [2/3, 4/3]
-        eta2 = dgauss.smoothing_eta_bound(np.eye(2), 1.0 / 3.0) ** 2
+        # det(M)^{-1/2} [2/3, 4/3]; for Z^2, lambda_2 = 1 and
+        # eta_{1/3} <= sqrt(ln(2 n (1 + 3)) / pi)
+        eta2 = math.log(16.0) / math.pi
         for scale in (1.0, 2.0, 5.0):
             M = np.diag([1.0 / (eta2 * scale), 1.0 / (eta2 * 2.0 * scale)])
             chk = dgauss.poisson_identity_check(M)
@@ -200,93 +229,72 @@ class TestPoisson:
         assert chk.relative_error <= 1e-8
 
 
-class TestSuccessiveMinima:
-    def test_integer_lattice(self):
-        assert np.allclose(dgauss.successive_minima(np.eye(3)), 1.0)
-
-    def test_scaling_doubles_bound(self):
-        base = dgauss.smoothing_eta_bound(np.eye(2), 1.0 / 3.0)
-        assert dgauss.smoothing_eta_bound(2 * np.eye(2), 1.0 / 3.0) == pytest.approx(
-            2 * base
-        )
-
-    def test_zn_closed_form(self):
-        for n in (1, 2, 4):
-            want = math.sqrt(math.log(2 * n * 4.0) / math.pi)
-            assert dgauss.smoothing_eta_bound(np.eye(n), 1.0 / 3.0) == pytest.approx(
-                want
-            )
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            dgauss.successive_minima(np.eye(5))
-
-    @given(st.integers(0, 500))
-    @settings(deadline=None, max_examples=20)
-    def test_random_unimodular_basis_matches_enumeration(self, seed):
-        rng = np.random.default_rng(seed)
-        # random unimodular basis: product of elementary shears
-        B = np.eye(2)
-        for _ in range(4):
-            k = int(rng.integers(-3, 4))
-            E = np.array([[1.0, k], [0.0, 1.0]])
-            if rng.random() < 0.5:
-                E = E.T
-            B = B @ E
-        got = dgauss.successive_minima(B)
-        # oracle: direct enumeration of lattice points in a generous ball
-        pts = [
-            a * B[:, 0] + b * B[:, 1]
-            for a in range(-30, 31)
-            for b in range(-30, 31)
-            if (a, b) != (0, 0)
-        ]
-        norms = sorted(float(np.linalg.norm(p)) for p in pts)
-        lam1 = norms[0]
-        assert got[0] == pytest.approx(lam1, abs=1e-9)
-        # unimodular 2-D bases span Z^2 itself
-        assert np.allclose(got, 1.0)
+def shifted_sums(radius: float, center) -> tuple[float, float]:
+    """rho_{R,c}(Z^n) and rho_R(Z^n) on tail-certified boxes."""
+    c = np.asarray(center, dtype=float).reshape(-1)
+    n = c.size
+    u = dgauss.TruncationPolicy.for_gaussian(n, radius, 1e-14).radius
+    lhs = dgauss.rho_sum(
+        dgauss.GaussianShape.spherical(n, radius, c), dgauss.auto_box(n, u, c)
+    ).value
+    rhs = dgauss.rho_sum(
+        dgauss.GaussianShape.spherical(n, radius), dgauss.auto_box(n, u)
+    ).value
+    return lhs, rhs
 
 
 class TestShiftedMaximizer:
+    # rho_{R,c}(Z^n) <= rho_R(Z^n): rho_sum's tail bound leans on it
     def test_zero_center_equality(self):
-        chk = dgauss.shifted_sum_maximizer_check(2.0, [0.0])
-        assert chk.passed and chk.lhs == chk.rhs
+        lhs, rhs = shifted_sums(2.0, [0.0])
+        assert lhs == rhs
 
     def test_half_shift_strict(self):
-        chk = dgauss.shifted_sum_maximizer_check(2.0, [0.5])
-        assert chk.passed and chk.lhs < chk.rhs
+        lhs, rhs = shifted_sums(2.0, [0.5])
+        assert lhs < rhs
         # oracle: direct summation of both sides
-        assert chk.lhs == pytest.approx(direct_rho_1d(2.0, 0.5, 60), rel=1e-11)
-        assert chk.rhs == pytest.approx(direct_rho_1d(2.0, 0.0, 60), rel=1e-11)
+        assert lhs == pytest.approx(direct_rho_1d(2.0, 0.5, 60), rel=1e-11)
+        assert rhs == pytest.approx(direct_rho_1d(2.0, 0.0, 60), rel=1e-11)
 
     def test_hundred_random_centers(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            c = rng.random(2)
-            assert dgauss.shifted_sum_maximizer_check(3.0, c).passed
+            lhs, rhs = shifted_sums(3.0, rng.random(2))
+            assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
+
+
+def upper_sums(M: np.ndarray, center) -> tuple[float, float]:
+    """sum_z exp(-pi (z-c)^T M (z-c)) by rho_sum, and (1 + lambda_min(M)^{-1/2})^n."""
+    n = M.shape[0]
+    c = np.asarray(center, dtype=float).reshape(-1)
+    r = math.sqrt(float(np.linalg.eigvalsh(np.linalg.inv(M))[-1]))
+    u = dgauss.TruncationPolicy.for_gaussian(n, max(r, 1.0), 1e-14).radius
+    lhs = dgauss.rho_sum(
+        dgauss.GaussianShape(n, np.linalg.inv(M), c), dgauss.auto_box(n, u, c)
+    ).value
+    rhs = (1.0 + 1.0 / math.sqrt(float(np.linalg.eigvalsh(M)[0]))) ** n
+    return lhs, rhs
 
 
 class TestMultidimUpper:
     def test_identity_one_dim(self):
-        chk = dgauss.multidim_upper_check(np.eye(1), [0.0])
-        assert chk.passed and chk.lhs <= 2.0
+        lhs, rhs = upper_sums(np.eye(1), [0.0])
+        assert lhs <= rhs and lhs <= 2.0
         oracle = math.fsum(math.exp(-math.pi * k * k) for k in range(-20, 21))
-        assert chk.lhs == pytest.approx(oracle, rel=1e-12)
+        assert lhs == pytest.approx(oracle, rel=1e-12)
 
     def test_point_mass_limit(self):
-        chk = dgauss.multidim_upper_check(400.0 * np.eye(1), [0.0])
-        assert chk.passed
-        assert chk.lhs == pytest.approx(1.0, abs=1e-12)
-        assert chk.rhs == pytest.approx(1.05, abs=1e-9)
+        lhs, rhs = upper_sums(400.0 * np.eye(1), [0.0])
+        assert lhs == pytest.approx(1.0, abs=1e-12)
+        assert rhs == pytest.approx(1.05, abs=1e-9)
 
     def test_random_shapes(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             A = rng.normal(size=(2, 2))
             M = A @ A.T + 0.1 * np.eye(2)
-            c = rng.random(2)
-            assert dgauss.multidim_upper_check(M, c).passed
+            lhs, rhs = upper_sums(M, rng.random(2))
+            assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
 
 
 class TestConvDomination:

@@ -1,14 +1,33 @@
 """Every sketchlab module's public names resolve, so a deleted function
-cannot leave a stale entry in `__all__` behind."""
+cannot leave a stale entry in `__all__` behind, and every public name is
+used by the program itself, so API that only its own unit test calls
+cannot grow back."""
 
+import ast
+import functools
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import sketchlab
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(sketchlab.__path__))
+
+ROOT = Path(__file__).resolve().parents[1]
+PROGRAM_DIRS = ("src", "scripts", "benchmark")
+
+# Public names that only tests use, each kept on purpose.
+TEST_ONLY = {
+    "streaming.fold_block": "per-row oracle that fold_deltas must match",
+    "dgauss.gamma_pmf": "closed-form pmf the sampler and tail bounds are checked against",
+    "measure.restrict": "builds the restricted laws that oracles recompute directly",
+    "transfer.sketch_value_add": "reference addition for the sketch homomorphism checks",
+    "measure.translate": "builds the shifted measures that TV and convolution oracles use",
+    "streaming.identity_box_algorithm": "reference algorithm with one state per box point",
+    "streaming.alternating_algorithm": "the one non-uniform reference algorithm",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -20,3 +39,81 @@ def test_all_exports_resolve(name):
     namespace: dict = {}
     exec(f"from sketchlab.{name} import *", namespace)
     assert set(exported) <= namespace.keys()
+
+
+def _all_assignment(tree: ast.Module) -> ast.Assign | None:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return node
+    return None
+
+
+def _definition_spans(tree: ast.Module) -> dict[str, tuple[int, int]]:
+    """First and last line of each top-level def, class or assignment."""
+    spans = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            spans[node.name] = (first, node.end_lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    spans[t.id] = (node.lineno, node.end_lineno)
+    return spans
+
+
+@functools.cache
+def _references() -> dict[str, list[tuple[Path, int]]]:
+    """Where each identifier, attribute or exact string appears in the
+    program files, `__all__` lists aside; benchmark layers name the
+    functions they wrap as strings."""
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    for d in PROGRAM_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            skip = _all_assignment(tree)
+            skipped = set(map(id, ast.walk(skip))) if skip else set()
+            for node in ast.walk(tree):
+                if id(node) in skipped:
+                    continue
+                if isinstance(node, ast.Name):
+                    word = node.id
+                elif isinstance(node, ast.Attribute):
+                    word = node.attr
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    word = node.value
+                else:
+                    continue
+                refs.setdefault(word, []).append((path, node.lineno))
+    return refs
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_is_used_by_the_program(name):
+    path = ROOT / "src" / "sketchlab" / f"{name}.py"
+    tree = ast.parse(path.read_text(), str(path))
+    node = _all_assignment(tree)
+    exported = [e.value for e in node.value.elts] if node else []
+    spans = _definition_spans(tree)
+    unused = []
+    for n in exported:
+        lo, hi = spans.get(n, (0, -1))
+        used = any(
+            not (p == path and lo <= line <= hi)
+            for p, line in _references().get(n, [])
+        )
+        if not used and f"{name}.{n}" not in TEST_ONLY:
+            unused.append(n)
+    assert unused == [], (
+        "public names with no caller in src/, scripts/ or benchmark/; "
+        "delete them with their tests, or list them in TEST_ONLY with a reason"
+    )
+
+
+def test_test_only_names_are_exported():
+    for key in TEST_ONLY:
+        module, _, n = key.partition(".")
+        assert n in importlib.import_module(f"sketchlab.{module}").__all__, key

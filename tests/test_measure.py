@@ -86,13 +86,6 @@ class TestSparseMeasure:
         assert 0.0 <= g.deficit <= 1e-12
         assert g.support_size > 100
 
-    def test_serialization_round_trip(self):
-        g = measure.gamma_truncated(1, 3.0)
-        back = measure.measure_from_text(measure.measure_to_text(g))
-        assert back.atoms == g.atoms
-        assert back.deficit == g.deficit
-        assert back.dimension == g.dimension
-
 
 class TestFourier:
     def test_point_mass_transform_is_one(self):
@@ -130,17 +123,6 @@ class TestFourier:
 
 
 class TestParseval:
-    def test_point_mass(self):
-        pm = measure.SparseMeasure.point_mass([0])
-        assert measure.parseval_check(pm, pm, 3) == 0.0
-
-    def test_two_atoms(self):
-        u = measure.SparseMeasure.uniform([[0, 0], [1, 1]])
-        # both sides are ||f||_2^2 = 2 * (1/2)^2 = 1/2
-        lhs = math.fsum(m * m for m in u.atoms.values())
-        assert lhs == 0.5
-        assert measure.parseval_check(u, u, 3) < 1e-14
-
     def test_truncated_gaussian(self):
         g = measure.gamma_truncated(1, 4.0)
         # oracle: both sides by direct summation on a sufficient grid
@@ -153,12 +135,11 @@ class TestParseval:
             / side
         )
         assert abs(lhs - rhs) / lhs < 1e-12
-        assert measure.parseval_check(g, g, 6) <= 1e-10
 
     def test_grid_too_small(self):
         g = measure.gamma_truncated(1, 4.0)
-        with pytest.raises(ValueError):
-            measure.parseval_check(g, g, 3)
+        with pytest.raises(ValueError, match="grid smaller than support"):
+            measure.large_spectrum_scan(g, 8.0, 3)
 
 
 class TestConvolve:
@@ -418,39 +399,6 @@ class TestLargeSpectrumScan:
         assert [h.grid_index for h in ones[:2]] == [(0, 0), (64, 64)]
 
 
-class TestPhase:
-    def test_symmetric_positive_transform_has_zero_phase(self):
-        g = measure.gamma_truncated(1, 4.0)
-        cert = measure.phase_of(g, measure.TorusPoint.of([0.1]), 8.0)
-        assert cert.theta == pytest.approx(0.0, abs=1e-12) or cert.theta == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_point_mass_phase(self):
-        pm = measure.SparseMeasure.point_mass([3])
-        z = measure.TorusPoint.of([0.2])
-        cert = measure.phase_of(pm, z, 8.0)
-        assert cert.cos_expectation == pytest.approx(1.0)
-        assert cert.theta == pytest.approx((0.2 * 3) % 1.0, abs=1e-12)
-
-    def test_second_moment_bound_on_heavy_frequency(self):
-        ev = measure.restrict(
-            measure.gamma_truncated(2, 4.0),
-            lambda p: (p[0] + p[1]) % 2 == 0,
-            renormalize=True,
-        )
-        z = measure.TorusPoint.of([0.5, 0.5])
-        cert = measure.phase_of(ev, z, 8.0)
-        assert cert.cos_expectation >= 1.0 - 1.0 / 8.0
-        # oracle: direct expectation of the squared circle distance
-        direct = math.fsum(
-            m * (abs((p[0] + p[1]) * 0.5 - cert.theta - round((p[0] + p[1]) * 0.5 - cert.theta))) ** 2
-            for p, m in ev.atoms.items()
-        )
-        assert direct == pytest.approx(cert.second_moment, abs=1e-12)
-        assert cert.second_moment <= 1.0 / (8.0 * 8.0) + 1e-12
-
-
 class TestSymmetrize:
     def test_single_symmetric_measure_squares(self):
         g = measure.gamma_truncated(1, 3.0)
@@ -513,48 +461,3 @@ class TestSymmetrize:
         assert np.array_equal(sym.points, want.points)
         assert np.array_equal(sym.masses, want.masses)
         assert sym.deficit == want.deficit
-
-
-class TestLineRestriction:
-    def test_zero_frequency_gives_line_mass(self):
-        g = measure.gamma_truncated(2, 3.0)
-        val = measure.line_restriction_fourier(g, [0, 0], [1, 1], 0.0)
-        prof = measure.line_profile(g, [0, 0], [1, 1])
-        assert val == pytest.approx(math.fsum(prof.values()))
-
-    def test_magnitude_bounded_by_line_mass(self):
-        g = measure.gamma_truncated(2, 3.0)
-        p = math.fsum(measure.line_profile(g, [1, 0], [1, 1]).values())
-        rng = np.random.default_rng(3)
-        for t in rng.random(100):
-            assert (
-                abs(measure.line_restriction_fourier(g, [1, 0], [1, 1], t))
-                <= p + 1e-12
-            )
-
-    def test_energy_matches_subspace_quadrature(self):
-        # sum over lines of |nu_hat_{x,v}(t)|^2 equals the integral of
-        # |nu_hat|^2 over the orthogonal subtorus shifted by zeta_t
-        nu = measure.gamma_truncated(2, 3.0)
-        v = np.array([1, 1])
-        w = np.array([-1, 1])  # integer generator of the orthogonal subtorus
-        t = 0.3
-        reps: dict[int, tuple[int, int]] = {}
-        for p in nu.atoms:
-            key = int(np.dot(p, w))
-            reps.setdefault(key, p)
-        lhs = math.fsum(
-            abs(measure.line_restriction_fourier(nu, x, v, t)) ** 2
-            for x in reps.values()
-        )
-        zeta_t = t * v / float(v @ v)
-        J = 256
-        rhs = math.fsum(
-            abs(measure.fourier_at(nu, (j / J) * w + zeta_t)) ** 2 for j in range(J)
-        ) / J
-        assert abs(lhs - rhs) / rhs < 1e-6
-
-    def test_zero_direction_rejected(self):
-        g = measure.gamma_truncated(2, 3.0)
-        with pytest.raises(ValueError):
-            measure.line_profile(g, [0, 0], [0, 0])

@@ -31,8 +31,6 @@ from sketchlab.spectrum import (
     NearOriginBasis,
     NearOriginConfig,
     SketchLattice,
-    basis_from_text,
-    basis_to_text,
     coarse_rudin_check,
     convolution_structure,
     extract_exact_structure,
@@ -44,7 +42,7 @@ from sketchlab.spectrum import (
     product_heavy_frequencies,
     small_ball_check,
     small_ball_exact_1d,
-    verify_span,
+    torus_distance_to_set,
 )
 
 SCENARIO = dict(K=512.0, Q=2048, q=3, R=8.0, kappa=0.25, grid_exponent=7)
@@ -384,6 +382,12 @@ class TestExtractExact:
                 assert all(r.denominator == 1 for r in res)
 
 
+def span_distance(lat: SketchLattice, heavy) -> float:
+    """Worst torus distance from `heavy` to the lattice's combination set."""
+    combos = lat.combination_points()
+    return max(torus_distance_to_set(h.array, combos) for h in heavy)
+
+
 class TestVerifySpan:
     def test_empty_lattice_ball(self):
         lat = SketchLattice(
@@ -396,25 +400,15 @@ class TestVerifySpan:
             s_certified=1.0,
         )
         heavy = [TorusPoint.of((0.01, 0.02)), TorusPoint.of((-0.03, 0.0))]
-        chk = verify_span(lat, heavy, bound=0.05)
-        assert chk.passed and chk.worst_distance <= 0.05
+        # the empty lattice's only combination is the origin
+        assert span_distance(lat, heavy) == pytest.approx(0.03, abs=1e-15)
 
     def test_parity_exact(self):
-        chk = verify_span(parity_lattice(), [TorusPoint.of((0.5, 0.5))], bound=1e-9)
-        assert chk.worst_distance == 0.0
+        assert span_distance(parity_lattice(), [TorusPoint.of((0.5, 0.5))]) == 0.0
 
     def test_mod3_doubled_coefficient(self):
-        chk = verify_span(
-            mod3_lattice(), [TorusPoint.of((2.0 / 3.0, 0.0))], bound=1e-9
-        )
-        assert chk.worst_distance < 1e-12
-
-    def test_default_bound_from_metadata(self):
-        chk = verify_span(parity_lattice(), [TorusPoint.of((0.5, 0.5))])
-        lam = 2.0  # (q-1)/(q-2) at q=3
-        S = parity_lattice().s_certified
-        assert chk.bound == pytest.approx(5.0 * lam ** (14 * S) * math.sqrt(S) / 8.0)
-        assert chk.passed
+        dist = span_distance(mod3_lattice(), [TorusPoint.of((2.0 / 3.0, 0.0))])
+        assert dist < 1e-12
 
     def test_budget_error(self):
         lat = SketchLattice(
@@ -427,7 +421,7 @@ class TestVerifySpan:
             s_certified=0.0,
         )
         with pytest.raises(ValueError, match="budget"):
-            verify_span(lat, [TorusPoint.of((0.25,))], bound=1.0)
+            lat.combination_points()
 
 
 @functools.cache
@@ -487,14 +481,6 @@ class TestNearOrigin:
                 denominator=64,
                 radius_bound=0.1,
             )
-
-    def test_serialization_roundtrip(self):
-        cfg = NearOriginConfig(K=1e8, kappa=0.25, B=2.0, Q=2048, R=8.0)
-        basis = extract_near_origin_structure(slab_measure(), cfg)
-        back = basis_from_text(basis_to_text(basis))
-        assert back.numerators == basis.numerators
-        assert back.denominator == basis.denominator
-        assert back.radius_bound == pytest.approx(basis.radius_bound, abs=1e-15)
 
 
 class TestSmallBall:

@@ -3,9 +3,8 @@
 Oracles: frequency accumulators for canonical blocks and replay,
 per-row `fold_block` and the per-update loops it replaced for the array
 fold, restriction masses summed directly from the truncated Gaussian
-for the posterior laws, a brute-force joint enumeration for the factorization
-identity, a prefix-scan for strict padding, and the exact truncated
-pmf behind the chi-square check of the noise marginal.
+for the posterior laws, and a brute-force joint enumeration for the
+factorization identity.
 """
 
 import math
@@ -16,8 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
-
 from sketchlab.dgauss import TruncationPolicy
 from sketchlab.measure import SparseMeasure, density_certificate, gamma_truncated
 from sketchlab.streaming import (
@@ -25,29 +22,20 @@ from sketchlab.streaming import (
     ProblemSpec,
     SelectionFailed,
     StateSequence,
-    Stream,
     TurnstileAlgorithm,
     Update,
     alternating_algorithm,
     canonical_realization,
-    conditioned_sequence,
     constant_algorithm,
     exact_stream_sample,
     fold_block,
     fold_deltas,
     identity_box_algorithm,
-    minimal_strict_pad,
     mod_counter_algorithm,
-    mollified_stream_sample,
     parity_algorithm,
     posterior_laws,
     resample_convolution,
-    run,
     select_state_sequence,
-    stream_from_text,
-    stream_to_text,
-    strict_padding,
-    zoo_algorithm,
 )
 from sketchlab.streaming import _conditional_blocks, _FoldTable, _success_estimate
 
@@ -60,6 +48,20 @@ def vectors(n: int, bound: int = 5):
     return st.lists(
         st.integers(-bound, bound), min_size=n, max_size=n
     ).map(tuple)
+
+
+def replay(alg: TurnstileAlgorithm, deltas) -> tuple[int, object]:
+    """Fold block j's canonical block at block index j, then answer."""
+    state = alg.initial_state
+    for j, d in enumerate(deltas):
+        state = fold_block(alg, j, state, d)
+    return state, alg.output(state)
+
+
+def block_masses(alg: TurnstileAlgorithm, states, radius: float) -> list[float]:
+    """Per-block conditional masses along `states`, as selection computes them."""
+    table = _FoldTable(alg, gamma_truncated(alg.dimension, radius))
+    return _conditional_blocks(table, states, radius)[1]
 
 
 # -- canonical blocks ---------------------------------------------------------
@@ -94,62 +96,42 @@ def test_canonical_net_delta_and_length(v):
     assert coords == sorted(coords)
 
 
-# -- streams ------------------------------------------------------------------
-
-
-def test_stream_rejects_out_of_range_coordinate():
-    with pytest.raises(ValueError):
-        Stream(1, ((Update(1, 1),),))
-
-
-def test_stream_counts_and_final_vector():
-    s = Stream.from_deltas(2, [(2, -1), (0, 3)])
-    assert s.block_count == 2
-    assert s.update_count == 6
-    assert tuple(s.final_vector()) == (2, 2)
-
-
-def test_prefix_minimum():
-    s = Stream(2, (canonical_realization((-2, 1)), canonical_realization((3, -3))))
-    assert tuple(s.prefix_minimum()) == (-2, -2)
-
-
-# -- run ----------------------------------------------------------------------
+# -- folding blocks -----------------------------------------------------------
 
 
 def test_run_empty_stream_answers_at_initial_state():
-    state, out = run(parity_algorithm(2), ())
-    assert (state, out) == (0, 0)
+    assert replay(parity_algorithm(2), []) == (0, 0)
+    assert replay(parity_algorithm(2), [(0, 0)]) == (0, 0)
 
 
 def test_run_parity_even():
-    state, out = run(parity_algorithm(2), canonical_realization((1, 1)))
+    state, out = replay(parity_algorithm(2), [(1, 1)])
     assert out == 0
 
 
 def test_run_mod3_counter():
-    state, out = run(mod_counter_algorithm(2, 3), canonical_realization((4, 0)))
+    state, out = replay(mod_counter_algorithm(2, 3), [(4, 0)])
     assert state == 1
 
 
 def test_run_is_deterministic():
     alg = mod_counter_algorithm(2, 5)
-    s = Stream.from_deltas(2, [(3, -1), (-2, 4)])
-    assert run(alg, s) == run(alg, s)
+    deltas = [(3, -1), (-2, 4)]
+    assert replay(alg, deltas) == replay(alg, deltas) == (1, 1)
 
 
 def test_run_flat_updates_count_as_one_block():
     alt = alternating_algorithm(1, horizon=1)
     # block 0 uses the parity rule, so three updates land on parity 1
-    state, _ = run(alt, canonical_realization((3,)))
-    assert state == 3
+    assert fold_block(alt, 0, 0, (3,)) == 3
+    # block 1 advances the mod-3 counter instead
+    assert fold_block(alt, 1, 0, (4,)) == 1
 
 
 def test_run_horizon_error():
     alt = alternating_algorithm(1, horizon=2)
-    s = Stream.from_deltas(1, [(1,), (1,), (1,)])
-    with pytest.raises(ValueError, match="covers 2"):
-        run(alt, s)
+    with pytest.raises(ValueError, match="horizon 2"):
+        posterior_laws(alt, (0, 3, 3), 8.0, 2)
 
 
 def test_step_rejects_state_space_escape():
@@ -162,23 +144,16 @@ def test_step_rejects_state_space_escape():
         output=lambda s: s,
     )
     with pytest.raises(RuntimeError, match="state"):
-        run(bad, canonical_realization((1,)))
+        fold_block(bad, 0, 0, (1,))
 
 
-# -- zoo ----------------------------------------------------------------------
-
-
-def test_zoo_registry():
-    assert zoo_algorithm("parity", 2).name == "parity"
-    assert zoo_algorithm("mod-counter", 1, modulus=5).name == "mod-5"
-    with pytest.raises(ValueError, match="registry"):
-        zoo_algorithm("nonsense", 2)
+# -- reference algorithms -----------------------------------------------------
 
 
 def test_constant_algorithm_single_state():
     alg = constant_algorithm(2, value="ok")
     assert alg.state_count == 1
-    assert run(alg, canonical_realization((5, -3))) == (0, "ok")
+    assert replay(alg, [(5, -3)]) == (0, "ok")
 
 
 def test_mod_counter_validates_modulus():
@@ -188,7 +163,7 @@ def test_mod_counter_validates_modulus():
 
 def test_identity_box_records_and_overflows():
     alg = identity_box_algorithm(2, 3)
-    state, out = run(alg, canonical_realization((3, -2)))
+    state, out = replay(alg, [(3, -2)])
     assert out == (3, -2)
     # one more step over the edge absorbs permanently
     state = alg.step(0, state, Update(0, 1))
@@ -204,72 +179,25 @@ def test_identity_box_records_and_overflows():
 def test_exact_sample_replays_to_target():
     for seed in range(50):
         smp = exact_stream_sample(TARGET4, 8.0, 3, seed=seed)
-        stream = Stream.from_deltas(2, smp.deltas)
-        assert tuple(stream.final_vector()) == smp.target
-        assert stream.block_count == 4
-        assert smp.noise is None
-
-
-def test_exact_sample_m0_is_single_target_block():
-    smp = exact_stream_sample(TARGET4, 8.0, 0, seed=9)
-    stream = Stream.from_deltas(2, smp.deltas)
-    assert stream.block_count == 1
-    assert stream.blocks[0] == canonical_realization(smp.target)
+        assert len(smp.deltas) == 4
+        acc = [0, 0]
+        for d in smp.deltas:
+            for u in canonical_realization(d):
+                acc[u.coordinate] += u.sign
+        assert tuple(acc) == smp.target
 
 
 def test_exact_sample_reports_additive_length():
     smp = exact_stream_sample(TARGET4, 8.0, 5, seed=21)
     lengths = [sum(abs(c) for c in d) for d in smp.deltas]
-    stream = Stream.from_deltas(2, smp.deltas)
-    assert stream.update_count == sum(lengths)
-    assert stream.update_count <= 5 * max(lengths[:-1]) + lengths[-1]
+    updates = sum(len(canonical_realization(d)) for d in smp.deltas)
+    assert updates == sum(lengths)
+    assert updates <= 5 * max(lengths[:-1]) + lengths[-1]
 
 
-def test_mollified_sample_replays_to_target_plus_noise():
-    for seed in range(50):
-        smp = mollified_stream_sample(TARGET4, 8.0, 3, seed=seed)
-        want = tuple(a + b for a, b in zip(smp.target, smp.noise))
-        assert tuple(Stream.from_deltas(2, smp.deltas).final_vector()) == want
-
-
-def test_mollified_zero_noise_seed_reduces_to_exact():
-    target = SparseMeasure.point_mass((0,))
-    seed = next(
-        s
-        for s in range(200)
-        if mollified_stream_sample(target, 4.0, 0, seed=s).noise == (0,)
-    )
-    exact = exact_stream_sample(target, 4.0, 0, seed=seed)
-    moll = mollified_stream_sample(target, 4.0, 0, seed=seed)
-    assert moll.deltas == exact.deltas
-    assert moll.target == exact.target
-
-
-def test_mollified_noise_marginal_chi_square():
-    # sampler oracle: the exact truncated pmf, pooled into bins with
-    # expected count at least 5; seeds 0..99999 give p = 0.4055
-    target = SparseMeasure.point_mass((0,))
-    counts = Counter()
-    trials = 100_000
-    for seed in range(trials):
-        counts[mollified_stream_sample(target, 4.0, 0, seed=seed).noise[0]] += 1
-    law = gamma_truncated(1, 4.0)
-    expected = {
-        p[0]: trials * m / law.total_mass for p, m in law.atoms.items()
-    }
-    core = sorted(v for v, e in expected.items() if e >= 5.0)
-    lo, hi = core[0], core[-1]
-    obs = [sum(c for v, c in counts.items() if v < lo)]
-    exp = [sum(e for v, e in expected.items() if v < lo)]
-    for v in range(lo, hi + 1):
-        obs.append(counts.get(v, 0))
-        exp.append(expected.get(v, 0.0))
-    obs.append(sum(c for v, c in counts.items() if v > hi))
-    exp.append(sum(e for v, e in expected.items() if v > hi))
-    expv = np.array(exp) * (sum(obs) / math.fsum(exp))
-    chi2, p = stats.chisquare(np.array(obs, dtype=float), expv)
-    assert p >= 0.01
-    assert abs(p - 0.40554515864154267) < 1e-6
+def test_exact_sample_m0_is_single_target_block():
+    smp = exact_stream_sample(TARGET4, 8.0, 0, seed=9)
+    assert smp.deltas == (smp.target,)
 
 
 def test_target_deficit_rejected():
@@ -301,16 +229,16 @@ def test_parity_posteriors_match_restriction_masses():
     support = gamma_truncated(2, 8.0)
     p_odd = math.fsum(m for p, m in support.atoms.items() if sum(p) % 2 == 1)
     alg = parity_algorithm(2)
-    seq = conditioned_sequence(alg, (0, 1, 0), 8.0, 2)
-    assert abs(seq.per_block_densities[0] - p_odd) < 1e-15
-    assert abs(seq.per_block_densities[1] - p_odd) < 1e-15
+    masses = block_masses(alg, (0, 1, 0), 8.0)
+    assert abs(masses[0] - p_odd) < 1e-15
+    assert abs(masses[1] - p_odd) < 1e-15
     assert abs(p_odd - 0.5) < 1e-9
-    laws = posterior_laws(alg, seq, 8.0, 2)
+    laws = posterior_laws(alg, (0, 1, 0), 8.0, 2)
     for law in laws:
         assert all(sum(p) % 2 == 1 for p in law.atoms)
-    mixed = conditioned_sequence(alg, (0, 0, 1), 8.0, 2)
-    assert abs(mixed.per_block_densities[0] - (1.0 - p_odd)) < 1e-12
-    assert abs(mixed.per_block_densities[1] - p_odd) < 1e-15
+    mixed = block_masses(alg, (0, 0, 1), 8.0)
+    assert abs(mixed[0] - (1.0 - p_odd)) < 1e-12
+    assert abs(mixed[1] - p_odd) < 1e-15
 
 
 def test_identity_posteriors_are_point_masses():
@@ -322,15 +250,16 @@ def test_identity_posteriors_are_point_masses():
     laws = posterior_laws(alg, (s0, s1, s2), 8.0, 2)
     assert dict(laws[0].atoms) == {(1, 0): 1.0}
     assert dict(laws[1].atoms) == {(2, -1): 1.0}
-    seq = conditioned_sequence(alg, (s0, s1, s2), 8.0, 2)
-    assert seq.per_block_densities[0] == support.atoms[(1, 0)]
-    assert seq.per_block_densities[1] == support.atoms[(2, -1)]
+    masses = block_masses(alg, (s0, s1, s2), 8.0)
+    assert masses[0] == support.atoms[(1, 0)]
+    assert masses[1] == support.atoms[(2, -1)]
 
 
 def test_posterior_certificates_cover_block_masses():
     alg = parity_algorithm(2)
-    seq = conditioned_sequence(alg, (0, 1, 1), 8.0, 2)
-    for law, beta in zip(posterior_laws(alg, seq, 8.0, 2), seq.per_block_densities):
+    states = (0, 1, 1)
+    masses = block_masses(alg, states, 8.0)
+    for law, beta in zip(posterior_laws(alg, states, 8.0, 2), masses):
         cert = density_certificate(law, 8.0)
         assert cert.alpha >= beta * (1.0 - 1e-6)
 
@@ -343,7 +272,7 @@ def test_density_certificate_failure_names_its_numbers():
         _conditional_blocks(table, (0, 1, 0), 4.0)
     law = posterior_laws(alg, (0, 1, 0), 8.0, 2)[0]
     alpha = density_certificate(law, 4.0).alpha
-    beta = conditioned_sequence(alg, (0, 1, 0), 8.0, 2).per_block_densities[0]
+    beta = block_masses(alg, (0, 1, 0), 8.0)[0]
     msg = str(err.value)
     assert "block 0 (state 0 -> 1)" in msg
     assert f"alpha {alpha!r} < block mass {beta!r} times (1 - 1e-6)" in msg
@@ -376,14 +305,13 @@ def test_factorization_against_joint_enumeration():
         for (x2,), m2 in support.atoms.items():
             if fold_block(alg, 1, states[1], (x2,)) == states[2]:
                 joint += m1 * m2
-    seq = conditioned_sequence(alg, states, 4.0, 2)
-    assert abs(seq.probability - joint) < 1e-14
+    assert abs(math.prod(block_masses(alg, states, 4.0)) - joint) < 1e-14
 
 
 def test_factorization_against_monte_carlo():
     alg = parity_algorithm(1)
     states = (0, 1, 0)
-    seq = conditioned_sequence(alg, states, 4.0, 2)
+    prob = math.prod(block_masses(alg, states, 4.0))
     target = SparseMeasure.point_mass((0,))
     trials = 4096
     rng = np.random.default_rng(77)
@@ -392,13 +320,13 @@ def test_factorization_against_monte_carlo():
         smp = exact_stream_sample(target, 4.0, 2, seed=int(s))
         state = 0
         path = [0]
-        for j, block in enumerate(Stream.from_deltas(1, smp.deltas).blocks[:2]):
-            for u in block:
+        for j, d in enumerate(smp.deltas[:2]):
+            for u in canonical_realization(d):
                 state = alg.step(j, state, u)
             path.append(state)
         hits += tuple(path) == states
-    stderr = math.sqrt(seq.probability * (1.0 - seq.probability) / trials)
-    assert abs(hits / trials - seq.probability) <= 3.0 * stderr
+    stderr = math.sqrt(prob * (1.0 - prob) / trials)
+    assert abs(hits / trials - prob) <= 3.0 * stderr
 
 
 def test_nonuniform_posteriors_differ_across_blocks():
@@ -407,12 +335,12 @@ def test_nonuniform_posteriors_differ_across_blocks():
     support = gamma_truncated(1, 8.0)
     q_odd = math.fsum(m for p, m in support.atoms.items() if p[0] % 2 == 1)
     q_mod1 = math.fsum(m for p, m in support.atoms.items() if p[0] % 3 == 1)
-    seq = conditioned_sequence(alg, (0, 3, 4), 8.0, 2)
-    assert abs(seq.per_block_densities[0] - q_odd) < 1e-15
-    assert abs(seq.per_block_densities[1] - q_mod1) < 1e-15
-    assert abs(seq.per_block_densities[0] - 0.5) < 1e-9
-    assert abs(seq.per_block_densities[1] - 1.0 / 3.0) < 1e-9
-    laws = posterior_laws(alg, seq, 8.0, 2)
+    masses = block_masses(alg, (0, 3, 4), 8.0)
+    assert abs(masses[0] - q_odd) < 1e-15
+    assert abs(masses[1] - q_mod1) < 1e-15
+    assert abs(masses[0] - 0.5) < 1e-9
+    assert abs(masses[1] - 1.0 / 3.0) < 1e-9
+    laws = posterior_laws(alg, (0, 3, 4), 8.0, 2)
     assert all(p[0] % 2 == 1 for p in laws[0].atoms)
     assert all(p[0] % 3 == 1 for p in laws[1].atoms)
     assert set(laws[0].atoms) != set(laws[1].atoms)
@@ -427,16 +355,6 @@ def test_resample_convolution_matches_laws():
 
 
 # -- array fold ---------------------------------------------------------------
-
-FOLD_CASES = [
-    ("constant", {}),
-    ("parity", {}),
-    ("mod-counter", {"modulus": 3}),
-    ("identity-box", {"box_radius": 3}),
-    ("alternating", {"horizon": 4}),
-    ("rolling-hash", {}),
-]
-
 
 def rolling_hash_algorithm(dimension: int) -> TurnstileAlgorithm:
     """Mixes every (coordinate, sign) into the state in arrival order, so
@@ -472,14 +390,20 @@ def visited_pairs(alg, block_index, state, rows) -> set:
     return out
 
 
+FOLD_CASES = [
+    constant_algorithm,
+    parity_algorithm,
+    lambda n: mod_counter_algorithm(n, 3),
+    lambda n: identity_box_algorithm(n, 3),
+    lambda n: alternating_algorithm(n, horizon=4),
+    rolling_hash_algorithm,
+]
+
+
 @settings(max_examples=80, deadline=None)
-@given(case=st.sampled_from(FOLD_CASES), n=st.integers(1, 3), data=st.data())
-def test_fold_deltas_matches_fold_block(case, n, data):
-    name, params = case
-    if name == "rolling-hash":
-        alg = rolling_hash_algorithm(n)
-    else:
-        alg = zoo_algorithm(name, n, **params)
+@given(build=st.sampled_from(FOLD_CASES), n=st.integers(1, 3), data=st.data())
+def test_fold_deltas_matches_fold_block(build, n, data):
+    alg = build(n)
     rows = data.draw(
         st.lists(st.one_of(st.just((0,) * n), vectors(n, 6)), max_size=12)
     )
@@ -608,8 +532,8 @@ def test_selection_census_matches_per_update_loop(alg):
         smp = exact_stream_sample(TARGET4, 8.0, 2, seed=int(s))
         state = alg.initial_state
         path = [state]
-        for j, block in enumerate(Stream.from_deltas(2, smp.deltas).blocks[:2]):
-            for u in block:
+        for j, d in enumerate(smp.deltas[:2]):
+            for u in canonical_realization(d):
                 state = alg.step(j, state, u)
             path.append(state)
         census[tuple(path)] += 1
@@ -731,90 +655,3 @@ def test_relation_problem_satisfiability():
     prob.ensure_satisfiable((1, 0))
     with pytest.raises(ValueError, match="no valid output"):
         prob.ensure_satisfiable((1, 1))
-
-
-# -- strict padding -----------------------------------------------------------
-
-
-def test_strict_pad_zero_keeps_nonnegative_stream():
-    s = Stream.from_deltas(2, [(1, 2), (0, -1)])
-    assert strict_padding(s, (0, 0)) == s
-
-
-def test_strict_pad_zero_rejects_negative_stream():
-    s = Stream.from_deltas(2, [(-1, 0)])
-    with pytest.raises(ValueError, match="prefix of length 1"):
-        strict_padding(s, (0, 0))
-
-
-def test_strict_pad_single_unit():
-    s = Stream(2, (canonical_realization((-1, 0)),))
-    padded = strict_padding(s, (1, 0))
-    assert padded.block_count == 2
-    assert tuple(padded.final_vector()) == (0, 0)
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 2), st.sampled_from((-1, 1))),
-        min_size=0,
-        max_size=40,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_minimal_pad_matches_prefix_scan(pairs):
-    # oracle: running per-coordinate minimum over the flat update list
-    updates = tuple(Update(c, s) for c, s in pairs)
-    stream = Stream(3, (updates,))
-    acc = [0, 0, 0]
-    low = [0, 0, 0]
-    for c, s in pairs:
-        acc[c] += s
-        low[c] = min(low[c], acc[c])
-    want = tuple(-v for v in low)
-    assert minimal_strict_pad(stream) == want
-    padded = strict_padding(stream, want)
-    assert tuple(padded.final_vector()) == tuple(
-        a + b for a, b in zip(want, stream.final_vector())
-    )
-    for i in range(3):
-        if want[i] == 0:
-            continue
-        short = list(want)
-        short[i] -= 1
-        with pytest.raises(ValueError, match="prefix"):
-            strict_padding(stream, short)
-
-
-def test_strict_pad_validates_pad():
-    s = Stream.from_deltas(2, [(1, 1)])
-    with pytest.raises(ValueError, match="dimension"):
-        strict_padding(s, (1,))
-    with pytest.raises(ValueError, match="nonnegative"):
-        strict_padding(s, (-1, 0))
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def test_stream_text_format():
-    s = Stream.from_deltas(2, [(1, -1), (0, 0)])
-    assert stream_to_text(s) == (
-        "# n=2\n# block 0\n0 +1\n1 -1\n# block 1\n"
-    )
-
-
-@given(
-    st.lists(vectors(2, bound=3), min_size=0, max_size=5)
-)
-@settings(max_examples=60, deadline=None)
-def test_stream_text_roundtrip(deltas):
-    s = Stream.from_deltas(2, deltas)
-    assert stream_from_text(stream_to_text(s)) == s
-
-
-def test_stream_from_text_infers_dimension():
-    s = stream_from_text("0 +1\n2 -1\n")
-    assert s.dimension == 3
-    assert s.block_count == 1
-    assert tuple(s.final_vector()) == (1, 0, -1)

@@ -25,14 +25,12 @@ from sketchlab.streaming import (
     ProblemSpec,
     SelectionFailed,
     StateSequence,
-    Stream,
     constant_algorithm,
     exact_stream_sample,
     fold_block,
     identity_box_algorithm,
     mod_counter_algorithm,
     parity_algorithm,
-    run,
 )
 from sketchlab.transfer import (
     DecoderConflict,
@@ -210,7 +208,10 @@ def test_parity_decoder_matches_simulation():
         point = SparseMeasure.point_mass(y)
         for s in range(50):
             smp = exact_stream_sample(point, 8.0, 2, seed=s)
-            outs[run(alg, Stream.from_deltas(2, smp.deltas))[1]] += 1
+            state = alg.initial_state
+            for j, d in enumerate(smp.deltas):
+                state = fold_block(alg, j, state, d)
+            outs[alg.output(state)] += 1
         majority = outs.most_common(1)[0][0]
         assert decoder.decode(sketch_apply(sketch, y)) == majority
         assert majority == PARITY_PROBLEM.label(y)

@@ -2,7 +2,7 @@
 
 Oracles: brute-force half-L1 summation for TV, direct difference sums
 for line energies (checked against the spectral autocorrelation),
-per-line profiles via measure.line_profile, exact convolutions for the
+per-line profiles via `line_profile` below, exact convolutions for the
 tail-center and certification walkthroughs, the per-atom dict forms of
 the shift difference and the line decomposition, which the array
 versions must match bit for bit, and a fine midpoint quadrature of each
@@ -12,6 +12,7 @@ line's tail integral.
 import dataclasses
 import functools
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from sketchlab.measure import (
     SparseMeasure,
     convolve_many_fft,
     gamma_truncated,
-    line_profile,
     reflect,
     restrict,
     translate,
@@ -42,6 +42,26 @@ from sketchlab.translation import (
 )
 
 SCENARIO = dict(K=512.0, Q=2048, q=3, R=8.0, kappa=0.25)
+
+
+def line_profile(
+    nu: SparseMeasure, x: Sequence[int], v: Sequence[int]
+) -> dict[int, float]:
+    """Masses of nu along the line {x + l v}, keyed by l."""
+    xv = tuple(int(c) for c in x)
+    vv = tuple(int(c) for c in v)
+    if all(c == 0 for c in vv):
+        raise ValueError("direction must be nonzero")
+    j = next(i for i, c in enumerate(vv) if c != 0)
+    out: dict[int, float] = {}
+    for p, m in nu.atoms.items():
+        d = tuple(a - b for a, b in zip(p, xv))
+        if d[j] % vv[j]:
+            continue
+        l = d[j] // vv[j]
+        if all(dc == l * vc for dc, vc in zip(d, vv)):
+            out[l] = out.get(l, 0.0) + m
+    return out
 
 
 @functools.cache
