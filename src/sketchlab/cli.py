@@ -638,12 +638,7 @@ def _dissociated_rows(cfg: ExperimentConfig) -> list[tuple]:
         if not mask.any():
             mask[0] = True
         total = float(base.masses[mask].sum())
-        atoms = {
-            tuple(int(c) for c in p): float(m) / total
-            for p, m, ok in zip(base.points, base.masses, mask)
-            if ok
-        }
-        mu = SparseMeasure(n, atoms)
+        mu = SparseMeasure(n, base.points[mask], base.masses[mask] / total)
         cert = density_certificate(mu, cfg.R)
         kappa = 5.0 * math.sqrt(cert.S) / cfg.R
         scan = large_spectrum_scan(mu, cfg.K, GRID_EXPONENT)

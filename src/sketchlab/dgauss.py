@@ -66,23 +66,6 @@ class GaussianShape:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "center", center)
 
-    @classmethod
-    def spherical(
-        cls, dimension: int, radius: float, center: Sequence[float] | None = None
-    ) -> "GaussianShape":
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
-        c = np.zeros(dimension) if center is None else np.asarray(center, dtype=float)
-        return cls(dimension, radius * radius * np.eye(dimension), c)
-
-    @property
-    def radius(self) -> float:
-        """R with Sigma = R^2 I; rejects non-spherical shapes."""
-        r2 = float(self.sigma[0, 0])
-        if not np.array_equal(self.sigma, r2 * np.eye(self.dimension)):
-            raise ValueError("shape is not spherical")
-        return math.sqrt(r2)
-
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -109,10 +92,6 @@ class TruncationPolicy:
             * math.log(math.sqrt(2.0) ** dimension / tail_mass_target)
         )
         return cls(dimension, tail_mass_target, u)
-
-    def tail_bound(self, radius: float) -> float:
-        """Certified gamma_radius mass beyond the cutoff."""
-        return gamma_tail_bound(self.dimension, radius, self.radius)
 
 
 def gamma_tail_bound(dimension: int, radius: float, cutoff: float) -> float:

@@ -2,6 +2,10 @@
 analysis: exact transforms, convolutions, dense-piece certificates,
 large-spectrum scans with a non-omission margin.
 
+A measure is stored as two arrays only: distinct int64 points sorted as
+Python tuples sort, and their masses.  Every producer hands its arrays
+straight to the constructor, which sums repeated points in input order.
+
 Exact convolution is a shift-and-add whose per-cell summation order is
 that of scipy's direct path, so it returns the same bits and clips
 nothing; only the FFT convolutions clip dust into the deficit."""
@@ -10,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -82,69 +87,82 @@ class TorusPoint:
         return TorusPoint.of(self.array - other.array)
 
 
+def _lex_groups(
+    rows: np.ndarray, minor: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Order that sorts integer rows as Python tuples sort (ties broken by
+    the minor key, else kept in input order), and flags marking where each
+    distinct row starts in that order."""
+    keys = tuple(rows[:, j] for j in range(rows.shape[1] - 1, -1, -1))
+    order = np.lexsort(keys if minor is None else (minor,) + keys)
+    s = rows[order]
+    starts = np.ones(s.shape[0], dtype=bool)
+    starts[1:] = (s[1:] != s[:-1]).any(axis=1)
+    return order, starts
+
+
+def _sum_repeats(points: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in sorted order, each with its masses summed one by
+    one in input order.  np.add.at keeps that sequential order, which
+    np.add.reduceat's pairwise inner loop does not."""
+    order, starts = _lex_groups(points)
+    sums = np.zeros(int(starts.sum()))
+    np.add.at(sums, np.cumsum(starts) - 1, masses[order])
+    return points[order][starts], sums
+
+
 class SparseMeasure:
     """Sub-probability measure with finite support on Z^n.
 
-    Mass removed by truncation is tracked in `deficit` instead of being
-    renormalized away; total mass + deficit must be 1 up to slack.
+    The atoms are `points`, distinct int64 rows sorted as Python tuples
+    sort, and their positive `masses`.  Mass removed by truncation is
+    tracked in `deficit` instead of being renormalized away; total mass +
+    deficit must be 1 up to slack.
     """
 
-    __slots__ = ("dimension", "atoms", "deficit", "points", "masses")
+    __slots__ = ("dimension", "points", "masses", "deficit")
 
     def __init__(
         self,
         dimension: int,
-        atoms: Mapping[tuple[int, ...], float] | Iterable[tuple[Sequence[int], float]],
+        points: np.ndarray,
+        masses: np.ndarray,
         deficit: float = 0.0,
     ) -> None:
-        items = atoms.items() if isinstance(atoms, Mapping) else atoms
-        clean: dict[tuple[int, ...], float] = {}
-        for point, mass in items:
-            key = tuple(int(c) for c in point)
-            if len(key) != dimension:
-                raise ValueError("atom dimension mismatch")
-            m = float(mass)
-            if m < -1e-12:
-                raise ValueError("negative mass")
-            if m <= 0.0:
-                continue
-            clean[key] = clean.get(key, 0.0) + m
-        total = math.fsum(clean.values())
-        if abs(total + deficit - 1.0) > 1e-8:
+        pts = np.asarray(points, dtype=np.int64)
+        ms = np.asarray(masses, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != dimension:
+            raise ValueError("atom dimension mismatch")
+        if (ms < -1e-12).any():
+            raise ValueError("negative mass")
+        keep = ms > 0.0
+        self.points, self.masses = _sum_repeats(pts[keep], ms[keep])
+        if abs(self.total_mass + deficit - 1.0) > 1e-8:
             raise ValueError("mass + deficit must equal 1")
         self.dimension = dimension
-        self.atoms = clean
         self.deficit = float(deficit)
-        order = sorted(clean)
-        self.points = np.asarray(order, dtype=np.int64).reshape(len(order), dimension)
-        self.masses = np.asarray([clean[p] for p in order], dtype=float)
+
+    @property
+    def atoms(self) -> MappingProxyType:
+        """Read-only point -> mass view, for single-point lookups."""
+        return MappingProxyType(
+            dict(zip(map(tuple, self.points.tolist()), self.masses.tolist()))
+        )
 
     @property
     def support_size(self) -> int:
-        return len(self.atoms)
+        return self.points.shape[0]
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(self.atoms.values())
-
-    @classmethod
-    def point_mass(cls, point: Sequence[int]) -> "SparseMeasure":
-        key = tuple(int(c) for c in point)
-        return cls(len(key), {key: 1.0})
+        return math.fsum(self.masses)
 
     @classmethod
     def uniform(cls, points: Sequence[Sequence[int]]) -> "SparseMeasure":
-        pts = [tuple(int(c) for c in p) for p in points]
-        if not pts:
+        if len(points) == 0:
             raise ValueError("empty support")
-        mass = 1.0 / len(pts)
-        out: dict[tuple[int, ...], float] = {}
-        for p in pts:
-            out[p] = out.get(p, 0.0) + mass
-        return cls(len(pts[0]), out)
-
-    def mass_at(self, point: Sequence[int]) -> float:
-        return self.atoms.get(tuple(int(c) for c in point), 0.0)
+        pts = np.asarray(points, dtype=np.int64)
+        return cls(pts.shape[-1], pts, np.full(len(pts), 1.0 / len(pts)))
 
     def bounding_box(self) -> tuple[tuple[int, int], ...]:
         lo = self.points.min(axis=0)
@@ -177,29 +195,17 @@ def gamma_truncated(
     if renormalize:
         masses = masses / total
         total = 1.0
-    return SparseMeasure(
-        dimension,
-        zip(pts.tolist(), masses.tolist()),
-        deficit=max(0.0, 1.0 - total),
-    )
+    return SparseMeasure(dimension, pts, masses, deficit=max(0.0, 1.0 - total))
 
 
 def reflect(mu: SparseMeasure) -> SparseMeasure:
-    return SparseMeasure(
-        mu.dimension,
-        {tuple(-c for c in p): m for p, m in mu.atoms.items()},
-        deficit=mu.deficit,
-    )
+    return SparseMeasure(mu.dimension, -mu.points, mu.masses, deficit=mu.deficit)
 
 
 def translate(mu: SparseMeasure, v: Sequence[int]) -> SparseMeasure:
     """tau_v mu with (tau_v mu)(x) = mu(x - v)."""
-    vv = tuple(int(c) for c in v)
-    return SparseMeasure(
-        mu.dimension,
-        {tuple(c + d for c, d in zip(p, vv)): m for p, m in mu.atoms.items()},
-        deficit=mu.deficit,
-    )
+    shifted = mu.points + np.asarray(v, dtype=np.int64)
+    return SparseMeasure(mu.dimension, shifted, mu.masses, deficit=mu.deficit)
 
 
 def restrict(
@@ -207,15 +213,14 @@ def restrict(
     keep: Callable[[tuple[int, ...]], bool],
     renormalize: bool = False,
 ) -> SparseMeasure:
-    kept = {p: m for p, m in mu.atoms.items() if keep(p)}
-    if not kept:
+    mask = np.array([keep(p) for p in map(tuple, mu.points.tolist())], dtype=bool)
+    if not mask.any():
         raise ValueError("restriction removed all mass")
-    total = math.fsum(kept.values())
+    masses = mu.masses[mask]
+    total = math.fsum(masses)
     if renormalize:
-        return SparseMeasure(
-            mu.dimension, {p: m / total for p, m in kept.items()}
-        )
-    return SparseMeasure(mu.dimension, kept, deficit=1.0 - total)
+        return SparseMeasure(mu.dimension, mu.points[mask], masses / total)
+    return SparseMeasure(mu.dimension, mu.points[mask], masses, deficit=1.0 - total)
 
 
 def _zeta_array(zeta: TorusPoint | Sequence[float]) -> np.ndarray:
@@ -312,9 +317,7 @@ def convolve(
         )
         pts, masses = pts[inside], masses[inside]
     total = math.fsum(masses)
-    return SparseMeasure(
-        n, zip(pts.tolist(), masses.tolist()), deficit=max(0.0, 1.0 - total)
-    )
+    return SparseMeasure(n, pts, masses, deficit=max(0.0, 1.0 - total))
 
 
 def convolve_many_fft(
@@ -363,7 +366,7 @@ def convolve_many_fft(
     deficit = max(0.0, 1.0 - total)
     if deficit_budget is not None and deficit > deficit_budget:
         raise ValueError("box too small: deficit exceeds the budget")
-    return SparseMeasure(n, zip(pts.tolist(), masses.tolist()), deficit=deficit)
+    return SparseMeasure(n, pts, masses, deficit=deficit)
 
 
 @dataclass(frozen=True)
@@ -471,9 +474,9 @@ def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     if not mus:
         raise ValueError("empty measure list")
     M = len(mus)
-    out: dict[tuple[int, ...], float] = {}
     # equal laws (same points, masses and deficit) are convolved once
     convs: dict[tuple, SparseMeasure] = {}
+    terms = []
     for m in mus:
         key = (m.points.shape, m.points.tobytes(), m.masses.tobytes(), m.deficit)
         conv = convs.get(key)
@@ -485,7 +488,11 @@ def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
                 else convolve(m, reflect(m))
             )
             convs[key] = conv
-        for p, w in conv.atoms.items():
-            out[p] = out.get(p, 0.0) + w / M
-    total = math.fsum(out.values())
-    return SparseMeasure(mus[0].dimension, out, deficit=max(0.0, 1.0 - total))
+        terms.append(conv)
+    # each point's terms are summed in the order of mus
+    pts, masses = _sum_repeats(
+        np.concatenate([c.points for c in terms]),
+        np.concatenate([c.masses / M for c in terms]),
+    )
+    total = math.fsum(masses)
+    return SparseMeasure(mus[0].dimension, pts, masses, deficit=max(0.0, 1.0 - total))

@@ -210,9 +210,6 @@ class SketchLattice:
     fiber_bound: int
     s_certified: float
     kappa: float = 0.0
-    q: int = 0
-    ambient_radius: float = 0.0
-    chain_length: int = 0
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -246,11 +243,6 @@ class SketchLattice:
     @property
     def rank(self) -> int:
         return len(self.generators)
-
-    def generator_points(self) -> list[TorusPoint]:
-        return [
-            TorusPoint.of([float(c) for c in t]) for t in self.generators
-        ]
 
     def combination_points(self, budget: int = FIBER_BUDGET) -> np.ndarray:
         """All admissible combinations sum c_i t_i, 0 <= c_i < k_i, as
@@ -301,12 +293,6 @@ class NearOriginBasis:
     @property
     def ell(self) -> int:
         return len(self.numerators)
-
-    def frequencies(self) -> list[TorusPoint]:
-        return [
-            TorusPoint.of(np.asarray(w, dtype=float) / self.denominator)
-            for w in self.numerators
-        ]
 
     def span_matrix(self) -> np.ndarray:
         """Real span directions, one row per basis frequency."""
@@ -523,9 +509,6 @@ def extract_exact_structure(
         fiber_bound=fiber_bound,
         s_certified=S,
         kappa=kappa,
-        q=cfg.q,
-        ambient_radius=cfg.R,
-        chain_length=len(flat),
         warnings=tuple(warnings),
     )
     worst = 0.0

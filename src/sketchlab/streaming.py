@@ -414,11 +414,7 @@ def _conditional_blocks(
             )
         beta = math.fsum(support.masses[mask])
         law = SparseMeasure(
-            support.dimension,
-            zip(
-                support.points[mask].tolist(),
-                (support.masses[mask] / beta).tolist(),
-            ),
+            support.dimension, support.points[mask], support.masses[mask] / beta
         )
         cert = density_certificate(law, radius)
         if cert.alpha < beta * (1.0 - 1e-6):
@@ -501,7 +497,7 @@ def _success_estimate(
     closing_index = len(states) - 1
     weight = target.total_mass
     total = 0.0
-    for y, m in sorted(target.atoms.items()):
+    for y, m in zip(map(tuple, target.points.tolist()), target.masses.tolist()):
         draws = resample_convolution(alg.dimension, laws, landings, rng)
         deltas = np.asarray(y, dtype=np.int64) - draws
         ends = fold_deltas(alg, deltas, closing_index, states[-1], memo)
@@ -542,7 +538,7 @@ def select_state_sequence(
             f"{blocks + 1} blocks"
         )
     pol = _resolve_policy(alg.dimension, radius, policy)
-    for y in target.atoms:
+    for y in map(tuple, target.points.tolist()):
         problem.ensure_satisfiable(y)
     seed_rng = np.random.default_rng(seed)
     stream_seeds = seed_rng.integers(0, 2**63, size=samples)

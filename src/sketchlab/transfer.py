@@ -332,7 +332,7 @@ def _build_decoder(
     landing_law: SparseMeasure,
 ) -> FiberDecoder:
     fibers: dict[tuple, list[tuple[int, ...]]] = {}
-    for y in sorted(target.atoms):
+    for y in map(tuple, target.points.tolist()):
         fibers.setdefault(sketch_apply(sketch, y), []).append(y)
     close_index = sketch.sigma.block_count
     last_state = sketch.sigma.states[-1]
@@ -586,7 +586,7 @@ def evaluate_sketch(
     if target.support_size <= EXACT_EVAL_CAP:
         good = math.fsum(
             mass / target.total_mass
-            for y, mass in sorted(target.atoms.items())
+            for y, mass in zip(map(tuple, target.points.tolist()), target.masses.tolist())
             if check(y, _decode_point(sketch, decoder, y))
         )
         return EvaluationResult(
@@ -620,10 +620,6 @@ class FiberCensus:
     members: dict
     count: int
     bound: int | None
-
-    @property
-    def within_bound(self) -> bool:
-        return self.bound is None or self.count <= self.bound
 
 
 def fiber_census(sketch: ExtractedSketch, domain: Sequence[Sequence[int]]) -> FiberCensus:

@@ -21,6 +21,7 @@ from .measure import (
     SparseMeasure,
     TorusPoint,
     _grid_embed,
+    _lex_groups,
     _reduce_torus,
     convolve_many_fft,
     density_certificate,
@@ -34,6 +35,26 @@ from .spectrum import (
     convolution_structure,
 )
 
+__all__ = [
+    "MAX_KERNEL_RADIUS",
+    "tv_distance",
+    "LineDecomposition",
+    "line_decomposition",
+    "HeavySpread",
+    "measured_structure_spread",
+    "LineEnergyRecord",
+    "SpectralEnergyReport",
+    "spectral_energy_bound_check",
+    "BallReductionReport",
+    "ball_reduction_tv_bound",
+    "TailCenter",
+    "convolution_tail_center",
+    "TranslationConfig",
+    "TranslationRecord",
+    "TranslationReport",
+    "translation_invariance_certify",
+]
+
 # Exhaustive kernel enumeration walks the full integer ball; beyond this
 # radius the candidate count is no longer a desk-scale object.
 MAX_KERNEL_RADIUS = 12
@@ -46,20 +67,6 @@ def _direction(v: Sequence[int]) -> tuple[int, ...]:
     if all(c == 0 for c in vv):
         raise ValueError("direction must be nonzero")
     return vv
-
-
-def _lex_groups(
-    rows: np.ndarray, minor: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Order that sorts integer rows as Python tuples sort (ties broken by
-    the minor key), and flags marking where each distinct row starts in
-    that order."""
-    keys = tuple(rows[:, j] for j in range(rows.shape[1] - 1, -1, -1))
-    order = np.lexsort(keys if minor is None else (minor,) + keys)
-    s = rows[order]
-    starts = np.ones(s.shape[0], dtype=bool)
-    starts[1:] = (s[1:] != s[:-1]).any(axis=1)
-    return order, starts
 
 
 def _shift_difference(nu: SparseMeasure, v: tuple[int, ...]) -> np.ndarray:
@@ -710,8 +717,7 @@ class TranslationConfig:
     """Knobs for the invariance certification.
 
     D caps the exhaustive kernel enumeration over integer shifts with
-    |v|_2 <= D.  eta, H and level override the measured/derived defaults
-    when set.
+    |v|_2 <= D.
     """
 
     D: int
@@ -723,9 +729,6 @@ class TranslationConfig:
     B: float = 2.0
     grid_exponent: int = 7
     refine: bool = True
-    eta: float | None = None
-    H: float | None = None
-    level: float | None = None
     controls: int = 2
     max_kernel: int = 24
 
@@ -853,7 +856,7 @@ def translation_invariance_certify(
         rank = structure.rank
         warnings.extend(structure.warnings)
         conv_list = list(mus)
-        eta_default = math.exp(-M / cfg.K)
+        eta = math.exp(-M / cfg.K)
     elif route == "mollified":
         route_cfg = NearOriginConfig(
             K=cfg.K,
@@ -871,7 +874,7 @@ def translation_invariance_certify(
         # Off the kappa ball the reference transform decays below
         # exp(-R^2 kappa^2 / 5), so the mollified heavy set is confined
         # to the certified near-origin span.
-        eta_default = max(
+        eta = max(
             math.exp(-M / cfg.K),
             math.exp(-cfg.R**2 * kappa**2 / 5.0),
         )
@@ -879,15 +882,13 @@ def translation_invariance_certify(
         raise ValueError("unknown route")
 
     nu = convolve_many_fft(conv_list)
-    eta = cfg.eta if cfg.eta is not None else eta_default
     spread = measured_structure_spread(nu, structure, eta)
     if spread.count == 0:
         warnings.append("no grid frequency exceeds eta; delta falls back to 1e-12")
     delta = max(spread.worst_distance, 1e-12)
 
-    level = cfg.level if cfg.level is not None else max(1.0, math.log(2.0 * n * len(conv_list)))
+    level = max(1.0, math.log(2.0 * n * len(conv_list)))
     tail = convolution_tail_center(conv_list, cfg.R, level, conv=nu)
-    H = cfg.H if cfg.H is not None else tail.radius
     warnings.append(f"tail verification method: {tail.method}")
 
     kernels = []
@@ -914,7 +915,7 @@ def translation_invariance_certify(
                 delta,
                 eta,
                 tail.center,
-                H,
+                tail.radius,
                 spread=spread,
             )
             records.append(
@@ -940,7 +941,7 @@ def translation_invariance_certify(
         pieces=M,
         eta=eta,
         delta=delta,
-        H=H,
+        H=tail.radius,
         center=tail.center,
         deficit=nu.deficit,
         structure_rank=rank,

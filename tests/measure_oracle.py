@@ -1,0 +1,49 @@
+"""Test measures from point -> mass tables, and the dict constructor that
+SparseMeasure had before sorted arrays became its only store, kept as the
+oracle the array constructor must match bit for bit."""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+
+from sketchlab.measure import SparseMeasure
+
+Atoms = Mapping[tuple[int, ...], float] | Iterable[tuple[Sequence[int], float]]
+
+
+def from_atoms(dimension: int, atoms: Atoms, deficit: float = 0.0) -> SparseMeasure:
+    """SparseMeasure built from a point -> mass table or (point, mass)
+    pairs, through the array constructor."""
+    pairs = list(atoms.items() if isinstance(atoms, Mapping) else atoms)
+    points = np.array([p for p, _ in pairs], dtype=np.int64)
+    masses = np.array([m for _, m in pairs], dtype=float)
+    return SparseMeasure(dimension, points, masses, deficit=deficit)
+
+
+def dict_canonical(
+    dimension: int, atoms: Atoms, deficit: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(points, masses, deficit) as the dict constructor stored them:
+    atoms canonicalized one by one, repeats summed in input order."""
+    items = atoms.items() if isinstance(atoms, Mapping) else atoms
+    clean: dict[tuple[int, ...], float] = {}
+    for point, mass in items:
+        key = tuple(int(c) for c in point)
+        if len(key) != dimension:
+            raise ValueError("atom dimension mismatch")
+        m = float(mass)
+        if m < -1e-12:
+            raise ValueError("negative mass")
+        if m <= 0.0:
+            continue
+        clean[key] = clean.get(key, 0.0) + m
+    total = math.fsum(clean.values())
+    if abs(total + deficit - 1.0) > 1e-8:
+        raise ValueError("mass + deficit must equal 1")
+    order = sorted(clean)
+    points = np.asarray(order, dtype=np.int64).reshape(len(order), dimension)
+    masses = np.asarray([clean[p] for p in order], dtype=float)
+    return points, masses, float(deficit)

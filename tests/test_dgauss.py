@@ -24,11 +24,6 @@ def direct_rho_1d(R: float, center: float, width: int) -> float:
 
 
 class TestShapes:
-    def test_spherical_round_trip(self):
-        shp = dgauss.GaussianShape.spherical(3, 2.5)
-        assert np.array_equal(shp.sigma, 6.25 * np.eye(3))
-        assert shp.radius == 2.5
-
     def test_rejects_indefinite_matrix(self):
         with pytest.raises(ValueError):
             dgauss.GaussianShape(2, np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
@@ -39,37 +34,39 @@ class TestShapes:
 
     def test_truncation_policy_certificate(self):
         pol = dgauss.TruncationPolicy.for_gaussian(2, 8.0, 1e-12)
-        assert pol.tail_bound(8.0) <= 1e-12 * (1 + 1e-9)
+        assert dgauss.gamma_tail_bound(2, 8.0, pol.radius) <= 1e-12 * (1 + 1e-9)
 
 
 class TestRhoSum:
     def test_box_growth_below_1e12(self):
         # oracle: compare [-40, 40] against [-80, 80]
-        shp = dgauss.GaussianShape.spherical(1, 2.0)
+        shp = dgauss.GaussianShape(1, 4.0 * np.eye(1), np.zeros(1))
         a = dgauss.rho_sum(shp, [(-40, 40)]).value
         b = dgauss.rho_sum(shp, [(-80, 80)]).value
         assert abs(a - b) < 1e-12
         assert abs(a - direct_rho_1d(2.0, 0.0, 40)) < 1e-14
 
     def test_single_origin_term(self):
-        shp = dgauss.GaussianShape.spherical(1, 7.0)
+        shp = dgauss.GaussianShape(1, 49.0 * np.eye(1), np.zeros(1))
         assert dgauss.rho_sum(shp, [(0, 0)]).value == 1.0
 
     def test_product_structure(self):
-        one = dgauss.rho_sum(dgauss.GaussianShape.spherical(1, 2.0), [(-40, 40)]).value
+        one = dgauss.rho_sum(
+            dgauss.GaussianShape(1, 4.0 * np.eye(1), np.zeros(1)), [(-40, 40)]
+        ).value
         two = dgauss.rho_sum(
-            dgauss.GaussianShape.spherical(2, 2.0), [(-40, 40), (-40, 40)]
+            dgauss.GaussianShape(2, 4.0 * np.eye(2), np.zeros(2)), [(-40, 40), (-40, 40)]
         ).value
         assert two == pytest.approx(one * one, rel=1e-14)
 
     def test_empty_box_rejected(self):
-        shp = dgauss.GaussianShape.spherical(1, 2.0)
+        shp = dgauss.GaussianShape(1, 4.0 * np.eye(1), np.zeros(1))
         with pytest.raises(ValueError):
             dgauss.rho_sum(shp, [(3, 2)])
 
     def test_tail_bound_covers_truth(self):
         # exact omitted mass vs the certificate, 1-D
-        shp = dgauss.GaussianShape.spherical(1, 3.0)
+        shp = dgauss.GaussianShape(1, 9.0 * np.eye(1), np.zeros(1))
         inner = dgauss.rho_sum(shp, [(-10, 10)])
         outer = dgauss.rho_sum(shp, [(-200, 200)]).value
         assert outer - inner.value <= inner.tail_bound
@@ -235,10 +232,11 @@ def shifted_sums(radius: float, center) -> tuple[float, float]:
     n = c.size
     u = dgauss.TruncationPolicy.for_gaussian(n, radius, 1e-14).radius
     lhs = dgauss.rho_sum(
-        dgauss.GaussianShape.spherical(n, radius, c), dgauss.auto_box(n, u, c)
+        dgauss.GaussianShape(n, radius * radius * np.eye(n), c), dgauss.auto_box(n, u, c)
     ).value
     rhs = dgauss.rho_sum(
-        dgauss.GaussianShape.spherical(n, radius), dgauss.auto_box(n, u)
+        dgauss.GaussianShape(n, radius * radius * np.eye(n), np.zeros(n)),
+        dgauss.auto_box(n, u),
     ).value
     return lhs, rhs
 

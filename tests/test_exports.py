@@ -1,5 +1,6 @@
 """Every sketchlab module's public names resolve, so a deleted function
-cannot leave a stale entry in `__all__` behind, and every public name is
+cannot leave a stale entry in `__all__` behind, and every public name, and
+every public method, property or classmethod of an exported class, is
 used by the program itself, so API that only its own unit test calls
 cannot grow back."""
 
@@ -18,7 +19,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(sketchlab.__path__))
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM_DIRS = ("src", "scripts", "benchmark")
 
-# Public names that only tests use, each kept on purpose.
+# Public names (`module.name` or `module.Class.method`) that only tests
+# use, each kept on purpose.
 TEST_ONLY = {
     "streaming.fold_block": "per-row oracle that fold_deltas must match",
     "dgauss.gamma_pmf": "closed-form pmf the sampler and tail bounds are checked against",
@@ -27,6 +29,10 @@ TEST_ONLY = {
     "measure.translate": "builds the shifted measures that TV and convolution oracles use",
     "streaming.identity_box_algorithm": "reference algorithm with one state per box point",
     "streaming.alternating_algorithm": "the one non-uniform reference algorithm",
+    "dgauss.gamma_tail_bound": "closed-form tail the truncation radius is solved from",
+    "streaming.ProblemSpec.relation_problem": (
+        "the only constructor of the relation kind that src/ handles"
+    ),
 }
 
 
@@ -50,18 +56,27 @@ def _all_assignment(tree: ast.Module) -> ast.Assign | None:
     return None
 
 
+def _span(node: ast.FunctionDef | ast.ClassDef) -> tuple[int, int]:
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return first, node.end_lineno
+
+
 def _definition_spans(tree: ast.Module) -> dict[str, tuple[int, int]]:
-    """First and last line of each top-level def, class or assignment."""
+    """First and last line of each top-level def, class or assignment, and
+    of each public def in a class body, keyed `Class.method`."""
     spans = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            spans[node.name] = (first, node.end_lineno)
+            spans[node.name] = _span(node)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for t in targets:
                 if isinstance(t, ast.Name):
                     spans[t.id] = (node.lineno, node.end_lineno)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    spans[f"{node.name}.{item.name}"] = _span(item)
     return spans
 
 
@@ -98,17 +113,18 @@ def test_every_export_is_used_by_the_program(name):
     node = _all_assignment(tree)
     exported = [e.value for e in node.value.elts] if node else []
     spans = _definition_spans(tree)
+    methods = [k for k in spans if k.partition(".")[0] in exported and "." in k]
     unused = []
-    for n in exported:
+    for n in exported + methods:
         lo, hi = spans.get(n, (0, -1))
         used = any(
             not (p == path and lo <= line <= hi)
-            for p, line in _references().get(n, [])
+            for p, line in _references().get(n.rpartition(".")[2], [])
         )
         if not used and f"{name}.{n}" not in TEST_ONLY:
             unused.append(n)
     assert unused == [], (
-        "public names with no caller in src/, scripts/ or benchmark/; "
+        "public names or methods with no caller in src/, scripts/ or benchmark/; "
         "delete them with their tests, or list them in TEST_ONLY with a reason"
     )
 
@@ -116,4 +132,7 @@ def test_every_export_is_used_by_the_program(name):
 def test_test_only_names_are_exported():
     for key in TEST_ONLY:
         module, _, n = key.partition(".")
-        assert n in importlib.import_module(f"sketchlab.{module}").__all__, key
+        top, _, method = n.partition(".")
+        mod = importlib.import_module(f"sketchlab.{module}")
+        assert top in mod.__all__, key
+        assert not method or method in vars(getattr(mod, top)), key

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 import sketchlab
+from measure_oracle import dict_canonical, from_atoms
 from sketchlab import dgauss, measure
 
 
@@ -24,7 +26,7 @@ def small_measures(dim: int = 1):
     return (
         st.dictionaries(atom, st.floats(0.01, 1.0), min_size=1, max_size=8)
         .map(
-            lambda d: measure.SparseMeasure(
+            lambda d: from_atoms(
                 dim, {k: v / math.fsum(d.values()) for k, v in d.items()}
             )
         )
@@ -64,22 +66,62 @@ class TestTorusPoint:
             assert tp.norm > 0.0
 
 
+@st.composite
+def atom_arrays(draw):
+    # few distinct points, so most repeat three or more times; masses over
+    # many decades, with zeros and negatives just above -1e-12 mixed in
+    n = draw(st.integers(1, 3))
+    point = st.tuples(*(st.integers(-3, 3) for _ in range(n)))
+    pool = draw(st.lists(point, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=24))
+    raw = np.array(
+        [draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-300, 0)) for _ in picks]
+    )
+    masses = raw / math.fsum(raw)
+    for i in draw(st.lists(st.integers(0, len(picks) - 1), max_size=4)):
+        masses[i] = draw(st.sampled_from([0.0, -0.0, -1e-13, -1e-12, -5e-13]))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        masses[draw(st.integers(0, len(picks) - 1))] = -1e-11
+    deficit = draw(
+        st.sampled_from([0.0, 1e-9, 0.25])
+        | st.just(max(0.0, 1.0 - math.fsum(masses[masses > 0.0])))
+    )
+    dimension = draw(st.sampled_from([n] * 9 + [n + 1]))
+    points = np.array([pool[i] for i in picks], dtype=np.int64)
+    return dimension, points, masses, deficit
+
+
 class TestSparseMeasure:
     def test_mass_accounting(self):
-        mu = measure.SparseMeasure(1, {(0,): 0.5, (1,): 0.5})
+        mu = measure.SparseMeasure(1, [[0], [1]], [0.5, 0.5])
         assert mu.total_mass == 1.0 and mu.deficit == 0.0
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
-            measure.SparseMeasure(1, {(0,): 0.7})
+            measure.SparseMeasure(1, [[0]], [0.7])
 
     def test_deficit_flagged(self):
-        mu = measure.SparseMeasure(1, {(0,): 0.9}, deficit=0.1)
+        mu = measure.SparseMeasure(1, [[0]], [0.9], deficit=0.1)
         assert mu.deficit == pytest.approx(0.1)
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
-            measure.SparseMeasure(1, {(0,): 1.2, (1,): -0.2})
+            measure.SparseMeasure(1, [[0], [1]], [1.2, -0.2])
+
+    @given(atom_arrays())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_dict_constructor(self, case):
+        dimension, points, masses, deficit = case
+        try:
+            want = dict_canonical(dimension, zip(points.tolist(), masses.tolist()), deficit)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                measure.SparseMeasure(dimension, points, masses, deficit)
+            return
+        got = measure.SparseMeasure(dimension, points, masses, deficit)
+        assert np.array_equal(got.points, want[0])
+        assert got.masses.tobytes() == want[1].tobytes()
+        assert got.deficit == want[2]
 
     def test_gamma_truncated_deficit_below_target(self):
         g = measure.gamma_truncated(2, 4.0)
@@ -89,7 +131,7 @@ class TestSparseMeasure:
 
 class TestFourier:
     def test_point_mass_transform_is_one(self):
-        pm = measure.SparseMeasure.point_mass([0])
+        pm = measure.SparseMeasure.uniform([[0]])
         for z in ([0.0], [0.3], [-0.49]):
             assert measure.fourier_at(pm, z) == pytest.approx(1.0)
 
@@ -118,7 +160,7 @@ class TestFourier:
             sym_atoms[p] = sym_atoms.get(p, 0.0) + m / 2.0
             q = tuple(-c for c in p)
             sym_atoms[q] = sym_atoms.get(q, 0.0) + m / 2.0
-        sym = measure.SparseMeasure(1, sym_atoms)
+        sym = from_atoms(1, sym_atoms)
         assert abs(measure.fourier_at(sym, [z]).imag) <= 1e-10
 
 
@@ -145,7 +187,7 @@ class TestParseval:
 class TestConvolve:
     def test_identity_element(self):
         g = measure.gamma_truncated(1, 4.0)
-        conv = measure.convolve(g, measure.SparseMeasure.point_mass([0]))
+        conv = measure.convolve(g, measure.SparseMeasure.uniform([[0]]))
         assert conv.atoms.keys() == g.atoms.keys()
         assert all(conv.atoms[p] == pytest.approx(g.atoms[p]) for p in g.atoms)
 
@@ -210,9 +252,7 @@ def scipy_direct_convolve(mu1, mu2, truncation=None):
         )
         pts, masses = pts[inside], masses[inside]
     total = math.fsum(masses)
-    return measure.SparseMeasure(
-        n, zip(pts.tolist(), masses.tolist()), deficit=max(0.0, 1.0 - total)
-    )
+    return measure.SparseMeasure(n, pts, masses, deficit=max(0.0, 1.0 - total))
 
 
 def boxed_measure(draw, n: int) -> measure.SparseMeasure:
@@ -226,9 +266,7 @@ def boxed_measure(draw, n: int) -> measure.SparseMeasure:
     keep.flat[rng.integers(keep.size)] = True
     offsets = np.argwhere(keep)
     masses = rng.random(len(offsets)) ** 12 + 1e-30
-    return measure.SparseMeasure(
-        n, zip((offsets + corner).tolist(), (masses / masses.sum()).tolist())
-    )
+    return measure.SparseMeasure(n, offsets + corner, masses / masses.sum())
 
 
 @st.composite
@@ -290,17 +328,17 @@ class TestConvolvePowerFFT:
 
     def test_single_power_is_identity(self):
         g = measure.gamma_truncated(1, 4.0)
-        f1 = measure.convolve_many_fft([g])
-        assert all(abs(f1.mass_at(p) - m) <= 1e-12 for p, m in g.atoms.items())
+        got = measure.convolve_many_fft([g]).atoms
+        assert all(abs(got.get(p, 0.0) - m) <= 1e-12 for p, m in g.atoms.items())
 
     def test_square_matches_direct(self):
         g = measure.gamma_truncated(1, 4.0)
-        f2 = measure.convolve_many_fft([g] * 2)
+        got = measure.convolve_many_fft([g] * 2).atoms
         d2 = measure.convolve(g, g)
-        assert all(abs(f2.mass_at(p) - m) <= 1e-10 for p, m in d2.atoms.items())
+        assert all(abs(got.get(p, 0.0) - m) <= 1e-10 for p, m in d2.atoms.items())
 
     def test_point_mass_translates(self):
-        p5 = measure.convolve_many_fft([measure.SparseMeasure.point_mass([1])] * 5)
+        p5 = measure.convolve_many_fft([measure.SparseMeasure.uniform([[1]])] * 5)
         assert p5.atoms == {(5,): 1.0}
 
     def test_deficit_budget_enforced(self):
@@ -331,7 +369,7 @@ class TestDensityCertificate:
 
     def test_point_mass_alpha_is_gamma_at_zero(self):
         cert = measure.density_certificate(
-            measure.SparseMeasure.point_mass([0, 0]), 4.0
+            measure.SparseMeasure.uniform([[0, 0]]), 4.0
         )
         assert cert.alpha == pytest.approx(dgauss.gamma_pmf(4.0, [0, 0]), rel=1e-12)
 
@@ -351,7 +389,7 @@ class TestDensityCertificate:
 class TestLargeSpectrumScan:
     def test_point_mass_hits_everything(self):
         rep = measure.large_spectrum_scan(
-            measure.SparseMeasure.point_mass([0]), 4.0, 4
+            measure.SparseMeasure.uniform([[0]]), 4.0, 4
         )
         assert len(rep.hits) == 16
 
@@ -402,10 +440,10 @@ class TestLargeSpectrumScan:
 class TestSymmetrize:
     def test_single_symmetric_measure_squares(self):
         g = measure.gamma_truncated(1, 3.0)
-        sym = measure.symmetrize([g])
+        sym = measure.symmetrize([g]).atoms
         direct = measure.convolve(g, g)
         assert all(
-            abs(sym.mass_at(p) - m) <= 1e-12 for p, m in direct.atoms.items()
+            abs(sym.get(p, 0.0) - m) <= 1e-12 for p, m in direct.atoms.items()
         )
 
     def test_transform_nonnegative(self):
@@ -438,16 +476,9 @@ class TestSymmetrize:
         g = measure.gamma_truncated(2, 3.0)
         h = measure.translate(g, [1, 0])
         # equal to g in points, masses and deficit, but a separate object
-        g_again = measure.SparseMeasure(2, dict(g.atoms), deficit=g.deficit)
+        g_again = measure.SparseMeasure(2, g.points, g.masses, deficit=g.deficit)
         pieces = [g, h, g_again, g, h]
-        # the loop that convolved every law, kept as the oracle
-        out: dict[tuple[int, ...], float] = {}
-        for m in pieces:
-            for p, w in measure.convolve(m, measure.reflect(m)).atoms.items():
-                out[p] = out.get(p, 0.0) + w / len(pieces)
-        want = measure.SparseMeasure(
-            2, out, deficit=max(0.0, 1.0 - math.fsum(out.values()))
-        )
+        want = dict_symmetrize(pieces)
         calls = []
         real = measure.convolve
 
@@ -458,6 +489,36 @@ class TestSymmetrize:
         monkeypatch.setattr(measure, "convolve", spy)
         sym = measure.symmetrize(pieces)
         assert len(calls) == 2
-        assert np.array_equal(sym.points, want.points)
-        assert np.array_equal(sym.masses, want.masses)
-        assert sym.deficit == want.deficit
+        assert np.array_equal(sym.points, want[0])
+        assert sym.masses.tobytes() == want[1].tobytes()
+        assert sym.deficit == want[2]
+
+    def test_overlapping_distinct_laws_match_dict_accumulation(self):
+        # four distinct laws over several decades of mass; every point of
+        # the inner box collects a term from each, so a summation order
+        # other than the dict's sequential one shows in the low bits
+        g = measure.gamma_truncated(2, 3.0)
+        even = measure.restrict(
+            measure.gamma_truncated(2, 4.0), lambda p: sum(p) % 2 == 0, renormalize=True
+        )
+        rng = np.random.default_rng(8)
+        pts = rng.integers(-4, 5, size=(40, 2))
+        w = rng.random(40) ** 8 + 1e-9
+        noise = measure.SparseMeasure(2, pts, w / w.sum())
+        pieces = [g, measure.gamma_truncated(2, 2.0), even, noise, g]
+        want = dict_symmetrize(pieces)
+        sym = measure.symmetrize(pieces)
+        assert np.array_equal(sym.points, want[0])
+        assert sym.masses.tobytes() == want[1].tobytes()
+        assert sym.deficit == want[2]
+
+
+def dict_symmetrize(pieces):
+    """symmetrize's dict accumulation before the array store, kept as its
+    oracle: each law convolved with its reflection, terms summed point by
+    point in the order of the laws."""
+    out: dict[tuple[int, ...], float] = {}
+    for m in pieces:
+        for p, w in measure.convolve(m, measure.reflect(m)).atoms.items():
+            out[p] = out.get(p, 0.0) + w / len(pieces)
+    return dict_canonical(2, out, max(0.0, 1.0 - math.fsum(out.values())))

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measure_oracle import from_atoms
 from sketchlab.measure import (
-    SparseMeasure,
     TorusPoint,
     density_certificate,
     fourier_at,
@@ -237,8 +237,6 @@ def chained_lattice():
         span_error=0.0,
         fiber_bound=4,
         s_certified=2.0,
-        q=3,
-        ambient_radius=8.0,
     )
 
 
@@ -349,14 +347,15 @@ class TestExtractExact:
             (mod3_measure(), mod3_lattice()),
         ):
             assert not any("chain element" in w for w in lat.warnings)
-            for t in lat.generator_points():
-                assert abs(fourier_at(mu, t.array)) >= 1.0 - 1.0 / 512.0 - 1e-6
+            for t in lat.generators:
+                z = TorusPoint.of([float(c) for c in t])
+                assert abs(fourier_at(mu, z)) >= 1.0 - 1.0 / 512.0 - 1e-6
 
     def test_fiber_product_bound(self):
         for lat in (parity_lattice(), mod3_lattice()):
             S = lat.s_certified
             exponent = 56.0 * S * (1.0 + math.log(2048.0) / math.log(512.0))
-            assert lat.fiber_bound <= lat.q**exponent
+            assert lat.fiber_bound <= SCENARIO["q"] ** exponent
 
     def test_q_window_warning(self):
         cfg = ExactRouteConfig(K=8.0, Q=64, q=3, R=8.0, grid_exponent=7)
@@ -430,7 +429,7 @@ def slab_measure():
     for k in range(-24, 25):
         atoms[(k, -k)] = math.exp(-math.pi * (2.0 * k * k) / 64.0)
     tot = math.fsum(atoms.values())
-    return SparseMeasure(2, {p: m / tot for p, m in atoms.items()})
+    return from_atoms(2, {p: m / tot for p, m in atoms.items()})
 
 
 class TestNearOrigin:
@@ -453,7 +452,8 @@ class TestNearOrigin:
         assert basis.numerators == ((-600, -600),)
         u = np.array([1.0, 1.0]) / math.sqrt(2.0)
         grid_point = TorusPoint.of(np.round(2048 * u) / 2048.0)
-        assert (grid_point - basis.frequencies()[0]).norm < 1e-12
+        eta = TorusPoint.of(np.asarray(basis.numerators[0], dtype=float) / basis.denominator)
+        assert (grid_point - eta).norm < 1e-12
         assert 2.0 * basis.rho < cfg.kappa
 
     def test_kappa_zero_warning_path(self):

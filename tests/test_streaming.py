@@ -312,7 +312,7 @@ def test_factorization_against_monte_carlo():
     alg = parity_algorithm(1)
     states = (0, 1, 0)
     prob = math.prod(block_masses(alg, states, 4.0))
-    target = SparseMeasure.point_mass((0,))
+    target = SparseMeasure.uniform([(0,)])
     trials = 4096
     rng = np.random.default_rng(77)
     hits = 0

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measure_oracle import from_atoms
 from sketchlab import transfer
 from sketchlab.dgauss import TruncationPolicy
 from sketchlab.measure import SparseMeasure, convolve_many_fft
@@ -205,7 +206,7 @@ def test_parity_decoder_matches_simulation():
     alg = parity_algorithm(2)
     for y in sorted(TARGET4.atoms):
         outs = Counter()
-        point = SparseMeasure.point_mass(y)
+        point = SparseMeasure.uniform([y])
         for s in range(50):
             smp = exact_stream_sample(point, 8.0, 2, seed=s)
             state = alg.initial_state
@@ -335,7 +336,7 @@ def test_exact_metric_tolerance_is_3x():
 
 
 def test_in_theorem_conflict_raises():
-    target = SparseMeasure(2, {(1, 0): 0.9, (2, 1): 0.1})
+    target = from_atoms(2, {(1, 0): 0.9, (2, 1): 0.1})
     problem = ProblemSpec.promise(lambda y: 1 if y[0] == 1 else 0)
     cfg = TransferConfig(radius=8.0, blocks=2, samples=128, label="conflict-unit")
     with pytest.raises(DecoderConflict) as err:
@@ -504,7 +505,7 @@ def test_census_singleton_domain():
     sketch, _, _ = parity_extraction()
     census = fiber_census(sketch, [(0, 0)])
     assert census.count == 1
-    assert census.within_bound
+    assert census.count <= census.bound
 
 
 def test_census_grid_splits_by_parity():
@@ -522,7 +523,7 @@ def test_census_respects_bound_on_scenarios():
         sketch, _, _ = extraction
         grid = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
         census = fiber_census(sketch, grid)
-        assert census.within_bound
+        assert census.count <= census.bound
 
 
 # -- evaluation edge cases ----------------------------------------------------
@@ -534,7 +535,7 @@ def test_uncovered_fiber_errors():
     problem = ProblemSpec.promise(lambda y: 0)
     sketch, decoder, _ = extract_sketch(parity_algorithm(2), even, problem, "exact", cfg, seed=11)
     with pytest.raises(UncoveredFiber, match="no decoder entry"):
-        evaluate_sketch(sketch, decoder, SparseMeasure.point_mass((1, 0)), problem)
+        evaluate_sketch(sketch, decoder, SparseMeasure.uniform([(1, 0)]), problem)
 
 
 def test_monte_carlo_evaluation_kicks_in():

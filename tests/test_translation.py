@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measure_oracle import from_atoms
 from sketchlab.dgauss import TruncationPolicy
 from sketchlab.measure import (
     SparseMeasure,
@@ -124,7 +125,7 @@ def measures(max_atoms=6, span=5):
         max_size=max_atoms,
         unique_by=lambda t: t[0],
     ).map(
-        lambda items: SparseMeasure(
+        lambda items: from_atoms(
             2,
             {
                 p: w / math.fsum(x[1] for x in items)
@@ -147,7 +148,7 @@ def test_tv_zero_shift():
 
 
 def test_tv_point_mass_disjoint():
-    point = SparseMeasure(1, {(0,): 1.0})
+    point = from_atoms(1, {(0,): 1.0})
     assert tv_distance(point, [5]) == 1.0
 
 
@@ -213,7 +214,7 @@ def measures_nd(max_atoms=12, span=6):
             max_size=max_atoms,
             unique_by=lambda t: t[0],
         ).map(
-            lambda items: SparseMeasure(
+            lambda items: from_atoms(
                 n, {p: w / math.fsum(x[1] for x in items) for p, w in items}
             )
         )
@@ -260,7 +261,7 @@ def test_line_quadrature_matches_direct():
 
 
 def test_line_single_line_through_origin():
-    mu = SparseMeasure(2, {(0, 0): 0.5, (2, 1): 0.25, (-2, -1): 0.25})
+    mu = from_atoms(2, {(0, 0): 0.5, (2, 1): 0.25, (-2, -1): 0.25})
     dec = line_decomposition(mu, [2, 1])
     assert dec.representatives == ((0, 0),)
     assert dec.line_masses == (pytest.approx(1.0),)
@@ -510,7 +511,7 @@ def two_group_measure():
     atoms = {(x, 0): 0.1 for x in range(8)}
     atoms[(0, 1)] = 0.1
     atoms[(3, 2)] = 0.1
-    return SparseMeasure(2, atoms)
+    return from_atoms(2, atoms)
 
 
 def corrupt_autocorrelations(monkeypatch, lengths, lags):
@@ -569,7 +570,7 @@ def test_direct_quadrature_mismatch_names_first_line(monkeypatch):
 def test_spectral_point_mass_honest_energy():
     # A point mass has line energy 2 (one +1 step and one -1 step); the
     # check passes because the off-structure level is 1 for this input.
-    point = SparseMeasure(2, {(0, 0): 1.0})
+    point = from_atoms(2, {(0, 0): 1.0})
     report = spectral_energy_bound_check(
         point, np.array([[0.0, 0.0]]), delta=0.01, eta=1.0, v=[1, 1]
     )
@@ -656,7 +657,7 @@ def test_ball_reduction_radius_precondition():
 def test_ball_reduction_point_mass_guard():
     # Degenerate input: the transform is 1 everywhere, so eta must be 1
     # and the bound is vacuous; the actual TV is 1 by disjointness.
-    point = SparseMeasure(2, {(0, 0): 1.0})
+    point = from_atoms(2, {(0, 0): 1.0})
     rep = ball_reduction_tv_bound(
         point, [1, 1], np.array([[0.0, 0.0]]), 0.01, 1.0, (0.0, 0.0), 50.0
     )
@@ -895,7 +896,7 @@ def slab_measure():
         (k, -k): math.exp(-math.pi * 2.0 * k * k / 64.0) for k in range(-24, 25)
     }
     total = math.fsum(weights.values())
-    return SparseMeasure(2, {p: w / total for p, w in weights.items()})
+    return from_atoms(2, {p: w / total for p, w in weights.items()})
 
 
 @functools.cache
