@@ -77,6 +77,7 @@ KAPPA_FLOOR = 2.0 ** (1 - GRID_EXPONENT)
 DECAY_GRID = 4096
 DECAY_SLACK = 1e-9
 POISSON_TOLERANCE = 1e-8
+SMALLBALL_TRIALS = 1_000_000
 PARSEVAL_TOLERANCE = 1e-6
 
 
@@ -165,6 +166,12 @@ class ExperimentConfig:
             out.append("Q must be at least 1")
         if self.q < 1:
             out.append("q must be at least 1")
+        elif self.route == "exact" and not 3 <= self.q <= self.K / 4:
+            # the product structure is extracted at threshold K/4, and a
+            # chain step needs 3 <= q <= K there
+            out.append(
+                f"q = {self.q} must lie in [3, K/4 = {self.K / 4:g}] on the exact route"
+            )
         if self.B < 1:
             out.append("B must be at least 1")
         if self.D < 1:
@@ -809,7 +816,14 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows.extend(_dissociated_rows(cfg))
     rows.extend(_smallball_rows(cfg, trials=50_000))
     rows.extend(_parseval_rows(cfg))
-    rows.extend(_invariance_rows(cfg))
+    try:
+        rows.extend(_invariance_rows(cfg))
+    except (ValueError, RuntimeError) as exc:
+        print(
+            f"verify-lemmas failed for scenario 'lemmas' at R={cfg.R:g}: {exc}",
+            file=sys.stderr,
+        )
+        return 1
     rows.sort(key=lambda r: (r[0], r[1]))
     path = write_table(out_dir, "lemmas", [c for c, _ in TABLE_SCHEMAS["lemmas"]], rows)
     passed = sum(1 for r in rows if r[5])
@@ -896,31 +910,14 @@ def _trend(values: Sequence[float]) -> str:
 def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     _check_kernel_radius(cfg, "tv-sweep")
     scenario = get_scenario(cfg.scenario)
-    if cfg.n != scenario.dimension:
-        raise UsageError(
-            f"scenario {scenario.name!r} is {scenario.dimension}-dimensional, "
-            f"config has n={cfg.n}"
-        )
+    threshold = transfer_config(cfg, scenario).selection_threshold
     alg = scenario.algorithm(cfg)
     target = scenario.target(cfg)
     problem = scenario.problem(cfg)
-    threshold = _selection_threshold(cfg, scenario)
     raw: list[tuple[float, tuple[int, ...], str, float, bool]] = []
     failed = 0
     for R in sorted(_radii(cfg)):
         policy = TruncationPolicy.for_gaussian(cfg.n, R)
-        try:
-            sigma = select_state_sequence(
-                alg, target, problem, R, cfg.M, 512, cfg.seed, threshold=threshold,
-                policy=policy,
-            )
-        except SelectionFailed as exc:
-            print(
-                f"tv-sweep failed for scenario {scenario.name!r} at R={R:g}: {exc}",
-                file=sys.stderr,
-            )
-            return 1
-        laws = posterior_laws(alg, sigma, R, cfg.M, policy)
         tcfg = TranslationConfig(
             D=cfg.D,
             K=cfg.K,
@@ -932,9 +929,21 @@ def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
             grid_exponent=GRID_EXPONENT,
             max_kernel=24,
         )
-        report = translation_invariance_certify(
-            laws, cfg.route, tcfg, scenario=scenario.name
-        )
+        try:
+            sigma = select_state_sequence(
+                alg, target, problem, R, cfg.M, 512, cfg.seed, threshold=threshold,
+                policy=policy,
+            )
+            laws = posterior_laws(alg, sigma, R, cfg.M, policy)
+            report = translation_invariance_certify(
+                laws, cfg.route, tcfg, scenario=scenario.name
+            )
+        except (ValueError, RuntimeError) as exc:
+            print(
+                f"tv-sweep failed for scenario {scenario.name!r} at R={R:g}: {exc}",
+                file=sys.stderr,
+            )
+            return 1
         for rec in report.records:
             raw.append((R, rec.vector, rec.kind, rec.tv, rec.passed))
             if rec.kind == "kernel" and not rec.passed:
@@ -972,7 +981,7 @@ def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
 # -- smallball -------------------------------------------------------------------
 
 
-def cmd_smallball(cfg: ExperimentConfig, out_dir: Path, trials: int = 1_000_000) -> int:
+def cmd_smallball(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows: list[tuple] = []
     exact = small_ball_exact_1d(0.05, cfg.R, 0.02, 0.0)
     rows.append(
@@ -981,7 +990,7 @@ def cmd_smallball(cfg: ExperimentConfig, out_dir: Path, trials: int = 1_000_000)
     seeds = np.random.default_rng(cfg.seed).integers(0, 2**31, size=5)
     for (name, A, u, b), s in zip(_smallball_instances(cfg), seeds):
         try:
-            chk = small_ball_check(A, cfg.R, u, b, trials, seed=int(s))
+            chk = small_ball_check(A, cfg.R, u, b, SMALLBALL_TRIALS, seed=int(s))
         except ValueError as exc:
             raise UsageError(
                 f"small-ball instance {name} rejected at R={cfg.R:g}: {exc}"

@@ -178,34 +178,29 @@ def _normalizer_1d(radius: float, lo: int, hi: int) -> float:
     return _axis_sum(radius * radius, 0.0, lo, hi)
 
 
-def gamma_normalizer(
-    dimension: int, radius: float, box: Box | None = None
-) -> float:
-    """rho_R(Z^n) over a tail-certified box; product form per axis."""
-    if box is None:
-        box = auto_box(
-            dimension,
-            TruncationPolicy.for_gaussian(dimension, radius, 1e-15).radius,
-        )
+def gamma_normalizer(dimension: int, radius: float) -> float:
+    """rho_R(Z^n) over the box of tail certificate 1e-15; product form per
+    axis."""
+    box = auto_box(
+        dimension, TruncationPolicy.for_gaussian(dimension, radius, 1e-15).radius
+    )
     value = 1.0
     for lo, hi in box:
         value *= _normalizer_1d(float(radius), int(lo), int(hi))
     return value
 
 
-def gamma_pmf(
-    radius: float, x: Sequence[int], box: Box | None = None
-) -> float:
+def gamma_pmf(radius: float, x: Sequence[int]) -> float:
     """gamma_R(x) = exp(-pi ||x||^2 / R^2) / rho_R(Z^n).
 
-    The normalizer is summed over `box` (auto-sized to tail certificate
-    1e-15 when omitted, well under the 1e-12 requirement).
+    The normalizer is summed over the box of tail certificate 1e-15, well
+    under the 1e-12 requirement.
     """
     if radius < 1.0:
         raise ValueError("R must be at least 1")
     xv = np.asarray(x, dtype=float).reshape(-1)
     return math.exp(-math.pi * float(xv @ xv) / (radius * radius)) / gamma_normalizer(
-        xv.size, radius, box
+        xv.size, radius
     )
 
 
@@ -257,9 +252,7 @@ class PoissonCheck:
     relative_error: float
 
 
-def poisson_identity_check(
-    M: np.ndarray, box: Sequence[Sequence[int]] | None = None
-) -> PoissonCheck:
+def poisson_identity_check(M: np.ndarray) -> PoissonCheck:
     """Poisson summation for Gaussians on Z^n:
 
     sum_x exp(-pi x^T M x) = det(M)^{-1/2} (1 + sum_{y != 0} exp(-pi y^T M^{-1} y)).
@@ -275,10 +268,9 @@ def poisson_identity_check(
     Minv = np.linalg.inv(M)
     r_primal = math.sqrt(float(np.linalg.eigvalsh(Minv)[-1]))
     r_dual = math.sqrt(float(eigs[-1]))
-    if box is None:
-        box = auto_box(
-            n, TruncationPolicy.for_gaussian(n, max(r_primal, 1.0), 1e-14).radius
-        )
+    box = auto_box(
+        n, TruncationPolicy.for_gaussian(n, max(r_primal, 1.0), 1e-14).radius
+    )
     dual_box = auto_box(
         n, TruncationPolicy.for_gaussian(n, max(r_dual, 1.0), 1e-14).radius
     )
@@ -294,25 +286,16 @@ class DominationCheck:
     passed: bool
 
 
-def gamma_conv_domination_check(
-    radius: float, dimension: int, box: Sequence[Sequence[int]] | None = None
-) -> DominationCheck:
+def gamma_conv_domination_check(radius: float, dimension: int) -> DominationCheck:
     """Gamma_R = gamma_R * gamma_R satisfies Gamma_R(x) <= 4 gamma_{sqrt2 R}(x).
 
     Needs R >= sqrt((2/pi) ln(8n)). The convolution is exact per axis
     (spherical Gaussians factorize), so the n-dim worst ratio is the
-    product of per-axis maxima over the box.
+    product of the per-axis maxima over the whole convolution support.
     """
     if radius < math.sqrt((2.0 / math.pi) * math.log(8.0 * dimension)):
         raise ValueError("R below the domination threshold sqrt((2/pi) ln 8n)")
     w = math.ceil(TruncationPolicy.for_gaussian(1, radius, 1e-15).radius)
-    bx = (
-        _validated_box(box, dimension)
-        if box is not None
-        else tuple((-2 * w, 2 * w) for _ in range(dimension))
-    )
-    if any(lo < -2 * w or hi > 2 * w for lo, hi in bx):
-        raise ValueError("box exceeds the exact convolution support")
     support = np.arange(-w, w + 1, dtype=float)
     pmf1 = np.exp(-math.pi * support * support / (radius * radius))
     pmf1 /= _normalizer_1d(float(radius), -w, w)
@@ -320,9 +303,6 @@ def gamma_conv_domination_check(
     xs2 = np.arange(-2 * w, 2 * w + 1, dtype=float)
     r2 = math.sqrt(2.0) * radius
     g2 = np.exp(-math.pi * xs2 * xs2 / (r2 * r2)) / gamma_normalizer(1, r2)
-    ratio1 = conv1 / g2
-    worst = 1.0
-    for lo, hi in bx:
-        lo_i, hi_i = lo + 2 * w, hi + 2 * w
-        worst *= float(np.max(ratio1[lo_i : hi_i + 1]))
+    # every axis attains the same maximum ratio
+    worst = math.prod([float(np.max(conv1 / g2))] * dimension)
     return DominationCheck(worst, worst <= 4.0)

@@ -171,13 +171,10 @@ class SparseMeasure:
 
 
 def gamma_truncated(
-    dimension: int,
-    radius: float,
-    policy: TruncationPolicy | None = None,
-    renormalize: bool = False,
+    dimension: int, radius: float, policy: TruncationPolicy | None = None
 ) -> SparseMeasure:
     """gamma_R zeroed outside the policy ball; the removed tail is the
-    deficit (or folded back in when renormalize is set)."""
+    deficit."""
     pol = policy or TruncationPolicy.for_gaussian(dimension, radius)
     if pol.dimension != dimension:
         raise ValueError("policy dimension mismatch")
@@ -192,9 +189,6 @@ def gamma_truncated(
     z = gamma_normalizer(dimension, radius)
     masses = np.exp(-math.pi * norms2 / (radius * radius)) / z
     total = math.fsum(masses)
-    if renormalize:
-        masses = masses / total
-        total = 1.0
     return SparseMeasure(dimension, pts, masses, deficit=max(0.0, 1.0 - total))
 
 
@@ -276,13 +270,8 @@ def _dense_box(mu: SparseMeasure) -> tuple[np.ndarray, np.ndarray]:
     return box, lo
 
 
-def convolve(
-    mu1: SparseMeasure,
-    mu2: SparseMeasure,
-    truncation: Sequence[Sequence[int]] | None = None,
-) -> SparseMeasure:
-    """Exact convolution by shift-and-add; atoms outside `truncation`
-    are dropped into the deficit.
+def convolve(mu1: SparseMeasure, mu2: SparseMeasure) -> SparseMeasure:
+    """Exact convolution by shift-and-add.
 
     Each atom of mu1, in stored (C) order, adds a scaled copy of mu2's
     dense box into the output, so every output cell sums its products
@@ -309,27 +298,15 @@ def convolve(
     idx = np.argwhere(conv > 0.0)
     pts = idx + lo
     masses = conv[tuple(idx.T)]
-    if truncation is not None:
-        tb = tuple((int(a), int(b)) for a, b in truncation)
-        inside = np.all(
-            [(pts[:, i] >= tb[i][0]) & (pts[:, i] <= tb[i][1]) for i in range(n)],
-            axis=0,
-        )
-        pts, masses = pts[inside], masses[inside]
     total = math.fsum(masses)
     return SparseMeasure(n, pts, masses, deficit=max(0.0, 1.0 - total))
 
 
-def convolve_many_fft(
-    mus: Sequence[SparseMeasure],
-    box: Sequence[Sequence[int]] | None = None,
-    deficit_budget: float | None = None,
-) -> SparseMeasure:
+def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     """Product-of-transforms convolution on a padded power-of-two grid.
 
-    Negative and sub-FFT_DUST values are clipped to zero; the clipped and
-    out-of-box mass is recorded as deficit. Exceeding deficit_budget is a
-    box-too-small error.
+    Negative and sub-FFT_DUST values are clipped to zero; the clipped mass
+    is recorded as deficit.
     """
     if not mus:
         raise ValueError("empty measure list")
@@ -355,18 +332,8 @@ def convolve_many_fft(
     idx = np.argwhere(conv > 0.0)
     pts = idx + lo  # corners add up across the factors
     masses = conv[tuple(idx.T)]
-    if box is not None:
-        tb = tuple((int(a), int(b)) for a, b in box)
-        inside = np.all(
-            [(pts[:, i] >= tb[i][0]) & (pts[:, i] <= tb[i][1]) for i in range(n)],
-            axis=0,
-        )
-        pts, masses = pts[inside], masses[inside]
     total = math.fsum(masses)
-    deficit = max(0.0, 1.0 - total)
-    if deficit_budget is not None and deficit > deficit_budget:
-        raise ValueError("box too small: deficit exceeds the budget")
-    return SparseMeasure(n, pts, masses, deficit=deficit)
+    return SparseMeasure(n, pts, masses, deficit=max(0.0, 1.0 - total))
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,7 @@ __all__ = [
     "DissociationResult",
     "SketchLattice",
     "NearOriginBasis",
-    "ExactRouteConfig",
-    "NearOriginConfig",
+    "StructureConfig",
     "is_kappa_dissociated",
     "signed_combinations",
     "torus_distance_to_set",
@@ -244,10 +243,11 @@ class SketchLattice:
     def rank(self) -> int:
         return len(self.generators)
 
-    def combination_points(self, budget: int = FIBER_BUDGET) -> np.ndarray:
+    def combination_points(self) -> np.ndarray:
         """All admissible combinations sum c_i t_i, 0 <= c_i < k_i, as
-        reduced float rows (the full subgroup generated by the lattice)."""
-        if self.fiber_bound > budget:
+        reduced float rows (the full subgroup generated by the lattice);
+        more than FIBER_BUDGET of them is an error."""
+        if self.fiber_bound > FIBER_BUDGET:
             raise ValueError("fiber enumeration exceeds the budget")
         if not self.generators:
             return np.zeros((1, self.dimension))
@@ -300,23 +300,19 @@ class NearOriginBasis:
 
 
 @dataclass(frozen=True)
-class ExactRouteConfig:
+class StructureConfig:
+    """Parameters of both structure extractors.
+
+    The exact route reads q and takes kappa = 5 sqrt(S)/R when kappa is
+    None; the near-origin route reads B and needs kappa set.
+    """
+
     K: float
     Q: int
-    q: int
     R: float
+    q: int = 3
+    B: float = 2.0
     kappa: float | None = None
-    grid_exponent: int = 7
-    refine: bool = True
-
-
-@dataclass(frozen=True)
-class NearOriginConfig:
-    K: float
-    kappa: float
-    B: float
-    Q: int
-    R: float
     grid_exponent: int = 7
     refine: bool = True
 
@@ -389,9 +385,7 @@ def _admissible_target(
     return d, target
 
 
-def extract_exact_structure(
-    mu: SparseMeasure, cfg: ExactRouteConfig
-) -> SketchLattice:
+def extract_exact_structure(mu: SparseMeasure, cfg: StructureConfig) -> SketchLattice:
     """Greedy chain construction over the scanned large spectrum.
 
     Repeatedly pick the strongest heavy frequency farther than kappa from
@@ -519,7 +513,7 @@ def extract_exact_structure(
 
 
 def extract_near_origin_structure(
-    mu: SparseMeasure, cfg: NearOriginConfig
+    mu: SparseMeasure, cfg: StructureConfig
 ) -> NearOriginBasis:
     """Greedy rho-separated selection of near-origin heavy frequencies,
     orthonormalized and rounded to the Q-grid.
@@ -527,6 +521,8 @@ def extract_near_origin_structure(
     Returns ell = 0 immediately when 2 rho >= kappa (the whole near-origin
     set is already within the radius bound of the trivial span).
     """
+    if cfg.kappa is None:
+        raise ValueError("the near-origin route needs kappa set")
     n = mu.dimension
     cert = density_certificate(mu, cfg.R)
     S = cert.S
@@ -725,37 +721,30 @@ def product_heavy_frequencies(
 
 
 def convolution_structure(
-    mus: Sequence[SparseMeasure],
-    route: str,
-    cfg: ExactRouteConfig | NearOriginConfig,
+    mus: Sequence[SparseMeasure], route: str, cfg: StructureConfig
 ) -> SketchLattice | NearOriginBasis:
     """Structure of a product of dense pieces via symmetrization.
 
     Builds mu_sym = (1/M) sum mu_i * mu_i-reflected, delegates to the
-    single-measure extractor with threshold K/4 and ambient radius
-    sqrt(2) R, then certifies the result against the product-heavy set
+    single-measure extractor with threshold K/4, ambient radius sqrt(2) R
+    and a scan grid one exponent finer (the support spread of mu_sym
+    doubles), then certifies the result against the product-heavy set
     {zeta : prod |mu_i_hat(zeta)| >= e^{-M/K}}.
     """
     if not mus:
         raise ValueError("empty measure list")
     M = len(mus)
     sym = symmetrize(mus)
-    ambient = math.sqrt(2.0) * cfg.R
+    sub = replace(
+        cfg,
+        K=cfg.K / 4.0,
+        R=math.sqrt(2.0) * cfg.R,
+        grid_exponent=cfg.grid_exponent + 1,
+    )
     heavy_prod = product_heavy_frequencies(
         mus, math.exp(-M / cfg.K), cfg.grid_exponent
     )
     if route == "exact":
-        assert isinstance(cfg, ExactRouteConfig)
-        # mu_sym support spread doubles, so the scan grid doubles with it
-        sub = ExactRouteConfig(
-            K=cfg.K / 4.0,
-            Q=cfg.Q,
-            q=cfg.q,
-            R=ambient,
-            kappa=cfg.kappa,
-            grid_exponent=cfg.grid_exponent + 1,
-            refine=cfg.refine,
-        )
         lattice = extract_exact_structure(sym, sub)
         combos = lattice.combination_points()
         worst = max(
@@ -764,16 +753,6 @@ def convolution_structure(
         )
         return replace(lattice, span_error=max(lattice.span_error, worst))
     if route == "near_origin":
-        assert isinstance(cfg, NearOriginConfig)
-        sub = NearOriginConfig(
-            K=cfg.K / 4.0,
-            kappa=cfg.kappa,
-            B=cfg.B,
-            Q=cfg.Q,
-            R=ambient,
-            grid_exponent=cfg.grid_exponent + 1,
-            refine=cfg.refine,
-        )
         basis = extract_near_origin_structure(sym, sub)
         span = basis.span_matrix().T
         for h in heavy_prod:

@@ -227,12 +227,9 @@ class ProblemSpec:
 
     @classmethod
     def relation_problem(
-        cls,
-        relation: Callable[[tuple[int, ...], object], bool],
-        outputs: tuple,
-        delta: float = 0.0,
+        cls, relation: Callable[[tuple[int, ...], object], bool], outputs: tuple
     ) -> "ProblemSpec":
-        return cls(kind="relation", relation=relation, outputs=outputs, delta=delta)
+        return cls(kind="relation", relation=relation, outputs=outputs)
 
     def label(self, y: tuple[int, ...]) -> object:
         lab = self.target(y)

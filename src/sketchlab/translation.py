@@ -19,7 +19,6 @@ import numpy as np
 
 from .measure import (
     SparseMeasure,
-    TorusPoint,
     _grid_embed,
     _lex_groups,
     _reduce_torus,
@@ -28,10 +27,9 @@ from .measure import (
     gamma_truncated,
 )
 from .spectrum import (
-    ExactRouteConfig,
     NearOriginBasis,
-    NearOriginConfig,
     SketchLattice,
+    StructureConfig,
     convolution_structure,
 )
 
@@ -59,7 +57,7 @@ __all__ = [
 # radius the candidate count is no longer a desk-scale object.
 MAX_KERNEL_RADIUS = 12
 
-Structure = SketchLattice | NearOriginBasis | np.ndarray
+Structure = SketchLattice | NearOriginBasis
 
 
 def _direction(v: Sequence[int]) -> tuple[int, ...]:
@@ -96,30 +94,19 @@ def tv_distance(nu: SparseMeasure, v: Sequence[int]) -> float:
 
 
 def _line_coordinates(
-    nu: SparseMeasure,
-    v: tuple[int, ...],
-    center: Sequence[float] | None,
+    nu: SparseMeasure, v: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Line representative and position ell of every atom, p = rep + ell v.
 
-    The representative of {x + l v} is the point whose projection onto v,
-    taken relative to the center, lands in (-|v|^2/2, |v|^2/2].  With the
-    default center the rule is exact integer arithmetic.
+    The representative of {x + l v} is the point whose projection onto v
+    lands in (-|v|^2/2, |v|^2/2], found in exact integer arithmetic.
     """
     vv = sum(c * c for c in v)
     varr = np.asarray(v, dtype=np.int64)
-    if center is None:
-        num = nu.points @ varr
-        r0 = num % vv
-        r = np.where(2 * r0 > vv, r0 - vv, r0)
-        ell = (num - r) // vv
-    else:
-        # One dot per atom: a matrix-vector product may round differently
-        # and move an atom that sits on a tie to the neighbouring line.
-        vf = varr.astype(float)
-        rel = nu.points.astype(float) - np.asarray(center, dtype=float)
-        s = np.array([float(row @ vf) for row in rel]) / vv
-        ell = np.ceil(s - 0.5).astype(np.int64)
+    num = nu.points @ varr
+    r0 = num % vv
+    r = np.where(2 * r0 > vv, r0 - vv, r0)
+    ell = (num - r) // vv
     return nu.points - ell[:, None] * varr, ell
 
 
@@ -176,7 +163,6 @@ class LineDecomposition:
     """
 
     direction: tuple[int, ...]
-    center: tuple[float, ...]
     representatives: tuple[tuple[int, ...], ...]
     line_masses: tuple[float, ...]
     line_energies: tuple[float, ...]
@@ -195,10 +181,7 @@ class LineDecomposition:
 
 
 def line_decomposition(
-    nu: SparseMeasure,
-    v: Sequence[int],
-    center: Sequence[float] | None = None,
-    split: float | None = None,
+    nu: SparseMeasure, v: Sequence[int], split: float | None = None
 ) -> LineDecomposition:
     """Split nu into lines along v and compute both energy forms.
 
@@ -214,7 +197,7 @@ def line_decomposition(
     vv = _direction(v)
     u = 0.0 if split is None else float(split)
     with_tail = split is not None and u < 0.5
-    rep, ell = _line_coordinates(nu, vv, center)
+    rep, ell = _line_coordinates(nu, vv)
     order, starts = _lex_groups(rep, minor=ell)
     rep, ell, mass = rep[order], ell[order], nu.masses[order]
     line = np.cumsum(starts) - 1
@@ -285,13 +268,8 @@ def line_decomposition(
                 "tolerance 1e-10"
             )
     masses = mass.tolist()
-    n = nu.dimension
-    c = tuple(0.0 for _ in range(n)) if center is None else tuple(
-        float(x) for x in center
-    )
     return LineDecomposition(
         direction=vv,
-        center=c,
         representatives=tuple(reps),
         line_masses=tuple(
             math.fsum(masses[a:b]) for a, b in zip(first.tolist(), end.tolist())
@@ -307,23 +285,7 @@ def line_decomposition(
 # -- measured structure spread -----------------------------------------------
 
 
-def _structure_rows(W: Structure | Sequence[TorusPoint]) -> np.ndarray | None:
-    """Finite point set of a structure, or None for a real span sheet."""
-    if isinstance(W, SketchLattice):
-        return W.combination_points()
-    if isinstance(W, NearOriginBasis):
-        return None
-    if isinstance(W, np.ndarray):
-        return _reduce_torus(np.atleast_2d(np.asarray(W, dtype=float)))
-    rows = [np.asarray(p, dtype=float) for p in W]
-    if not rows:
-        raise ValueError("empty frequency structure")
-    return _reduce_torus(np.vstack(rows))
-
-
-def _distance_to_structure(
-    zetas: np.ndarray, W: Structure | Sequence[TorusPoint]
-) -> np.ndarray:
+def _distance_to_structure(zetas: np.ndarray, W: Structure) -> np.ndarray:
     """Torus distance from each row to the structure.
 
     For a near-origin basis the distance is to the real span sheet through
@@ -339,7 +301,7 @@ def _distance_to_structure(
         sol, *_ = np.linalg.lstsq(B.T, r.T, rcond=None)
         resid = r - (B.T @ sol).T
         return np.sqrt(np.einsum("ij,ij->i", resid, resid))
-    rows = _structure_rows(W)
+    rows = W.combination_points()
     d = _reduce_torus(zetas[:, None, :] - rows[None, :, :])
     return np.sqrt(np.einsum("ijk,ijk->ij", d, d).min(axis=1))
 
@@ -355,19 +317,17 @@ class HeavySpread:
 
 
 def measured_structure_spread(
-    nu: SparseMeasure,
-    W: Structure | Sequence[TorusPoint],
-    eta: float,
-    min_side: int = 128,
+    nu: SparseMeasure, W: Structure, eta: float
 ) -> HeavySpread:
-    """Scan the transform of nu on a covering power-of-two grid and report
-    how far the frequencies above eta stray from the structure.
+    """Scan the transform of nu on a power-of-two grid of side at least
+    128 that covers its support, and report how far the frequencies above
+    eta stray from the structure.
 
     Grid points only; the spread is a measured proxy for the theoretical
     neighborhood radius, not a certificate between grid points.
     """
     spread = int((nu.points.max(axis=0) - nu.points.min(axis=0)).max()) + 1
-    side = min_side
+    side = 128
     while side < spread:
         side *= 2
     mags = np.abs(np.fft.fftn(_grid_embed([nu], side)[0]))
@@ -415,14 +375,13 @@ class SpectralEnergyReport:
     passed: bool
 
 
-def _pairing_violations(
-    v: tuple[int, ...], W: Structure | Sequence[TorusPoint]
-) -> list[str]:
+def _pairing_violations(v: tuple[int, ...], W: Structure) -> list[str]:
     """The shift must pair integrally with every structure frequency.
 
-    Lattice generators are checked exactly through their rationals, a
-    near-origin basis needs exact orthogonality over the reals (the span
-    sheet is continuous), and raw point sets are checked to 1e-9.
+    Lattice generators are checked exactly through their rationals (all
+    generators, which can only shrink the kernel), and a near-origin
+    basis needs exact orthogonality over the reals (the span sheet is
+    continuous, so invariance must hold along all of it).
     """
     out = []
     if isinstance(W, SketchLattice):
@@ -431,28 +390,19 @@ def _pairing_violations(
             if s.denominator != 1:
                 out.append(f"pairing <v, {tuple(map(str, t))}> = {s} is not an integer")
         return out
-    if isinstance(W, NearOriginBasis):
-        for w in W.numerators:
-            d = sum(c * wi for c, wi in zip(v, w))
-            if d != 0:
-                out.append(f"direction pairs with basis row {w} (dot {d})")
-        return out
-    rows = _structure_rows(W)
-    for row in rows:
-        val = float(np.array(v, dtype=float) @ row)
-        if abs(val - round(val)) > 1e-9:
-            coords = ",".join(f"{float(c):.9g}" for c in row)
-            out.append(f"pairing <v, ({coords})> = {val:.9g} is not an integer")
+    for w in W.numerators:
+        d = sum(c * wi for c, wi in zip(v, w))
+        if d != 0:
+            out.append(f"direction pairs with basis row {w} (dot {d})")
     return out
 
 
 def spectral_energy_bound_check(
     nu: SparseMeasure,
-    W: Structure | Sequence[TorusPoint],
+    W: Structure,
     delta: float,
     eta: float,
     v: Sequence[int],
-    center: Sequence[float] | None = None,
     spread: HeavySpread | None = None,
 ) -> SpectralEnergyReport:
     """Check the per-line energy bound for the shift v against (W, delta, eta).
@@ -483,7 +433,7 @@ def spectral_energy_bound_check(
             f" {spread.worst_distance:.6g} > delta from the structure"
         )
 
-    dec = line_decomposition(nu, vv, center=center, split=u)
+    dec = line_decomposition(nu, vv, split=u)
     records = []
     total_beta = 0.0
     total_energy = 0.0
@@ -554,7 +504,7 @@ class BallReductionReport:
 def ball_reduction_tv_bound(
     nu: SparseMeasure,
     v: Sequence[int],
-    W: Structure | Sequence[TorusPoint],
+    W: Structure,
     delta: float,
     eta: float,
     center: Sequence[float],
@@ -789,25 +739,6 @@ def _integer_ball(n: int, D: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _kernel_member(v: tuple[int, ...], structure: Structure) -> bool:
-    """Exact membership of v in the invariance kernel of the structure.
-
-    Lattice pairings go through the generator rationals (all generators,
-    which can only shrink the kernel); basis rows need an exact zero dot
-    because invariance must hold along the whole real span.
-    """
-    if isinstance(structure, SketchLattice):
-        for t in structure.generators:
-            s = sum(Fraction(c) * f for c, f in zip(v, t))
-            if s.denominator != 1:
-                return False
-        return True
-    for w in structure.numerators:
-        if sum(c * wi for c, wi in zip(v, w)) != 0:
-            return False
-    return True
-
-
 def translation_invariance_certify(
     mus: Sequence[SparseMeasure],
     route: str,
@@ -842,34 +773,30 @@ def translation_invariance_certify(
         grid_exponent += 1
     if grid_exponent != cfg.grid_exponent:
         warnings.append(f"scan grid exponent raised to {grid_exponent} to cover the pieces")
-    if route == "exact":
-        route_cfg = ExactRouteConfig(
-            K=cfg.K,
-            Q=cfg.Q,
-            q=cfg.q,
-            R=cfg.R,
-            kappa=cfg.kappa,
-            grid_exponent=grid_exponent,
-            refine=cfg.refine,
-        )
-        structure = convolution_structure(mus, "exact", route_cfg)
+    if route not in ("exact", "mollified"):
+        raise ValueError("unknown route")
+    exact = route == "exact"
+    structure_cfg = StructureConfig(
+        K=cfg.K,
+        Q=cfg.Q,
+        R=cfg.R,
+        q=cfg.q,
+        B=cfg.B,
+        # an unset kappa on the exact route is derived from the symmetrized law
+        kappa=cfg.kappa if exact else kappa,
+        grid_exponent=grid_exponent,
+        refine=cfg.refine,
+    )
+    structure = convolution_structure(
+        mus, "exact" if exact else "near_origin", structure_cfg
+    )
+    warnings.extend(structure.warnings)
+    if exact:
         rank = structure.rank
-        warnings.extend(structure.warnings)
         conv_list = list(mus)
         eta = math.exp(-M / cfg.K)
-    elif route == "mollified":
-        route_cfg = NearOriginConfig(
-            K=cfg.K,
-            kappa=kappa,
-            B=cfg.B,
-            Q=cfg.Q,
-            R=cfg.R,
-            grid_exponent=grid_exponent,
-            refine=cfg.refine,
-        )
-        structure = convolution_structure(mus, "near_origin", route_cfg)
+    else:
         rank = structure.ell
-        warnings.extend(structure.warnings)
         conv_list = list(mus) + [gamma_truncated(n, cfg.R)]
         # Off the kappa ball the reference transform decays below
         # exp(-R^2 kappa^2 / 5), so the mollified heavy set is confined
@@ -878,8 +805,6 @@ def translation_invariance_certify(
             math.exp(-M / cfg.K),
             math.exp(-cfg.R**2 * kappa**2 / 5.0),
         )
-    else:
-        raise ValueError("unknown route")
 
     nu = convolve_many_fft(conv_list)
     spread = measured_structure_spread(nu, structure, eta)
@@ -894,7 +819,7 @@ def translation_invariance_certify(
     kernels = []
     controls = []
     for v in _integer_ball(n, cfg.D):
-        if _kernel_member(v, structure):
+        if not _pairing_violations(v, structure):
             kernels.append(v)
         elif len(controls) < cfg.controls:
             controls.append(v)

@@ -180,8 +180,7 @@ def test_c07_line_parseval():
             w = rng.random(len(pts)) + 0.05
             w /= w.sum()
             nu = SparseMeasure(2, pts, w)
-        center = rng.random(2) if i % 3 == 0 else None
-        dec = line_decomposition(nu, shifts[i % len(shifts)], center=center)
+        dec = line_decomposition(nu, shifts[i % len(shifts)])
         direct = dec.total_energy
         quad = math.fsum(dec.quadrature_energies)
         assert abs(direct - quad) <= 1e-6 * max(direct, 1e-12), f"triple {i}"

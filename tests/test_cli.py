@@ -34,6 +34,7 @@ from sketchlab.cli import (
     transfer_config,
     write_table,
 )
+from sketchlab.spectrum import CertifiedBoundError
 from sketchlab.transfer import (
     evaluate_sketch,
     extract_sketch,
@@ -477,6 +478,64 @@ class TestKernelRadiusCap:
         )
         assert [a for a, b in zip(ours, theirs) if a != b] == ["cfg diameter 13"]
         assert len(ours) == len(theirs)
+
+
+class TestExactRouteQWindow:
+    """The exact route extracts the product structure at threshold K/4,
+    where a chain step needs 3 <= q <= K/4, so a q outside that window is
+    a config error before any stage runs."""
+
+    @pytest.mark.parametrize("edit", ["q = 2", "K = 8"])
+    @pytest.mark.parametrize("verb", ["extract", "tv-sweep", "verify-lemmas"])
+    def test_q_outside_window_exits_two(self, capsys, edit, verb):
+        key = edit[0]
+        cfg = write_cfg(f"qwin-{key}.cfg", f"M = 2\nsweep = 4\n{edit}\n")
+        out = suite_dir() / f"qwin-{key}-{verb}"
+        code = main([verb, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "must lie in [3, K/4 = " in err and "on the exact route" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_mollified_route_does_not_read_q(self):
+        ExperimentConfig(q=2, K=8.0, route="mollified")
+
+
+class TestCertificationFailure:
+    """A failed certification is one stderr line and exit 1, never a
+    traceback."""
+
+    def test_tv_sweep(self, capsys):
+        # the mod-3 witness yields denominator 3, which Q = 2 cannot hold
+        cfg = write_cfg(
+            "q2-sweep.cfg", "M = 2\nsweep = 4\nQ = 2\nscenario = mod-3\n"
+        )
+        out = suite_dir() / "q2-sweep"
+        code = main(["tv-sweep", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [
+            "tv-sweep failed for scenario 'mod-3' at R=4: "
+            "witness produced invalid denominator 3"
+        ]
+        assert not out.exists()
+
+    def test_verify_lemmas(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise CertifiedBoundError("lattice rank 3 exceeds 14 S = 2.000")
+
+        monkeypatch.setattr(cli, "translation_invariance_certify", fail)
+        cfg = write_cfg("lemmas-fail.cfg", "n = 2\nM = 2\nseed = 11\n")
+        out = suite_dir() / "lemmas-fail"
+        code = main(["verify-lemmas", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [
+            "verify-lemmas failed for scenario 'lemmas' at R=8: "
+            "lattice rank 3 exceeds 14 S = 2.000"
+        ]
+        assert not out.exists()
 
 
 class TestTvSweep:

@@ -2,11 +2,14 @@
 cannot leave a stale entry in `__all__` behind, and every public name, and
 every public method, property or classmethod of an exported class, is
 used by the program itself, so API that only its own unit test calls
-cannot grow back."""
+cannot grow back.  Likewise every defaulted parameter of a public
+function or method is passed by some call in the program, so an option
+that only tests set cannot grow back either."""
 
 import ast
 import functools
 import importlib
+import math
 import pkgutil
 from pathlib import Path
 
@@ -20,7 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PROGRAM_DIRS = ("src", "scripts", "benchmark")
 
 # Public names (`module.name` or `module.Class.method`) that only tests
-# use, each kept on purpose.
+# use, and defaulted parameters (`module.func(param)`) that only tests
+# pass, each kept on purpose.
 TEST_ONLY = {
     "streaming.fold_block": "per-row oracle that fold_deltas must match",
     "dgauss.gamma_pmf": "closed-form pmf the sampler and tail bounds are checked against",
@@ -32,6 +36,20 @@ TEST_ONLY = {
     "dgauss.gamma_tail_bound": "closed-form tail the truncation radius is solved from",
     "streaming.ProblemSpec.relation_problem": (
         "the only constructor of the relation kind that src/ handles"
+    ),
+    "translation.convolution_tail_center(cell_cap)": (
+        "forces the Monte Carlo branch that pieces too wide for the grid take"
+    ),
+    "transfer.evaluate_sketch(trials)": (
+        "shrinks the sampled evaluation that targets above the exact-sum cap take"
+    ),
+    "dgauss.auto_box(center)": "builds the off-center boxes of the rho_sum tail tests",
+    "measure.restrict(renormalize)": "builds the coset laws the structure tests extract",
+    "streaming.ProblemSpec.promise(delta)": (
+        "a promise with a failure budget, which verify_smoothness reads"
+    ),
+    "streaming.constant_algorithm(value)": (
+        "a constant answer other than 0, for the decoder and census tests"
     ),
 }
 
@@ -131,8 +149,95 @@ def test_every_export_is_used_by_the_program(name):
 
 def test_test_only_names_are_exported():
     for key in TEST_ONLY:
+        if "(" in key:
+            continue
         module, _, n = key.partition(".")
         top, _, method = n.partition(".")
         mod = importlib.import_module(f"sketchlab.{module}")
         assert top in mod.__all__, key
         assert not method or method in vars(getattr(mod, top)), key
+
+
+def _defaulted_parameters(
+    tree: ast.Module, module: str
+) -> dict[str, tuple[str, str, int | None]]:
+    """`module.func(param)` for each defaulted parameter of a public
+    function, method or constructor, with the name a call reaches it by
+    and its position among the call's arguments (None if keyword-only)."""
+    out = {}
+
+    def add(fn: ast.FunctionDef, key: str, call: str, bound: int) -> None:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, a in enumerate(positional[first:], first):
+            out[f"{key}({a.arg})"] = (call, a.arg, i - bound)
+        for a, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                out[f"{key}({a.arg})"] = (call, a.arg, None)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            add(node, f"{module}.{node.name}", node.name, 0)
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in item.decorator_list
+                )
+                if item.name == "__init__":
+                    add(item, f"{module}.{node.name}", node.name, 1)
+                elif not item.name.startswith("_"):
+                    key = f"{module}.{node.name}.{item.name}"
+                    add(item, key, item.name, 0 if static else 1)
+    return out
+
+
+@functools.cache
+def _passed_arguments() -> dict[str, tuple[set[str | None], float]]:
+    """For each called name in the program files, the keywords some call
+    passes and the most positional arguments any call passes; a call
+    that unpacks *args or **kwargs counts as passing everything."""
+    passed: dict[str, tuple[set[str | None], float]] = {}
+    for d in PROGRAM_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if isinstance(f, ast.Name):
+                    name = f.id
+                elif isinstance(f, ast.Attribute):
+                    name = f.attr
+                else:
+                    continue
+                keywords, most = passed.get(name, (set(), 0))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                passed[name] = (
+                    keywords | {k.arg for k in node.keywords},  # None: **kwargs
+                    max(most, math.inf if starred else len(node.args)),
+                )
+    return passed
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_default_is_passed_by_the_program(name):
+    path = ROOT / "src" / "sketchlab" / f"{name}.py"
+    tree = ast.parse(path.read_text(), str(path))
+    unpassed = []
+    for key, (call, param, position) in _defaulted_parameters(tree, name).items():
+        keywords, most = _passed_arguments().get(call, (set(), 0))
+        if param in keywords or None in keywords:
+            continue
+        if position is None or position >= most:
+            unpassed.append(key)
+    listed = [k for k in TEST_ONLY if k.startswith(f"{name}.") and "(" in k]
+    assert sorted(set(unpassed) - set(TEST_ONLY)) == [], (
+        "defaulted parameters that no call in src/, scripts/ or benchmark/ "
+        "passes; make them constants, or list them in TEST_ONLY with a reason"
+    )
+    assert sorted(set(listed) - set(unpassed)) == [], (
+        "TEST_ONLY parameters that the program passes or that no longer exist"
+    )

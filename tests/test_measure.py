@@ -206,11 +206,6 @@ class TestConvolve:
             rhs = measure.fourier_at(g, [z]) * measure.fourier_at(h, [z])
             assert abs(lhs - rhs) <= 1e-10
 
-    def test_truncation_records_deficit(self):
-        u = measure.SparseMeasure.uniform([[0], [1]])
-        conv = measure.convolve(u, u, truncation=[(0, 1)])
-        assert conv.deficit == pytest.approx(0.25)
-
     @given(small_measures(1), small_measures(1))
     @settings(max_examples=20, deadline=None)
     def test_commutative(self, a, b):
@@ -228,7 +223,7 @@ class TestConvolve:
         assert all(abs(left.atoms[p] - right.atoms[p]) <= 1e-12 for p in left.atoms)
 
 
-def scipy_direct_convolve(mu1, mu2, truncation=None):
+def scipy_direct_convolve(mu1, mu2):
     """The convolve body before the shift-and-add kernel, kept as its
     oracle: scipy's direct summation over the two dense boxes."""
     n = mu1.dimension
@@ -244,13 +239,6 @@ def scipy_direct_convolve(mu1, mu2, truncation=None):
     idx = np.argwhere(conv > 0.0)
     pts = idx + lo
     masses = conv[tuple(idx.T)]
-    if truncation is not None:
-        tb = tuple((int(a), int(b)) for a, b in truncation)
-        inside = np.all(
-            [(pts[:, i] >= tb[i][0]) & (pts[:, i] <= tb[i][1]) for i in range(n)],
-            axis=0,
-        )
-        pts, masses = pts[inside], masses[inside]
     total = math.fsum(masses)
     return measure.SparseMeasure(n, pts, masses, deficit=max(0.0, 1.0 - total))
 
@@ -272,18 +260,7 @@ def boxed_measure(draw, n: int) -> measure.SparseMeasure:
 @st.composite
 def convolution_inputs(draw):
     n = draw(st.integers(1, 3))
-    mu1, mu2 = boxed_measure(draw, n), boxed_measure(draw, n)
-    truncation = draw(
-        st.none()
-        | st.lists(
-            st.tuples(st.integers(-8, 4), st.integers(0, 12)).map(
-                lambda t: (t[0], t[0] + t[1])
-            ),
-            min_size=n,
-            max_size=n,
-        )
-    )
-    return mu1, mu2, truncation
+    return boxed_measure(draw, n), boxed_measure(draw, n)
 
 
 def assert_same_measure(got, want):
@@ -296,10 +273,9 @@ class TestConvolveOracle:
     @given(convolution_inputs())
     @settings(max_examples=200, deadline=None)
     def test_bitwise_equal_to_scipy_direct(self, inputs):
-        mu1, mu2, truncation = inputs
+        mu1, mu2 = inputs
         assert_same_measure(
-            measure.convolve(mu1, mu2, truncation),
-            scipy_direct_convolve(mu1, mu2, truncation),
+            measure.convolve(mu1, mu2), scipy_direct_convolve(mu1, mu2)
         )
 
     def test_parity_symmetrize_input(self):
@@ -340,11 +316,6 @@ class TestConvolvePowerFFT:
     def test_point_mass_translates(self):
         p5 = measure.convolve_many_fft([measure.SparseMeasure.uniform([[1]])] * 5)
         assert p5.atoms == {(5,): 1.0}
-
-    def test_deficit_budget_enforced(self):
-        g = measure.gamma_truncated(1, 4.0)
-        with pytest.raises(ValueError):
-            measure.convolve_many_fft([g] * 4, box=[(-2, 2)], deficit_budget=1e-6)
 
 
 class TestDensityCertificate:
@@ -482,9 +453,9 @@ class TestSymmetrize:
         calls = []
         real = measure.convolve
 
-        def spy(mu1, mu2, truncation=None):
+        def spy(mu1, mu2):
             calls.append(mu1)
-            return real(mu1, mu2, truncation)
+            return real(mu1, mu2)
 
         monkeypatch.setattr(measure, "convolve", spy)
         sym = measure.symmetrize(pieces)

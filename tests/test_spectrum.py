@@ -27,10 +27,9 @@ from sketchlab.measure import (
 from sketchlab.spectrum import (
     CertifiedBoundError,
     DissociationCapError,
-    ExactRouteConfig,
     NearOriginBasis,
-    NearOriginConfig,
     SketchLattice,
+    StructureConfig,
     coarse_rudin_check,
     convolution_structure,
     extract_exact_structure,
@@ -65,12 +64,12 @@ def mod3_measure():
 
 @functools.cache
 def parity_lattice():
-    return extract_exact_structure(parity_measure(), ExactRouteConfig(**SCENARIO))
+    return extract_exact_structure(parity_measure(), StructureConfig(**SCENARIO))
 
 
 @functools.cache
 def mod3_lattice():
-    return extract_exact_structure(mod3_measure(), ExactRouteConfig(**SCENARIO))
+    return extract_exact_structure(mod3_measure(), StructureConfig(**SCENARIO))
 
 
 def brute_force_dissociated(points, kappa):
@@ -308,7 +307,7 @@ class TestSketchLatticeType:
 
 class TestExtractExact:
     def test_gamma_lattice_empty(self):
-        cfg = ExactRouteConfig(K=8.0, Q=128, q=3, R=8.0, grid_exponent=7)
+        cfg = StructureConfig(K=8.0, Q=128, q=3, R=8.0, grid_exponent=7)
         lat = extract_exact_structure(gamma2(), cfg)
         assert lat.rank == 0
         assert lat.fiber_bound == 1
@@ -327,7 +326,7 @@ class TestExtractExact:
 
     def test_even_first_coordinate(self):
         mu = restrict(gamma2(), lambda x: x[0] % 2 == 0, renormalize=True)
-        lat = extract_exact_structure(mu, ExactRouteConfig(**SCENARIO))
+        lat = extract_exact_structure(mu, StructureConfig(**SCENARIO))
         assert lat.denominators == (2,)
         t = lat.generators[0]
         assert (t[0] - Fraction(1, 2)).denominator == 1
@@ -358,14 +357,14 @@ class TestExtractExact:
             assert lat.fiber_bound <= SCENARIO["q"] ** exponent
 
     def test_q_window_warning(self):
-        cfg = ExactRouteConfig(K=8.0, Q=64, q=3, R=8.0, grid_exponent=7)
+        cfg = StructureConfig(K=8.0, Q=64, q=3, R=8.0, grid_exponent=7)
         lat = extract_exact_structure(gamma2(), cfg)
         assert any("below the recommended" in w for w in lat.warnings)
 
     def test_q_range_error(self):
         with pytest.raises(ValueError, match="q"):
             extract_exact_structure(
-                gamma2(), ExactRouteConfig(K=8.0, Q=128, q=2, R=8.0)
+                gamma2(), StructureConfig(K=8.0, Q=128, q=2, R=8.0)
             )
 
     def test_congruence_residues(self):
@@ -434,7 +433,7 @@ def slab_measure():
 
 class TestNearOrigin:
     def test_gamma_trivial_basis(self):
-        cfg = NearOriginConfig(K=512.0, kappa=0.25, B=2.0, Q=2048, R=8.0)
+        cfg = StructureConfig(K=512.0, Q=2048, R=8.0, B=2.0, kappa=0.25)
         basis = extract_near_origin_structure(gamma2(), cfg)
         assert basis.ell == 0
         assert basis.radius_bound >= cfg.kappa  # the 2 rho >= kappa branch
@@ -444,8 +443,8 @@ class TestNearOrigin:
         # transform oracle: the diagonal line is exactly heavy
         for s in (0.1, 0.25, -0.3):
             assert abs(fourier_at(mu, (s, s))) == pytest.approx(1.0, abs=1e-12)
-        cfg = NearOriginConfig(
-            K=1e8, kappa=0.25, B=2.0, Q=2048, R=8.0, grid_exponent=7
+        cfg = StructureConfig(
+            K=1e8, Q=2048, R=8.0, B=2.0, kappa=0.25, grid_exponent=7
         )
         basis = extract_near_origin_structure(mu, cfg)
         assert basis.ell == 1
@@ -456,8 +455,13 @@ class TestNearOrigin:
         assert (grid_point - eta).norm < 1e-12
         assert 2.0 * basis.rho < cfg.kappa
 
+    def test_kappa_required(self):
+        cfg = StructureConfig(K=512.0, Q=2048, R=8.0)
+        with pytest.raises(ValueError, match="needs kappa"):
+            extract_near_origin_structure(gamma2(), cfg)
+
     def test_kappa_zero_warning_path(self):
-        cfg = NearOriginConfig(K=512.0, kappa=0.0, B=2.0, Q=2048, R=8.0)
+        cfg = StructureConfig(K=512.0, Q=2048, R=8.0, B=2.0, kappa=0.0)
         basis = extract_near_origin_structure(gamma2(), cfg)
         assert basis.ell == 0
         assert any("window" in w for w in basis.warnings)
@@ -527,7 +531,7 @@ class TestConvolution:
         heavy = product_heavy_frequencies([gamma2()] * 4, math.exp(-4 / 512.0), 7)
         assert all(h.norm <= 0.25 for h in heavy)
         lat = convolution_structure(
-            [gamma2()] * 4, "exact", ExactRouteConfig(**SCENARIO)
+            [gamma2()] * 4, "exact", StructureConfig(**SCENARIO)
         )
         assert lat.rank == 0
 
@@ -537,7 +541,7 @@ class TestConvolution:
             prod *= abs(fourier_at(m, (0.5, 0.5)))
         assert prod >= math.exp(-4 / 512.0)
         lat = convolution_structure(
-            [parity_measure()] * 4, "exact", ExactRouteConfig(**SCENARIO)
+            [parity_measure()] * 4, "exact", StructureConfig(**SCENARIO)
         )
         assert lat.rank == 1
         assert lat.denominators == (2,)
@@ -553,15 +557,15 @@ class TestConvolution:
         for m in mus:
             prod *= abs(fourier_at(m, (0.5, 0.5)))
         assert prod < math.exp(-4 / 512.0)
-        lat = convolution_structure(mus, "exact", ExactRouteConfig(**SCENARIO))
+        lat = convolution_structure(mus, "exact", StructureConfig(**SCENARIO))
         assert lat.rank == 0
         assert lat.span_error <= 0.25
 
     def test_near_origin_route(self):
-        cfg = NearOriginConfig(K=512.0, kappa=0.25, B=2.0, Q=2048, R=8.0)
+        cfg = StructureConfig(K=512.0, Q=2048, R=8.0, B=2.0, kappa=0.25)
         basis = convolution_structure([gamma2()] * 4, "near_origin", cfg)
         assert basis.ell == 0
 
     def test_unknown_route(self):
         with pytest.raises(ValueError, match="route"):
-            convolution_structure([gamma2()], "fancy", ExactRouteConfig(**SCENARIO))
+            convolution_structure([gamma2()], "fancy", StructureConfig(**SCENARIO))

@@ -12,6 +12,7 @@ line's tail integral.
 import dataclasses
 import functools
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from sketchlab.measure import (
     translate,
 )
 from sketchlab import translation
+from sketchlab.spectrum import SketchLattice
 from sketchlab.translation import (
     LineDecomposition,
     TranslationConfig,
@@ -90,7 +92,25 @@ def parity_conv2():
     return convolve_many_fft([parity_measure()] * 2)
 
 
-W_PARITY = ((0.0, 0.0), (0.5, 0.5))
+# the structure of the parity pieces, {(0, 0), (1/2, 1/2)}, and the bare origin
+W_PARITY = SketchLattice(
+    dimension=2,
+    generators=((Fraction(1, 2), Fraction(1, 2)),),
+    denominators=(2,),
+    relations=((),),
+    span_error=0.0,
+    fiber_bound=2,
+    s_certified=0.0,
+)
+ORIGIN = SketchLattice(
+    dimension=2,
+    generators=(),
+    denominators=(),
+    relations=(),
+    span_error=0.0,
+    fiber_bound=1,
+    s_certified=0.0,
+)
 
 
 @functools.cache
@@ -299,13 +319,6 @@ def test_line_representative_strip_rule():
         assert -vv / 2 < proj <= vv / 2
 
 
-def test_line_custom_center_keeps_energy():
-    base = line_decomposition(parity_measure(), [1, 1])
-    moved = line_decomposition(parity_measure(), [1, 1], center=(3.0, -2.0))
-    assert moved.total_energy == pytest.approx(base.total_energy, abs=1e-12)
-    assert moved.total_mass == pytest.approx(base.total_mass, abs=1e-12)
-
-
 def test_line_zero_direction_rejected():
     with pytest.raises(ValueError):
         line_decomposition(parity_measure(), [0, 0])
@@ -331,20 +344,14 @@ def test_line_invariants_random(mu, v):
 # bit for bit.
 
 
-def dict_line_groups(nu, v, center):
+def dict_line_groups(nu, v):
     vv = sum(c * c for c in v)
-    varr = np.array(v, dtype=float)
-    carr = None if center is None else np.asarray(center, dtype=float)
     groups = {}
     for p, m in nu.atoms.items():
-        if carr is None:
-            num = sum(a * b for a, b in zip(p, v))
-            r0 = num % vv
-            r = r0 - vv if 2 * r0 > vv else r0
-            ell = (num - r) // vv
-        else:
-            s = float((np.array(p, dtype=float) - carr) @ varr) / vv
-            ell = math.ceil(s - 0.5)
+        num = sum(a * b for a, b in zip(p, v))
+        r0 = num % vv
+        r = r0 - vv if 2 * r0 > vv else r0
+        ell = (num - r) // vv
         rep = tuple(a - ell * b for a, b in zip(p, v))
         line = groups.setdefault(rep, {})
         line[ell] = line.get(ell, 0.0) + m
@@ -384,9 +391,9 @@ def dict_tail(r, L, u):
     return float(r[0] * (1.0 - 2.0 * u) - 2.0 * acc)
 
 
-def dict_line_decomposition(nu, v, center=None, split=None):
+def dict_line_decomposition(nu, v, split=None):
     vv = tuple(int(c) for c in v)
-    groups = dict_line_groups(nu, vv, center)
+    groups = dict_line_groups(nu, vv)
     reps = sorted(groups)
     u = 0.0 if split is None else float(split)
     masses, direct, quad, tails, line_nodes = [], [], [], [], []
@@ -403,11 +410,8 @@ def dict_line_decomposition(nu, v, center=None, split=None):
         quad.append(float(r[0]))
         tails.append(dict_tail(r, L, u) if split is not None and u < 0.5 else 0.0)
         line_nodes.append(N)
-    n = nu.dimension
-    c = (0.0,) * n if center is None else tuple(float(x) for x in center)
     return LineDecomposition(
         direction=vv,
-        center=c,
         representatives=tuple(reps),
         line_masses=tuple(masses),
         line_energies=tuple(direct),
@@ -423,38 +427,22 @@ def assert_same_decomposition(got, want):
         assert getattr(got, field) == getattr(want, field), field
 
 
-def centers_for(n):
-    half = st.tuples(*[st.integers(-4, 4)] * n).map(
-        lambda k: tuple(c + 0.5 for c in k)
-    )
-    real = st.tuples(*[st.floats(-4.0, 4.0)] * n)
-    return st.none() | half | real
-
-
 @settings(deadline=None, max_examples=120)
-@given(
-    measure_and_direction.flatmap(
-        lambda case: st.tuples(
-            st.just(case),
-            centers_for(case[0].dimension),
-            st.none() | st.floats(0.0, 0.5),
-        )
-    )
-)
-def test_line_decomposition_matches_dict_oracle(args):
+@given(measure_and_direction, st.none() | st.floats(0.0, 0.5))
+def test_line_decomposition_matches_dict_oracle(case, split):
     # lines of different lengths land in different FFT-length groups
-    (mu, v), center, split = args
-    got = line_decomposition(mu, v, center=center, split=split)
-    want = dict_line_decomposition(mu, v, center=center, split=split)
+    mu, v = case
+    got = line_decomposition(mu, v, split=split)
+    want = dict_line_decomposition(mu, v, split=split)
     assert_same_decomposition(got, want)
 
 
 @pytest.mark.parametrize("v", [(1, 1), (2, 1), (1, -1), (0, 3)])
-@pytest.mark.parametrize("center", [None, (0.5, 0.5), (3.0, -2.0)])
-def test_line_decomposition_matches_dict_oracle_on_a_convolution(v, center):
+@pytest.mark.parametrize("split", [None, 0.05])
+def test_line_decomposition_matches_dict_oracle_on_a_convolution(v, split):
     nu = parity_conv2()
-    got = line_decomposition(nu, v, center=center, split=0.05)
-    want = dict_line_decomposition(nu, v, center=center, split=0.05)
+    got = line_decomposition(nu, v, split=split)
+    want = dict_line_decomposition(nu, v, split=split)
     assert_same_decomposition(got, want)
 
 
@@ -473,7 +461,7 @@ def midpoint_tail(d, u, nodes=2**16):
 def test_line_tails_match_fine_quadrature(case, u):
     mu, v = case
     dec = line_decomposition(mu, v, split=u)
-    groups = dict_line_groups(mu, v, None)
+    groups = dict_line_groups(mu, v)
     for rep, energy, beta, N in zip(
         dec.representatives, dec.quadrature_energies, dec.tail_terms, dec.line_nodes
     ):
@@ -572,7 +560,7 @@ def test_spectral_point_mass_honest_energy():
     # check passes because the off-structure level is 1 for this input.
     point = from_atoms(2, {(0, 0): 1.0})
     report = spectral_energy_bound_check(
-        point, np.array([[0.0, 0.0]]), delta=0.01, eta=1.0, v=[1, 1]
+        point, ORIGIN, delta=0.01, eta=1.0, v=[1, 1]
     )
     assert len(report.lines) == 1
     assert report.lines[0].energy == pytest.approx(2.0, abs=1e-12)
@@ -582,9 +570,9 @@ def test_spectral_point_mass_honest_energy():
 
 def test_spectral_parity_pass():
     nu = parity_conv2()
-    spread = measured_structure_spread(nu, np.array(W_PARITY), 0.9)
+    spread = measured_structure_spread(nu, W_PARITY, 0.9)
     report = spectral_energy_bound_check(
-        nu, np.array(W_PARITY), spread.worst_distance, 0.9, [1, 1], spread=spread
+        nu, W_PARITY, spread.worst_distance, 0.9, [1, 1], spread=spread
     )
     assert report.passed
     assert report.total_beta <= report.beta_budget
@@ -593,7 +581,7 @@ def test_spectral_parity_pass():
 def test_spectral_parity_pairing_rejection():
     nu = parity_conv2()
     report = spectral_energy_bound_check(
-        nu, np.array(W_PARITY), 0.02, 0.9, [1, 0]
+        nu, W_PARITY, 0.02, 0.9, [1, 0]
     )
     assert not report.passed
     assert any("not an integer" in s for s in report.violations)
@@ -602,7 +590,7 @@ def test_spectral_parity_pairing_rejection():
 def test_spectral_window_violation():
     nu = parity_conv2()
     report = spectral_energy_bound_check(
-        nu, np.array(W_PARITY), 0.25, 1.0, [12, 12]
+        nu, W_PARITY, 0.25, 1.0, [12, 12]
     )
     assert any("exceeds the window" in s for s in report.violations)
 
@@ -610,16 +598,16 @@ def test_spectral_window_violation():
 def test_spectral_scan_violation_reported():
     nu = parity_conv2()
     report = spectral_energy_bound_check(
-        nu, np.array([[0.0, 0.0]]), 1e-6, 0.5, [1, 1]
+        nu, ORIGIN, 1e-6, 0.5, [1, 1]
     )
     assert any("stray" in s for s in report.violations)
 
 
 def test_spectral_per_line_bound_structure():
     nu = parity_conv2()
-    spread = measured_structure_spread(nu, np.array(W_PARITY), 0.9)
+    spread = measured_structure_spread(nu, W_PARITY, 0.9)
     report = spectral_energy_bound_check(
-        nu, np.array(W_PARITY), spread.worst_distance, 0.9, [1, 1], spread=spread
+        nu, W_PARITY, spread.worst_distance, 0.9, [1, 1], spread=spread
     )
     for line in report.lines:
         assert line.energy <= line.main_bound + line.beta + line.slack
@@ -636,7 +624,7 @@ def test_spectral_line_failure_names_both_slack_terms(monkeypatch):
 
     monkeypatch.setattr(translation, "line_decomposition", without_tails)
     report = spectral_energy_bound_check(
-        parity_conv2(), np.array(W_PARITY), 0.02, 0.9, [1, 1]
+        parity_conv2(), W_PARITY, 0.02, 0.9, [1, 1]
     )
     assert not report.passed
     (msg,) = [s for s in report.violations if s.startswith("line through")]
@@ -650,7 +638,7 @@ def test_spectral_line_failure_names_both_slack_terms(monkeypatch):
 def test_ball_reduction_radius_precondition():
     with pytest.raises(ValueError):
         ball_reduction_tv_bound(
-            parity_conv2(), [3, 3], np.array(W_PARITY), 0.02, 0.9, (0.0, 0.0), 2.0
+            parity_conv2(), [3, 3], W_PARITY, 0.02, 0.9, (0.0, 0.0), 2.0
         )
 
 
@@ -659,7 +647,7 @@ def test_ball_reduction_point_mass_guard():
     # and the bound is vacuous; the actual TV is 1 by disjointness.
     point = from_atoms(2, {(0, 0): 1.0})
     rep = ball_reduction_tv_bound(
-        point, [1, 1], np.array([[0.0, 0.0]]), 0.01, 1.0, (0.0, 0.0), 50.0
+        point, [1, 1], ORIGIN, 0.01, 1.0, (0.0, 0.0), 50.0
     )
     assert rep.actual_tv == 1.0
     assert rep.vacuous
@@ -674,12 +662,12 @@ def parity_conv8():
 def test_ball_reduction_parity_eight_pieces():
     nu = parity_conv8()
     eta = math.exp(-8 / 512.0)
-    spread = measured_structure_spread(nu, np.array(W_PARITY), eta)
+    spread = measured_structure_spread(nu, W_PARITY, eta)
     tail = convolution_tail_center([parity_measure()] * 8, 8.0, 2.0, conv=nu)
     rep = ball_reduction_tv_bound(
         nu,
         [1, 1],
-        np.array(W_PARITY),
+        W_PARITY,
         max(spread.worst_distance, 1e-12),
         eta,
         tail.center,
@@ -703,11 +691,10 @@ def test_ball_reduction_gamma_informative_bound():
     # distance 0.05, which is the first regime where the bound lands
     # strictly under the trivial TV bound of 1.
     nu = gamma_conv24()
-    W = np.array([[0.0, 0.0]])
-    spread = measured_structure_spread(nu, W, 1e-5)
+    spread = measured_structure_spread(nu, ORIGIN, 1e-5)
     assert spread.worst_distance <= 0.05
     rep = ball_reduction_tv_bound(
-        nu, [1, 0], W, 0.05, 1e-5, (0.0, 0.0), 60.0, spread=spread
+        nu, [1, 0], ORIGIN, 0.05, 1e-5, (0.0, 0.0), 60.0, spread=spread
     )
     assert rep.actual_tv == pytest.approx(0.02551551814900518, abs=1e-9)
     assert rep.bound == pytest.approx(0.4227667721131873, abs=1e-6)
@@ -717,11 +704,11 @@ def test_ball_reduction_gamma_informative_bound():
 
 def test_ball_reduction_bound_assembly():
     nu = parity_conv2()
-    spread = measured_structure_spread(nu, np.array(W_PARITY), 0.9)
+    spread = measured_structure_spread(nu, W_PARITY, 0.9)
     rep = ball_reduction_tv_bound(
         nu,
         [1, 1],
-        np.array(W_PARITY),
+        W_PARITY,
         max(spread.worst_distance, 1e-12),
         0.9,
         (0.0, 0.0),
