@@ -41,6 +41,8 @@ from .measure import (
     large_spectrum_scan,
 )
 from .spectrum import (
+    GRID_EXPONENT,
+    StructureConfig,
     coarse_rudin_check,
     greedy_dissociated_subset,
     small_ball_check,
@@ -65,13 +67,11 @@ from .transfer import (
 )
 from .translation import (
     MAX_KERNEL_RADIUS,
-    TranslationConfig,
     convolution_tail_center,
     line_decomposition,
     translation_invariance_certify,
 )
 
-GRID_EXPONENT = 7
 # the heavy-frequency scan cannot resolve dissociation below two grid cells
 KAPPA_FLOOR = 2.0 ** (1 - GRID_EXPONENT)
 DECAY_GRID = 4096
@@ -90,19 +90,6 @@ class UsageError(ValueError):
 
 
 # -- experiment configuration ----------------------------------------------------
-
-
-_FLOAT_KEYS = (
-    "R",
-    "K",
-    "kappa",
-    "B",
-    "epsilon",
-    "delta",
-    "tail_mass_target",
-    "selection_threshold",
-    "tv_margin",
-)
 
 
 @dataclass(frozen=True)
@@ -160,8 +147,11 @@ class ExperimentConfig:
             out.append(f"sweep radius {r:g} is listed more than once")
         if self.M < 1:
             out.append("M must be at least 1")
-        if self.K < 4:
-            out.append("K must be at least 4")
+        if self.K < 8:
+            out.append(
+                f"K = {self.K:g} must be at least 8: the product structure "
+                f"is scanned at K/4 = {self.K / 4:g}, below the scan floor 2"
+            )
         if self.Q < 1:
             out.append("Q must be at least 1")
         if self.q < 1:
@@ -230,26 +220,22 @@ def _parse_str(raw: str) -> str:
     return raw
 
 
-_FIELD_PARSERS: dict[str, Callable[[str], object]] = {
-    "n": _parse_int,
-    "R": _parse_float,
-    "sweep": _parse_sweep,
-    "M": _parse_int,
-    "K": _parse_float,
-    "Q": _parse_int,
-    "q": _parse_int,
-    "kappa": _parse_optional,
-    "B": _parse_float,
-    "D": _parse_int,
-    "epsilon": _parse_float,
-    "delta": _parse_float,
-    "tail_mass_target": _parse_float,
-    "selection_threshold": _parse_optional,
-    "tv_margin": _parse_float,
-    "seed": _parse_int,
-    "scenario": _parse_str,
-    "route": _parse_str,
+# each config key is parsed by its ExperimentConfig annotation
+_TYPE_PARSERS: dict[str, Callable[[str], object]] = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "float | None": _parse_optional,
+    "tuple[float, ...]": _parse_sweep,
+    "str": _parse_str,
 }
+_FIELD_PARSERS = {
+    f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(ExperimentConfig)
+}
+_FLOAT_KEYS = tuple(
+    f.name
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.type in ("float", "float | None")
+)
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -431,11 +417,15 @@ def transfer_config(cfg: ExperimentConfig, scenario: Scenario) -> TransferConfig
         q=cfg.q,
         kappa=cfg.kappa,
         B=cfg.B,
-        grid_exponent=GRID_EXPONENT,
         selection_threshold=_selection_threshold(cfg, scenario),
         tv_margin=cfg.tv_margin,
         label=scenario.name,
     )
+
+
+def _structure_config(cfg: ExperimentConfig, R: float) -> StructureConfig:
+    """The structure parameters of `cfg` for pieces of noise radius R."""
+    return StructureConfig(K=cfg.K, Q=cfg.Q, R=R, q=cfg.q, B=cfg.B, kappa=cfg.kappa)
 
 
 # -- canonical tables ------------------------------------------------------------
@@ -738,19 +728,15 @@ def _invariance_rows(cfg: ExperimentConfig) -> list[tuple]:
     """Spectral-energy and ball-reduction rows from an unrestricted product."""
     n = min(cfg.n, 2)
     mus = [gamma_truncated(n, cfg.R)] * max(2, cfg.M)
-    tcfg = TranslationConfig(
-        D=cfg.D,
-        K=cfg.K,
-        Q=cfg.Q,
-        q=cfg.q,
-        R=cfg.R,
-        kappa=cfg.kappa,
-        B=cfg.B,
-        grid_exponent=GRID_EXPONENT,
+    report = translation_invariance_certify(
+        mus,
+        cfg.route,
+        _structure_config(cfg, cfg.R),
+        cfg.D,
         max_kernel=6,
         controls=0,
+        scenario="lemmas",
     )
-    report = translation_invariance_certify(mus, cfg.route, tcfg, scenario="lemmas")
     rows = []
     for rec in report.records:
         if rec.kind != "kernel":
@@ -910,7 +896,7 @@ def _trend(values: Sequence[float]) -> str:
 def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     _check_kernel_radius(cfg, "tv-sweep")
     scenario = get_scenario(cfg.scenario)
-    threshold = transfer_config(cfg, scenario).selection_threshold
+    tcfg = transfer_config(cfg, scenario)
     alg = scenario.algorithm(cfg)
     target = scenario.target(cfg)
     problem = scenario.problem(cfg)
@@ -918,25 +904,17 @@ def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     failed = 0
     for R in sorted(_radii(cfg)):
         policy = TruncationPolicy.for_gaussian(cfg.n, R)
-        tcfg = TranslationConfig(
-            D=cfg.D,
-            K=cfg.K,
-            Q=cfg.Q,
-            q=cfg.q,
-            R=R,
-            kappa=cfg.kappa,
-            B=cfg.B,
-            grid_exponent=GRID_EXPONENT,
-            max_kernel=24,
-        )
         try:
             sigma = select_state_sequence(
-                alg, target, problem, R, cfg.M, 512, cfg.seed, threshold=threshold,
+                alg, target, problem, R, cfg.M, tcfg.samples, cfg.seed,
+                threshold=tcfg.selection_threshold,
+                landings=tcfg.selection_landings,
                 policy=policy,
             )
             laws = posterior_laws(alg, sigma, R, cfg.M, policy)
+            structure = _structure_config(cfg, R)
             report = translation_invariance_certify(
-                laws, cfg.route, tcfg, scenario=scenario.name
+                laws, cfg.route, structure, cfg.D, scenario=scenario.name
             )
         except (ValueError, RuntimeError) as exc:
             print(

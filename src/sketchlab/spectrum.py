@@ -37,6 +37,7 @@ __all__ = [
     "SketchLattice",
     "NearOriginBasis",
     "StructureConfig",
+    "GRID_EXPONENT",
     "is_kappa_dissociated",
     "signed_combinations",
     "torus_distance_to_set",
@@ -55,6 +56,8 @@ __all__ = [
 
 DISSOCIATION_CAP = 20
 FIBER_BUDGET = 10**6
+# default heavy-frequency scan grid: 2^7 cells per axis
+GRID_EXPONENT = 7
 
 
 class CertifiedBoundError(RuntimeError):
@@ -313,14 +316,13 @@ class StructureConfig:
     q: int = 3
     B: float = 2.0
     kappa: float | None = None
-    grid_exponent: int = 7
-    refine: bool = True
+    grid_exponent: int = GRID_EXPONENT
 
 
 def _scan_heavy(
-    mu: SparseMeasure, K: float, grid_exponent: int, refine: bool
+    mu: SparseMeasure, K: float, grid_exponent: int
 ) -> tuple[ScanReport, list[str]]:
-    scan = large_spectrum_scan(mu, K, grid_exponent, refine=refine)
+    scan = large_spectrum_scan(mu, K, grid_exponent, refine=True)
     warnings = []
     if scan.margin_vacuous:
         warnings.append(
@@ -413,7 +415,7 @@ def extract_exact_structure(mu: SparseMeasure, cfg: StructureConfig) -> SketchLa
             f"kappa={kappa:.4g} overrides the default 5 sqrt(S)/R = "
             f"{kappa_paper:.4g}"
         )
-    scan, scan_warnings = _scan_heavy(mu, cfg.K, cfg.grid_exponent, cfg.refine)
+    scan, scan_warnings = _scan_heavy(mu, cfg.K, cfg.grid_exponent)
     warnings.extend(scan_warnings)
     heavy = [h.zeta.array for h in scan.hits]
     r_star = max(1, int(math.floor(0.5 * math.log(cfg.K) / math.log(cfg.q))))
@@ -539,7 +541,7 @@ def extract_near_origin_structure(
             f"Q={cfg.Q} below the recommended 2 sqrt(2nS) kappa / rho = "
             f"{2.0 * math.sqrt(2.0 * n * S) * cfg.kappa / rho:.1f}"
         )
-    scan, scan_warnings = _scan_heavy(mu, cfg.K, cfg.grid_exponent, cfg.refine)
+    scan, scan_warnings = _scan_heavy(mu, cfg.K, cfg.grid_exponent)
     warnings.extend(scan_warnings)
     near = [
         h.zeta.array for h in scan.hits if h.zeta.norm <= cfg.kappa + 1e-12

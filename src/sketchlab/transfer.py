@@ -21,7 +21,13 @@ from .dgauss import TruncationPolicy, sample_truncated
 # convolve_many_fft is unused here, but benchmark/test_benchmark.py checks
 # that its tracer patches the transfer.convolve_many_fft alias
 from .measure import SparseMeasure, convolve_many_fft, gamma_truncated  # noqa: F401
-from .spectrum import SketchLattice, lattice_from_text, lattice_to_text
+from .spectrum import (
+    GRID_EXPONENT,
+    SketchLattice,
+    StructureConfig,
+    lattice_from_text,
+    lattice_to_text,
+)
 from .streaming import (
     ProblemSpec,
     StateSequence,
@@ -32,7 +38,6 @@ from .streaming import (
     select_state_sequence,
 )
 from .translation import (
-    TranslationConfig,
     TranslationReport,
     translation_invariance_certify,
     tv_distance,
@@ -61,7 +66,7 @@ __all__ = [
     "verify_smoothness",
 ]
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 EXACT_EVAL_CAP = 10_000
 
@@ -88,9 +93,9 @@ class TransferConfig:
 
     radius/blocks parameterize the stream model, diameter caps the
     support spread of the target distribution (and the shift-kernel
-    enumeration), and the K/Q/q/kappa/B group is forwarded to the
-    structure extractor.  Q doubles as the near-origin denominator on
-    the mollified route.
+    enumeration), and K/Q/q/kappa/B/grid_exponent with the radius make
+    the StructureConfig of the certification.  Q doubles as the
+    near-origin denominator on the mollified route.
     """
 
     radius: float = 8.0
@@ -101,8 +106,7 @@ class TransferConfig:
     q: int = 3
     kappa: float | None = 0.25
     B: float = 2.0
-    grid_exponent: int = 7
-    refine: bool = True
+    grid_exponent: int = GRID_EXPONENT
     samples: int = 512
     selection_threshold: float | None = None
     selection_landings: int = 64
@@ -464,20 +468,22 @@ def extract_sketch(
         policy=policy,
     )
     laws = tuple(posterior_laws(alg, sigma, cfg.radius, cfg.blocks, policy))
-    certify_cfg = TranslationConfig(
-        D=max(1, math.ceil(diameter)),
+    structure_cfg = StructureConfig(
         K=cfg.K,
         Q=cfg.Q,
-        q=cfg.q,
         R=cfg.radius,
-        kappa=cfg.kappa,
+        q=cfg.q,
         B=cfg.B,
+        kappa=cfg.kappa,
         grid_exponent=cfg.grid_exponent,
-        refine=cfg.refine,
-        max_kernel=64,
     )
     translation = translation_invariance_certify(
-        laws, route, certify_cfg, scenario=cfg.label
+        laws,
+        route,
+        structure_cfg,
+        max(1, math.ceil(diameter)),
+        max_kernel=64,
+        scenario=cfg.label,
     )
     structure = translation.structure
     if route == "exact":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,7 +47,6 @@ __all__ = [
     "ball_reduction_tv_bound",
     "TailCenter",
     "convolution_tail_center",
-    "TranslationConfig",
     "TranslationRecord",
     "TranslationReport",
     "translation_invariance_certify",
@@ -663,27 +662,6 @@ def convolution_tail_center(
 
 
 @dataclass(frozen=True)
-class TranslationConfig:
-    """Knobs for the invariance certification.
-
-    D caps the exhaustive kernel enumeration over integer shifts with
-    |v|_2 <= D.
-    """
-
-    D: int
-    K: float
-    Q: int
-    q: int = 3
-    R: float = 8.0
-    kappa: float | None = None
-    B: float = 2.0
-    grid_exponent: int = 7
-    refine: bool = True
-    controls: int = 2
-    max_kernel: int = 24
-
-
-@dataclass(frozen=True)
 class TranslationRecord:
     kind: str
     vector: tuple[int, ...]
@@ -742,20 +720,24 @@ def _integer_ball(n: int, D: int) -> list[tuple[int, ...]]:
 def translation_invariance_certify(
     mus: Sequence[SparseMeasure],
     route: str,
-    cfg: TranslationConfig,
+    structure: StructureConfig,
+    D: int,
+    max_kernel: int = 24,
+    controls: int = 2,
     scenario: str = "scenario",
 ) -> TranslationReport:
     """Certify which integer shifts leave the convolution nearly invariant.
 
-    Extracts the frequency structure of the product (exact chains or the
-    near-origin basis for the mollified route, which appends one truncated
-    reference factor to the convolution), enumerates the shift kernel
-    exhaustively over |v|_2 <= D, and runs the ball-reduction bound for
-    every kernel shift plus a few non-kernel controls.  An empty kernel is
-    a valid outcome.  The scan grid exponent is raised until it covers the
-    widest piece, with a warning.  The report returns the structure and
-    the convolution it certified, so a caller reads them off instead of
-    building them again.
+    Extracts the frequency structure of the product under `structure`
+    (exact chains or the near-origin basis for the mollified route, which
+    appends one truncated reference factor of radius `structure.R` to the
+    convolution), enumerates the shift kernel exhaustively over
+    |v|_2 <= D, and runs the ball-reduction bound for the first
+    `max_kernel` kernel shifts plus `controls` non-kernel shifts.  An
+    empty kernel is a valid outcome.  The scan grid exponent is raised
+    until it covers the widest piece, with a warning.  The report returns
+    the structure and the convolution it certified, so a caller reads them
+    off instead of building them again.
     """
     if not mus:
         raise ValueError("empty measure list")
@@ -763,80 +745,73 @@ def translation_invariance_certify(
     M = len(mus)
     warnings: list[str] = []
 
-    S = max(density_certificate(m, cfg.R).S for m in mus)
-    kappa = cfg.kappa if cfg.kappa is not None else 3.0 * math.sqrt(S) / cfg.R
+    R, K = structure.R, structure.K
+    S = max(density_certificate(m, R).S for m in mus)
+    kappa = structure.kappa if structure.kappa is not None else 3.0 * math.sqrt(S) / R
     widest = max(
         int((m.points.max(axis=0) - m.points.min(axis=0)).max()) + 1 for m in mus
     )
-    grid_exponent = cfg.grid_exponent
+    grid_exponent = structure.grid_exponent
     while 2**grid_exponent < widest:
         grid_exponent += 1
-    if grid_exponent != cfg.grid_exponent:
+    if grid_exponent != structure.grid_exponent:
         warnings.append(f"scan grid exponent raised to {grid_exponent} to cover the pieces")
     if route not in ("exact", "mollified"):
         raise ValueError("unknown route")
     exact = route == "exact"
-    structure_cfg = StructureConfig(
-        K=cfg.K,
-        Q=cfg.Q,
-        R=cfg.R,
-        q=cfg.q,
-        B=cfg.B,
-        # an unset kappa on the exact route is derived from the symmetrized law
-        kappa=cfg.kappa if exact else kappa,
+    # an unset kappa on the exact route is derived from the symmetrized law
+    scan_cfg = replace(
+        structure,
         grid_exponent=grid_exponent,
-        refine=cfg.refine,
+        kappa=structure.kappa if exact else kappa,
     )
-    structure = convolution_structure(
-        mus, "exact" if exact else "near_origin", structure_cfg
+    extracted = convolution_structure(
+        mus, "exact" if exact else "near_origin", scan_cfg
     )
-    warnings.extend(structure.warnings)
+    warnings.extend(extracted.warnings)
     if exact:
-        rank = structure.rank
+        rank = extracted.rank
         conv_list = list(mus)
-        eta = math.exp(-M / cfg.K)
+        eta = math.exp(-M / K)
     else:
-        rank = structure.ell
-        conv_list = list(mus) + [gamma_truncated(n, cfg.R)]
+        rank = extracted.ell
+        conv_list = list(mus) + [gamma_truncated(n, R)]
         # Off the kappa ball the reference transform decays below
         # exp(-R^2 kappa^2 / 5), so the mollified heavy set is confined
         # to the certified near-origin span.
-        eta = max(
-            math.exp(-M / cfg.K),
-            math.exp(-cfg.R**2 * kappa**2 / 5.0),
-        )
+        eta = max(math.exp(-M / K), math.exp(-(R**2) * kappa**2 / 5.0))
 
     nu = convolve_many_fft(conv_list)
-    spread = measured_structure_spread(nu, structure, eta)
+    spread = measured_structure_spread(nu, extracted, eta)
     if spread.count == 0:
         warnings.append("no grid frequency exceeds eta; delta falls back to 1e-12")
     delta = max(spread.worst_distance, 1e-12)
 
     level = max(1.0, math.log(2.0 * n * len(conv_list)))
-    tail = convolution_tail_center(conv_list, cfg.R, level, conv=nu)
+    tail = convolution_tail_center(conv_list, R, level, conv=nu)
     warnings.append(f"tail verification method: {tail.method}")
 
     kernels = []
-    controls = []
-    for v in _integer_ball(n, cfg.D):
-        if not _pairing_violations(v, structure):
+    off_kernel = []
+    for v in _integer_ball(n, D):
+        if not _pairing_violations(v, extracted):
             kernels.append(v)
-        elif len(controls) < cfg.controls:
-            controls.append(v)
-    if len(kernels) > cfg.max_kernel:
+        elif len(off_kernel) < controls:
+            off_kernel.append(v)
+    if len(kernels) > max_kernel:
         warnings.append(
-            f"kernel truncated to the first {cfg.max_kernel} of {len(kernels)} shifts"
+            f"kernel truncated to the first {max_kernel} of {len(kernels)} shifts"
         )
-        kernels = kernels[: cfg.max_kernel]
+        kernels = kernels[:max_kernel]
 
     records = []
     kernel_tvs = []
-    for kind, vs in (("kernel", kernels), ("control", controls)):
+    for kind, vs in (("kernel", kernels), ("control", off_kernel)):
         for v in vs:
             rep = ball_reduction_tv_bound(
                 nu,
                 v,
-                structure,
+                extracted,
                 delta,
                 eta,
                 tail.center,
@@ -862,7 +837,7 @@ def translation_invariance_certify(
     return TranslationReport(
         scenario=scenario,
         route=route,
-        R=cfg.R,
+        R=R,
         pieces=M,
         eta=eta,
         delta=delta,
@@ -874,6 +849,6 @@ def translation_invariance_certify(
         max_kernel_tv=max(kernel_tvs) if kernel_tvs else math.nan,
         records=tuple(records),
         warnings=tuple(warnings),
-        structure=structure,
+        structure=extracted,
         convolution=nu,
     )

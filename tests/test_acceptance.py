@@ -43,6 +43,7 @@ from sketchlab.measure import (
     large_spectrum_scan,
 )
 from sketchlab.spectrum import (
+    StructureConfig,
     coarse_rudin_check,
     greedy_dissociated_subset,
     is_kappa_dissociated,
@@ -57,7 +58,6 @@ from sketchlab.transfer import (
     sketch_value_add,
 )
 from sketchlab.translation import (
-    TranslationConfig,
     line_decomposition,
     translation_invariance_certify,
     tv_distance,
@@ -189,9 +189,14 @@ def test_c07_line_parseval():
 
 def test_c08_ball_reduction_tv():
     start = time.perf_counter()
-    tcfg = TranslationConfig(D=4, K=512.0, Q=2048, R=8.0, kappa=0.25, max_kernel=64)
+    structure = StructureConfig(K=512.0, Q=2048, R=8.0, kappa=0.25)
     unrestricted = translation_invariance_certify(
-        [gamma_truncated(2, 8.0)] * 8, "exact", tcfg, scenario="unrestricted"
+        [gamma_truncated(2, 8.0)] * 8,
+        "exact",
+        structure,
+        4,
+        max_kernel=64,
+        scenario="unrestricted",
     )
     kernels = [r for r in unrestricted.records if r.kind == "kernel"]
     assert len(kernels) == 24

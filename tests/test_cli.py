@@ -502,6 +502,37 @@ class TestExactRouteQWindow:
         ExperimentConfig(q=2, K=8.0, route="mollified")
 
 
+class TestKWindow:
+    """Both routes scan the product structure at threshold K/4, and a
+    heavy-frequency scan needs a threshold of at least 2, so K < 8 is a
+    config error before any stage runs.  The mollified route reads no q,
+    so there the q window did not catch it."""
+
+    SCENARIO = {"extract": "capped-norm", "tv-sweep": "parity", "verify-lemmas": "parity"}
+
+    @pytest.mark.parametrize("K", ["4", "7"])
+    @pytest.mark.parametrize("verb", ["extract", "tv-sweep", "verify-lemmas"])
+    def test_k_below_eight_exits_two(self, capsys, K, verb):
+        cfg = write_cfg(
+            f"kwin-{K}-{verb}.cfg",
+            f"n = 2\nM = 2\nsweep = 4\nQ = 8\nK = {K}\nroute = mollified\n"
+            f"scenario = {self.SCENARIO[verb]}\n",
+        )
+        out = suite_dir() / f"kwin-{K}-{verb}"
+        code = main([verb, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"K = {K} must be at least 8" in err
+        assert f"K/4 = {int(K) / 4:g}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["exact", "mollified"])
+    def test_window_holds_on_both_routes(self, route):
+        with pytest.raises(ConfigError, match="K = 7.99 must be at least 8"):
+            ExperimentConfig(K=7.99, route=route)
+
+
 class TestCertificationFailure:
     """A failed certification is one stderr line and exit 1, never a
     traceback."""

@@ -555,7 +555,7 @@ def test_monte_carlo_evaluation_kicks_in():
 def test_report_roundtrip_exact():
     sketch, decoder, report = parity_extraction()
     text = extraction_to_text(sketch, decoder, report)
-    assert text.startswith("sketch-report v1\n")
+    assert text.startswith("sketch-report v2\n")
     parsed, dec2 = extraction_from_text(text)
     assert parsed.route == sketch.route
     assert parsed.sigma == sketch.sigma
@@ -587,3 +587,6 @@ def test_report_rejects_bad_header():
         extraction_from_text("not a report\n")
     with pytest.raises(ValueError, match="version"):
         extraction_from_text("sketch-report v99\n")
+    # v1 reports carry `cfg refine`, which TransferConfig no longer has
+    with pytest.raises(ValueError, match="unsupported report version"):
+        extraction_from_text("sketch-report v1\nlabel parity\ncfg refine True\n")

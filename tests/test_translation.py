@@ -31,10 +31,9 @@ from sketchlab.measure import (
     translate,
 )
 from sketchlab import translation
-from sketchlab.spectrum import SketchLattice
+from sketchlab.spectrum import SketchLattice, StructureConfig
 from sketchlab.translation import (
     LineDecomposition,
-    TranslationConfig,
     ball_reduction_tv_bound,
     convolution_tail_center,
     line_decomposition,
@@ -44,7 +43,7 @@ from sketchlab.translation import (
     tv_distance,
 )
 
-SCENARIO = dict(K=512.0, Q=2048, q=3, R=8.0, kappa=0.25)
+STRUCTURE = StructureConfig(K=512.0, Q=2048, q=3, R=8.0, kappa=0.25)
 
 
 def line_profile(
@@ -115,25 +114,27 @@ ORIGIN = SketchLattice(
 
 @functools.cache
 def parity_report():
-    cfg = TranslationConfig(D=2, **SCENARIO)
     return translation_invariance_certify(
-        [parity_measure()] * 4, "exact", cfg, scenario="parity-4"
+        [parity_measure()] * 4, "exact", STRUCTURE, 2, scenario="parity-4"
     )
 
 
 @functools.cache
 def mod3_report():
-    cfg = TranslationConfig(D=3, **SCENARIO)
     return translation_invariance_certify(
-        [mod3_measure()] * 4, "exact", cfg, scenario="mod3-4"
+        [mod3_measure()] * 4, "exact", STRUCTURE, 3, scenario="mod3-4"
     )
 
 
 @functools.cache
 def gamma_report(R: float):
-    cfg = TranslationConfig(D=1, K=512.0, Q=2048, q=3, R=R, kappa=0.25, controls=0)
     return translation_invariance_certify(
-        [gamma_truncated(2, R)] * 8, "exact", cfg, scenario=f"gamma-R{R:g}"
+        [gamma_truncated(2, R)] * 8,
+        "exact",
+        dataclasses.replace(STRUCTURE, R=R),
+        1,
+        controls=0,
+        scenario=f"gamma-R{R:g}",
     )
 
 
@@ -860,17 +861,17 @@ def test_certify_empty_kernel_is_valid():
     both = restrict(
         gamma2(), lambda x: x[0] % 3 == 0 and x[1] % 3 == 0, renormalize=True
     )
-    cfg = TranslationConfig(D=2, **SCENARIO)
-    rep = translation_invariance_certify([both] * 4, "exact", cfg, scenario="mod3x3")
+    rep = translation_invariance_certify(
+        [both] * 4, "exact", STRUCTURE, 2, scenario="mod3x3"
+    )
     assert rep.kernel_empty
     assert math.isnan(rep.max_kernel_tv)
     assert all(r.kind == "control" for r in rep.records)
 
 
 def test_certify_mollified_gamma_kernel_everything():
-    cfg = TranslationConfig(D=1, controls=0, **SCENARIO)
     rep = translation_invariance_certify(
-        [gamma2()] * 2, "mollified", cfg, scenario="gamma-moll"
+        [gamma2()] * 2, "mollified", STRUCTURE, 1, controls=0, scenario="gamma-moll"
     )
     assert rep.structure_rank == 0
     assert not rep.kernel_empty
@@ -888,9 +889,9 @@ def slab_measure():
 
 @functools.cache
 def slab_report():
-    cfg = TranslationConfig(D=2, K=1e8, Q=2048, q=3, R=8.0, kappa=0.25)
+    cfg = dataclasses.replace(STRUCTURE, K=1e8)
     return translation_invariance_certify(
-        [slab_measure()] * 2, "mollified", cfg, scenario="slab"
+        [slab_measure()] * 2, "mollified", cfg, 2, scenario="slab"
     )
 
 
@@ -912,14 +913,14 @@ def test_certify_mollified_slab_controls_rejected():
 def test_certify_unknown_route():
     with pytest.raises(ValueError):
         translation_invariance_certify(
-            [gamma2()], "fancy", TranslationConfig(D=1, **SCENARIO)
+            [gamma2()], "fancy", STRUCTURE, 1
         )
 
 
 def test_certify_enumeration_cap():
     with pytest.raises(ValueError):
         translation_invariance_certify(
-            [gamma2()], "exact", TranslationConfig(D=13, **SCENARIO)
+            [gamma2()], "exact", STRUCTURE, 13
         )
 
 
