@@ -8,7 +8,9 @@ straight to the constructor, which sums repeated points in input order.
 
 Exact convolution is a shift-and-add whose per-cell summation order is
 that of scipy's direct path, so it returns the same bits and clips
-nothing; only the FFT convolutions clip dust into the deficit."""
+nothing; only the FFT convolutions clip dust into the deficit.  The scan
+polish carries its own array port of scipy's bounded Brent search, so
+the module needs numpy alone."""
 
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .dgauss import TruncationPolicy, auto_box, gamma_normalizer
 
@@ -44,6 +45,10 @@ __all__ = [
 
 # Numerical dust threshold for FFT convolutions; clipped mass goes to deficit.
 FFT_DUST = 1e-12
+
+# Complex cells per block of a (frequencies x support) product; bounds the
+# memory of fourier_many and of the polish's collapsed objectives.
+_BLOCK_CELLS = 8_000_000
 
 
 def _reduce_torus(arr: np.ndarray) -> np.ndarray:
@@ -234,7 +239,7 @@ def fourier_many(mu: SparseMeasure, zetas: np.ndarray) -> np.ndarray:
     """mu_hat evaluated at each row of zetas, chunked to bound memory."""
     zs = np.asarray(zetas, dtype=float)
     out = np.empty(zs.shape[0], dtype=complex)
-    step = max(1, 8_000_000 // max(1, mu.support_size))
+    step = max(1, _BLOCK_CELLS // max(1, mu.support_size))
     for i in range(0, zs.shape[0], step):
         phase = zs[i : i + step] @ mu.points.T
         out[i : i + step] = np.exp(-2j * math.pi * phase) @ mu.masses
@@ -376,24 +381,135 @@ class ScanReport:
         return [h.zeta for h in self.hits]
 
 
-def _polish(mu: SparseMeasure, start: np.ndarray, step: float) -> np.ndarray:
-    """Coordinate ascent on |mu_hat| within +-step of the seed."""
-    z = start.copy()
-    for _ in range(3):
-        for i in range(z.size):
-            def neg(c: float, i=i) -> float:
-                trial = z.copy()
-                trial[i] = c
-                return -abs(fourier_at(mu, trial))
-            res = optimize.minimize_scalar(
-                neg,
-                bounds=(z[i] - step, z[i] + step),
-                method="bounded",
-                options={"xatol": 1e-12},
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_brent(
+    fun: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizer and minimum of each row's objective on [lo, hi].
+
+    This is scipy's bounded Brent search (minimize_scalar with
+    method="bounded", xatol=1e-12 and the default maxiter=500) run on
+    all rows at once.  Each row takes the same golden-section and
+    parabolic steps with the same arithmetic, the same bracket and point
+    updates and the same stopping rule, so it returns the bits scipy
+    returns for that interval alone.  fun(rows, x) is the objective of
+    the listed rows at x; converged rows drop out, so fun sees only live
+    rows.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    xf = a + _GOLDEN * (b - a)
+    rows = np.arange(xf.size)
+    fx = fun(rows, xf)
+    x_out, f_out = np.empty_like(xf), np.empty_like(fx)
+    nfc, fnfc, fulc, ffulc = xf, fx, xf, fx
+    e = rat = np.zeros_like(xf)
+    xatol, maxiter = 1e-12, 500
+    # the first evaluation counts against maxiter
+    for step in range(maxiter):
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        xm = 0.5 * (a + b)
+        live = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
+        if not live.all():
+            done = rows[~live]
+            x_out[done], f_out[done] = xf[~live], fx[~live]
+            state = (rows, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, tol1, tol2, xm)
+            rows, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, tol1, tol2, xm = (
+                v[live] for v in state
             )
-            if -res.fun >= abs(fourier_at(mu, z)):
-                z[i] = float(res.x)
-    return z
+        if rows.size == 0 or step == maxiter - 1:
+            break
+        # the parabola through the three best points, where the step
+        # before last was long enough and the vertex is inside the bracket
+        parab = np.abs(e) > tol1
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        ok = (
+            parab
+            & (np.abs(p) < np.abs(0.5 * q * e))
+            & (p > q * (a - xf))
+            & (p < q * (b - xf))
+        )
+        e = np.where(parab, rat, e)
+        rat[ok] = (p[ok] + 0.0) / q[ok]
+        near = ok & ((xf + rat - a < tol2) | (b - (xf + rat) < tol2))
+        d = xm[near] - xf[near]
+        rat[near] = tol1[near] * (np.sign(d) + (d == 0))
+        # a golden-section step everywhere else
+        gold = ~ok
+        e[gold] = np.where(xf >= xm, a - xf, b - xf)[gold]
+        rat[gold] = _GOLDEN * e[gold]
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = fun(rows, x)
+        better = fu <= fx
+        right = x >= xf
+        a = np.where(better, np.where(right, xf, a), np.where(right, a, x))
+        b = np.where(better, np.where(right, b, xf), np.where(right, x, b))
+        second = ~better & ((fu <= fnfc) | (nfc == xf))
+        third = ~better & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        shift = better | second
+        fulc = np.where(shift, nfc, np.where(third, x, fulc))
+        ffulc = np.where(shift, fnfc, np.where(third, fu, ffulc))
+        nfc = np.where(better, xf, np.where(second, x, nfc))
+        fnfc = np.where(better, fx, np.where(second, fu, fnfc))
+        xf = np.where(better, x, xf)
+        fx = np.where(better, fu, fx)
+    x_out[rows] = xf
+    f_out[rows] = fx
+    return x_out, f_out
+
+
+def _polish(mu: SparseMeasure, starts: np.ndarray, step: float) -> np.ndarray:
+    """Coordinate ascent on |mu_hat| within +-step of each start row.
+
+    Three sweeps over the coordinates.  A coordinate pass collapses the
+    fixed coordinates once per row,
+    w_a = sum_{x: x_i = a} mu(x) exp(-2 pi i sum_{j != i} x_j z_j),
+    so mu_hat with z_i = c is the 1-d sum sum_a w_a exp(-2 pi i a c) over
+    the distinct values a of x_i.  _bounded_brent then maximizes it on
+    every row at once, and a coordinate moves only if the new |mu_hat| is
+    at least the current one.  Rows go in blocks of about _BLOCK_CELLS
+    collapsed support cells.
+    """
+    zs = np.array(starts, dtype=float)
+    # per coordinate: the support ordered by x_i, where each value of x_i
+    # starts in that order, and the values
+    passes = []
+    for i in range(mu.dimension):
+        order = np.argsort(mu.points[:, i], kind="stable")
+        col = mu.points[order, i]
+        first = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
+        rest = np.delete(mu.points[order], i, axis=1)
+        passes.append((rest, mu.masses[order], first, col[first]))
+    block = max(1, _BLOCK_CELLS // max(1, mu.support_size))
+    for lo in range(0, zs.shape[0], block):
+        z = zs[lo : lo + block]  # a view: moves land in zs
+        for _ in range(3):
+            for i, (rest, masses, first, values) in enumerate(passes):
+                phase = np.delete(z, i, axis=1) @ rest.T
+                w = np.add.reduceat(
+                    np.exp(-2j * math.pi * phase) * masses, first, axis=1
+                )
+
+                def neg(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+                    wave = np.exp(-2j * math.pi * np.multiply.outer(c, values))
+                    return -np.abs(np.einsum("ra,ra->r", w[rows], wave))
+
+                now = -neg(np.arange(z.shape[0]), z[:, i])
+                x, fx = _bounded_brent(neg, z[:, i] - step, z[:, i] + step)
+                move = -fx >= now
+                z[move, i] = x[move]
+    return zs
 
 
 def large_spectrum_scan(
@@ -404,6 +520,10 @@ def large_spectrum_scan(
 ) -> ScanReport:
     """All grid frequencies with |mu_hat| >= 1 - 1/K, optionally polished
     by local coordinate ascent.
+
+    With refine, every hit is polished at once by _polish (a bounded
+    Brent search on arrays over hits, on the collapsed 1-d objective),
+    and the polished magnitudes are read in one fourier_many call.
 
     The report carries the Lipschitz constant 2 pi E||x||_2 and the
     non-omission margin: any frequency with magnitude above threshold +
@@ -417,16 +537,17 @@ def large_spectrum_scan(
     # fftn phase matches the transform convention, so F[k] = mu_hat(k/side)
     mag = np.abs(np.fft.fftn(grid))
     threshold = 1.0 - 1.0 / K
-    hits: list[ScanHit] = []
-    for raw in np.argwhere(mag >= threshold):
-        k = tuple(int(c) for c in raw)
-        grid_zeta = TorusPoint.of(np.asarray(k, dtype=float) / side)
-        gm = float(mag[k])
-        if refine:
-            z = _polish(mu, grid_zeta.array, 0.5 / side)
-            hits.append(ScanHit(k, TorusPoint.of(z), abs(fourier_at(mu, z)), gm))
-        else:
-            hits.append(ScanHit(k, grid_zeta, gm, gm))
+    index = np.argwhere(mag >= threshold)
+    grid_mag = mag[tuple(index.T)]
+    zetas = _reduce_torus(index / side)
+    mags = grid_mag
+    if refine:
+        zetas = _polish(mu, zetas, 0.5 / side)
+        mags = np.abs(fourier_many(mu, zetas))
+    hits = [
+        ScanHit(tuple(k), TorusPoint.of(z), m, g)
+        for k, z, m, g in zip(index.tolist(), zetas, mags.tolist(), grid_mag.tolist())
+    ]
     hits.sort(key=lambda h: (-h.magnitude, h.grid_index))
     lip = 2.0 * math.pi * expected_norm(mu)
     margin = lip * math.sqrt(n) / (2.0 * side)

@@ -1,6 +1,7 @@
-"""Test measures from point -> mass tables, and the dict constructor that
-SparseMeasure had before sorted arrays became its only store, kept as the
-oracle the array constructor must match bit for bit."""
+"""Test measures from point -> mass tables, and two oracles: the dict
+constructor that SparseMeasure had before sorted arrays became its only
+store, which the array constructor must match bit for bit, and the
+per-hit scalar scan polish that the array polish replaced."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import optimize
 
-from sketchlab.measure import SparseMeasure
+from sketchlab.measure import SparseMeasure, fourier_at
 
 Atoms = Mapping[tuple[int, ...], float] | Iterable[tuple[Sequence[int], float]]
 
@@ -47,3 +49,24 @@ def dict_canonical(
     points = np.asarray(order, dtype=np.int64).reshape(len(order), dimension)
     masses = np.asarray([clean[p] for p in order], dtype=float)
     return points, masses, float(deficit)
+
+
+def scalar_polish(mu: SparseMeasure, start: np.ndarray, step: float) -> np.ndarray:
+    """Coordinate ascent on |mu_hat| within +-step of the seed: one scipy
+    bounded Brent search per coordinate, each step a full fourier_at."""
+    z = start.copy()
+    for _ in range(3):
+        for i in range(z.size):
+            def neg(c: float, i=i) -> float:
+                trial = z.copy()
+                trial[i] = c
+                return -abs(fourier_at(mu, trial))
+            res = optimize.minimize_scalar(
+                neg,
+                bounds=(z[i] - step, z[i] + step),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            if -res.fun >= abs(fourier_at(mu, z)):
+                z[i] = float(res.x)
+    return z

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import signal
+from scipy import optimize, signal
 
 import sketchlab
-from measure_oracle import dict_canonical, from_atoms
+from measure_oracle import dict_canonical, from_atoms, scalar_polish
 from sketchlab import dgauss, measure
 
 
@@ -288,7 +288,11 @@ class TestConvolveOracle:
     def test_cli_import_leaves_scipy_signal_out(self):
         src = str(Path(sketchlab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        probe = "import sys, sketchlab.cli; print('scipy.signal' in sys.modules)"
+        # no scipy module at all: the scan polish runs its own Brent search
+        probe = (
+            "import sys, sketchlab.cli; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        )
         out = subprocess.run(
             [sys.executable, "-c", probe],
             env={**os.environ, "PYTHONPATH": path},
@@ -406,6 +410,93 @@ class TestLargeSpectrumScan:
         rep = measure.large_spectrum_scan(ev, 8.0, 7)
         ones = [h for h in rep.hits if h.magnitude >= 1.0 - 1e-12]
         assert [h.grid_index for h in ones[:2]] == [(0, 0), (64, 64)]
+
+
+class TestBoundedBrent:
+    """_bounded_brent against scipy's bounded search, interval by interval."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-3.0, 3.0),  # lower bound
+                st.floats(-3.0, 0.5),  # log10 of the width
+                st.floats(-40.0, 40.0),  # frequency
+                st.floats(-math.pi, math.pi),  # phase
+                st.floats(-5.0, 5.0),  # curvature
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_scipy(self, rows):
+        lo, logw, a, b, c = (np.array(col) for col in zip(*rows))
+        hi = lo + 10.0**logw
+
+        def fun(idx, x):
+            return np.cos(a[idx] * x + b[idx]) + c[idx] * x * x
+
+        xs, fs = measure._bounded_brent(fun, lo, hi)
+        for k in range(len(rows)):
+            res = optimize.minimize_scalar(
+                lambda x: np.cos(a[k] * x + b[k]) + c[k] * x * x,
+                bounds=(lo[k], hi[k]),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            assert (xs[k], fs[k]) == (res.x, res.fun)
+
+    def test_objective_sees_only_live_rows(self):
+        # the two rows take different numbers of steps
+        seen = []
+
+        def fun(idx, x):
+            seen.append(idx.copy())
+            return (x - 0.3) ** 2
+
+        measure._bounded_brent(fun, np.array([0.0, 0.0]), np.array([1e-3, 1.0]))
+        assert seen[0].tolist() == [0, 1]
+        assert len(seen[-1]) == 1
+
+
+class TestPolish:
+    """The array polish against the per-hit scalar polish it replaced."""
+
+    @given(
+        small_measures(1) | small_measures(2) | small_measures(3),
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 6),
+        st.floats(2.0, 64.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_scalar_oracle(self, mu, seed, exponent, K):
+        # Starts are drawn off the grid: at a grid point where |mu_hat| is
+        # symmetric along a coordinate (1/4 for support {0, 2}) both
+        # directions are equally good and roundoff picks one.
+        side = 2**exponent
+        starts = np.random.default_rng(seed).uniform(-0.5, 0.5, (6, mu.dimension))
+        got = measure._polish(mu, starts, 0.5 / side)
+        # |mu_hat| does not depend on a coordinate that takes one value on
+        # the support, so any point of its interval is a maximizer there
+        varies = np.ptp(mu.points, axis=0) > 0
+        # Three sweeps stop short of a stationary point, so the ~1e-8 by
+        # which two differently rounded Brent searches stop apart moves
+        # |mu_hat| at first order: 1.3e-7 at worst over 14 400 random rows.
+        for start, z in zip(starts, got):
+            want = scalar_polish(mu, start, 0.5 / side)
+            assert np.abs(z - want)[varies].max(initial=0.0) <= 1e-6
+            assert abs(
+                abs(measure.fourier_at(mu, z)) - abs(measure.fourier_at(mu, want))
+            ) <= 1e-6
+        rep = measure.large_spectrum_scan(mu, K, 5, refine=True)
+        assert all(h.magnitude >= h.grid_magnitude - 1e-12 for h in rep.hits)
+
+    def test_blocks_give_the_same_rows(self, monkeypatch):
+        g = measure.translate(measure.gamma_truncated(2, 3.0), [1, -2])
+        starts = measure._reduce_torus(np.arange(14).reshape(7, 2) / 16.0)
+        whole = measure._polish(g, starts, 1.0 / 32)
+        monkeypatch.setattr(measure, "_BLOCK_CELLS", 2 * g.support_size)
+        assert np.array_equal(measure._polish(g, starts, 1.0 / 32), whole)
 
 
 class TestSymmetrize:
