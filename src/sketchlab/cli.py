@@ -869,11 +869,13 @@ def cmd_extract(cfg: ExperimentConfig, out_dir: Path) -> int:
         if rec.kind == "kernel" and not rec.passed
     ]
     for rec in failed:
-        print(
-            f"FAILED kernel shift {_cell(rec.vector)}: tv {rec.tv:.6g} "
-            f"above bound {rec.bound:.6g}",
-            file=sys.stderr,
+        cause = (
+            f"spectral precondition failed with {rec.violations} violation(s); "
+            f"tv {rec.tv:.6g}, bound {rec.bound:.6g}"
+            if rec.violations
+            else f"tv {rec.tv:.6g} above bound {rec.bound:.6g}"
         )
+        print(f"FAILED kernel shift {_cell(rec.vector)}: {cause}", file=sys.stderr)
     return 1 if failed else 0
 
 

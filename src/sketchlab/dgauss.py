@@ -27,6 +27,7 @@ __all__ = [
     "gamma_pmf",
     "gamma_tail_bound",
     "sample_truncated",
+    "sample_truncated_many",
     "PoissonCheck",
     "poisson_identity_check",
     "DominationCheck",
@@ -204,6 +205,29 @@ def gamma_pmf(radius: float, x: Sequence[int]) -> float:
     )
 
 
+def _inverse_cdf(
+    radius: float, policy: TruncationPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D support of the truncated sampler and its normalized CDF."""
+    if policy.radius < radius:
+        raise ValueError("truncation radius below R: ball too small")
+    w = math.ceil(policy.radius)
+    support = np.arange(-w, w + 1)
+    weights = np.exp(-math.pi * support.astype(float) ** 2 / (radius * radius))
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return support, cdf
+
+
+def _candidates(
+    support: np.ndarray, cdf: np.ndarray, uniforms: np.ndarray, r2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF rows for uniforms of shape (..., n), and which of them
+    fall inside the ball of squared radius r2."""
+    cand = support[np.searchsorted(cdf, uniforms, side="right")]
+    return cand, np.einsum("...j,...j->...", cand, cand) <= r2
+
+
 def sample_truncated(
     radius: float,
     policy: TruncationPolicy,
@@ -216,14 +240,8 @@ def sample_truncated(
     rejection on the Euclidean ball. The accepted sequence is a pure
     function of the seed, so prefixes agree across different counts.
     """
-    if policy.radius < radius:
-        raise ValueError("truncation radius below R: ball too small")
+    support, cdf = _inverse_cdf(radius, policy)
     n = policy.dimension
-    w = math.ceil(policy.radius)
-    support = np.arange(-w, w + 1)
-    weights = np.exp(-math.pi * support.astype(float) ** 2 / (radius * radius))
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     want = 1 if count is None else int(count)
     rows: list[np.ndarray] = []
@@ -232,9 +250,8 @@ def sample_truncated(
     r2 = policy.radius * policy.radius
     while have < want:
         batch = 1024
-        idx = np.searchsorted(cdf, rng.random((batch, n)), side="right")
-        cand = support[idx]
-        keep = cand[np.einsum("ij,ij->i", cand, cand) <= r2]
+        cand, inside = _candidates(support, cdf, rng.random((batch, n)), r2)
+        keep = cand[inside]
         drawn += batch
         if keep.size:
             rows.append(keep)
@@ -243,6 +260,32 @@ def sample_truncated(
             raise ValueError("acceptance probability below 1e-6: ball too small")
     out = np.concatenate(rows, axis=0)[:want]
     return out[0] if count is None else out
+
+
+def sample_truncated_many(
+    radius: float,
+    policy: TruncationPolicy,
+    seeds: Sequence[int],
+    count: int,
+) -> np.ndarray:
+    """`sample_truncated(radius, policy, s, count=count)` for every seed s,
+    stacked into shape (len(seeds), count, n).
+
+    Each seed's generator gives its first `count` rows, and all of them
+    go through one inverse-CDF lookup and one ball test.  A seed with a
+    rejected row is redrawn by `sample_truncated`, which continues that
+    seed's stream past the rejection, so every slice equals the
+    single-seed draw bit for bit.
+    """
+    support, cdf = _inverse_cdf(radius, policy)
+    n = policy.dimension
+    uniforms = np.empty((len(seeds), count, n))
+    for k, seed in enumerate(seeds):
+        uniforms[k] = np.random.default_rng(seed).random((count, n))
+    out, inside = _candidates(support, cdf, uniforms, policy.radius * policy.radius)
+    for k in np.flatnonzero(~inside.all(axis=1)).tolist():
+        out[k] = sample_truncated(radius, policy, seeds[k], count=count)
+    return out
 
 
 @dataclass(frozen=True)

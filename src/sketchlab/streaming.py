@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dgauss import TruncationPolicy, sample_truncated
+from .dgauss import TruncationPolicy, sample_truncated, sample_truncated_many
 from .measure import SparseMeasure, density_certificate, gamma_truncated
 
 __all__ = [
@@ -138,9 +138,13 @@ def fold_deltas(
     """End states of the canonical blocks of every row of `deltas`.
 
     Row k ends where `fold_block(alg, block_index, state, deltas[k])`
-    does; `state` is one start state or one per row.  All rows advance
-    together in the canonical order, and each distinct (state, update)
-    reached is sent through `alg.step` once and kept in `memo`, keyed
+    does; `state` is one start state or one per row.  Coordinates are
+    folded in ascending order.  For each (coordinate, sign) the distinct
+    start states are walked once along their orbit under that unit
+    update, up to the longest run any row needs or the first repeated
+    state, and every row reads its end state off its start's orbit or
+    cycle.  Each distinct (state, update) reached is sent through
+    `alg.step` once and kept in `memo`, keyed
     `(None if alg.uniform else block_index, state, coordinate, sign)`,
     so the caller decides how long the transition table lives.
     """
@@ -156,16 +160,39 @@ def fold_deltas(
         return nxt
 
     for i in range(d.shape[1]):
-        steps = np.abs(d[:, i])
         for sign in (1, -1):
-            moving = d[:, i] * sign > 0
-            for t in range(1, int(steps.max(initial=0)) + 1):
-                rows = np.flatnonzero(moving & (steps >= t))
-                if not rows.size:
-                    break
-                seen, where = np.unique(states[rows], return_inverse=True)
-                nxt = [step(s, i, sign) for s in seen.tolist()]
-                states[rows] = np.asarray(nxt, dtype=np.int64)[where]
+            rows = np.flatnonzero(d[:, i] * sign > 0)
+            if not rows.size:
+                continue
+            runs = np.abs(d[rows, i])
+            starts, where = np.unique(states[rows], return_inverse=True)
+            longest = np.zeros(starts.size, dtype=np.int64)
+            np.maximum.at(longest, where, runs)
+            # orbits laid end to end; a walk that closes a cycle records
+            # the orbit index the cycle re-enters at
+            flat: list[int] = []
+            offset, length, entry = [], [], []
+            for s, t in zip(starts.tolist(), longest.tolist()):
+                orbit, index, cycle = [s], {s: 0}, 0
+                for _ in range(t):
+                    nxt = step(orbit[-1], i, sign)
+                    if nxt in index:
+                        cycle = index[nxt]
+                        break
+                    index[nxt] = len(orbit)
+                    orbit.append(nxt)
+                offset.append(len(flat))
+                length.append(len(orbit))
+                entry.append(cycle)
+                flat.extend(orbit)
+            size = np.asarray(length, dtype=np.int64)[where]
+            enter = np.asarray(entry, dtype=np.int64)[where]
+            # a walk that stopped without a repeat covers every run of its rows
+            pos = np.where(
+                runs < size, runs, enter + (runs - enter) % (size - enter)
+            )
+            base = np.asarray(offset, dtype=np.int64)[where]
+            states[rows] = np.asarray(flat, dtype=np.int64)[base + pos]
     return states
 
 
@@ -271,9 +298,13 @@ def _subseeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2**63, size=count)]
 
 
-def _draw_target(mu: SparseMeasure, seed: int) -> tuple[int, ...]:
+def _check_target(mu: SparseMeasure) -> None:
     if mu.deficit > 1e-9:
         raise ValueError("target distribution must carry no deficit")
+
+
+def _draw_target(mu: SparseMeasure, seed: int) -> tuple[int, ...]:
+    _check_target(mu)
     rng = np.random.default_rng(seed)
     idx = rng.choice(mu.masses.size, p=mu.masses / mu.total_mass)
     return tuple(int(c) for c in mu.points[idx])
@@ -312,6 +343,16 @@ def exact_stream_sample(
     deltas = [tuple(int(c) for c in row) for row in xs]
     deltas.append(tuple(int(c) for c in closing))
     return StreamSample(y, tuple(deltas))
+
+
+def _prefix_blocks(
+    radius: float, blocks: int, policy: TruncationPolicy, seeds: Sequence[int]
+) -> np.ndarray:
+    """`exact_stream_sample(target, radius, blocks, policy, s).deltas[:blocks]`
+    for every seed s, shape (len(seeds), blocks, n), in one batched draw
+    and without the closing targets."""
+    sx = [_subseeds(int(s), 3)[0] for s in seeds]
+    return sample_truncated_many(radius, policy, sx, blocks)
 
 
 # -- conditioning on boundary states ---------------------------------------------
@@ -370,11 +411,12 @@ class StateSequence:
 
 
 class _FoldTable:
-    """Memoized partition of the block-delta support by next state.
+    """Memoized partition of the block-delta support by next state, and
+    the posterior law of each transition.
 
     The support points are folded through `fold_deltas` with the table's
-    own transition memo; uniform algorithms share partitions across
-    block indices.
+    own transition memo; uniform algorithms share partitions and laws
+    across block indices.  A table certifies its laws at one radius.
     """
 
     def __init__(self, alg: TurnstileAlgorithm, support: SparseMeasure) -> None:
@@ -382,6 +424,7 @@ class _FoldTable:
         self.support = support
         self.memo: dict = {}
         self.cache: dict[tuple[int | None, int], np.ndarray] = {}
+        self.laws: dict[tuple[int | None, int, int], tuple[SparseMeasure, float]] = {}
 
     def next_states(self, block_index: int, state: int) -> np.ndarray:
         key = (None if self.alg.uniform else block_index, state)
@@ -393,21 +436,22 @@ class _FoldTable:
             self.cache[key] = hit
         return hit
 
-
-def _conditional_blocks(
-    table: _FoldTable, states: Sequence[int], radius: float
-) -> tuple[list[SparseMeasure], list[float]]:
-    """Per-block restricted laws and their masses along a state path."""
-    support = table.support
-    laws: list[SparseMeasure] = []
-    densities: list[float] = []
-    for i in range(1, len(states)):
-        nxt = table.next_states(i - 1, states[i - 1])
-        mask = nxt == states[i]
+    def law(
+        self, block_index: int, state: int, nxt: int, radius: float
+    ) -> tuple[SparseMeasure, float]:
+        """The renormalized restriction of the support to the deltas moving
+        `state` to `nxt` in this block, and the mass it kept; built and
+        certified once per distinct transition."""
+        key = (None if self.alg.uniform else block_index, state, nxt)
+        hit = self.laws.get(key)
+        if hit is not None:
+            return hit
+        support = self.support
+        mask = self.next_states(block_index, state) == nxt
         if not mask.any():
             raise ImpossibleSequence(
-                f"no block delta moves state {states[i - 1]} to "
-                f"{states[i]} in block {i - 1}"
+                f"no block delta moves state {state} to {nxt} in block "
+                f"{block_index}"
             )
         beta = math.fsum(support.masses[mask])
         law = SparseMeasure(
@@ -417,12 +461,22 @@ def _conditional_blocks(
         if cert.alpha < beta * (1.0 - 1e-6):
             raise RuntimeError(
                 "posterior density certificate fell below its block mass in "
-                f"block {i - 1} (state {states[i - 1]} -> {states[i]}): alpha "
+                f"block {block_index} (state {state} -> {nxt}): alpha "
                 f"{cert.alpha!r} < block mass {beta!r} times (1 - 1e-6)"
             )
-        laws.append(law)
-        densities.append(beta)
-    return laws, densities
+        hit = self.laws[key] = (law, beta)
+        return hit
+
+
+def _conditional_blocks(
+    table: _FoldTable, states: Sequence[int], radius: float
+) -> tuple[list[SparseMeasure], list[float]]:
+    """Per-block restricted laws and their masses along a state path."""
+    blocks = [
+        table.law(i - 1, states[i - 1], states[i], radius)
+        for i in range(1, len(states))
+    ]
+    return [law for law, _ in blocks], [beta for _, beta in blocks]
 
 
 def _check_states(
@@ -517,7 +571,10 @@ def select_state_sequence(
 ) -> StateSequence:
     """Pick the observed boundary-state sequence with the best success.
 
-    Streams are sampled and grouped by their states at block boundaries.
+    The census draws the prefix blocks of `samples` exact streams in one
+    batched draw (each stream keeps its own seed, so the draws equal
+    `exact_stream_sample`'s), folds them block by block, and groups them
+    by their states at block boundaries.
     Sequences whose empirical share falls below `threshold` are dropped;
     the default is half of 2^-blocks, the share each sequence would keep
     if every block branched two ways, so algorithms that branch more
@@ -525,7 +582,9 @@ def select_state_sequence(
     estimated from `landings` resampled closing blocks per target point,
     reseeded per candidate from its own states so the aggregation is
     order independent.  The best estimate wins; exact ties go to the
-    lexicographically smallest states.
+    lexicographically smallest states.  Survivors share one fold table,
+    so each distinct transition's posterior law is built and certified
+    once, however many survivors pass through it.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -537,15 +596,11 @@ def select_state_sequence(
     pol = _resolve_policy(alg.dimension, radius, policy)
     for y in map(tuple, target.points.tolist()):
         problem.ensure_satisfiable(y)
+    _check_target(target)
     seed_rng = np.random.default_rng(seed)
-    stream_seeds = seed_rng.integers(0, 2**63, size=samples)
-    prefixes = np.array(
-        [
-            exact_stream_sample(target, radius, blocks, pol, int(s)).deltas[:blocks]
-            for s in stream_seeds
-        ],
-        dtype=np.int64,
-    ).reshape(samples, blocks, alg.dimension)
+    prefixes = _prefix_blocks(
+        radius, blocks, pol, seed_rng.integers(0, 2**63, size=samples)
+    )
     paths = np.empty((samples, blocks + 1), dtype=np.int64)
     paths[:, 0] = alg.initial_state
     memo: dict = {}

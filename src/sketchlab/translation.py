@@ -206,7 +206,8 @@ def line_decomposition(
     lengths = ell[end - 1] - lo + 1
     # column of each atom in its line's row, which has a zero on each side
     col = ell - lo[line] + 1
-    N_of = {L: _fft_length(L) for L in np.unique(lengths).tolist()}
+    # a set, not np.unique: a bare np.unique imports numpy.ma
+    N_of = {L: _fft_length(L) for L in set(lengths.tolist())}
     fft_len = np.array([N_of[L] for L in lengths.tolist()], dtype=np.int64)
     count = first.size
     r0 = np.empty(count)

@@ -205,7 +205,7 @@ def test_c08_ball_reduction_tv():
     parity_kernels = [r for r in report.translation.records if r.kind == "kernel"]
     assert parity_kernels
     assert all(r.tv <= r.bound + 1e-9 for r in parity_kernels)
-    budget(20.0, start)
+    budget(10.0, start)
 
 
 def test_c09_parity_extraction():
@@ -219,7 +219,7 @@ def test_c09_parity_extraction():
         assert min(abs(float(coord) - 0.5), abs(float(coord) + 0.5)) <= 1.0 / 2048
     assert result.method == "exact"
     assert result.success == 1.0
-    budget(20.0, start)
+    budget(10.0, start)
 
 
 def test_c10_mod3_extraction():
@@ -233,7 +233,7 @@ def test_c10_mod3_extraction():
         dist = abs(float(coord) - float(want))
         assert min(dist, 1.0 - dist) <= 1.0 / 2048
     assert result.success == 1.0
-    budget(10.0, start)
+    budget(5.0, start)
 
 
 def test_c11_constant_dimension_and_sweep(tmp_path):

@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -567,6 +568,51 @@ class TestCertificationFailure:
             "lattice rank 3 exceeds 14 S = 2.000"
         ]
         assert not out.exists()
+
+
+class TestKernelFailureCause:
+    """A failed kernel record names its cause on one stderr line: the
+    spectral precondition when it reported violations, else the tv above
+    its bound.  The report is doctored, so no failing run is needed."""
+
+    @pytest.mark.parametrize(
+        "violations, line",
+        [
+            (
+                2,
+                "FAILED kernel shift (3,0): spectral precondition failed with "
+                "2 violation(s); tv 1, bound 404.008",
+            ),
+            (0, "FAILED kernel shift (3,0): tv 1 above bound 404.008"),
+        ],
+    )
+    def test_extract_names_the_failed_check(
+        self, capsys, monkeypatch, violations, line
+    ):
+        real = cli.extract_sketch
+
+        def failing(*args, **kwargs):
+            sketch, decoder, report = real(*args, **kwargs)
+            rec = replace(
+                report.translation.records[0],
+                kind="kernel",
+                vector=(3, 0),
+                tv=1.0,
+                bound=404.008,
+                violations=violations,
+                passed=False,
+            )
+            translation = replace(report.translation, records=(rec,))
+            return sketch, decoder, replace(report, translation=translation)
+
+        monkeypatch.setattr(cli, "extract_sketch", failing)
+        cfg = write_cfg(
+            "parity-fail.cfg", "n = 2\nR = 8.0\nM = 2\nseed = 11\nscenario = parity\n"
+        )
+        out = suite_dir() / f"parity-fail-{violations}"
+        code = main(["extract", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [line]
 
 
 class TestTvSweep:

@@ -48,6 +48,12 @@ TEST_ONLY = {
     "streaming.ProblemSpec.promise(delta)": (
         "a promise with a failure budget, which verify_smoothness reads"
     ),
+    "streaming.exact_stream_sample(policy)": (
+        "the per-seed stream model the batched selection census must match"
+    ),
+    "streaming.exact_stream_sample(seed)": (
+        "the per-seed stream model the batched selection census must match"
+    ),
     "streaming.constant_algorithm(value)": (
         "a constant answer other than 0, for the decoder and census tests"
     ),

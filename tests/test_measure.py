@@ -302,6 +302,26 @@ class TestConvolveOracle:
         )
         assert out.stdout.strip() == "False"
 
+    def test_line_decomposition_leaves_numpy_ma_out(self):
+        # a bare np.unique imports numpy.ma (about 70 ms) on first use
+        src = str(Path(sketchlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = (
+            "import sys, sketchlab.cli\n"
+            "from sketchlab.measure import gamma_truncated\n"
+            "from sketchlab.translation import line_decomposition\n"
+            "line_decomposition(gamma_truncated(2, 4.0), (1, 1), split=0.25)\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestConvolvePowerFFT:
     """k-fold self-convolution through convolve_many_fft([g] * k)."""

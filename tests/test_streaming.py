@@ -37,7 +37,13 @@ from sketchlab.streaming import (
     resample_convolution,
     select_state_sequence,
 )
-from sketchlab.streaming import _conditional_blocks, _FoldTable, _success_estimate
+from sketchlab import dgauss, streaming
+from sketchlab.streaming import (
+    _conditional_blocks,
+    _FoldTable,
+    _prefix_blocks,
+    _success_estimate,
+)
 
 TARGET4 = SparseMeasure.uniform([(0, 0), (1, 0), (1, 1), (2, 1)])
 
@@ -540,6 +546,80 @@ def test_selection_census_matches_per_update_loop(alg):
     assert len(census) > 1
     ranked = sorted(census.items(), key=lambda kv: (-kv[1], kv[0]))
     assert err.value.census == tuple(ranked)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("blocks", [0, 1, 2, 3])
+@pytest.mark.parametrize("tight", [False, True])
+def test_batched_census_matches_exact_stream_sample(monkeypatch, n, blocks, tight):
+    # a ball of radius R = 2.9 rejects every row with a coordinate of 3,
+    # so some seeds fall back to the single-seed sampler
+    radius = 2.9
+    pol = (
+        TruncationPolicy(n, 1e-3, radius)
+        if tight
+        else TruncationPolicy.for_gaussian(n, radius)
+    )
+    fallbacks = []
+    single = dgauss.sample_truncated
+
+    def counted(*args, **kwargs):
+        fallbacks.append(args[2])
+        return single(*args, **kwargs)
+
+    monkeypatch.setattr(dgauss, "sample_truncated", counted)
+    target = SparseMeasure.uniform([(0,) * n, (1,) + (0,) * (n - 1)])
+    seeds = np.random.default_rng(n * 10 + blocks).integers(0, 2**63, size=256)
+    got = _prefix_blocks(radius, blocks, pol, seeds)
+    assert got.shape == (256, blocks, n)
+    for s, rows in zip(seeds.tolist(), got):
+        want = exact_stream_sample(target, radius, blocks, pol, s).deltas[:blocks]
+        assert rows.tolist() == [list(d) for d in want]
+    if tight and blocks:
+        assert fallbacks
+    if not tight:
+        assert not fallbacks
+
+
+@pytest.mark.parametrize(
+    "alg, blocks",
+    [(parity_algorithm(2), 3), (alternating_algorithm(2, horizon=4), 3)],
+)
+def test_selection_certifies_each_distinct_transition_once(monkeypatch, alg, blocks):
+    certified = []
+    real_certificate = streaming.density_certificate
+
+    def spy_certificate(law, radius):
+        certified.append(law)
+        return real_certificate(law, radius)
+
+    tables, paths = [], []
+    real_blocks = streaming._conditional_blocks
+
+    def spy_blocks(table, states, radius):
+        tables.append(table)
+        paths.append(tuple(states))
+        return real_blocks(table, states, radius)
+
+    monkeypatch.setattr(streaming, "density_certificate", spy_certificate)
+    monkeypatch.setattr(streaming, "_conditional_blocks", spy_blocks)
+    select_state_sequence(
+        alg, TARGET4, ProblemSpec.relation_problem(lambda y, o: True, (0,)),
+        4.0, blocks, samples=256, seed=7, threshold=1.0 / 256,
+    )
+    assert len(set(map(id, tables))) == 1 and len(paths) > 1
+    keys = {
+        (None if alg.uniform else i - 1, st[i - 1], st[i])
+        for st in paths
+        for i in range(1, len(st))
+    }
+    assert set(tables[0].laws) == keys
+    assert len(certified) == len(keys)
+    if alg.uniform:
+        # survivors outnumber the distinct transitions they share
+        assert sum(len(st) - 1 for st in paths) > len(keys)
+    else:
+        assert {k[0] for k in keys} == set(range(blocks))
 
 
 # -- state sequences ----------------------------------------------------------
