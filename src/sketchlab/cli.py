@@ -34,7 +34,7 @@ from .dgauss import (
 )
 from .measure import (
     SparseMeasure,
-    TorusPoint,
+    _covering_exponent,
     density_certificate,
     fourier_many,
     gamma_truncated,
@@ -42,6 +42,7 @@ from .measure import (
 )
 from .spectrum import (
     GRID_EXPONENT,
+    SmallBallCheck,
     StructureConfig,
     coarse_rudin_check,
     greedy_dissociated_subset,
@@ -601,8 +602,7 @@ def _rudin_rows(cfg: ExperimentConfig) -> list[tuple]:
     # two fixed frequencies at coordinate distance 0.3 stay dissociated for
     # every kappa at or below 0.3
     kappa = min(cfg.kappa if cfg.kappa is not None else 0.25, 0.3)
-    raw = ((0.3, 0.0), (0.0, 0.3)) if cfg.n >= 2 else ((0.3,),)
-    T = tuple(TorusPoint.of(t) for t in raw)
+    T = np.array([[0.3, 0.0], [0.0, 0.3]] if cfg.n >= 2 else [[0.3]])
     nu = gamma_truncated(min(cfg.n, 2), cfg.R)
     eta = math.exp(-cfg.R * cfg.R * kappa * kappa / 5.0) + DECAY_SLACK
     rng = np.random.default_rng(cfg.seed + 1)
@@ -638,9 +638,9 @@ def _dissociated_rows(cfg: ExperimentConfig) -> list[tuple]:
         mu = SparseMeasure(n, base.points[mask], base.masses[mask] / total)
         cert = density_certificate(mu, cfg.R)
         kappa = 5.0 * math.sqrt(cert.S) / cfg.R
-        scan = large_spectrum_scan(mu, cfg.K, GRID_EXPONENT)
+        scan = large_spectrum_scan(mu, cfg.K, _covering_exponent([mu], GRID_EXPONENT))
         cap = int(14.0 * cert.S) + 8
-        kept = greedy_dissociated_subset(scan.frequencies(), kappa, cap=cap)
+        kept = greedy_dissociated_subset(scan.zetas, kappa, cap=cap)
         lhs = float(len(kept))
         rhs = 14.0 * cert.S
         rows.append(
@@ -675,10 +675,22 @@ def _smallball_instances(
     return out
 
 
-def _smallball_rows(cfg: ExperimentConfig, trials: int) -> list[tuple]:
-    rows = []
-    exact = small_ball_exact_1d(0.05, cfg.R, 0.02, 0.0)
-    rows.append(
+def _exact_small_ball(cfg: ExperimentConfig) -> SmallBallCheck:
+    """The exact 1-d small-ball row (a = 0.05, u = 0.02, b = 0).  Verbs
+    compute it before any other stage, so an R outside its parameter
+    window ends the run as a usage error."""
+    try:
+        return small_ball_exact_1d(0.05, cfg.R, 0.02, 0.0)
+    except ValueError as exc:
+        raise UsageError(
+            f"the exact small-ball row a=0.05 u=0.02 is rejected at R={cfg.R:g}: {exc}"
+        )
+
+
+def _smallball_rows(
+    cfg: ExperimentConfig, exact: SmallBallCheck, trials: int
+) -> list[tuple]:
+    rows = [
         (
             "small-ball",
             f"exact a=0.05 u=0.02 R={cfg.R:g}",
@@ -687,7 +699,7 @@ def _smallball_rows(cfg: ExperimentConfig, trials: int) -> list[tuple]:
             exact.bound - exact.probability,
             exact.passed,
         )
-    )
+    ]
     for name, A, u, b in _smallball_instances(cfg)[:2]:
         chk = small_ball_check(A, cfg.R, u, b, trials, seed=cfg.seed + 4)
         rows.append(
@@ -705,8 +717,9 @@ def _smallball_rows(cfg: ExperimentConfig, trials: int) -> list[tuple]:
 
 def _parseval_rows(cfg: ExperimentConfig) -> list[tuple]:
     rows = []
-    nu = gamma_truncated(min(cfg.n, 2), cfg.R)
-    for v in ((1, 0), (1, 1), (1, -1)):
+    n = min(cfg.n, 2)
+    nu = gamma_truncated(n, cfg.R)
+    for v in ((1, 0), (1, 1), (1, -1)) if n == 2 else ((1,), (2,)):
         dec = line_decomposition(nu, v)
         direct = dec.total_energy
         quad = math.fsum(dec.quadrature_energies)
@@ -794,13 +807,14 @@ def _check_kernel_radius(cfg: ExperimentConfig, verb: str) -> None:
 
 def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path) -> int:
     _check_kernel_radius(cfg, "verify-lemmas")
+    exact = _exact_small_ball(cfg)
     rows: list[tuple] = []
     rows.extend(_decay_rows(cfg))
     rows.extend(_poisson_rows(cfg))
     rows.extend(_domination_rows(cfg))
     rows.extend(_rudin_rows(cfg))
     rows.extend(_dissociated_rows(cfg))
-    rows.extend(_smallball_rows(cfg, trials=50_000))
+    rows.extend(_smallball_rows(cfg, exact, trials=50_000))
     rows.extend(_parseval_rows(cfg))
     try:
         rows.extend(_invariance_rows(cfg))
@@ -963,7 +977,7 @@ def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_smallball(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows: list[tuple] = []
-    exact = small_ball_exact_1d(0.05, cfg.R, 0.02, 0.0)
+    exact = _exact_small_ball(cfg)
     rows.append(
         ("exact", 1, cfg.R, 0.02, exact.probability, exact.bound, 0.0, 0, exact.passed)
     )

@@ -24,10 +24,8 @@ import numpy as np
 from .dgauss import TruncationPolicy, auto_box, gamma_normalizer
 
 __all__ = [
-    "TorusPoint",
     "SparseMeasure",
     "DensePieceCertificate",
-    "ScanHit",
     "ScanReport",
     "gamma_truncated",
     "reflect",
@@ -46,50 +44,15 @@ __all__ = [
 # Numerical dust threshold for FFT convolutions; clipped mass goes to deficit.
 FFT_DUST = 1e-12
 
-# Complex cells per block of a (frequencies x support) product; bounds the
-# memory of fourier_many and of the polish's collapsed objectives.
+# Cells per block of a (frequencies x support) product; bounds the memory
+# of fourier_many, of the polish's collapsed objectives and of the torus
+# distances from frequency rows to a structure.
 _BLOCK_CELLS = 8_000_000
 
 
 def _reduce_torus(arr: np.ndarray) -> np.ndarray:
     """Representatives in [-1/2, 1/2) of real coordinates mod 1."""
     return arr - np.floor(arr + 0.5)
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """Frequency on T^n = [-1/2, 1/2)^n with wrap-around arithmetic."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coords, dtype=float)
-        if not np.isfinite(arr).all():
-            raise ValueError("torus coordinates must be finite")
-        object.__setattr__(self, "coords", tuple(float(c) for c in _reduce_torus(arr)))
-
-    @classmethod
-    def of(cls, coords: Sequence[float]) -> "TorusPoint":
-        return cls(tuple(float(c) for c in np.asarray(coords, dtype=float).reshape(-1)))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coords)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-    @property
-    def norm(self) -> float:
-        """Euclidean distance to the nearest integer vector."""
-        return float(np.linalg.norm(self.array))
-
-    def __add__(self, other: "TorusPoint") -> "TorusPoint":
-        return TorusPoint.of(self.array + other.array)
-
-    def __sub__(self, other: "TorusPoint") -> "TorusPoint":
-        return TorusPoint.of(self.array - other.array)
 
 
 def _lex_groups(
@@ -222,16 +185,9 @@ def restrict(
     return SparseMeasure(mu.dimension, mu.points[mask], masses, deficit=1.0 - total)
 
 
-def _zeta_array(zeta: TorusPoint | Sequence[float]) -> np.ndarray:
-    if isinstance(zeta, TorusPoint):
-        return zeta.array
-    return np.asarray(zeta, dtype=float).reshape(-1)
-
-
-def fourier_at(mu: SparseMeasure, zeta: TorusPoint | Sequence[float]) -> complex:
-    """mu_hat(zeta) = sum_x mu(x) exp(-2 pi i <zeta, x>)."""
-    z = _zeta_array(zeta)
-    phase = mu.points @ z
+def fourier_at(mu: SparseMeasure, zeta: np.ndarray) -> complex:
+    """mu_hat(zeta) = sum_x mu(x) exp(-2 pi i <zeta, x>) at one row zeta."""
+    phase = mu.points @ np.asarray(zeta, dtype=float)
     return complex(np.exp(-2j * math.pi * phase) @ mu.masses)
 
 
@@ -265,6 +221,17 @@ def _grid_embed(mus: Sequence[SparseMeasure], side: int) -> list[np.ndarray]:
         np.add.at(arr, tuple(((m.points - lo) % side).T), m.masses)
         grids.append(arr)
     return grids
+
+
+def _covering_exponent(mus: Sequence[SparseMeasure], exponent: int) -> int:
+    """The least grid exponent at or above `exponent` whose 2^e side covers
+    the widest support among mus, so each embeds in its own grid."""
+    widest = max(
+        int((m.points.max(axis=0) - m.points.min(axis=0)).max()) + 1 for m in mus
+    )
+    while 2**exponent < widest:
+        exponent += 1
+    return exponent
 
 
 def _dense_box(mu: SparseMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -361,24 +328,20 @@ def density_certificate(mu: SparseMeasure, radius: float) -> DensePieceCertifica
 
 
 @dataclass(frozen=True)
-class ScanHit:
-    grid_index: tuple[int, ...]
-    zeta: TorusPoint
-    magnitude: float
-    grid_magnitude: float
-
-
-@dataclass(frozen=True)
 class ScanReport:
-    hits: tuple[ScanHit, ...]
+    """The hits of a scan as rows sorted by (-magnitude, grid index): the
+    grid cells, the (polished) frequencies reduced to the torus, their
+    magnitudes and the magnitudes at the grid cells."""
+
+    grid_index: np.ndarray
+    zetas: np.ndarray
+    magnitudes: np.ndarray
+    grid_magnitudes: np.ndarray
     threshold: float
     grid_exponent: int
     lipschitz: float
     non_omission_margin: float
     margin_vacuous: bool
-
-    def frequencies(self) -> list[TorusPoint]:
-        return [h.zeta for h in self.hits]
 
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -544,15 +507,19 @@ def large_spectrum_scan(
     if refine:
         zetas = _polish(mu, zetas, 0.5 / side)
         mags = np.abs(fourier_many(mu, zetas))
-    hits = [
-        ScanHit(tuple(k), TorusPoint.of(z), m, g)
-        for k, z, m, g in zip(index.tolist(), zetas, mags.tolist(), grid_mag.tolist())
-    ]
-    hits.sort(key=lambda h: (-h.magnitude, h.grid_index))
+    order = np.lexsort(tuple(index[:, j] for j in range(n - 1, -1, -1)) + (-mags,))
     lip = 2.0 * math.pi * expected_norm(mu)
     margin = lip * math.sqrt(n) / (2.0 * side)
     return ScanReport(
-        tuple(hits), threshold, grid_exponent, lip, margin, margin >= 1.0 / K
+        index[order],
+        _reduce_torus(zetas[order]),
+        mags[order],
+        grid_mag[order],
+        threshold,
+        grid_exponent,
+        lip,
+        margin,
+        margin >= 1.0 / K,
     )
 
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from .dgauss import TruncationPolicy, sample_truncated
 from .measure import (
+    _BLOCK_CELLS,
     ScanReport,
     SparseMeasure,
-    TorusPoint,
     _grid_embed,
     _reduce_torus,
     density_certificate,
@@ -40,7 +40,6 @@ __all__ = [
     "GRID_EXPONENT",
     "is_kappa_dissociated",
     "signed_combinations",
-    "torus_distance_to_set",
     "coarse_rudin_check",
     "RudinCheck",
     "greedy_dissociated_subset",
@@ -65,9 +64,9 @@ class CertifiedBoundError(RuntimeError):
 
 
 class DissociationCapError(ValueError):
-    def __init__(self, message: str, partial: list | None = None) -> None:
+    def __init__(self, message: str, partial: np.ndarray | None = None) -> None:
         super().__init__(message)
-        self.partial = partial or []
+        self.partial = partial
 
 
 def _reduce_fraction(f: Fraction) -> Fraction:
@@ -80,12 +79,6 @@ def _round_ties_to_zero(x: float) -> int:
     return math.ceil(x - 0.5) if x >= 0.0 else math.floor(x + 0.5)
 
 
-def _as_rows(points: Sequence[TorusPoint] | np.ndarray) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        return points.reshape(len(points), -1).astype(float)
-    return np.array([p.array for p in points], dtype=float).reshape(len(points), -1)
-
-
 @dataclass(frozen=True)
 class DissociationResult:
     dissociated: bool
@@ -93,15 +86,15 @@ class DissociationResult:
 
 
 def is_kappa_dissociated(
-    points: Sequence[TorusPoint] | np.ndarray,
+    points: np.ndarray,
     kappa: float,
     cap: int = DISSOCIATION_CAP,
 ) -> DissociationResult:
     """True iff every nonzero sign pattern eps in {-1,0,1}^m keeps
-    ||sum eps_i xi_i||_{T^n} >= kappa; the first violating pattern (in
-    base-3 order, digits 0,+1,-1, leftmost most significant) is the
-    witness."""
-    pts = _as_rows(points)
+    ||sum eps_i xi_i||_{T^n} >= kappa over the m rows xi_i; the first
+    violating pattern (in base-3 order, digits 0,+1,-1, leftmost most
+    significant) is the witness."""
+    pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
     if m == 0:
         return DissociationResult(True, None)
@@ -124,22 +117,25 @@ def is_kappa_dissociated(
     return DissociationResult(True, None)
 
 
-def signed_combinations(points: Sequence[TorusPoint] | np.ndarray) -> np.ndarray:
-    """All torus points sum_i eps_i xi_i for eps in {-1,0,1}^m, reduced."""
-    pts = _as_rows(points) if len(points) else np.zeros((0, 1))
-    m = pts.shape[0]
-    if m == 0:
-        n = pts.shape[1] if pts.size else 1
-        return np.zeros((1, n))
+def signed_combinations(points: np.ndarray) -> np.ndarray:
+    """All sums sum_i eps_i xi_i over the (m, n) rows xi_i for eps in
+    {-1,0,1}^m, reduced; m = 0 gives the origin alone."""
+    m = points.shape[0]
     if m > 12:
         raise DissociationCapError("signed-combination enumeration too large")
-    eps = np.array(list(itertools.product((-1, 0, 1), repeat=m)))
-    return _reduce_torus(eps @ pts)
+    eps = np.array(list(itertools.product((-1, 0, 1), repeat=m))).reshape(3**m, m)
+    return _reduce_torus(eps @ points)
 
 
-def torus_distance_to_set(zeta: np.ndarray, combos: np.ndarray) -> float:
-    d = _reduce_torus(np.asarray(zeta, dtype=float) - combos)
-    return float(np.sqrt(np.einsum("ij,ij->i", d, d).min()))
+def _torus_distance(zetas: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Torus distance from each row of zetas to the nearest row of points,
+    in blocks of about _BLOCK_CELLS (row, point, coordinate) cells."""
+    out = np.empty(zetas.shape[0])
+    step = max(1, _BLOCK_CELLS // max(1, points.size))
+    for i in range(0, zetas.shape[0], step):
+        d = _reduce_torus(zetas[i : i + step, None, :] - points[None, :, :])
+        out[i : i + step] = np.sqrt(np.einsum("ijk,ijk->ij", d, d).min(axis=1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,25 +147,22 @@ class RudinCheck:
 
 def coarse_rudin_check(
     nu: SparseMeasure,
-    T: Sequence[TorusPoint],
+    T: np.ndarray,
     c: Sequence[complex],
     sigma: float,
     kappa: float,
     eta: float,
 ) -> RudinCheck:
     """E_nu exp(sigma F) <= exp(sigma^2 sum|c|^2 / 2) + eta exp(sigma sum|c|)
-    for F(x) = Re sum_xi c(xi) e(<xi, x>), T kappa-dissociated and eta a
-    bound on |nu_hat| at torus distance >= kappa from 0."""
-    if T and not is_kappa_dissociated(T, kappa).dissociated:
+    for F(x) = Re sum_xi c(xi) e(<xi, x>) over the rows xi of T, T
+    kappa-dissociated and eta a bound on |nu_hat| at torus distance >= kappa
+    from 0."""
+    if not is_kappa_dissociated(T, kappa).dissociated:
         raise ValueError("frequency set is not kappa-dissociated")
     cs = np.asarray(c, dtype=complex)
     if len(T) != cs.size:
         raise ValueError("coefficient count must match frequency count")
-    if T:
-        phases = nu.points @ _as_rows(T).T
-        F = (np.exp(2j * math.pi * phases) @ cs).real
-    else:
-        F = np.zeros(nu.support_size)
+    F = (np.exp(2j * math.pi * (nu.points @ T.T)) @ cs).real
     lhs = float(np.exp(sigma * F) @ nu.masses)
     sum_sq = float(np.sum(np.abs(cs) ** 2))
     sum_abs = float(np.sum(np.abs(cs)))
@@ -178,21 +171,21 @@ def coarse_rudin_check(
 
 
 def greedy_dissociated_subset(
-    freqs: Sequence[TorusPoint],
+    freqs: np.ndarray,
     kappa: float,
     cap: int = DISSOCIATION_CAP,
-) -> list[TorusPoint]:
-    """Scan freqs in the given order, keeping each frequency whose
-    addition preserves kappa-dissociation of the kept set."""
-    kept: list[TorusPoint] = []
-    for f in freqs:
+) -> np.ndarray:
+    """Scan the rows of freqs in order, keeping each row whose addition
+    preserves kappa-dissociation of the kept rows."""
+    kept: list[int] = []
+    for i in range(freqs.shape[0]):
         if len(kept) >= cap:
             raise DissociationCapError(
-                f"dissociated subset exceeded the cap {cap}", partial=kept
+                f"dissociated subset exceeded the cap {cap}", partial=freqs[kept]
             )
-        if is_kappa_dissociated(kept + [f], kappa, cap=cap).dissociated:
-            kept.append(f)
-    return kept
+        if is_kappa_dissociated(freqs[kept + [i]], kappa, cap=cap).dissociated:
+            kept.append(i)
+    return freqs[kept]
 
 
 @dataclass(frozen=True)
@@ -263,6 +256,21 @@ class SketchLattice:
         )
         return _reduce_torus(coeffs @ gens)
 
+    def distance(self, zetas: np.ndarray) -> np.ndarray:
+        """Torus distance from each row of zetas to the subgroup."""
+        return _torus_distance(zetas, self.combination_points())
+
+    def pairing_violations(self, v: Sequence[int]) -> list[str]:
+        """A shift must pair integrally with every generator, checked
+        exactly through its rationals (all generators, which can only
+        shrink the kernel)."""
+        out = []
+        for t in self.generators:
+            s = sum(Fraction(c) * f for c, f in zip(v, t))
+            if s.denominator != 1:
+                out.append(f"pairing <v, {tuple(map(str, t))}> = {s} is not an integer")
+        return out
+
 
 @dataclass(frozen=True)
 class NearOriginBasis:
@@ -300,6 +308,29 @@ class NearOriginBasis:
     def span_matrix(self) -> np.ndarray:
         """Real span directions, one row per basis frequency."""
         return np.array(self.numerators, dtype=float) / self.denominator
+
+    def distance(self, zetas: np.ndarray) -> np.ndarray:
+        """Distance from each reduced row of zetas to the real span sheet
+        through the origin (the lstsq residual).  It upper-bounds the
+        distance to the wrapped subtorus, which only makes certification
+        stricter."""
+        r = _reduce_torus(zetas)
+        B = self.span_matrix()
+        if B.shape[0]:
+            sol, *_ = np.linalg.lstsq(B.T, r.T, rcond=None)
+            r = r - (B.T @ sol).T
+        return np.sqrt(np.einsum("ij,ij->i", r, r))
+
+    def pairing_violations(self, v: Sequence[int]) -> list[str]:
+        """A shift must be exactly orthogonal to every basis row over the
+        reals: the span sheet is continuous, so invariance must hold along
+        all of it."""
+        out = []
+        for w in self.numerators:
+            d = sum(c * wi for c, wi in zip(v, w))
+            if d != 0:
+                out.append(f"direction pairs with basis row {w} (dot {d})")
+        return out
 
 
 @dataclass(frozen=True)
@@ -352,8 +383,7 @@ def _chain_witness(
         vec = target - eps @ chain
         if w:
             vec = vec - delta @ others
-        vec = vec - np.floor(vec + 0.5)
-        if float(np.linalg.norm(vec)) < kappa:
+        if float(np.linalg.norm(_reduce_torus(vec))) < kappa:
             return tuple(assign[:r]), tuple(assign[r:])
     raise RuntimeError("dissociation failed but no witness was found")
 
@@ -417,7 +447,7 @@ def extract_exact_structure(mu: SparseMeasure, cfg: StructureConfig) -> SketchLa
         )
     scan, scan_warnings = _scan_heavy(mu, cfg.K, cfg.grid_exponent)
     warnings.extend(scan_warnings)
-    heavy = [h.zeta.array for h in scan.hits]
+    heavy = scan.zetas
     r_star = max(1, int(math.floor(0.5 * math.log(cfg.K) / math.log(cfg.q))))
 
     flat: list[tuple[int, int, np.ndarray]] = []  # (chain index, power, point)
@@ -430,13 +460,10 @@ def extract_exact_structure(mu: SparseMeasure, cfg: StructureConfig) -> SketchLa
         combos = signed_combinations(
             np.stack([xi for _, _, xi in flat]) if flat else np.zeros((0, n))
         )
-        pick: np.ndarray | None = None
-        for z in heavy:
-            if torus_distance_to_set(z, combos) > kappa:
-                pick = z
-                break
-        if pick is None:
+        far = np.flatnonzero(_torus_distance(heavy, combos) > kappa)
+        if far.size == 0:
             break
+        pick = heavy[far[0]]
         j = len(generators)
         base = [xi for _, _, xi in flat]
         r = 0
@@ -507,10 +534,7 @@ def extract_exact_structure(mu: SparseMeasure, cfg: StructureConfig) -> SketchLa
         kappa=kappa,
         warnings=tuple(warnings),
     )
-    worst = 0.0
-    if heavy:
-        combos = lattice.combination_points()
-        worst = max(torus_distance_to_set(z, combos) for z in heavy)
+    worst = float(np.max(lattice.distance(heavy), initial=0.0))
     return replace(lattice, span_error=worst)
 
 
@@ -543,9 +567,7 @@ def extract_near_origin_structure(
         )
     scan, scan_warnings = _scan_heavy(mu, cfg.K, cfg.grid_exponent)
     warnings.extend(scan_warnings)
-    near = [
-        h.zeta.array for h in scan.hits if h.zeta.norm <= cfg.kappa + 1e-12
-    ]
+    near = scan.zetas[np.linalg.norm(scan.zetas, axis=1) <= cfg.kappa + 1e-12]
     if 2.0 * rho >= cfg.kappa:
         return NearOriginBasis(
             dimension=n,
@@ -596,17 +618,10 @@ def extract_near_origin_structure(
         rho=rho,
         warnings=tuple(warnings),
     )
-    span = basis.span_matrix().T  # columns span the subspace
-    for a in near:
-        if span.size:
-            coef, *_ = np.linalg.lstsq(span, a, rcond=None)
-            dist = float(np.linalg.norm(a - span @ coef))
-        else:
-            dist = float(np.linalg.norm(a))
-        if dist > 2.0 * rho + 1e-12:
-            raise RuntimeError(
-                "near-origin heavy frequency escapes the certified span radius"
-            )
+    if (basis.distance(near) > 2.0 * rho + 1e-12).any():
+        raise RuntimeError(
+            "near-origin heavy frequency escapes the certified span radius"
+        )
     return basis
 
 
@@ -709,17 +724,14 @@ def product_heavy_frequencies(
     mus: Sequence[SparseMeasure],
     threshold: float,
     grid_exponent: int,
-) -> list[TorusPoint]:
-    """Grid frequencies where prod_i |mu_i_hat| >= threshold."""
+) -> np.ndarray:
+    """Grid frequencies where prod_i |mu_i_hat| >= threshold, as reduced
+    rows."""
     side = 2**grid_exponent
     prod = np.ones((side,) * mus[0].dimension)
     for m in mus:
         prod = prod * np.abs(np.fft.fftn(_grid_embed([m], side)[0]))
-    out = []
-    for raw in np.argwhere(prod >= threshold):
-        k = tuple(int(c) for c in raw)
-        out.append(TorusPoint.of(np.asarray(k, dtype=float) / side))
-    return out
+    return _reduce_torus(np.argwhere(prod >= threshold) / side)
 
 
 def convolution_structure(
@@ -748,28 +760,15 @@ def convolution_structure(
     )
     if route == "exact":
         lattice = extract_exact_structure(sym, sub)
-        combos = lattice.combination_points()
-        worst = max(
-            (torus_distance_to_set(h.array, combos) for h in heavy_prod),
-            default=0.0,
-        )
+        worst = float(np.max(lattice.distance(heavy_prod), initial=0.0))
         return replace(lattice, span_error=max(lattice.span_error, worst))
-    if route == "near_origin":
+    if route == "mollified":
         basis = extract_near_origin_structure(sym, sub)
-        span = basis.span_matrix().T
-        for h in heavy_prod:
-            if h.norm > cfg.kappa:
-                continue
-            a = h.array
-            if span.size:
-                coef, *_ = np.linalg.lstsq(span, a, rcond=None)
-                dist = float(np.linalg.norm(a - span @ coef))
-            else:
-                dist = float(np.linalg.norm(a))
-            if dist > basis.radius_bound + 1e-12:
-                raise RuntimeError(
-                    "product-heavy near-origin frequency escapes the span radius"
-                )
+        near = heavy_prod[np.linalg.norm(heavy_prod, axis=1) <= cfg.kappa]
+        if (basis.distance(near) > basis.radius_bound + 1e-12).any():
+            raise RuntimeError(
+                "product-heavy near-origin frequency escapes the span radius"
+            )
         return basis
     raise ValueError(f"unknown route {route!r}")
 

@@ -201,23 +201,21 @@ def fold_deltas(
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """What the final answer must satisfy, in one of three shapes.
+    """What the final answer must satisfy, in one of two shapes.
 
     metric-approximation: metric(output, target(y)) <= epsilon;
-    promise: output equals target(y) unless the label is "*";
-    relation: relation(y, output) holds, with `outputs` the candidates.
+    promise: output equals target(y) unless the label is "*".
     """
 
     kind: str
     target: Callable[[tuple[int, ...]], object] | None = None
     metric: Callable[[object, object], float] | None = None
-    relation: Callable[[tuple[int, ...], object], bool] | None = None
     outputs: tuple = ()
     epsilon: float = 0.0
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("metric-approximation", "promise", "relation"):
+        if self.kind not in ("metric-approximation", "promise"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.kind == "metric-approximation" and (
             self.target is None or self.metric is None
@@ -225,8 +223,6 @@ class ProblemSpec:
             raise ValueError("metric problems need a target map and a metric")
         if self.kind == "promise" and self.target is None:
             raise ValueError("promise problems need a label map")
-        if self.kind == "relation" and self.relation is None:
-            raise ValueError("relation problems need a requirement relation")
 
     @classmethod
     def promise(
@@ -252,12 +248,6 @@ class ProblemSpec:
             delta=delta,
         )
 
-    @classmethod
-    def relation_problem(
-        cls, relation: Callable[[tuple[int, ...], object], bool], outputs: tuple
-    ) -> "ProblemSpec":
-        return cls(kind="relation", relation=relation, outputs=outputs)
-
     def label(self, y: tuple[int, ...]) -> object:
         lab = self.target(y)
         if lab not in (0, 1, "*"):
@@ -267,17 +257,8 @@ class ProblemSpec:
     def valid(self, y: tuple[int, ...], output: object) -> bool:
         if self.kind == "metric-approximation":
             return self.metric(output, self.target(y)) <= self.epsilon
-        if self.kind == "promise":
-            lab = self.label(y)
-            return lab == "*" or output == lab
-        return bool(self.relation(y, output))
-
-    def ensure_satisfiable(self, y: tuple[int, ...]) -> None:
-        """Relation problems must admit a valid output on each input."""
-        if self.kind == "relation" and not any(
-            self.relation(y, o) for o in self.outputs
-        ):
-            raise ValueError(f"no valid output exists for input {y}")
+        lab = self.label(y)
+        return lab == "*" or output == lab
 
 
 # -- sampled stream models -------------------------------------------------------
@@ -594,8 +575,6 @@ def select_state_sequence(
             f"{blocks + 1} blocks"
         )
     pol = _resolve_policy(alg.dimension, radius, policy)
-    for y in map(tuple, target.points.tolist()):
-        problem.ensure_satisfiable(y)
     _check_target(target)
     seed_rng = np.random.default_rng(seed)
     prefixes = _prefix_blocks(

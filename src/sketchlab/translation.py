@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .measure import (
     SparseMeasure,
+    _covering_exponent,
     _grid_embed,
     _lex_groups,
     _reduce_torus,
@@ -55,8 +55,6 @@ __all__ = [
 # Exhaustive kernel enumeration walks the full integer ball; beyond this
 # radius the candidate count is no longer a desk-scale object.
 MAX_KERNEL_RADIUS = 12
-
-Structure = SketchLattice | NearOriginBasis
 
 
 def _direction(v: Sequence[int]) -> tuple[int, ...]:
@@ -285,27 +283,6 @@ def line_decomposition(
 # -- measured structure spread -----------------------------------------------
 
 
-def _distance_to_structure(zetas: np.ndarray, W: Structure) -> np.ndarray:
-    """Torus distance from each row to the structure.
-
-    For a near-origin basis the distance is to the real span sheet through
-    the origin, which upper-bounds the distance to the wrapped subtorus;
-    the overestimate only makes certification stricter.
-    """
-    zetas = np.atleast_2d(np.asarray(zetas, dtype=float))
-    if isinstance(W, NearOriginBasis):
-        r = _reduce_torus(zetas)
-        B = W.span_matrix()
-        if B.shape[0] == 0:
-            return np.sqrt(np.einsum("ij,ij->i", r, r))
-        sol, *_ = np.linalg.lstsq(B.T, r.T, rcond=None)
-        resid = r - (B.T @ sol).T
-        return np.sqrt(np.einsum("ij,ij->i", resid, resid))
-    rows = W.combination_points()
-    d = _reduce_torus(zetas[:, None, :] - rows[None, :, :])
-    return np.sqrt(np.einsum("ijk,ijk->ij", d, d).min(axis=1))
-
-
 @dataclass(frozen=True)
 class HeavySpread:
     """Worst grid distance of the above-threshold transform to a structure."""
@@ -317,7 +294,7 @@ class HeavySpread:
 
 
 def measured_structure_spread(
-    nu: SparseMeasure, W: Structure, eta: float
+    nu: SparseMeasure, W: SketchLattice | NearOriginBasis, eta: float
 ) -> HeavySpread:
     """Scan the transform of nu on a power-of-two grid of side at least
     128 that covers its support, and report how far the frequencies above
@@ -326,17 +303,13 @@ def measured_structure_spread(
     Grid points only; the spread is a measured proxy for the theoretical
     neighborhood radius, not a certificate between grid points.
     """
-    spread = int((nu.points.max(axis=0) - nu.points.min(axis=0)).max()) + 1
-    side = 128
-    while side < spread:
-        side *= 2
+    side = 2 ** _covering_exponent([nu], 7)
     mags = np.abs(np.fft.fftn(_grid_embed([nu], side)[0]))
     heavy = np.argwhere(mags > eta + 1e-12)
     if heavy.shape[0] == 0:
         return HeavySpread(eta, 0, 0.0, side)
     zetas = _reduce_torus(heavy.astype(float) / side)
-    dists = _distance_to_structure(zetas, W)
-    return HeavySpread(eta, int(heavy.shape[0]), float(dists.max()), side)
+    return HeavySpread(eta, int(heavy.shape[0]), float(W.distance(zetas).max()), side)
 
 
 # -- spectral energy bound ----------------------------------------------------
@@ -375,31 +348,9 @@ class SpectralEnergyReport:
     passed: bool
 
 
-def _pairing_violations(v: tuple[int, ...], W: Structure) -> list[str]:
-    """The shift must pair integrally with every structure frequency.
-
-    Lattice generators are checked exactly through their rationals (all
-    generators, which can only shrink the kernel), and a near-origin
-    basis needs exact orthogonality over the reals (the span sheet is
-    continuous, so invariance must hold along all of it).
-    """
-    out = []
-    if isinstance(W, SketchLattice):
-        for t in W.generators:
-            s = sum(Fraction(c) * f for c, f in zip(v, t))
-            if s.denominator != 1:
-                out.append(f"pairing <v, {tuple(map(str, t))}> = {s} is not an integer")
-        return out
-    for w in W.numerators:
-        d = sum(c * wi for c, wi in zip(v, w))
-        if d != 0:
-            out.append(f"direction pairs with basis row {w} (dot {d})")
-    return out
-
-
 def spectral_energy_bound_check(
     nu: SparseMeasure,
-    W: Structure,
+    W: SketchLattice | NearOriginBasis,
     delta: float,
     eta: float,
     v: Sequence[int],
@@ -420,7 +371,7 @@ def spectral_energy_bound_check(
     vv = _direction(v)
     norm_v = math.sqrt(sum(c * c for c in vv))
     u = norm_v * delta
-    violations = _pairing_violations(vv, W)
+    violations = W.pairing_violations(vv)
     if norm_v > 1.0 / (2.0 * delta) + 1e-12:
         violations.append(
             f"|v| = {norm_v:.6g} exceeds the window 1/(2 delta) = {1.0 / (2.0 * delta):.6g}"
@@ -504,7 +455,7 @@ class BallReductionReport:
 def ball_reduction_tv_bound(
     nu: SparseMeasure,
     v: Sequence[int],
-    W: Structure,
+    W: SketchLattice | NearOriginBasis,
     delta: float,
     eta: float,
     center: Sequence[float],
@@ -749,12 +700,7 @@ def translation_invariance_certify(
     R, K = structure.R, structure.K
     S = max(density_certificate(m, R).S for m in mus)
     kappa = structure.kappa if structure.kappa is not None else 3.0 * math.sqrt(S) / R
-    widest = max(
-        int((m.points.max(axis=0) - m.points.min(axis=0)).max()) + 1 for m in mus
-    )
-    grid_exponent = structure.grid_exponent
-    while 2**grid_exponent < widest:
-        grid_exponent += 1
+    grid_exponent = _covering_exponent(mus, structure.grid_exponent)
     if grid_exponent != structure.grid_exponent:
         warnings.append(f"scan grid exponent raised to {grid_exponent} to cover the pieces")
     if route not in ("exact", "mollified"):
@@ -766,9 +712,7 @@ def translation_invariance_certify(
         grid_exponent=grid_exponent,
         kappa=structure.kappa if exact else kappa,
     )
-    extracted = convolution_structure(
-        mus, "exact" if exact else "near_origin", scan_cfg
-    )
+    extracted = convolution_structure(mus, route, scan_cfg)
     warnings.extend(extracted.warnings)
     if exact:
         rank = extracted.rank
@@ -795,7 +739,7 @@ def translation_invariance_certify(
     kernels = []
     off_kernel = []
     for v in _integer_ball(n, D):
-        if not _pairing_violations(v, extracted):
+        if not extracted.pairing_violations(v):
             kernels.append(v)
         elif len(off_kernel) < controls:
             off_kernel.append(v)

@@ -36,7 +36,6 @@ from sketchlab.dgauss import (
 )
 from sketchlab.measure import (
     SparseMeasure,
-    TorusPoint,
     density_certificate,
     fourier_many,
     gamma_truncated,
@@ -127,7 +126,7 @@ def test_c04_coarse_rudin():
     while done < 20:
         size = 1 + int(rng.integers(4))
         pts = 0.45 * (2.0 * rng.random((size, 2)) - 1.0)
-        T = [TorusPoint.of(p) for p in pts if TorusPoint.of(p).norm >= 0.2]
+        T = pts[np.linalg.norm(pts, axis=1) >= 0.2]
         if len(T) != size or not is_kappa_dissociated(T, kappa).dissociated:
             continue
         c = rng.uniform(0.2, 1.0, size) * np.exp(2j * math.pi * rng.random(size))
@@ -151,7 +150,7 @@ def test_c05_dissociated_size_bound():
         kappa = 5.0 * math.sqrt(cert.S) / 8.0
         scan = large_spectrum_scan(mu, 512.0, 7)
         cap = int(14.0 * math.log2(2.0 / alpha)) + 8
-        kept = greedy_dissociated_subset(scan.frequencies(), kappa, cap=cap)
+        kept = greedy_dissociated_subset(scan.zetas, kappa, cap=cap)
         assert len(kept) <= 14.0 * math.log2(2.0 / alpha), f"piece {i}"
     budget(60.0, start)
 

@@ -34,9 +34,6 @@ TEST_ONLY = {
     "streaming.identity_box_algorithm": "reference algorithm with one state per box point",
     "streaming.alternating_algorithm": "the one non-uniform reference algorithm",
     "dgauss.gamma_tail_bound": "closed-form tail the truncation radius is solved from",
-    "streaming.ProblemSpec.relation_problem": (
-        "the only constructor of the relation kind that src/ handles"
-    ),
     "translation.convolution_tail_center(cell_cap)": (
         "forces the Monte Carlo branch that pieces too wide for the grid take"
     ),

@@ -33,37 +33,38 @@ def small_measures(dim: int = 1):
     )
 
 
+def torus_norm(coords) -> float:
+    """Euclidean distance of a point of R^n to the nearest integer vector."""
+    return float(np.linalg.norm(measure._reduce_torus(np.asarray(coords, dtype=float))))
+
+
 class TestTorusPoint:
+    """A torus point is a float row reduced by _reduce_torus into [-1/2, 1/2)^n."""
+
     def test_reduction_idempotent(self):
-        tp = measure.TorusPoint.of([0.75, -1.25, 0.5])
-        assert tp.coords == (-0.25, -0.25, -0.5)
-        assert measure.TorusPoint(tp.coords) == tp
+        red = measure._reduce_torus(np.array([0.75, -1.25, 0.5]))
+        assert red.tolist() == [-0.25, -0.25, -0.5]
+        assert np.array_equal(measure._reduce_torus(red), red)
 
     def test_norm_is_distance_to_nearest_integer(self):
-        assert measure.TorusPoint.of([0.5]).norm == 0.5
-        assert measure.TorusPoint.of([0.9]).norm == pytest.approx(0.1)
-        assert measure.TorusPoint.of([0.0, 0.0]).norm == 0.0
+        assert torus_norm([0.5]) == 0.5
+        assert torus_norm([0.9]) == pytest.approx(0.1)
+        assert torus_norm([0.0, 0.0]) == 0.0
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3))
     @settings(max_examples=100)
     def test_reduction_matches_scalar_rule(self, coords):
         # the array reduction gives the bits of the scalar c - floor(c + 1/2)
-        tp = measure.TorusPoint.of(coords)
-        assert tp.coords == tuple(c - math.floor(c + 0.5) for c in coords)
-
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            measure.TorusPoint((0.25, bad))
+        red = measure._reduce_torus(np.array(coords))
+        assert red.tolist() == [c - math.floor(c + 0.5) for c in coords]
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=3))
     @settings(max_examples=50)
     def test_norm_zero_iff_integer(self, coords):
-        tp = measure.TorusPoint.of(coords)
         if all(abs(c - round(c)) < 1e-12 for c in coords):
-            assert tp.norm < 1e-11
+            assert torus_norm(coords) < 1e-11
         else:
-            assert tp.norm > 0.0
+            assert torus_norm(coords) > 0.0
 
 
 @st.composite
@@ -386,33 +387,31 @@ class TestLargeSpectrumScan:
         rep = measure.large_spectrum_scan(
             measure.SparseMeasure.uniform([[0]]), 4.0, 4
         )
-        assert len(rep.hits) == 16
+        assert rep.zetas.shape == (16, 1)
 
     def test_even_support_clusters_at_zero_and_half(self):
         ev = measure.SparseMeasure.uniform([[k] for k in range(-20, 21, 2)])
         assert abs(measure.fourier_at(ev, [0.5])) == pytest.approx(1.0)
         rep = measure.large_spectrum_scan(ev, 8.0, 8)
-        for h in rep.hits:
-            z = h.zeta.coords[0]
-            assert min(abs(z), abs(abs(z) - 0.5)) < 0.01
+        z = np.abs(rep.zetas[:, 0])
+        assert (np.minimum(z, np.abs(z - 0.5)) < 0.01).all()
 
     def test_gaussian_spectrum_is_near_origin(self):
         g = measure.gamma_truncated(1, 8.0)
         rep = measure.large_spectrum_scan(g, 8.0, 8)
         # frequency-domain decay forces ||zeta|| <= sqrt(5 ln(K/(K-1)))/R
         cap = math.sqrt(5.0 * math.log(8.0 / 7.0)) / 8.0 + 1e-6
-        assert rep.hits
-        for h in rep.hits:
-            assert h.zeta.norm <= cap
+        assert rep.zetas.shape[0]
+        assert (np.linalg.norm(rep.zetas, axis=1) <= cap).all()
 
     def test_refine_superset_and_improvement(self):
         g = measure.translate(measure.gamma_truncated(1, 4.0), [1])
         plain = measure.large_spectrum_scan(g, 8.0, 6)
         refined = measure.large_spectrum_scan(g, 8.0, 6, refine=True)
-        assert {h.grid_index for h in plain.hits} <= {
-            h.grid_index for h in refined.hits
-        }
-        assert all(h.magnitude >= h.grid_magnitude - 1e-12 for h in refined.hits)
+        assert set(map(tuple, plain.grid_index.tolist())) <= set(
+            map(tuple, refined.grid_index.tolist())
+        )
+        assert (refined.magnitudes >= refined.grid_magnitudes - 1e-12).all()
 
     def test_margin_vacuous_flag(self):
         g = measure.gamma_truncated(1, 8.0)
@@ -428,8 +427,20 @@ class TestLargeSpectrumScan:
             renormalize=True,
         )
         rep = measure.large_spectrum_scan(ev, 8.0, 7)
-        ones = [h for h in rep.hits if h.magnitude >= 1.0 - 1e-12]
-        assert [h.grid_index for h in ones[:2]] == [(0, 0), (64, 64)]
+        ones = rep.grid_index[rep.magnitudes >= 1.0 - 1e-12]
+        assert ones[:2].tolist() == [[0, 0], [64, 64]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(mu=small_measures(2), refine=st.booleans())
+    def test_rows_sorted_as_the_hit_list_was(self, mu, refine):
+        # the old hit list sorted by (-magnitude, grid index tuple)
+        rep = measure.large_spectrum_scan(mu, 2.0, 4, refine=refine)
+        keys = [
+            (-m, tuple(k))
+            for m, k in zip(rep.magnitudes.tolist(), rep.grid_index.tolist())
+        ]
+        assert keys == sorted(keys)
+        assert ((rep.zetas >= -0.5) & (rep.zetas < 0.5)).all()
 
 
 class TestBoundedBrent:
@@ -509,7 +520,7 @@ class TestPolish:
                 abs(measure.fourier_at(mu, z)) - abs(measure.fourier_at(mu, want))
             ) <= 1e-6
         rep = measure.large_spectrum_scan(mu, K, 5, refine=True)
-        assert all(h.magnitude >= h.grid_magnitude - 1e-12 for h in rep.hits)
+        assert (rep.magnitudes >= rep.grid_magnitudes - 1e-12).all()
 
     def test_blocks_give_the_same_rows(self, monkeypatch):
         g = measure.translate(measure.gamma_truncated(2, 3.0), [1, -2])

@@ -3,7 +3,8 @@
 Oracles: brute-force sign enumeration for dissociation, direct
 expectation sums for the Rudin check, direct transform evaluation for
 the extraction walkthroughs, exact 1-D summation for the small-ball
-check.
+check, and the per-point loops of tests/structure_oracle.py for the
+array torus distances, the greedy pick and the heavy product set.
 """
 
 import functools
@@ -16,9 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import structure_oracle as oracle
 from measure_oracle import from_atoms
+from sketchlab import spectrum
 from sketchlab.measure import (
-    TorusPoint,
+    SparseMeasure,
+    _reduce_torus,
     density_certificate,
     fourier_at,
     gamma_truncated,
@@ -41,7 +45,6 @@ from sketchlab.spectrum import (
     product_heavy_frequencies,
     small_ball_check,
     small_ball_exact_1d,
-    torus_distance_to_set,
 )
 
 SCENARIO = dict(K=512.0, Q=2048, q=3, R=8.0, kappa=0.25, grid_exponent=7)
@@ -88,24 +91,23 @@ def brute_force_dissociated(points, kappa):
 
 class TestDissociation:
     def test_single_point_true(self):
-        res = is_kappa_dissociated([TorusPoint.of((0.3, 0.0))], 0.25)
+        res = is_kappa_dissociated(np.array([[0.3, 0.0]]), 0.25)
         assert res.dissociated and res.witness is None
 
     def test_repeated_element_witness(self):
-        a = TorusPoint.of((0.3,))
-        res = is_kappa_dissociated([a, a], 0.25)
+        res = is_kappa_dissociated(np.array([[0.3], [0.3]]), 0.25)
         assert not res.dissociated
         assert res.witness == (1, -1)
 
     def test_zero_element_false(self):
-        res = is_kappa_dissociated([TorusPoint.of((0.0, 0.0))], 0.1)
+        res = is_kappa_dissociated(np.zeros((1, 2)), 0.1)
         assert not res.dissociated and res.witness == (1,)
 
     def test_random_six_matches_bruteforce(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             pts = [tuple(rng.uniform(-0.5, 0.5, size=2)) for _ in range(6)]
-            got = is_kappa_dissociated([TorusPoint.of(p) for p in pts], 0.01)
+            got = is_kappa_dissociated(np.array(pts), 0.01)
             assert got.dissociated == brute_force_dissociated(pts, 0.01)
 
     @settings(max_examples=60, deadline=None)
@@ -121,32 +123,34 @@ class TestDissociation:
         kappa=st.sampled_from([0.01, 0.1, 0.3]),
     )
     def test_matches_bruteforce(self, pts, kappa):
-        got = is_kappa_dissociated([TorusPoint.of(p) for p in pts], kappa)
+        got = is_kappa_dissociated(np.array(pts), kappa)
         assert got.dissociated == brute_force_dissociated(pts, kappa)
 
     def test_witness_is_violation(self):
         pts = [(0.25, 0.0), (0.25, 0.01), (0.1, 0.1)]
-        res = is_kappa_dissociated([TorusPoint.of(p) for p in pts], 0.2)
+        res = is_kappa_dissociated(np.array(pts), 0.2)
         assert not res.dissociated
         v = sum(e * np.asarray(p) for e, p in zip(res.witness, pts))
         v -= np.floor(v + 0.5)
         assert np.linalg.norm(v) < 0.2
 
     def test_cap_error(self):
-        pts = [TorusPoint.of((0.1 + 0.001 * i,)) for i in range(21)]
+        pts = 0.1 + 0.001 * np.arange(21.0).reshape(21, 1)
         with pytest.raises(DissociationCapError):
             is_kappa_dissociated(pts, 0.01)
 
 
 class TestRudin:
     def test_empty_frequency_set(self):
-        chk = coarse_rudin_check(gamma_truncated(1, 8.0), [], [], 0.5, 0.25, 0.1)
+        chk = coarse_rudin_check(
+            gamma_truncated(1, 8.0), np.zeros((0, 1)), [], 0.5, 0.25, 0.1
+        )
         assert chk.lhs == pytest.approx(1.0, abs=1e-12)
         assert chk.passed
 
     def test_sigma_zero(self):
         chk = coarse_rudin_check(
-            gamma_truncated(1, 8.0), [TorusPoint.of((0.25,))], [1.0], 0.0, 0.2, 0.1
+            gamma_truncated(1, 8.0), np.array([[0.25]]), [1.0], 0.0, 0.2, 0.1
         )
         assert chk.lhs == pytest.approx(1.0, abs=1e-12)
         assert chk.passed
@@ -159,7 +163,7 @@ class TestRudin:
         )
         eta = math.exp(-64.0 * 0.25**2 / 5.0)
         chk = coarse_rudin_check(
-            g1, [TorusPoint.of((0.25,))], [1.0 + 0j], 0.5, 0.25, eta
+            g1, np.array([[0.25]]), [1.0 + 0j], 0.5, 0.25, eta
         )
         assert chk.lhs == pytest.approx(lhs_oracle, rel=1e-12)
         assert chk.lhs == pytest.approx(1.0638147998409209, rel=1e-12)
@@ -167,33 +171,31 @@ class TestRudin:
         assert chk.passed
 
     def test_dissociation_precondition(self):
-        a = TorusPoint.of((0.2,))
         with pytest.raises(ValueError, match="dissociated"):
             coarse_rudin_check(
-                gamma_truncated(1, 8.0), [a, a], [1.0, 1.0], 0.5, 0.25, 0.1
+                gamma_truncated(1, 8.0), np.array([[0.2], [0.2]]), [1.0, 1.0], 0.5, 0.25, 0.1
             )
 
     def test_coefficient_count(self):
         with pytest.raises(ValueError, match="count"):
             coarse_rudin_check(
-                gamma_truncated(1, 8.0), [TorusPoint.of((0.25,))], [], 0.5, 0.2, 0.1
+                gamma_truncated(1, 8.0), np.array([[0.25]]), [], 0.5, 0.2, 0.1
             )
 
 
 class TestGreedySubset:
     def test_all_equal_keeps_one(self):
-        a = TorusPoint.of((0.3, 0.1))
-        assert len(greedy_dissociated_subset([a] * 5, 0.2)) == 1
+        assert len(greedy_dissociated_subset(np.tile([0.3, 0.1], (5, 1)), 0.2)) == 1
 
     def test_far_apart_all_kept(self):
-        pts = [TorusPoint.of((0.5, 0.0)), TorusPoint.of((0.0, 0.5))]
+        pts = np.array([[-0.5, 0.0], [0.0, -0.5]])
         kept = greedy_dissociated_subset(pts, 0.3)
-        assert kept == pts
+        assert np.array_equal(kept, pts)
         # pairwise-sum oracle: all +/- combinations stay far
         for e1, e2 in itertools.product((-1, 0, 1), repeat=2):
             if e1 == e2 == 0:
                 continue
-            v = e1 * pts[0].array + e2 * pts[1].array
+            v = e1 * pts[0] + e2 * pts[1]
             v -= np.floor(v + 0.5)
             assert np.linalg.norm(v) >= 0.3
 
@@ -204,7 +206,7 @@ class TestGreedySubset:
         mu = parity_measure()
         S = density_certificate(mu, 8.0).S
         scan = large_spectrum_scan(mu, 2.0, 7)
-        freqs = scan.frequencies()
+        freqs = scan.zetas
         kappa_paper = 5.0 * math.sqrt(S) / 8.0
         assert len(greedy_dissociated_subset(freqs, kappa_paper)) <= 14.0 * S
         # a desk-scale kappa keeps the bound non-vacuous
@@ -212,12 +214,7 @@ class TestGreedySubset:
         assert 1 <= len(kept) <= 14.0 * S
 
     def test_cap_error_carries_partial(self):
-        pts = [
-            TorusPoint.of((0.5, 0.0)),
-            TorusPoint.of((0.0, 0.5)),
-            TorusPoint.of((0.25, 0.25)),
-            TorusPoint.of((0.4, 0.1)),
-        ]
+        pts = np.array([[-0.5, 0.0], [0.0, -0.5], [0.25, 0.25], [0.4, 0.1]])
         with pytest.raises(DissociationCapError) as exc:
             greedy_dissociated_subset(pts, 0.05, cap=2)
         assert len(exc.value.partial) == 2
@@ -347,7 +344,7 @@ class TestExtractExact:
         ):
             assert not any("chain element" in w for w in lat.warnings)
             for t in lat.generators:
-                z = TorusPoint.of([float(c) for c in t])
+                z = _reduce_torus(np.array([float(c) for c in t]))
                 assert abs(fourier_at(mu, z)) >= 1.0 - 1.0 / 512.0 - 1e-6
 
     def test_fiber_product_bound(self):
@@ -381,9 +378,8 @@ class TestExtractExact:
 
 
 def span_distance(lat: SketchLattice, heavy) -> float:
-    """Worst torus distance from `heavy` to the lattice's combination set."""
-    combos = lat.combination_points()
-    return max(torus_distance_to_set(h.array, combos) for h in heavy)
+    """Worst torus distance from the rows of `heavy` to the lattice."""
+    return float(lat.distance(np.array(heavy, dtype=float)).max())
 
 
 class TestVerifySpan:
@@ -397,15 +393,15 @@ class TestVerifySpan:
             fiber_bound=1,
             s_certified=1.0,
         )
-        heavy = [TorusPoint.of((0.01, 0.02)), TorusPoint.of((-0.03, 0.0))]
+        heavy = [(0.01, 0.02), (-0.03, 0.0)]
         # the empty lattice's only combination is the origin
         assert span_distance(lat, heavy) == pytest.approx(0.03, abs=1e-15)
 
     def test_parity_exact(self):
-        assert span_distance(parity_lattice(), [TorusPoint.of((0.5, 0.5))]) == 0.0
+        assert span_distance(parity_lattice(), [(0.5, 0.5)]) == 0.0
 
     def test_mod3_doubled_coefficient(self):
-        dist = span_distance(mod3_lattice(), [TorusPoint.of((2.0 / 3.0, 0.0))])
+        dist = span_distance(mod3_lattice(), [(2.0 / 3.0, 0.0)])
         assert dist < 1e-12
 
     def test_budget_error(self):
@@ -450,9 +446,9 @@ class TestNearOrigin:
         assert basis.ell == 1
         assert basis.numerators == ((-600, -600),)
         u = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        grid_point = TorusPoint.of(np.round(2048 * u) / 2048.0)
-        eta = TorusPoint.of(np.asarray(basis.numerators[0], dtype=float) / basis.denominator)
-        assert (grid_point - eta).norm < 1e-12
+        grid_point = np.round(2048 * u) / 2048.0
+        eta = np.asarray(basis.numerators[0], dtype=float) / basis.denominator
+        assert np.linalg.norm(_reduce_torus(grid_point - eta)) < 1e-12
         assert 2.0 * basis.rho < cfg.kappa
 
     def test_kappa_required(self):
@@ -529,7 +525,7 @@ class TestSmallBall:
 class TestConvolution:
     def test_all_gamma_empty(self):
         heavy = product_heavy_frequencies([gamma2()] * 4, math.exp(-4 / 512.0), 7)
-        assert all(h.norm <= 0.25 for h in heavy)
+        assert (np.linalg.norm(heavy, axis=1) <= 0.25).all()
         lat = convolution_structure(
             [gamma2()] * 4, "exact", StructureConfig(**SCENARIO)
         )
@@ -563,9 +559,113 @@ class TestConvolution:
 
     def test_near_origin_route(self):
         cfg = StructureConfig(K=512.0, Q=2048, R=8.0, B=2.0, kappa=0.25)
-        basis = convolution_structure([gamma2()] * 4, "near_origin", cfg)
+        basis = convolution_structure([gamma2()] * 4, "mollified", cfg)
         assert basis.ell == 0
 
     def test_unknown_route(self):
         with pytest.raises(ValueError, match="route"):
             convolution_structure([gamma2()], "fancy", StructureConfig(**SCENARIO))
+
+
+@st.composite
+def lattices(draw, n):
+    """Lattices whose generators a_j / k_j close with zero relations; rank
+    0 is the empty lattice."""
+    rank = draw(st.integers(0, 3))
+    ks = tuple(draw(st.integers(1, 4)) for _ in range(rank))
+    gens = tuple(
+        tuple(Fraction(draw(st.integers(-3, 3)), k) for _ in range(n)) for k in ks
+    )
+    return SketchLattice(
+        dimension=n,
+        generators=gens,
+        denominators=ks,
+        relations=tuple((0,) * j for j in range(rank)),
+        span_error=0.0,
+        fiber_bound=math.prod(ks),
+        s_certified=0.0,
+    )
+
+
+def rows(n, max_rows=12, bound=1.0):
+    return st.lists(
+        st.lists(st.floats(-bound, bound), min_size=n, max_size=n),
+        min_size=0,
+        max_size=max_rows,
+    ).map(lambda r: np.array(r, dtype=float).reshape(len(r), n))
+
+
+class TestArrayPathsMatchOracles:
+    """The structure distances, the greedy pick and the heavy product set
+    against the per-point loops they replaced (tests/structure_oracle.py).
+    On n <= 2 every torus distance is a sum of at most two squares, so the
+    array path returns the loop's bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2))
+    def test_lattice_distance_is_the_per_point_loop(self, data, n):
+        lat = data.draw(lattices(n))
+        zetas = data.draw(rows(n))
+        combos = lat.combination_points()
+        want = [oracle.torus_distance_to_set(z, combos) for z in zetas]
+        assert lat.distance(zetas).tolist() == want
+
+    def test_lattice_distance_blocks_give_the_same_rows(self, monkeypatch):
+        zetas = np.random.default_rng(1).uniform(-1, 1, size=(40, 2))
+        whole = chained_lattice().distance(zetas)
+        monkeypatch.setattr(spectrum, "_BLOCK_CELLS", 3 * 4 * 2)
+        assert np.array_equal(chained_lattice().distance(zetas), whole)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3))
+    def test_basis_distance_is_the_per_vector_lstsq(self, data, n):
+        Q = 64
+        ell = data.draw(st.integers(0, n))
+        numerators = tuple(
+            tuple(data.draw(st.integers(-Q // 2, Q // 2)) for _ in range(n))
+            for _ in range(ell)
+        )
+        basis = NearOriginBasis(
+            dimension=n, numerators=numerators, denominator=Q, radius_bound=0.1
+        )
+        zetas = data.draw(rows(n, bound=0.5))
+        want = [
+            oracle.span_residual(basis.span_matrix(), a) for a in _reduce_torus(zetas)
+        ]
+        assert basis.distance(zetas) == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 2),
+        kappa=st.sampled_from([0.01, 0.1, 0.3]),
+    )
+    def test_greedy_pick_is_the_first_far_row(self, data, n, kappa):
+        heavy = data.draw(rows(n, bound=0.5))
+        chain = data.draw(rows(n, max_rows=3, bound=0.5))
+        combos = spectrum.signed_combinations(chain)
+        far = np.flatnonzero(spectrum._torus_distance(heavy, combos) > kappa)
+        want = oracle.first_far(heavy, combos, kappa)
+        assert (int(far[0]) if far.size else None) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        atoms=st.lists(
+            st.lists(
+                st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=1,
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        threshold=st.sampled_from([0.1, 0.5, 0.9]),
+        grid_exponent=st.integers(3, 4),
+    )
+    def test_product_heavy_frequencies_is_the_per_index_loop(
+        self, atoms, threshold, grid_exponent
+    ):
+        mus = [SparseMeasure.uniform(pts) for pts in atoms]
+        got = product_heavy_frequencies(mus, threshold, grid_exponent)
+        want = oracle.heavy_frequencies(mus, threshold, grid_exponent)
+        assert list(map(tuple, got.tolist())) == want

@@ -492,11 +492,17 @@ IDENTITY_STATES = (IDENTITY.initial_state, _S1, fold_block(IDENTITY, 1, _S1, (2,
     [
         (parity_algorithm(2), (0, 1, 0), PARITY_PROBLEM),
         # the closing block of the alternating table flips parity per
-        # update, so about half of the landings are valid
+        # update, so about half of the landings are valid: outputs within
+        # 2 of the constant target 0 are those below 3
         (
             alternating_algorithm(2, horizon=3),
             (0, 3, 4),
-            ProblemSpec.relation_problem(lambda y, o: o < 3, outputs=tuple(range(6))),
+            ProblemSpec.metric_approximation(
+                target=lambda y: 0,
+                metric=lambda a, b: abs(a - b),
+                outputs=tuple(range(6)),
+                epsilon=2.0,
+            ),
         ),
         (
             IDENTITY,
@@ -529,7 +535,7 @@ def test_selection_census_matches_per_update_loop(alg):
     # threshold 1 keeps no survivor, so the census comes back whole
     with pytest.raises(SelectionFailed) as err:
         select_state_sequence(
-            alg, TARGET4, ProblemSpec.relation_problem(lambda y, o: True, (0,)),
+            alg, TARGET4, ProblemSpec.promise(lambda y: "*"),
             8.0, 2, samples=96, seed=4, threshold=1.0,
         )
     census: Counter = Counter()
@@ -604,7 +610,7 @@ def test_selection_certifies_each_distinct_transition_once(monkeypatch, alg, blo
     monkeypatch.setattr(streaming, "density_certificate", spy_certificate)
     monkeypatch.setattr(streaming, "_conditional_blocks", spy_blocks)
     select_state_sequence(
-        alg, TARGET4, ProblemSpec.relation_problem(lambda y, o: True, (0,)),
+        alg, TARGET4, ProblemSpec.promise(lambda y: "*"),
         4.0, blocks, samples=256, seed=7, threshold=1.0 / 256,
     )
     assert len(set(map(id, tables))) == 1 and len(paths) > 1
@@ -701,12 +707,13 @@ def test_select_reruns_identically():
 
 
 def test_problem_kind_validation():
-    with pytest.raises(ValueError, match="kind"):
-        ProblemSpec(kind="other")
+    for kind in ("other", "relation"):
+        with pytest.raises(ValueError, match="unknown problem kind"):
+            ProblemSpec(kind=kind)
     with pytest.raises(ValueError, match="metric"):
         ProblemSpec(kind="metric-approximation", target=lambda y: 0)
-    with pytest.raises(ValueError, match="relation"):
-        ProblemSpec(kind="relation")
+    with pytest.raises(ValueError, match="label map"):
+        ProblemSpec(kind="promise")
 
 
 def test_promise_labels_validated():
@@ -727,11 +734,3 @@ def test_metric_problem_validity():
     assert prob.valid((1, 0), 1.0)
     assert not prob.valid((2, 1), 1.0)
 
-
-def test_relation_problem_satisfiability():
-    prob = ProblemSpec.relation_problem(
-        relation=lambda y, o: o == sum(y), outputs=(0, 1)
-    )
-    prob.ensure_satisfiable((1, 0))
-    with pytest.raises(ValueError, match="no valid output"):
-        prob.ensure_satisfiable((1, 1))
