@@ -24,7 +24,7 @@ def main() -> int:
     cfg = ExperimentConfig(M=2, Q=8 if route == "mollified" else 2048,
                            scenario=scenario_name, route=route)
     scenario = get_scenario(scenario_name)
-    sketch, decoder, report = extract_sketch(
+    sketch, decoder, _ = extract_sketch(
         scenario.algorithm(cfg),
         scenario.target(cfg),
         scenario.problem(cfg),
@@ -34,7 +34,7 @@ def main() -> int:
     )
     domain = list(product(range(window), repeat=2))
     census = fiber_census(sketch, domain)
-    print(f"{scenario_name} [{route}]: dimension {report.rank}, "
+    print(f"{scenario_name} [{route}]: dimension {sketch.structure.rank}, "
           f"{census.count} fibers over the {window}x{window} window "
           f"(bound {census.bound})")
     for value in sorted(census.members, key=repr):

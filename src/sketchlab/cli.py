@@ -60,8 +60,11 @@ from .streaming import (
     select_state_sequence,
 )
 from .transfer import (
+    SAMPLES,
+    SELECTION_LANDINGS,
     SketchExtractionError,
     TransferConfig,
+    _support_diameter,
     evaluate_sketch,
     extract_sketch,
     extraction_to_text,
@@ -535,6 +538,13 @@ def _radii(cfg: ExperimentConfig) -> tuple[float, ...]:
     return cfg.sweep if cfg.sweep else (cfg.R,)
 
 
+def _lemma_row(
+    check: str, instance: str, lhs: float, rhs: float, passed: bool
+) -> tuple:
+    """One `lemmas` row; the margin is rhs - lhs."""
+    return (check, instance, lhs, rhs, rhs - lhs, passed)
+
+
 def _decay_rows(cfg: ExperimentConfig) -> list[tuple]:
     rows = []
     ts = np.arange(DECAY_GRID) / DECAY_GRID
@@ -545,12 +555,11 @@ def _decay_rows(cfg: ExperimentConfig) -> list[tuple]:
         bound = np.exp(-R * R * dist * dist / 5.0)
         lhs = float(np.max(mags - bound))
         rows.append(
-            (
+            _lemma_row(
                 "fourier-decay",
                 f"n=1 R={R:g} grid={DECAY_GRID}",
                 lhs,
                 DECAY_SLACK,
-                DECAY_SLACK - lhs,
                 lhs <= DECAY_SLACK,
             )
         )
@@ -566,12 +575,11 @@ def _poisson_rows(cfg: ExperimentConfig) -> list[tuple]:
         M = A @ A.T / n + 0.25 * np.eye(n)
         chk = poisson_identity_check(M)
         rows.append(
-            (
+            _lemma_row(
                 "poisson-summation",
                 f"n={n} i={i}",
                 chk.relative_error,
                 POISSON_TOLERANCE,
-                POISSON_TOLERANCE - chk.relative_error,
                 chk.relative_error <= POISSON_TOLERANCE,
             )
         )
@@ -586,12 +594,11 @@ def _domination_rows(cfg: ExperimentConfig) -> list[tuple]:
             continue
         chk = gamma_conv_domination_check(R, cfg.n)
         rows.append(
-            (
+            _lemma_row(
                 "gamma-domination",
                 f"n={cfg.n} R={R:g}",
                 chk.worst_ratio,
                 4.0,
-                4.0 - chk.worst_ratio,
                 chk.passed,
             )
         )
@@ -613,12 +620,11 @@ def _rudin_rows(cfg: ExperimentConfig) -> list[tuple]:
         c = radii * np.exp(1j * phases)
         chk = coarse_rudin_check(nu, T, c, sigma, kappa, eta)
         rows.append(
-            (
+            _lemma_row(
                 "coarse-rudin",
                 f"i={i} sigma={sigma:g} kappa={kappa:g}",
                 chk.lhs,
                 chk.rhs,
-                chk.rhs - chk.lhs,
                 chk.passed,
             )
         )
@@ -644,12 +650,11 @@ def _dissociated_rows(cfg: ExperimentConfig) -> list[tuple]:
         lhs = float(len(kept))
         rhs = 14.0 * cert.S
         rows.append(
-            (
+            _lemma_row(
                 "dissociated-bound",
                 f"i={i} keep={keep:g} S={cert.S:.3g}",
                 lhs,
                 rhs,
-                rhs - lhs,
                 lhs <= rhs,
             )
         )
@@ -691,24 +696,22 @@ def _smallball_rows(
     cfg: ExperimentConfig, exact: SmallBallCheck, trials: int
 ) -> list[tuple]:
     rows = [
-        (
+        _lemma_row(
             "small-ball",
             f"exact a=0.05 u=0.02 R={cfg.R:g}",
             exact.probability,
             exact.bound,
-            exact.bound - exact.probability,
             exact.passed,
         )
     ]
     for name, A, u, b in _smallball_instances(cfg)[:2]:
         chk = small_ball_check(A, cfg.R, u, b, trials, seed=cfg.seed + 4)
         rows.append(
-            (
+            _lemma_row(
                 "small-ball",
                 f"{name} ell={A.shape[0]} u={u:g} R={cfg.R:g}",
                 chk.probability,
                 chk.bound,
-                chk.bound - chk.probability,
                 chk.passed,
             )
         )
@@ -725,12 +728,11 @@ def _parseval_rows(cfg: ExperimentConfig) -> list[tuple]:
         quad = math.fsum(dec.quadrature_energies)
         rel = abs(direct - quad) / max(direct, 1e-300)
         rows.append(
-            (
+            _lemma_row(
                 "line-parseval",
                 f"v={_cell(v)}",
                 rel,
                 PARSEVAL_TOLERANCE,
-                PARSEVAL_TOLERANCE - rel,
                 rel <= PARSEVAL_TOLERANCE,
             )
         )
@@ -755,22 +757,20 @@ def _invariance_rows(cfg: ExperimentConfig) -> list[tuple]:
         if rec.kind != "kernel":
             continue
         rows.append(
-            (
+            _lemma_row(
                 "spectral-energy",
                 f"v={_cell(rec.vector)}",
                 float(rec.violations),
                 0.0,
-                0.0 if rec.violations == 0 else -float(rec.violations),
                 rec.violations == 0,
             )
         )
         rows.append(
-            (
+            _lemma_row(
                 "ball-reduction",
                 f"v={_cell(rec.vector)}",
                 rec.tv,
                 rec.bound,
-                rec.bound - rec.tv,
                 rec.passed,
             )
         )
@@ -779,12 +779,11 @@ def _invariance_rows(cfg: ExperimentConfig) -> list[tuple]:
         mus, cfg.R, level, trials=100_000, seed=cfg.seed + 5
     )
     rows.append(
-        (
+        _lemma_row(
             "convolution-tail",
             f"M={len(mus)} L={level:.3g}",
             tail.outside_mass,
             tail.mass_bound,
-            tail.mass_bound - tail.outside_mass,
             tail.outside_mass <= tail.mass_bound,
         )
     )
@@ -795,13 +794,24 @@ def _check_kernel_radius(cfg: ExperimentConfig, verb: str) -> None:
     """Reject a D the kernel enumeration cannot walk before any stage runs.
 
     tv-sweep and verify-lemmas enumerate every shift with |v|_2 <= D;
-    extract is not limited by D, since it certifies at the measured
-    diameter of its target.
+    extract enumerates shifts only up to the measured diameter of its
+    target, which D must cover (`_check_target_diameter`), so a D above
+    the cap leaves extract unchanged.
     """
     if cfg.D > MAX_KERNEL_RADIUS:
         raise UsageError(
             f"{verb} enumerates every integer shift with |v|_2 <= D; "
             f"D = {cfg.D} exceeds the cap {MAX_KERNEL_RADIUS}"
+        )
+
+
+def _check_target_diameter(cfg: ExperimentConfig, target: SparseMeasure) -> None:
+    """Reject a D below the target's support diameter before any stage runs."""
+    diameter = _support_diameter(target)
+    if diameter > cfg.D:
+        raise UsageError(
+            f"extract needs D to cover the target's support diameter "
+            f"{diameter:.3f}; D = {cfg.D} is below it"
         )
 
 
@@ -842,6 +852,7 @@ def cmd_extract(cfg: ExperimentConfig, out_dir: Path) -> int:
     tcfg = transfer_config(cfg, scenario)
     alg = scenario.algorithm(cfg)
     target = scenario.target(cfg)
+    _check_target_diameter(cfg, target)
     problem = scenario.problem(cfg)
     try:
         sketch, decoder, report = extract_sketch(
@@ -857,8 +868,8 @@ def cmd_extract(cfg: ExperimentConfig, out_dir: Path) -> int:
         cfg.route,
         cfg.R,
         cfg.M,
-        report.rank,
-        report.fibers_met,
+        sketch.structure.rank,
+        len(decoder.table),
         result.success,
         worst,
     )
@@ -868,13 +879,13 @@ def cmd_extract(cfg: ExperimentConfig, out_dir: Path) -> int:
     sketch_path = out_dir / f"sketch_{scenario.name}_{cfg.route}.txt"
     sketch_path.write_text(extraction_to_text(sketch, decoder, report))
     print(
-        f"{scenario.name} [{cfg.route}]: dimension {report.rank}, "
-        f"{report.fibers_met} fibers, success {result.success:.4f} "
+        f"{scenario.name} [{cfg.route}]: dimension {sketch.structure.rank}, "
+        f"{len(decoder.table)} fibers, success {result.success:.4f} "
         f"({result.method}); table at {path}, sketch at {sketch_path}"
     )
-    if report.conflicts:
+    if decoder.conflicts:
         print(
-            f"note: {len(report.conflicts)} fiber(s) carry conflicting promised "
+            f"note: {len(decoder.conflicts)} fiber(s) carry conflicting promised "
             f"bits; decoding is majority-vote there"
         )
     failed = [
@@ -922,9 +933,9 @@ def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         policy = TruncationPolicy.for_gaussian(cfg.n, R)
         try:
             sigma = select_state_sequence(
-                alg, target, problem, R, cfg.M, tcfg.samples, cfg.seed,
+                alg, target, problem, R, cfg.M, SAMPLES, cfg.seed,
                 threshold=tcfg.selection_threshold,
-                landings=tcfg.selection_landings,
+                landings=SELECTION_LANDINGS,
                 policy=policy,
             )
             laws = posterior_laws(alg, sigma, R, cfg.M, policy)

@@ -274,6 +274,18 @@ def convolve(mu1: SparseMeasure, mu2: SparseMeasure) -> SparseMeasure:
     return SparseMeasure(n, pts, masses, deficit=max(0.0, 1.0 - total))
 
 
+def _fft_side(mus: Sequence[SparseMeasure]) -> int:
+    """Side of the power-of-two grid that holds the convolution of mus
+    without wrap-around: above the widest summed support span."""
+    lo = np.sum([m.points.min(axis=0) for m in mus], axis=0)
+    hi = np.sum([m.points.max(axis=0) for m in mus], axis=0)
+    span = int((hi - lo).max()) + 1
+    side = 1
+    while side < span + 1:
+        side *= 2
+    return side
+
+
 def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     """Product-of-transforms convolution on a padded power-of-two grid.
 
@@ -284,11 +296,7 @@ def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
         raise ValueError("empty measure list")
     n = mus[0].dimension
     lo = np.sum([m.points.min(axis=0) for m in mus], axis=0)
-    hi = np.sum([m.points.max(axis=0) for m in mus], axis=0)
-    span = int((hi - lo).max()) + 1
-    side = 1
-    while side < span + 1:
-        side *= 2
+    side = _fft_side(mus)
     spectra: dict[int, np.ndarray] = {}
     prod: np.ndarray | None = None
     for m in mus:

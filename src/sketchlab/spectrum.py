@@ -49,8 +49,6 @@ __all__ = [
     "small_ball_exact_1d",
     "SmallBallCheck",
     "convolution_structure",
-    "lattice_to_text",
-    "lattice_from_text",
 ]
 
 DISSOCIATION_CAP = 20
@@ -197,6 +195,8 @@ class SketchLattice:
     with an integer residue at construction.
     """
 
+    route = "exact"
+
     dimension: int
     generators: tuple[tuple[Fraction, ...], ...]
     denominators: tuple[int, ...]
@@ -239,6 +239,12 @@ class SketchLattice:
     def rank(self) -> int:
         return len(self.generators)
 
+    def value(self, y: Sequence[int]) -> tuple[Fraction, ...]:
+        """The sketch value of integer y: residues <t_j, y> mod 1."""
+        return tuple(
+            sum((c * v for c, v in zip(t, y)), Fraction(0)) % 1 for t in self.generators
+        )
+
     def combination_points(self) -> np.ndarray:
         """All admissible combinations sum c_i t_i, 0 <= c_i < k_i, as
         reduced float rows (the full subgroup generated by the lattice);
@@ -274,9 +280,13 @@ class SketchLattice:
 
 @dataclass(frozen=True)
 class NearOriginBasis:
-    """Mollified-route output: rational frequencies eta_j = w_j / Q with
-    integer numerators w_j, |entries| <= Q/2; heavy near-origin
+    """Mollified-route output: ℓ rational frequencies eta_j = w_j / Q
+    with integer numerators w_j, |entries| <= Q/2; heavy near-origin
     frequencies lie within radius_bound of their real span."""
+
+    route = "mollified"
+    # the span sheet is continuous, so no finite fiber count bounds the image
+    fiber_bound = None
 
     dimension: int
     numerators: tuple[tuple[int, ...], ...]
@@ -296,14 +306,23 @@ class NearOriginBasis:
                 raise ValueError("numerator entries must be bounded by Q/2")
         if self.s_certified > 0:
             cap = 2.0 * self.s_certified / math.log2(2.0 * self.B)
-            if self.ell > cap * (1.0 + 1e-9):
+            if self.rank > cap * (1.0 + 1e-9):
                 raise CertifiedBoundError(
-                    f"basis size {self.ell} exceeds 2S/log2(2B) = {cap:.3f}"
+                    f"basis size {self.rank} exceeds 2S/log2(2B) = {cap:.3f}"
                 )
 
     @property
-    def ell(self) -> int:
+    def rank(self) -> int:
+        """ℓ, the number of basis rows."""
         return len(self.numerators)
+
+    @property
+    def entry_bound(self) -> int:
+        return max((abs(c) for w in self.numerators for c in w), default=0)
+
+    def value(self, y: Sequence[int]) -> tuple[int, ...]:
+        """The sketch value of integer y: the products <w_j, y>."""
+        return tuple(sum(c * v for c, v in zip(w, y)) for w in self.numerators)
 
     def span_matrix(self) -> np.ndarray:
         """Real span directions, one row per basis frequency."""
@@ -544,7 +563,7 @@ def extract_near_origin_structure(
     """Greedy rho-separated selection of near-origin heavy frequencies,
     orthonormalized and rounded to the Q-grid.
 
-    Returns ell = 0 immediately when 2 rho >= kappa (the whole near-origin
+    Returns rank 0 immediately when 2 rho >= kappa (the whole near-origin
     set is already within the radius bound of the trivial span).
     """
     if cfg.kappa is None:
@@ -771,38 +790,3 @@ def convolution_structure(
             )
         return basis
     raise ValueError(f"unknown route {route!r}")
-
-
-def lattice_to_text(lattice: SketchLattice) -> str:
-    lines = [
-        f"m={lattice.rank} n={lattice.dimension} "
-        f"span_error={lattice.span_error:.17g}"
-    ]
-    for t in lattice.generators:
-        lines.append(" ".join(str(c) for c in t))
-    lines.append("k " + " ".join(str(k) for k in lattice.denominators))
-    for rel in lattice.relations:
-        lines.append("rel" + ("" if not rel else " " + " ".join(map(str, rel))))
-    return "\n".join(lines) + "\n"
-
-
-def lattice_from_text(text: str) -> SketchLattice:
-    rows = [r for r in text.splitlines() if r.strip()]
-    head = dict(kv.split("=", 1) for kv in rows[0].split())
-    m, n = int(head["m"]), int(head["n"])
-    gens = tuple(
-        tuple(Fraction(c) for c in rows[1 + j].split()) for j in range(m)
-    )
-    ks = tuple(int(c) for c in rows[1 + m].split()[1:])
-    rels = tuple(
-        tuple(int(c) for c in rows[2 + m + j].split()[1:]) for j in range(m)
-    )
-    return SketchLattice(
-        dimension=n,
-        generators=gens,
-        denominators=ks,
-        relations=rels,
-        span_error=float(head["span_error"]),
-        fiber_bound=math.prod(ks) if ks else 1,
-        s_certified=0.0,
-    )

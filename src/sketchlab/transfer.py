@@ -9,9 +9,10 @@ sketch cannot see.
 """
 
 import ast
+import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,13 +22,7 @@ from .dgauss import TruncationPolicy, sample_truncated
 # convolve_many_fft is unused here, but benchmark/test_benchmark.py checks
 # that its tracer patches the transfer.convolve_many_fft alias
 from .measure import SparseMeasure, convolve_many_fft, gamma_truncated  # noqa: F401
-from .spectrum import (
-    GRID_EXPONENT,
-    SketchLattice,
-    StructureConfig,
-    lattice_from_text,
-    lattice_to_text,
-)
+from .spectrum import NearOriginBasis, SketchLattice, StructureConfig
 from .streaming import (
     ProblemSpec,
     StateSequence,
@@ -66,9 +61,17 @@ __all__ = [
     "verify_smoothness",
 ]
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 EXACT_EVAL_CAP = 10_000
+
+# census size of the state-sequence selection, simulated landings per
+# candidate's success estimate and per decoder fiber, and trials of the
+# smoothness check
+SAMPLES = 512
+SELECTION_LANDINGS = 64
+DECODER_LANDINGS = 256
+SMOOTHNESS_TRIALS = 2048
 
 # the proof only forces same-fiber labels to agree when the algorithm
 # actually succeeds on the fiber; this is the success level it uses
@@ -93,9 +96,9 @@ class TransferConfig:
 
     radius/blocks parameterize the stream model, diameter caps the
     support spread of the target distribution (and the shift-kernel
-    enumeration), and K/Q/q/kappa/B/grid_exponent with the radius make
-    the StructureConfig of the certification.  Q doubles as the
-    near-origin denominator on the mollified route.
+    enumeration), and K/Q/q/kappa/B with the radius make the
+    StructureConfig of the certification.  Q doubles as the near-origin
+    denominator on the mollified route.
     """
 
     radius: float = 8.0
@@ -106,12 +109,7 @@ class TransferConfig:
     q: int = 3
     kappa: float | None = 0.25
     B: float = 2.0
-    grid_exponent: int = GRID_EXPONENT
-    samples: int = 512
     selection_threshold: float | None = None
-    selection_landings: int = 64
-    decoder_landings: int = 256
-    smoothness_trials: int = 2048
     tv_margin: float = 0.05
     label: str = "scenario"
 
@@ -126,80 +124,47 @@ class TransferConfig:
 
 @dataclass(frozen=True)
 class ExtractedSketch:
-    """Linear sketch read off the conditioned block structure.
+    """Linear sketch read off the conditioned block structure: the
+    structure the translation certification certified, the state
+    sequence it was conditioned on, and the config of the run.
 
-    Exact route: generators t_j with denominators k_j; the sketch value
-    of y is the tuple of residues <t_j, y> mod 1, and the image has at
-    most prod k_j fibers.  Mollified route: an integer matrix with
-    entries bounded by the denominator; the sketch value is the exact
-    matrix-vector product.
+    Exact route: a SketchLattice; the sketch value of y is the tuple of
+    residues <t_j, y> mod 1, and the image has at most prod k_j fibers.
+    Mollified route: a NearOriginBasis; the sketch value is the exact
+    integer product with its numerator rows.
     """
 
-    route: str
-    dimension: int
+    structure: SketchLattice | NearOriginBasis
     sigma: StateSequence
-    exact_lattice: SketchLattice | None = None
-    integer_matrix: tuple[tuple[int, ...], ...] | None = None
-    denominator: int = 0
-    provenance: TransferConfig | None = None
+    provenance: TransferConfig
 
-    def __post_init__(self) -> None:
-        if self.route not in ("exact", "mollified"):
-            raise ValueError(f"unknown route {self.route!r}")
-        if self.route == "exact":
-            if self.exact_lattice is None or self.integer_matrix is not None:
-                raise ValueError("exact route carries a lattice and no matrix")
-            if self.exact_lattice.dimension != self.dimension:
-                raise ValueError("lattice dimension mismatch")
-        else:
-            if self.integer_matrix is None or self.exact_lattice is not None:
-                raise ValueError("mollified route carries a matrix and no lattice")
-            if self.denominator < 1:
-                raise ValueError("mollified route needs a positive denominator")
-            for row in self.integer_matrix:
-                if len(row) != self.dimension:
-                    raise ValueError("matrix row dimension mismatch")
-                if any(abs(c) > self.denominator for c in row):
-                    raise ValueError("matrix entries must be bounded by the denominator")
+    # The benchmark gates read these three off a parsed sketch file; the
+    # exact route has no matrix, so its denominator and entry bound are 0.
+    @property
+    def exact_lattice(self) -> SketchLattice | None:
+        return self.structure if self.structure.route == "exact" else None
 
     @property
-    def rank(self) -> int:
-        if self.route == "exact":
-            return self.exact_lattice.rank
-        return len(self.integer_matrix)
-
-    @property
-    def fiber_bound(self) -> int | None:
-        """prod k_j for the exact route; unbounded on the mollified one."""
-        if self.route == "exact":
-            return self.exact_lattice.fiber_bound
-        return None
+    def denominator(self) -> int:
+        return getattr(self.structure, "denominator", 0)
 
     @property
     def entry_bound(self) -> int:
-        if self.route == "exact":
-            return 0
-        return max((abs(c) for row in self.integer_matrix for c in row), default=0)
+        return getattr(self.structure, "entry_bound", 0)
 
 
 def sketch_apply(
     sketch: ExtractedSketch, y: Sequence[int]
 ) -> tuple[Fraction, ...] | tuple[int, ...]:
     """Exact sketch value of an integer vector."""
-    if len(y) != sketch.dimension:
+    if len(y) != sketch.structure.dimension:
         raise ValueError("vector dimension mismatch")
-    yy = [int(c) for c in y]
-    if sketch.route == "exact":
-        return tuple(
-            sum((c * v for c, v in zip(t, yy)), Fraction(0)) % 1
-            for t in sketch.exact_lattice.generators
-        )
-    return tuple(sum(c * v for c, v in zip(row, yy)) for row in sketch.integer_matrix)
+    return sketch.structure.value([int(c) for c in y])
 
 
 def sketch_value_add(sketch: ExtractedSketch, a: tuple, b: tuple) -> tuple:
     """Group law on sketch values: residues add mod 1, matrix values add."""
-    if sketch.route == "exact":
+    if sketch.structure.route == "exact":
         return tuple((x + z) % 1 for x, z in zip(a, b))
     return tuple(x + z for x, z in zip(a, b))
 
@@ -344,9 +309,9 @@ def _build_decoder(
     for fiber_index, (value, members) in enumerate(fibers.items()):
         y_rep = members[0]
         rng = np.random.default_rng((seed, fiber_index))
-        draws = resample_convolution(sketch.dimension, laws, landings, rng)
+        draws = resample_convolution(sketch.structure.dimension, laws, landings, rng)
         deltas = np.asarray(y_rep, dtype=np.int64) - draws
-        if sketch.route == "mollified":
+        if sketch.structure.route == "mollified":
             deltas = deltas + sample_truncated(
                 radius, policy, int(rng.integers(2**63)), count=landings
             )
@@ -386,20 +351,13 @@ def _build_decoder(
 
 @dataclass(frozen=True)
 class ExtractionReport:
-    label: str
-    route: str
-    radius: float
-    blocks: int
-    dimension: int
-    sigma: StateSequence
-    rank: int
-    fiber_bound: int | None
-    entry_bound: int | None
-    fibers_met: int
+    """What a run measured beyond the sketch and its decoder: the
+    conditioned laws, the smoothness check (mollified route only), the
+    translation certificates, and the distinct warnings."""
+
     laws: tuple[SparseMeasure, ...]
     smoothness: SmoothnessCheck | None
     translation: TranslationReport
-    conflicts: tuple[FiberConflict, ...]
     warnings: tuple[str, ...]
 
 
@@ -444,7 +402,7 @@ def extract_sketch(
     smoothness = None
     if route == "mollified":
         smoothness = verify_smoothness(
-            problem, target, cfg.radius, cfg.smoothness_trials, seed, policy
+            problem, target, cfg.radius, SMOOTHNESS_TRIALS, seed, policy
         )
         if not smoothness.passed:
             raise SmoothnessError(
@@ -458,21 +416,15 @@ def extract_sketch(
         problem,
         cfg.radius,
         cfg.blocks,
-        cfg.samples,
+        SAMPLES,
         seed,
         threshold=cfg.selection_threshold,
-        landings=cfg.selection_landings,
+        landings=SELECTION_LANDINGS,
         policy=policy,
     )
     laws = tuple(posterior_laws(alg, sigma, cfg.radius, cfg.blocks, policy))
     structure_cfg = StructureConfig(
-        K=cfg.K,
-        Q=cfg.Q,
-        R=cfg.radius,
-        q=cfg.q,
-        B=cfg.B,
-        kappa=cfg.kappa,
-        grid_exponent=cfg.grid_exponent,
+        K=cfg.K, Q=cfg.Q, R=cfg.radius, q=cfg.q, B=cfg.B, kappa=cfg.kappa
     )
     translation = translation_invariance_certify(
         laws,
@@ -482,24 +434,7 @@ def extract_sketch(
         max_kernel=64,
         scenario=cfg.label,
     )
-    structure = translation.structure
-    if route == "exact":
-        sketch = ExtractedSketch(
-            route=route,
-            dimension=n,
-            sigma=sigma,
-            exact_lattice=structure,
-            provenance=cfg,
-        )
-    else:
-        sketch = ExtractedSketch(
-            route=route,
-            dimension=n,
-            sigma=sigma,
-            integer_matrix=structure.numerators,
-            denominator=structure.denominator,
-            provenance=cfg,
-        )
+    sketch = ExtractedSketch(translation.structure, sigma, cfg)
     decoder = _build_decoder(
         alg,
         sketch,
@@ -508,7 +443,7 @@ def extract_sketch(
         laws,
         cfg.radius,
         policy,
-        cfg.decoder_landings,
+        DECODER_LANDINGS,
         seed,
         translation.convolution,
     )
@@ -521,20 +456,9 @@ def extract_sketch(
     if hard:
         raise DecoderConflict(hard, sigma.success_estimate)
     report = ExtractionReport(
-        label=cfg.label,
-        route=route,
-        radius=cfg.radius,
-        blocks=cfg.blocks,
-        dimension=n,
-        sigma=sigma,
-        rank=sketch.rank,
-        fiber_bound=sketch.fiber_bound,
-        entry_bound=None if route == "exact" else sketch.entry_bound,
-        fibers_met=len(decoder.table),
         laws=laws,
         smoothness=smoothness,
         translation=translation,
-        conflicts=decoder.conflicts,
         warnings=tuple(dict.fromkeys(translation.warnings)),
     )
     return sketch, decoder, report
@@ -556,7 +480,7 @@ class EvaluationResult:
 def _make_checker(sketch: ExtractedSketch, problem: ProblemSpec):
     if problem.kind == "metric-approximation":
         # the reduction degrades the tolerance: 3x exact, 6x mollified
-        factor = 3.0 if sketch.route == "exact" else 6.0
+        factor = 3.0 if sketch.structure.route == "exact" else 6.0
         tol = factor * problem.epsilon
         return tol, lambda y, o: problem.metric(o, problem.target(y)) <= tol
     return None, problem.valid
@@ -632,7 +556,9 @@ def fiber_census(sketch: ExtractedSketch, domain: Sequence[Sequence[int]]) -> Fi
         yy = tuple(int(c) for c in y)
         members.setdefault(sketch_apply(sketch, yy), []).append(yy)
     members = {v: tuple(ys) for v, ys in members.items()}
-    return FiberCensus(members=members, count=len(members), bound=sketch.fiber_bound)
+    return FiberCensus(
+        members=members, count=len(members), bound=sketch.structure.fiber_bound
+    )
 
 
 # -- serialization ------------------------------------------------------------
@@ -657,28 +583,37 @@ def extraction_to_text(
     sketch: ExtractedSketch, decoder: FiberDecoder, report: ExtractionReport
 ) -> str:
     """One-file report: sketch, decoder, and certificates, versioned."""
+    structure, cfg, sig = sketch.structure, sketch.provenance, sketch.sigma
     lines = [f"sketch-report v{REPORT_VERSION}"]
-    lines.append(f"label {report.label}")
-    lines.append(f"route {sketch.route}")
-    lines.append(f"n {sketch.dimension}")
-    if sketch.provenance is not None:
-        for f in fields(TransferConfig):
-            lines.append(f"cfg {f.name} {getattr(sketch.provenance, f.name)!r}")
-    sig = sketch.sigma
+    lines.append(f"label {cfg.label}")
+    lines.append(f"route {structure.route}")
+    lines.append(f"n {structure.dimension}")
+    for f in fields(TransferConfig):
+        lines.append(f"cfg {f.name} {getattr(cfg, f.name)!r}")
     lines.append("sigma " + " ".join(str(s) for s in sig.states))
     lines.append(f"sigma_probability {sig.probability:.17g}")
     lines.append(
         "sigma_densities " + " ".join(f"{b:.17g}" for b in sig.per_block_densities)
     )
     lines.append(f"sigma_success {sig.success_estimate:.17g}")
-    if sketch.route == "exact":
+    if structure.route == "exact":
+        entry_bound = None
         lines.append("begin lattice")
-        lines.append(lattice_to_text(sketch.exact_lattice).rstrip("\n"))
+        lines.append(
+            f"m={structure.rank} n={structure.dimension} "
+            f"span_error={structure.span_error:.17g}"
+        )
+        for t in structure.generators:
+            lines.append(" ".join(str(c) for c in t))
+        lines.append("k " + " ".join(str(k) for k in structure.denominators))
+        for rel in structure.relations:
+            lines.append("rel" + ("" if not rel else " " + " ".join(map(str, rel))))
         lines.append("end lattice")
-        lines.append(f"lattice_s_certified {sketch.exact_lattice.s_certified:.17g}")
+        lines.append(f"lattice_s_certified {structure.s_certified:.17g}")
     else:
-        lines.append(f"matrix_denominator {sketch.denominator}")
-        for row in sketch.integer_matrix:
+        entry_bound = structure.entry_bound
+        lines.append(f"matrix_denominator {structure.denominator}")
+        for row in structure.numerators:
             lines.append("matrix_row " + " ".join(str(c) for c in row))
     lines.append(f"default {decoder.default!r}")
     for value in decoder.table:
@@ -688,10 +623,10 @@ def extraction_to_text(
             + " ".join(str(c) for c in rep)
             + f" out {decoder.table[value]!r}"
         )
-    lines.append(f"# rank {report.rank}")
-    lines.append(f"# fiber_bound {report.fiber_bound}")
-    lines.append(f"# entry_bound {report.entry_bound}")
-    lines.append(f"# fibers_met {report.fibers_met}")
+    lines.append(f"# rank {structure.rank}")
+    lines.append(f"# fiber_bound {structure.fiber_bound}")
+    lines.append(f"# entry_bound {entry_bound}")
+    lines.append(f"# fibers_met {len(decoder.table)}")
     if report.smoothness is not None:
         sm = report.smoothness
         lines.append(
@@ -703,7 +638,7 @@ def extraction_to_text(
             f"# shift {rec.kind} v={','.join(str(c) for c in rec.vector)} "
             f"tv={rec.tv:.9g} bound={rec.bound:.9g} passed={rec.passed}"
         )
-    for c in report.conflicts:
+    for c in decoder.conflicts:
         lines.append(
             f"# conflict fiber={_value_str(c.value)} labels={c.labels!r} tv={c.tv:.6g}"
         )
@@ -713,91 +648,79 @@ def extraction_to_text(
 
 
 def extraction_from_text(text: str) -> tuple[ExtractedSketch, FiberDecoder]:
-    """Rebuild the functional core (sketch and decoder) from a report."""
+    """Rebuild the functional core (sketch and decoder) from a report.
+
+    The parsed structure carries no certificate: the basis gets radius
+    bound 0 and the lattice kappa 0.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("sketch-report v"):
         raise ValueError("missing report header")
     if int(lines[0].split("v")[-1]) != REPORT_VERSION:
         raise ValueError("unsupported report version")
-    route = ""
-    n = 0
+    head: dict[str, str] = {}
     cfg_kwargs: dict = {}
-    sigma_states: tuple[int, ...] = ()
-    sigma_prob = 0.0
-    sigma_dens: tuple[float, ...] = ()
-    sigma_succ = 0.0
-    lattice: SketchLattice | None = None
-    lattice_s = 0.0
+    lattice_rows: list[str] = []
     matrix: list[tuple[int, ...]] = []
-    denom = 0
-    default: object = None
-    table: dict = {}
-    representative: dict = {}
+    fibers: list[str] = []
     it = iter(lines[1:])
     for line in it:
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
-        if key == "label":
-            cfg_kwargs.setdefault("label", rest)
-        elif key == "route":
-            route = rest
-        elif key == "n":
-            n = int(rest)
-        elif key == "cfg":
+        if key == "cfg":
             name, _, value = rest.partition(" ")
             cfg_kwargs[name] = ast.literal_eval(value)
-        elif key == "sigma":
-            sigma_states = tuple(int(s) for s in rest.split())
-        elif key == "sigma_probability":
-            sigma_prob = float(rest)
-        elif key == "sigma_densities":
-            sigma_dens = tuple(float(b) for b in rest.split())
-        elif key == "sigma_success":
-            sigma_succ = float(rest)
         elif key == "begin":
-            block = []
-            for sub in it:
-                if sub == "end lattice":
-                    break
-                block.append(sub)
-            lattice = lattice_from_text("\n".join(block) + "\n")
-        elif key == "lattice_s_certified":
-            lattice_s = float(rest)
-        elif key == "matrix_denominator":
-            denom = int(rest)
+            lattice_rows = list(itertools.takewhile(lambda r: r != "end lattice", it))
         elif key == "matrix_row":
             matrix.append(tuple(int(c) for c in rest.split()))
-        elif key == "default":
-            default = ast.literal_eval(rest)
         elif key == "fiber":
-            head, _, out_repr = rest.partition(" out ")
-            value_text, _, rep_text = head.partition(" rep ")
-            value = _value_parse(value_text, route)
-            representative[value] = tuple(int(c) for c in rep_text.split())
-            table[value] = ast.literal_eval(out_repr)
-    sigma = StateSequence(sigma_states, sigma_prob, sigma_dens, sigma_succ)
-    cfg = TransferConfig(**cfg_kwargs) if len(cfg_kwargs) > 1 else None
+            fibers.append(rest)
+        else:
+            head[key] = rest
+    route, n = head["route"], int(head["n"])
     if route == "exact":
-        if lattice is None:
+        if not lattice_rows:
             raise ValueError("exact report carries no lattice block")
-        lattice = replace(lattice, s_certified=lattice_s)
-        sketch = ExtractedSketch(
-            route=route,
+        block = dict(kv.split("=", 1) for kv in lattice_rows[0].split())
+        m = int(block["m"])
+        ks = tuple(int(c) for c in lattice_rows[1 + m].split()[1:])
+        structure = SketchLattice(
             dimension=n,
-            sigma=sigma,
-            exact_lattice=lattice,
-            provenance=cfg,
+            generators=tuple(
+                tuple(Fraction(c) for c in row.split()) for row in lattice_rows[1 : 1 + m]
+            ),
+            denominators=ks,
+            relations=tuple(
+                tuple(int(c) for c in row.split()[1:]) for row in lattice_rows[2 + m :]
+            ),
+            span_error=float(block["span_error"]),
+            fiber_bound=math.prod(ks),
+            s_certified=float(head["lattice_s_certified"]),
         )
     else:
-        sketch = ExtractedSketch(
-            route=route,
+        structure = NearOriginBasis(
             dimension=n,
-            sigma=sigma,
-            integer_matrix=tuple(matrix),
-            denominator=denom,
-            provenance=cfg,
+            numerators=tuple(matrix),
+            denominator=int(head["matrix_denominator"]),
+            radius_bound=0.0,
         )
+    sigma = StateSequence(
+        tuple(int(s) for s in head["sigma"].split()),
+        float(head["sigma_probability"]),
+        tuple(float(b) for b in head["sigma_densities"].split()),
+        float(head["sigma_success"]),
+    )
+    table: dict = {}
+    representative: dict = {}
+    for rest in fibers:
+        head_text, _, out_repr = rest.partition(" out ")
+        value_text, _, rep_text = head_text.partition(" rep ")
+        value = _value_parse(value_text, route)
+        representative[value] = tuple(int(c) for c in rep_text.split())
+        table[value] = ast.literal_eval(out_repr)
+    sketch = ExtractedSketch(structure, sigma, TransferConfig(**cfg_kwargs))
     return sketch, FiberDecoder(
-        table=table, representative=representative, default=default
+        table=table, representative=representative, default=ast.literal_eval(head["default"])
     )

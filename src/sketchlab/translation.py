@@ -19,6 +19,7 @@ import numpy as np
 from .measure import (
     SparseMeasure,
     _covering_exponent,
+    _fft_side,
     _grid_embed,
     _lex_groups,
     _reduce_torus,
@@ -566,15 +567,8 @@ def convolution_tail_center(
     radius = 2.0 * R * math.sqrt(M) * L * math.sqrt(n + L * L + S)
     mass_bound = 2.0 * M * math.exp(-L * L / 2.0)
 
-    if conv is None:
-        width = 1 + int(
-            sum(int((m.points.max(axis=0) - m.points.min(axis=0)).max()) for m in mus)
-        )
-        side = 1
-        while side < width + 1:
-            side *= 2
-        if side**n <= cell_cap:
-            conv = convolve_many_fft(mus)
+    if conv is None and _fft_side(mus) ** n <= cell_cap:
+        conv = convolve_many_fft(mus)
     if conv is not None:
         d = conv.points - center
         far = np.sqrt(np.einsum("ij,ij->i", d, d)) > radius
@@ -715,11 +709,9 @@ def translation_invariance_certify(
     extracted = convolution_structure(mus, route, scan_cfg)
     warnings.extend(extracted.warnings)
     if exact:
-        rank = extracted.rank
         conv_list = list(mus)
         eta = math.exp(-M / K)
     else:
-        rank = extracted.ell
         conv_list = list(mus) + [gamma_truncated(n, R)]
         # Off the kappa ball the reference transform decays below
         # exp(-R^2 kappa^2 / 5), so the mollified heavy set is confined
@@ -789,7 +781,7 @@ def translation_invariance_certify(
         H=tail.radius,
         center=tail.center,
         deficit=nu.deficit,
-        structure_rank=rank,
+        structure_rank=extracted.rank,
         kernel_empty=not kernels,
         max_kernel_tv=max(kernel_tvs) if kernel_tvs else math.nan,
         records=tuple(records),

@@ -210,7 +210,7 @@ def test_c08_ball_reduction_tv():
 def test_c09_parity_extraction():
     start = time.perf_counter()
     sketch, decoder, report, result = run_scenario("parity", "exact", 8, 2048, 0)
-    lattice = sketch.exact_lattice
+    lattice = sketch.structure
     assert lattice.denominators == (2,)
     assert lattice.relations == ((),)
     (gen,) = lattice.generators
@@ -224,7 +224,7 @@ def test_c09_parity_extraction():
 def test_c10_mod3_extraction():
     start = time.perf_counter()
     sketch, decoder, report, result = run_scenario("mod-3", "exact", 4, 2048, 7)
-    lattice = sketch.exact_lattice
+    lattice = sketch.structure
     assert lattice.denominators == (3,)
     (gen,) = lattice.generators
     targets = (Fraction(1, 3), Fraction(0))
@@ -237,8 +237,8 @@ def test_c10_mod3_extraction():
 
 def test_c11_constant_dimension_and_sweep(tmp_path):
     start = time.perf_counter()
-    _, _, report, _ = run_scenario("constant", "exact", 2, 2048, 3)
-    assert report.rank == 0
+    sketch, _, _, _ = run_scenario("constant", "exact", 2, 2048, 3)
+    assert sketch.structure.rank == 0
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("n = 2\nM = 2\nsweep = 4, 8, 16\nseed = 3\nscenario = constant\n")
     assert main(["tv-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
@@ -275,10 +275,10 @@ def test_c13_mollified_extraction():
     start = time.perf_counter()
     sketch, decoder, report, result = run_scenario("capped-norm", "mollified", 2, 8, 11)
     assert report.smoothness is not None and report.smoothness.passed
-    assert sketch.denominator == 8
-    assert report.entry_bound is not None and report.entry_bound <= 8
-    _, _, exact_report, _ = run_scenario("capped-norm", "exact", 2, 2048, 11)
-    assert report.rank <= exact_report.rank
+    assert sketch.structure.denominator == 8
+    assert sketch.structure.entry_bound <= 8
+    exact_sketch, _, _, _ = run_scenario("capped-norm", "exact", 2, 2048, 11)
+    assert sketch.structure.rank <= exact_sketch.structure.rank
     assert result.method == "exact"
     assert result.success >= 0.9
     budget(60.0, start)

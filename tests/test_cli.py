@@ -7,6 +7,7 @@ reproducibility measured byte-for-byte on rerun output.
 """
 
 import csv
+import importlib.util
 import json
 import math
 import tempfile
@@ -329,8 +330,8 @@ class TestExtract:
         )
         assert row[0] == "parity" and row[1] == "exact"
         assert row[2] == "8" and row[3] == "2"
-        assert int(row[4]) == report.rank
-        assert int(row[5]) == report.fibers_met
+        assert int(row[4]) == sketch.structure.rank
+        assert int(row[5]) == len(decoder.table)
         assert float(row[6]) == result.success == 1.0
         assert float(row[7]) == pytest.approx(
             report.translation.max_kernel_tv, abs=1e-15
@@ -340,7 +341,7 @@ class TestExtract:
         _, out = parity_run()
         text = (out / "sketch_parity_exact.txt").read_text()
         sketch, decoder = extraction_from_text(text)
-        assert sketch.route == "exact"
+        assert sketch.structure.route == "exact"
         assert sketch_apply(sketch, (1, 0)) == (Fraction(1, 2),)
         assert sketch_apply(sketch, (1, 1)) == (Fraction(0),)
         assert decoder.decode(sketch_apply(sketch, (1, 0))) == 1
@@ -436,7 +437,8 @@ class TestDuplicateSweepRadius:
 class TestKernelRadiusCap:
     """D above the enumeration cap is a usage error before any stage runs,
     for the verbs that enumerate shifts up to D; extract certifies at its
-    target's own diameter, so a large D leaves it unchanged."""
+    target's own diameter, so a large D leaves it unchanged, and a D below
+    that diameter is a usage error."""
 
     @pytest.mark.parametrize("verb", ["tv-sweep", "verify-lemmas"])
     def test_enumerating_verbs_reject_d_above_cap(self, capsys, monkeypatch, verb):
@@ -478,6 +480,46 @@ class TestKernelRadiusCap:
         )
         assert [a for a, b in zip(ours, theirs) if a != b] == ["cfg diameter 13"]
         assert len(ours) == len(theirs)
+
+    def test_extract_rejects_d_below_the_target_diameter(self, capsys, monkeypatch):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran before D was checked")
+
+        monkeypatch.setattr(cli, "extract_sketch", no_stage)
+        cfg = write_cfg("parity-d1.cfg", "M = 2\nD = 1\nseed = 11\nscenario = parity\n")
+        out = suite_dir() / "parity-d1"
+        code = main(["extract", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: extract needs D to cover the target's support diameter 2.236; "
+            "D = 1 is below it"
+        ]
+        assert not out.exists()
+
+
+class TestBenchmarkGates:
+    """The benchmark's gates read a parsed sketch file through
+    `exact_lattice`, `denominator`, `entry_bound` and `provenance.Q`; a
+    dropped name fails here before it fails the benchmark."""
+
+    @staticmethod
+    def child():
+        path = Path(__file__).resolve().parents[1] / "benchmark" / "child.py"
+        spec = importlib.util.spec_from_file_location("benchmark_child", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize(
+        "run, gate",
+        [(parity_run, "_gate_parity"), (mollified_run, "_gate_mollified")],
+    )
+    def test_extract_passes_its_gate(self, run, gate):
+        code, out = run()
+        assert code == 0
+        problems: list[str] = []
+        getattr(self.child(), gate)(out, problems)
+        assert problems == []
 
 
 class TestSmallBallWindow:

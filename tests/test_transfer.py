@@ -22,6 +22,7 @@ from measure_oracle import from_atoms
 from sketchlab import transfer
 from sketchlab.dgauss import TruncationPolicy
 from sketchlab.measure import SparseMeasure, convolve_many_fft
+from sketchlab.spectrum import NearOriginBasis, SketchLattice, StructureConfig
 from sketchlab.streaming import (
     ProblemSpec,
     SelectionFailed,
@@ -50,7 +51,7 @@ from sketchlab.transfer import (
     sketch_value_add,
     verify_smoothness,
 )
-from sketchlab.translation import tv_distance
+from sketchlab.translation import translation_invariance_certify, tv_distance
 
 TARGET4 = SparseMeasure.uniform([(0, 0), (1, 0), (1, 1), (2, 1)])
 MOD3_TARGET = SparseMeasure.uniform([(0, 0), (1, 0), (2, 0), (3, 0)])
@@ -73,22 +74,20 @@ def mod3_algorithm():
 
 @functools.cache
 def parity_extraction():
-    cfg = TransferConfig(radius=8.0, blocks=2, samples=256, label="parity-unit")
+    cfg = TransferConfig(radius=8.0, blocks=2, label="parity-unit")
     return extract_sketch(parity_algorithm(2), TARGET4, PARITY_PROBLEM, "exact", cfg, seed=11)
 
 
 @functools.cache
 def mod3_extraction():
-    cfg = TransferConfig(
-        radius=8.0, blocks=2, samples=512, selection_threshold=0.05, label="mod3-unit"
-    )
+    cfg = TransferConfig(radius=8.0, blocks=2, selection_threshold=0.05, label="mod3-unit")
     return extract_sketch(mod3_algorithm(), MOD3_TARGET, MOD3_PROBLEM, "exact", cfg, seed=7)
 
 
 @functools.cache
 def constant_extraction():
     target = SparseMeasure.uniform([(0, 0), (1, 1)])
-    cfg = TransferConfig(radius=8.0, blocks=2, samples=64, label="constant-unit")
+    cfg = TransferConfig(radius=8.0, blocks=2, label="constant-unit")
     problem = ProblemSpec.promise(lambda y: 0)
     sketch, decoder, report = extract_sketch(
         constant_algorithm(2), target, problem, "exact", cfg, seed=3
@@ -98,13 +97,13 @@ def constant_extraction():
 
 @functools.cache
 def adversarial_extraction():
-    cfg = TransferConfig(radius=8.0, blocks=2, samples=256, label="adversarial-unit")
+    cfg = TransferConfig(radius=8.0, blocks=2, label="adversarial-unit")
     return extract_sketch(parity_algorithm(2), MOD3_TARGET, MOD3_PROBLEM, "exact", cfg, seed=5)
 
 
 @functools.cache
 def mollified_extraction():
-    cfg = TransferConfig(radius=8.0, blocks=2, samples=256, Q=8, label="mollified-unit")
+    cfg = TransferConfig(radius=8.0, blocks=2, Q=8, label="mollified-unit")
     return extract_sketch(parity_algorithm(2), TARGET4, CAPPED_NORM, "mollified", cfg, seed=11)
 
 
@@ -141,13 +140,11 @@ def test_additivity_over_random_pairs():
 
 
 def test_additivity_mollified_matrix():
-    sketch = ExtractedSketch(
-        route="mollified",
-        dimension=2,
-        sigma=StateSequence((0, 0, 0), 1.0, (1.0, 1.0), 1.0),
-        integer_matrix=((3, -1), (0, 2)),
-        denominator=8,
+    basis = NearOriginBasis(
+        dimension=2, numerators=((3, -1), (0, 2)), denominator=8, radius_bound=0.0
     )
+    sigma = StateSequence((0, 0, 0), 1.0, (1.0, 1.0), 1.0)
+    sketch = ExtractedSketch(basis, sigma, TransferConfig(Q=8))
     rng = np.random.default_rng(7)
     pairs = rng.integers(-40, 41, size=(1000, 2, 2))
     for y1, y2 in pairs:
@@ -162,19 +159,14 @@ def test_additivity_mollified_matrix():
 
 
 def test_sketch_validation():
-    sigma = StateSequence((0, 0), 1.0, (1.0,), 1.0)
-    with pytest.raises(ValueError, match="route"):
-        ExtractedSketch(route="other", dimension=1, sigma=sigma)
-    with pytest.raises(ValueError, match="lattice"):
-        ExtractedSketch(route="exact", dimension=1, sigma=sigma)
-    with pytest.raises(ValueError, match="bounded"):
-        ExtractedSketch(
-            route="mollified",
-            dimension=1,
-            sigma=sigma,
-            integer_matrix=((9,),),
-            denominator=8,
-        )
+    # the structure checks its own rows; the sketch checks the input length
+    with pytest.raises(ValueError, match="bounded by Q/2"):
+        NearOriginBasis(dimension=1, numerators=((5,),), denominator=8, radius_bound=0.0)
+    with pytest.raises(ValueError, match="dimension"):
+        NearOriginBasis(dimension=1, numerators=((1, 1),), denominator=8, radius_bound=0.0)
+    sketch, _, _ = parity_extraction()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sketch_apply(sketch, (1, 0, 0))
 
 
 # -- parity scenario ----------------------------------------------------------
@@ -182,9 +174,9 @@ def test_sketch_validation():
 
 def test_parity_generator_and_relations():
     sketch, _, report = parity_extraction()
-    lat = sketch.exact_lattice
+    lat = sketch.structure
     assert lat.denominators == (2,)
-    assert report.fiber_bound == 2
+    assert lat.fiber_bound == 2
     # torus representative of (1/2, 1/2)
     for c in lat.generators[0]:
         assert min(abs(c - Fraction(1, 2)), abs(c + Fraction(1, 2))) <= Fraction(1, 2048)
@@ -193,10 +185,10 @@ def test_parity_generator_and_relations():
 
 
 def test_parity_sigma_and_success():
-    _, _, report = parity_extraction()
-    assert report.sigma.states == (0, 0, 0)
-    assert abs(report.sigma.probability - 0.25) < 1e-9
-    assert report.sigma.success_estimate == 1.0
+    sketch, _, _ = parity_extraction()
+    assert sketch.sigma.states == (0, 0, 0)
+    assert abs(sketch.sigma.probability - 0.25) < 1e-9
+    assert sketch.sigma.success_estimate == 1.0
 
 
 def test_parity_decoder_matches_simulation():
@@ -237,12 +229,12 @@ def test_parity_controls_are_rigid():
 
 
 def test_mod3_generator_and_fibers():
-    sketch, decoder, report = mod3_extraction()
-    lat = sketch.exact_lattice
+    sketch, decoder, _ = mod3_extraction()
+    lat = sketch.structure
     assert lat.generators == ((Fraction(1, 3), Fraction(0)),)
     assert lat.denominators == (3,)
-    assert report.fiber_bound == 3
-    assert report.sigma.states == (0, 0, 0)
+    assert lat.fiber_bound == 3
+    assert sketch.sigma.states == (0, 0, 0)
     for y in sorted(MOD3_TARGET.atoms):
         assert decoder.decode(sketch_apply(sketch, y)) == MOD3_PROBLEM.label(y)
 
@@ -257,10 +249,10 @@ def test_mod3_evaluation_exact():
 
 
 def test_constant_scenario_empty_sketch():
-    sketch, decoder, report, target, problem = constant_extraction()
-    assert report.rank == 0
+    sketch, decoder, _, target, problem = constant_extraction()
+    assert sketch.structure.rank == 0
     assert sketch_apply(sketch, (5, -3)) == ()
-    assert report.fibers_met == 1
+    assert len(decoder.table) == 1
     res = evaluate_sketch(sketch, decoder, target, problem)
     assert res.success == 1.0
 
@@ -270,8 +262,8 @@ def test_constant_scenario_empty_sketch():
 
 def test_adversarial_base_rate_and_ceiling():
     # oracle: exhaustive fiber analysis gives the information ceiling
-    sketch, decoder, report = adversarial_extraction()
-    assert report.sigma.success_estimate <= 0.75
+    sketch, decoder, _ = adversarial_extraction()
+    assert sketch.sigma.success_estimate <= 0.75
     census = fiber_census(sketch, sorted(MOD3_TARGET.atoms))
     ceiling = 0.0
     for members in census.members.values():
@@ -284,9 +276,9 @@ def test_adversarial_base_rate_and_ceiling():
 
 
 def test_adversarial_conflicts_recorded_not_raised():
-    _, decoder, report = adversarial_extraction()
-    assert len(report.conflicts) == 2
-    for c in report.conflicts:
+    _, decoder, _ = adversarial_extraction()
+    assert len(decoder.conflicts) == 2
+    for c in decoder.conflicts:
         assert set(c.labels) == {0, 1}
         assert c.tv < 0.45
 
@@ -302,7 +294,7 @@ def test_mollified_smoothness_gate():
     chk2 = verify_smoothness(CAPPED_NORM, TARGET4, 8.0, trials=2048, seed=1)
     assert chk2.passed
     assert chk2.failures == 0
-    cfg = TransferConfig(radius=8.0, blocks=2, samples=256, Q=8, label="reject-unit")
+    cfg = TransferConfig(radius=8.0, blocks=2, Q=8, label="reject-unit")
     with pytest.raises(SmoothnessError, match="not"):
         extract_sketch(parity_algorithm(2), TARGET4, parity_promise, "mollified", cfg, seed=11)
 
@@ -310,10 +302,10 @@ def test_mollified_smoothness_gate():
 def test_mollified_dimension_and_entries():
     sketch, decoder, report = mollified_extraction()
     assert report.smoothness is not None and report.smoothness.passed
-    assert sketch.entry_bound <= sketch.denominator == 8
+    assert sketch.structure.entry_bound <= sketch.structure.denominator == 8
     exact_sketch, _, _ = parity_extraction()
     # the smoothed route never needs more generators than the exact one
-    assert report.rank <= exact_sketch.rank
+    assert sketch.structure.rank <= exact_sketch.structure.rank
     res = evaluate_sketch(sketch, decoder, TARGET4, CAPPED_NORM)
     assert res.success == 1.0
     # metric tolerance degrades 6x on the mollified route
@@ -338,7 +330,7 @@ def test_exact_metric_tolerance_is_3x():
 def test_in_theorem_conflict_raises():
     target = from_atoms(2, {(1, 0): 0.9, (2, 1): 0.1})
     problem = ProblemSpec.promise(lambda y: 1 if y[0] == 1 else 0)
-    cfg = TransferConfig(radius=8.0, blocks=2, samples=128, label="conflict-unit")
+    cfg = TransferConfig(radius=8.0, blocks=2, label="conflict-unit")
     with pytest.raises(DecoderConflict) as err:
         extract_sketch(constant_algorithm(2, value=1), target, problem, "exact", cfg, seed=2)
     (conflict,) = err.value.conflicts
@@ -347,7 +339,7 @@ def test_in_theorem_conflict_raises():
 
 
 def test_selection_failure_propagates():
-    cfg = TransferConfig(radius=8.0, blocks=2, samples=128, label="identity-unit")
+    cfg = TransferConfig(radius=8.0, blocks=2, label="identity-unit")
     with pytest.raises(SelectionFailed):
         extract_sketch(
             identity_box_algorithm(2, 40), TARGET4, PARITY_PROBLEM, "exact", cfg, seed=5
@@ -363,8 +355,8 @@ def test_support_diameter_precondition():
 
 @pytest.mark.parametrize("route", ["exact", "mollified"])
 def test_small_scan_grid_is_raised_to_cover_the_pieces(route, monkeypatch):
-    # the pieces outgrow a 2^6 grid; certification raises the exponent to 7,
-    # and the sketch is the structure it certified, built exactly once
+    # the sketch is the structure the certification built, exactly once;
+    # on the same pieces a 2^6 grid is raised to 7, which finds that structure
     import sketchlab.translation as translation
 
     calls = Counter()
@@ -381,28 +373,27 @@ def test_small_scan_grid_is_raised_to_cover_the_pieces(route, monkeypatch):
     spy("convolution_structure")
     spy("convolve_many_fft")
     if route == "exact":
-        cfg = TransferConfig(
-            radius=8.0, blocks=2, samples=256, grid_exponent=6, label="parity-unit"
-        )
-        problem, reference = PARITY_PROBLEM, parity_extraction()[0]
+        cfg = TransferConfig(radius=8.0, blocks=2, label="parity-unit")
+        problem = PARITY_PROBLEM
     else:
-        cfg = TransferConfig(
-            radius=8.0, blocks=2, samples=256, Q=8, grid_exponent=6, label="mollified-unit"
-        )
-        problem, reference = CAPPED_NORM, mollified_extraction()[0]
+        cfg = TransferConfig(radius=8.0, blocks=2, Q=8, label="mollified-unit")
+        problem = CAPPED_NORM
     sketch, _, report = extract_sketch(
         parity_algorithm(2), TARGET4, problem, route, cfg, seed=11
     )
     assert calls == {"convolution_structure": 1, "convolve_many_fft": 1}
-    assert "scan grid exponent raised to 7 to cover the pieces" in report.warnings
+    assert sketch.structure is report.translation.structure
+    small = StructureConfig(
+        K=cfg.K, Q=cfg.Q, R=cfg.radius, q=cfg.q, B=cfg.B, kappa=cfg.kappa, grid_exponent=6
+    )
+    raised = translation_invariance_certify(report.laws, route, small, 3, max_kernel=64)
+    assert "scan grid exponent raised to 7 to cover the pieces" in raised.warnings
     if route == "exact":
-        assert sketch.exact_lattice is report.translation.structure
-        assert sketch.exact_lattice.generators == reference.exact_lattice.generators
-        assert reference.exact_lattice.generators == ((Fraction(-1, 2), Fraction(-1, 2)),)
+        assert raised.structure.generators == sketch.structure.generators
+        assert sketch.structure.generators == ((Fraction(-1, 2), Fraction(-1, 2)),)
     else:
-        assert sketch.integer_matrix == report.translation.structure.numerators
-        assert sketch.integer_matrix == reference.integer_matrix
-        assert sketch.denominator == reference.denominator == 8
+        assert raised.structure.numerators == sketch.structure.numerators
+        assert sketch.structure.denominator == 8
 
 
 def test_landing_law_is_the_certified_convolution():
@@ -447,7 +438,7 @@ def test_decoder_table_matches_per_row_loop(
             report.laws,
             8.0,
             TruncationPolicy.for_gaussian(2, 8.0),
-            sketch.provenance.decoder_landings,
+            transfer.DECODER_LANDINGS,
             seed,
             report.translation.convolution,
         )
@@ -494,8 +485,8 @@ def test_same_fiber_tv_matches_certificates():
 def test_promise_labels_agree_on_overlapping_fibers():
     # wherever the landing laws overlap, the promised bits must align
     for extraction in (parity_extraction(), mod3_extraction()):
-        sketch, decoder, report = extraction
-        assert report.conflicts == ()
+        _, decoder, _ = extraction
+        assert decoder.conflicts == ()
 
 
 # -- census -------------------------------------------------------------------
@@ -531,7 +522,7 @@ def test_census_respects_bound_on_scenarios():
 
 def test_uncovered_fiber_errors():
     even = SparseMeasure.uniform([(0, 0), (1, 1)])
-    cfg = TransferConfig(radius=8.0, blocks=2, samples=256, label="even-unit")
+    cfg = TransferConfig(radius=8.0, blocks=2, label="even-unit")
     problem = ProblemSpec.promise(lambda y: 0)
     sketch, decoder, _ = extract_sketch(parity_algorithm(2), even, problem, "exact", cfg, seed=11)
     with pytest.raises(UncoveredFiber, match="no decoder entry"):
@@ -555,12 +546,12 @@ def test_monte_carlo_evaluation_kicks_in():
 def test_report_roundtrip_exact():
     sketch, decoder, report = parity_extraction()
     text = extraction_to_text(sketch, decoder, report)
-    assert text.startswith("sketch-report v2\n")
+    assert text.startswith("sketch-report v3\n")
     parsed, dec2 = extraction_from_text(text)
-    assert parsed.route == sketch.route
     assert parsed.sigma == sketch.sigma
     assert parsed.provenance == sketch.provenance
-    lat, lat2 = sketch.exact_lattice, parsed.exact_lattice
+    lat, lat2 = sketch.structure, parsed.structure
+    assert lat2.route == "exact"
     assert lat2.generators == lat.generators
     assert lat2.denominators == lat.denominators
     assert lat2.relations == lat.relations
@@ -572,13 +563,50 @@ def test_report_roundtrip_exact():
         assert sketch_apply(parsed, y) == sketch_apply(sketch, y)
 
 
+def test_report_roundtrip_lattice_block():
+    # lattices of rank 0, rank 2 with a relation, and the parity and mod-3
+    # extractions' own, written into the parity report in place of its own
+    sketch, decoder, report = parity_extraction()
+    chained = SketchLattice(
+        dimension=2,
+        generators=((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 4))),
+        denominators=(2, 2),
+        relations=((), (1,)),
+        span_error=1.0 / 3.0,
+        fiber_bound=4,
+        s_certified=2.0,
+    )
+    empty = SketchLattice(
+        dimension=2,
+        generators=(),
+        denominators=(),
+        relations=(),
+        span_error=0.0,
+        fiber_bound=1,
+        s_certified=0.5,
+    )
+    for lat in (chained, empty, sketch.structure, mod3_extraction()[0].structure):
+        text = extraction_to_text(replace(sketch, structure=lat), decoder, report)
+        back = extraction_from_text(text)[0].structure
+        assert back.generators == lat.generators
+        assert back.denominators == lat.denominators
+        assert back.relations == lat.relations
+        assert back.fiber_bound == lat.fiber_bound
+        assert back.span_error == lat.span_error
+        assert back.s_certified == lat.s_certified
+        assert back.kappa == 0.0
+
+
 def test_report_roundtrip_mollified():
     sketch, decoder, report = mollified_extraction()
     text = extraction_to_text(sketch, decoder, report)
     parsed, dec2 = extraction_from_text(text)
-    assert parsed.integer_matrix == sketch.integer_matrix
-    assert parsed.denominator == sketch.denominator
+    assert parsed.structure.route == "mollified"
+    assert parsed.structure.numerators == sketch.structure.numerators
+    assert parsed.structure.denominator == sketch.structure.denominator
+    assert parsed.structure.radius_bound == 0.0
     assert parsed.sigma == sketch.sigma
+    assert parsed.provenance == sketch.provenance
     assert dec2.table == decoder.table
 
 
@@ -587,6 +615,9 @@ def test_report_rejects_bad_header():
         extraction_from_text("not a report\n")
     with pytest.raises(ValueError, match="version"):
         extraction_from_text("sketch-report v99\n")
-    # v1 reports carry `cfg refine`, which TransferConfig no longer has
+    # v1 reports carry `cfg refine`, and v2 reports `cfg samples`, which
+    # TransferConfig no longer has
     with pytest.raises(ValueError, match="unsupported report version"):
         extraction_from_text("sketch-report v1\nlabel parity\ncfg refine True\n")
+    with pytest.raises(ValueError, match="unsupported report version"):
+        extraction_from_text("sketch-report v2\nlabel parity\ncfg samples 512\n")
