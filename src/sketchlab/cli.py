@@ -750,26 +750,26 @@ def _invariance_rows(cfg: ExperimentConfig) -> list[tuple]:
         cfg.D,
         max_kernel=6,
         controls=0,
-        scenario="lemmas",
     )
     rows = []
-    for rec in report.records:
-        if rec.kind != "kernel":
+    for kind, rec in report.records:
+        if kind != "kernel":
             continue
+        violations = len(rec.spectral.violations)
         rows.append(
             _lemma_row(
                 "spectral-energy",
-                f"v={_cell(rec.vector)}",
-                float(rec.violations),
+                f"v={_cell(rec.direction)}",
+                float(violations),
                 0.0,
-                rec.violations == 0,
+                violations == 0,
             )
         )
         rows.append(
             _lemma_row(
                 "ball-reduction",
-                f"v={_cell(rec.vector)}",
-                rec.tv,
+                f"v={_cell(rec.direction)}",
+                rec.actual_tv,
                 rec.bound,
                 rec.passed,
             )
@@ -890,17 +890,17 @@ def cmd_extract(cfg: ExperimentConfig, out_dir: Path) -> int:
         )
     failed = [
         rec
-        for rec in report.translation.records
-        if rec.kind == "kernel" and not rec.passed
+        for kind, rec in report.translation.records
+        if kind == "kernel" and not rec.passed
     ]
     for rec in failed:
         cause = (
-            f"spectral precondition failed with {rec.violations} violation(s); "
-            f"tv {rec.tv:.6g}, bound {rec.bound:.6g}"
-            if rec.violations
-            else f"tv {rec.tv:.6g} above bound {rec.bound:.6g}"
+            f"spectral precondition failed with {len(rec.spectral.violations)} "
+            f"violation(s); tv {rec.actual_tv:.6g}, bound {rec.bound:.6g}"
+            if rec.spectral.violations
+            else f"tv {rec.actual_tv:.6g} above bound {rec.bound:.6g}"
         )
-        print(f"FAILED kernel shift {_cell(rec.vector)}: {cause}", file=sys.stderr)
+        print(f"FAILED kernel shift {_cell(rec.direction)}: {cause}", file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -940,18 +940,16 @@ def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
             )
             laws = posterior_laws(alg, sigma, R, cfg.M, policy)
             structure = _structure_config(cfg, R)
-            report = translation_invariance_certify(
-                laws, cfg.route, structure, cfg.D, scenario=scenario.name
-            )
+            report = translation_invariance_certify(laws, cfg.route, structure, cfg.D)
         except (ValueError, RuntimeError) as exc:
             print(
                 f"tv-sweep failed for scenario {scenario.name!r} at R={R:g}: {exc}",
                 file=sys.stderr,
             )
             return 1
-        for rec in report.records:
-            raw.append((R, rec.vector, rec.kind, rec.tv, rec.passed))
-            if rec.kind == "kernel" and not rec.passed:
+        for kind, rec in report.records:
+            raw.append((R, rec.direction, kind, rec.actual_tv, rec.passed))
+            if kind == "kernel" and not rec.passed:
                 failed += 1
     trends: dict[tuple[str, tuple[int, ...]], str] = {}
     for kind, vector in {(r[2], r[1]) for r in raw}:

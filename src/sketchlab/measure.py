@@ -322,7 +322,6 @@ class DensePieceCertificate:
 
     alpha: float
     S: float
-    reference_radius: float
 
 
 def density_certificate(mu: SparseMeasure, radius: float) -> DensePieceCertificate:
@@ -332,7 +331,7 @@ def density_certificate(mu: SparseMeasure, radius: float) -> DensePieceCertifica
     log_gamma = -math.pi * norms2 / (radius * radius) - z
     worst = float(np.max(np.log(mu.masses) - log_gamma))
     alpha = math.exp(-worst)
-    return DensePieceCertificate(alpha, math.log2(2.0 / alpha), radius)
+    return DensePieceCertificate(alpha, math.log2(2.0 / alpha))
 
 
 @dataclass(frozen=True)
@@ -347,8 +346,6 @@ class ScanReport:
     grid_magnitudes: np.ndarray
     threshold: float
     grid_exponent: int
-    lipschitz: float
-    non_omission_margin: float
     margin_vacuous: bool
 
 
@@ -496,9 +493,11 @@ def large_spectrum_scan(
     Brent search on arrays over hits, on the collapsed 1-d objective),
     and the polished magnitudes are read in one fourier_many call.
 
-    The report carries the Lipschitz constant 2 pi E||x||_2 and the
-    non-omission margin: any frequency with magnitude above threshold +
-    margin has a grid neighbor above threshold, so it cannot be missed.
+    The report flags a vacuous non-omission margin: with the Lipschitz
+    constant 2 pi E||x||_2 of |mu_hat|, any frequency with magnitude above
+    threshold + margin, margin = 2 pi E||x||_2 sqrt(n) / (2 side), has a
+    grid neighbor above threshold, so it cannot be missed; the margin is
+    vacuous once it reaches 1/K.
     """
     if K < 2:
         raise ValueError("K must be at least 2")
@@ -516,8 +515,7 @@ def large_spectrum_scan(
         zetas = _polish(mu, zetas, 0.5 / side)
         mags = np.abs(fourier_many(mu, zetas))
     order = np.lexsort(tuple(index[:, j] for j in range(n - 1, -1, -1)) + (-mags,))
-    lip = 2.0 * math.pi * expected_norm(mu)
-    margin = lip * math.sqrt(n) / (2.0 * side)
+    margin = 2.0 * math.pi * expected_norm(mu) * math.sqrt(n) / (2.0 * side)
     return ScanReport(
         index[order],
         _reduce_torus(zetas[order]),
@@ -525,8 +523,6 @@ def large_spectrum_scan(
         grid_mag[order],
         threshold,
         grid_exponent,
-        lip,
-        margin,
         margin >= 1.0 / K,
     )
 

@@ -460,6 +460,14 @@ def _conditional_blocks(
     return [law for law, _ in blocks], [beta for _, beta in blocks]
 
 
+def _check_horizon(alg: TurnstileAlgorithm, blocks: int) -> None:
+    if not alg.uniform and alg.horizon < blocks + 1:
+        raise ValueError(
+            f"non-uniform rule horizon {alg.horizon} cannot cover "
+            f"{blocks + 1} blocks"
+        )
+
+
 def _check_states(
     alg: TurnstileAlgorithm,
     sigma: StateSequence | Sequence[int],
@@ -471,11 +479,7 @@ def _check_states(
         raise ValueError(f"need {blocks + 1} boundary states, got {len(states)}")
     if states[0] != alg.initial_state:
         raise ValueError("sequence must start at the initial state")
-    if not alg.uniform and alg.horizon < blocks + 1:
-        raise ValueError(
-            f"non-uniform rule horizon {alg.horizon} cannot cover "
-            f"{blocks + 1} blocks"
-        )
+    _check_horizon(alg, blocks)
     return states
 
 
@@ -569,11 +573,7 @@ def select_state_sequence(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if not alg.uniform and alg.horizon < blocks + 1:
-        raise ValueError(
-            f"non-uniform rule horizon {alg.horizon} cannot cover "
-            f"{blocks + 1} blocks"
-        )
+    _check_horizon(alg, blocks)
     pol = _resolve_policy(alg.dimension, radius, policy)
     _check_target(target)
     seed_rng = np.random.default_rng(seed)

@@ -432,7 +432,6 @@ def extract_sketch(
         structure_cfg,
         max(1, math.ceil(diameter)),
         max_kernel=64,
-        scenario=cfg.label,
     )
     sketch = ExtractedSketch(translation.structure, sigma, cfg)
     decoder = _build_decoder(
@@ -633,10 +632,10 @@ def extraction_to_text(
             f"# smoothness eps={sm.epsilon:.6g} delta={sm.delta:.6g} "
             f"failure_rate={sm.failure_rate:.6g} passed={sm.passed}"
         )
-    for rec in report.translation.records:
+    for kind, rec in report.translation.records:
         lines.append(
-            f"# shift {rec.kind} v={','.join(str(c) for c in rec.vector)} "
-            f"tv={rec.tv:.9g} bound={rec.bound:.9g} passed={rec.passed}"
+            f"# shift {kind} v={','.join(str(c) for c in rec.direction)} "
+            f"tv={rec.actual_tv:.9g} bound={rec.bound:.9g} passed={rec.passed}"
         )
     for c in decoder.conflicts:
         lines.append(

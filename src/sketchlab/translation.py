@@ -41,14 +41,12 @@ __all__ = [
     "line_decomposition",
     "HeavySpread",
     "measured_structure_spread",
-    "LineEnergyRecord",
     "SpectralEnergyReport",
     "spectral_energy_bound_check",
     "BallReductionReport",
     "ball_reduction_tv_bound",
     "TailCenter",
     "convolution_tail_center",
-    "TranslationRecord",
     "TranslationReport",
     "translation_invariance_certify",
 ]
@@ -65,36 +63,12 @@ def _direction(v: Sequence[int]) -> tuple[int, ...]:
     return vv
 
 
-def _shift_difference(nu: SparseMeasure, v: tuple[int, ...]) -> np.ndarray:
-    """Signed atom differences nu(x) - nu(x - v), one per point of the
-    union support; each is a single subtraction (or a bare mass)."""
-    k = nu.points.shape[0]
-    both = np.concatenate([nu.points, nu.points + np.asarray(v, dtype=np.int64)])
-    order, starts = _lex_groups(both)
-    cell = np.empty(2 * k, dtype=np.int64)
-    cell[order] = np.cumsum(starts) - 1
-    here = np.zeros(int(starts.sum()))
-    back = np.zeros_like(here)
-    here[cell[:k]] = nu.masses
-    back[cell[k:]] = nu.masses
-    return here - back
-
-
-def tv_distance(nu: SparseMeasure, v: Sequence[int]) -> float:
-    """Total variation distance between nu and its translate by v."""
-    vv = tuple(int(c) for c in v)
-    if all(c == 0 for c in vv):
-        return 0.0
-    return 0.5 * math.fsum(np.abs(_shift_difference(nu, vv)))
-
-
-# -- line decomposition ------------------------------------------------------
-
-
-def _line_coordinates(
+def _line_layout(
     nu: SparseMeasure, v: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Line representative and position ell of every atom, p = rep + ell v.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The atoms of nu on the lines {x + l v}, p = rep + ell v: their
+    representatives, positions ell and masses, sorted by line and then by
+    ell, and flags marking where each line starts.
 
     The representative of {x + l v} is the point whose projection onto v
     lands in (-|v|^2/2, |v|^2/2], found in exact integer arithmetic.
@@ -105,7 +79,37 @@ def _line_coordinates(
     r0 = num % vv
     r = np.where(2 * r0 > vv, r0 - vv, r0)
     ell = (num - r) // vv
-    return nu.points - ell[:, None] * varr, ell
+    rep = nu.points - ell[:, None] * varr
+    order, starts = _lex_groups(rep, minor=ell)
+    return rep[order], ell[order], nu.masses[order], starts
+
+
+def _layout_tv(ell: np.ndarray, mass: np.ndarray, starts: np.ndarray) -> float:
+    """Half the L1 norm of nu(x) - nu(x - v) over the union support, read
+    off a line layout.
+
+    An atom whose line predecessor sits one step back gives the single
+    subtraction of the two masses, any other atom its bare mass, and an
+    atom whose next position is empty gives minus its mass: the nonzero
+    steps of each line's zero-bordered row.  math.fsum is exactly
+    rounded, so their order does not matter.
+    """
+    follows = ~starts[1:] & (np.diff(ell) == 1)
+    rises = mass[1:] - np.where(follows, mass[:-1], 0.0)
+    steps = np.concatenate((mass[:1], np.abs(rises), mass[:-1][~follows], mass[-1:]))
+    return 0.5 * math.fsum(steps)
+
+
+def tv_distance(nu: SparseMeasure, v: Sequence[int]) -> float:
+    """Total variation distance between nu and its translate by v."""
+    vv = tuple(int(c) for c in v)
+    if all(c == 0 for c in vv):
+        return 0.0
+    _, ell, mass, starts = _line_layout(nu, vv)
+    return _layout_tv(ell, mass, starts)
+
+
+# -- line decomposition ------------------------------------------------------
 
 
 def _fft_length(length: int) -> int:
@@ -125,8 +129,9 @@ def _autocorrelations(steps: np.ndarray, N: int) -> np.ndarray:
 UNIT_ROUNDOFF = 2.0**-53
 
 
-def _tail_roundoff(energy: float, N: int, u: float) -> float:
-    """A-priori bound on the rounding error of one closed-form tail.
+def _tail_roundoff(energy: np.ndarray, N: np.ndarray, u: float) -> np.ndarray:
+    """A-priori bound on the rounding error of each closed-form tail, line
+    by line (scalars work alike).
 
     The tail is r_0 (1 - 2u) minus twice the recursive sum of the L terms
     r_k w_k, w_k = sin(2 pi k u) / (pi k), with L <= N/2 - 1.  Each weight
@@ -146,7 +151,8 @@ def _tail_roundoff(energy: float, N: int, u: float) -> float:
 
 @dataclass(frozen=True)
 class LineDecomposition:
-    """nu split along lines {x + l v}, one record per occupied line.
+    """nu split along lines {x + l v}, one array entry per occupied line,
+    lines in representative order.
 
     Each line is carried by its difference sequence d (L + 1 entries for
     a line spanning L positions) and the autocorrelation r_k of d, taken
@@ -157,17 +163,21 @@ class LineDecomposition:
     unless the two agree to 1e-10 per line.  tail_terms holds each line's
     share of that integral over split < |t| <= 1/2, in closed form:
     beta = r_0 (1 - 2u) - 2 sum_{k=1}^{L} r_k sin(2 pi k u) / (pi k) with
-    u = split (all zero when no split is supplied or u >= 1/2).
+    u = split (all zero when no split is supplied or u >= 1/2).  tv is
+    half the summed |d| over every line, the TV distance between nu and
+    its translate by v.  line_nodes is a tuple of Python ints; the other
+    per-line values are arrays, representatives with one row per line.
     """
 
     direction: tuple[int, ...]
-    representatives: tuple[tuple[int, ...], ...]
-    line_masses: tuple[float, ...]
-    line_energies: tuple[float, ...]
-    quadrature_energies: tuple[float, ...]
-    tail_terms: tuple[float, ...]
+    representatives: np.ndarray
+    line_masses: np.ndarray
+    line_energies: np.ndarray
+    quadrature_energies: np.ndarray
+    tail_terms: np.ndarray
     line_nodes: tuple[int, ...]
     split: float
+    tv: float
 
     @property
     def total_mass(self) -> float:
@@ -195,9 +205,7 @@ def line_decomposition(
     vv = _direction(v)
     u = 0.0 if split is None else float(split)
     with_tail = split is not None and u < 0.5
-    rep, ell = _line_coordinates(nu, vv)
-    order, starts = _lex_groups(rep, minor=ell)
-    rep, ell, mass = rep[order], ell[order], nu.masses[order]
+    rep, ell, mass, starts = _line_layout(nu, vv)
     line = np.cumsum(starts) - 1
     bounds = np.flatnonzero(np.append(starts, True))
     first, end = bounds[:-1], bounds[1:]
@@ -214,7 +222,7 @@ def line_decomposition(
     energies = np.empty(count)
     k = np.arange(1, int(lengths.max()) + 1, dtype=float)
     weights = np.sin(2.0 * math.pi * u * k) / (math.pi * k)
-    reps = [tuple(r) for r in rep[first].tolist()]
+    reps = rep[first]
     checks = []
 
     for N in sorted(set(N_of.values())):
@@ -249,8 +257,9 @@ def line_decomposition(
     if bad.size:
         i = int(bad[0])
         raise RuntimeError(
-            "line energy mismatch between direct and spectral forms on the "
-            f"line through {reps[i]} along {vv}: direct {float(energies[i])!r}, "
+            "line energy mismatch between direct and spectral forms on the line "
+            f"through {tuple(reps[i].tolist())} along {vv}: "
+            f"direct {float(energies[i])!r}, "
             f"spectral r_0 {float(r0[i])!r} ({int(fft_len[i])}-point FFT), "
             f"|difference| {float(gap[i]):.3e} exceeds the tolerance 1e-10"
         )
@@ -261,7 +270,8 @@ def line_decomposition(
         if abs(r[lag] - direct[lag]) > 1e-10:
             raise RuntimeError(
                 "line autocorrelation mismatch between the FFT and np.correlate "
-                f"on the line through {reps[i]} along {vv} ({N}-point FFT): lag "
+                f"on the line through {tuple(reps[i].tolist())} along {vv} "
+                f"({N}-point FFT): lag "
                 f"{lag}, FFT {float(r[lag])!r}, correlate {float(direct[lag])!r}, "
                 f"|difference| {abs(r[lag] - direct[lag]):.3e} exceeds the "
                 "tolerance 1e-10"
@@ -269,15 +279,16 @@ def line_decomposition(
     masses = mass.tolist()
     return LineDecomposition(
         direction=vv,
-        representatives=tuple(reps),
-        line_masses=tuple(
-            math.fsum(masses[a:b]) for a, b in zip(first.tolist(), end.tolist())
+        representatives=reps,
+        line_masses=np.array(
+            [math.fsum(masses[a:b]) for a, b in zip(first.tolist(), end.tolist())]
         ),
-        line_energies=tuple(energies.tolist()),
-        quadrature_energies=tuple(r0.tolist()),
-        tail_terms=tuple(tails.tolist()),
+        line_energies=energies,
+        quadrature_energies=r0,
+        tail_terms=tails,
         line_nodes=tuple(fft_len.tolist()),
         split=u,
+        tv=_layout_tv(ell, mass, starts),
     )
 
 
@@ -317,20 +328,9 @@ def measured_structure_spread(
 
 
 @dataclass(frozen=True)
-class LineEnergyRecord:
-    representative: tuple[int, ...]
-    mass: float
-    energy: float
-    main_bound: float
-    beta: float
-    roundoff: float
-    slack: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class SpectralEnergyReport:
-    """Per-line energy bounds for a shift direction against a structure.
+    """Per-line energy bounds for a shift direction against a structure,
+    with the line decomposition they were checked on.
 
     Precondition failures are collected in `violations` rather than
     raised, so a rejected direction still produces a readable report.
@@ -341,7 +341,7 @@ class SpectralEnergyReport:
     eta: float
     u: float
     violations: tuple[str, ...]
-    lines: tuple[LineEnergyRecord, ...]
+    decomposition: LineDecomposition
     total_energy: float
     total_beta: float
     beta_budget: float
@@ -386,36 +386,25 @@ def spectral_energy_bound_check(
         )
 
     dec = line_decomposition(nu, vv, split=u)
-    records = []
-    total_beta = 0.0
-    total_energy = 0.0
-    lines_ok = True
-    for rep, p, energy, beta, N in zip(
-        dec.representatives,
-        dec.line_masses,
-        dec.quadrature_energies,
-        dec.tail_terms,
-        dec.line_nodes,
-    ):
-        main_bound = (8.0 * math.pi**2 / 3.0) * u**3 * p * p
-        roundoff = _tail_roundoff(energy, N, u)
-        slack = roundoff + 1e-12
-        ok = energy <= main_bound + beta + slack
-        if lines_ok and not ok:
-            lines_ok = False
-            violations.append(
-                f"line through {rep}: energy {energy:.6g} exceeds main"
-                f" {main_bound:.6g} + beta {beta:.6g} + slack {slack:.6g}"
-                f" (roundoff allowance {roundoff:.3g} + floor 1e-12)"
-            )
-        records.append(
-            LineEnergyRecord(rep, p, energy, main_bound, beta, roundoff, slack, ok)
+    p, energy, beta = dec.line_masses, dec.quadrature_energies, dec.tail_terms
+    main_bound = (8.0 * math.pi**2 / 3.0) * u**3 * p * p
+    roundoff = _tail_roundoff(energy, np.array(dec.line_nodes), u)
+    slack = roundoff + 1e-12
+    over = np.flatnonzero(~(energy <= main_bound + beta + slack))
+    if over.size:
+        i = int(over[0])
+        violations.append(
+            f"line through {tuple(dec.representatives[i].tolist())}: energy"
+            f" {energy[i]:.6g} exceeds main {main_bound[i]:.6g} + beta"
+            f" {beta[i]:.6g} + slack {slack[i]:.6g}"
+            f" (roundoff allowance {roundoff[i]:.3g} + floor 1e-12)"
         )
-        total_beta += beta
-        total_energy += energy
+    # running sums, left to right as a loop adds
+    total_beta = float(np.cumsum(beta)[-1])
+    total_energy = float(np.cumsum(energy)[-1])
     beta_budget = 4.0 * eta * eta + 1e-9
     aggregate_ok = total_beta <= beta_budget
-    passed = not violations and lines_ok and aggregate_ok
+    passed = not violations and aggregate_ok
     if not aggregate_ok:
         violations = tuple(violations) + (
             f"aggregate beta {total_beta:.6g} exceeds 4 eta^2 = {4.0 * eta * eta:.6g}",
@@ -426,7 +415,7 @@ def spectral_energy_bound_check(
         eta=float(eta),
         u=u,
         violations=tuple(violations),
-        lines=tuple(records),
+        decomposition=dec,
         total_energy=total_energy,
         total_beta=total_beta,
         beta_budget=beta_budget,
@@ -474,7 +463,8 @@ def ball_reduction_tv_bound(
     mass the off-structure level eta is 1 and the bound exceeds any TV,
     which the `vacuous` flag records.  When every precondition holds the
     inequality is asserted; precondition failures downgrade to a report
-    with passed=False.
+    with passed=False.  The actual TV is read off the line decomposition
+    the spectral check builds, so the support is sorted along v once.
     """
     vv = _direction(v)
     n = nu.dimension
@@ -489,7 +479,7 @@ def ball_reduction_tv_bound(
     far = np.sqrt(np.einsum("ij,ij->i", d, d)) > H - norm_v
     mass_term = float(nu.masses[far].sum()) + nu.deficit
     bound = main + spectral_term + mass_term
-    actual = tv_distance(nu, vv)
+    actual = spectral.decomposition.tv
     ok = actual <= bound + 1e-9
     if spectral.passed and not ok:
         raise RuntimeError("translation TV exceeds the certified ball-reduction bound")
@@ -522,7 +512,6 @@ class TailCenter:
     """
 
     center: tuple[float, ...]
-    level: float
     radius: float
     mass_bound: float
     truncation_radii: tuple[float, ...]
@@ -595,7 +584,6 @@ def convolution_tail_center(
         method = "monte-carlo"
     return TailCenter(
         center=tuple(float(c) for c in center),
-        level=float(L),
         radius=radius,
         mass_bound=mass_bound,
         truncation_radii=tuple(radii),
@@ -608,38 +596,21 @@ def convolution_tail_center(
 
 
 @dataclass(frozen=True)
-class TranslationRecord:
-    kind: str
-    vector: tuple[int, ...]
-    tv: float
-    main_term: float
-    spectral_term: float
-    mass_term: float
-    bound: float
-    violations: int
-    passed: bool
-
-
-@dataclass(frozen=True)
 class TranslationReport:
     """Certificates for one product of pieces, together with the frequency
     structure they were certified against and the convolution they were
     measured on (the pieces, plus the reference factor on the mollified
-    route)."""
+    route).  records pairs each shift's kind, "kernel" or "control", with
+    its ball-reduction report, kernel shifts first."""
 
-    scenario: str
-    route: str
     R: float
-    pieces: int
     eta: float
     delta: float
     H: float
     center: tuple[float, ...]
-    deficit: float
-    structure_rank: int
     kernel_empty: bool
     max_kernel_tv: float
-    records: tuple[TranslationRecord, ...]
+    records: tuple[tuple[str, BallReductionReport], ...]
     warnings: tuple[str, ...]
     structure: SketchLattice | NearOriginBasis
     convolution: SparseMeasure
@@ -670,7 +641,6 @@ def translation_invariance_certify(
     D: int,
     max_kernel: int = 24,
     controls: int = 2,
-    scenario: str = "scenario",
 ) -> TranslationReport:
     """Certify which integer shifts leave the convolution nearly invariant.
 
@@ -679,11 +649,15 @@ def translation_invariance_certify(
     appends one truncated reference factor of radius `structure.R` to the
     convolution), enumerates the shift kernel exhaustively over
     |v|_2 <= D, and runs the ball-reduction bound for the first
-    `max_kernel` kernel shifts plus `controls` non-kernel shifts.  An
-    empty kernel is a valid outcome.  The scan grid exponent is raised
-    until it covers the widest piece, with a warning.  The report returns
-    the structure and the convolution it certified, so a caller reads them
-    off instead of building them again.
+    `max_kernel` kernel shifts plus `controls` non-kernel shifts.  Each
+    record pairs the shift's kind with its BallReductionReport, which
+    carries the three terms, the bound, its `vacuous` flag and the
+    spectral check with its (delta, eta); the report keeps the shared
+    eta, delta, tail center and radius H.  An empty kernel is a valid
+    outcome.  The scan grid exponent is raised until it covers the widest
+    piece, with a warning.  The report returns the structure and the
+    convolution it certified, so a caller reads them off instead of
+    building them again.
     """
     if not mus:
         raise ValueError("empty measure list")
@@ -741,50 +715,26 @@ def translation_invariance_certify(
         )
         kernels = kernels[:max_kernel]
 
-    records = []
-    kernel_tvs = []
-    for kind, vs in (("kernel", kernels), ("control", off_kernel)):
-        for v in vs:
-            rep = ball_reduction_tv_bound(
-                nu,
-                v,
-                extracted,
-                delta,
-                eta,
-                tail.center,
-                tail.radius,
-                spread=spread,
-            )
-            records.append(
-                TranslationRecord(
-                    kind=kind,
-                    vector=v,
-                    tv=rep.actual_tv,
-                    main_term=rep.main_term,
-                    spectral_term=rep.spectral_term,
-                    mass_term=rep.mass_term,
-                    bound=rep.bound,
-                    violations=len(rep.spectral.violations),
-                    passed=rep.passed,
-                )
-            )
-            if kind == "kernel":
-                kernel_tvs.append(rep.actual_tv)
-
+    records = tuple(
+        (
+            kind,
+            ball_reduction_tv_bound(
+                nu, v, extracted, delta, eta, tail.center, tail.radius, spread=spread
+            ),
+        )
+        for kind, vs in (("kernel", kernels), ("control", off_kernel))
+        for v in vs
+    )
+    kernel_tvs = [rep.actual_tv for kind, rep in records if kind == "kernel"]
     return TranslationReport(
-        scenario=scenario,
-        route=route,
         R=R,
-        pieces=M,
         eta=eta,
         delta=delta,
         H=tail.radius,
         center=tail.center,
-        deficit=nu.deficit,
-        structure_rank=extracted.rank,
         kernel_empty=not kernels,
         max_kernel_tv=max(kernel_tvs) if kernel_tvs else math.nan,
-        records=tuple(records),
+        records=records,
         warnings=tuple(warnings),
         structure=extracted,
         convolution=nu,

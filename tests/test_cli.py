@@ -683,16 +683,16 @@ class TestKernelFailureCause:
 
         def failing(*args, **kwargs):
             sketch, decoder, report = real(*args, **kwargs)
+            _, first = report.translation.records[0]
             rec = replace(
-                report.translation.records[0],
-                kind="kernel",
-                vector=(3, 0),
-                tv=1.0,
+                first,
+                direction=(3, 0),
+                actual_tv=1.0,
                 bound=404.008,
-                violations=violations,
+                spectral=replace(first.spectral, violations=("doctored",) * violations),
                 passed=False,
             )
-            translation = replace(report.translation, records=(rec,))
+            translation = replace(report.translation, records=(("kernel", rec),))
             return sketch, decoder, replace(report, translation=translation)
 
         monkeypatch.setattr(cli, "extract_sketch", failing)

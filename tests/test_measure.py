@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, signal
 
@@ -20,16 +20,17 @@ from measure_oracle import dict_canonical, from_atoms, scalar_polish
 from sketchlab import dgauss, measure
 
 
+def normalized(dim: int, weights: dict) -> measure.SparseMeasure:
+    return from_atoms(
+        dim, {k: v / math.fsum(weights.values()) for k, v in weights.items()}
+    )
+
+
 def small_measures(dim: int = 1):
     # random sparse probability measures with small integer support
     atom = st.tuples(*(st.integers(-6, 6) for _ in range(dim)))
-    return (
-        st.dictionaries(atom, st.floats(0.01, 1.0), min_size=1, max_size=8)
-        .map(
-            lambda d: from_atoms(
-                dim, {k: v / math.fsum(d.values()) for k, v in d.items()}
-            )
-        )
+    return st.dictionaries(atom, st.floats(0.01, 1.0), min_size=1, max_size=8).map(
+        lambda d: normalized(dim, d)
     )
 
 
@@ -499,6 +500,12 @@ class TestPolish:
         st.integers(3, 6),
         st.floats(2.0, 64.0),
     )
+    @example(
+        normalized(1, {(0,): 0.625, (-1,): 0.5625, (2,): 0.5, (6,): 0.5}),
+        0,
+        3,
+        2.0,
+    )
     @settings(max_examples=25, deadline=None)
     def test_matches_scalar_oracle(self, mu, seed, exponent, K):
         # Starts are drawn off the grid: at a grid point where |mu_hat| is
@@ -513,9 +520,17 @@ class TestPolish:
         # Three sweeps stop short of a stationary point, so the ~1e-8 by
         # which two differently rounded Brent searches stop apart moves
         # |mu_hat| at first order: 1.3e-7 at worst over 14 400 random rows.
+        # |mu_hat(-z)| = |mu_hat(z)|, so a start within the polish radius of
+        # a mirror pair of maximizers (-0.5106 and -0.4894 about -1/2 for
+        # the saved example) may reach either one: rows agree up to
+        # z = +-want (mod 1).
         for start, z in zip(starts, got):
             want = scalar_polish(mu, start, 0.5 / side)
-            assert np.abs(z - want)[varies].max(initial=0.0) <= 1e-6
+            apart = min(
+                np.abs(measure._reduce_torus(z - sign * want))[varies].max(initial=0.0)
+                for sign in (1.0, -1.0)
+            )
+            assert apart <= 1e-6
             assert abs(
                 abs(measure.fourier_at(mu, z)) - abs(measure.fourier_at(mu, want))
             ) <= 1e-6

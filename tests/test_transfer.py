@@ -220,9 +220,9 @@ def test_parity_evaluation_exact():
 
 def test_parity_controls_are_rigid():
     _, _, report = parity_extraction()
-    controls = [r for r in report.translation.records if r.kind == "control"]
+    controls = [r for kind, r in report.translation.records if kind == "control"]
     assert controls
-    assert all(abs(r.tv - 1.0) < 1e-6 for r in controls)
+    assert all(abs(r.actual_tv - 1.0) < 1e-6 for r in controls)
 
 
 # -- mod-3 scenario -----------------------------------------------------------
@@ -467,7 +467,7 @@ def test_same_fiber_tv_matches_certificates():
     # oracle: landing-law TV recomputed from the posterior convolution
     sketch, _, report = parity_extraction()
     nu = convolve_many_fft(list(report.laws))
-    record_tv = {r.vector: r.tv for r in report.translation.records}
+    record_tv = {r.direction: r.actual_tv for _, r in report.translation.records}
     supp = sorted(TARGET4.atoms)
     pairs_checked = 0
     for i, y1 in enumerate(supp):

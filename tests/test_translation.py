@@ -4,9 +4,10 @@ Oracles: brute-force half-L1 summation for TV, direct difference sums
 for line energies (checked against the spectral autocorrelation),
 per-line profiles via `line_profile` below, exact convolutions for the
 tail-center and certification walkthroughs, the per-atom dict forms of
-the shift difference and the line decomposition, which the array
-versions must match bit for bit, and a fine midpoint quadrature of each
-line's tail integral.
+the shift difference and the line decomposition and the per-line loop
+form of the spectral energy check, which the array versions must match
+bit for bit, and a fine midpoint quadrature of each line's tail
+integral.
 """
 
 import dataclasses
@@ -33,6 +34,7 @@ from sketchlab.measure import (
 from sketchlab import translation
 from sketchlab.spectrum import SketchLattice, StructureConfig
 from sketchlab.translation import (
+    HeavySpread,
     LineDecomposition,
     ball_reduction_tv_bound,
     convolution_tail_center,
@@ -115,14 +117,14 @@ ORIGIN = SketchLattice(
 @functools.cache
 def parity_report():
     return translation_invariance_certify(
-        [parity_measure()] * 4, "exact", STRUCTURE, 2, scenario="parity-4"
+        [parity_measure()] * 4, "exact", STRUCTURE, 2
     )
 
 
 @functools.cache
 def mod3_report():
     return translation_invariance_certify(
-        [mod3_measure()] * 4, "exact", STRUCTURE, 3, scenario="mod3-4"
+        [mod3_measure()] * 4, "exact", STRUCTURE, 3
     )
 
 
@@ -134,7 +136,6 @@ def gamma_report(R: float):
         dataclasses.replace(STRUCTURE, R=R),
         1,
         controls=0,
-        scenario=f"gamma-R{R:g}",
     )
 
 
@@ -255,9 +256,12 @@ measure_and_direction = measures_nd().flatmap(
 @settings(deadline=None, max_examples=80)
 @given(measure_and_direction)
 def test_tv_matches_dict_oracle(case):
+    # the TV read off the line decomposition is the same number
     mu, v = case
     diff = dict_shift_difference(mu, v)
-    assert tv_distance(mu, v) == 0.5 * math.fsum(abs(d) for d in diff.values())
+    want = 0.5 * math.fsum(abs(d) for d in diff.values())
+    assert tv_distance(mu, v) == want
+    assert line_decomposition(mu, v).tv == want
 
 
 # -- line decomposition ----------------------------------------------------------
@@ -284,8 +288,8 @@ def test_line_quadrature_matches_direct():
 def test_line_single_line_through_origin():
     mu = from_atoms(2, {(0, 0): 0.5, (2, 1): 0.25, (-2, -1): 0.25})
     dec = line_decomposition(mu, [2, 1])
-    assert dec.representatives == ((0, 0),)
-    assert dec.line_masses == (pytest.approx(1.0),)
+    assert dec.representatives.tolist() == [[0, 0]]
+    assert dec.line_masses.tolist() == [pytest.approx(1.0)]
 
 
 def test_line_profile_oracle_agreement():
@@ -413,19 +417,27 @@ def dict_line_decomposition(nu, v, split=None):
         line_nodes.append(N)
     return LineDecomposition(
         direction=vv,
-        representatives=tuple(reps),
-        line_masses=tuple(masses),
-        line_energies=tuple(direct),
-        quadrature_energies=tuple(quad),
-        tail_terms=tuple(tails),
+        representatives=np.array(reps, dtype=np.int64).reshape(len(reps), len(vv)),
+        line_masses=np.array(masses),
+        line_energies=np.array(direct),
+        quadrature_energies=np.array(quad),
+        tail_terms=np.array(tails),
         line_nodes=tuple(line_nodes),
         split=u,
+        tv=0.5 * math.fsum(abs(d) for d in dict_shift_difference(nu, vv).values()),
     )
 
 
 def assert_same_decomposition(got, want):
     for field in LineDecomposition.__dataclass_fields__:
-        assert getattr(got, field) == getattr(want, field), field
+        a, b = getattr(got, field), getattr(want, field)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and a.dtype == b.dtype, field
+            assert np.array_equal(a, b), field
+        else:
+            assert a == b, field
+    # line_nodes stays Python ints, so a traced run can serialize its sum
+    assert all(type(N) is int for N in got.line_nodes)
 
 
 @settings(deadline=None, max_examples=120)
@@ -464,7 +476,10 @@ def test_line_tails_match_fine_quadrature(case, u):
     dec = line_decomposition(mu, v, split=u)
     groups = dict_line_groups(mu, v)
     for rep, energy, beta, N in zip(
-        dec.representatives, dec.quadrature_energies, dec.tail_terms, dec.line_nodes
+        map(tuple, dec.representatives.tolist()),
+        dec.quadrature_energies,
+        dec.tail_terms,
+        dec.line_nodes,
     ):
         want = midpoint_tail(dict_line_steps(dict_line_array(groups[rep])), u)
         # relative to the integral, up to the closed form's own rounding
@@ -517,7 +532,7 @@ def corrupt_autocorrelations(monkeypatch, lengths, lags):
 
 def test_line_decomposition_groups_by_node_count():
     dec = line_decomposition(two_group_measure(), (1, 0))
-    assert dec.representatives == ((0, 0), (0, 1), (0, 2))
+    assert dec.representatives.tolist() == [[0, 0], [0, 1], [0, 2]]
     assert dec.line_nodes == (32, 4, 4)
 
 
@@ -563,8 +578,9 @@ def test_spectral_point_mass_honest_energy():
     report = spectral_energy_bound_check(
         point, ORIGIN, delta=0.01, eta=1.0, v=[1, 1]
     )
-    assert len(report.lines) == 1
-    assert report.lines[0].energy == pytest.approx(2.0, abs=1e-12)
+    assert report.decomposition.quadrature_energies.tolist() == [
+        pytest.approx(2.0, abs=1e-12)
+    ]
     assert report.passed
     assert report.violations == ()
 
@@ -610,20 +626,119 @@ def test_spectral_per_line_bound_structure():
     report = spectral_energy_bound_check(
         nu, W_PARITY, spread.worst_distance, 0.9, [1, 1], spread=spread
     )
-    for line in report.lines:
-        assert line.energy <= line.main_bound + line.beta + line.slack
-        assert line.slack == line.roundoff + 1e-12
-        assert line.passed
+    dec = report.decomposition
+    assert dec.direction == (1, 1) and dec.split == report.u
+    for p, energy, beta, N in zip(
+        dec.line_masses, dec.quadrature_energies, dec.tail_terms, dec.line_nodes
+    ):
+        main = (8.0 * math.pi**2 / 3.0) * report.u**3 * p * p
+        slack = translation._tail_roundoff(energy, N, report.u) + 1e-12
+        assert energy <= main + beta + slack
+
+
+# The per-line form of spectral_energy_bound_check: one Python pass over
+# the lines with scalar bounds and running totals.  The array check must
+# give the same verdict, messages and total bits.
+
+
+def loop_spectral_check(nu, W, delta, eta, v, spread=None):
+    vv = tuple(int(c) for c in v)
+    norm_v = math.sqrt(sum(c * c for c in vv))
+    u = norm_v * delta
+    violations = W.pairing_violations(vv)
+    if norm_v > 1.0 / (2.0 * delta) + 1e-12:
+        violations.append(
+            f"|v| = {norm_v:.6g} exceeds the window 1/(2 delta) = {1.0 / (2.0 * delta):.6g}"
+        )
+    if spread is None:
+        spread = measured_structure_spread(nu, W, eta)
+    if spread.worst_distance > delta + 1e-12:
+        violations.append(
+            f"{spread.count} grid frequencies above eta stray to distance"
+            f" {spread.worst_distance:.6g} > delta from the structure"
+        )
+    dec = translation.line_decomposition(nu, vv, split=u)
+    total_beta = total_energy = 0.0
+    lines_ok = True
+    for rep, p, energy, beta, N in zip(
+        dec.representatives.tolist(),
+        dec.line_masses.tolist(),
+        dec.quadrature_energies.tolist(),
+        dec.tail_terms.tolist(),
+        dec.line_nodes,
+    ):
+        main_bound = (8.0 * math.pi**2 / 3.0) * u**3 * p * p
+        roundoff = translation._tail_roundoff(energy, N, u)
+        slack = roundoff + 1e-12
+        ok = energy <= main_bound + beta + slack
+        if lines_ok and not ok:
+            lines_ok = False
+            violations.append(
+                f"line through {tuple(rep)}: energy {energy:.6g} exceeds main"
+                f" {main_bound:.6g} + beta {beta:.6g} + slack {slack:.6g}"
+                f" (roundoff allowance {roundoff:.3g} + floor 1e-12)"
+            )
+        total_beta += beta
+        total_energy += energy
+    aggregate_ok = total_beta <= 4.0 * eta * eta + 1e-9
+    passed = not violations and lines_ok and aggregate_ok
+    if not aggregate_ok:
+        violations.append(
+            f"aggregate beta {total_beta:.6g} exceeds 4 eta^2 = {4.0 * eta * eta:.6g}"
+        )
+    return passed, tuple(violations), total_beta, total_energy
+
+
+def assert_spectral_matches_loop(nu, W, delta, eta, v, spread=None):
+    got = spectral_energy_bound_check(nu, W, delta, eta, v, spread=spread)
+    want = loop_spectral_check(nu, W, delta, eta, v, spread=spread)
+    assert (got.passed, got.violations) == want[:2]
+    # bit for bit, sign of zero included
+    totals = (got.total_beta, got.total_energy)
+    assert tuple(map(float.hex, totals)) == tuple(map(float.hex, want[2:]))
+    return got
+
+
+@pytest.mark.parametrize(
+    "W, delta, eta, v",
+    [
+        (W_PARITY, 0.02, 0.9, (1, 1)),
+        (W_PARITY, 0.02, 0.9, (2, 1)),
+        (W_PARITY, 0.02, 0.9, (1, 0)),  # pairing rejection
+        (W_PARITY, 0.25, 1.0, (12, 12)),  # window violation
+        (ORIGIN, 1e-6, 0.5, (1, 1)),  # stray heavy frequencies
+        (W_PARITY, 0.1, 1e-4, (1, -1)),  # aggregate over budget
+    ],
+)
+def test_spectral_check_matches_loop_oracle(W, delta, eta, v):
+    assert_spectral_matches_loop(parity_conv2(), W, delta, eta, v)
+
+
+def origin_lattice(n):
+    return dataclasses.replace(ORIGIN, dimension=n)
+
+
+@settings(deadline=None, max_examples=80)
+@given(measure_and_direction, st.floats(1e-3, 0.5), st.floats(1e-4, 1.0))
+def test_spectral_check_matches_loop_oracle_random(case, delta, eta):
+    # a fixed spread keeps the grid scan out of the comparison
+    mu, v = case
+    spread = HeavySpread(eta, 0, 0.0, 128)
+    assert_spectral_matches_loop(mu, origin_lattice(mu.dimension), delta, eta, v, spread)
+
+
+def without_tails(monkeypatch):
+    real = translation.line_decomposition
+
+    def forced(*args, **kwargs):
+        dec = real(*args, **kwargs)
+        return dataclasses.replace(dec, tail_terms=np.zeros_like(dec.tail_terms))
+
+    monkeypatch.setattr(translation, "line_decomposition", forced)
 
 
 def test_spectral_line_failure_names_both_slack_terms(monkeypatch):
-    real = translation.line_decomposition
-
-    def without_tails(*args, **kwargs):
-        dec = real(*args, **kwargs)
-        return dataclasses.replace(dec, tail_terms=(0.0,) * len(dec.tail_terms))
-
-    monkeypatch.setattr(translation, "line_decomposition", without_tails)
+    without_tails(monkeypatch)
     report = spectral_energy_bound_check(
         parity_conv2(), W_PARITY, 0.02, 0.9, [1, 1]
     )
@@ -631,6 +746,12 @@ def test_spectral_line_failure_names_both_slack_terms(monkeypatch):
     (msg,) = [s for s in report.violations if s.startswith("line through")]
     assert "exceeds main" in msg and "+ beta 0 +" in msg
     assert "roundoff allowance" in msg and "+ floor 1e-12)" in msg
+
+
+def test_spectral_forced_line_failure_matches_loop_oracle(monkeypatch):
+    without_tails(monkeypatch)
+    report = assert_spectral_matches_loop(parity_conv2(), W_PARITY, 0.02, 0.9, (1, 1))
+    assert not report.passed and report.total_beta == 0.0
 
 
 # -- ball reduction ----------------------------------------------------------------
@@ -789,14 +910,18 @@ def test_tail_center_monte_carlo_path():
 
 def test_certify_parity_kernel_set():
     rep = parity_report()
-    kernel = {r.vector for r in rep.records if r.kind == "kernel"}
+    kernel = {r.direction for kind, r in rep.records if kind == "kernel"}
     assert kernel == {(1, 1), (1, -1), (2, 0), (0, 2)}
-    assert rep.structure_rank == 1
+    assert rep.structure.rank == 1
     assert not rep.kernel_empty
 
 
 def test_certify_parity_kernel_tvs_frozen():
-    tvs = {r.vector: r.tv for r in parity_report().records if r.kind == "kernel"}
+    tvs = {
+        r.direction: r.actual_tv
+        for kind, r in parity_report().records
+        if kind == "kernel"
+    }
     assert tvs[(1, 1)] == pytest.approx(0.08838834764718884, abs=1e-9)
     assert tvs[(2, 0)] == pytest.approx(0.1242376966067392, abs=1e-9)
     assert parity_report().max_kernel_tv == pytest.approx(
@@ -813,17 +938,17 @@ def test_certify_parity_odd_shift_rigidity():
         assert (p[0] + p[1]) % 2 == 0
     shifted = {tuple(a + b for a, b in zip(p, (1, 0))) for p in nu.atoms}
     assert shifted.isdisjoint(nu.atoms.keys())
-    controls = [r for r in parity_report().records if r.kind == "control"]
+    controls = [r for kind, r in parity_report().records if kind == "control"]
     assert controls
     for r in controls:
-        assert abs(r.tv - nu.total_mass) <= 1e-12
-        assert abs(r.tv - 1.0) <= 1e-6
+        assert abs(r.actual_tv - nu.total_mass) <= 1e-12
+        assert abs(r.actual_tv - 1.0) <= 1e-6
         assert not r.passed
 
 
 def test_certify_mod3_kernel_and_control():
     rep = mod3_report()
-    tvs = {(r.kind, r.vector): r.tv for r in rep.records}
+    tvs = {(kind, r.direction): r.actual_tv for kind, r in rep.records}
     assert ("kernel", (3, 0)) in tvs
     assert tvs[("kernel", (3, 0))] == pytest.approx(0.18750007925020715, abs=1e-9)
     assert ("control", (1, 0)) in tvs
@@ -832,10 +957,10 @@ def test_certify_mod3_kernel_and_control():
 
 def test_certify_gamma_every_small_shift_in_kernel():
     rep = gamma_report(8.0)
-    assert rep.structure_rank == 0
-    kinds = {r.kind for r in rep.records}
+    assert rep.structure.rank == 0
+    kinds = {kind for kind, _ in rep.records}
     assert kinds == {"kernel"}
-    assert {r.vector for r in rep.records} == {(0, 1), (1, 0)}
+    assert {r.direction for _, r in rep.records} == {(0, 1), (1, 0)}
 
 
 def test_certify_gamma_tv_strictly_decreasing():
@@ -850,32 +975,30 @@ def test_certify_gamma_tv_non_increasing_through_32():
 
 def test_certify_kernel_records_pass():
     for rep in (parity_report(), mod3_report()):
-        for r in rep.records:
-            if r.kind == "kernel":
+        for kind, r in rep.records:
+            if kind == "kernel":
                 assert r.passed
-                assert r.violations == 0
-                assert r.tv <= r.bound + 1e-9
+                assert r.spectral.violations == ()
+                assert r.actual_tv <= r.bound + 1e-9
 
 
 def test_certify_empty_kernel_is_valid():
     both = restrict(
         gamma2(), lambda x: x[0] % 3 == 0 and x[1] % 3 == 0, renormalize=True
     )
-    rep = translation_invariance_certify(
-        [both] * 4, "exact", STRUCTURE, 2, scenario="mod3x3"
-    )
+    rep = translation_invariance_certify([both] * 4, "exact", STRUCTURE, 2)
     assert rep.kernel_empty
     assert math.isnan(rep.max_kernel_tv)
-    assert all(r.kind == "control" for r in rep.records)
+    assert all(kind == "control" for kind, _ in rep.records)
 
 
 def test_certify_mollified_gamma_kernel_everything():
     rep = translation_invariance_certify(
-        [gamma2()] * 2, "mollified", STRUCTURE, 1, controls=0, scenario="gamma-moll"
+        [gamma2()] * 2, "mollified", STRUCTURE, 1, controls=0
     )
-    assert rep.structure_rank == 0
+    assert rep.structure.rank == 0
     assert not rep.kernel_empty
-    assert {r.vector for r in rep.records} == {(0, 1), (1, 0)}
+    assert {r.direction for _, r in rep.records} == {(0, 1), (1, 0)}
 
 
 @functools.cache
@@ -890,23 +1013,21 @@ def slab_measure():
 @functools.cache
 def slab_report():
     cfg = dataclasses.replace(STRUCTURE, K=1e8)
-    return translation_invariance_certify(
-        [slab_measure()] * 2, "mollified", cfg, 2, scenario="slab"
-    )
+    return translation_invariance_certify([slab_measure()] * 2, "mollified", cfg, 2)
 
 
 def test_certify_mollified_slab_kernel_direction():
     rep = slab_report()
-    assert rep.structure_rank == 1
-    kernel = [r for r in rep.records if r.kind == "kernel"]
-    assert [r.vector for r in kernel] == [(1, -1)]
-    assert kernel[0].tv == pytest.approx(0.10164627909572416, abs=1e-9)
+    assert rep.structure.rank == 1
+    kernel = [r for kind, r in rep.records if kind == "kernel"]
+    assert [r.direction for r in kernel] == [(1, -1)]
+    assert kernel[0].actual_tv == pytest.approx(0.10164627909572416, abs=1e-9)
 
 
 def test_certify_mollified_slab_controls_rejected():
-    for r in slab_report().records:
-        if r.kind == "control":
-            assert r.violations >= 1
+    for kind, r in slab_report().records:
+        if kind == "control":
+            assert r.spectral.violations
             assert not r.passed
 
 
@@ -926,12 +1047,20 @@ def test_certify_enumeration_cap():
 
 def test_certify_record_terms_sum_to_bound():
     records = parity_report().records
-    assert {r.kind for r in records} == {"kernel", "control"}
-    for r in records:
+    assert [kind for kind, _ in records] == ["kernel"] * 4 + ["control"] * 2
+    for _, r in records:
         terms = r.main_term + r.spectral_term + r.mass_term
         assert terms == pytest.approx(r.bound, rel=1e-12)
 
 
+def test_certify_records_carry_the_shared_parameters():
+    rep = parity_report()
+    for _, r in rep.records:
+        assert (r.spectral.delta, r.spectral.eta) == (rep.delta, rep.eta)
+        assert (r.H, r.center) == (rep.H, rep.center)
+        assert r.vacuous == (r.bound >= 1.0)
+
+
 def test_certify_deficit_reported():
     rep = parity_report()
-    assert 0.0 <= rep.deficit < 1e-6
+    assert 0.0 <= rep.convolution.deficit < 1e-6
