@@ -207,20 +207,15 @@ def expected_norm(mu: SparseMeasure) -> float:
     return float(np.sqrt(np.einsum("ij,ij->i", mu.points, mu.points)) @ mu.masses)
 
 
-def _grid_embed(mus: Sequence[SparseMeasure], side: int) -> list[np.ndarray]:
-    """Embed measures in one common side^n grid (shared corner); errors if
-    the joint bounding box does not fit."""
-    n = mus[0].dimension
-    lo = np.min([m.points.min(axis=0) for m in mus], axis=0)
-    hi = np.max([m.points.max(axis=0) for m in mus], axis=0)
-    if int((hi - lo).max()) + 1 > side:
+def _grid_embed(mu: SparseMeasure, shape: Sequence[int]) -> np.ndarray:
+    """mu's masses on a zero array of `shape`, its bounding box's lower
+    corner at the origin; errors if the box does not fit."""
+    offsets = mu.points - mu.points.min(axis=0)
+    if (offsets.max(axis=0) >= np.asarray(shape)).any():
         raise ValueError("grid smaller than support")
-    grids = []
-    for m in mus:
-        arr = np.zeros((side,) * n)
-        np.add.at(arr, tuple(((m.points - lo) % side).T), m.masses)
-        grids.append(arr)
-    return grids
+    arr = np.zeros(tuple(shape))
+    arr[tuple(offsets.T)] = mu.masses
+    return arr
 
 
 def _covering_exponent(mus: Sequence[SparseMeasure], exponent: int) -> int:
@@ -232,14 +227,6 @@ def _covering_exponent(mus: Sequence[SparseMeasure], exponent: int) -> int:
     while 2**exponent < widest:
         exponent += 1
     return exponent
-
-
-def _dense_box(mu: SparseMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """mu embedded in its bounding box, and the box's lower corner."""
-    lo = mu.points.min(axis=0)
-    box = np.zeros(mu.points.max(axis=0) - lo + 1)
-    box[tuple((mu.points - lo).T)] = mu.masses
-    return box, lo
 
 
 def convolve(mu1: SparseMeasure, mu2: SparseMeasure) -> SparseMeasure:
@@ -256,8 +243,9 @@ def convolve(mu1: SparseMeasure, mu2: SparseMeasure) -> SparseMeasure:
     if mu1.dimension != mu2.dimension:
         raise ValueError("dimension mismatch")
     n = mu1.dimension
-    a1, lo1 = _dense_box(mu1)
-    a2, lo2 = _dense_box(mu2)
+    lo1, lo2 = mu1.points.min(axis=0), mu2.points.min(axis=0)
+    a1 = _grid_embed(mu1, mu1.points.max(axis=0) - lo1 + 1)
+    a2 = _grid_embed(mu2, mu2.points.max(axis=0) - lo2 + 1)
     if n == 1:
         conv = np.convolve(a1, a2)
     else:
@@ -302,10 +290,7 @@ def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     for m in mus:
         key = id(m)
         if key not in spectra:
-            arr = np.zeros((side,) * n)
-            corner = m.points.min(axis=0)
-            np.add.at(arr, tuple((m.points - corner).T), m.masses)
-            spectra[key] = np.fft.rfftn(arr)
+            spectra[key] = np.fft.rfftn(_grid_embed(m, (side,) * n))
         prod = spectra[key] if prod is None else prod * spectra[key]
     conv = np.fft.irfftn(prod, s=(side,) * n, axes=tuple(range(n)))
     conv[conv < FFT_DUST] = 0.0
@@ -503,7 +488,7 @@ def large_spectrum_scan(
         raise ValueError("K must be at least 2")
     side = 2**grid_exponent
     n = mu.dimension
-    grid = _grid_embed([mu], side)[0]
+    grid = _grid_embed(mu, (side,) * n)
     # fftn phase matches the transform convention, so F[k] = mu_hat(k/side)
     mag = np.abs(np.fft.fftn(grid))
     threshold = 1.0 - 1.0 / K

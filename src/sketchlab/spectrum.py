@@ -749,7 +749,7 @@ def product_heavy_frequencies(
     side = 2**grid_exponent
     prod = np.ones((side,) * mus[0].dimension)
     for m in mus:
-        prod = prod * np.abs(np.fft.fftn(_grid_embed([m], side)[0]))
+        prod = prod * np.abs(np.fft.fftn(_grid_embed(m, prod.shape)))
     return _reduce_torus(np.argwhere(prod >= threshold) / side)
 
 

@@ -42,6 +42,10 @@ __all__ = [
     "alternating_algorithm",
 ]
 
+# simulated closing blocks per target point in a candidate's success
+# estimate
+SELECTION_LANDINGS = 64
+
 
 @dataclass(frozen=True)
 class Update:
@@ -291,20 +295,10 @@ def _draw_target(mu: SparseMeasure, seed: int) -> tuple[int, ...]:
     return tuple(int(c) for c in mu.points[idx])
 
 
-def _resolve_policy(
-    dimension: int, radius: float, policy: TruncationPolicy | None
-) -> TruncationPolicy:
-    pol = policy or TruncationPolicy.for_gaussian(dimension, radius)
-    if pol.dimension != dimension:
-        raise ValueError("policy dimension mismatch")
-    return pol
-
-
 def exact_stream_sample(
     target: SparseMeasure,
     radius: float,
     blocks: int,
-    policy: TruncationPolicy | None = None,
     seed: int = 0,
 ) -> StreamSample:
     """Truncated-Gaussian prefix blocks closed by a block hitting the target.
@@ -313,9 +307,9 @@ def exact_stream_sample(
     frequency vector equals Y exactly, for every seed.
     """
     n = target.dimension
-    pol = _resolve_policy(n, radius, policy)
     sx, sy, _ = _subseeds(seed, 3)
     if blocks:
+        pol = TruncationPolicy.for_gaussian(n, radius)
         xs = sample_truncated(radius, pol, sx, count=blocks)
     else:
         xs = np.zeros((0, n), dtype=np.int64)
@@ -329,9 +323,10 @@ def exact_stream_sample(
 def _prefix_blocks(
     radius: float, blocks: int, policy: TruncationPolicy, seeds: Sequence[int]
 ) -> np.ndarray:
-    """`exact_stream_sample(target, radius, blocks, policy, s).deltas[:blocks]`
-    for every seed s, shape (len(seeds), blocks, n), in one batched draw
-    and without the closing targets."""
+    """The prefix blocks every seed s draws under `policy`, shape
+    (len(seeds), blocks, n), in one batched draw and without the closing
+    targets.  Under the default policy of the radius they are
+    `exact_stream_sample(target, radius, blocks, s).deltas[:blocks]`."""
     sx = [_subseeds(int(s), 3)[0] for s in seeds]
     return sample_truncated_many(radius, policy, sx, blocks)
 
@@ -488,7 +483,6 @@ def posterior_laws(
     sigma: StateSequence | Sequence[int],
     radius: float,
     blocks: int,
-    policy: TruncationPolicy | None = None,
 ) -> list[SparseMeasure]:
     """Conditional prefix-block laws given the boundary states.
 
@@ -498,8 +492,7 @@ def posterior_laws(
     of states joined by no delta at all is an impossible sequence.
     """
     states = _check_states(alg, sigma, blocks)
-    pol = _resolve_policy(alg.dimension, radius, policy)
-    table = _FoldTable(alg, gamma_truncated(alg.dimension, radius, pol))
+    table = _FoldTable(alg, gamma_truncated(alg.dimension, radius))
     laws, _ = _conditional_blocks(table, states, radius)
     return laws
 
@@ -551,22 +544,21 @@ def select_state_sequence(
     samples: int,
     seed: int,
     threshold: float | None = None,
-    landings: int = 64,
-    policy: TruncationPolicy | None = None,
 ) -> StateSequence:
     """Pick the observed boundary-state sequence with the best success.
 
     The census draws the prefix blocks of `samples` exact streams in one
-    batched draw (each stream keeps its own seed, so the draws equal
-    `exact_stream_sample`'s), folds them block by block, and groups them
-    by their states at block boundaries.
+    batched draw from the truncated Gaussian of the radius (each stream
+    keeps its own seed, so the draws equal `exact_stream_sample`'s),
+    folds them block by block, and groups them by their states at block
+    boundaries.
     Sequences whose empirical share falls below `threshold` are dropped;
     the default is half of 2^-blocks, the share each sequence would keep
     if every block branched two ways, so algorithms that branch more
     densely need a lower threshold.  Survivors get their success
-    estimated from `landings` resampled closing blocks per target point,
-    reseeded per candidate from its own states so the aggregation is
-    order independent.  The best estimate wins; exact ties go to the
+    estimated from SELECTION_LANDINGS resampled closing blocks per target
+    point, reseeded per candidate from its own states so the aggregation
+    is order independent.  The best estimate wins; exact ties go to the
     lexicographically smallest states.  Survivors share one fold table,
     so each distinct transition's posterior law is built and certified
     once, however many survivors pass through it.
@@ -574,7 +566,7 @@ def select_state_sequence(
     if samples < 1:
         raise ValueError("need at least one sample")
     _check_horizon(alg, blocks)
-    pol = _resolve_policy(alg.dimension, radius, policy)
+    pol = TruncationPolicy.for_gaussian(alg.dimension, radius)
     _check_target(target)
     seed_rng = np.random.default_rng(seed)
     prefixes = _prefix_blocks(
@@ -593,7 +585,7 @@ def select_state_sequence(
     if not survivors:
         ranked = sorted(census.items(), key=lambda kv: (-kv[1], kv[0]))
         raise SelectionFailed(cut, samples, tuple(ranked))
-    table = _FoldTable(alg, gamma_truncated(alg.dimension, radius, pol))
+    table = _FoldTable(alg, gamma_truncated(alg.dimension, radius))
     best: StateSequence | None = None
     for states in survivors:
         laws, densities = _conditional_blocks(table, states, radius)
@@ -603,7 +595,7 @@ def select_state_sequence(
             target,
             laws,
             states,
-            landings,
+            SELECTION_LANDINGS,
             np.random.default_rng((seed, *states)),
             table.memo,
         )

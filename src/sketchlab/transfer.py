@@ -63,13 +63,9 @@ __all__ = [
 
 REPORT_VERSION = 3
 
-EXACT_EVAL_CAP = 10_000
-
 # census size of the state-sequence selection, simulated landings per
-# candidate's success estimate and per decoder fiber, and trials of the
-# smoothness check
+# decoder fiber, and trials of the smoothness check
 SAMPLES = 512
-SELECTION_LANDINGS = 64
 DECODER_LANDINGS = 256
 SMOOTHNESS_TRIALS = 2048
 
@@ -201,16 +197,14 @@ def verify_smoothness(
     problem: ProblemSpec,
     target: SparseMeasure,
     radius: float,
-    trials: int,
     seed: int,
-    policy: TruncationPolicy | None = None,
 ) -> SmoothnessCheck:
-    """Estimate Pr[answers of Y and Y+Z are compatible] for Z ~ gamma noise."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    """Estimate Pr[answers of Y and Y+Z are compatible] for Z ~ gamma noise,
+    over SMOOTHNESS_TRIALS draws."""
+    trials = SMOOTHNESS_TRIALS
     n = target.dimension
-    pol = policy if policy is not None else TruncationPolicy.for_gaussian(n, radius)
-    deficit = gamma_truncated(n, radius, pol).deficit
+    pol = TruncationPolicy.for_gaussian(n, radius)
+    deficit = gamma_truncated(n, radius).deficit
     rng = np.random.default_rng(seed)
     idx = rng.choice(target.masses.size, size=trials, p=target.masses / target.total_mass)
     noise = sample_truncated(radius, pol, int(rng.integers(2**63)), count=trials)
@@ -291,9 +285,6 @@ def _build_decoder(
     target: SparseMeasure,
     problem: ProblemSpec,
     laws: Sequence[SparseMeasure],
-    radius: float,
-    policy: TruncationPolicy,
-    landings: int,
     seed: int,
     landing_law: SparseMeasure,
 ) -> FiberDecoder:
@@ -302,6 +293,8 @@ def _build_decoder(
         fibers.setdefault(sketch_apply(sketch, y), []).append(y)
     close_index = sketch.sigma.block_count
     last_state = sketch.sigma.states[-1]
+    radius = sketch.provenance.radius
+    policy = TruncationPolicy.for_gaussian(sketch.structure.dimension, radius)
     table: dict = {}
     memo: dict = {}
     representative: dict = {}
@@ -309,11 +302,13 @@ def _build_decoder(
     for fiber_index, (value, members) in enumerate(fibers.items()):
         y_rep = members[0]
         rng = np.random.default_rng((seed, fiber_index))
-        draws = resample_convolution(sketch.structure.dimension, laws, landings, rng)
+        draws = resample_convolution(
+            sketch.structure.dimension, laws, DECODER_LANDINGS, rng
+        )
         deltas = np.asarray(y_rep, dtype=np.int64) - draws
         if sketch.structure.route == "mollified":
             deltas = deltas + sample_truncated(
-                radius, policy, int(rng.integers(2**63)), count=landings
+                radius, policy, int(rng.integers(2**63)), count=DECODER_LANDINGS
             )
         ends = fold_deltas(alg, deltas, close_index, last_state, memo)
         outputs = [alg.output(s) for s in ends.tolist()]
@@ -397,13 +392,9 @@ def extract_sketch(
         raise ValueError(
             f"target support diameter {diameter:.3f} exceeds the declared {cfg.diameter}"
         )
-    n = alg.dimension
-    policy = TruncationPolicy.for_gaussian(n, cfg.radius)
     smoothness = None
     if route == "mollified":
-        smoothness = verify_smoothness(
-            problem, target, cfg.radius, SMOOTHNESS_TRIALS, seed, policy
-        )
+        smoothness = verify_smoothness(problem, target, cfg.radius, seed)
         if not smoothness.passed:
             raise SmoothnessError(
                 f"problem is not ({smoothness.epsilon}, {smoothness.delta})-smooth: "
@@ -419,10 +410,8 @@ def extract_sketch(
         SAMPLES,
         seed,
         threshold=cfg.selection_threshold,
-        landings=SELECTION_LANDINGS,
-        policy=policy,
     )
-    laws = tuple(posterior_laws(alg, sigma, cfg.radius, cfg.blocks, policy))
+    laws = tuple(posterior_laws(alg, sigma, cfg.radius, cfg.blocks))
     structure_cfg = StructureConfig(
         K=cfg.K, Q=cfg.Q, R=cfg.radius, q=cfg.q, B=cfg.B, kappa=cfg.kappa
     )
@@ -435,16 +424,7 @@ def extract_sketch(
     )
     sketch = ExtractedSketch(translation.structure, sigma, cfg)
     decoder = _build_decoder(
-        alg,
-        sketch,
-        target,
-        problem,
-        laws,
-        cfg.radius,
-        policy,
-        DECODER_LANDINGS,
-        seed,
-        translation.convolution,
+        alg, sketch, target, problem, laws, seed, translation.convolution
     )
     hard = [
         c
@@ -469,10 +449,6 @@ def extract_sketch(
 @dataclass(frozen=True)
 class EvaluationResult:
     success: float
-    low: float
-    high: float
-    method: str
-    trials: int
     tolerance: float | None
 
 
@@ -499,46 +475,19 @@ def evaluate_sketch(
     decoder: FiberDecoder,
     target: SparseMeasure,
     problem: ProblemSpec,
-    trials: int = 4096,
-    seed: int = 0,
 ) -> EvaluationResult:
     """Success probability of decode(sketch(Y)) against the problem.
 
-    Exact expectation over the support when it is small enough,
-    Monte Carlo otherwise; metric problems are scored at the degraded
-    tolerance of the route.
+    The exact expectation over the support of the target; metric
+    problems are scored at the degraded tolerance of the route.
     """
     tol, check = _make_checker(sketch, problem)
-    if target.support_size <= EXACT_EVAL_CAP:
-        good = math.fsum(
-            mass / target.total_mass
-            for y, mass in zip(map(tuple, target.points.tolist()), target.masses.tolist())
-            if check(y, _decode_point(sketch, decoder, y))
-        )
-        return EvaluationResult(
-            success=good,
-            low=good,
-            high=good,
-            method="exact",
-            trials=0,
-            tolerance=tol,
-        )
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(target.masses.size, size=trials, p=target.masses / target.total_mass)
-    hits = 0
-    for i in idx:
-        y = tuple(int(c) for c in target.points[i])
-        hits += bool(check(y, _decode_point(sketch, decoder, y)))
-    rate = hits / trials
-    half = 1.96 * math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
-    return EvaluationResult(
-        success=rate,
-        low=max(0.0, rate - half),
-        high=min(1.0, rate + half),
-        method="monte-carlo",
-        trials=trials,
-        tolerance=tol,
+    good = math.fsum(
+        mass / target.total_mass
+        for y, mass in zip(map(tuple, target.points.tolist()), target.masses.tolist())
+        if check(y, _decode_point(sketch, decoder, y))
     )
+    return EvaluationResult(success=good, tolerance=tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,6 @@ import numpy as np
 from .measure import (
     SparseMeasure,
     _covering_exponent,
-    _fft_side,
     _grid_embed,
     _lex_groups,
     _reduce_torus,
@@ -316,7 +315,7 @@ def measured_structure_spread(
     neighborhood radius, not a certificate between grid points.
     """
     side = 2 ** _covering_exponent([nu], 7)
-    mags = np.abs(np.fft.fftn(_grid_embed([nu], side)[0]))
+    mags = np.abs(np.fft.fftn(_grid_embed(nu, (side,) * nu.dimension)))
     heavy = np.argwhere(mags > eta + 1e-12)
     if heavy.shape[0] == 0:
         return HeavySpread(eta, 0, 0.0, side)
@@ -506,9 +505,8 @@ class TailCenter:
     """Center and certified radius for the mass of a convolution.
 
     The center sums the means of the pieces truncated at their own radii
-    (truncated mass is zeroed, not renormalized); outside_mass is the
-    verified mass beyond the radius, by exact convolution when the grid is
-    affordable and by Monte Carlo otherwise.
+    (truncated mass is zeroed, not renormalized); outside_mass is the mass
+    of the exact convolution beyond the radius, its deficit included.
     """
 
     center: tuple[float, ...]
@@ -516,25 +514,22 @@ class TailCenter:
     mass_bound: float
     truncation_radii: tuple[float, ...]
     outside_mass: float
-    method: str
 
 
 def convolution_tail_center(
     mus: Sequence[SparseMeasure],
     R: float,
     L: float,
-    conv: SparseMeasure | None = None,
-    trials: int = 200_000,
-    seed: int = 0,
-    cell_cap: int = 4_000_000,
+    conv: SparseMeasure,
 ) -> TailCenter:
     """Tail center of the convolution of dense pieces at level L >= 1.
 
     Piece i is truncated at R T_i with
     T_i = sqrt(L^2 + (2/pi) log(sqrt(2)^n / alpha_i)); the mass of the
     convolution outside radius 2 R sqrt(M) L sqrt(n + L^2 + S) around the
-    summed truncated means is at most 2 M exp(-L^2/2), which is verified
-    empirically before returning.
+    summed truncated means is at most 2 M exp(-L^2/2).  `conv` is the
+    convolution of mus; its mass outside the radius, deficit included, is
+    checked against that bound before returning.
     """
     if not mus:
         raise ValueError("empty measure list")
@@ -556,39 +551,17 @@ def convolution_tail_center(
     radius = 2.0 * R * math.sqrt(M) * L * math.sqrt(n + L * L + S)
     mass_bound = 2.0 * M * math.exp(-L * L / 2.0)
 
-    if conv is None and _fft_side(mus) ** n <= cell_cap:
-        conv = convolve_many_fft(mus)
-    if conv is not None:
-        d = conv.points - center
-        far = np.sqrt(np.einsum("ij,ij->i", d, d)) > radius
-        outside = float(conv.masses[far].sum()) + conv.deficit
-        if outside > mass_bound + 1e-12:
-            raise RuntimeError("mass outside the certified radius exceeds the bound")
-        method = "exact"
-    else:
-        rng = np.random.default_rng(seed)
-        total = np.zeros((trials, n))
-        deficit = 0.0
-        for m in mus:
-            mass = m.total_mass
-            deficit += max(0.0, 1.0 - mass)
-            idx = rng.choice(m.points.shape[0], size=trials, p=m.masses / mass)
-            total += m.points[idx]
-        d = total - center
-        hits = int((np.sqrt(np.einsum("ij,ij->i", d, d)) > radius).sum())
-        frac = hits / trials
-        stderr = math.sqrt(max(frac * (1.0 - frac), 1.0 / trials) / trials)
-        outside = frac + deficit
-        if frac - 3.0 * stderr - deficit > mass_bound:
-            raise RuntimeError("mass outside the certified radius exceeds the bound")
-        method = "monte-carlo"
+    d = conv.points - center
+    far = np.sqrt(np.einsum("ij,ij->i", d, d)) > radius
+    outside = float(conv.masses[far].sum()) + conv.deficit
+    if outside > mass_bound + 1e-12:
+        raise RuntimeError("mass outside the certified radius exceeds the bound")
     return TailCenter(
         center=tuple(float(c) for c in center),
         radius=radius,
         mass_bound=mass_bound,
         truncation_radii=tuple(radii),
         outside_mass=outside,
-        method=method,
     )
 
 
@@ -699,8 +672,7 @@ def translation_invariance_certify(
     delta = max(spread.worst_distance, 1e-12)
 
     level = max(1.0, math.log(2.0 * n * len(conv_list)))
-    tail = convolution_tail_center(conv_list, R, level, conv=nu)
-    warnings.append(f"tail verification method: {tail.method}")
+    tail = convolution_tail_center(conv_list, R, level, nu)
 
     kernels = []
     off_kernel = []

@@ -45,7 +45,7 @@ def heavy_frequencies(
     side = 2**grid_exponent
     prod = np.ones((side,) * mus[0].dimension)
     for m in mus:
-        prod = prod * np.abs(np.fft.fftn(_grid_embed([m], side)[0]))
+        prod = prod * np.abs(np.fft.fftn(_grid_embed(m, prod.shape)))
     out = []
     for raw in np.argwhere(prod >= threshold):
         coords = [int(c) / side for c in raw]

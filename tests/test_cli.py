@@ -16,9 +16,10 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sketchlab import cli
+from sketchlab import cli, translation
 from sketchlab.cli import (
     KAPPA_FLOOR,
     SCENARIOS,
@@ -326,7 +327,7 @@ class TestExtract:
             cfg.seed,
         )
         result = evaluate_sketch(
-            sketch, decoder, scenario.target(cfg), scenario.problem(cfg), seed=11
+            sketch, decoder, scenario.target(cfg), scenario.problem(cfg)
         )
         assert row[0] == "parity" and row[1] == "exact"
         assert row[2] == "8" and row[3] == "2"
@@ -569,6 +570,45 @@ class TestLemmaRowsAtTheEdges:
         assert min(exponents) > cli.GRID_EXPONENT
         cli._dissociated_rows(ExperimentConfig(R=8.0))
         assert exponents[3:] == [cli.GRID_EXPONENT] * 3
+
+
+class TestInvarianceRows:
+    def test_exact_route_reads_the_tail_off_the_certified_convolution(
+        self, monkeypatch
+    ):
+        ffts, reports, tails = [], [], []
+        real_fft = translation.convolve_many_fft
+
+        def spy_fft(mus):
+            ffts.append(len(mus))
+            return real_fft(mus)
+
+        # the product of all the pieces; symmetrize's pairwise products
+        # inside measure are other convolutions
+        for module in (translation, cli):
+            monkeypatch.setattr(module, "convolve_many_fft", spy_fft)
+        real_certify = cli.translation_invariance_certify
+
+        def spy_certify(*args, **kwargs):
+            reports.append(real_certify(*args, **kwargs))
+            return reports[-1]
+
+        real_tail = cli.convolution_tail_center
+
+        def spy_tail(mus, R, L, conv):
+            tails.append((conv, real_tail(mus, R, L, conv)))
+            return tails[-1][1]
+
+        monkeypatch.setattr(cli, "translation_invariance_certify", spy_certify)
+        monkeypatch.setattr(cli, "convolution_tail_center", spy_tail)
+        rows = cli._invariance_rows(ExperimentConfig(route="exact"))
+        assert len(ffts) == 1
+        ((conv, tail),) = tails
+        assert conv is reports[0].convolution
+        d = conv.points - np.asarray(tail.center)
+        far = np.sqrt(np.einsum("ij,ij->i", d, d)) > tail.radius
+        (row,) = [r for r in rows if r[0] == "convolution-tail"]
+        assert row[2] == float(conv.masses[far].sum()) + conv.deficit
 
 
 class TestExactRouteQWindow:

@@ -34,19 +34,13 @@ TEST_ONLY = {
     "streaming.identity_box_algorithm": "reference algorithm with one state per box point",
     "streaming.alternating_algorithm": "the one non-uniform reference algorithm",
     "dgauss.gamma_tail_bound": "closed-form tail the truncation radius is solved from",
-    "translation.convolution_tail_center(cell_cap)": (
-        "forces the Monte Carlo branch that pieces too wide for the grid take"
-    ),
-    "transfer.evaluate_sketch(trials)": (
-        "shrinks the sampled evaluation that targets above the exact-sum cap take"
-    ),
     "dgauss.auto_box(center)": "builds the off-center boxes of the rho_sum tail tests",
     "measure.restrict(renormalize)": "builds the coset laws the structure tests extract",
     "streaming.ProblemSpec.promise(delta)": (
         "a promise with a failure budget, which verify_smoothness reads"
     ),
-    "streaming.exact_stream_sample(policy)": (
-        "the per-seed stream model the batched selection census must match"
+    "measure.gamma_truncated(policy)": (
+        "truncates at tails of 1e-3 and 1e-11 for the deficit and bound tests"
     ),
     "streaming.exact_stream_sample(seed)": (
         "the per-seed stream model the batched selection census must match"

@@ -212,12 +212,6 @@ def test_target_deficit_rejected():
         exact_stream_sample(lossy, 8.0, 1, seed=0)
 
 
-def test_policy_dimension_mismatch():
-    pol = TruncationPolicy.for_gaussian(1, 8.0)
-    with pytest.raises(ValueError, match="dimension"):
-        exact_stream_sample(TARGET4, 8.0, 1, policy=pol, seed=0)
-
-
 # -- posterior laws -----------------------------------------------------------
 
 
@@ -574,12 +568,15 @@ def test_batched_census_matches_exact_stream_sample(monkeypatch, n, blocks, tigh
         return single(*args, **kwargs)
 
     monkeypatch.setattr(dgauss, "sample_truncated", counted)
+    # exact_stream_sample draws under the radius's default policy; make
+    # that pol
+    monkeypatch.setattr(TruncationPolicy, "for_gaussian", lambda dim, R: pol)
     target = SparseMeasure.uniform([(0,) * n, (1,) + (0,) * (n - 1)])
     seeds = np.random.default_rng(n * 10 + blocks).integers(0, 2**63, size=256)
     got = _prefix_blocks(radius, blocks, pol, seeds)
     assert got.shape == (256, blocks, n)
     for s, rows in zip(seeds.tolist(), got):
-        want = exact_stream_sample(target, radius, blocks, pol, s).deltas[:blocks]
+        want = exact_stream_sample(target, radius, blocks, s).deltas[:blocks]
         assert rows.tolist() == [list(d) for d in want]
     if tight and blocks:
         assert fallbacks

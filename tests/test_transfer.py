@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from measure_oracle import from_atoms
 from sketchlab import transfer
-from sketchlab.dgauss import TruncationPolicy
 from sketchlab.measure import SparseMeasure, convolve_many_fft
 from sketchlab.spectrum import NearOriginBasis, SketchLattice, StructureConfig
 from sketchlab.streaming import (
@@ -214,8 +213,6 @@ def test_parity_evaluation_exact():
     sketch, decoder, _ = parity_extraction()
     res = evaluate_sketch(sketch, decoder, TARGET4, PARITY_PROBLEM)
     assert res.success == 1.0
-    assert res.method == "exact"
-    assert (res.low, res.high) == (1.0, 1.0)
 
 
 def test_parity_controls_are_rigid():
@@ -288,10 +285,10 @@ def test_adversarial_conflicts_recorded_not_raised():
 
 def test_mollified_smoothness_gate():
     parity_promise = ProblemSpec.promise(lambda y: sum(y) % 2, delta=0.05)
-    chk = verify_smoothness(parity_promise, TARGET4, 8.0, trials=2048, seed=1)
+    chk = verify_smoothness(parity_promise, TARGET4, 8.0, seed=1)
     assert not chk.passed
     assert chk.failure_rate > 0.3
-    chk2 = verify_smoothness(CAPPED_NORM, TARGET4, 8.0, trials=2048, seed=1)
+    chk2 = verify_smoothness(CAPPED_NORM, TARGET4, 8.0, seed=1)
     assert chk2.passed
     assert chk2.failures == 0
     cfg = TransferConfig(radius=8.0, blocks=2, Q=8, label="reject-unit")
@@ -436,9 +433,6 @@ def test_decoder_table_matches_per_row_loop(
             target,
             problem,
             report.laws,
-            8.0,
-            TruncationPolicy.for_gaussian(2, 8.0),
-            transfer.DECODER_LANDINGS,
             seed,
             report.translation.convolution,
         )
@@ -527,17 +521,6 @@ def test_uncovered_fiber_errors():
     sketch, decoder, _ = extract_sketch(parity_algorithm(2), even, problem, "exact", cfg, seed=11)
     with pytest.raises(UncoveredFiber, match="no decoder entry"):
         evaluate_sketch(sketch, decoder, SparseMeasure.uniform([(1, 0)]), problem)
-
-
-def test_monte_carlo_evaluation_kicks_in():
-    sketch, decoder, _ = parity_extraction()
-    big = SparseMeasure.uniform([(a, b) for a in range(-51, 51) for b in range(-50, 50)])
-    assert big.support_size > 10_000
-    res = evaluate_sketch(sketch, decoder, big, PARITY_PROBLEM, trials=2048, seed=9)
-    assert res.method == "monte-carlo"
-    assert res.low <= res.success <= res.high
-    # decoding by residue is exact on every vector, so MC still sees 1.0
-    assert res.success == 1.0
 
 
 # -- serialization ------------------------------------------------------------

@@ -850,28 +850,30 @@ def test_ball_reduction_bound_assembly():
 # -- convolution tail center --------------------------------------------------------
 
 
+def tail_center(mus, R, L):
+    return convolution_tail_center(mus, R, L, conv=convolve_many_fft(mus))
+
+
 def test_tail_center_symmetric_pieces():
-    tc = convolution_tail_center([parity_measure()] * 4, 8.0, 2.0)
+    tc = tail_center([parity_measure()] * 4, 8.0, 2.0)
     assert max(abs(c) for c in tc.center) <= 1e-10
-    assert tc.method == "exact"
 
 
 def test_tail_center_level_precondition():
     with pytest.raises(ValueError):
-        convolution_tail_center([gamma1()], 8.0, 0.5)
+        tail_center([gamma1()], 8.0, 0.5)
 
 
 def test_tail_center_four_fold_exact():
-    tc = convolution_tail_center([gamma1()] * 4, 8.0, 2.0)
+    tc = tail_center([gamma1()] * 4, 8.0, 2.0)
     assert tc.mass_bound == pytest.approx(8.0 * math.exp(-2.0), abs=1e-15)
     assert tc.outside_mass <= tc.mass_bound
     assert tc.outside_mass <= 1e-10
-    assert tc.method == "exact"
 
 
 def test_tail_center_shifted_pieces():
     shifted = translate(gamma1(), [3])
-    tc = convolution_tail_center([shifted] * 4, 8.0, 2.0)
+    tc = tail_center([shifted] * 4, 8.0, 2.0)
     assert tc.center[0] == pytest.approx(12.0, abs=1e-9)
 
 
@@ -879,7 +881,7 @@ def test_tail_center_truncation_radii_formula():
     from sketchlab.measure import density_certificate
 
     mus = [parity_measure(), gamma2()]
-    tc = convolution_tail_center(mus, 8.0, 2.0)
+    tc = tail_center(mus, 8.0, 2.0)
     for radius, mu in zip(tc.truncation_radii, mus):
         cert = density_certificate(mu, 8.0)
         expect = 8.0 * math.sqrt(
@@ -889,20 +891,12 @@ def test_tail_center_truncation_radii_formula():
 
 
 def test_tail_center_radius_formula():
-    tc = convolution_tail_center([gamma1()] * 4, 8.0, 2.0)
+    tc = tail_center([gamma1()] * 4, 8.0, 2.0)
     from sketchlab.measure import density_certificate
 
     S = density_certificate(gamma1(), 8.0).S
     expect = 2.0 * 8.0 * math.sqrt(4.0) * 2.0 * math.sqrt(1 + 4.0 + S)
     assert tc.radius == pytest.approx(expect, abs=1e-12)
-
-
-def test_tail_center_monte_carlo_path():
-    tc = convolution_tail_center(
-        [gamma1()] * 4, 8.0, 2.0, cell_cap=1, trials=20000, seed=3
-    )
-    assert tc.method == "monte-carlo"
-    assert tc.outside_mass <= tc.mass_bound
 
 
 # -- end-to-end certification --------------------------------------------------------
