@@ -25,8 +25,8 @@ def main() -> int:
                            scenario=scenario_name, route=route)
     scenario = get_scenario(scenario_name)
     sketch, decoder, _ = extract_sketch(
-        scenario.algorithm(cfg),
-        scenario.target(cfg),
+        scenario.algorithm,
+        scenario.target,
         scenario.problem(cfg),
         route,
         transfer_config(cfg, scenario),

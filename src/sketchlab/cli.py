@@ -70,6 +70,7 @@ from .transfer import (
 )
 from .translation import (
     MAX_KERNEL_RADIUS,
+    TranslationReport,
     convolution_tail_center,
     line_decomposition,
     translation_invariance_certify,
@@ -198,14 +199,6 @@ class ExperimentConfig:
         return out
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
 def _parse_optional(raw: str) -> float | None:
     if raw.lower() in ("none", ""):
         return None
@@ -219,17 +212,13 @@ def _parse_sweep(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def _parse_str(raw: str) -> str:
-    return raw
-
-
 # each config key is parsed by its ExperimentConfig annotation
 _TYPE_PARSERS: dict[str, Callable[[str], object]] = {
-    "int": _parse_int,
-    "float": _parse_float,
+    "int": int,
+    "float": float,
     "float | None": _parse_optional,
     "tuple[float, ...]": _parse_sweep,
-    "str": _parse_str,
+    "str": str,
 }
 _FIELD_PARSERS = {
     f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(ExperimentConfig)
@@ -297,34 +286,18 @@ def load_config(
 class Scenario:
     """Named algorithm/input/problem triple the extract verbs accept.
 
+    The algorithm and the target distribution are fixed values; the
+    problem is built from the run's config, because capped-norm reads
+    epsilon, R and delta.  The scenario's dimension is its algorithm's.
     `branching` is the per-block state fan-out; the default selection
     threshold keeps half of the uniform share `branching**-M`.
     """
 
     name: str
-    description: str
-    dimension: int
     branching: int
-    algorithm: Callable[[ExperimentConfig], TurnstileAlgorithm]
-    target: Callable[[ExperimentConfig], SparseMeasure]
+    algorithm: TurnstileAlgorithm
+    target: SparseMeasure
     problem: Callable[[ExperimentConfig], ProblemSpec]
-
-
-def _four_step_support(cfg: ExperimentConfig) -> SparseMeasure:
-    return SparseMeasure.uniform([(0, 0), (1, 0), (1, 1), (2, 1)])
-
-
-def _axis_support(cfg: ExperimentConfig) -> SparseMeasure:
-    return SparseMeasure.uniform([(0, 0), (1, 0), (2, 0), (3, 0)])
-
-
-def _diagonal_support(cfg: ExperimentConfig) -> SparseMeasure:
-    return SparseMeasure.uniform([(0, 0), (1, 1)])
-
-
-def _mod3_algorithm(cfg: ExperimentConfig) -> TurnstileAlgorithm:
-    base = mod_counter_algorithm(2, 3)
-    return dataclasses.replace(base, output=lambda s: 1 if s == 0 else 0)
 
 
 def _capped_norm_problem(cfg: ExperimentConfig) -> ProblemSpec:
@@ -339,53 +312,50 @@ def _capped_norm_problem(cfg: ExperimentConfig) -> ProblemSpec:
 
 
 SCENARIOS: dict[str, Scenario] = {
+    # coordinate-sum parity promise on a four-point staircase
     "parity": Scenario(
         name="parity",
-        description="coordinate-sum parity promise on a four-point staircase",
-        dimension=2,
         branching=2,
-        algorithm=lambda cfg: parity_algorithm(2),
-        target=_four_step_support,
+        algorithm=parity_algorithm(2),
+        target=SparseMeasure.uniform([(0, 0), (1, 0), (1, 1), (2, 1)]),
         problem=lambda cfg: ProblemSpec.promise(lambda y: (y[0] + y[1]) % 2),
     ),
+    # first-coordinate mod-3 indicator on an axis segment
     "mod-3": Scenario(
         name="mod-3",
-        description="first-coordinate mod-3 indicator on an axis segment",
-        dimension=2,
         branching=3,
-        algorithm=_mod3_algorithm,
-        target=_axis_support,
+        algorithm=dataclasses.replace(
+            mod_counter_algorithm(2, 3), output=lambda s: 1 if s == 0 else 0
+        ),
+        target=SparseMeasure.uniform([(0, 0), (1, 0), (2, 0), (3, 0)]),
         problem=lambda cfg: ProblemSpec.promise(
             lambda y: 1 if y[0] % 3 == 0 else 0
         ),
     ),
+    # state-free algorithm answering 0 everywhere
     "constant": Scenario(
         name="constant",
-        description="state-free algorithm answering 0 everywhere",
-        dimension=2,
         branching=1,
-        algorithm=lambda cfg: constant_algorithm(2),
-        target=_diagonal_support,
+        algorithm=constant_algorithm(2),
+        target=SparseMeasure.uniform([(0, 0), (1, 1)]),
         problem=lambda cfg: ProblemSpec.promise(lambda y: 0),
     ),
+    # parity algorithm scored against a mod-3 promise it cannot see
     "adversarial": Scenario(
         name="adversarial",
-        description="parity algorithm scored against a mod-3 promise it cannot see",
-        dimension=2,
         branching=2,
-        algorithm=lambda cfg: parity_algorithm(2),
-        target=_axis_support,
+        algorithm=parity_algorithm(2),
+        target=SparseMeasure.uniform([(0, 0), (1, 0), (2, 0), (3, 0)]),
         problem=lambda cfg: ProblemSpec.promise(
             lambda y: 1 if y[0] % 3 == 0 else 0
         ),
     ),
+    # norm capped at epsilon, smooth enough for the mollified route
     "capped-norm": Scenario(
         name="capped-norm",
-        description="norm capped at epsilon, smooth enough for the mollified route",
-        dimension=2,
         branching=2,
-        algorithm=lambda cfg: parity_algorithm(2),
-        target=_four_step_support,
+        algorithm=parity_algorithm(2),
+        target=SparseMeasure.uniform([(0, 0), (1, 0), (1, 1), (2, 1)]),
         problem=_capped_norm_problem,
     ),
 }
@@ -406,9 +376,10 @@ def _selection_threshold(cfg: ExperimentConfig, scenario: Scenario) -> float:
 
 
 def transfer_config(cfg: ExperimentConfig, scenario: Scenario) -> TransferConfig:
-    if cfg.n != scenario.dimension:
+    dimension = scenario.algorithm.dimension
+    if cfg.n != dimension:
         raise UsageError(
-            f"scenario {scenario.name!r} is {scenario.dimension}-dimensional, "
+            f"scenario {scenario.name!r} is {dimension}-dimensional, "
             f"config has n={cfg.n}"
         )
     return TransferConfig(
@@ -847,16 +818,35 @@ def cmd_verify_lemmas(cfg: ExperimentConfig, out_dir: Path) -> int:
 # -- extract ---------------------------------------------------------------------
 
 
+def _report_kernel_failures(report: TranslationReport, where: str) -> int:
+    """Print one `FAILED kernel shift` line to stderr for each failed
+    kernel record, its cause ending in `where`; returns their count."""
+    failed = [
+        rec for kind, rec in report.records if kind == "kernel" and not rec.passed
+    ]
+    for rec in failed:
+        cause = (
+            f"spectral precondition failed with {len(rec.spectral.violations)} "
+            f"violation(s); tv {rec.actual_tv:.6g}, bound {rec.bound:.6g}"
+            if rec.spectral.violations
+            else f"tv {rec.actual_tv:.6g} above bound {rec.bound:.6g}"
+        )
+        print(
+            f"FAILED kernel shift {_cell(rec.direction)}: {cause}{where}",
+            file=sys.stderr,
+        )
+    return len(failed)
+
+
 def cmd_extract(cfg: ExperimentConfig, out_dir: Path) -> int:
     scenario = get_scenario(cfg.scenario)
     tcfg = transfer_config(cfg, scenario)
-    alg = scenario.algorithm(cfg)
-    target = scenario.target(cfg)
+    target = scenario.target
     _check_target_diameter(cfg, target)
     problem = scenario.problem(cfg)
     try:
         sketch, decoder, report = extract_sketch(
-            alg, target, problem, cfg.route, tcfg, cfg.seed
+            scenario.algorithm, target, problem, cfg.route, tcfg, cfg.seed
         )
     except (SketchExtractionError, SelectionFailed, ValueError, RuntimeError) as exc:
         print(f"extract failed for scenario {scenario.name!r}: {exc}", file=sys.stderr)
@@ -888,20 +878,7 @@ def cmd_extract(cfg: ExperimentConfig, out_dir: Path) -> int:
             f"note: {len(decoder.conflicts)} fiber(s) carry conflicting promised "
             f"bits; decoding is majority-vote there"
         )
-    failed = [
-        rec
-        for kind, rec in report.translation.records
-        if kind == "kernel" and not rec.passed
-    ]
-    for rec in failed:
-        cause = (
-            f"spectral precondition failed with {len(rec.spectral.violations)} "
-            f"violation(s); tv {rec.actual_tv:.6g}, bound {rec.bound:.6g}"
-            if rec.spectral.violations
-            else f"tv {rec.actual_tv:.6g} above bound {rec.bound:.6g}"
-        )
-        print(f"FAILED kernel shift {_cell(rec.direction)}: {cause}", file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if _report_kernel_failures(report.translation, "") else 0
 
 
 # -- tv-sweep --------------------------------------------------------------------
@@ -924,8 +901,7 @@ def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     _check_kernel_radius(cfg, "tv-sweep")
     scenario = get_scenario(cfg.scenario)
     tcfg = transfer_config(cfg, scenario)
-    alg = scenario.algorithm(cfg)
-    target = scenario.target(cfg)
+    alg, target = scenario.algorithm, scenario.target
     problem = scenario.problem(cfg)
     raw: list[tuple[float, tuple[int, ...], str, float, bool]] = []
     failed = 0
@@ -946,8 +922,7 @@ def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
             return 1
         for kind, rec in report.records:
             raw.append((R, rec.direction, kind, rec.actual_tv, rec.passed))
-            if kind == "kernel" and not rec.passed:
-                failed += 1
+        failed += _report_kernel_failures(report, f" at R={R:g}")
     trends: dict[tuple[str, tuple[int, ...]], str] = {}
     for kind, vector in {(r[2], r[1]) for r in raw}:
         series = sorted(

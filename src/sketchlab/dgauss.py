@@ -232,9 +232,10 @@ def sample_truncated(
     radius: float,
     policy: TruncationPolicy,
     seed: int,
-    count: int | None = None,
+    count: int,
 ) -> np.ndarray:
-    """Exact samples from gamma_R conditioned on ||x||_2 <= policy.radius.
+    """`count` exact samples from gamma_R conditioned on
+    ||x||_2 <= policy.radius, shape (count, n).
 
     Coordinate-wise inverse CDF over the enumerated 1-D support, then
     rejection on the Euclidean ball. The accepted sequence is a pure
@@ -243,12 +244,11 @@ def sample_truncated(
     support, cdf = _inverse_cdf(radius, policy)
     n = policy.dimension
     rng = np.random.default_rng(seed)
-    want = 1 if count is None else int(count)
     rows: list[np.ndarray] = []
     have = 0
     drawn = 0
     r2 = policy.radius * policy.radius
-    while have < want:
+    while have < count:
         batch = 1024
         cand, inside = _candidates(support, cdf, rng.random((batch, n)), r2)
         keep = cand[inside]
@@ -258,8 +258,7 @@ def sample_truncated(
             have += keep.shape[0]
         if drawn >= 1_000_000 and have < max(1, drawn * 1e-6):
             raise ValueError("acceptance probability below 1e-6: ball too small")
-    out = np.concatenate(rows, axis=0)[:want]
-    return out[0] if count is None else out
+    return np.concatenate(rows, axis=0)[:count]
 
 
 def sample_truncated_many(

@@ -207,6 +207,12 @@ def expected_norm(mu: SparseMeasure) -> float:
     return float(np.sqrt(np.einsum("ij,ij->i", mu.points, mu.points)) @ mu.masses)
 
 
+def _law_key(mu: SparseMeasure) -> tuple:
+    """Equal for two measures with the same points, masses and deficit,
+    so a product transforms or convolves each distinct law once."""
+    return (mu.points.shape, mu.points.tobytes(), mu.masses.tobytes(), mu.deficit)
+
+
 def _grid_embed(mu: SparseMeasure, shape: Sequence[int]) -> np.ndarray:
     """mu's masses on a zero array of `shape`, its bounding box's lower
     corner at the origin; errors if the box does not fit."""
@@ -275,7 +281,8 @@ def _fft_side(mus: Sequence[SparseMeasure]) -> int:
 
 
 def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
-    """Product-of-transforms convolution on a padded power-of-two grid.
+    """Product-of-transforms convolution on a padded power-of-two grid;
+    equal laws are transformed once.
 
     Negative and sub-FFT_DUST values are clipped to zero; the clipped mass
     is recorded as deficit.
@@ -285,10 +292,10 @@ def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     n = mus[0].dimension
     lo = np.sum([m.points.min(axis=0) for m in mus], axis=0)
     side = _fft_side(mus)
-    spectra: dict[int, np.ndarray] = {}
+    spectra: dict[tuple, np.ndarray] = {}
     prod: np.ndarray | None = None
     for m in mus:
-        key = id(m)
+        key = _law_key(m)
         if key not in spectra:
             spectra[key] = np.fft.rfftn(_grid_embed(m, (side,) * n))
         prod = spectra[key] if prod is None else prod * spectra[key]
@@ -514,15 +521,15 @@ def large_spectrum_scan(
 
 def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     """(1/M) sum_i mu_i * mu_i-reflected; the transform becomes the mean of
-    |mu_hat_i|^2, hence real and nonnegative."""
+    |mu_hat_i|^2, hence real and nonnegative.  Equal laws are convolved
+    once."""
     if not mus:
         raise ValueError("empty measure list")
     M = len(mus)
-    # equal laws (same points, masses and deficit) are convolved once
     convs: dict[tuple, SparseMeasure] = {}
     terms = []
     for m in mus:
-        key = (m.points.shape, m.points.tobytes(), m.masses.tobytes(), m.deficit)
+        key = _law_key(m)
         conv = convs.get(key)
         if conv is None:
             big = m.support_size**2 > 4_000_000

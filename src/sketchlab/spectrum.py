@@ -23,6 +23,7 @@ from .measure import (
     ScanReport,
     SparseMeasure,
     _grid_embed,
+    _law_key,
     _reduce_torus,
     density_certificate,
     fourier_at,
@@ -91,7 +92,11 @@ def is_kappa_dissociated(
     """True iff every nonzero sign pattern eps in {-1,0,1}^m keeps
     ||sum eps_i xi_i||_{T^n} >= kappa over the m rows xi_i; the first
     violating pattern (in base-3 order, digits 0,+1,-1, leftmost most
-    significant) is the witness."""
+    significant) is the witness.
+
+    The order is what the chain extractor relies on: patterns whose
+    leading digit is 0 all come first, so when the rows after the first
+    are already dissociated, the witness has leading digit +1."""
     pts = np.asarray(points, dtype=float)
     m = pts.shape[0]
     if m == 0:
@@ -202,7 +207,6 @@ class SketchLattice:
     denominators: tuple[int, ...]
     relations: tuple[tuple[int, ...], ...]
     span_error: float
-    fiber_bound: int
     s_certified: float
     kappa: float = 0.0
     warnings: tuple[str, ...] = ()
@@ -211,7 +215,6 @@ class SketchLattice:
         m = len(self.generators)
         if not (len(self.denominators) == len(self.relations) == m):
             raise ValueError("generator, denominator, relation counts differ")
-        prod = 1
         for j, (t, k, rel) in enumerate(
             zip(self.generators, self.denominators, self.relations)
         ):
@@ -227,9 +230,6 @@ class SketchLattice:
             ]
             if any(r.denominator != 1 for r in residue):
                 raise ValueError("congruence relation fails to close exactly")
-            prod *= k
-        if prod != self.fiber_bound:
-            raise ValueError("fiber bound must equal the product of denominators")
         if self.s_certified > 0 and m > 14.0 * self.s_certified * (1.0 + 1e-9):
             raise CertifiedBoundError(
                 f"lattice rank {m} exceeds 14 S = {14.0 * self.s_certified:.3f}"
@@ -238,6 +238,11 @@ class SketchLattice:
     @property
     def rank(self) -> int:
         return len(self.generators)
+
+    @property
+    def fiber_bound(self) -> int:
+        """prod k_j, the size of the subgroup the generators span."""
+        return math.prod(self.denominators)
 
     def value(self, y: Sequence[int]) -> tuple[Fraction, ...]:
         """The sketch value of integer y: residues <t_j, y> mod 1."""
@@ -381,30 +386,33 @@ def _scan_heavy(
     return scan, warnings
 
 
-def _chain_witness(
-    a: np.ndarray,
-    r: int,
+def _grow_chain(
+    pick: np.ndarray,
+    base: np.ndarray,
     q: int,
-    flat: list[tuple[int, int, np.ndarray]],
+    r_star: int,
     kappa: float,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """First (eps, delta) in base-3 order with
-    ||q^r a - sum_l eps_l q^l a - sum_w delta_w xi_w|| < kappa."""
-    target = _reduce_torus(q**r * a)
-    chain = np.stack([_reduce_torus(q**l * a) for l in range(r)])
-    others = (
-        np.stack([xi for _, _, xi in flat]) if flat else np.zeros((0, a.size))
-    )
-    w = others.shape[0]
-    for assign in itertools.product((0, 1, -1), repeat=r + w):
-        eps = np.asarray(assign[:r], dtype=float)
-        delta = np.asarray(assign[r:], dtype=float)
-        vec = target - eps @ chain
-        if w:
-            vec = vec - delta @ others
-        if float(np.linalg.norm(_reduce_torus(vec))) < kappa:
-            return tuple(assign[:r]), tuple(assign[r:])
-    raise RuntimeError("dissociation failed but no witness was found")
+) -> tuple[int, tuple[int, ...] | None]:
+    """The longest r <= r_star whose chain a, qa, ..., q^{r-1}a (a = pick)
+    keeps the rows xi_w of base kappa-dissociated, and the witness of the
+    failed extension to r + 1 (None when r = r_star).
+
+    Trial r_try orders its rows as [-q^{r_try-1} a, a, ..., q^{r_try-2} a,
+    base]; negating and reordering rows keeps dissociation.  The rows
+    after the first are trial r_try - 1, already dissociated, so the
+    witness is (1, eps, delta): the first (eps, delta) in base-3 order
+    with ||q^r a - sum_l eps_l q^l a - sum_w delta_w xi_w|| < kappa.
+    """
+    for r_try in range(1, r_star + 1):
+        trial = np.vstack(
+            [-_reduce_torus(q ** (r_try - 1) * pick)]
+            + [_reduce_torus(q**l * pick) for l in range(r_try - 1)]
+            + [base]
+        )
+        result = is_kappa_dissociated(trial, kappa)
+        if not result.dissociated:
+            return r_try - 1, result.witness
+    return r_star, None
 
 
 def _admissible_target(
@@ -440,11 +448,13 @@ def extract_exact_structure(mu: SparseMeasure, cfg: StructureConfig) -> SketchLa
     """Greedy chain construction over the scanned large spectrum.
 
     Repeatedly pick the strongest heavy frequency farther than kappa from
-    every signed combination of the current chain set, grow its chain
-    a, qa, ..., q^{r-1}a maximally under kappa-dissociation (r <= r*), and
-    extract the denominator k_j from the dissociation witness (Case 1,
-    r < r*) or set k_j = Q (Case 2, r = r*). Exact generators follow by
-    per-coordinate nearest-branch rounding of the witness congruence.
+    every signed combination of the current chain set and grow its chain
+    a, qa, ..., q^{r-1}a maximally under kappa-dissociation (r <= r*).
+    Case 1 (r < r*): the dissociation test of the failed extension by
+    q^r a returns the witness (1, eps, delta) (see _grow_chain), and the
+    denominator is k_j = q^r - sum_l eps_l q^l.  Case 2 (r = r*): k_j = Q.
+    Exact generators follow by per-coordinate nearest-branch rounding of
+    the witness congruence.
     """
     if not 3 <= cfg.q <= cfg.K:
         raise ValueError("need 3 <= q <= K")
@@ -476,22 +486,13 @@ def extract_exact_structure(mu: SparseMeasure, cfg: StructureConfig) -> SketchLa
     chain_budget = 14.0 * S * (1.0 + 1e-9)
 
     while True:
-        combos = signed_combinations(
-            np.stack([xi for _, _, xi in flat]) if flat else np.zeros((0, n))
-        )
-        far = np.flatnonzero(_torus_distance(heavy, combos) > kappa)
+        base = np.stack([xi for _, _, xi in flat]) if flat else np.zeros((0, n))
+        far = np.flatnonzero(_torus_distance(heavy, signed_combinations(base)) > kappa)
         if far.size == 0:
             break
         pick = heavy[far[0]]
         j = len(generators)
-        base = [xi for _, _, xi in flat]
-        r = 0
-        for r_try in range(1, r_star + 1):
-            trial = base + [_reduce_torus(cfg.q**l * pick) for l in range(r_try)]
-            if is_kappa_dissociated(np.stack(trial), kappa).dissociated:
-                r = r_try
-            else:
-                break
+        r, witness = _grow_chain(pick, base, cfg.q, r_star, kappa)
         if r == 0:
             raise RuntimeError("uncovered frequency failed first-step dissociation")
         if len(flat) + r > chain_budget:
@@ -508,7 +509,7 @@ def extract_exact_structure(mu: SparseMeasure, cfg: StructureConfig) -> SketchLa
             c_list = [0] * j
         else:
             # Case 1: the failed extension by q^r a yields the witness
-            eps, deltas = _chain_witness(pick, r, cfg.q, flat, kappa)
+            eps, deltas = witness[1 : r + 1], witness[r + 1 :]
             k_j = cfg.q**r - sum(e * cfg.q**l for l, e in enumerate(eps))
             if not 1 <= k_j <= cfg.Q:
                 raise RuntimeError(f"witness produced invalid denominator {k_j}")
@@ -541,14 +542,12 @@ def extract_exact_structure(mu: SparseMeasure, cfg: StructureConfig) -> SketchLa
         denominators.append(k_j)
         relations.append(tuple(c_list))
 
-    fiber_bound = math.prod(denominators) if denominators else 1
     lattice = SketchLattice(
         dimension=n,
         generators=tuple(generators),
         denominators=tuple(denominators),
         relations=tuple(relations),
         span_error=0.0,
-        fiber_bound=fiber_bound,
         s_certified=S,
         kappa=kappa,
         warnings=tuple(warnings),
@@ -563,8 +562,11 @@ def extract_near_origin_structure(
     """Greedy rho-separated selection of near-origin heavy frequencies,
     orthonormalized and rounded to the Q-grid.
 
-    Returns rank 0 immediately when 2 rho >= kappa (the whole near-origin
-    set is already within the radius bound of the trivial span).
+    When 2 rho >= kappa nothing is selected: every near-origin frequency
+    has norm at most kappa, so it already lies within the radius bound
+    2 rho of the trivial span and the basis has rank 0.  Every heavy
+    near-origin frequency is checked against the radius bound before the
+    basis is returned.
     """
     if cfg.kappa is None:
         raise ValueError("the near-origin route needs kappa set")
@@ -587,20 +589,9 @@ def extract_near_origin_structure(
     scan, scan_warnings = _scan_heavy(mu, cfg.K, cfg.grid_exponent)
     warnings.extend(scan_warnings)
     near = scan.zetas[np.linalg.norm(scan.zetas, axis=1) <= cfg.kappa + 1e-12]
-    if 2.0 * rho >= cfg.kappa:
-        return NearOriginBasis(
-            dimension=n,
-            numerators=(),
-            denominator=cfg.Q,
-            radius_bound=2.0 * rho,
-            s_certified=S,
-            B=cfg.B,
-            kappa=cfg.kappa,
-            rho=rho,
-            warnings=tuple(warnings),
-        )
     selected: list[np.ndarray] = []
-    for a in near:
+    # at 2 rho >= kappa the trivial span already holds every near frequency
+    for a in near if 2.0 * rho < cfg.kappa else ():
         if not selected:
             dist = float(np.linalg.norm(a))
         else:
@@ -745,11 +736,15 @@ def product_heavy_frequencies(
     grid_exponent: int,
 ) -> np.ndarray:
     """Grid frequencies where prod_i |mu_i_hat| >= threshold, as reduced
-    rows."""
+    rows; equal laws are transformed once."""
     side = 2**grid_exponent
     prod = np.ones((side,) * mus[0].dimension)
+    mags: dict[tuple, np.ndarray] = {}
     for m in mus:
-        prod = prod * np.abs(np.fft.fftn(_grid_embed(m, prod.shape)))
+        key = _law_key(m)
+        if key not in mags:
+            mags[key] = np.abs(np.fft.fftn(_grid_embed(m, prod.shape)))
+        prod = prod * mags[key]
     return _reduce_torus(np.argwhere(prod >= threshold) / side)
 
 

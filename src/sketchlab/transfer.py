@@ -347,13 +347,17 @@ def _build_decoder(
 @dataclass(frozen=True)
 class ExtractionReport:
     """What a run measured beyond the sketch and its decoder: the
-    conditioned laws, the smoothness check (mollified route only), the
-    translation certificates, and the distinct warnings."""
+    conditioned laws, the smoothness check (mollified route only) and the
+    translation certificates."""
 
     laws: tuple[SparseMeasure, ...]
     smoothness: SmoothnessCheck | None
     translation: TranslationReport
-    warnings: tuple[str, ...]
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The distinct warnings of the certification, in first-seen order."""
+        return tuple(dict.fromkeys(self.translation.warnings))
 
 
 def _support_diameter(target: SparseMeasure) -> float:
@@ -434,13 +438,7 @@ def extract_sketch(
     ]
     if hard:
         raise DecoderConflict(hard, sigma.success_estimate)
-    report = ExtractionReport(
-        laws=laws,
-        smoothness=smoothness,
-        translation=translation,
-        warnings=tuple(dict.fromkeys(translation.warnings)),
-    )
-    return sketch, decoder, report
+    return sketch, decoder, ExtractionReport(laws, smoothness, translation)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -644,7 +642,6 @@ def extraction_from_text(text: str) -> tuple[ExtractedSketch, FiberDecoder]:
                 tuple(int(c) for c in row.split()[1:]) for row in lattice_rows[2 + m :]
             ),
             span_error=float(block["span_error"]),
-            fiber_bound=math.prod(ks),
             s_certified=float(head["lattice_s_certified"]),
         )
     else:

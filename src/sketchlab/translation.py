@@ -301,7 +301,6 @@ class HeavySpread:
     threshold: float
     count: int
     worst_distance: float
-    side: int
 
 
 def measured_structure_spread(
@@ -318,9 +317,9 @@ def measured_structure_spread(
     mags = np.abs(np.fft.fftn(_grid_embed(nu, (side,) * nu.dimension)))
     heavy = np.argwhere(mags > eta + 1e-12)
     if heavy.shape[0] == 0:
-        return HeavySpread(eta, 0, 0.0, side)
+        return HeavySpread(eta, 0, 0.0)
     zetas = _reduce_torus(heavy.astype(float) / side)
-    return HeavySpread(eta, int(heavy.shape[0]), float(W.distance(zetas).max()), side)
+    return HeavySpread(eta, int(heavy.shape[0]), float(W.distance(zetas).max()))
 
 
 # -- spectral energy bound ----------------------------------------------------
@@ -344,7 +343,6 @@ class SpectralEnergyReport:
     total_energy: float
     total_beta: float
     beta_budget: float
-    heavy_spread: float
     passed: bool
 
 
@@ -354,9 +352,10 @@ def spectral_energy_bound_check(
     delta: float,
     eta: float,
     v: Sequence[int],
-    spread: HeavySpread | None = None,
+    spread: HeavySpread,
 ) -> SpectralEnergyReport:
-    """Check the per-line energy bound for the shift v against (W, delta, eta).
+    """Check the per-line energy bound for the shift v against (W, delta, eta),
+    with `spread` the measured spread of nu's above-eta frequencies from W.
 
     Each line must satisfy E <= (8 pi^2 / 3) u^3 p^2 + beta + slack with
     u = |v| delta, where E is the spectral line energy r_0, beta the
@@ -376,8 +375,6 @@ def spectral_energy_bound_check(
         violations.append(
             f"|v| = {norm_v:.6g} exceeds the window 1/(2 delta) = {1.0 / (2.0 * delta):.6g}"
         )
-    if spread is None:
-        spread = measured_structure_spread(nu, W, eta)
     if spread.worst_distance > delta + 1e-12:
         violations.append(
             f"{spread.count} grid frequencies above eta stray to distance"
@@ -418,7 +415,6 @@ def spectral_energy_bound_check(
         total_energy=total_energy,
         total_beta=total_beta,
         beta_budget=beta_budget,
-        heavy_spread=spread.worst_distance,
         passed=passed,
     )
 
@@ -449,7 +445,7 @@ def ball_reduction_tv_bound(
     eta: float,
     center: Sequence[float],
     H: float,
-    spread: HeavySpread | None = None,
+    spread: HeavySpread,
 ) -> BallReductionReport:
     """Bound the translation TV by concentrating the comparison on a ball.
 
@@ -574,19 +570,28 @@ class TranslationReport:
     structure they were certified against and the convolution they were
     measured on (the pieces, plus the reference factor on the mollified
     route).  records pairs each shift's kind, "kernel" or "control", with
-    its ball-reduction report, kernel shifts first."""
+    its ball-reduction report, kernel shifts first; an empty kernel leaves
+    no kernel record.  Summaries such as max_kernel_tv are read off the
+    records, not stored beside them."""
 
     R: float
     eta: float
     delta: float
     H: float
     center: tuple[float, ...]
-    kernel_empty: bool
-    max_kernel_tv: float
     records: tuple[tuple[str, BallReductionReport], ...]
     warnings: tuple[str, ...]
     structure: SketchLattice | NearOriginBasis
     convolution: SparseMeasure
+
+    @property
+    def max_kernel_tv(self) -> float:
+        """The largest measured TV among the kernel records; NaN for an
+        empty kernel."""
+        return max(
+            (rep.actual_tv for kind, rep in self.records if kind == "kernel"),
+            default=math.nan,
+        )
 
 
 def _integer_ball(n: int, D: int) -> list[tuple[int, ...]]:
@@ -697,15 +702,12 @@ def translation_invariance_certify(
         for kind, vs in (("kernel", kernels), ("control", off_kernel))
         for v in vs
     )
-    kernel_tvs = [rep.actual_tv for kind, rep in records if kind == "kernel"]
     return TranslationReport(
         R=R,
         eta=eta,
         delta=delta,
         H=tail.radius,
         center=tail.center,
-        kernel_empty=not kernels,
-        max_kernel_tv=max(kernel_tvs) if kernel_tvs else math.nan,
         records=records,
         warnings=tuple(warnings),
         structure=extracted,

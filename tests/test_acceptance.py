@@ -72,8 +72,7 @@ def budget(limit: float, start: float) -> None:
 def run_scenario(name: str, route: str, blocks: int, Q: int, seed: int):
     cfg = ExperimentConfig(M=blocks, Q=Q, seed=seed)
     scenario = get_scenario(name)
-    alg = scenario.algorithm(cfg)
-    target = scenario.target(cfg)
+    alg, target = scenario.algorithm, scenario.target
     problem = scenario.problem(cfg)
     sketch, decoder, report = extract_sketch(
         alg, target, problem, route, transfer_config(cfg, scenario), seed
@@ -250,8 +249,7 @@ def test_c12_parity_coset_rigidity():
     start = time.perf_counter()
     scenario = get_scenario("parity")
     cfg = ExperimentConfig(M=2, seed=11)
-    alg = scenario.algorithm(cfg)
-    target = scenario.target(cfg)
+    alg, target = scenario.algorithm, scenario.target
     problem = scenario.problem(cfg)
     for R in (4.0, 8.0, 16.0):
         sigma = select_state_sequence(

@@ -216,11 +216,8 @@ class TestRegistry:
     def test_scenarios_are_well_formed(self):
         cfg = ExperimentConfig()
         for scenario in SCENARIOS.values():
-            alg = scenario.algorithm(cfg)
-            target = scenario.target(cfg)
             problem = scenario.problem(cfg)
-            assert alg.dimension == scenario.dimension
-            assert target.dimension == scenario.dimension
+            assert scenario.target.dimension == scenario.algorithm.dimension
             assert problem.kind in ("promise", "metric-approximation")
 
     def test_capped_norm_cap_follows_config(self):
@@ -319,15 +316,15 @@ class TestExtract:
         cfg = ExperimentConfig(M=2, seed=11)
         scenario = get_scenario("parity")
         sketch, decoder, report = extract_sketch(
-            scenario.algorithm(cfg),
-            scenario.target(cfg),
+            scenario.algorithm,
+            scenario.target,
             scenario.problem(cfg),
             "exact",
             transfer_config(cfg, scenario),
             cfg.seed,
         )
         result = evaluate_sketch(
-            sketch, decoder, scenario.target(cfg), scenario.problem(cfg)
+            sketch, decoder, scenario.target, scenario.problem(cfg)
         )
         assert row[0] == "parity" and row[1] == "exact"
         assert row[2] == "8" and row[3] == "2"
@@ -743,6 +740,27 @@ class TestKernelFailureCause:
         code = main(["extract", "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [line]
+
+    def test_tv_sweep_names_each_failed_kernel(self, capsys):
+        # Q = 1 rounds the parity generator to 0: every shift is in the
+        # kernel, and each one's spectral window check fails
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+        cfg = write_cfg(
+            "kernel-fail-sweep.cfg",
+            desk.read_text() + "Q = 1\nq = 4\nK = 64\nM = 2\nsweep = 4\n",
+        )
+        out = suite_dir() / "kernel-fail-sweep"
+        code = main(["tv-sweep", "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        rows = json.loads((out / "tv_sweep.json").read_text())["rows"]
+        failed = [r["v"] for r in rows if r["kind"] == "kernel" and not r["passed"]]
+        assert f"{len(failed)} kernel failure(s)" in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == len(failed) > 0
+        prefix = "FAILED kernel shift "
+        assert all(x.startswith(prefix) and x.endswith(" at R=4") for x in lines)
+        assert sorted(x[len(prefix) :].split(":")[0] for x in lines) == sorted(failed)
 
 
 class TestTvSweep:

@@ -186,7 +186,7 @@ class TestSampler:
     def test_radius_below_R_rejected(self):
         pol = dgauss.TruncationPolicy(1, 1e-12, 0.5)
         with pytest.raises(ValueError):
-            dgauss.sample_truncated(2.0, pol, 3)
+            dgauss.sample_truncated(2.0, pol, 3, count=1)
 
 
 class TestPoisson:

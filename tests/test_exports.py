@@ -4,7 +4,8 @@ every public method, property or classmethod of an exported class, is
 used by the program itself, so API that only its own unit test calls
 cannot grow back.  Likewise every defaulted parameter of a public
 function or method is passed by some call in the program, so an option
-that only tests set cannot grow back either."""
+that only tests set cannot grow back either, and every dataclass field
+is read somewhere, so a stored value that nothing reads cannot either."""
 
 import ast
 import functools
@@ -237,4 +238,43 @@ def test_every_default_is_passed_by_the_program(name):
     )
     assert sorted(set(listed) - set(unpassed)) == [], (
         "TEST_ONLY parameters that the program passes or that no longer exist"
+    )
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    call = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(call, ast.Name) and call.id == "dataclass"
+
+
+@functools.cache
+def _attribute_reads() -> frozenset[str]:
+    """Every attribute name read in the program files and tests."""
+    return frozenset(
+        node.attr
+        for d in PROGRAM_DIRS + ("tests",)
+        for path in sorted((ROOT / d).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_dataclass_field_is_read():
+    """A field read only by its own class's methods still counts: the
+    value feeds something.  A field read nowhere is a second copy of a
+    fact or no fact at all."""
+    unread = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                map(_is_dataclass, node.decorator_list)
+            ):
+                unread.extend(
+                    f"{node.name}.{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and item.target.id not in _attribute_reads()
+                )
+    assert unread == [], (
+        "dataclass fields that nothing in src/, scripts/, benchmark/ or tests/ "
+        "reads as an attribute; delete them, or derive them where they are needed"
     )

@@ -4,12 +4,14 @@ Oracles: brute-force sign enumeration for dissociation, direct
 expectation sums for the Rudin check, direct transform evaluation for
 the extraction walkthroughs, exact 1-D summation for the small-ball
 check, and the per-point loops of tests/structure_oracle.py for the
-array torus distances, the greedy pick and the heavy product set.
+array torus distances, the greedy pick, the heavy product set and the
+Case 1 witness of the chain growth.
 """
 
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 import structure_oracle as oracle
 from measure_oracle import from_atoms
-from sketchlab import spectrum
+from sketchlab import measure, spectrum
 from sketchlab.measure import (
     SparseMeasure,
     _reduce_torus,
@@ -229,7 +231,6 @@ def chained_lattice():
         denominators=(2, 2),
         relations=((), (1,)),
         span_error=0.0,
-        fiber_bound=4,
         s_certified=2.0,
     )
 
@@ -243,7 +244,6 @@ class TestSketchLatticeType:
                 denominators=(2,),
                 relations=((),),
                 span_error=0.0,
-                fiber_bound=2,
                 s_certified=1.0,
             )
 
@@ -255,20 +255,7 @@ class TestSketchLatticeType:
                 denominators=(2, 2),
                 relations=((), (2,)),
                 span_error=0.0,
-                fiber_bound=4,
                 s_certified=2.0,
-            )
-
-    def test_fiber_bound_consistency(self):
-        with pytest.raises(ValueError, match="fiber"):
-            SketchLattice(
-                dimension=1,
-                generators=((Fraction(1, 2),),),
-                denominators=(2,),
-                relations=((),),
-                span_error=0.0,
-                fiber_bound=3,
-                s_certified=1.0,
             )
 
     def test_rank_cap_enforced(self):
@@ -279,7 +266,6 @@ class TestSketchLatticeType:
                 denominators=(2,),
                 relations=((),),
                 span_error=0.0,
-                fiber_bound=2,
                 s_certified=0.01,
             )
 
@@ -380,7 +366,6 @@ class TestVerifySpan:
             denominators=(),
             relations=(),
             span_error=0.0,
-            fiber_bound=1,
             s_certified=1.0,
         )
         heavy = [(0.01, 0.02), (-0.03, 0.0)]
@@ -401,7 +386,6 @@ class TestVerifySpan:
             denominators=(2,) * 30,
             relations=tuple((0,) * j for j in range(30)),
             span_error=0.0,
-            fiber_bound=2**30,
             s_certified=0.0,
         )
         with pytest.raises(ValueError, match="budget"):
@@ -572,7 +556,6 @@ def lattices(draw, n):
         denominators=ks,
         relations=tuple((0,) * j for j in range(rank)),
         span_error=0.0,
-        fiber_bound=math.prod(ks),
         s_certified=0.0,
     )
 
@@ -659,3 +642,86 @@ class TestArrayPathsMatchOracles:
         got = product_heavy_frequencies(mus, threshold, grid_exponent)
         want = oracle.heavy_frequencies(mus, threshold, grid_exponent)
         assert list(map(tuple, got.tolist())) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 2),
+        q=st.integers(3, 5),
+        r_star=st.integers(1, 3),
+        kappa=st.floats(0.02, 0.3),
+    )
+    def test_chain_witness_is_the_searched_one(self, data, n, q, r_star, kappa):
+        # the extractor's chain set is dissociated before each pick
+        base = greedy_dissociated_subset(
+            data.draw(rows(n, max_rows=3, bound=0.5)), kappa
+        )
+        coordinate = st.floats(-0.5, 0.5)
+        pick = np.array(data.draw(st.lists(coordinate, min_size=n, max_size=n)))
+        if data.draw(st.booleans()):
+            # near a signed combination of the chain set: the first step fails
+            sign = st.sampled_from([-1.0, 0.0, 1.0])
+            signs = data.draw(st.lists(sign, min_size=len(base), max_size=len(base)))
+            pick = np.asarray(signs) @ base + 0.01 * pick
+        pick = _reduce_torus(pick)
+        r, witness = spectrum._grow_chain(pick, base, q, r_star, kappa)
+        want_r, want = oracle.chain_length_and_witness(pick, base, q, r_star, kappa)
+        assert r == want_r
+        if want is None:
+            assert r == r_star and witness is None
+        else:
+            assert witness[0] == 1
+            assert (witness[1 : r + 1], witness[r + 1 :]) == want
+
+
+def equal_law_pieces():
+    """Four pieces, two of them equal in content to the first but
+    separate objects."""
+    a = SparseMeasure(1, np.array([[0], [1], [3]]), np.array([0.5, 0.25, 0.25]))
+    b = SparseMeasure.uniform([(0,), (2,)])
+    return [a, b, SparseMeasure(1, a.points.copy(), a.masses.copy()), a]
+
+
+def spy_on(monkeypatch, owner, name):
+    """The first argument of every later call to owner.name, in order."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestEqualLawsTransformOnce:
+    """Equal laws share one transform in both FFT products, and the
+    product keeps the bits of transforming every piece."""
+
+    def test_convolve_many_fft(self, monkeypatch):
+        mus = equal_law_pieces()
+        side = measure._fft_side(mus)
+        want = functools.reduce(
+            operator.mul, [np.fft.rfftn(measure._grid_embed(m, (side,))) for m in mus]
+        )
+        transforms = spy_on(monkeypatch, np.fft, "rfftn")
+        products = spy_on(monkeypatch, np.fft, "irfftn")
+        measure.convolve_many_fft(mus)
+        assert len(transforms) == 2
+        (got,) = products
+        assert got.tobytes() == want.tobytes()
+
+    def test_product_heavy_frequencies(self, monkeypatch):
+        mus = equal_law_pieces()
+        want = oracle.heavy_product(mus, 3)
+        transforms = spy_on(monkeypatch, np.fft, "fftn")
+        product_heavy_frequencies(mus, 0.5, 3)
+        assert len(transforms) == 2
+        # cell c is heavy at threshold t exactly when prod[c] >= t, so
+        # membership at want[c] and not at the next float up pins prod[c]
+        for c, value in enumerate(want.tolist()):
+            zeta = _reduce_torus(np.array([c / 8])).tolist()
+            at = product_heavy_frequencies(mus, value, 3).tolist()
+            above = product_heavy_frequencies(mus, np.nextafter(value, np.inf), 3)
+            assert zeta in at and zeta not in above.tolist()

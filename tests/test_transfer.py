@@ -556,7 +556,6 @@ def test_report_roundtrip_lattice_block():
         denominators=(2, 2),
         relations=((), (1,)),
         span_error=1.0 / 3.0,
-        fiber_bound=4,
         s_certified=2.0,
     )
     empty = SketchLattice(
@@ -565,7 +564,6 @@ def test_report_roundtrip_lattice_block():
         denominators=(),
         relations=(),
         span_error=0.0,
-        fiber_bound=1,
         s_certified=0.5,
     )
     for lat in (chained, empty, sketch.structure, mod3_extraction()[0].structure):

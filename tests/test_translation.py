@@ -100,7 +100,6 @@ W_PARITY = SketchLattice(
     denominators=(2,),
     relations=((),),
     span_error=0.0,
-    fiber_bound=2,
     s_certified=0.0,
 )
 ORIGIN = SketchLattice(
@@ -109,7 +108,6 @@ ORIGIN = SketchLattice(
     denominators=(),
     relations=(),
     span_error=0.0,
-    fiber_bound=1,
     s_certified=0.0,
 )
 
@@ -576,7 +574,12 @@ def test_spectral_point_mass_honest_energy():
     # check passes because the off-structure level is 1 for this input.
     point = from_atoms(2, {(0, 0): 1.0})
     report = spectral_energy_bound_check(
-        point, ORIGIN, delta=0.01, eta=1.0, v=[1, 1]
+        point,
+        ORIGIN,
+        delta=0.01,
+        eta=1.0,
+        v=[1, 1],
+        spread=measured_structure_spread(point, ORIGIN, 1.0),
     )
     assert report.decomposition.quadrature_energies.tolist() == [
         pytest.approx(2.0, abs=1e-12)
@@ -597,8 +600,9 @@ def test_spectral_parity_pass():
 
 def test_spectral_parity_pairing_rejection():
     nu = parity_conv2()
+    spread = measured_structure_spread(nu, W_PARITY, 0.9)
     report = spectral_energy_bound_check(
-        nu, W_PARITY, 0.02, 0.9, [1, 0]
+        nu, W_PARITY, 0.02, 0.9, [1, 0], spread=spread
     )
     assert not report.passed
     assert any("not an integer" in s for s in report.violations)
@@ -606,16 +610,18 @@ def test_spectral_parity_pairing_rejection():
 
 def test_spectral_window_violation():
     nu = parity_conv2()
+    spread = measured_structure_spread(nu, W_PARITY, 1.0)
     report = spectral_energy_bound_check(
-        nu, W_PARITY, 0.25, 1.0, [12, 12]
+        nu, W_PARITY, 0.25, 1.0, [12, 12], spread=spread
     )
     assert any("exceeds the window" in s for s in report.violations)
 
 
 def test_spectral_scan_violation_reported():
     nu = parity_conv2()
+    spread = measured_structure_spread(nu, ORIGIN, 0.5)
     report = spectral_energy_bound_check(
-        nu, ORIGIN, 1e-6, 0.5, [1, 1]
+        nu, ORIGIN, 1e-6, 0.5, [1, 1], spread=spread
     )
     assert any("stray" in s for s in report.violations)
 
@@ -641,7 +647,7 @@ def test_spectral_per_line_bound_structure():
 # give the same verdict, messages and total bits.
 
 
-def loop_spectral_check(nu, W, delta, eta, v, spread=None):
+def loop_spectral_check(nu, W, delta, eta, v, spread):
     vv = tuple(int(c) for c in v)
     norm_v = math.sqrt(sum(c * c for c in vv))
     u = norm_v * delta
@@ -650,8 +656,6 @@ def loop_spectral_check(nu, W, delta, eta, v, spread=None):
         violations.append(
             f"|v| = {norm_v:.6g} exceeds the window 1/(2 delta) = {1.0 / (2.0 * delta):.6g}"
         )
-    if spread is None:
-        spread = measured_structure_spread(nu, W, eta)
     if spread.worst_distance > delta + 1e-12:
         violations.append(
             f"{spread.count} grid frequencies above eta stray to distance"
@@ -689,7 +693,7 @@ def loop_spectral_check(nu, W, delta, eta, v, spread=None):
     return passed, tuple(violations), total_beta, total_energy
 
 
-def assert_spectral_matches_loop(nu, W, delta, eta, v, spread=None):
+def assert_spectral_matches_loop(nu, W, delta, eta, v, spread):
     got = spectral_energy_bound_check(nu, W, delta, eta, v, spread=spread)
     want = loop_spectral_check(nu, W, delta, eta, v, spread=spread)
     assert (got.passed, got.violations) == want[:2]
@@ -711,7 +715,9 @@ def assert_spectral_matches_loop(nu, W, delta, eta, v, spread=None):
     ],
 )
 def test_spectral_check_matches_loop_oracle(W, delta, eta, v):
-    assert_spectral_matches_loop(parity_conv2(), W, delta, eta, v)
+    nu = parity_conv2()
+    spread = measured_structure_spread(nu, W, eta)
+    assert_spectral_matches_loop(nu, W, delta, eta, v, spread)
 
 
 def origin_lattice(n):
@@ -723,7 +729,7 @@ def origin_lattice(n):
 def test_spectral_check_matches_loop_oracle_random(case, delta, eta):
     # a fixed spread keeps the grid scan out of the comparison
     mu, v = case
-    spread = HeavySpread(eta, 0, 0.0, 128)
+    spread = HeavySpread(eta, 0, 0.0)
     assert_spectral_matches_loop(mu, origin_lattice(mu.dimension), delta, eta, v, spread)
 
 
@@ -739,8 +745,9 @@ def without_tails(monkeypatch):
 
 def test_spectral_line_failure_names_both_slack_terms(monkeypatch):
     without_tails(monkeypatch)
+    nu = parity_conv2()
     report = spectral_energy_bound_check(
-        parity_conv2(), W_PARITY, 0.02, 0.9, [1, 1]
+        nu, W_PARITY, 0.02, 0.9, [1, 1], measured_structure_spread(nu, W_PARITY, 0.9)
     )
     assert not report.passed
     (msg,) = [s for s in report.violations if s.startswith("line through")]
@@ -750,7 +757,9 @@ def test_spectral_line_failure_names_both_slack_terms(monkeypatch):
 
 def test_spectral_forced_line_failure_matches_loop_oracle(monkeypatch):
     without_tails(monkeypatch)
-    report = assert_spectral_matches_loop(parity_conv2(), W_PARITY, 0.02, 0.9, (1, 1))
+    nu = parity_conv2()
+    spread = measured_structure_spread(nu, W_PARITY, 0.9)
+    report = assert_spectral_matches_loop(nu, W_PARITY, 0.02, 0.9, (1, 1), spread)
     assert not report.passed and report.total_beta == 0.0
 
 
@@ -758,9 +767,11 @@ def test_spectral_forced_line_failure_matches_loop_oracle(monkeypatch):
 
 
 def test_ball_reduction_radius_precondition():
+    nu = parity_conv2()
+    spread = measured_structure_spread(nu, W_PARITY, 0.9)
     with pytest.raises(ValueError):
         ball_reduction_tv_bound(
-            parity_conv2(), [3, 3], W_PARITY, 0.02, 0.9, (0.0, 0.0), 2.0
+            nu, [3, 3], W_PARITY, 0.02, 0.9, (0.0, 0.0), 2.0, spread=spread
         )
 
 
@@ -768,8 +779,9 @@ def test_ball_reduction_point_mass_guard():
     # Degenerate input: the transform is 1 everywhere, so eta must be 1
     # and the bound is vacuous; the actual TV is 1 by disjointness.
     point = from_atoms(2, {(0, 0): 1.0})
+    spread = measured_structure_spread(point, ORIGIN, 1.0)
     rep = ball_reduction_tv_bound(
-        point, [1, 1], ORIGIN, 0.01, 1.0, (0.0, 0.0), 50.0
+        point, [1, 1], ORIGIN, 0.01, 1.0, (0.0, 0.0), 50.0, spread=spread
     )
     assert rep.actual_tv == 1.0
     assert rep.vacuous
@@ -907,7 +919,6 @@ def test_certify_parity_kernel_set():
     kernel = {r.direction for kind, r in rep.records if kind == "kernel"}
     assert kernel == {(1, 1), (1, -1), (2, 0), (0, 2)}
     assert rep.structure.rank == 1
-    assert not rep.kernel_empty
 
 
 def test_certify_parity_kernel_tvs_frozen():
@@ -981,7 +992,6 @@ def test_certify_empty_kernel_is_valid():
         gamma2(), lambda x: x[0] % 3 == 0 and x[1] % 3 == 0, renormalize=True
     )
     rep = translation_invariance_certify([both] * 4, "exact", STRUCTURE, 2)
-    assert rep.kernel_empty
     assert math.isnan(rep.max_kernel_tv)
     assert all(kind == "control" for kind, _ in rep.records)
 
@@ -991,7 +1001,6 @@ def test_certify_mollified_gamma_kernel_everything():
         [gamma2()] * 2, "mollified", STRUCTURE, 1, controls=0
     )
     assert rep.structure.rank == 0
-    assert not rep.kernel_empty
     assert {r.direction for _, r in rep.records} == {(0, 1), (1, 0)}
 
 
