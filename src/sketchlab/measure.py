@@ -9,8 +9,10 @@ straight to the constructor, which sums repeated points in input order.
 Exact convolution is a shift-and-add whose per-cell summation order is
 that of scipy's direct path, so it returns the same bits and clips
 nothing; only the FFT convolutions clip dust into the deficit.  The scan
-polish carries its own array port of scipy's bounded Brent search, so
-the module needs numpy alone."""
+polish is coordinate ascent on arrays: each pass contracts the box of mu
+with per-axis exponentials down to a 1-d trigonometric sum per hit, and
+maximizes it by sampling plus safeguarded Newton steps, so the module
+needs numpy alone."""
 
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ __all__ = [
 FFT_DUST = 1e-12
 
 # Cells per block of a (frequencies x support) product; bounds the memory
-# of fourier_many, of the polish's collapsed objectives and of the torus
+# of fourier_many, of the polish's box contractions and of the torus
 # distances from frequency rows to a structure.
 _BLOCK_CELLS = 8_000_000
 
@@ -341,134 +343,121 @@ class ScanReport:
     margin_vacuous: bool
 
 
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
+def _collapse(
+    box: np.ndarray, centred: Sequence[np.ndarray], z: np.ndarray, i: int
+) -> np.ndarray:
+    """w[r, a] = sum of the box cells at index a of axis i, each times
+    e(-sum_{j != i} v_j z_rj), where v_j is the centred coordinate of the
+    cell on axis j and e(t) = exp(2 pi i t).
 
-
-def _bounded_brent(
-    fun: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimizer and minimum of each row's objective on [lo, hi].
-
-    This is scipy's bounded Brent search (minimize_scalar with
-    method="bounded", xatol=1e-12 and the default maxiter=500) run on
-    all rows at once.  Each row takes the same golden-section and
-    parabolic steps with the same arithmetic, the same bracket and point
-    updates and the same stopping rule, so it returns the bits scipy
-    returns for that interval alone.  fun(rows, x) is the objective of
-    the listed rows at x; converged rows drop out, so fun sees only live
-    rows.
+    The axes j != i are contracted one at a time with their per-axis
+    exponentials, so a row costs sum_j W_j exponentials rather than one
+    per atom.  The products are einsum sums on the calling thread, and a
+    row's bits do not depend on which rows share the call.  A BLAS matrix
+    product gives neither: its bits change with its shape, and on a busy
+    2-CPU host a product large enough for two threads waited about 8 ms
+    per call for the second one.
     """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    xf = a + _GOLDEN * (b - a)
-    rows = np.arange(xf.size)
-    fx = fun(rows, xf)
-    x_out, f_out = np.empty_like(xf), np.empty_like(fx)
-    nfc, fnfc, fulc, ffulc = xf, fx, xf, fx
-    e = rat = np.zeros_like(xf)
-    xatol, maxiter = 1e-12, 500
-    # the first evaluation counts against maxiter
-    for step in range(maxiter):
-        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        xm = 0.5 * (a + b)
-        live = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
-        if not live.all():
-            done = rows[~live]
-            x_out[done], f_out[done] = xf[~live], fx[~live]
-            state = (rows, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, tol1, tol2, xm)
-            rows, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, tol1, tol2, xm = (
-                v[live] for v in state
-            )
-        if rows.size == 0 or step == maxiter - 1:
+    rows = z.shape[0]
+    acc = np.moveaxis(box, i, 0)  # axis i slowest
+    for depth, j in enumerate(reversed([j for j in range(box.ndim) if j != i])):
+        wave = np.exp(-2j * math.pi * np.multiply.outer(z[:, j], centred[j]))
+        if depth == 0:
+            acc = np.einsum("pk,rk->rp", acc.reshape(-1, box.shape[j]), wave)
+        else:
+            acc = np.einsum("rpk,rk->rp", acc.reshape(rows, -1, box.shape[j]), wave)
+    return np.broadcast_to(acc, (rows, box.shape[i]))
+
+
+def _ascend(
+    w: np.ndarray, values: np.ndarray, start: np.ndarray, step: float
+) -> np.ndarray:
+    """Per row, a maximizer of |S(c)|, S(c) = sum_a w_a e(-a c), on
+    [start - step, start + step], or the start where |S| would drop.
+
+    |S| is sampled at m = 3 + 2 ceil(8 B step) evenly spaced points, B
+    the span of the values, so neighbouring samples are at most 1/(8 B)
+    apart and the start is the middle one.  Every sample at least as high
+    as its neighbours starts a search, so each sampled bump of |S| gets
+    its own: safeguarded Newton on the slope of |S|^2 inside the bracket
+    of the sample's two neighbours, where a step that leaves the bracket,
+    or one where the curvature is not negative, bisects instead, and a
+    search stops once its step is at most 1e-15.  The highest end point
+    wins, the start on ties.  S, S' and S'' come from one product with
+    the columns [1, a, a^2]; products are einsum sums, as in _collapse.
+    """
+    powers = np.stack([np.ones_like(values), values, values * values], axis=1)
+
+    def moments(rows: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+        terms = w[rows] * np.exp(-2j * math.pi * np.multiply.outer(c, values))
+        p = np.einsum("ra,ak->rk", terms, powers)
+        return p[:, 0], -2j * math.pi * p[:, 1], -4.0 * math.pi**2 * p[:, 2]
+
+    m = 3 + 2 * math.ceil(8.0 * float(np.ptp(values)) * step)
+    mid = (m - 1) // 2
+    offsets = (np.arange(m) - mid) * (2.0 * step / (m - 1))
+    base = w * np.exp(-2j * math.pi * np.multiply.outer(start, values))
+    waves = np.exp(-2j * math.pi * np.multiply.outer(values, offsets))
+    samples = np.abs(np.einsum("ra,ak->rk", base, waves))
+    peak = np.ones(samples.shape, dtype=bool)
+    peak[:, 1:] &= samples[:, 1:] >= samples[:, :-1]
+    peak[:, :-1] &= samples[:, :-1] >= samples[:, 1:]
+    row, k = np.nonzero(peak)
+    x = start[row] + offsets[k]
+    lo = start[row] + offsets[np.maximum(k - 1, 0)]
+    hi = start[row] + offsets[np.minimum(k + 1, m - 1)]
+    live = np.arange(x.size)
+    # bisection alone shrinks a bracket of width <= 1 below 1e-15 in 50 steps
+    for _ in range(64):
+        s, s1, s2 = moments(row[live], x[live])
+        slope = (s.conj() * s1).real
+        curve = (s1.conj() * s1).real + (s.conj() * s2).real
+        xl, a, b = x[live], lo[live], hi[live]
+        a = np.where(slope > 0.0, xl, a)
+        b = np.where(slope < 0.0, xl, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = xl - slope / curve
+        inside = (curve < 0.0) & (newton > a) & (newton < b)
+        nxt = np.where(slope == 0.0, xl, np.where(inside, newton, 0.5 * (a + b)))
+        lo[live], hi[live], x[live] = a, b, nxt
+        live = live[np.abs(nxt - xl) > 1e-15]
+        if live.size == 0:
             break
-        # the parabola through the three best points, where the step
-        # before last was long enough and the vertex is inside the bracket
-        parab = np.abs(e) > tol1
-        r = (xf - nfc) * (fx - ffulc)
-        q = (xf - fulc) * (fx - fnfc)
-        p = (xf - fulc) * q - (xf - nfc) * r
-        q = 2.0 * (q - r)
-        p = np.where(q > 0.0, -p, p)
-        q = np.abs(q)
-        ok = (
-            parab
-            & (np.abs(p) < np.abs(0.5 * q * e))
-            & (p > q * (a - xf))
-            & (p < q * (b - xf))
-        )
-        e = np.where(parab, rat, e)
-        rat[ok] = (p[ok] + 0.0) / q[ok]
-        near = ok & ((xf + rat - a < tol2) | (b - (xf + rat) < tol2))
-        d = xm[near] - xf[near]
-        rat[near] = tol1[near] * (np.sign(d) + (d == 0))
-        # a golden-section step everywhere else
-        gold = ~ok
-        e[gold] = np.where(xf >= xm, a - xf, b - xf)[gold]
-        rat[gold] = _GOLDEN * e[gold]
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = fun(rows, x)
-        better = fu <= fx
-        right = x >= xf
-        a = np.where(better, np.where(right, xf, a), np.where(right, a, x))
-        b = np.where(better, np.where(right, b, xf), np.where(right, x, b))
-        second = ~better & ((fu <= fnfc) | (nfc == xf))
-        third = ~better & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
-        shift = better | second
-        fulc = np.where(shift, nfc, np.where(third, x, fulc))
-        ffulc = np.where(shift, fnfc, np.where(third, fu, ffulc))
-        nfc = np.where(better, xf, np.where(second, x, nfc))
-        fnfc = np.where(better, fx, np.where(second, fu, fnfc))
-        xf = np.where(better, x, xf)
-        fx = np.where(better, fu, fx)
-    x_out[rows] = xf
-    f_out[rows] = fx
-    return x_out, f_out
+    ends = np.full(samples.shape, np.nan)
+    heights = np.full(samples.shape, -np.inf)
+    ends[row, k] = x
+    heights[row, k] = np.abs(moments(row, x)[0])
+    # the middle sample first, so the start wins ties
+    order = np.r_[mid, :mid, mid + 1 : m]
+    pick = order[np.argmax(heights[:, order], axis=1)]
+    rows = np.arange(start.size)
+    return np.where(heights[rows, pick] >= samples[:, mid], ends[rows, pick], start)
 
 
 def _polish(mu: SparseMeasure, starts: np.ndarray, step: float) -> np.ndarray:
     """Coordinate ascent on |mu_hat| within +-step of each start row.
 
-    Three sweeps over the coordinates.  A coordinate pass collapses the
-    fixed coordinates once per row,
-    w_a = sum_{x: x_i = a} mu(x) exp(-2 pi i sum_{j != i} x_j z_j),
-    so mu_hat with z_i = c is the 1-d sum sum_a w_a exp(-2 pi i a c) over
-    the distinct values a of x_i.  _bounded_brent then maximizes it on
-    every row at once, and a coordinate moves only if the new |mu_hat| is
-    at least the current one.  Rows go in blocks of about _BLOCK_CELLS
-    collapsed support cells.
+    Three sweeps over the coordinates.  mu is embedded in its bounding
+    box once; a coordinate pass collapses the other coordinates of every
+    row with _collapse,
+    w_a = sum_{x: x_i = a} mu(x) e(-sum_{j != i} x_j z_j),
+    so mu_hat with z_i = c is the 1-d sum sum_a w_a e(-a c), up to a
+    phase that |mu_hat| does not see.  _ascend then maximizes its modulus
+    on every row at once, within +-step of the current coordinate, and a
+    coordinate moves only if |mu_hat| does not drop.  Rows go in blocks
+    of about _BLOCK_CELLS box cells.
     """
     zs = np.array(starts, dtype=float)
-    # per coordinate: the support ordered by x_i, where each value of x_i
-    # starts in that order, and the values
-    passes = []
-    for i in range(mu.dimension):
-        order = np.argsort(mu.points[:, i], kind="stable")
-        col = mu.points[order, i]
-        first = np.flatnonzero(np.r_[True, col[1:] != col[:-1]])
-        rest = np.delete(mu.points[order], i, axis=1)
-        passes.append((rest, mu.masses[order], first, col[first]))
-    block = max(1, _BLOCK_CELLS // max(1, mu.support_size))
+    box = _grid_embed(mu, mu.points.max(axis=0) - mu.points.min(axis=0) + 1)
+    # coordinates centred on the box, so phases and derivatives stay small
+    centred = [np.arange(size) - 0.5 * (size - 1) for size in box.shape]
+    block = max(1, _BLOCK_CELLS // box.size)
     for lo in range(0, zs.shape[0], block):
         z = zs[lo : lo + block]  # a view: moves land in zs
         for _ in range(3):
-            for i, (rest, masses, first, values) in enumerate(passes):
-                phase = np.delete(z, i, axis=1) @ rest.T
-                w = np.add.reduceat(
-                    np.exp(-2j * math.pi * phase) * masses, first, axis=1
-                )
-
-                def neg(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
-                    wave = np.exp(-2j * math.pi * np.multiply.outer(c, values))
-                    return -np.abs(np.einsum("ra,ra->r", w[rows], wave))
-
-                now = -neg(np.arange(z.shape[0]), z[:, i])
-                x, fx = _bounded_brent(neg, z[:, i] - step, z[:, i] + step)
-                move = -fx >= now
-                z[move, i] = x[move]
+            for i in range(mu.dimension):
+                w = _collapse(box, centred, z, i)
+                z[:, i] = _ascend(w, centred[i], z[:, i], step)
     return zs
 
 
@@ -481,9 +470,11 @@ def large_spectrum_scan(
     """All grid frequencies with |mu_hat| >= 1 - 1/K, optionally polished
     by local coordinate ascent.
 
-    With refine, every hit is polished at once by _polish (a bounded
-    Brent search on arrays over hits, on the collapsed 1-d objective),
-    and the polished magnitudes are read in one fourier_many call.
+    With refine, every hit is polished at once by _polish (coordinate
+    ascent within half a grid cell per pass, each pass a sampled
+    safeguarded Newton search on the 1-d sum the other coordinates
+    collapse to), and the polished magnitudes are read in one
+    fourier_many call.
 
     The report flags a vacuous non-omission margin: with the Lipschitz
     constant 2 pi E||x||_2 of |mu_hat|, any frequency with magnitude above

@@ -497,19 +497,39 @@ def posterior_laws(
     return laws
 
 
+def _convolution_rows(
+    dimension: int, laws: Sequence[SparseMeasure], uniforms: np.ndarray
+) -> np.ndarray:
+    """Rows of X_1 + ... + X_k from uniforms of shape (..., k, count):
+    X_i's index is the searchsorted(side="right") of row i of the
+    uniforms in law i's CDF, built as Generator.choice(p=...) builds it,
+    once per distinct law."""
+    shape = uniforms.shape[:-2] + (uniforms.shape[-1], dimension)
+    out = np.zeros(shape, dtype=np.int64)
+    rows_of: dict[int, list[int]] = {}
+    for i, law in enumerate(laws):
+        rows_of.setdefault(id(law), []).append(i)
+    for rows in rows_of.values():
+        law = laws[rows[0]]
+        cdf = (law.masses / law.masses.sum()).cumsum()
+        cdf /= cdf[-1]
+        idx = cdf.searchsorted(uniforms[..., rows, :], side="right")
+        out += law.points[idx].sum(axis=-3)
+    return out
+
+
 def resample_convolution(
     dimension: int,
     laws: Sequence[SparseMeasure],
     count: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Rows of X_1 + ... + X_k with independent X_i from the given laws."""
-    out = np.zeros((count, dimension), dtype=np.int64)
-    for law in laws:
-        p = law.masses / law.masses.sum()
-        idx = rng.choice(law.masses.size, size=count, p=p)
-        out += law.points[idx]
-    return out
+    """Rows of X_1 + ... + X_k with independent X_i from the given laws.
+
+    One rng.random((k, count)) draw feeds _convolution_rows, so the rows
+    are index for index those of one rng.choice(count, p=...) per law in
+    order."""
+    return _convolution_rows(dimension, laws, rng.random((len(laws), count)))
 
 
 def _success_estimate(
@@ -522,15 +542,28 @@ def _success_estimate(
     rng: np.random.Generator,
     memo: dict,
 ) -> float:
-    """Mass-weighted validity of the closing answer over resampled landings."""
+    """Mass-weighted validity of the closing answer over resampled landings.
+
+    Every target point's landings come from one uniform draw, in the
+    order of one resample_convolution call per point, and are folded in
+    one fold_deltas call; each point checks each distinct end state once.
+    """
     closing_index = len(states) - 1
     weight = target.total_mass
+    ys = target.points
+    uniforms = rng.random((ys.shape[0], len(laws), landings))
+    deltas = ys[:, None, :] - _convolution_rows(alg.dimension, laws, uniforms)
+    ends = fold_deltas(
+        alg, deltas.reshape(-1, alg.dimension), closing_index, states[-1], memo
+    ).reshape(ys.shape[0], landings)
     total = 0.0
-    for y, m in zip(map(tuple, target.points.tolist()), target.masses.tolist()):
-        draws = resample_convolution(alg.dimension, laws, landings, rng)
-        deltas = np.asarray(y, dtype=np.int64) - draws
-        ends = fold_deltas(alg, deltas, closing_index, states[-1], memo)
-        ok = sum(problem.valid(y, alg.output(s)) for s in ends.tolist())
+    for y, m, row in zip(map(tuple, ys.tolist()), target.masses.tolist(), ends):
+        seen, counts = np.unique(row, return_counts=True)
+        ok = sum(
+            c
+            for s, c in zip(seen.tolist(), counts.tolist())
+            if problem.valid(y, alg.output(s))
+        )
         total += (m / weight) * (ok / landings)
     return total
 

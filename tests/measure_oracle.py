@@ -1,7 +1,8 @@
 """Test measures from point -> mass tables, and two oracles: the dict
 constructor that SparseMeasure had before sorted arrays became its only
 store, which the array constructor must match bit for bit, and the
-per-hit scalar scan polish that the array polish replaced."""
+per-hit scalar scan polish, one scipy Brent search per coordinate pass,
+that the array polish replaced."""
 
 from __future__ import annotations
 
@@ -51,22 +52,35 @@ def dict_canonical(
     return points, masses, float(deficit)
 
 
+def scalar_pass(
+    mu: SparseMeasure, z: np.ndarray, i: int, step: float
+) -> tuple[float, float]:
+    """One coordinate pass of the scalar polish: scipy's bounded Brent
+    search for the maximum of |mu_hat| over z_i in [z_i - step, z_i + step],
+    each step a full fourier_at.  Returns the maximizer and |mu_hat| there."""
+
+    def neg(c: float) -> float:
+        trial = z.copy()
+        trial[i] = c
+        return -abs(fourier_at(mu, trial))
+
+    res = optimize.minimize_scalar(
+        neg,
+        bounds=(z[i] - step, z[i] + step),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    return float(res.x), -float(res.fun)
+
+
 def scalar_polish(mu: SparseMeasure, start: np.ndarray, step: float) -> np.ndarray:
-    """Coordinate ascent on |mu_hat| within +-step of the seed: one scipy
-    bounded Brent search per coordinate, each step a full fourier_at."""
+    """Coordinate ascent on |mu_hat| within +-step of the seed: three
+    sweeps of scalar_pass, a coordinate moving only if |mu_hat| does not
+    drop."""
     z = start.copy()
     for _ in range(3):
         for i in range(z.size):
-            def neg(c: float, i=i) -> float:
-                trial = z.copy()
-                trial[i] = c
-                return -abs(fourier_at(mu, trial))
-            res = optimize.minimize_scalar(
-                neg,
-                bounds=(z[i] - step, z[i] + step),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            if -res.fun >= abs(fourier_at(mu, z)):
-                z[i] = float(res.x)
+            c, height = scalar_pass(mu, z, i, step)
+            if height >= abs(fourier_at(mu, z)):
+                z[i] = c
     return z

@@ -22,6 +22,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from sketchlab import measure
 from sketchlab.cli import (
     ExperimentConfig,
     _smallball_instances,
@@ -303,3 +304,35 @@ def test_c14_homomorphism_and_reproducibility(tmp_path):
         tmp_path / "two" / "smallball.json"
     ).read_bytes()
     budget(7.0, start)
+
+
+def test_c15_scan_polish_at_a_low_threshold(monkeypatch):
+    # K = 8 puts the convolution structure's scan threshold at 1 - 4/K, so
+    # nearly every cell of its grid is a hit: about 700 hits to polish,
+    # the scan polish's worst known case
+    start = time.perf_counter()
+    polished: list[int] = []
+    polish = measure._polish
+
+    def counted(mu, starts, step):
+        polished.append(len(starts))
+        return polish(mu, starts, step)
+
+    monkeypatch.setattr(measure, "_polish", counted)
+    cfg = ExperimentConfig(
+        M=2, K=8.0, Q=8, seed=0, scenario="capped-norm", route="mollified"
+    )
+    scenario = get_scenario("capped-norm")
+    sketch, _, report = extract_sketch(
+        scenario.algorithm,
+        scenario.target,
+        scenario.problem(cfg),
+        "mollified",
+        transfer_config(cfg, scenario),
+        cfg.seed,
+    )
+    assert report.smoothness is not None and report.smoothness.passed
+    assert sketch.structure.denominator == 8
+    assert sketch.structure.entry_bound <= 8
+    assert sum(polished) >= 500
+    budget(5.0, start)

@@ -346,6 +346,44 @@ def test_nonuniform_posteriors_differ_across_blocks():
     assert set(laws[0].atoms) != set(laws[1].atoms)
 
 
+def choice_resample_convolution(dimension, laws, count, rng):
+    """`resample_convolution` as it was before the shared uniform draw:
+    one `rng.choice(p=...)` per law, each rebuilding that law's CDF."""
+    out = np.zeros((count, dimension), dtype=np.int64)
+    for law in laws:
+        p = law.masses / law.masses.sum()
+        idx = rng.choice(law.masses.size, size=count, p=p)
+        out += law.points[idx]
+    return out
+
+
+@st.composite
+def law_lists(draw):
+    # a few distinct laws, repeated as the posterior laws of a path repeat
+    n = draw(st.integers(1, 3))
+    point = st.tuples(*(st.integers(-4, 4) for _ in range(n)))
+    tables = st.dictionaries(point, st.floats(1e-3, 1.0), min_size=1, max_size=9)
+    pool = []
+    for atoms in draw(st.lists(tables, min_size=1, max_size=3)):
+        weights = np.array(list(atoms.values()))
+        pool.append(SparseMeasure(n, list(atoms), weights / math.fsum(weights)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))
+    return n, [pool[i] for i in picks]
+
+
+@given(law_lists(), st.integers(0, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_resample_convolution_matches_choice_draws(case, count, seed):
+    n, laws = case
+    rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = resample_convolution(n, laws, count, rng)
+    want = choice_resample_convolution(n, laws, count, old)
+    assert got.shape == want.shape == (count, n)
+    assert np.array_equal(got, want)
+    # the generators consumed the same stream
+    assert rng.random() == old.random()
+
+
 def test_resample_convolution_matches_laws():
     laws = posterior_laws(parity_algorithm(2), (0, 1, 0), 8.0, 2)
     rows = resample_convolution(2, laws, 256, np.random.default_rng(3))
@@ -461,12 +499,13 @@ def test_transition_leaving_the_state_space_raises_from_posterior_laws():
 
 def loop_success_estimate(alg, problem, target, laws, states, landings, rng):
     """`_success_estimate` as it was before the array fold: one
-    `fold_block` per resampled landing."""
+    `fold_block` and one `valid` call per resampled landing, and one
+    `rng.choice` per law and target point."""
     closing_index = len(states) - 1
     weight = target.total_mass
     total = 0.0
     for y, m in sorted(target.atoms.items()):
-        draws = resample_convolution(alg.dimension, laws, landings, rng)
+        draws = choice_resample_convolution(alg.dimension, laws, landings, rng)
         deltas = np.asarray(y, dtype=np.int64) - draws
         ok = 0
         for row in deltas:
@@ -520,6 +559,38 @@ def test_success_estimate_matches_per_row_loop(alg, states, problem):
     )
     assert q == want
     assert 0.0 < q <= 1.0
+
+
+def test_success_estimate_checks_each_end_state_once(monkeypatch):
+    alg = alternating_algorithm(2, horizon=3)
+    states = (0, 3, 4)
+    problem = ProblemSpec.metric_approximation(
+        target=lambda y: 0,
+        metric=lambda a, b: abs(a - b),
+        outputs=tuple(range(6)),
+        epsilon=2.0,
+    )
+    laws = posterior_laws(alg, states, 8.0, 2)
+    checked: list[tuple] = []
+    valid = ProblemSpec.valid
+
+    def spy(self, y, output):
+        checked.append((y, output))
+        return valid(self, y, output)
+
+    monkeypatch.setattr(ProblemSpec, "valid", spy)
+    q = _success_estimate(
+        alg, problem, TARGET4, laws, states, 64, np.random.default_rng(9), {}
+    )
+    # the output is the state: one check per target point and distinct
+    # end state, at most 2^state_bits per point, not one per landing
+    assert len(checked) == len(set(checked))
+    assert len(checked) <= 4 * 2**alg.state_bits < 4 * 64
+    monkeypatch.setattr(ProblemSpec, "valid", valid)
+    want = loop_success_estimate(
+        alg, problem, TARGET4, laws, states, 64, np.random.default_rng(9)
+    )
+    assert q == want
 
 
 @pytest.mark.parametrize(
