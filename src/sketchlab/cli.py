@@ -44,6 +44,7 @@ from .spectrum import (
     GRID_EXPONENT,
     SmallBallCheck,
     StructureConfig,
+    chain_length_cap,
     coarse_rudin_check,
     greedy_dissociated_subset,
     small_ball_check,
@@ -166,6 +167,16 @@ class ExperimentConfig:
             out.append(
                 f"q = {self.q} must lie in [3, K/4 = {self.K / 4:g}] on the exact route"
             )
+        elif self.route == "exact" and math.isfinite(self.K):
+            # Case 2 rounds generators to the 1/Q grid; below q^r* that grid
+            # is coarser than a Case 1 denominator
+            r_star = chain_length_cap(self.K / 4, self.q)
+            if self.Q < self.q**r_star:
+                out.append(
+                    f"Q = {self.Q} must be at least q^r* = {self.q}^{r_star} = "
+                    f"{self.q**r_star} on the exact route (q = {self.q}, "
+                    f"r* = {r_star} at K/4 = {self.K / 4:g})"
+                )
         if self.B < 1:
             out.append("B must be at least 1")
         if self.D < 1:

@@ -1,17 +1,19 @@
 """Discrete Gaussian primitives on Z^n.
 
 Mass functions exp(-pi (x-c)^T Sigma^{-1} (x-c)), truncated sums with
-certified tail bounds, an exact truncated sampler, and the two
-lattice-Gaussian checks (Poisson summation, convolution domination) that
-`verify-lemmas` runs.
+certified tail bounds, an exact truncated sampler with a batched form
+that draws every seed's numpy PCG64 stream with one array kernel, and
+the two lattice-Gaussian checks (Poisson summation, convolution
+domination) that `verify-lemmas` runs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +28,7 @@ __all__ = [
     "gamma_normalizer",
     "gamma_pmf",
     "gamma_tail_bound",
+    "pcg64_raw",
     "sample_truncated",
     "sample_truncated_many",
     "PoissonCheck",
@@ -38,6 +41,14 @@ __all__ = [
 Box = tuple[tuple[int, int], ...]
 
 DEFAULT_TAIL_MASS = 1e-12
+
+# numpy's SeedSequence hash constants (32-bit words) and PCG64's 128-bit
+# LCG multiplier as (high, low) 64-bit words
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924, 4865540595714422341)
+_LOW32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -261,29 +272,108 @@ def sample_truncated(
     return np.concatenate(rows, axis=0)[:count]
 
 
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix on uint32 arrays: each call xors the current
+    constant in, steps it by `mult` and multiplies by the new one."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _LOW32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return out ^ (out >> np.uint32(16))
+
+
+def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each a * b, from 32-bit limbs."""
+    a0, a1 = a & _LOW32, a >> 32
+    b0, b1 = b & _LOW32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _add128(
+    hi: np.ndarray, lo: np.ndarray, add_hi: np.ndarray, add_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    low = lo + add_lo
+    return hi + add_hi + (low < lo).astype(np.uint64), low
+
+
+def _lcg_step(
+    state: tuple[np.ndarray, np.ndarray], inc: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """state * _PCG_MULT + inc mod 2^128, on (high, low) word pairs."""
+    hi, lo = state
+    m_hi, m_lo = _PCG_MULT
+    return _add128(_mul_high(lo, m_lo) + hi * m_lo + lo * m_hi, lo * m_lo, *inc)
+
+
+def pcg64_raw(seeds: Sequence[int], count: int) -> np.ndarray:
+    """`np.random.PCG64(s).random_raw(count)` for every seed s in
+    [0, 2^64), shape (len(seeds), count), uint64.
+
+    One array pass per step for all seeds: SeedSequence(s) mixes the
+    seed's two 32-bit words into a pool of four and hashes the pool into
+    the 128-bit initial state and increment, PCG64 seeds its LCG from
+    them, and each draw is one LCG step followed by the XSL-RR output.
+    The hash runs on uint32 arrays, the 128-bit LCG on pairs of uint64
+    arrays, and both wrap as numpy's C code does.
+    """
+    # OverflowError for a seed outside [0, 2^64), TypeError for a non-integer
+    s = np.array([operator.index(x) for x in seeds], dtype=np.uint64)
+    hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
+    zero = np.zeros(s.size, dtype=np.uint32)
+    words = [(s & _LOW32).astype(np.uint32), (s >> 32).astype(np.uint32), zero, zero]
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    hashmix = _hasher(_HASH_INIT_B, _HASH_MULT_B)
+    half = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    v0, v1, v2, v3 = (half[2 * k] | (half[2 * k + 1] << 32) for k in range(4))
+    inc = ((v2 << 1) | (v3 >> 63), (v3 << 1) | 1)
+    state = _lcg_step(_add128(*inc, v0, v1), inc)
+    out = np.empty((s.size, count), dtype=np.uint64)
+    for k in range(count):
+        state = _lcg_step(state, inc)
+        hi, lo = state
+        x, rot = hi ^ lo, hi >> 58
+        out[:, k] = (x >> rot) | (x << ((64 - rot) & 63))
+    return out
+
+
 def sample_truncated_many(
     radius: float,
     policy: TruncationPolicy,
     seeds: Sequence[int],
     count: int,
 ) -> np.ndarray:
-    """`sample_truncated(radius, policy, s, count=count)` for every seed s,
-    stacked into shape (len(seeds), count, n).
+    """`sample_truncated(radius, policy, s, count=count)` for every seed s
+    in [0, 2^64), stacked into shape (len(seeds), count, n).
 
-    Each seed's generator gives its first `count` rows, and all of them
-    go through one inverse-CDF lookup and one ball test.  A seed with a
-    rejected row is redrawn by `sample_truncated`, which continues that
-    seed's stream past the rejection, so every slice equals the
+    pcg64_raw draws each seed's first `count` rows at once, read as
+    default_rng(s).random does (the top 53 bits times 2^-53), and all of
+    them go through one inverse-CDF lookup and one ball test.  A seed
+    with a rejected row is redrawn by `sample_truncated`, which continues
+    that seed's stream past the rejection, so every slice equals the
     single-seed draw bit for bit.
     """
     support, cdf = _inverse_cdf(radius, policy)
     n = policy.dimension
-    uniforms = np.empty((len(seeds), count, n))
-    for k, seed in enumerate(seeds):
-        uniforms[k] = np.random.default_rng(seed).random((count, n))
+    raw = pcg64_raw(seeds, count * n)
+    uniforms = ((raw >> 11) * 2.0**-53).reshape(raw.shape[0], count, n)
     out, inside = _candidates(support, cdf, uniforms, policy.radius * policy.radius)
     for k in np.flatnonzero(~inside.all(axis=1)).tolist():
-        out[k] = sample_truncated(radius, policy, seeds[k], count=count)
+        out[k] = sample_truncated(radius, policy, int(seeds[k]), count=count)
     return out
 
 

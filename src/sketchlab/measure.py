@@ -31,7 +31,6 @@ __all__ = [
     "ScanReport",
     "gamma_truncated",
     "reflect",
-    "translate",
     "restrict",
     "fourier_at",
     "fourier_many",
@@ -166,12 +165,6 @@ def reflect(mu: SparseMeasure) -> SparseMeasure:
     return SparseMeasure(mu.dimension, -mu.points, mu.masses, deficit=mu.deficit)
 
 
-def translate(mu: SparseMeasure, v: Sequence[int]) -> SparseMeasure:
-    """tau_v mu with (tau_v mu)(x) = mu(x - v)."""
-    shifted = mu.points + np.asarray(v, dtype=np.int64)
-    return SparseMeasure(mu.dimension, shifted, mu.masses, deficit=mu.deficit)
-
-
 def restrict(
     mu: SparseMeasure,
     keep: Callable[[tuple[int, ...]], bool],
@@ -189,24 +182,30 @@ def restrict(
 
 def fourier_at(mu: SparseMeasure, zeta: np.ndarray) -> complex:
     """mu_hat(zeta) = sum_x mu(x) exp(-2 pi i <zeta, x>) at one row zeta."""
-    phase = mu.points @ np.asarray(zeta, dtype=float)
-    return complex(np.exp(-2j * math.pi * phase) @ mu.masses)
+    return complex(fourier_many(mu, np.asarray(zeta, dtype=float)[None, :])[0])
 
 
 def fourier_many(mu: SparseMeasure, zetas: np.ndarray) -> np.ndarray:
-    """mu_hat evaluated at each row of zetas, chunked to bound memory."""
+    """mu_hat evaluated at each row of zetas, chunked to bound memory.
+
+    Phases and sums are einsum sums on the calling thread, as in
+    _collapse: a BLAS product of this size wakes OpenBLAS's second
+    thread, which then spins through the rest of the run."""
     zs = np.asarray(zetas, dtype=float)
     out = np.empty(zs.shape[0], dtype=complex)
     step = max(1, _BLOCK_CELLS // max(1, mu.support_size))
     for i in range(0, zs.shape[0], step):
-        phase = zs[i : i + step] @ mu.points.T
-        out[i : i + step] = np.exp(-2j * math.pi * phase) @ mu.masses
+        phase = np.einsum("rj,kj->rk", zs[i : i + step], mu.points)
+        out[i : i + step] = np.einsum(
+            "rk,k->r", np.exp(-2j * math.pi * phase), mu.masses
+        )
     return out
 
 
 def expected_norm(mu: SparseMeasure) -> float:
     """E_mu ||x||_2; 2 pi times this is a Lipschitz constant for mu_hat."""
-    return float(np.sqrt(np.einsum("ij,ij->i", mu.points, mu.points)) @ mu.masses)
+    norms = np.sqrt(np.einsum("ij,ij->i", mu.points, mu.points))
+    return float(np.einsum("i,i->", norms, mu.masses))
 
 
 def _law_key(mu: SparseMeasure) -> tuple:

@@ -44,6 +44,7 @@ __all__ = [
     "coarse_rudin_check",
     "RudinCheck",
     "greedy_dissociated_subset",
+    "chain_length_cap",
     "extract_exact_structure",
     "extract_near_origin_structure",
     "small_ball_check",
@@ -444,6 +445,14 @@ def _admissible_target(
     return d, target
 
 
+def chain_length_cap(K: float, q: int) -> int:
+    """r* = max(1, floor(log K / (2 log q))), the longest chain that
+    extract_exact_structure grows at threshold K.  Every Case 1
+    denominator q^r - sum_l eps_l q^l (r < r*) is below q^{r*}, so a Case
+    2 grid Q >= q^{r*} is never coarser than one."""
+    return max(1, int(math.floor(0.5 * math.log(K) / math.log(q))))
+
+
 def extract_exact_structure(mu: SparseMeasure, cfg: StructureConfig) -> SketchLattice:
     """Greedy chain construction over the scanned large spectrum.
 
@@ -477,7 +486,7 @@ def extract_exact_structure(mu: SparseMeasure, cfg: StructureConfig) -> SketchLa
     scan, scan_warnings = _scan_heavy(mu, cfg.K, cfg.grid_exponent)
     warnings.extend(scan_warnings)
     heavy = scan.zetas
-    r_star = max(1, int(math.floor(0.5 * math.log(cfg.K) / math.log(cfg.q))))
+    r_star = chain_length_cap(cfg.K, cfg.q)
 
     flat: list[tuple[int, int, np.ndarray]] = []  # (chain index, power, point)
     generators: list[tuple[Fraction, ...]] = []

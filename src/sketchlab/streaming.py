@@ -17,7 +17,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dgauss import TruncationPolicy, sample_truncated, sample_truncated_many
+from .dgauss import (
+    TruncationPolicy,
+    pcg64_raw,
+    sample_truncated,
+    sample_truncated_many,
+)
 from .measure import SparseMeasure, density_certificate, gamma_truncated
 
 __all__ = [
@@ -278,9 +283,11 @@ class StreamSample:
     deltas: tuple[tuple[int, ...], ...]
 
 
-def _subseeds(seed: int, count: int) -> list[int]:
-    rng = np.random.default_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**63, size=count)]
+def _subseeds(seeds: Sequence[int], count: int) -> np.ndarray:
+    """`default_rng(s).integers(0, 2**63, size=count)` for every seed s,
+    shape (len(seeds), count).  On the range 2^63 Lemire's bounded draw
+    never rejects and keeps the top 63 bits of each raw draw."""
+    return (pcg64_raw(seeds, count) >> 1).astype(np.int64)
 
 
 def _check_target(mu: SparseMeasure) -> None:
@@ -307,7 +314,7 @@ def exact_stream_sample(
     frequency vector equals Y exactly, for every seed.
     """
     n = target.dimension
-    sx, sy, _ = _subseeds(seed, 3)
+    sx, sy, _ = _subseeds([seed], 3)[0].tolist()
     if blocks:
         pol = TruncationPolicy.for_gaussian(n, radius)
         xs = sample_truncated(radius, pol, sx, count=blocks)
@@ -327,8 +334,7 @@ def _prefix_blocks(
     (len(seeds), blocks, n), in one batched draw and without the closing
     targets.  Under the default policy of the radius they are
     `exact_stream_sample(target, radius, blocks, s).deltas[:blocks]`."""
-    sx = [_subseeds(int(s), 3)[0] for s in seeds]
-    return sample_truncated_many(radius, policy, sx, blocks)
+    return sample_truncated_many(radius, policy, _subseeds(seeds, 1)[:, 0], blocks)
 
 
 # -- conditioning on boundary states ---------------------------------------------

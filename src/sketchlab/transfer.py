@@ -57,7 +57,6 @@ __all__ = [
     "extraction_to_text",
     "fiber_census",
     "sketch_apply",
-    "sketch_value_add",
     "verify_smoothness",
 ]
 
@@ -156,13 +155,6 @@ def sketch_apply(
     if len(y) != sketch.structure.dimension:
         raise ValueError("vector dimension mismatch")
     return sketch.structure.value([int(c) for c in y])
-
-
-def sketch_value_add(sketch: ExtractedSketch, a: tuple, b: tuple) -> tuple:
-    """Group law on sketch values: residues add mod 1, matrix values add."""
-    if sketch.structure.route == "exact":
-        return tuple((x + z) % 1 for x, z in zip(a, b))
-    return tuple(x + z for x, z in zip(a, b))
 
 
 # -- smoothness ---------------------------------------------------------------
@@ -480,8 +472,9 @@ def evaluate_sketch(
     problems are scored at the degraded tolerance of the route.
     """
     tol, check = _make_checker(sketch, problem)
+    total = target.total_mass
     good = math.fsum(
-        mass / target.total_mass
+        mass / total
         for y, mass in zip(map(tuple, target.points.tolist()), target.masses.tolist())
         if check(y, _decode_point(sketch, decoder, y))
     )

@@ -1,8 +1,8 @@
-"""Test measures from point -> mass tables, and two oracles: the dict
-constructor that SparseMeasure had before sorted arrays became its only
-store, which the array constructor must match bit for bit, and the
-per-hit scalar scan polish, one scipy Brent search per coordinate pass,
-that the array polish replaced."""
+"""Test measures from point -> mass tables and by translation, and two
+oracles: the dict constructor that SparseMeasure had before sorted
+arrays became its only store, which the array constructor must match bit
+for bit, and the per-hit scalar scan polish, one scipy Brent search per
+coordinate pass, that the array polish replaced."""
 
 from __future__ import annotations
 
@@ -24,6 +24,12 @@ def from_atoms(dimension: int, atoms: Atoms, deficit: float = 0.0) -> SparseMeas
     points = np.array([p for p, _ in pairs], dtype=np.int64)
     masses = np.array([m for _, m in pairs], dtype=float)
     return SparseMeasure(dimension, points, masses, deficit=deficit)
+
+
+def translate(mu: SparseMeasure, v: Sequence[int]) -> SparseMeasure:
+    """tau_v mu with (tau_v mu)(x) = mu(x - v)."""
+    shifted = mu.points + np.asarray(v, dtype=np.int64)
+    return SparseMeasure(mu.dimension, shifted, mu.masses, deficit=mu.deficit)
 
 
 def dict_canonical(

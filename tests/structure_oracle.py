@@ -3,7 +3,8 @@ replaced: torus distance to a point set one frequency at a time, the
 greedy pick that stops at the first far frequency, the per-vector lstsq
 residual to a span, the heavy product frequencies reduced one grid
 index at a time, and the chain growth whose Case 1 witness was searched
-one sign pattern at a time."""
+one sign pattern at a time; and the group law on sketch values that the
+homomorphism checks add with."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from sketchlab.measure import SparseMeasure, _grid_embed, _reduce_torus
 from sketchlab.spectrum import is_kappa_dissociated
+from sketchlab.transfer import ExtractedSketch
 
 
 def torus_distance_to_set(zeta: np.ndarray, combos: np.ndarray) -> float:
@@ -98,3 +100,10 @@ def chain_length_and_witness(
     if r == r_star:
         return r, None
     return r, chain_witness(pick, r, q, base, kappa)
+
+
+def sketch_value_add(sketch: ExtractedSketch, a: tuple, b: tuple) -> tuple:
+    """Group law on sketch values: residues add mod 1, matrix values add."""
+    if sketch.structure.route == "exact":
+        return tuple((x + z) % 1 for x, z in zip(a, b))
+    return tuple(x + z for x, z in zip(a, b))

@@ -22,6 +22,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from structure_oracle import sketch_value_add
 from sketchlab import measure
 from sketchlab.cli import (
     ExperimentConfig,
@@ -54,7 +55,6 @@ from sketchlab.transfer import (
     evaluate_sketch,
     extract_sketch,
     sketch_apply,
-    sketch_value_add,
 )
 from sketchlab.translation import (
     line_decomposition,
@@ -71,7 +71,7 @@ def budget(limit: float, start: float) -> None:
 
 @cache
 def run_scenario(name: str, route: str, blocks: int, Q: int, seed: int):
-    cfg = ExperimentConfig(M=blocks, Q=Q, seed=seed)
+    cfg = ExperimentConfig(M=blocks, Q=Q, seed=seed, route=route)
     scenario = get_scenario(name)
     alg, target = scenario.algorithm, scenario.target
     problem = scenario.problem(cfg)

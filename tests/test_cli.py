@@ -10,6 +10,9 @@ import csv
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
@@ -37,7 +40,7 @@ from sketchlab.cli import (
     transfer_config,
     write_table,
 )
-from sketchlab.spectrum import CertifiedBoundError
+from sketchlab.spectrum import CertifiedBoundError, chain_length_cap
 from sketchlab.transfer import (
     evaluate_sketch,
     extract_sketch,
@@ -630,6 +633,51 @@ class TestExactRouteQWindow:
         ExperimentConfig(q=2, K=8.0, route="mollified")
 
 
+class TestExactRouteQFloor:
+    """Case 2 rounds a generator to the 1/Q grid, and every Case 1
+    denominator is below q^r*, so on the exact route Q < q^r* is a config
+    error before any stage runs (r* = chain_length_cap(K/4, q), the chain
+    cap of the product structure's extraction)."""
+
+    def test_rounding_to_a_coarse_grid_exits_two(self, capsys):
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+        cfg = write_cfg(
+            "qfloor-sweep.cfg",
+            desk.read_text() + "Q = 1\nq = 4\nK = 64\nM = 2\nsweep = 4\n",
+        )
+        out = suite_dir() / "qfloor-sweep"
+        code = main(["tv-sweep", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        (line,) = [x for x in err.splitlines() if "r*" in x]
+        assert "Q = 1" in line and "q = 4" in line and "r* = 1" in line
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_floor_is_q_to_the_chain_cap(self):
+        # K/4 = 128 and q = 3 give r* = 2, so the floor is 9
+        assert chain_length_cap(128.0, 3) == 2
+        ExperimentConfig(Q=9)
+        floor = r"Q = 8 must be at least q\^r\* = 3\^2 = 9"
+        with pytest.raises(ConfigError, match=floor):
+            ExperimentConfig(Q=8)
+        ExperimentConfig(Q=8, route="mollified")
+
+    def test_desk_and_benchmark_configs_load(self):
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "benchmark_run", root / "benchmark" / "run.py"
+        )
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+        desk = (root / "configs" / "desk.cfg").read_text()
+        load_config(root / "configs" / "desk.cfg")
+        for name, (_, scenario, route, blocks) in run.WORKLOADS.items():
+            text = run.workload_config(desk, scenario, route, blocks)
+            path = write_cfg(f"bench-{name}.cfg", text)
+            assert load_config(path).route == route
+
+
 class TestKWindow:
     """Both routes scan the product structure at threshold K/4, and a
     heavy-frequency scan needs a threshold of at least 2, so K < 8 is a
@@ -665,18 +713,23 @@ class TestCertificationFailure:
     """A failed certification is one stderr line and exit 1, never a
     traceback."""
 
-    def test_tv_sweep(self, capsys):
-        # the mod-3 witness yields denominator 3, which Q = 2 cannot hold
+    def test_tv_sweep(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise CertifiedBoundError(
+                "total chain length exceeds the 14 S dissociated-size bound"
+            )
+
+        monkeypatch.setattr(cli, "translation_invariance_certify", fail)
         cfg = write_cfg(
-            "q2-sweep.cfg", "M = 2\nsweep = 4\nQ = 2\nscenario = mod-3\n"
+            "cert-fail-sweep.cfg", "M = 2\nsweep = 4\nscenario = mod-3\n"
         )
-        out = suite_dir() / "q2-sweep"
+        out = suite_dir() / "cert-fail-sweep"
         code = main(["tv-sweep", "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.splitlines() == [
             "tv-sweep failed for scenario 'mod-3' at R=4: "
-            "witness produced invalid denominator 3"
+            "total chain length exceeds the 14 S dissociated-size bound"
         ]
         assert not out.exists()
 
@@ -741,13 +794,32 @@ class TestKernelFailureCause:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [line]
 
-    def test_tv_sweep_names_each_failed_kernel(self, capsys):
-        # Q = 1 rounds the parity generator to 0: every shift is in the
-        # kernel, and each one's spectral window check fails
-        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+    def test_tv_sweep_names_each_failed_kernel(self, capsys, monkeypatch):
+        real = cli.translation_invariance_certify
+
+        def failing(*args, **kwargs):
+            # every kernel record fails, every other one on its spectral check
+            report = real(*args, **kwargs)
+            records = tuple(
+                (kind, rec)
+                if kind != "kernel"
+                else (
+                    kind,
+                    replace(
+                        rec,
+                        spectral=replace(
+                            rec.spectral, violations=("doctored",) * (i % 2)
+                        ),
+                        passed=False,
+                    ),
+                )
+                for i, (kind, rec) in enumerate(report.records)
+            )
+            return replace(report, records=records)
+
+        monkeypatch.setattr(cli, "translation_invariance_certify", failing)
         cfg = write_cfg(
-            "kernel-fail-sweep.cfg",
-            desk.read_text() + "Q = 1\nq = 4\nK = 64\nM = 2\nsweep = 4\n",
+            "kernel-fail-sweep.cfg", "M = 2\nsweep = 4\nscenario = constant\n"
         )
         out = suite_dir() / "kernel-fail-sweep"
         code = main(["tv-sweep", "--config", str(cfg), "--out", str(out)])
@@ -863,3 +935,78 @@ class TestReport:
         _, out = parity_run()
         assert main(["report", "--out", str(out)]) == 0
         assert "1 row(s)" in capsys.readouterr().out
+
+
+# Runs two verbs in one interpreter and prints how much CPU the threads
+# other than the main one used meanwhile, read from their schedstat.
+WORKER_PROBE = """
+import os, sys, time
+import numpy
+from sketchlab.cli import main
+
+me = os.getpid()
+others = [t for t in os.listdir("/proc/self/task") if int(t) != me]
+if not others:
+    print("no second thread")
+    sys.exit(0)
+
+def worker_ns():
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != me:
+            with open(f"/proc/self/task/{tid}/schedstat") as f:
+                total += int(f.read().split()[0])
+    return total
+
+# OpenBLAS's threads spin for about 70 ms after they start: wait until
+# they sleep, so only the verbs are measured
+before = worker_ns()
+for _ in range(100):
+    time.sleep(0.02)
+    now = worker_ns()
+    if now == before:
+        break
+    before = now
+codes = [main(args.split()) for args in sys.argv[1:]]
+print(codes, worker_ns() - before)
+"""
+
+
+class TestOneThread:
+    """extract and tv-sweep call no BLAS product: with a two-thread
+    OpenBLAS pool, its second thread stays idle through a parity
+    extraction and a constant sweep.  A product large enough for two
+    threads wakes it, and it then spins through the rest of the run."""
+
+    def test_blas_worker_stays_idle(self):
+        if not Path(f"/proc/{os.getpid()}/task").is_dir():
+            pytest.skip("needs Linux /proc")
+        root = Path(__file__).resolve().parents[1]
+        desk = (root / "configs" / "desk.cfg").read_text()
+        parity = write_cfg("idle-parity.cfg", desk.replace("M = 8", "M = 3"))
+        sweep = write_cfg(
+            "idle-sweep.cfg",
+            desk.replace("M = 8", "M = 2")
+            .replace("scenario = parity", "scenario = constant")
+            .replace("sweep = 4, 8, 16", "sweep = 16"),
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                WORKER_PROBE,
+                f"extract --config {parity} --out {suite_dir() / 'idle-parity'}",
+                f"tv-sweep --config {sweep} --out {suite_dir() / 'idle-sweep'}",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        last = done.stdout.splitlines()[-1]
+        if last == "no second thread":
+            pytest.skip("OpenBLAS started no second thread")
+        codes, worker = last.rsplit(" ", 1)
+        assert codes == "[0, 0]"
+        assert int(worker) <= 5_000_000, f"worker used {int(worker) / 1e6:.1f} ms"

@@ -189,6 +189,54 @@ class TestSampler:
             dgauss.sample_truncated(2.0, pol, 3, count=1)
 
 
+class TestPcg64Raw:
+    """The seed kernel against numpy's own PCG64, the generator it
+    reimplements, and the batched sampler against per-seed draws."""
+
+    @given(
+        st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=16),
+        st.integers(1, 8),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_matches_numpy_streams(self, seeds, count):
+        want = [np.random.PCG64(s).random_raw(count) for s in seeds]
+        got = dgauss.pcg64_raw(seeds, count)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("count", range(1, 9))
+    def test_edge_seeds(self, count):
+        # one and two 32-bit entropy words, and the top of the range
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+        want = [np.random.PCG64(s).random_raw(count) for s in seeds]
+        assert np.array_equal(dgauss.pcg64_raw(seeds, count), want)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seeds_outside_64_bits(self, seed):
+        with pytest.raises(OverflowError):
+            dgauss.pcg64_raw([0, seed], 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batched_sampler_matches_single_seed_draws(self, monkeypatch, n):
+        # a ball of radius 2.9 at R = 2.9 rejects every row with a
+        # coordinate of 3, so some seeds fall back to sample_truncated
+        pol = dgauss.TruncationPolicy(n, 1e-3, 2.9)
+        single = dgauss.sample_truncated
+        fallbacks = []
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args[2])
+            return single(*args, **kwargs)
+
+        monkeypatch.setattr(dgauss, "sample_truncated", counted)
+        seeds = np.random.default_rng(n).integers(0, 2**63, size=64)
+        got = dgauss.sample_truncated_many(2.9, pol, seeds, 4)
+        assert got.shape == (64, 4, n)
+        for s, rows in zip(seeds.tolist(), got):
+            assert np.array_equal(rows, single(2.9, pol, s, count=4))
+        assert fallbacks
+
+
 class TestPoisson:
     def test_one_dimensional_R4(self):
         chk = dgauss.poisson_identity_check(np.array([[1.0 / 16.0]]))

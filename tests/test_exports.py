@@ -30,8 +30,6 @@ TEST_ONLY = {
     "streaming.fold_block": "per-row oracle that fold_deltas must match",
     "dgauss.gamma_pmf": "closed-form pmf the sampler and tail bounds are checked against",
     "measure.restrict": "builds the restricted laws that oracles recompute directly",
-    "transfer.sketch_value_add": "reference addition for the sketch homomorphism checks",
-    "measure.translate": "builds the shifted measures that TV and convolution oracles use",
     "streaming.identity_box_algorithm": "reference algorithm with one state per box point",
     "streaming.alternating_algorithm": "the one non-uniform reference algorithm",
     "dgauss.gamma_tail_bound": "closed-form tail the truncation radius is solved from",

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from scipy import signal
 
 import sketchlab
-from measure_oracle import dict_canonical, from_atoms, scalar_pass, scalar_polish
+from measure_oracle import (
+    dict_canonical,
+    from_atoms,
+    scalar_pass,
+    scalar_polish,
+    translate,
+)
 from sketchlab import dgauss, measure
 
 
@@ -200,7 +206,7 @@ class TestConvolve:
 
     def test_fourier_multiplicativity(self):
         g = measure.gamma_truncated(1, 3.0)
-        h = measure.translate(measure.gamma_truncated(1, 2.0), [2])
+        h = translate(measure.gamma_truncated(1, 2.0), [2])
         conv = measure.convolve(g, h)
         rng = np.random.default_rng(5)
         for z in rng.random(100) - 0.5:
@@ -406,7 +412,7 @@ class TestLargeSpectrumScan:
         assert (np.linalg.norm(rep.zetas, axis=1) <= cap).all()
 
     def test_refine_superset_and_improvement(self):
-        g = measure.translate(measure.gamma_truncated(1, 4.0), [1])
+        g = translate(measure.gamma_truncated(1, 4.0), [1])
         plain = measure.large_spectrum_scan(g, 8.0, 6)
         refined = measure.large_spectrum_scan(g, 8.0, 6, refine=True)
         assert set(map(tuple, plain.grid_index.tolist())) <= set(
@@ -546,7 +552,7 @@ class TestPolish:
             assert np.abs(got - measure.fourier_many(mu, line)).max() <= 1e-12
 
     def test_blocks_give_the_same_rows(self, monkeypatch):
-        g = measure.translate(measure.gamma_truncated(2, 3.0), [1, -2])
+        g = translate(measure.gamma_truncated(2, 3.0), [1, -2])
         starts = measure._reduce_torus(np.arange(14).reshape(7, 2) / 16.0)
         whole = measure._polish(g, starts, 1.0 / 32)
         monkeypatch.setattr(measure, "_BLOCK_CELLS", 2 * g.support_size)
@@ -564,7 +570,7 @@ class TestSymmetrize:
 
     def test_transform_nonnegative(self):
         g = measure.gamma_truncated(1, 3.0)
-        pieces = [g, measure.translate(g, [2]), measure.translate(g, [-1])]
+        pieces = [g, translate(g, [2]), translate(g, [-1])]
         sym = measure.symmetrize(pieces)
         rng = np.random.default_rng(0)
         vals = measure.fourier_many(sym, rng.random((1000, 1)) - 0.5)
@@ -575,7 +581,7 @@ class TestSymmetrize:
         # product of |mu_i_hat| >= e^{-M/K} forces mu_sym_hat >= 1 - 4/K
         K = 16.0
         g = measure.gamma_truncated(1, 6.0)
-        pieces = [g, measure.translate(g, [1]), measure.translate(g, [3])]
+        pieces = [g, translate(g, [1]), translate(g, [3])]
         M = len(pieces)
         sym = measure.symmetrize(pieces)
         rng = np.random.default_rng(9)
@@ -590,7 +596,7 @@ class TestSymmetrize:
 
     def test_equal_laws_are_convolved_once(self, monkeypatch):
         g = measure.gamma_truncated(2, 3.0)
-        h = measure.translate(g, [1, 0])
+        h = translate(g, [1, 0])
         # equal to g in points, masses and deficit, but a separate object
         g_again = measure.SparseMeasure(2, g.points, g.masses, deficit=g.deficit)
         pieces = [g, h, g_again, g, h]

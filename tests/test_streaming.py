@@ -42,6 +42,7 @@ from sketchlab.streaming import (
     _conditional_blocks,
     _FoldTable,
     _prefix_blocks,
+    _subseeds,
     _success_estimate,
 )
 
@@ -617,6 +618,13 @@ def test_selection_census_matches_per_update_loop(alg):
     assert len(census) > 1
     ranked = sorted(census.items(), key=lambda kv: (-kv[1], kv[0]))
     assert err.value.census == tuple(ranked)
+
+
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=16))
+@settings(deadline=None, max_examples=100)
+def test_subseeds_match_default_rng_integers(seeds):
+    want = [np.random.default_rng(s).integers(0, 2**63, size=3) for s in seeds]
+    assert np.array_equal(_subseeds(seeds, 3), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measure_oracle import from_atoms
+from structure_oracle import sketch_value_add
 from sketchlab import transfer
 from sketchlab.measure import SparseMeasure, convolve_many_fft
 from sketchlab.spectrum import NearOriginBasis, SketchLattice, StructureConfig
@@ -47,7 +48,6 @@ from sketchlab.transfer import (
     extraction_to_text,
     fiber_census,
     sketch_apply,
-    sketch_value_add,
     verify_smoothness,
 )
 from sketchlab.translation import translation_invariance_certify, tv_distance
@@ -234,6 +234,24 @@ def test_mod3_generator_and_fibers():
     assert sketch.sigma.states == (0, 0, 0)
     for y in sorted(MOD3_TARGET.atoms):
         assert decoder.decode(sketch_apply(sketch, y)) == MOD3_PROBLEM.label(y)
+
+
+def test_evaluation_reads_the_total_mass_once(monkeypatch):
+    # the total is an fsum over the whole target; read per point, the
+    # evaluation grew with the square of the support
+    sketch, decoder, _ = parity_extraction()
+    target = SparseMeasure.uniform([(a, b) for a in range(6) for b in range(5)])
+    reads = []
+    total_mass = SparseMeasure.total_mass.fget
+
+    def counted(mu):
+        reads.append(mu)
+        return total_mass(mu)
+
+    monkeypatch.setattr(SparseMeasure, "total_mass", property(counted))
+    res = evaluate_sketch(sketch, decoder, target, PARITY_PROBLEM)
+    assert reads == [target]
+    assert res.success == 1.0
 
 
 def test_mod3_evaluation_exact():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from measure_oracle import from_atoms
+from measure_oracle import from_atoms, translate
 from sketchlab.dgauss import TruncationPolicy
 from sketchlab.measure import (
     SparseMeasure,
@@ -29,7 +29,6 @@ from sketchlab.measure import (
     gamma_truncated,
     reflect,
     restrict,
-    translate,
 )
 from sketchlab import translation
 from sketchlab.spectrum import SketchLattice, StructureConfig
