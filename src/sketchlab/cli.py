@@ -34,7 +34,6 @@ from .dgauss import (
 from .measure import (
     SparseMeasure,
     _covering_exponent,
-    convolve_many_fft,
     density_certificate,
     fourier_many,
     gamma_truncated,
@@ -755,11 +754,13 @@ def _invariance_rows(cfg: ExperimentConfig) -> list[tuple]:
                 rec.passed,
             )
         )
-    level = max(1.0, math.sqrt(2.0 * math.log(2.0 * len(mus) / cfg.tail_mass_target)))
-    # the exact route certified the product of mus itself; the mollified
-    # one appended a reference factor
-    conv = report.convolution if cfg.route == "exact" else convolve_many_fft(mus)
-    tail = convolution_tail_center(mus, cfg.R, level, conv)
+    # the certified product; on the mollified route it carries the
+    # reference factor, so the row's level, center and radius take it in too
+    factors = mus if cfg.route == "exact" else mus + [gamma_truncated(n, cfg.R)]
+    level = max(
+        1.0, math.sqrt(2.0 * math.log(2.0 * len(factors) / cfg.tail_mass_target))
+    )
+    tail = convolution_tail_center(factors, cfg.R, level, report.convolution)
     rows.append(
         _lemma_row(
             "convolution-tail",

@@ -57,16 +57,39 @@ def _reduce_torus(arr: np.ndarray) -> np.ndarray:
 
 
 def _lex_groups(
-    rows: np.ndarray, minor: np.ndarray | None = None
+    columns: Sequence[np.ndarray], minor: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Order that sorts integer rows as Python tuples sort (ties broken by
-    the minor key, else kept in input order), and flags marking where each
-    distinct row starts in that order."""
-    keys = tuple(rows[:, j] for j in range(rows.shape[1] - 1, -1, -1))
-    order = np.lexsort(keys if minor is None else (minor,) + keys)
-    s = rows[order]
-    starts = np.ones(s.shape[0], dtype=bool)
-    starts[1:] = (s[1:] != s[:-1]).any(axis=1)
+    """Order that sorts integer rows, given as their int64 columns (`rows.T`
+    of a 2-d array), as Python tuples sort (ties broken by the minor key,
+    else kept in input order), and flags marking where each distinct row
+    starts in that order.
+
+    Each row, then its minor key, is packed into one int64 mixed-radix
+    key whose digit j runs over column j's span max - min + 1, and the
+    keys are sorted stably, so equal keys keep their input order.  The
+    product of the spans is checked in Python integers first; if it
+    exceeds the int64 range a ValueError names the spans.  Any support
+    that _grid_embed can hold is far inside that range.  Columns are
+    reduced one at a time: a 1-d min or max is far cheaper than an axis
+    reduction over a narrow 2-d array.
+    """
+    cols = list(columns) + ([] if minor is None else [minor])
+    count = cols[0].size
+    if count == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
+    lows = [int(c.min()) for c in cols]
+    spans = [int(c.max()) - lo + 1 for c, lo in zip(cols, lows)]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        raise ValueError(f"packed sort key overflows int64: column spans {spans}")
+    key = np.zeros(count, dtype=np.int64)
+    for c, lo, span in zip(cols, lows, spans):
+        key *= span
+        key += c - lo
+    order = np.argsort(key, kind="stable")
+    # the rows' own digits: drop the minor key's
+    s = key[order] if minor is None else key[order] // spans[-1]
+    starts = np.ones(s.size, dtype=bool)
+    starts[1:] = s[1:] != s[:-1]
     return order, starts
 
 
@@ -74,7 +97,7 @@ def _sum_repeats(points: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np
     """Distinct rows in sorted order, each with its masses summed one by
     one in input order.  np.add.at keeps that sequential order, which
     np.add.reduceat's pairwise inner loop does not."""
-    order, starts = _lex_groups(points)
+    order, starts = _lex_groups(points.T)
     sums = np.zeros(int(starts.sum()))
     np.add.at(sums, np.cumsum(starts) - 1, masses[order])
     return points[order][starts], sums
@@ -124,7 +147,8 @@ class SparseMeasure:
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(self.masses)
+        # a list, which math.fsum walks faster than an ndarray
+        return math.fsum(self.masses.tolist())
 
     @classmethod
     def uniform(cls, points: Sequence[Sequence[int]]) -> "SparseMeasure":

@@ -166,8 +166,10 @@ def coarse_rudin_check(
     cs = np.asarray(c, dtype=complex)
     if len(T) != cs.size:
         raise ValueError("coefficient count must match frequency count")
-    F = (np.exp(2j * math.pi * (nu.points @ T.T)) @ cs).real
-    lhs = float(np.exp(sigma * F) @ nu.masses)
+    # einsum sums on the calling thread, as in measure.fourier_many
+    phase = np.einsum("kj,rj->kr", nu.points, T)
+    F = np.einsum("kr,r->k", np.exp(2j * math.pi * phase), cs).real
+    lhs = float(np.einsum("k,k->", np.exp(sigma * F), nu.masses))
     sum_sq = float(np.sum(np.abs(cs) ** 2))
     sum_abs = float(np.sum(np.abs(cs)))
     rhs = math.exp(sigma * sigma * sum_sq / 2.0) + eta * math.exp(sigma * sum_abs)
@@ -713,7 +715,8 @@ def small_ball_check(
     bound = _small_ball_bound(A, R, u, bv)
     policy = TruncationPolicy.for_gaussian(A.shape[1], R)
     samples = sample_truncated(R, policy, seed, count=trials)
-    resid = samples @ A.T - bv
+    # an einsum, not BLAS: a product this size wakes OpenBLAS's second thread
+    resid = np.einsum("ij,kj->ik", samples, A) - bv
     hits = int(np.count_nonzero(np.einsum("ij,ij->i", resid, resid) <= u * u))
     p_hat = hits / trials
     stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / trials) / trials)

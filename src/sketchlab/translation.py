@@ -65,22 +65,23 @@ def _direction(v: Sequence[int]) -> tuple[int, ...]:
 def _line_layout(
     nu: SparseMeasure, v: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The atoms of nu on the lines {x + l v}, p = rep + ell v: their
-    representatives, positions ell and masses, sorted by line and then by
-    ell, and flags marking where each line starts.
+    """The atoms of nu on the lines {x + l v}, p = rep + ell v: one
+    representative per line, in line order, then the atoms' positions ell
+    and masses, sorted by line and then by ell, and flags marking where
+    each line starts.
 
     The representative of {x + l v} is the point whose projection onto v
     lands in (-|v|^2/2, |v|^2/2], found in exact integer arithmetic.
     """
     vv = sum(c * c for c in v)
     varr = np.asarray(v, dtype=np.int64)
-    num = nu.points @ varr
-    r0 = num % vv
-    r = np.where(2 * r0 > vv, r0 - vv, r0)
-    ell = (num - r) // vv
-    rep = nu.points - ell[:, None] * varr
-    order, starts = _lex_groups(rep, minor=ell)
-    return rep[order], ell[order], nu.masses[order], starts
+    q, r0 = np.divmod(nu.points @ varr, vv)
+    # the remainder r0 - vv when r0 > vv/2, so one step further along v
+    ell = q + (2 * r0 > vv)
+    order, starts = _lex_groups(nu.points.T - varr[:, None] * ell, minor=ell)
+    firsts = order[starts]
+    reps = nu.points[firsts] - ell[firsts, None] * varr
+    return reps, ell[order], nu.masses[order], starts
 
 
 def _layout_tv(ell: np.ndarray, mass: np.ndarray, starts: np.ndarray) -> float:
@@ -96,7 +97,8 @@ def _layout_tv(ell: np.ndarray, mass: np.ndarray, starts: np.ndarray) -> float:
     follows = ~starts[1:] & (np.diff(ell) == 1)
     rises = mass[1:] - np.where(follows, mass[:-1], 0.0)
     steps = np.concatenate((mass[:1], np.abs(rises), mass[:-1][~follows], mass[-1:]))
-    return 0.5 * math.fsum(steps)
+    # a list, which math.fsum walks faster than an ndarray
+    return 0.5 * math.fsum(steps.tolist())
 
 
 def tv_distance(nu: SparseMeasure, v: Sequence[int]) -> float:
@@ -109,12 +111,6 @@ def tv_distance(nu: SparseMeasure, v: Sequence[int]) -> float:
 
 
 # -- line decomposition ------------------------------------------------------
-
-
-def _fft_length(length: int) -> int:
-    """Smallest power of two holding the linear autocorrelation of a
-    difference sequence of length + 1 entries without wrap-around."""
-    return 1 << (2 * (length + 1) - 1).bit_length()
 
 
 def _autocorrelations(steps: np.ndarray, N: int) -> np.ndarray:
@@ -148,6 +144,22 @@ def _tail_roundoff(energy: np.ndarray, N: np.ndarray, u: float) -> np.ndarray:
     return gamma * energy * (1.0 + 4.0 * u * N)
 
 
+def _mass_roundoff(main: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """A-priori bound on how far each computed main term (8 pi^2 / 3) u^3 p^2
+    falls below the one of the exact line mass p, line by line.
+
+    A line mass is the sequential sum of at most L <= N/2 - 1 nonnegative
+    terms, so the computed mass is at least p (1 - gamma_{L-1}) (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3-4), and the
+    constant and the products of the main term add at most eight
+    roundings.  The exact main term is then at most main / (1 - gamma_k)
+    with k = 2 (L - 1) + 8 <= N + 4, which exceeds main by
+    main gamma_k / (1 - gamma_k) = main k u / (1 - 2 k u).
+    """
+    ku = (N + 4) * UNIT_ROUNDOFF
+    return main * ku / (1.0 - 2.0 * ku)
+
+
 @dataclass(frozen=True)
 class LineDecomposition:
     """nu split along lines {x + l v}, one array entry per occupied line,
@@ -156,11 +168,15 @@ class LineDecomposition:
     Each line is carried by its difference sequence d (L + 1 entries for
     a line spanning L positions) and the autocorrelation r_k of d, taken
     with one FFT of length line_nodes (the smallest power of two >=
-    2(L + 1), so the correlation does not wrap).  line_energies is the
-    direct d . d and quadrature_energies the spectral r_0, the integral of
-    |1 - e(-t)|^2 |nu_hat_{x,v}(t)|^2 over the circle; the build fails
-    unless the two agree to 1e-10 per line.  tail_terms holds each line's
-    share of that integral over split < |t| <= 1/2, in closed form:
+    2(L + 1), so the correlation does not wrap).  line_masses and
+    line_energies are the sequential left-to-right sums of the line's
+    masses and of the d_j^2, the sums a per-line Python loop gives;
+    spectral_energy_bound_check charges the mass rounding in its slack
+    (_mass_roundoff).  quadrature_energies is the spectral r_0, the
+    integral of |1 - e(-t)|^2 |nu_hat_{x,v}(t)|^2 over the circle; the
+    build fails unless it agrees with the direct energy to 1e-10 per
+    line.  tail_terms holds each line's share of that integral over
+    split < |t| <= 1/2, in closed form:
     beta = r_0 (1 - 2u) - 2 sum_{k=1}^{L} r_k sin(2 pi k u) / (pi k) with
     u = split (all zero when no split is supplied or u >= 1/2).  tv is
     half the summed |d| over every line, the TV distance between nu and
@@ -192,19 +208,22 @@ def line_decomposition(
 ) -> LineDecomposition:
     """Split nu into lines along v and compute both energy forms.
 
-    Lines are laid out as dense rows and grouped by FFT length N; each
-    group takes one batched rfft/irfft for the autocorrelations of its
-    difference sequences.  Every line energy is evaluated twice, directly
-    as d . d and spectrally as r_0, and the two must agree to 1e-10.  For
-    the longest line of each group the FFT autocorrelation is checked lag
-    by lag against np.correlate to 1e-10.  A split u in [0, 1/2] gives
-    each line the closed-form tail beyond |t| > u, summed over k in
-    increasing order (the order _tail_roundoff bounds).
+    Lines are laid out as dense zero-padded rows and grouped by FFT
+    length N; each group takes one batched rfft/irfft for the
+    autocorrelations of its difference sequences, and its line masses and
+    direct energies d . d are sequential row sums (np.cumsum), which the
+    padding zeros leave at each line's own sum.  Every line energy is
+    evaluated twice, directly and spectrally as r_0, and the two must
+    agree to 1e-10.  For the longest line of each group the FFT
+    autocorrelation is checked lag by lag against np.correlate to 1e-10.
+    A split u in [0, 1/2] gives each line the closed-form tail beyond
+    |t| > u, summed over k in increasing order (the order _tail_roundoff
+    bounds).
     """
     vv = _direction(v)
     u = 0.0 if split is None else float(split)
     with_tail = split is not None and u < 0.5
-    rep, ell, mass, starts = _line_layout(nu, vv)
+    reps, ell, mass, starts = _line_layout(nu, vv)
     line = np.cumsum(starts) - 1
     bounds = np.flatnonzero(np.append(starts, True))
     first, end = bounds[:-1], bounds[1:]
@@ -212,20 +231,25 @@ def line_decomposition(
     lengths = ell[end - 1] - lo + 1
     # column of each atom in its line's row, which has a zero on each side
     col = ell - lo[line] + 1
-    # a set, not np.unique: a bare np.unique imports numpy.ma
-    N_of = {L: _fft_length(L) for L in set(lengths.tolist())}
-    fft_len = np.array([N_of[L] for L in lengths.tolist()], dtype=np.int64)
+    # N = 1 << bit_length(2 L + 1), the smallest power of two holding the
+    # linear autocorrelation of L + 1 differences without wrap-around;
+    # frexp's exponent of an integer below 2^53 is its bit length
+    exponent = np.frexp(2 * lengths + 1)[1]
+    fft_len = np.left_shift(1, exponent.astype(np.int64))
     count = first.size
     r0 = np.empty(count)
     tails = np.zeros(count)
     energies = np.empty(count)
+    masses = np.empty(count)
     k = np.arange(1, int(lengths.max()) + 1, dtype=float)
     weights = np.sin(2.0 * math.pi * u * k) / (math.pi * k)
-    reps = rep[first]
     checks = []
 
-    for N in sorted(set(N_of.values())):
-        in_group = fft_len == N
+    # the distinct exponents in increasing order; bincount, not np.unique,
+    # which imports numpy.ma
+    for e in np.flatnonzero(np.bincount(exponent)).tolist():
+        N = 1 << e
+        in_group = exponent == e
         members = np.flatnonzero(in_group)
         atoms = np.flatnonzero(in_group[line])
         span = lengths[members]
@@ -235,11 +259,10 @@ def line_decomposition(
         # scatter, never a sum.
         rows[(np.cumsum(in_group) - 1)[line[atoms]], col[atoms]] = mass[atoms]
         steps = np.diff(rows, axis=1)
-        for j, (i, L) in enumerate(zip(members.tolist(), span.tolist())):
-            # the exact-length diff; more zero padding would change the
-            # dot product's rounding
-            d = steps[j, : L + 1]
-            energies[i] = d @ d
+        # Sequential left-to-right row sums: the zeros that pad a short
+        # line's row add exactly, so each line gets its own loop's sum.
+        energies[members] = np.cumsum(steps * steps, axis=1)[:, -1]
+        masses[members] = np.cumsum(rows, axis=1)[:, -1]
         r = _autocorrelations(steps, N)
         r0[members] = r[:, 0]
         if with_tail:
@@ -275,13 +298,10 @@ def line_decomposition(
                 f"|difference| {abs(r[lag] - direct[lag]):.3e} exceeds the "
                 "tolerance 1e-10"
             )
-    masses = mass.tolist()
     return LineDecomposition(
         direction=vv,
         representatives=reps,
-        line_masses=np.array(
-            [math.fsum(masses[a:b]) for a, b in zip(first.tolist(), end.tolist())]
-        ),
+        line_masses=masses,
         line_energies=energies,
         quadrature_energies=r0,
         tail_terms=tails,
@@ -361,8 +381,9 @@ def spectral_energy_bound_check(
     u = |v| delta, where E is the spectral line energy r_0, beta the
     closed-form integral of the line's weighted power over |t| > u, and
     the slack the a-priori roundoff allowance of that closed form
-    (_tail_roundoff) plus a 1e-12 floor; the betas must aggregate to at
-    most 4 eta^2.  Violated preconditions (non-integral pairing, shift
+    (_tail_roundoff), the allowance for the rounded line mass in the main
+    term (_mass_roundoff) and a 1e-12 floor; the betas must aggregate to
+    at most 4 eta^2.  Violated preconditions (non-integral pairing, shift
     outside the 1/(2 delta) window, above-eta frequencies far from W) are
     reported individually instead of raised, as are the first line over
     its bound and an aggregate over budget.
@@ -384,8 +405,10 @@ def spectral_energy_bound_check(
     dec = line_decomposition(nu, vv, split=u)
     p, energy, beta = dec.line_masses, dec.quadrature_energies, dec.tail_terms
     main_bound = (8.0 * math.pi**2 / 3.0) * u**3 * p * p
-    roundoff = _tail_roundoff(energy, np.array(dec.line_nodes), u)
-    slack = roundoff + 1e-12
+    nodes = np.array(dec.line_nodes)
+    roundoff = _tail_roundoff(energy, nodes, u)
+    mass_roundoff = _mass_roundoff(main_bound, nodes)
+    slack = roundoff + mass_roundoff + 1e-12
     over = np.flatnonzero(~(energy <= main_bound + beta + slack))
     if over.size:
         i = int(over[0])
@@ -393,7 +416,8 @@ def spectral_energy_bound_check(
             f"line through {tuple(dec.representatives[i].tolist())}: energy"
             f" {energy[i]:.6g} exceeds main {main_bound[i]:.6g} + beta"
             f" {beta[i]:.6g} + slack {slack[i]:.6g}"
-            f" (roundoff allowance {roundoff[i]:.3g} + floor 1e-12)"
+            f" (roundoff allowance {roundoff[i]:.3g} + mass rounding"
+            f" {mass_roundoff[i]:.3g} + floor 1e-12)"
         )
     # running sums, left to right as a loop adds
     total_beta = float(np.cumsum(beta)[-1])

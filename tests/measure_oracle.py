@@ -1,8 +1,10 @@
-"""Test measures from point -> mass tables and by translation, and two
+"""Test measures from point -> mass tables and by translation, and three
 oracles: the dict constructor that SparseMeasure had before sorted
 arrays became its only store, which the array constructor must match bit
-for bit, and the per-hit scalar scan polish, one scipy Brent search per
-coordinate pass, that the array polish replaced."""
+for bit, the np.lexsort row grouping that the packed-key sort in
+measure._lex_groups replaced, and the per-hit scalar scan polish, one
+scipy Brent search per coordinate pass, that the array polish
+replaced."""
 
 from __future__ import annotations
 
@@ -56,6 +58,20 @@ def dict_canonical(
     points = np.asarray(order, dtype=np.int64).reshape(len(order), dimension)
     masses = np.asarray([clean[p] for p in order], dtype=float)
     return points, masses, float(deficit)
+
+
+def lexsort_groups(
+    rows: np.ndarray, minor: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """measure._lex_groups by np.lexsort over one key per column (ties
+    broken by the minor key, else kept in input order), and the flags
+    marking where each distinct row starts in that order."""
+    keys = tuple(rows[:, j] for j in range(rows.shape[1] - 1, -1, -1))
+    order = np.lexsort(keys if minor is None else (minor,) + keys)
+    s = rows[order]
+    starts = np.ones(s.shape[0], dtype=bool)
+    starts[1:] = (s[1:] != s[:-1]).any(axis=1)
+    return order, starts
 
 
 def scalar_pass(

@@ -40,6 +40,7 @@ from sketchlab.cli import (
     transfer_config,
     write_table,
 )
+from sketchlab.measure import gamma_truncated
 from sketchlab.spectrum import CertifiedBoundError, chain_length_cap
 from sketchlab.transfer import (
     evaluate_sketch,
@@ -573,9 +574,12 @@ class TestLemmaRowsAtTheEdges:
 
 
 class TestInvarianceRows:
-    def test_exact_route_reads_the_tail_off_the_certified_convolution(
-        self, monkeypatch
-    ):
+    @staticmethod
+    def tail_row_run(monkeypatch, route):
+        """_invariance_rows on `route` with spies on the product of the
+        pieces, the certification and the tail center; checks that the
+        tail row was read off the one certified product and returns the
+        factors the tail center took, its result and the tail row."""
         ffts, reports, tails = [], [], []
         real_fft = translation.convolve_many_fft
 
@@ -585,8 +589,7 @@ class TestInvarianceRows:
 
         # the product of all the pieces; symmetrize's pairwise products
         # inside measure are other convolutions
-        for module in (translation, cli):
-            monkeypatch.setattr(module, "convolve_many_fft", spy_fft)
+        monkeypatch.setattr(translation, "convolve_many_fft", spy_fft)
         real_certify = cli.translation_invariance_certify
 
         def spy_certify(*args, **kwargs):
@@ -596,19 +599,42 @@ class TestInvarianceRows:
         real_tail = cli.convolution_tail_center
 
         def spy_tail(mus, R, L, conv):
-            tails.append((conv, real_tail(mus, R, L, conv)))
-            return tails[-1][1]
+            tails.append((mus, conv, real_tail(mus, R, L, conv)))
+            return tails[-1][2]
 
         monkeypatch.setattr(cli, "translation_invariance_certify", spy_certify)
         monkeypatch.setattr(cli, "convolution_tail_center", spy_tail)
-        rows = cli._invariance_rows(ExperimentConfig(route="exact"))
-        assert len(ffts) == 1
-        ((conv, tail),) = tails
-        assert conv is reports[0].convolution
+        rows = cli._invariance_rows(ExperimentConfig(route=route))
+        ((report,),) = (reports,)
+        ((mus, conv, tail),) = tails
+        (row,) = [r for r in rows if r[0] == "convolution-tail"]
+        assert ffts == [len(mus)]
+        assert conv is report.convolution
         d = conv.points - np.asarray(tail.center)
         far = np.sqrt(np.einsum("ij,ij->i", d, d)) > tail.radius
-        (row,) = [r for r in rows if r[0] == "convolution-tail"]
         assert row[2] == float(conv.masses[far].sum()) + conv.deficit
+        return mus, tail, row
+
+    def test_exact_route_reads_the_tail_off_the_certified_convolution(
+        self, monkeypatch
+    ):
+        mus, tail, row = self.tail_row_run(monkeypatch, "exact")
+        assert len(mus) == ExperimentConfig().M
+
+    def test_mollified_route_reads_the_tail_off_the_certified_convolution(
+        self, monkeypatch
+    ):
+        # one product, with the reference factor; the tail's center and
+        # radius take that factor in
+        mus, tail, row = self.tail_row_run(monkeypatch, "mollified")
+        cfg = ExperimentConfig(route="mollified")
+        assert len(mus) == cfg.M + 1
+        reference = gamma_truncated(2, cfg.R)
+        assert np.array_equal(mus[-1].points, reference.points)
+        assert np.array_equal(mus[-1].masses, reference.masses)
+        level = math.sqrt(2.0 * math.log(2.0 * (cfg.M + 1) / cfg.tail_mass_target))
+        assert row[1] == f"M={cfg.M} L={level:.3g}"
+        assert row[3] == tail.mass_bound
 
 
 class TestExactRouteQWindow:
@@ -973,32 +999,20 @@ print(codes, worker_ns() - before)
 
 
 class TestOneThread:
-    """extract and tv-sweep call no BLAS product: with a two-thread
-    OpenBLAS pool, its second thread stays idle through a parity
-    extraction and a constant sweep.  A product large enough for two
-    threads wakes it, and it then spins through the rest of the run."""
+    """extract, tv-sweep, smallball and verify-lemmas call no BLAS
+    product: with a two-thread OpenBLAS pool, its second thread stays idle
+    through a parity extraction, a constant sweep and both lemma verbs.
+    A product large enough for two threads wakes it, and it then spins
+    through the rest of the run."""
 
-    def test_blas_worker_stays_idle(self):
+    @staticmethod
+    def assert_worker_idle(commands):
         if not Path(f"/proc/{os.getpid()}/task").is_dir():
             pytest.skip("needs Linux /proc")
         root = Path(__file__).resolve().parents[1]
-        desk = (root / "configs" / "desk.cfg").read_text()
-        parity = write_cfg("idle-parity.cfg", desk.replace("M = 8", "M = 3"))
-        sweep = write_cfg(
-            "idle-sweep.cfg",
-            desk.replace("M = 8", "M = 2")
-            .replace("scenario = parity", "scenario = constant")
-            .replace("sweep = 4, 8, 16", "sweep = 16"),
-        )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=str(root / "src"))
         done = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                WORKER_PROBE,
-                f"extract --config {parity} --out {suite_dir() / 'idle-parity'}",
-                f"tv-sweep --config {sweep} --out {suite_dir() / 'idle-sweep'}",
-            ],
+            [sys.executable, "-c", WORKER_PROBE, *commands],
             env=env,
             capture_output=True,
             text=True,
@@ -1008,5 +1022,31 @@ class TestOneThread:
         if last == "no second thread":
             pytest.skip("OpenBLAS started no second thread")
         codes, worker = last.rsplit(" ", 1)
-        assert codes == "[0, 0]"
+        assert codes == str([0] * len(commands))
         assert int(worker) <= 5_000_000, f"worker used {int(worker) / 1e6:.1f} ms"
+
+    def test_blas_worker_stays_idle(self):
+        root = Path(__file__).resolve().parents[1]
+        desk = (root / "configs" / "desk.cfg").read_text()
+        parity = write_cfg("idle-parity.cfg", desk.replace("M = 8", "M = 3"))
+        sweep = write_cfg(
+            "idle-sweep.cfg",
+            desk.replace("M = 8", "M = 2")
+            .replace("scenario = parity", "scenario = constant")
+            .replace("sweep = 4, 8, 16", "sweep = 16"),
+        )
+        self.assert_worker_idle(
+            [
+                f"extract --config {parity} --out {suite_dir() / 'idle-parity'}",
+                f"tv-sweep --config {sweep} --out {suite_dir() / 'idle-sweep'}",
+            ]
+        )
+
+    def test_blas_worker_stays_idle_in_the_lemma_verbs(self):
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+        self.assert_worker_idle(
+            [
+                f"smallball --config {desk} --out {suite_dir() / 'idle-smallball'}",
+                f"verify-lemmas --config {desk} --out {suite_dir() / 'idle-lemmas'}",
+            ]
+        )

@@ -19,6 +19,7 @@ import sketchlab
 from measure_oracle import (
     dict_canonical,
     from_atoms,
+    lexsort_groups,
     scalar_pass,
     scalar_polish,
     translate,
@@ -97,6 +98,62 @@ def atom_arrays(draw):
     dimension = draw(st.sampled_from([n] * 9 + [n + 1]))
     points = np.array([pool[i] for i in picks], dtype=np.int64)
     return dimension, points, masses, deficit
+
+
+@st.composite
+def grouping_rows(draw):
+    # few distinct rows with negative coordinates, so most repeat; a minor
+    # key about half the time, itself with ties
+    n = draw(st.integers(1, 3))
+    # the largest scale overflows the packed key from n = 2 on
+    scale = draw(st.sampled_from([1, 3, 1000, 2**40]))
+    coord = st.integers(-3, 3).map(lambda c: c * scale)
+    pool = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    rows = np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), n)
+    minor = draw(st.none() | st.just(len(picks)))
+    if minor is not None:
+        minor = np.array(
+            draw(st.lists(st.integers(-4, 4), min_size=minor, max_size=minor)),
+            dtype=np.int64,
+        )
+    return rows, minor
+
+
+class TestLexGroups:
+    """The packed-key sort of measure._lex_groups against np.lexsort."""
+
+    @given(grouping_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lexsort_oracle(self, case):
+        rows, minor = case
+        cols = rows if minor is None else np.column_stack((rows, minor))
+        spans = [int(c.max()) - int(c.min()) + 1 for c in cols.T]
+        if math.prod(spans) >= 2**63:
+            with pytest.raises(ValueError, match="overflows int64"):
+                measure._lex_groups(rows.T, minor=minor)
+            return
+        order, starts = measure._lex_groups(rows.T, minor=minor)
+        want_order, want_starts = lexsort_groups(rows, minor=minor)
+        # the same permutation, so equal keys keep their input order
+        assert np.array_equal(order, want_order)
+        assert np.array_equal(starts, want_starts)
+
+    def test_single_row(self):
+        order, starts = measure._lex_groups(np.array([[-5, 7]]).T, minor=np.array([-2]))
+        assert order.tolist() == [0] and starts.tolist() == [True]
+
+    def test_ties_keep_input_order(self):
+        rows = np.array([[1, -1], [0, 2], [1, -1], [0, 2], [1, -1]])
+        order, starts = measure._lex_groups(rows.T)
+        assert order.tolist() == [1, 3, 0, 2, 4]
+        assert starts.tolist() == [True, False, True, False, False]
+
+    def test_packed_range_overflow_names_the_spans(self):
+        rows = np.array([[-(2**40), 0], [2**40, 2**30]], dtype=np.int64)
+        spans = r"column spans \[2199023255553, 1073741825\]"
+        with pytest.raises(ValueError, match=f"overflows int64: {spans}"):
+            measure._lex_groups(rows.T)
 
 
 class TestSparseMeasure:
@@ -310,25 +367,28 @@ class TestConvolveOracle:
         )
         assert out.stdout.strip() == "False"
 
-    def test_line_decomposition_leaves_numpy_ma_out(self):
-        # a bare np.unique imports numpy.ma (about 70 ms) on first use
+    def test_extract_and_tv_sweep_leave_numpy_ma_out(self, tmp_path):
+        # a bare np.unique imports numpy.ma (about 70 ms) on first use, so
+        # one anywhere in either verb's path shows up here
         src = str(Path(sketchlab.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        cfg = tmp_path / "desk.cfg"
+        cfg.write_text("n = 2\nM = 2\nsweep = 4, 8\nseed = 3\n")
         probe = (
-            "import sys, sketchlab.cli\n"
-            "from sketchlab.measure import gamma_truncated\n"
-            "from sketchlab.translation import line_decomposition\n"
-            "line_decomposition(gamma_truncated(2, 4.0), (1, 1), split=0.25)\n"
-            "print('numpy.ma' in sys.modules)"
+            "import sys\n"
+            "from sketchlab.cli import main\n"
+            "codes = [main([verb, '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "         for verb in ('tv-sweep', 'extract')]\n"
+            "print(codes, 'numpy.ma' in sys.modules)"
         )
         out = subprocess.run(
-            [sys.executable, "-c", probe],
+            [sys.executable, "-c", probe, str(cfg), str(tmp_path / "out")],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
             check=True,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 class TestConvolvePowerFFT:

@@ -7,7 +7,11 @@ tail-center and certification walkthroughs, the per-atom dict forms of
 the shift difference and the line decomposition and the per-line loop
 form of the spectral energy check, which the array versions must match
 bit for bit, and a fine midpoint quadrature of each line's tail
-integral.
+integral.  The dict line decomposition sums each line's masses, squared
+differences and tail terms one Python add at a time, as the array
+version's row sums do; math.fsum masses and BLAS d . d energies are
+held to Higham's a-priori bounds, the mass one being what the spectral
+check charges in its slack.
 """
 
 import dataclasses
@@ -341,9 +345,9 @@ def test_line_invariants_random(mu, v):
 
 
 # The per-line form of line_decomposition: atoms grouped in a dict per
-# representative, one FFT per line, and the closed-form tail summed term
-# by term in a Python loop.  The batched pass must reproduce every field
-# bit for bit.
+# representative, one FFT per line, and the line mass, the direct energy
+# and the closed-form tail each summed term by term in a Python loop.  The
+# batched pass must reproduce every field bit for bit.
 
 
 def dict_line_groups(nu, v):
@@ -384,13 +388,19 @@ def dict_autocorrelation(d, N):
     return np.fft.irfft(f.real * f.real + f.imag * f.imag, n=N)
 
 
+def sequential_sum(terms):
+    """Left-to-right float sum, one Python add per term."""
+    acc = 0.0
+    for term in terms:
+        acc += term
+    return acc
+
+
 def dict_tail(r, L, u):
     k = np.arange(1, L + 1, dtype=float)
     w = np.sin(2.0 * math.pi * u * k) / (math.pi * k)
-    acc = 0.0
-    for term in (r[1 : L + 1] * w).tolist():
-        acc += term
-    return float(r[0] * (1.0 - 2.0 * u) - 2.0 * acc)
+    part = sequential_sum((r[1 : L + 1] * w).tolist())
+    return float(r[0] * (1.0 - 2.0 * u) - 2.0 * part)
 
 
 def dict_line_decomposition(nu, v, split=None):
@@ -405,9 +415,10 @@ def dict_line_decomposition(nu, v, split=None):
         L = a.size
         N = dict_fft_length(L)
         r = dict_autocorrelation(d, N)
-        e_direct = float(d @ d)
+        e_direct = sequential_sum(x * x for x in d.tolist())
         assert abs(e_direct - r[0]) <= 1e-10
-        masses.append(math.fsum(groups[rep].values()))
+        profile = groups[rep]
+        masses.append(sequential_sum(profile[ell] for ell in sorted(profile)))
         direct.append(e_direct)
         quad.append(float(r[0]))
         tails.append(dict_tail(r, L, u) if split is not None and u < 0.5 else 0.0)
@@ -454,6 +465,37 @@ def test_line_decomposition_matches_dict_oracle_on_a_convolution(v, split):
     got = line_decomposition(nu, v, split=split)
     want = dict_line_decomposition(nu, v, split=split)
     assert_same_decomposition(got, want)
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    ku = k * translation.UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
+
+@settings(deadline=None, max_examples=80)
+@given(measure_and_direction, st.floats(1e-3, 0.5))
+def test_sequential_line_sums_within_the_charged_slack(case, u):
+    # against the exactly rounded math.fsum masses and the BLAS d . d
+    # energies the sequential sums replaced
+    mu, v = case
+    dec = line_decomposition(mu, v, split=u)
+    groups = dict_line_groups(mu, v)
+    c = (8.0 * math.pi**2 / 3.0) * u**3
+    for rep, p, energy, N in zip(
+        map(tuple, dec.representatives.tolist()),
+        dec.line_masses.tolist(),
+        dec.line_energies.tolist(),
+        dec.line_nodes,
+    ):
+        profile = groups[rep]
+        exact = math.fsum(profile.values())
+        assert abs(p - exact) <= gamma(len(profile) - 1) * exact
+        main = c * p * p
+        assert c * exact * exact <= main + translation._mass_roundoff(main, N)
+        d = dict_line_steps(dict_line_array(profile))
+        dot = float(d @ d)
+        assert abs(energy - dot) <= 2.0 * gamma(d.size) * max(energy, dot)
 
 
 def midpoint_tail(d, u, nodes=2**16):
@@ -672,14 +714,16 @@ def loop_spectral_check(nu, W, delta, eta, v, spread):
     ):
         main_bound = (8.0 * math.pi**2 / 3.0) * u**3 * p * p
         roundoff = translation._tail_roundoff(energy, N, u)
-        slack = roundoff + 1e-12
+        mass_roundoff = translation._mass_roundoff(main_bound, N)
+        slack = roundoff + mass_roundoff + 1e-12
         ok = energy <= main_bound + beta + slack
         if lines_ok and not ok:
             lines_ok = False
             violations.append(
                 f"line through {tuple(rep)}: energy {energy:.6g} exceeds main"
                 f" {main_bound:.6g} + beta {beta:.6g} + slack {slack:.6g}"
-                f" (roundoff allowance {roundoff:.3g} + floor 1e-12)"
+                f" (roundoff allowance {roundoff:.3g} + mass rounding"
+                f" {mass_roundoff:.3g} + floor 1e-12)"
             )
         total_beta += beta
         total_energy += energy
@@ -752,6 +796,7 @@ def test_spectral_line_failure_names_both_slack_terms(monkeypatch):
     (msg,) = [s for s in report.violations if s.startswith("line through")]
     assert "exceeds main" in msg and "+ beta 0 +" in msg
     assert "roundoff allowance" in msg and "+ floor 1e-12)" in msg
+    assert "+ mass rounding " in msg
 
 
 def test_spectral_forced_line_failure_matches_loop_oracle(monkeypatch):
