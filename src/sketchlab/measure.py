@@ -6,9 +6,9 @@ A measure is stored as two arrays only: distinct int64 points sorted as
 Python tuples sort, and their masses.  Every producer hands its arrays
 straight to the constructor, which sums repeated points in input order.
 
-Exact convolution is a shift-and-add whose per-cell summation order is
-that of scipy's direct path, so it returns the same bits and clips
-nothing; only the FFT convolutions clip dust into the deficit.  The scan
+Every pipeline convolution is an FFT product that clips dust into the
+deficit.  convolve, the exact shift-and-add that no pipeline code calls,
+sums each cell in scipy's direct order; it is the reference.  The scan
 polish is coordinate ascent on arrays: each pass contracts the box of mu
 with per-axis exponentials down to a 1-d trigonometric sum per hit, and
 maximizes it by sampling plus safeguarded Newton steps, so the module
@@ -181,7 +181,7 @@ def gamma_truncated(
     pts, norms2 = pts[keep], norms2[keep]
     z = gamma_normalizer(dimension, radius)
     masses = np.exp(-math.pi * norms2 / (radius * radius)) / z
-    total = math.fsum(masses)
+    total = math.fsum(masses.tolist())
     return SparseMeasure(dimension, pts, masses, deficit=max(0.0, 1.0 - total))
 
 
@@ -261,7 +261,8 @@ def _covering_exponent(mus: Sequence[SparseMeasure], exponent: int) -> int:
 
 
 def convolve(mu1: SparseMeasure, mu2: SparseMeasure) -> SparseMeasure:
-    """Exact convolution by shift-and-add.
+    """Exact convolution by shift-and-add: the bit-exact reference for
+    convolve_many_fft and symmetrize, which no pipeline code calls.
 
     Each atom of mu1, in stored (C) order, adds a scaled copy of mu2's
     dense box into the output, so every output cell sums its products
@@ -329,7 +330,7 @@ def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     idx = np.argwhere(conv > 0.0)
     pts = idx + lo  # corners add up across the factors
     masses = conv[tuple(idx.T)]
-    total = math.fsum(masses)
+    total = math.fsum(masses.tolist())
     return SparseMeasure(n, pts, masses, deficit=max(0.0, 1.0 - total))
 
 
@@ -535,8 +536,8 @@ def large_spectrum_scan(
 
 def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     """(1/M) sum_i mu_i * mu_i-reflected; the transform becomes the mean of
-    |mu_hat_i|^2, hence real and nonnegative.  Equal laws are convolved
-    once."""
+    |mu_hat_i|^2, hence real and nonnegative.  Each distinct law meets its
+    reflection once, in convolve_many_fft at every size, never convolve."""
     if not mus:
         raise ValueError("empty measure list")
     M = len(mus)
@@ -544,20 +545,13 @@ def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     terms = []
     for m in mus:
         key = _law_key(m)
-        conv = convs.get(key)
-        if conv is None:
-            big = m.support_size**2 > 4_000_000
-            conv = (
-                convolve_many_fft([m, reflect(m)])
-                if big
-                else convolve(m, reflect(m))
-            )
-            convs[key] = conv
-        terms.append(conv)
+        if key not in convs:
+            convs[key] = convolve_many_fft([m, reflect(m)])
+        terms.append(convs[key])
     # each point's terms are summed in the order of mus
     pts, masses = _sum_repeats(
         np.concatenate([c.points for c in terms]),
         np.concatenate([c.masses / M for c in terms]),
     )
-    total = math.fsum(masses)
+    total = math.fsum(masses.tolist())
     return SparseMeasure(mus[0].dimension, pts, masses, deficit=max(0.0, 1.0 - total))

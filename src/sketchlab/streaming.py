@@ -435,7 +435,7 @@ class _FoldTable:
                 f"no block delta moves state {state} to {nxt} in block "
                 f"{block_index}"
             )
-        beta = math.fsum(support.masses[mask])
+        beta = math.fsum(support.masses[mask].tolist())
         law = SparseMeasure(
             support.dimension, support.points[mask], support.masses[mask] / beta
         )
@@ -598,9 +598,10 @@ def select_state_sequence(
     estimated from SELECTION_LANDINGS resampled closing blocks per target
     point, reseeded per candidate from its own states so the aggregation
     is order independent.  The best estimate wins; exact ties go to the
-    lexicographically smallest states.  Survivors share one fold table,
-    so each distinct transition's posterior law is built and certified
-    once, however many survivors pass through it.
+    lexicographically smallest states.  The census and the survivors share
+    one fold table, so each distinct transition is stepped once and its
+    posterior law built and certified once, however many survivors pass
+    through it.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -611,11 +612,11 @@ def select_state_sequence(
     prefixes = _prefix_blocks(
         radius, blocks, pol, seed_rng.integers(0, 2**63, size=samples)
     )
+    table = _FoldTable(alg, gamma_truncated(alg.dimension, radius))
     paths = np.empty((samples, blocks + 1), dtype=np.int64)
     paths[:, 0] = alg.initial_state
-    memo: dict = {}
     for j in range(blocks):
-        paths[:, j + 1] = fold_deltas(alg, prefixes[:, j], j, paths[:, j], memo)
+        paths[:, j + 1] = fold_deltas(alg, prefixes[:, j], j, paths[:, j], table.memo)
     census = Counter(map(tuple, paths.tolist()))
     cut = 0.5 * 0.5**blocks if threshold is None else threshold
     survivors = sorted(
@@ -624,7 +625,6 @@ def select_state_sequence(
     if not survivors:
         ranked = sorted(census.items(), key=lambda kv: (-kv[1], kv[0]))
         raise SelectionFailed(cut, samples, tuple(ranked))
-    table = _FoldTable(alg, gamma_truncated(alg.dimension, radius))
     best: StateSequence | None = None
     for states in survivors:
         laws, densities = _conditional_blocks(table, states, radius)

@@ -27,6 +27,7 @@ from .measure import (
     gamma_truncated,
 )
 from .spectrum import (
+    GRID_EXPONENT,
     NearOriginBasis,
     SketchLattice,
     StructureConfig,
@@ -333,7 +334,7 @@ def measured_structure_spread(
     Grid points only; the spread is a measured proxy for the theoretical
     neighborhood radius, not a certificate between grid points.
     """
-    side = 2 ** _covering_exponent([nu], 7)
+    side = 2 ** _covering_exponent([nu], GRID_EXPONENT)
     mags = np.abs(np.fft.fftn(_grid_embed(nu, (side,) * nu.dimension)))
     heavy = np.argwhere(mags > eta + 1e-12)
     if heavy.shape[0] == 0:

@@ -662,13 +662,13 @@ class TestSymmetrize:
         pieces = [g, h, g_again, g, h]
         want = dict_symmetrize(pieces)
         calls = []
-        real = measure.convolve
+        real = measure.convolve_many_fft
 
-        def spy(mu1, mu2):
-            calls.append(mu1)
-            return real(mu1, mu2)
+        def spy(mus):
+            calls.append(mus)
+            return real(mus)
 
-        monkeypatch.setattr(measure, "convolve", spy)
+        monkeypatch.setattr(measure, "convolve_many_fft", spy)
         sym = measure.symmetrize(pieces)
         assert len(calls) == 2
         assert np.array_equal(sym.points, want[0])
@@ -693,14 +693,43 @@ class TestSymmetrize:
         assert np.array_equal(sym.points, want[0])
         assert sym.masses.tobytes() == want[1].tobytes()
         assert sym.deficit == want[2]
+        # against the exact shift-and-add: kept atoms agree to roundoff,
+        # and the deficit covers every atom the dust clip dropped
+        exact = dict_symmetrize(pieces, direct_product)
+        kept = sym.atoms
+        direct = dict(zip(map(tuple, exact[0].tolist()), exact[1].tolist()))
+        assert all(abs(m - direct.get(p, 0.0)) <= 1e-12 for p, m in kept.items())
+        dropped = [m for p, m in direct.items() if p not in kept]
+        assert dropped and sym.deficit >= math.fsum(dropped)
+
+    @pytest.mark.parametrize("radius", [3.0, 6.0])
+    def test_never_calls_the_direct_convolution(self, monkeypatch, radius):
+        # 509 atoms at R = 3, 2 029 at R = 6: both sides of 2 000
+        g = measure.gamma_truncated(2, radius)
+
+        def refuse(mu1, mu2):
+            raise AssertionError("symmetrize called measure.convolve")
+
+        monkeypatch.setattr(measure, "convolve", refuse)
+        measure.symmetrize([g, translate(g, [1, 0])])
 
 
-def dict_symmetrize(pieces):
+def fft_product(m):
+    return measure.convolve_many_fft([m, measure.reflect(m)])
+
+
+def direct_product(m):
+    return measure.convolve(m, measure.reflect(m))
+
+
+def dict_symmetrize(pieces, product=fft_product):
     """symmetrize's dict accumulation before the array store, kept as its
-    oracle: each law convolved with its reflection, terms summed point by
-    point in the order of the laws."""
+    oracle: each law's product with its reflection (by FFT, as symmetrize
+    forms it, or by the exact shift-and-add), terms summed point by point
+    in the order of the laws."""
     out: dict[tuple[int, ...], float] = {}
     for m in pieces:
-        for p, w in measure.convolve(m, measure.reflect(m)).atoms.items():
+        for p, w in product(m).atoms.items():
             out[p] = out.get(p, 0.0) + w / len(pieces)
     return dict_canonical(2, out, max(0.0, 1.0 - math.fsum(out.values())))
+

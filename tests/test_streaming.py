@@ -704,6 +704,24 @@ def test_selection_certifies_each_distinct_transition_once(monkeypatch, alg, blo
         assert {k[0] for k in keys} == set(range(blocks))
 
 
+@pytest.mark.parametrize(
+    "alg, blocks",
+    [(parity_algorithm(2), 3), (alternating_algorithm(2, horizon=4), 3)],
+)
+def test_selection_steps_each_distinct_transition_once(alg, blocks):
+    # census, fold table and success estimates share one transition memo
+    spy, calls = counting(alg)
+    select_state_sequence(
+        spy, TARGET4, ProblemSpec.promise(lambda y: "*"),
+        8.0, blocks, samples=64, seed=3,
+    )
+    if alg.uniform:
+        per_key = Counter((s, c, g) for j, s, c, g in calls.elements())
+    else:
+        per_key = calls
+    assert per_key and set(per_key.values()) == {1}
+
+
 # -- state sequences ----------------------------------------------------------
 
 
