@@ -5,7 +5,7 @@
 
 Each checkout's own `scripts/run_suite.py` runs in a fresh temporary
 directory with `PYTHONPATH=<checkout>/src` (and `TMPDIR` inside it, so
-the suite's config copies go away with it).  The two `out/suite` trees
+config copies that an older suite leaves behind go away with it).  The two `out/suite` trees
 are then compared file by file, skipping each CSV's leading timestamp
 comment.  Every differing line is printed with its file, and so is every
 file that only one side wrote.  Exit status is 1 on any difference, a

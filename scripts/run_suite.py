@@ -7,6 +7,7 @@ constant and parity scenarios get the radius sweep. Exit status is the
 worst exit status seen, so a red run is visible to CI.
 """
 
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -35,6 +36,16 @@ def scenario_config(scenario: str, route: str, blocks: int) -> Path:
     return out
 
 
+def run_scenario(verb: str, scenario: str, route: str, blocks: int, out: Path) -> int:
+    """Run one verb on a scenario's config, then remove the config's
+    temporary directory."""
+    cfg = scenario_config(scenario, route, blocks)
+    try:
+        return run([verb, "--config", str(cfg), "--out", str(out)])
+    finally:
+        shutil.rmtree(cfg.parent)
+
+
 def main_suite() -> int:
     worst = 0
     worst = max(worst, run(["verify-lemmas", "--config", str(CONFIG), "--out", str(OUT)]))
@@ -47,13 +58,11 @@ def main_suite() -> int:
         ("capped-norm", "mollified", 2),
     ]
     for scenario, route, blocks in runs:
-        cfg = scenario_config(scenario, route, blocks)
         out = OUT / scenario
-        worst = max(worst, run(["extract", "--config", str(cfg), "--out", str(out)]))
+        worst = max(worst, run_scenario("extract", scenario, route, blocks, out))
     for scenario in ("constant", "parity"):
-        cfg = scenario_config(scenario, "exact", 2)
         out = OUT / f"sweep-{scenario}"
-        worst = max(worst, run(["tv-sweep", "--config", str(cfg), "--out", str(out)]))
+        worst = max(worst, run_scenario("tv-sweep", scenario, "exact", 2, out))
     worst = max(worst, run(["report", "--out", str(OUT)]))
     return worst
 

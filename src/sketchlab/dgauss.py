@@ -1,10 +1,9 @@
 """Discrete Gaussian primitives on Z^n.
 
-Mass functions exp(-pi (x-c)^T Sigma^{-1} (x-c)), truncated sums with
-certified tail bounds, an exact truncated sampler with a batched form
-that draws every seed's numpy PCG64 stream with one array kernel, and
-the two lattice-Gaussian checks (Poisson summation, convolution
-domination) that `verify-lemmas` runs.
+The normalizer of gamma_R on tail-certified boxes, an exact truncated
+sampler with a batched form that draws every seed's numpy PCG64 stream
+with one array kernel, and the two lattice-Gaussian checks (Poisson
+summation, convolution domination) that `verify-lemmas` runs.
 """
 
 from __future__ import annotations
@@ -18,16 +17,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "GaussianShape",
     "TruncationPolicy",
-    "Box",
     "auto_box",
     "box_points",
-    "RhoSum",
-    "rho_sum",
     "gamma_normalizer",
-    "gamma_pmf",
-    "gamma_tail_bound",
     "pcg64_raw",
     "sample_truncated",
     "sample_truncated_many",
@@ -36,9 +29,6 @@ __all__ = [
     "DominationCheck",
     "gamma_conv_domination_check",
 ]
-
-# Axis-aligned integer box: one inclusive (lo, hi) pair per coordinate.
-Box = tuple[tuple[int, int], ...]
 
 DEFAULT_TAIL_MASS = 1e-12
 
@@ -49,34 +39,6 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (2549297995355413924, 4865540595714422341)
 _LOW32 = 0xFFFFFFFF
-
-
-@dataclass(frozen=True)
-class GaussianShape:
-    """Gaussian mass function exp(-pi (x-c)^T Sigma^{-1} (x-c)).
-
-    `sigma` is the shape matrix Sigma; the spherical case Sigma = R^2 I is
-    what gamma_R uses, but the small-ball machinery needs genuinely
-    ellipsoidal shapes, so both share this one type.
-    """
-
-    dimension: int
-    sigma: np.ndarray
-    center: np.ndarray
-
-    def __post_init__(self) -> None:
-        sigma = np.asarray(self.sigma, dtype=float)
-        center = np.asarray(self.center, dtype=float).reshape(-1)
-        if sigma.shape != (self.dimension, self.dimension):
-            raise ValueError("shape matrix must be n x n")
-        if center.shape != (self.dimension,):
-            raise ValueError("center must be an n-vector")
-        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12):
-            raise ValueError("shape matrix must be symmetric")
-        if np.linalg.eigvalsh(sigma)[0] <= 0.0:
-            raise ValueError("shape matrix must be positive definite")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)
@@ -106,88 +68,23 @@ class TruncationPolicy:
         return cls(dimension, tail_mass_target, u)
 
 
-def gamma_tail_bound(dimension: int, radius: float, cutoff: float) -> float:
-    """(sqrt 2)^n exp(-pi u^2 / (2 R^2)), the gamma_R mass above ||x|| = u."""
-    return math.sqrt(2.0) ** dimension * math.exp(
-        -math.pi * cutoff * cutoff / (2.0 * radius * radius)
-    )
+def auto_box(dimension: int, radius: float) -> tuple[tuple[int, int], ...]:
+    """Smallest axis box about the origin containing the Euclidean ball of
+    the given radius: one inclusive (lo, hi) pair per coordinate."""
+    return ((math.floor(-radius), math.ceil(radius)),) * dimension
 
 
-def auto_box(
-    dimension: int, radius: float, center: Sequence[float] | None = None
-) -> Box:
-    """Smallest axis box containing the Euclidean ball of the given radius."""
-    c = np.zeros(dimension) if center is None else np.asarray(center, dtype=float)
-    return tuple(
-        (math.floor(c[i] - radius), math.ceil(c[i] + radius))
-        for i in range(dimension)
-    )
-
-
-def _validated_box(box: Sequence[Sequence[int]], dimension: int) -> Box:
-    out = tuple((int(lo), int(hi)) for lo, hi in box)
-    if len(out) != dimension:
-        raise ValueError("box dimension mismatch")
-    if any(hi < lo for lo, hi in out):
-        raise ValueError("empty box")
-    return out
-
-
-def box_points(box: Box) -> np.ndarray:
+def box_points(box: Sequence[tuple[int, int]]) -> np.ndarray:
     """All integer points of the box, shape (count, n), row-major order."""
     axes = [np.arange(lo, hi + 1) for lo, hi in box]
     grid = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grid], axis=-1)
 
 
-@dataclass(frozen=True)
-class RhoSum:
-    """Truncated Gaussian sum plus a certified bound on the omitted mass."""
-
-    value: float
-    tail_bound: float
-
-
-def _axis_sum(scale2: float, center: float, lo: int, hi: int) -> float:
-    xs = np.arange(lo, hi + 1, dtype=float) - center
-    return math.fsum(np.exp(-math.pi * xs * xs / scale2))
-
-
-def rho_sum(shape: GaussianShape, box: Sequence[Sequence[int]]) -> RhoSum:
-    """Sum exp(-pi (x-c)^T Sigma^{-1} (x-c)) over the integer box.
-
-    The tail bound covers every integer point outside the box: with
-    r = sqrt(lambda_max(Sigma)) and u the guaranteed distance from c to
-    the box complement, the omitted mass is at most
-    exp(-pi u^2 / (2 r^2)) * rho_{sqrt2 r}(Z^n), and the centered sum
-    dominates the shifted one.
-    """
-    bx = _validated_box(box, shape.dimension)
-    diag = np.diag(np.diag(shape.sigma))
-    if np.array_equal(shape.sigma, diag):
-        value = 1.0
-        for i, (lo, hi) in enumerate(bx):
-            value *= _axis_sum(float(shape.sigma[i, i]), float(shape.center[i]), lo, hi)
-    else:
-        pts = box_points(bx)
-        diff = pts - shape.center
-        q = np.einsum("ij,jk,ik->i", diff, np.linalg.inv(shape.sigma), diff)
-        value = math.fsum(np.exp(-math.pi * q))
-    r_max = math.sqrt(float(np.linalg.eigvalsh(shape.sigma)[-1]))
-    u = min(
-        min(shape.center[i] - (lo - 1), (hi + 1) - shape.center[i])
-        for i, (lo, hi) in enumerate(bx)
-    )
-    u = max(float(u), 0.0)
-    tail = (1.0 + math.sqrt(2.0) * r_max) ** shape.dimension * math.exp(
-        -math.pi * u * u / (2.0 * r_max * r_max)
-    )
-    return RhoSum(value, tail)
-
-
 @lru_cache(maxsize=None)
 def _normalizer_1d(radius: float, lo: int, hi: int) -> float:
-    return _axis_sum(radius * radius, 0.0, lo, hi)
+    xs = np.arange(lo, hi + 1, dtype=float)
+    return math.fsum(np.exp(-math.pi * xs * xs / (radius * radius)))
 
 
 def gamma_normalizer(dimension: int, radius: float) -> float:
@@ -200,20 +97,6 @@ def gamma_normalizer(dimension: int, radius: float) -> float:
     for lo, hi in box:
         value *= _normalizer_1d(float(radius), int(lo), int(hi))
     return value
-
-
-def gamma_pmf(radius: float, x: Sequence[int]) -> float:
-    """gamma_R(x) = exp(-pi ||x||^2 / R^2) / rho_R(Z^n).
-
-    The normalizer is summed over the box of tail certificate 1e-15, well
-    under the 1e-12 requirement.
-    """
-    if radius < 1.0:
-        raise ValueError("R must be at least 1")
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    return math.exp(-math.pi * float(xv @ xv) / (radius * radius)) / gamma_normalizer(
-        xv.size, radius
-    )
 
 
 def _inverse_cdf(
@@ -377,6 +260,16 @@ def sample_truncated_many(
     return out
 
 
+def _rho_sum(sigma: np.ndarray, box: Sequence[tuple[int, int]]) -> float:
+    """sum_x exp(-pi x^T Sigma^{-1} x) over the integer points of the box.
+
+    Sigma is inverted here even when the caller holds its inverse, so the
+    Poisson lhs sums over inv(inv(M)) and its n = 2 rows keep their bits."""
+    x = box_points(box).astype(float)
+    q = np.einsum("ij,jk,ik->i", x, np.linalg.inv(sigma), x)
+    return math.fsum(np.exp(-math.pi * q))
+
+
 @dataclass(frozen=True)
 class PoissonCheck:
     lhs: float
@@ -406,8 +299,8 @@ def poisson_identity_check(M: np.ndarray) -> PoissonCheck:
     dual_box = auto_box(
         n, TruncationPolicy.for_gaussian(n, max(r_dual, 1.0), 1e-14).radius
     )
-    lhs = rho_sum(GaussianShape(n, Minv, np.zeros(n)), box).value
-    dual_total = rho_sum(GaussianShape(n, M, np.zeros(n)), dual_box).value
+    lhs = _rho_sum(Minv, box)
+    dual_total = _rho_sum(M, dual_box)
     rhs = dual_total / math.sqrt(float(np.linalg.det(M)))
     return PoissonCheck(lhs, rhs, abs(lhs - rhs) / rhs)
 

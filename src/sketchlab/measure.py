@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dgauss import TruncationPolicy, auto_box, gamma_normalizer
+from .dgauss import TruncationPolicy, auto_box, box_points, gamma_normalizer
 
 __all__ = [
     "SparseMeasure",
@@ -31,7 +31,6 @@ __all__ = [
     "ScanReport",
     "gamma_truncated",
     "reflect",
-    "restrict",
     "fourier_at",
     "fourier_many",
     "expected_norm",
@@ -171,11 +170,7 @@ def gamma_truncated(
     pol = policy or TruncationPolicy.for_gaussian(dimension, radius)
     if pol.dimension != dimension:
         raise ValueError("policy dimension mismatch")
-    box = auto_box(dimension, pol.radius)
-    axes = [np.arange(lo, hi + 1) for lo, hi in box]
-    pts = np.stack(
-        [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1
-    )
+    pts = box_points(auto_box(dimension, pol.radius))
     norms2 = np.einsum("ij,ij->i", pts, pts).astype(float)
     keep = norms2 <= pol.radius * pol.radius
     pts, norms2 = pts[keep], norms2[keep]
@@ -187,21 +182,6 @@ def gamma_truncated(
 
 def reflect(mu: SparseMeasure) -> SparseMeasure:
     return SparseMeasure(mu.dimension, -mu.points, mu.masses, deficit=mu.deficit)
-
-
-def restrict(
-    mu: SparseMeasure,
-    keep: Callable[[tuple[int, ...]], bool],
-    renormalize: bool = False,
-) -> SparseMeasure:
-    mask = np.array([keep(p) for p in map(tuple, mu.points.tolist())], dtype=bool)
-    if not mask.any():
-        raise ValueError("restriction removed all mass")
-    masses = mu.masses[mask]
-    total = math.fsum(masses)
-    if renormalize:
-        return SparseMeasure(mu.dimension, mu.points[mask], masses / total)
-    return SparseMeasure(mu.dimension, mu.points[mask], masses, deficit=1.0 - total)
 
 
 def fourier_at(mu: SparseMeasure, zeta: np.ndarray) -> complex:

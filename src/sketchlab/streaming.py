@@ -1,8 +1,7 @@
 """Turnstile algorithms conditioned on their boundary states.
 
-Canonical unit-update realizations of integer block deltas,
-deterministic algorithms with optional per-block rule changes and the
-array fold that runs them over many deltas at once, sampled stream
+Deterministic algorithms with optional per-block rule changes and the
+array fold that runs them over many block deltas at once, sampled stream
 models around a target distribution, posterior block laws after
 conditioning on a boundary-state sequence, and the empirical selection
 of a high-success sequence.
@@ -33,8 +32,6 @@ __all__ = [
     "ProblemSpec",
     "ImpossibleSequence",
     "SelectionFailed",
-    "canonical_realization",
-    "fold_block",
     "fold_deltas",
     "exact_stream_sample",
     "posterior_laws",
@@ -43,7 +40,6 @@ __all__ = [
     "constant_algorithm",
     "parity_algorithm",
     "mod_counter_algorithm",
-    "identity_box_algorithm",
     "alternating_algorithm",
 ]
 
@@ -64,19 +60,6 @@ class Update:
             raise ValueError("coordinate must be nonnegative")
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-
-
-def canonical_realization(v: Sequence[int]) -> tuple[Update, ...]:
-    """The fixed unit-update block realizing net delta v.
-
-    Coordinates are visited in ascending order; coordinate i contributes
-    |v_i| updates of sign sgn(v_i).  The block length is ||v||_1.
-    """
-    out: list[Update] = []
-    for i, c in enumerate(int(x) for x in v):
-        s = 1 if c > 0 else -1
-        out.extend(Update(i, s) for _ in range(abs(c)))
-    return tuple(out)
 
 
 # -- algorithms ----------------------------------------------------------------
@@ -124,19 +107,6 @@ class TurnstileAlgorithm:
         return nxt
 
 
-def fold_block(
-    alg: TurnstileAlgorithm,
-    block_index: int,
-    state: int,
-    delta: Sequence[int],
-) -> int:
-    """State after processing the canonical block of `delta`."""
-    s = int(state)
-    for u in canonical_realization(delta):
-        s = alg.step(block_index, s, u)
-    return s
-
-
 def fold_deltas(
     alg: TurnstileAlgorithm,
     deltas: np.ndarray,
@@ -146,9 +116,10 @@ def fold_deltas(
 ) -> np.ndarray:
     """End states of the canonical blocks of every row of `deltas`.
 
-    Row k ends where `fold_block(alg, block_index, state, deltas[k])`
-    does; `state` is one start state or one per row.  Coordinates are
-    folded in ascending order.  For each (coordinate, sign) the distinct
+    The canonical block of a delta v visits the coordinates in ascending
+    order, coordinate i contributing |v_i| unit updates of sign sgn(v_i),
+    and row k's block starts at `state` (one start state or one per row)
+    in block `block_index`.  For each (coordinate, sign) the distinct
     start states are walked once along their orbit under that unit
     update, up to the longest run any row needs or the first repeated
     state, and every row reads its end state off its start's orbit or
@@ -234,10 +205,8 @@ class ProblemSpec:
             raise ValueError("promise problems need a label map")
 
     @classmethod
-    def promise(
-        cls, target: Callable[[tuple[int, ...]], object], delta: float = 0.0
-    ) -> "ProblemSpec":
-        return cls(kind="promise", target=target, outputs=(0, 1), delta=delta)
+    def promise(cls, target: Callable[[tuple[int, ...]], object]) -> "ProblemSpec":
+        return cls(kind="promise", target=target, outputs=(0, 1))
 
     @classmethod
     def metric_approximation(
@@ -276,8 +245,8 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class StreamSample:
     """One draw from a stream model: the target it lands on and its block
-    deltas.  Folding `canonical_realization` of each delta in order
-    replays it update by update."""
+    deltas.  Folding the canonical block of each delta in order (see
+    `fold_deltas`) replays it update by update."""
 
     target: tuple[int, ...]
     deltas: tuple[tuple[int, ...], ...]
@@ -306,7 +275,7 @@ def exact_stream_sample(
     target: SparseMeasure,
     radius: float,
     blocks: int,
-    seed: int = 0,
+    seed: int,
 ) -> StreamSample:
     """Truncated-Gaussian prefix blocks closed by a block hitting the target.
 
@@ -652,15 +621,15 @@ def select_state_sequence(
 # -- algorithm zoo -----------------------------------------------------------------
 
 
-def constant_algorithm(dimension: int, value: object = 0) -> TurnstileAlgorithm:
-    """Single-state algorithm answering `value` regardless of the stream."""
+def constant_algorithm(dimension: int) -> TurnstileAlgorithm:
+    """Single-state algorithm answering 0 regardless of the stream."""
     return TurnstileAlgorithm(
         name="constant",
         dimension=dimension,
         state_bits=0,
         initial_state=0,
         transition=lambda j, s, u: 0,
-        output=lambda s: value,
+        output=lambda s: 0,
     )
 
 
@@ -689,51 +658,6 @@ def mod_counter_algorithm(dimension: int, modulus: int = 3) -> TurnstileAlgorith
             (s + u.sign) % modulus if u.coordinate == 0 else s
         ),
         output=lambda s: s,
-    )
-
-
-def identity_box_algorithm(dimension: int, box_radius: int) -> TurnstileAlgorithm:
-    """Records the frequency vector exactly while it stays inside a box.
-
-    States enumerate the box plus one absorbing overflow state with id 0;
-    the output is the recorded vector, or None after overflow.
-    """
-    if box_radius < 1:
-        raise ValueError("box radius must be positive")
-    side = 2 * box_radius + 1
-    count = side**dimension + 1
-
-    def encode(x: Sequence[int]) -> int:
-        code = 0
-        for c in x:
-            code = code * side + (c + box_radius)
-        return code + 1
-
-    def decode(state: int) -> list[int]:
-        code = state - 1
-        out = []
-        for _ in range(dimension):
-            out.append(code % side - box_radius)
-            code //= side
-        out.reverse()
-        return out
-
-    def transition(j: int, s: int, u: Update) -> int:
-        if s == 0:
-            return 0
-        x = decode(s)
-        x[u.coordinate] += u.sign
-        if abs(x[u.coordinate]) > box_radius:
-            return 0
-        return encode(x)
-
-    return TurnstileAlgorithm(
-        name="identity-box",
-        dimension=dimension,
-        state_bits=(count - 1).bit_length(),
-        initial_state=encode((0,) * dimension),
-        transition=transition,
-        output=lambda s: None if s == 0 else tuple(decode(s)),
     )
 
 

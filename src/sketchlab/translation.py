@@ -196,10 +196,6 @@ class LineDecomposition:
     tv: float
 
     @property
-    def total_mass(self) -> float:
-        return math.fsum(self.line_masses)
-
-    @property
     def total_energy(self) -> float:
         return math.fsum(self.line_energies)
 

@@ -1,15 +1,15 @@
-"""Test measures from point -> mass tables and by translation, and three
-oracles: the dict constructor that SparseMeasure had before sorted
-arrays became its only store, which the array constructor must match bit
-for bit, the np.lexsort row grouping that the packed-key sort in
-measure._lex_groups replaced, and the per-hit scalar scan polish, one
-scipy Brent search per coordinate pass, that the array polish
-replaced."""
+"""Test measures from point -> mass tables, by translation and by
+restriction to a predicate, and three oracles: the dict constructor that
+SparseMeasure had before sorted arrays became its only store, which the
+array constructor must match bit for bit, the np.lexsort row grouping
+that the packed-key sort in measure._lex_groups replaced, and the
+per-hit scalar scan polish, one scipy Brent search per coordinate pass,
+that the array polish replaced."""
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -32,6 +32,23 @@ def translate(mu: SparseMeasure, v: Sequence[int]) -> SparseMeasure:
     """tau_v mu with (tau_v mu)(x) = mu(x - v)."""
     shifted = mu.points + np.asarray(v, dtype=np.int64)
     return SparseMeasure(mu.dimension, shifted, mu.masses, deficit=mu.deficit)
+
+
+def restrict(
+    mu: SparseMeasure,
+    keep: Callable[[tuple[int, ...]], bool],
+    renormalize: bool = False,
+) -> SparseMeasure:
+    """mu on the points that `keep` accepts; the removed mass becomes
+    deficit, or with `renormalize` the kept masses are scaled to sum to 1."""
+    mask = np.array([keep(p) for p in map(tuple, mu.points.tolist())], dtype=bool)
+    if not mask.any():
+        raise ValueError("restriction removed all mass")
+    masses = mu.masses[mask]
+    total = math.fsum(masses)
+    if renormalize:
+        return SparseMeasure(mu.dimension, mu.points[mask], masses / total)
+    return SparseMeasure(mu.dimension, mu.points[mask], masses, deficit=1.0 - total)
 
 
 def dict_canonical(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -11,91 +12,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from dgauss_oracle import gamma_pmf, gamma_tail_bound
 from sketchlab import dgauss
 from sketchlab.measure import gamma_truncated
 
 
-def direct_rho_1d(R: float, center: float, width: int) -> float:
-    # independent oracle: plain truncated summation
+def direct_rho(sigma: np.ndarray, box) -> float:
+    """sum_x exp(-pi x^T Sigma^{-1} x) over the box, one point at a time:
+    the independent oracle of the vectorized sum."""
+    inv = np.linalg.inv(sigma)
     return math.fsum(
-        math.exp(-math.pi * (k - center) ** 2 / (R * R))
-        for k in range(-width, width + 1)
+        math.exp(-math.pi * float(np.array(x) @ inv @ np.array(x)))
+        for x in itertools.product(*(range(lo, hi + 1) for lo, hi in box))
     )
 
 
+@st.composite
+def shapes(draw) -> np.ndarray:
+    """Symmetric positive-definite shape matrices A A^T + t I in n = 1, 2."""
+    n = draw(st.sampled_from([1, 2]))
+    entries = st.floats(-2.0, 2.0, allow_nan=False)
+    A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return A @ A.T + draw(st.floats(0.1, 2.0)) * np.eye(n)
+
+
 class TestShapes:
-    def test_rejects_indefinite_matrix(self):
-        with pytest.raises(ValueError):
-            dgauss.GaussianShape(2, np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
-
-    def test_rejects_asymmetric_matrix(self):
-        with pytest.raises(ValueError):
-            dgauss.GaussianShape(2, np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
-
     def test_truncation_policy_certificate(self):
         pol = dgauss.TruncationPolicy.for_gaussian(2, 8.0, 1e-12)
-        assert dgauss.gamma_tail_bound(2, 8.0, pol.radius) <= 1e-12 * (1 + 1e-9)
+        assert gamma_tail_bound(2, 8.0, pol.radius) <= 1e-12 * (1 + 1e-9)
 
 
 class TestRhoSum:
+    """The Poisson check's Gaussian sum, dgauss._rho_sum, on centered
+    boxes."""
+
     def test_box_growth_below_1e12(self):
         # oracle: compare [-40, 40] against [-80, 80]
-        shp = dgauss.GaussianShape(1, 4.0 * np.eye(1), np.zeros(1))
-        a = dgauss.rho_sum(shp, [(-40, 40)]).value
-        b = dgauss.rho_sum(shp, [(-80, 80)]).value
+        a = dgauss._rho_sum(4.0 * np.eye(1), [(-40, 40)])
+        b = dgauss._rho_sum(4.0 * np.eye(1), [(-80, 80)])
         assert abs(a - b) < 1e-12
-        assert abs(a - direct_rho_1d(2.0, 0.0, 40)) < 1e-14
+        assert abs(a - direct_rho(4.0 * np.eye(1), [(-40, 40)])) < 1e-14
 
     def test_single_origin_term(self):
-        shp = dgauss.GaussianShape(1, 49.0 * np.eye(1), np.zeros(1))
-        assert dgauss.rho_sum(shp, [(0, 0)]).value == 1.0
+        assert dgauss._rho_sum(49.0 * np.eye(1), [(0, 0)]) == 1.0
 
     def test_product_structure(self):
-        one = dgauss.rho_sum(
-            dgauss.GaussianShape(1, 4.0 * np.eye(1), np.zeros(1)), [(-40, 40)]
-        ).value
-        two = dgauss.rho_sum(
-            dgauss.GaussianShape(2, 4.0 * np.eye(2), np.zeros(2)), [(-40, 40), (-40, 40)]
-        ).value
+        one = dgauss._rho_sum(4.0 * np.eye(1), [(-40, 40)])
+        two = dgauss._rho_sum(4.0 * np.eye(2), [(-40, 40), (-40, 40)])
         assert two == pytest.approx(one * one, rel=1e-14)
-
-    def test_empty_box_rejected(self):
-        shp = dgauss.GaussianShape(1, 4.0 * np.eye(1), np.zeros(1))
-        with pytest.raises(ValueError):
-            dgauss.rho_sum(shp, [(3, 2)])
-
-    def test_tail_bound_covers_truth(self):
-        # exact omitted mass vs the certificate, 1-D
-        shp = dgauss.GaussianShape(1, 9.0 * np.eye(1), np.zeros(1))
-        inner = dgauss.rho_sum(shp, [(-10, 10)])
-        outer = dgauss.rho_sum(shp, [(-200, 200)]).value
-        assert outer - inner.value <= inner.tail_bound
 
     def test_non_diagonal_shape_matches_direct_sum(self):
         sigma = np.array([[2.0, 0.6], [0.6, 1.5]])
-        shp = dgauss.GaussianShape(2, sigma, np.zeros(2))
-        got = dgauss.rho_sum(shp, [(-8, 8), (-8, 8)]).value
-        inv = np.linalg.inv(sigma)
-        oracle = math.fsum(
-            math.exp(-math.pi * (np.array([x, y]) @ inv @ np.array([x, y])))
-            for x in range(-8, 9)
-            for y in range(-8, 9)
+        got = dgauss._rho_sum(sigma, [(-8, 8), (-8, 8)])
+        assert got == pytest.approx(direct_rho(sigma, [(-8, 8), (-8, 8)]), rel=1e-14)
+
+    @given(shapes(), st.integers(0, 8))
+    @settings(deadline=None, max_examples=60)
+    def test_matches_direct_sum_on_random_shapes(self, sigma, width):
+        box = dgauss.auto_box(sigma.shape[0], width)
+        assert dgauss._rho_sum(sigma, box) == pytest.approx(
+            direct_rho(sigma, box), rel=1e-14
         )
-        assert got == pytest.approx(oracle, rel=1e-14)
 
 
 class TestGammaPmf:
     def test_origin_times_normalizer_is_one(self):
-        val = dgauss.gamma_pmf(2.0, [0])
+        val = gamma_pmf(2.0, [0])
         assert val * dgauss.gamma_normalizer(1, 2.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_ratio_forced_by_mass_function(self):
-        ratio = dgauss.gamma_pmf(2.0, [1]) / dgauss.gamma_pmf(2.0, [0])
+        ratio = gamma_pmf(2.0, [1]) / gamma_pmf(2.0, [0])
         assert ratio == pytest.approx(math.exp(-math.pi / 4.0), rel=1e-14)
 
     def test_frozen_value_at_origin(self):
         # oracle: direct truncated summation of rho_2(Z) over [-80, 80]
-        assert dgauss.gamma_pmf(2.0, [0]) == pytest.approx(
+        assert gamma_pmf(2.0, [0]) == pytest.approx(
             0.4999965126819667, rel=1e-13
         )
 
@@ -104,7 +95,7 @@ class TestGammaPmf:
     def test_normalization(self, R, n):
         box = dgauss.auto_box(n, dgauss.TruncationPolicy.for_gaussian(n, R).radius)
         pts = dgauss.box_points(box)
-        total = math.fsum(dgauss.gamma_pmf(R, p) for p in pts)
+        total = math.fsum(gamma_pmf(R, p) for p in pts)
         assert abs(total - 1.0) <= 1e-10
 
     @given(
@@ -113,7 +104,7 @@ class TestGammaPmf:
     )
     @settings(deadline=None, max_examples=40)
     def test_symmetry(self, R, x):
-        assert dgauss.gamma_pmf(R, x) == dgauss.gamma_pmf(R, [-v for v in x])
+        assert gamma_pmf(R, x) == gamma_pmf(R, [-v for v in x])
 
     @given(st.sampled_from([2.0, 4.0, 8.0]), st.sampled_from([4.0, 8.0, 16.0]))
     @settings(deadline=None, max_examples=9)
@@ -126,9 +117,9 @@ class TestGammaPmf:
             pts = dgauss.box_points(wide)
             norms2 = np.einsum("ij,ij->i", pts, pts)
             mass = math.fsum(
-                dgauss.gamma_pmf(R, p) for p, q in zip(pts, norms2) if q > u * u
+                gamma_pmf(R, p) for p, q in zip(pts, norms2) if q > u * u
             )
-            assert mass <= dgauss.gamma_tail_bound(n, R, u) + 1e-15
+            assert mass <= gamma_tail_bound(n, R, u) + 1e-15
 
 
 class TestSampler:
@@ -154,7 +145,7 @@ class TestSampler:
         pol = dgauss.TruncationPolicy.for_gaussian(1, 2.0)
         s = dgauss.sample_truncated(2.0, pol, 13, count=100_000)
         p_hat = float(np.mean(s[:, 0] == 0))
-        p = dgauss.gamma_pmf(2.0, [0])
+        p = gamma_pmf(2.0, [0])
         se = math.sqrt(p * (1 - p) / 100_000)
         assert abs(p_hat - p) <= 3.0 * se
 
@@ -274,63 +265,27 @@ class TestPoisson:
         assert chk.relative_error <= 1e-8
 
 
-def shifted_sums(radius: float, center) -> tuple[float, float]:
-    """rho_{R,c}(Z^n) and rho_R(Z^n) on tail-certified boxes."""
-    c = np.asarray(center, dtype=float).reshape(-1)
-    n = c.size
-    u = dgauss.TruncationPolicy.for_gaussian(n, radius, 1e-14).radius
-    lhs = dgauss.rho_sum(
-        dgauss.GaussianShape(n, radius * radius * np.eye(n), c), dgauss.auto_box(n, u, c)
-    ).value
-    rhs = dgauss.rho_sum(
-        dgauss.GaussianShape(n, radius * radius * np.eye(n), np.zeros(n)),
-        dgauss.auto_box(n, u),
-    ).value
-    return lhs, rhs
-
-
-class TestShiftedMaximizer:
-    # rho_{R,c}(Z^n) <= rho_R(Z^n): rho_sum's tail bound leans on it
-    def test_zero_center_equality(self):
-        lhs, rhs = shifted_sums(2.0, [0.0])
-        assert lhs == rhs
-
-    def test_half_shift_strict(self):
-        lhs, rhs = shifted_sums(2.0, [0.5])
-        assert lhs < rhs
-        # oracle: direct summation of both sides
-        assert lhs == pytest.approx(direct_rho_1d(2.0, 0.5, 60), rel=1e-11)
-        assert rhs == pytest.approx(direct_rho_1d(2.0, 0.0, 60), rel=1e-11)
-
-    def test_hundred_random_centers(self):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            lhs, rhs = shifted_sums(3.0, rng.random(2))
-            assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
-
-
-def upper_sums(M: np.ndarray, center) -> tuple[float, float]:
-    """sum_z exp(-pi (z-c)^T M (z-c)) by rho_sum, and (1 + lambda_min(M)^{-1/2})^n."""
+def upper_sums(M: np.ndarray) -> tuple[float, float]:
+    """sum_z exp(-pi z^T M z) by dgauss._rho_sum, and
+    (1 + lambda_min(M)^{-1/2})^n.  A shifted sum never exceeds the
+    centered one, so the bound holds at every center once it holds here."""
     n = M.shape[0]
-    c = np.asarray(center, dtype=float).reshape(-1)
     r = math.sqrt(float(np.linalg.eigvalsh(np.linalg.inv(M))[-1]))
     u = dgauss.TruncationPolicy.for_gaussian(n, max(r, 1.0), 1e-14).radius
-    lhs = dgauss.rho_sum(
-        dgauss.GaussianShape(n, np.linalg.inv(M), c), dgauss.auto_box(n, u, c)
-    ).value
+    lhs = dgauss._rho_sum(np.linalg.inv(M), dgauss.auto_box(n, u))
     rhs = (1.0 + 1.0 / math.sqrt(float(np.linalg.eigvalsh(M)[0]))) ** n
     return lhs, rhs
 
 
 class TestMultidimUpper:
     def test_identity_one_dim(self):
-        lhs, rhs = upper_sums(np.eye(1), [0.0])
+        lhs, rhs = upper_sums(np.eye(1))
         assert lhs <= rhs and lhs <= 2.0
         oracle = math.fsum(math.exp(-math.pi * k * k) for k in range(-20, 21))
         assert lhs == pytest.approx(oracle, rel=1e-12)
 
     def test_point_mass_limit(self):
-        lhs, rhs = upper_sums(400.0 * np.eye(1), [0.0])
+        lhs, rhs = upper_sums(400.0 * np.eye(1))
         assert lhs == pytest.approx(1.0, abs=1e-12)
         assert rhs == pytest.approx(1.05, abs=1e-9)
 
@@ -339,7 +294,7 @@ class TestMultidimUpper:
         for _ in range(20):
             A = rng.normal(size=(2, 2))
             M = A @ A.T + 0.1 * np.eye(2)
-            lhs, rhs = upper_sums(M, rng.random(2))
+            lhs, rhs = upper_sums(M)
             assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
 
 
@@ -352,8 +307,8 @@ class TestConvDomination:
         # oracle: exact convolution at 0 is sum_y gamma_R(y)^2
         R = 2.0
         w = 40
-        conv0 = math.fsum(dgauss.gamma_pmf(R, [y]) ** 2 for y in range(-w, w + 1))
-        ratio0 = conv0 / dgauss.gamma_pmf(math.sqrt(2.0) * R, [0])
+        conv0 = math.fsum(gamma_pmf(R, [y]) ** 2 for y in range(-w, w + 1))
+        ratio0 = conv0 / gamma_pmf(math.sqrt(2.0) * R, [0])
         assert ratio0 < 4.0
         chk = dgauss.gamma_conv_domination_check(R, 1)
         assert chk.worst_ratio >= ratio0 - 1e-12

@@ -27,25 +27,9 @@ PROGRAM_DIRS = ("src", "scripts", "benchmark")
 # use, and defaulted parameters (`module.func(param)`) that only tests
 # pass, each kept on purpose.
 TEST_ONLY = {
-    "streaming.fold_block": "per-row oracle that fold_deltas must match",
-    "dgauss.gamma_pmf": "closed-form pmf the sampler and tail bounds are checked against",
-    "measure.restrict": "builds the restricted laws that oracles recompute directly",
-    "streaming.identity_box_algorithm": "reference algorithm with one state per box point",
     "streaming.alternating_algorithm": "the one non-uniform reference algorithm",
-    "dgauss.gamma_tail_bound": "closed-form tail the truncation radius is solved from",
-    "dgauss.auto_box(center)": "builds the off-center boxes of the rho_sum tail tests",
-    "measure.restrict(renormalize)": "builds the coset laws the structure tests extract",
-    "streaming.ProblemSpec.promise(delta)": (
-        "a promise with a failure budget, which verify_smoothness reads"
-    ),
     "measure.gamma_truncated(policy)": (
         "truncates at tails of 1e-3 and 1e-11 for the deficit and bound tests"
-    ),
-    "streaming.exact_stream_sample(seed)": (
-        "the per-seed stream model the batched selection census must match"
-    ),
-    "streaming.constant_algorithm(value)": (
-        "a constant answer other than 0, for the decoder and census tests"
     ),
 }
 

@@ -16,15 +16,17 @@ from hypothesis import strategies as st
 from scipy import signal
 
 import sketchlab
+from dgauss_oracle import gamma_pmf
 from measure_oracle import (
     dict_canonical,
     from_atoms,
     lexsort_groups,
+    restrict,
     scalar_pass,
     scalar_polish,
     translate,
 )
-from sketchlab import dgauss, measure
+from sketchlab import measure
 
 
 def normalized(dim: int, weights: dict) -> measure.SparseMeasure:
@@ -346,7 +348,7 @@ class TestConvolveOracle:
     def test_parity_symmetrize_input(self):
         # the odd coset of gamma_8 against its reflection: 67x67 boxes
         g = measure.gamma_truncated(2, 8.0)
-        odd = measure.restrict(g, lambda p: sum(p) % 2 == 1, renormalize=True)
+        odd = restrict(g, lambda p: sum(p) % 2 == 1, renormalize=True)
         rev = measure.reflect(odd)
         assert_same_measure(measure.convolve(odd, rev), scipy_direct_convolve(odd, rev))
 
@@ -419,7 +421,7 @@ class TestDensityCertificate:
 
     def test_parity_piece_is_half_density(self):
         g = measure.gamma_truncated(2, 4.0)
-        even = measure.restrict(
+        even = restrict(
             g, lambda p: (p[0] + p[1]) % 2 == 0, renormalize=True
         )
         # oracle: alpha equals the exact parity mass
@@ -434,7 +436,7 @@ class TestDensityCertificate:
         cert = measure.density_certificate(
             measure.SparseMeasure.uniform([[0, 0]]), 4.0
         )
-        assert cert.alpha == pytest.approx(dgauss.gamma_pmf(4.0, [0, 0]), rel=1e-12)
+        assert cert.alpha == pytest.approx(gamma_pmf(4.0, [0, 0]), rel=1e-12)
 
     @given(small_measures(2))
     @settings(max_examples=20, deadline=None)
@@ -446,7 +448,7 @@ class TestDensityCertificate:
         mu = measure.SparseMeasure.uniform([[0], [3], [5]])
         cert = measure.density_certificate(mu, 4.0)
         for p, m in mu.atoms.items():
-            assert m <= dgauss.gamma_pmf(4.0, p) / cert.alpha * (1 + 1e-9)
+            assert m <= gamma_pmf(4.0, p) / cert.alpha * (1 + 1e-9)
 
 
 class TestLargeSpectrumScan:
@@ -488,7 +490,7 @@ class TestLargeSpectrumScan:
         assert coarse.margin_vacuous
 
     def test_tie_order_lexicographic(self):
-        ev = measure.restrict(
+        ev = restrict(
             measure.gamma_truncated(2, 8.0),
             lambda p: (p[0] + p[1]) % 2 == 0,
             renormalize=True,
@@ -572,7 +574,7 @@ class TestPolish:
         # have one maximum within reach of a hit, so both polishes climb
         # the same one; |mu_hat| is even, so rows agree up to z = +-want
         # (mod 1).
-        even = measure.restrict(
+        even = restrict(
             measure.gamma_truncated(2, 3.0),
             lambda p: (p[0] + p[1]) % 2 == 0,
             renormalize=True,
@@ -680,7 +682,7 @@ class TestSymmetrize:
         # the inner box collects a term from each, so a summation order
         # other than the dict's sequential one shows in the low bits
         g = measure.gamma_truncated(2, 3.0)
-        even = measure.restrict(
+        even = restrict(
             measure.gamma_truncated(2, 4.0), lambda p: sum(p) % 2 == 0, renormalize=True
         )
         rng = np.random.default_rng(8)

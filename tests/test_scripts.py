@@ -1,0 +1,76 @@
+"""The suite driver and the output comparison that byte-identity claims
+rest on: `scripts/run_suite.py` leaves no config copy behind, and
+`scripts/compare_outputs.py` counts a changed table line, ignores a
+CSV's timestamp comment and reports a file that one side lacks."""
+
+from __future__ import annotations
+
+import importlib.util
+import tempfile
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_suite_removes_its_config_copies(monkeypatch, tmp_path):
+    run_suite = load("run_suite")
+    calls = []
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(run_suite, "run", lambda args: calls.append(args) or 0)
+    assert run_suite.main_suite() == 0
+    # every verb ran, five extracts and two sweeps on config copies
+    assert [a[0] for a in calls].count("extract") == 5
+    assert [a[0] for a in calls].count("tv-sweep") == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def tree(root: Path, files: dict[str, str]) -> Path:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_compare_counts_line_differences_and_missing_files(tmp_path, capsys):
+    compare_outputs = load("compare_outputs")
+    old = tree(
+        tmp_path / "old",
+        {
+            "lemmas.json": '{"rows": [\n  1,\n  2\n]}\n',
+            "parity/kernel.csv": "# written 2026-01-01 00:00\nshift,tv\n1,0.5\n",
+            "parity/sketch.txt": "rank 1\n",
+        },
+    )
+    new = tree(
+        tmp_path / "new",
+        {
+            "lemmas.json": '{"rows": [\n  1,\n  3\n]}\n',
+            "parity/kernel.csv": "# written 2026-02-02 12:34\nshift,tv\n1,0.5\n",
+            "sweep/table.csv": "# written 2026-02-02 12:34\nR,tv\n",
+        },
+    )
+    assert compare_outputs.compare(old, new) == 4
+    printed = capsys.readouterr().out.splitlines()
+    assert sorted(printed) == [
+        "lemmas.json: +  3",
+        "lemmas.json: -  2",
+        "parity/sketch.txt: missing in change",
+        "sweep/table.csv: missing in parent",
+    ]
+
+
+def test_compare_of_equal_trees_is_zero(tmp_path, capsys):
+    compare_outputs = load("compare_outputs")
+    files = {"a.json": "{}\n", "b/c.csv": "# t0\nx\n"}
+    old = tree(tmp_path / "old", files)
+    new = tree(tmp_path / "new", dict(files, **{"b/c.csv": "# t1\nx\n"}))
+    assert compare_outputs.compare(old, new) == 0
+    assert capsys.readouterr().out == ""

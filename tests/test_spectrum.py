@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structure_oracle as oracle
-from measure_oracle import from_atoms
+from measure_oracle import from_atoms, restrict
 from sketchlab import measure, spectrum
 from sketchlab.measure import (
     SparseMeasure,
@@ -28,7 +28,6 @@ from sketchlab.measure import (
     density_certificate,
     fourier_at,
     gamma_truncated,
-    restrict,
 )
 from sketchlab.spectrum import (
     CertifiedBoundError,

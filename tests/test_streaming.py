@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from streaming_oracle import canonical_realization, fold_block, identity_box_algorithm
 from sketchlab.dgauss import TruncationPolicy
 from sketchlab.measure import SparseMeasure, density_certificate, gamma_truncated
 from sketchlab.streaming import (
@@ -25,12 +26,9 @@ from sketchlab.streaming import (
     TurnstileAlgorithm,
     Update,
     alternating_algorithm,
-    canonical_realization,
     constant_algorithm,
     exact_stream_sample,
-    fold_block,
     fold_deltas,
-    identity_box_algorithm,
     mod_counter_algorithm,
     parity_algorithm,
     posterior_laws,
@@ -158,7 +156,8 @@ def test_step_rejects_state_space_escape():
 
 
 def test_constant_algorithm_single_state():
-    alg = constant_algorithm(2, value="ok")
+    assert replay(constant_algorithm(2), [(5, -3)]) == (0, 0)
+    alg = replace(constant_algorithm(2), output=lambda s: "ok")
     assert alg.state_count == 1
     assert replay(alg, [(5, -3)]) == (0, "ok")
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measure_oracle import from_atoms
+from streaming_oracle import fold_block, identity_box_algorithm
 from structure_oracle import sketch_value_add
 from sketchlab import transfer
 from sketchlab.measure import SparseMeasure, convolve_many_fft
@@ -29,8 +30,6 @@ from sketchlab.streaming import (
     StateSequence,
     constant_algorithm,
     exact_stream_sample,
-    fold_block,
-    identity_box_algorithm,
     mod_counter_algorithm,
     parity_algorithm,
 )
@@ -302,7 +301,9 @@ def test_adversarial_conflicts_recorded_not_raised():
 
 
 def test_mollified_smoothness_gate():
-    parity_promise = ProblemSpec.promise(lambda y: sum(y) % 2, delta=0.05)
+    parity_promise = ProblemSpec(
+        kind="promise", target=lambda y: sum(y) % 2, outputs=(0, 1), delta=0.05
+    )
     chk = verify_smoothness(parity_promise, TARGET4, 8.0, seed=1)
     assert not chk.passed
     assert chk.failure_rate > 0.3
@@ -347,7 +348,14 @@ def test_in_theorem_conflict_raises():
     problem = ProblemSpec.promise(lambda y: 1 if y[0] == 1 else 0)
     cfg = TransferConfig(radius=8.0, blocks=2, label="conflict-unit")
     with pytest.raises(DecoderConflict) as err:
-        extract_sketch(constant_algorithm(2, value=1), target, problem, "exact", cfg, seed=2)
+        extract_sketch(
+            replace(constant_algorithm(2), output=lambda s: 1),
+            target,
+            problem,
+            "exact",
+            cfg,
+            seed=2,
+        )
     (conflict,) = err.value.conflicts
     assert conflict.members == ((1, 0), (2, 1))
     assert conflict.tv < 0.45
