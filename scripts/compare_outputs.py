@@ -8,14 +8,19 @@ directory with `PYTHONPATH=<checkout>/src` (and `TMPDIR` inside it, so
 config copies that an older suite leaves behind go away with it).  The two `out/suite` trees
 are then compared file by file, skipping each CSV's leading timestamp
 comment.  Every differing line is printed with its file, and so is every
-file that only one side wrote.  Exit status is 1 on any difference, a
-missing file or a different suite exit status, else 0.
+file that only one side wrote.  After the count it prints the largest
+relative change |new - old| / max(|old|, |new|) of any number on a
+differing line pair (a line replaced by one line that differs from it
+only in its numbers), with its file and both values, and how many
+differing lines are not such a numeric change.  Exit status is 1 on any
+difference, a missing file or a different suite exit status, else 0.
 """
 
 from __future__ import annotations
 
 import difflib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,8 +48,13 @@ def body(path: Path) -> list[str]:
     return lines
 
 
-def compare(old: Path, new: Path) -> int:
-    """Print each difference between two trees; return how many."""
+# a decimal number, as the tables print them, or nan / inf
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def compare(old: Path, new: Path, pairs: list | None = None) -> int:
+    """Print each difference between two trees; return how many.  Each
+    line replaced one for one goes to `pairs` as (file, old, new)."""
     names = sorted(
         {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
         | {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
@@ -56,14 +66,37 @@ def compare(old: Path, new: Path) -> int:
             print(f"{name}: missing in {side}")
             found += 1
             continue
-        diff = difflib.unified_diff(
-            body(old / name), body(new / name), lineterm="", n=0
-        )
-        for line in diff:
-            if line[:1] in "-+" and line[:3] not in ("---", "+++"):
-                print(f"{name}: {line}")
-                found += 1
+        a, b = body(old / name), body(new / name)
+        for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b).get_opcodes():
+            if tag == "equal":
+                continue
+            for line in a[i1:i2]:
+                print(f"{name}: -{line}")
+            for line in b[j1:j2]:
+                print(f"{name}: +{line}")
+            found += (i2 - i1) + (j2 - j1)
+            if pairs is not None and i2 - i1 == j2 - j1:
+                pairs.extend((str(name), x, y) for x, y in zip(a[i1:i2], b[j1:j2]))
     return found
+
+
+def largest_change(pairs: list) -> tuple[tuple | None, int]:
+    """The (relative change, file, old, new) of the number that moved most
+    over the line pairs that differ only in their numbers, and how many
+    pairs do."""
+    best, numeric = None, 0
+    for name, x, y in pairs:
+        xs, ys = NUMBER.findall(x), NUMBER.findall(y)
+        if NUMBER.sub("#", x) != NUMBER.sub("#", y) or len(xs) != len(ys):
+            continue
+        numeric += 1
+        for u, v in zip(xs, ys):
+            fu, fv = float(u), float(v)
+            scale = max(abs(fu), abs(fv))
+            rel = abs(fu - fv) / scale if scale else 0.0
+            if u != v and (best is None or rel > best[0]):
+                best = (rel, name, u, v)
+    return best, numeric
 
 
 def main(argv: list[str]) -> int:
@@ -71,13 +104,19 @@ def main(argv: list[str]) -> int:
         print("usage: compare_outputs.py PARENT CHANGE", file=sys.stderr)
         return 2
     parent, change = (Path(a).resolve() for a in argv)
+    pairs: list = []
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
         codes = [run_suite(parent, Path(a)), run_suite(change, Path(b))]
-        found = compare(Path(a) / "out" / "suite", Path(b) / "out" / "suite")
+        found = compare(Path(a) / "out" / "suite", Path(b) / "out" / "suite", pairs)
     if codes[0] != codes[1]:
         print(f"suite exit status: parent {codes[0]}, change {codes[1]}")
         found += 1
     print(f"{found} difference(s)")
+    best, numeric = largest_change(pairs)
+    if best is not None:
+        rel, name, u, v = best
+        print(f"largest relative change {rel:.3g}: {name}: {u} -> {v}")
+    print(f"{found - 2 * numeric} differing line(s) not a numeric change")
     return 1 if found else 0
 
 

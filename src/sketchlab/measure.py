@@ -6,11 +6,14 @@ A measure is stored as two arrays only: distinct int64 points sorted as
 Python tuples sort, and their masses.  Every producer hands its arrays
 straight to the constructor, which sums repeated points in input order.
 
-Every pipeline convolution is an FFT product that clips dust into the
-deficit.  convolve, the exact shift-and-add that no pipeline code calls,
-sums each cell in scipy's direct order; it is the reference.  The scan
-polish is coordinate ascent on arrays: each pass contracts the box of mu
-with per-axis exponentials down to a 1-d trigonometric sum per hit, and
+Every pipeline convolution is an FFT product on a grid sized by a
+certified tail window, which clips dust into the deficit and charges its
+wrap-around and roundoff there too.  convolve, the exact shift-and-add
+that no pipeline code calls, sums each cell in scipy's direct order; it
+is the reference.  The scans transform real grids by rfftn and read the
+other half of the spectrum as its mirror image.  The scan polish is
+coordinate ascent on arrays: each pass contracts the box of mu with
+per-axis exponentials down to a 1-d trigonometric sum per hit, and
 maximizes it by sampling plus safeguarded Newton steps, so the module
 needs numpy alone."""
 
@@ -43,6 +46,18 @@ __all__ = [
 
 # Numerical dust threshold for FFT convolutions; clipped mass goes to deficit.
 FFT_DUST = 1e-12
+
+# Mass a convolution may keep outside its tail window, all 2n one-sided
+# tails together.  A grid narrower than the support wraps at most this
+# much into the window, which costs twice it in L1 (lost outside, added
+# inside); convolve_many_fft charges that to the deficit.
+WRAP_MASS = 1e-16
+
+# The Chernoff exponents at which every tail window is read.
+_LAMBDAS = 2.0 ** (np.arange(-48, 21) / 4.0)
+
+# unit roundoff of IEEE double precision
+UNIT_ROUNDOFF = 2.0**-53
 
 # Cells per block of a (frequencies x support) product; bounds the memory
 # of fourier_many, of the polish's box contractions and of the torus
@@ -108,10 +123,12 @@ class SparseMeasure:
     The atoms are `points`, distinct int64 rows sorted as Python tuples
     sort, and their positive `masses`.  Mass removed by truncation is
     tracked in `deficit` instead of being renormalized away; total mass +
-    deficit must be 1 up to slack.
+    deficit must be 1 up to slack.  `roundoff` bounds how far each stored
+    mass may lie from the exact value of the operation that built it (0
+    for masses taken as given; an FFT product's a-priori bound).
     """
 
-    __slots__ = ("dimension", "points", "masses", "deficit")
+    __slots__ = ("dimension", "points", "masses", "deficit", "roundoff")
 
     def __init__(
         self,
@@ -119,6 +136,7 @@ class SparseMeasure:
         points: np.ndarray,
         masses: np.ndarray,
         deficit: float = 0.0,
+        roundoff: float = 0.0,
     ) -> None:
         pts = np.asarray(points, dtype=np.int64)
         ms = np.asarray(masses, dtype=float)
@@ -132,6 +150,7 @@ class SparseMeasure:
             raise ValueError("mass + deficit must equal 1")
         self.dimension = dimension
         self.deficit = float(deficit)
+        self.roundoff = float(roundoff)
 
     @property
     def atoms(self) -> MappingProxyType:
@@ -181,7 +200,9 @@ def gamma_truncated(
 
 
 def reflect(mu: SparseMeasure) -> SparseMeasure:
-    return SparseMeasure(mu.dimension, -mu.points, mu.masses, deficit=mu.deficit)
+    return SparseMeasure(
+        mu.dimension, -mu.points, mu.masses, deficit=mu.deficit, roundoff=mu.roundoff
+    )
 
 
 def fourier_at(mu: SparseMeasure, zeta: np.ndarray) -> complex:
@@ -274,44 +295,146 @@ def convolve(mu1: SparseMeasure, mu2: SparseMeasure) -> SparseMeasure:
     return SparseMeasure(n, pts, masses, deficit=max(0.0, 1.0 - total))
 
 
-def _fft_side(mus: Sequence[SparseMeasure]) -> int:
-    """Side of the power-of-two grid that holds the convolution of mus
-    without wrap-around: above the widest summed support span."""
-    lo = np.sum([m.points.min(axis=0) for m in mus], axis=0)
-    hi = np.sum([m.points.max(axis=0) for m in mus], axis=0)
-    span = int((hi - lo).max()) + 1
-    side = 1
-    while side < span + 1:
-        side *= 2
-    return side
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), for a count or an array of them."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def _log_mgf(mu: SparseMeasure, axis: int) -> np.ndarray:
+    """log sum_x mu(x) e^{l x_axis} at l = lambda, then at l = -lambda, for
+    every lambda of _LAMBDAS: the exact transform of mu's marginal on the
+    axis over its atoms, the largest exponent factored out."""
+    x = mu.points[:, axis]
+    lo = int(x.min())
+    marginal = np.bincount(x - lo, weights=mu.masses)
+    at = np.flatnonzero(marginal > 0.0)
+    lam = np.concatenate([_LAMBDAS, -_LAMBDAS])
+    e = np.log(marginal[at]) + np.multiply.outer(lam, (at + lo).astype(float))
+    top = e.max(axis=1)
+    return top + np.log(np.exp(e - top[:, None]).sum(axis=1))
+
+
+def _tail_window(
+    laws: Sequence[tuple[SparseMeasure, int]], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per axis, integers a <= b such that the convolution of the laws
+    (each (law, count)) has at most WRAP_MASS / (2n) mass below a and as
+    much above b.
+
+    Chernoff: the mass at or above t is at most e^{-l t} prod mgf^count
+    for every l > 0 (mgf the law's marginal transform, not renormalized,
+    so a deficit only helps), so t(l) = (log prod mgf^count - log tail)/l
+    works at each l of _LAMBDAS and b is the ceiling of the least; the
+    lower end mirrors it with -l.
+    """
+    log_tail = math.log(WRAP_MASS / (2 * n))
+    g = _LAMBDAS.size
+    lo, hi = [], []
+    for axis in range(n):
+        total = sum(count * _log_mgf(m, axis) for m, count in laws)
+        hi.append(math.ceil(float(np.min((total[:g] - log_tail) / _LAMBDAS))))
+        lo.append(math.floor(float(np.max((log_tail - total[g:]) / _LAMBDAS))))
+    return np.array(lo), np.array(hi)
+
+
+def _power(spec: np.ndarray, count: int) -> np.ndarray:
+    """spec ** count by repeated squaring: at most 2 log2(count) products."""
+    out = None
+    while True:
+        if count & 1:
+            out = spec if out is None else out * spec
+        count >>= 1
+        if not count:
+            return out
+        spec = spec * spec
+
+
+def _product_error(cells: int, laws: Sequence[tuple[SparseMeasure, int]]) -> float:
+    """A-priori bound on every cell's error in irfftn(prod rfftn(x)^count)
+    on a grid of `cells` cells, over the laws (x, count).
+
+    Higham (Accuracy and Stability of Numerical Algorithms, ch. 24,
+    Theorem 24.2): a transform of t = log2(cells) radix-2 stages, twiddle
+    factors accurate to u, errs by at most eps = t eta / (1 - t eta)
+    relative in the 2-norm, eta = u + gamma_4 (sqrt 2 + u).  By Parseval
+    a law's spectrum then errs by at most eps sqrt(cells) s (s its 2-norm)
+    and each |x_hat| <= 1, so the exact product of the computed spectra
+    errs by at most g eps sqrt(cells) sum count s, g = (1 + max cell
+    error)^(F - 1) over the F factors; the F - 1 complex products add
+    relative error rho = (1 + sqrt 2 gamma_2)^(F - 1) - 1, whatever the
+    order of squaring.  These are errors on the rfftn half; the inverse
+    reads the half as its Hermitian extension, which at most multiplies
+    an error's 2-norm by sqrt 2, then divides the 2-norm by sqrt(cells)
+    and adds eps relative, and the exact product has 2-norm at most
+    sqrt(cells) min s.  A 2-norm bound bounds every cell.
+    """
+    t = math.log2(cells)
+    eta = UNIT_ROUNDOFF + _gamma(4) * (math.sqrt(2.0) + UNIT_ROUNDOFF)
+    eps = t * eta / (1.0 - t * eta)
+    norms = [math.sqrt(float(np.einsum("i,i->", m.masses, m.masses))) for m, _ in laws]
+    factors = sum(c for _, c in laws)
+    worst_cell = eps * math.sqrt(cells) * max(norms)
+    grow = math.exp((factors - 1) * math.log1p(worst_cell))
+    rho = math.expm1((factors - 1) * math.log1p(math.sqrt(2.0) * _gamma(2)))
+    spread = eps * math.fsum(c * s for s, (_, c) in zip(norms, laws))
+    half = (1.0 + rho) * grow * spread + rho * min(norms)
+    return math.sqrt(2.0) * (1.0 + eps) * half + eps * min(norms)
 
 
 def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
-    """Product-of-transforms convolution on a padded power-of-two grid;
-    equal laws are transformed once.
+    """Convolution of mus as a product of transforms on a power-of-two
+    grid only as large as the answer needs.
 
-    Negative and sub-FFT_DUST values are clipped to zero; the clipped mass
-    is recorded as deficit.
+    The grid side is the least power of two that covers every piece and,
+    per axis, the convolution's tail window (_tail_window, at most
+    WRAP_MASS outside it in all).  Where the side falls short of the
+    summed support span, the product wraps: each cell's value is read at
+    its point inside the window, a power-of-two side keeps every
+    coordinate's parity, and twice WRAP_MASS goes to the deficit.  Each
+    distinct law is transformed once and raised to its count by
+    repeated squaring.
+
+    Negative and sub-FFT_DUST values are clipped to zero.  The deficit is
+    1 minus the kept mass, plus the wrap charge, plus 2 sqrt(k) times the
+    a-priori per-cell roundoff bound (_product_error) over the k kept
+    atoms, so it bounds the L1 distance to the exact convolution of the
+    stored pieces.  The per-cell bound, with WRAP_MASS when the grid
+    wraps, is the output's `roundoff`.
     """
     if not mus:
         raise ValueError("empty measure list")
     n = mus[0].dimension
-    lo = np.sum([m.points.min(axis=0) for m in mus], axis=0)
-    side = _fft_side(mus)
-    spectra: dict[tuple, np.ndarray] = {}
-    prod: np.ndarray | None = None
+    counts: dict[tuple, list] = {}
     for m in mus:
-        key = _law_key(m)
-        if key not in spectra:
-            spectra[key] = np.fft.rfftn(_grid_embed(m, (side,) * n))
-        prod = spectra[key] if prod is None else prod * spectra[key]
-    conv = np.fft.irfftn(prod, s=(side,) * n, axes=tuple(range(n)))
+        counts.setdefault(_law_key(m), [m, 0])[1] += 1
+    laws = [(m, c) for m, c in counts.values()]  # first-seen order
+    lo = np.sum([m.points.min(axis=0) for m in mus], axis=0)
+    hi = np.sum([m.points.max(axis=0) for m in mus], axis=0)
+    a, b = _tail_window(laws, n)
+    a, b = np.maximum(a, lo), np.minimum(b, hi)
+    # the least power of two that covers every piece and the window
+    pieces = 2 ** _covering_exponent([m for m, _ in laws], 0)
+    side = max(pieces, 1 << int((b - a).max()).bit_length())
+    wrapped = hi - lo + 1 > side
+    a = np.where(wrapped, a, lo)  # an axis that fits reads from its low corner
+    shape = (side,) * n
+    prod = None
+    for m, count in laws:
+        spec = _power(np.fft.rfftn(_grid_embed(m, shape)), count)
+        prod = spec if prod is None else prod * spec
+    conv = np.fft.irfftn(prod, s=shape, axes=tuple(range(n)))
     conv[conv < FFT_DUST] = 0.0
     idx = np.argwhere(conv > 0.0)
-    pts = idx + lo  # corners add up across the factors
+    # cell i holds the points lo + i (mod side); read each inside [a, a + side)
+    pts = a + (idx + (lo - a)) % side
     masses = conv[tuple(idx.T)]
     total = math.fsum(masses.tolist())
-    return SparseMeasure(n, pts, masses, deficit=max(0.0, 1.0 - total))
+    err = _product_error(side**n, laws)
+    wrap = WRAP_MASS if wrapped.any() else 0.0
+    charge = 2.0 * math.sqrt(idx.shape[0]) * err + 2.0 * wrap
+    return SparseMeasure(
+        n, pts, masses, deficit=max(0.0, 1.0 - total) + charge, roundoff=err + wrap
+    )
 
 
 @dataclass(frozen=True)
@@ -323,11 +446,13 @@ class DensePieceCertificate:
 
 
 def density_certificate(mu: SparseMeasure, radius: float) -> DensePieceCertificate:
-    """alpha = (max_x mu(x)/gamma_R(x))^{-1}, evaluated in log space."""
+    """alpha = (max_x (mu(x) + r)/gamma_R(x))^{-1}, evaluated in log space,
+    r = mu.roundoff: each stored mass is raised by its error bound, so a
+    mass that roundoff lowered cannot make S too small."""
     z = math.log(gamma_normalizer(mu.dimension, radius))
     norms2 = np.einsum("ij,ij->i", mu.points, mu.points).astype(float)
     log_gamma = -math.pi * norms2 / (radius * radius) - z
-    worst = float(np.max(np.log(mu.masses) - log_gamma))
+    worst = float(np.max(np.log(mu.masses + mu.roundoff) - log_gamma))
     alpha = math.exp(-worst)
     return DensePieceCertificate(alpha, math.log2(2.0 / alpha))
 
@@ -465,6 +590,28 @@ def _polish(mu: SparseMeasure, starts: np.ndarray, step: float) -> np.ndarray:
     return zs
 
 
+def _half_spectrum_cells(
+    mask: np.ndarray, side: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full-grid cells, in C order, where a condition on |F| holds, from
+    the condition marked on an rfftn half (last axis 0 .. side/2) of a
+    real grid, and for each cell the half cell that holds its value.
+
+    A marked cell whose last index lies strictly between 0 and side/2
+    brings its mirror -k (mod side) with it: |F(-k)| = |F(k)| for real
+    input, and the mirror lies outside the half.  A cell whose last index
+    is 0 or side/2 has its mirror inside the half, where the mask reads
+    it directly.
+    """
+    half = np.argwhere(mask)
+    last = half[:, -1]
+    paired = half[(last > 0) & (2 * last < side)]
+    cells = np.concatenate([half, (-paired) % side])
+    source = np.concatenate([half, paired])
+    order = np.lexsort(cells.T[::-1])
+    return cells[order], source[order]
+
+
 def large_spectrum_scan(
     mu: SparseMeasure,
     K: float,
@@ -473,6 +620,11 @@ def large_spectrum_scan(
 ) -> ScanReport:
     """All grid frequencies with |mu_hat| >= 1 - 1/K, optionally polished
     by local coordinate ascent.
+
+    The grid is transformed by rfftn, so no full-size complex array is
+    formed: hits are found in the half spectrum and the other half is
+    read as its mirror image (_half_spectrum_cells), in the C order of
+    the full grid.
 
     With refine, every hit is polished at once by _polish (coordinate
     ascent within half a grid cell per pass, each pass a sampled
@@ -490,12 +642,11 @@ def large_spectrum_scan(
         raise ValueError("K must be at least 2")
     side = 2**grid_exponent
     n = mu.dimension
-    grid = _grid_embed(mu, (side,) * n)
-    # fftn phase matches the transform convention, so F[k] = mu_hat(k/side)
-    mag = np.abs(np.fft.fftn(grid))
+    # the forward transform's phase matches mu_hat, so |F[k]| = |mu_hat(k/side)|
+    mag = np.abs(np.fft.rfftn(_grid_embed(mu, (side,) * n)))
     threshold = 1.0 - 1.0 / K
-    index = np.argwhere(mag >= threshold)
-    grid_mag = mag[tuple(index.T)]
+    index, source = _half_spectrum_cells(mag >= threshold, side)
+    grid_mag = mag[tuple(source.T)]
     zetas = _reduce_torus(index / side)
     mags = grid_mag
     if refine:
@@ -517,7 +668,11 @@ def large_spectrum_scan(
 def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     """(1/M) sum_i mu_i * mu_i-reflected; the transform becomes the mean of
     |mu_hat_i|^2, hence real and nonnegative.  Each distinct law meets its
-    reflection once, in convolve_many_fft at every size, never convolve."""
+    reflection once, in convolve_many_fft at every size, never convolve.
+
+    The deficit is the mean of the products' deficits, so it still bounds
+    the L1 distance to the exact mean; the roundoff is the mean of theirs
+    widened by the sum's own rounding (relative gamma_{M+1} per atom)."""
     if not mus:
         raise ValueError("empty measure list")
     M = len(mus)
@@ -533,5 +688,12 @@ def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
         np.concatenate([c.points for c in terms]),
         np.concatenate([c.masses / M for c in terms]),
     )
-    total = math.fsum(masses.tolist())
-    return SparseMeasure(mus[0].dimension, pts, masses, deficit=max(0.0, 1.0 - total))
+    gamma = _gamma(M + 1)
+    roundoff = (1.0 + gamma) * math.fsum(c.roundoff for c in terms) / M
+    return SparseMeasure(
+        mus[0].dimension,
+        pts,
+        masses,
+        deficit=math.fsum(c.deficit for c in terms) / M,
+        roundoff=roundoff + gamma * float(masses.max()),
+    )

@@ -23,6 +23,7 @@ from .measure import (
     ScanReport,
     SparseMeasure,
     _grid_embed,
+    _half_spectrum_cells,
     _law_key,
     _reduce_torus,
     density_certificate,
@@ -748,16 +749,19 @@ def product_heavy_frequencies(
     grid_exponent: int,
 ) -> np.ndarray:
     """Grid frequencies where prod_i |mu_i_hat| >= threshold, as reduced
-    rows; equal laws are transformed once."""
+    rows in the C order of the grid; equal laws are transformed once, by
+    rfftn, and the other half of the grid is read as the mirror image."""
     side = 2**grid_exponent
-    prod = np.ones((side,) * mus[0].dimension)
+    shape = (side,) * mus[0].dimension
+    prod = np.ones(shape[:-1] + (side // 2 + 1,))
     mags: dict[tuple, np.ndarray] = {}
     for m in mus:
         key = _law_key(m)
         if key not in mags:
-            mags[key] = np.abs(np.fft.fftn(_grid_embed(m, prod.shape)))
+            mags[key] = np.abs(np.fft.rfftn(_grid_embed(m, shape)))
         prod = prod * mags[key]
-    return _reduce_torus(np.argwhere(prod >= threshold) / side)
+    cells, _ = _half_spectrum_cells(prod >= threshold, side)
+    return _reduce_torus(cells / side)
 
 
 def convolution_structure(

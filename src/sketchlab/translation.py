@@ -17,9 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .measure import (
+    UNIT_ROUNDOFF,
     SparseMeasure,
     _covering_exponent,
+    _gamma,
     _grid_embed,
+    _half_spectrum_cells,
     _lex_groups,
     _reduce_torus,
     convolve_many_fft,
@@ -121,10 +124,6 @@ def _autocorrelations(steps: np.ndarray, N: int) -> np.ndarray:
     return np.fft.irfft(f.real * f.real + f.imag * f.imag, n=N, axis=1)
 
 
-# unit roundoff of IEEE double precision
-UNIT_ROUNDOFF = 2.0**-53
-
-
 def _tail_roundoff(energy: np.ndarray, N: np.ndarray, u: float) -> np.ndarray:
     """A-priori bound on the rounding error of each closed-form tail, line
     by line (scalars work alike).
@@ -140,9 +139,7 @@ def _tail_roundoff(energy: np.ndarray, N: np.ndarray, u: float) -> np.ndarray:
     line_decomposition measures, and the 1e-12 floor of the line check
     absorbs it.
     """
-    m = N // 2 + 8
-    gamma = m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
-    return gamma * energy * (1.0 + 4.0 * u * N)
+    return _gamma(N // 2 + 8) * energy * (1.0 + 4.0 * u * N)
 
 
 def _mass_roundoff(main: np.ndarray, N: np.ndarray) -> np.ndarray:
@@ -325,14 +322,15 @@ def measured_structure_spread(
 ) -> HeavySpread:
     """Scan the transform of nu on a power-of-two grid of side at least
     128 that covers its support, and report how far the frequencies above
-    eta stray from the structure.
+    eta stray from the structure.  The grid is transformed by rfftn and
+    the other half read as the mirror image.
 
     Grid points only; the spread is a measured proxy for the theoretical
     neighborhood radius, not a certificate between grid points.
     """
     side = 2 ** _covering_exponent([nu], GRID_EXPONENT)
-    mags = np.abs(np.fft.fftn(_grid_embed(nu, (side,) * nu.dimension)))
-    heavy = np.argwhere(mags > eta + 1e-12)
+    mags = np.abs(np.fft.rfftn(_grid_embed(nu, (side,) * nu.dimension)))
+    heavy, _ = _half_spectrum_cells(mags > eta + 1e-12, side)
     if heavy.shape[0] == 0:
         return HeavySpread(eta, 0, 0.0)
     zetas = _reduce_torus(heavy.astype(float) / side)

@@ -2,9 +2,10 @@
 restriction to a predicate, and three oracles: the dict constructor that
 SparseMeasure had before sorted arrays became its only store, which the
 array constructor must match bit for bit, the np.lexsort row grouping
-that the packed-key sort in measure._lex_groups replaced, and the
+that the packed-key sort in measure._lex_groups replaced, the
 per-hit scalar scan polish, one scipy Brent search per coordinate pass,
-that the array polish replaced."""
+that the array polish replaced, and the full-grid fftn magnitudes that
+the half-spectrum scans replaced."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 from scipy import optimize
 
-from sketchlab.measure import SparseMeasure, fourier_at
+from sketchlab.measure import SparseMeasure, _grid_embed, fourier_at
 
 Atoms = Mapping[tuple[int, ...], float] | Iterable[tuple[Sequence[int], float]]
 
@@ -123,3 +124,9 @@ def scalar_polish(mu: SparseMeasure, start: np.ndarray, step: float) -> np.ndarr
             if height >= abs(fourier_at(mu, z)):
                 z[i] = c
     return z
+
+
+def full_spectrum(mu: SparseMeasure, side: int) -> np.ndarray:
+    """|F| of mu's grid embedding on the whole side^n grid by fftn, as
+    the scans read it before they took the rfftn half."""
+    return np.abs(np.fft.fftn(_grid_embed(mu, (side,) * mu.dimension)))

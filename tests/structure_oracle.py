@@ -1,8 +1,9 @@
 """The per-point loops that the array paths of the structure code
 replaced: torus distance to a point set one frequency at a time, the
 greedy pick that stops at the first far frequency, the per-vector lstsq
-residual to a span, the heavy product frequencies reduced one grid
-index at a time, and the chain growth whose Case 1 witness was searched
+residual to a span, the heavy product frequencies with the mirrored
+half of the product filled and each frequency reduced one grid index
+at a time, and the chain growth whose Case 1 witness was searched
 one sign pattern at a time; and the group law on sketch values that the
 homomorphism checks add with."""
 
@@ -44,11 +45,17 @@ def span_residual(span_rows: np.ndarray, a: np.ndarray) -> float:
 
 def heavy_product(mus: Sequence[SparseMeasure], grid_exponent: int) -> np.ndarray:
     """prod_i |mu_i_hat| on the 2^grid_exponent grid, every piece
-    transformed on its own, in the order of mus."""
+    transformed on its own by rfftn, in the order of mus; each cell
+    beyond the half spectrum is filled, one index at a time, from its
+    mirror -k, since |F(-k)| = |F(k)| for a real grid."""
     side = 2**grid_exponent
-    prod = np.ones((side,) * mus[0].dimension)
+    shape = (side,) * mus[0].dimension
+    half = np.ones(shape[:-1] + (side // 2 + 1,))
     for m in mus:
-        prod = prod * np.abs(np.fft.fftn(_grid_embed(m, prod.shape)))
+        half = half * np.abs(np.fft.rfftn(_grid_embed(m, shape)))
+    prod = np.empty(shape)
+    for k in itertools.product(range(side), repeat=len(shape)):
+        prod[k] = half[k] if k[-1] <= side // 2 else half[tuple(-c % side for c in k)]
     return prod
 
 

@@ -14,10 +14,14 @@ trials; reproducibility compares rerun bytes, not intent.
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,4 +339,39 @@ def test_c15_scan_polish_at_a_low_threshold(monkeypatch):
     assert sketch.structure.denominator == 8
     assert sketch.structure.entry_bound <= 8
     assert sum(polished) >= 500
+    budget(5.0, start)
+
+
+# extract in a child interpreter, then print its own peak RSS (KiB on Linux)
+LONG_STREAM_PROBE = """\
+import resource, sys
+from sketchlab.cli import main
+code = main(["extract", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_c16_long_stream_extraction(tmp_path):
+    # parity at M = 64 blocks (K = 12, seed 0, desk config otherwise): a
+    # product of 64 pieces, which fits its grid only when the grid is
+    # sized by the tail window and repeated laws are raised by squaring
+    start = time.perf_counter()
+    root = Path(__file__).resolve().parents[1]
+    desk = (root / "configs" / "desk.cfg").read_text()
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(desk.replace("M = 8", "M = 64").replace("K = 512", "K = 12"))
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", LONG_STREAM_PROBE, str(cfg), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    code, peak_kib = done.stdout.splitlines()[-1].split()
+    assert code == "0"
+    lines = (tmp_path / "out" / "extract.csv").read_text().splitlines()
+    (row,) = csv.DictReader(lines[1:])
+    assert (row["M"], row["dimension"], row["success"]) == ("64", "1", "1")
+    assert int(peak_kib) / 1024 < 500, f"peak RSS {int(peak_kib) / 1024:.0f} MB"
     budget(5.0, start)

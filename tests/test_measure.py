@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -20,6 +21,7 @@ from dgauss_oracle import gamma_pmf
 from measure_oracle import (
     dict_canonical,
     from_atoms,
+    full_spectrum,
     lexsort_groups,
     restrict,
     scalar_pass,
@@ -27,6 +29,8 @@ from measure_oracle import (
     translate,
 )
 from sketchlab import measure
+from sketchlab.spectrum import GRID_EXPONENT, SketchLattice, product_heavy_frequencies
+from sketchlab.translation import measured_structure_spread
 
 
 def normalized(dim: int, weights: dict) -> measure.SparseMeasure:
@@ -412,6 +416,110 @@ class TestConvolvePowerFFT:
         assert p5.atoms == {(5,): 1.0}
 
 
+@st.composite
+def law_products(draw):
+    """Pieces for convolve_many_fft: one to three laws in n = 1..3, each a
+    random asymmetric fill of a box far from the origin with masses over
+    up to 30 decades, repeated 1..9 times, in a drawn order."""
+    n = draw(st.integers(1, 3))
+    laws = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.tuples(*(st.integers(1, 6 if n < 3 else 3) for _ in range(n))))
+        corner = draw(st.tuples(*(st.integers(-900, 900) for _ in range(n))))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        keep = rng.random(shape) < draw(st.floats(0.2, 1.0))
+        keep.flat[rng.integers(keep.size)] = True
+        offsets = np.argwhere(keep)
+        masses = 10.0 ** -rng.integers(0, draw(st.integers(1, 31)), len(offsets))
+        masses = masses * (1.0 + rng.random(len(offsets)))
+        law = measure.SparseMeasure(n, offsets + corner, masses / masses.sum())
+        laws.extend([law] * draw(st.integers(1, 9)))
+    return draw(st.permutations(laws))
+
+
+def exact_product(mus):
+    """The shift-and-add product of mus, each law the left factor, and a
+    bound on its relative rounding per cell: every step sums at most the
+    law's box cells of nonnegative products, gamma_{cells + 1} each."""
+    want = mus[0]
+    steps = 0
+    for m in mus[1:]:
+        want = measure.convolve(m, want)
+        steps += int(np.prod(m.points.max(axis=0) - m.points.min(axis=0) + 1)) + 1
+    return want, 2.0 * steps * 2.0**-53
+
+
+def assert_within_charge(got, want, rel):
+    """Every kept atom of got lies within its roundoff bound of want
+    (want's own rounding allowed for), and got's deficit covers the L1
+    distance between the two."""
+    have = want.atoms
+    for p, m in got.atoms.items():
+        exact = have.get(p, 0.0)
+        assert abs(m - exact) <= got.roundoff + rel * exact, (p, m, exact)
+    kept = got.atoms
+    gap = math.fsum(abs(kept.get(p, 0.0) - m) for p, m in have.items())
+    gap += math.fsum(m for p, m in kept.items() if p not in have)
+    assert gap <= got.deficit + rel
+
+
+class TestTailGridConvolution:
+    """convolve_many_fft on a grid sized by the tail window, with repeated
+    laws raised by squaring, against the exact shift-and-add."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(law_products())
+    def test_within_charged_error_of_the_exact_product(self, mus):
+        got = measure.convolve_many_fft(mus)
+        want, rel = exact_product(mus)
+        assert_within_charge(got, want, rel)
+
+    @staticmethod
+    def grid_shapes(monkeypatch, mus):
+        """convolve_many_fft(mus) and the shape of every grid it transforms."""
+        shapes = []
+        real = np.fft.rfftn
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", spy)
+        got = measure.convolve_many_fft(mus)
+        monkeypatch.undo()
+        return got, shapes
+
+    def test_narrow_window_wraps_and_charges_the_deficit(self, monkeypatch):
+        # 8 copies of a law with an atom of mass 1e-20 at distance 100:
+        # the sum spans 801 cells, but all but 8e-20 of its mass lies in
+        # a few cells, so the grid side is the widest piece's 128
+        law = measure.SparseMeasure(1, np.array([[5], [105]]), np.array([1.0, 1e-20]))
+        got, shapes = self.grid_shapes(monkeypatch, [law] * 8)
+        assert shapes == [(128,)]
+        assert got.atoms == {(40,): 1.0}
+        err = measure._product_error(128, [(law, 8)])
+        assert got.roundoff == err + measure.WRAP_MASS
+        assert got.deficit >= 2.0 * err + 2.0 * measure.WRAP_MASS
+        want, rel = exact_product([law] * 8)
+        assert_within_charge(got, want, rel)
+
+    def test_wrapping_keeps_every_coordinate_parity(self, monkeypatch):
+        # an even-coset law with an atom of mass 1e-30 far out: the
+        # product wraps, and every atom must be read back at a point of
+        # the even coset (what wraps is far below FFT_DUST)
+        g = measure.gamma_truncated(2, 6.0)
+        even = restrict(g, lambda p: (p[0] + p[1]) % 2 == 0, renormalize=True)
+        far = measure.SparseMeasure(
+            2,
+            np.concatenate([even.points, [[40, 0]]]),
+            np.concatenate([even.masses * (1.0 - 1e-30), [1e-30]]),
+        )
+        got, shapes = self.grid_shapes(monkeypatch, [far] * 6)
+        span = 6 * int(np.ptp(far.points[:, 0])) + 1
+        assert shapes[0][0] < span
+        assert not (got.points.sum(axis=1) % 2).any()
+
+
 class TestDensityCertificate:
     def test_truncated_gaussian_is_full_density(self):
         g = measure.gamma_truncated(1, 4.0)
@@ -449,6 +557,71 @@ class TestDensityCertificate:
         cert = measure.density_certificate(mu, 4.0)
         for p, m in mu.atoms.items():
             assert m <= gamma_pmf(4.0, p) / cert.alpha * (1 + 1e-9)
+
+
+@st.composite
+def scan_inputs(draw, max_n: int = 3):
+    n = draw(st.integers(1, max_n))
+    mus = [boxed_measure(draw, n) for _ in range(draw(st.integers(1, 3)))]
+    exponent = draw(st.integers(4, 6 if n < 3 else 5))
+    return mus, exponent, draw(st.sampled_from([2.0, 4.0, 16.0]))
+
+
+def assert_same_hits(got, mags, level):
+    """got (full-grid cells) is the set of cells where the fftn oracle's
+    mags reach level, up to cells within 1e-12 of the level, where the
+    two transforms' roundoff may decide either way."""
+    cells = set(map(tuple, np.asarray(got).tolist()))
+    sure = set(map(tuple, np.argwhere(mags >= level + 1e-12).tolist()))
+    maybe = set(map(tuple, np.argwhere(np.abs(mags - level) <= 1e-12).tolist()))
+    assert sure <= cells <= sure | maybe
+
+
+class TestHalfSpectrumScans:
+    """The scans read rfftn halves and mirror them; the full-grid fftn
+    oracle finds the same hits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scan_inputs())
+    def test_large_spectrum_scan(self, inputs):
+        (mu, *_), exponent, K = inputs
+        rep = measure.large_spectrum_scan(mu, K, exponent)
+        mags = full_spectrum(mu, 2**exponent)
+        assert_same_hits(rep.grid_index, mags, 1.0 - 1.0 / K)
+        assert np.allclose(rep.grid_magnitudes, mags[tuple(rep.grid_index.T)], atol=1e-12)
+        # (-magnitude, grid index) order, as before
+        assert np.all(np.diff(rep.magnitudes) <= 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(scan_inputs())
+    def test_product_heavy_frequencies(self, inputs):
+        mus, exponent, K = inputs
+        side = 2**exponent
+        mags = functools.reduce(np.multiply, [full_spectrum(m, side) for m in mus])
+        got = product_heavy_frequencies(mus, 1.0 - 1.0 / K, exponent)
+        cells = np.rint(got * side).astype(np.int64) % side
+        assert_same_hits(cells, mags, 1.0 - 1.0 / K)
+        # in the C order of the full grid
+        assert list(map(tuple, cells.tolist())) == sorted(map(tuple, cells.tolist()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(scan_inputs(max_n=2))  # the spread scans at side 128 at least
+    def test_measured_structure_spread(self, inputs):
+        (mu, *_), _, K = inputs
+        n = mu.dimension
+        origin = SketchLattice(n, (), (), (), span_error=0.0, s_certified=0.0)
+        eta = 1.0 - 1.0 / K
+        spread = measured_structure_spread(mu, origin, eta)
+        side = 2 ** measure._covering_exponent([mu], GRID_EXPONENT)
+        mags = full_spectrum(mu, side)
+        level = eta + 1e-12
+        sure = int(np.count_nonzero((mags > level) & (np.abs(mags - level) > 1e-12)))
+        maybe = int(np.count_nonzero(np.abs(mags - level) <= 1e-12))
+        assert sure <= spread.count <= sure + maybe
+        if maybe == 0 and sure:
+            rows = measure._reduce_torus(np.argwhere(mags > level) / side)
+            want = float(np.sqrt(np.einsum("ij,ij->i", rows, rows)).max())
+            assert spread.worst_distance == pytest.approx(want, abs=1e-12)
 
 
 class TestLargeSpectrumScan:
@@ -704,6 +877,23 @@ class TestSymmetrize:
         dropped = [m for p, m in direct.items() if p not in kept]
         assert dropped and sym.deficit >= math.fsum(dropped)
 
+    def test_roundoff_covers_every_kept_atom(self):
+        # the parity sketch's S is read off this law, at far-tail atoms
+        # just above FFT_DUST: the exact value of every kept atom must lie
+        # within the roundoff bound that density_certificate adds
+        g = measure.gamma_truncated(2, 8.0)
+        odd = restrict(g, lambda p: sum(p) % 2 == 1, renormalize=True)
+        sym = measure.symmetrize([odd])
+        exact = measure.convolve(odd, measure.reflect(odd)).atoms
+        rel = 2.0 * (odd.support_size + 2) * 2.0**-53  # the reference's rounding
+        assert all(
+            abs(m - exact[p]) <= sym.roundoff + rel * exact[p]
+            for p, m in sym.atoms.items()
+        )
+        cert = measure.density_certificate(sym, math.sqrt(2.0) * 8.0)
+        unraised = measure.SparseMeasure(2, sym.points, sym.masses, deficit=sym.deficit)
+        assert cert.S > measure.density_certificate(unraised, math.sqrt(2.0) * 8.0).S
+
     @pytest.mark.parametrize("radius", [3.0, 6.0])
     def test_never_calls_the_direct_convolution(self, monkeypatch, radius):
         # 509 atoms at R = 3, 2 029 at R = 6: both sides of 2 000
@@ -728,10 +918,13 @@ def dict_symmetrize(pieces, product=fft_product):
     """symmetrize's dict accumulation before the array store, kept as its
     oracle: each law's product with its reflection (by FFT, as symmetrize
     forms it, or by the exact shift-and-add), terms summed point by point
-    in the order of the laws."""
+    in the order of the laws; the deficit is the mean of the products'."""
     out: dict[tuple[int, ...], float] = {}
+    deficits = []
     for m in pieces:
-        for p, w in product(m).atoms.items():
+        term = product(m)
+        deficits.append(term.deficit)
+        for p, w in term.atoms.items():
             out[p] = out.get(p, 0.0) + w / len(pieces)
-    return dict_canonical(2, out, max(0.0, 1.0 - math.fsum(out.values())))
+    return dict_canonical(2, out, math.fsum(deficits) / len(pieces))
 

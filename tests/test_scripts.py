@@ -1,7 +1,8 @@
 """The suite driver and the output comparison that byte-identity claims
 rest on: `scripts/run_suite.py` leaves no config copy behind, and
 `scripts/compare_outputs.py` counts a changed table line, ignores a
-CSV's timestamp comment and reports a file that one side lacks."""
+CSV's timestamp comment, reports a file that one side lacks and names
+the number that moved most."""
 
 from __future__ import annotations
 
@@ -74,3 +75,30 @@ def test_compare_of_equal_trees_is_zero(tmp_path, capsys):
     new = tree(tmp_path / "new", dict(files, **{"b/c.csv": "# t1\nx\n"}))
     assert compare_outputs.compare(old, new) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_compare_names_the_largest_numeric_move(tmp_path, capsys):
+    compare_outputs = load("compare_outputs")
+    old = tree(
+        tmp_path / "old",
+        {
+            "lemmas.csv": "# t0\nfamily,lhs,rhs\ntail,5.13e-10,0.001\nball,0.25,3\n",
+            "parity/sketch.txt": "lattice_s_certified 2.0000003\nrank 1\nspan_error=0\n",
+        },
+    )
+    new = tree(
+        tmp_path / "new",
+        {
+            "lemmas.csv": "# t1\nfamily,lhs,rhs\ntail,5.15e-10,0.001\nball,0.25,3\n",
+            "parity/sketch.txt": "lattice_s_certified 2.0055\nrank 1\nspan_error=0.0\n",
+        },
+    )
+    pairs = []
+    assert compare_outputs.compare(old, new, pairs) == 6
+    capsys.readouterr()
+    best, numeric = compare_outputs.largest_change(pairs)
+    # 5.13e-10 -> 5.15e-10 moved by 2/515; 2.0000003 -> 2.0055 by less,
+    # "0" -> "0.0" not at all; every pair differs only in its numbers
+    assert best == (abs(5.15e-10 - 5.13e-10) / 5.15e-10, "lemmas.csv", "5.13e-10", "5.15e-10")
+    assert numeric == 3
+    assert compare_outputs.largest_change([("a.txt", "route exact", "route mollified")]) == (None, 0)

@@ -11,7 +11,6 @@ Case 1 witness of the chain growth.
 import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -699,23 +698,26 @@ class TestEqualLawsTransformOnce:
     product keeps the bits of transforming every piece."""
 
     def test_convolve_many_fft(self, monkeypatch):
-        mus = equal_law_pieces()
-        side = measure._fft_side(mus)
-        want = functools.reduce(
-            operator.mul, [np.fft.rfftn(measure._grid_embed(m, (side,))) for m in mus]
-        )
+        # a three times and b once: one transform each, a cubed by
+        # squaring, on the least power-of-two side over the 12-cell span
+        a, b, _, _ = mus = equal_law_pieces()
         transforms = spy_on(monkeypatch, np.fft, "rfftn")
         products = spy_on(monkeypatch, np.fft, "irfftn")
         measure.convolve_many_fft(mus)
+        monkeypatch.undo()
         assert len(transforms) == 2
+        assert np.array_equal(transforms[0], measure._grid_embed(a, (16,)))
+        assert np.array_equal(transforms[1], measure._grid_embed(b, (16,)))
+        A, B = (np.fft.rfftn(grid) for grid in transforms)
         (got,) = products
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == ((A * (A * A)) * B).tobytes()
 
     def test_product_heavy_frequencies(self, monkeypatch):
         mus = equal_law_pieces()
         want = oracle.heavy_product(mus, 3)
-        transforms = spy_on(monkeypatch, np.fft, "fftn")
+        transforms = spy_on(monkeypatch, np.fft, "rfftn")
         product_heavy_frequencies(mus, 0.5, 3)
+        monkeypatch.undo()
         assert len(transforms) == 2
         # cell c is heavy at threshold t exactly when prod[c] >= t, so
         # membership at want[c] and not at the next float up pins prod[c]
