@@ -52,14 +52,14 @@ def body(path: Path) -> list[str]:
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
-def compare(old: Path, new: Path, pairs: list | None = None) -> int:
-    """Print each difference between two trees; return how many.  Each
-    line replaced one for one goes to `pairs` as (file, old, new)."""
+def compare(old: Path, new: Path) -> tuple[int, list]:
+    """Print each difference between two trees; return how many, and each
+    line replaced one for one as (file, old line, new line)."""
     names = sorted(
         {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
         | {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
     )
-    found = 0
+    found, pairs = 0, []
     for name in names:
         if not (old / name).is_file() or not (new / name).is_file():
             side = "parent" if not (old / name).is_file() else "change"
@@ -75,9 +75,9 @@ def compare(old: Path, new: Path, pairs: list | None = None) -> int:
             for line in b[j1:j2]:
                 print(f"{name}: +{line}")
             found += (i2 - i1) + (j2 - j1)
-            if pairs is not None and i2 - i1 == j2 - j1:
+            if i2 - i1 == j2 - j1:
                 pairs.extend((str(name), x, y) for x, y in zip(a[i1:i2], b[j1:j2]))
-    return found
+    return found, pairs
 
 
 def largest_change(pairs: list) -> tuple[tuple | None, int]:
@@ -104,10 +104,9 @@ def main(argv: list[str]) -> int:
         print("usage: compare_outputs.py PARENT CHANGE", file=sys.stderr)
         return 2
     parent, change = (Path(a).resolve() for a in argv)
-    pairs: list = []
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
         codes = [run_suite(parent, Path(a)), run_suite(change, Path(b))]
-        found = compare(Path(a) / "out" / "suite", Path(b) / "out" / "suite", pairs)
+        found, pairs = compare(Path(a) / "out" / "suite", Path(b) / "out" / "suite")
     if codes[0] != codes[1]:
         print(f"suite exit status: parent {codes[0]}, change {codes[1]}")
         found += 1

@@ -337,18 +337,6 @@ def _tail_window(
     return np.array(lo), np.array(hi)
 
 
-def _power(spec: np.ndarray, count: int) -> np.ndarray:
-    """spec ** count by repeated squaring: at most 2 log2(count) products."""
-    out = None
-    while True:
-        if count & 1:
-            out = spec if out is None else out * spec
-        count >>= 1
-        if not count:
-            return out
-        spec = spec * spec
-
-
 def _product_error(cells: int, laws: Sequence[tuple[SparseMeasure, int]]) -> float:
     """A-priori bound on every cell's error in irfftn(prod rfftn(x)^count)
     on a grid of `cells` cells, over the laws (x, count).
@@ -361,8 +349,7 @@ def _product_error(cells: int, laws: Sequence[tuple[SparseMeasure, int]]) -> flo
     and each |x_hat| <= 1, so the exact product of the computed spectra
     errs by at most g eps sqrt(cells) sum count s, g = (1 + max cell
     error)^(F - 1) over the F factors; the F - 1 complex products add
-    relative error rho = (1 + sqrt 2 gamma_2)^(F - 1) - 1, whatever the
-    order of squaring.  These are errors on the rfftn half; the inverse
+    relative error rho = (1 + sqrt 2 gamma_2)^(F - 1) - 1.  These are errors on the rfftn half; the inverse
     reads the half as its Hermitian extension, which at most multiplies
     an error's 2-norm by sqrt 2, then divides the 2-norm by sqrt(cells)
     and adds eps relative, and the exact product has 2-norm at most
@@ -391,8 +378,9 @@ def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     summed support span, the product wraps: each cell's value is read at
     its point inside the window, a power-of-two side keeps every
     coordinate's parity, and twice WRAP_MASS goes to the deficit.  Each
-    distinct law is transformed once and raised to its count by
-    repeated squaring.
+    distinct law is transformed once and multiplied into one running
+    product, in place, as many times as it occurs, the laws in first-seen
+    order, so at most one law's spectrum is alive beside the product.
 
     Negative and sub-FFT_DUST values are clipped to zero.  The deficit is
     1 minus the kept mass, plus the wrap charge, plus 2 sqrt(k) times the
@@ -420,8 +408,12 @@ def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     shape = (side,) * n
     prod = None
     for m, count in laws:
-        spec = _power(np.fft.rfftn(_grid_embed(m, shape)), count)
-        prod = spec if prod is None else prod * spec
+        spec = np.fft.rfftn(_grid_embed(m, shape))
+        if prod is None:
+            prod, count = spec.copy(), count - 1
+        for _ in range(count):
+            prod *= spec
+        del spec  # only the product stays alive into the next transform
     conv = np.fft.irfftn(prod, s=shape, axes=tuple(range(n)))
     conv[conv < FFT_DUST] = 0.0
     idx = np.argwhere(conv > 0.0)
@@ -670,9 +662,11 @@ def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     |mu_hat_i|^2, hence real and nonnegative.  Each distinct law meets its
     reflection once, in convolve_many_fft at every size, never convolve.
 
-    The deficit is the mean of the products' deficits, so it still bounds
-    the L1 distance to the exact mean; the roundoff is the mean of theirs
-    widened by the sum's own rounding (relative gamma_{M+1} per atom)."""
+    The sum's own rounding errs by at most gamma_{M+1} relative per atom.
+    The deficit is the mean of the products' deficits plus gamma_{M+1}
+    times the kept mass, so it bounds the L1 distance to the exact mean;
+    the roundoff is the mean of theirs, widened by gamma_{M+1}, plus
+    gamma_{M+1} times the largest mass."""
     if not mus:
         raise ValueError("empty measure list")
     M = len(mus)
@@ -690,10 +684,11 @@ def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     )
     gamma = _gamma(M + 1)
     roundoff = (1.0 + gamma) * math.fsum(c.roundoff for c in terms) / M
+    deficit = math.fsum(c.deficit for c in terms) / M
     return SparseMeasure(
         mus[0].dimension,
         pts,
         masses,
-        deficit=math.fsum(c.deficit for c in terms) / M,
+        deficit=deficit + gamma * math.fsum(masses.tolist()),
         roundoff=roundoff + gamma * float(masses.max()),
     )

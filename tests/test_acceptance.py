@@ -353,8 +353,8 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 def test_c16_long_stream_extraction(tmp_path):
     # parity at M = 64 blocks (K = 12, seed 0, desk config otherwise): a
-    # product of 64 pieces, which fits its grid only when the grid is
-    # sized by the tail window and repeated laws are raised by squaring
+    # product of 64 pieces, which fits its budget only when the grid is
+    # sized by the tail window rather than the summed support span
     start = time.perf_counter()
     root = Path(__file__).resolve().parents[1]
     desk = (root / "configs" / "desk.cfg").read_text()

@@ -465,7 +465,7 @@ def assert_within_charge(got, want, rel):
 
 class TestTailGridConvolution:
     """convolve_many_fft on a grid sized by the tail window, with repeated
-    laws raised by squaring, against the exact shift-and-add."""
+    laws transformed once, against the exact shift-and-add."""
 
     @settings(max_examples=60, deadline=None)
     @given(law_products())
@@ -918,7 +918,8 @@ def dict_symmetrize(pieces, product=fft_product):
     """symmetrize's dict accumulation before the array store, kept as its
     oracle: each law's product with its reflection (by FFT, as symmetrize
     forms it, or by the exact shift-and-add), terms summed point by point
-    in the order of the laws; the deficit is the mean of the products'."""
+    in the order of the laws; the deficit is the mean of the products'
+    plus the sum's rounding, gamma_{M+1} times the kept mass."""
     out: dict[tuple[int, ...], float] = {}
     deficits = []
     for m in pieces:
@@ -926,5 +927,7 @@ def dict_symmetrize(pieces, product=fft_product):
         deficits.append(term.deficit)
         for p, w in term.atoms.items():
             out[p] = out.get(p, 0.0) + w / len(pieces)
-    return dict_canonical(2, out, math.fsum(deficits) / len(pieces))
+    M = len(pieces)
+    rounding = measure._gamma(M + 1) * math.fsum(out.values())
+    return dict_canonical(2, out, math.fsum(deficits) / M + rounding)
 

@@ -58,7 +58,9 @@ def test_compare_counts_line_differences_and_missing_files(tmp_path, capsys):
             "sweep/table.csv": "# written 2026-02-02 12:34\nR,tv\n",
         },
     )
-    assert compare_outputs.compare(old, new) == 4
+    found, pairs = compare_outputs.compare(old, new)
+    assert found == 4
+    assert pairs == [("lemmas.json", "  2", "  3")]
     printed = capsys.readouterr().out.splitlines()
     assert sorted(printed) == [
         "lemmas.json: +  3",
@@ -73,7 +75,7 @@ def test_compare_of_equal_trees_is_zero(tmp_path, capsys):
     files = {"a.json": "{}\n", "b/c.csv": "# t0\nx\n"}
     old = tree(tmp_path / "old", files)
     new = tree(tmp_path / "new", dict(files, **{"b/c.csv": "# t1\nx\n"}))
-    assert compare_outputs.compare(old, new) == 0
+    assert compare_outputs.compare(old, new) == (0, [])
     assert capsys.readouterr().out == ""
 
 
@@ -93,8 +95,8 @@ def test_compare_names_the_largest_numeric_move(tmp_path, capsys):
             "parity/sketch.txt": "lattice_s_certified 2.0055\nrank 1\nspan_error=0.0\n",
         },
     )
-    pairs = []
-    assert compare_outputs.compare(old, new, pairs) == 6
+    found, pairs = compare_outputs.compare(old, new)
+    assert found == 6
     capsys.readouterr()
     best, numeric = compare_outputs.largest_change(pairs)
     # 5.13e-10 -> 5.15e-10 moved by 2/515; 2.0000003 -> 2.0055 by less,

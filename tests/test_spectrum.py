@@ -698,8 +698,9 @@ class TestEqualLawsTransformOnce:
     product keeps the bits of transforming every piece."""
 
     def test_convolve_many_fft(self, monkeypatch):
-        # a three times and b once: one transform each, a cubed by
-        # squaring, on the least power-of-two side over the 12-cell span
+        # a three times and b once: one transform each on the least
+        # power-of-two side over the 12-cell span, multiplied law by law
+        # in first-seen order
         a, b, _, _ = mus = equal_law_pieces()
         transforms = spy_on(monkeypatch, np.fft, "rfftn")
         products = spy_on(monkeypatch, np.fft, "irfftn")
@@ -708,9 +709,9 @@ class TestEqualLawsTransformOnce:
         assert len(transforms) == 2
         assert np.array_equal(transforms[0], measure._grid_embed(a, (16,)))
         assert np.array_equal(transforms[1], measure._grid_embed(b, (16,)))
-        A, B = (np.fft.rfftn(grid) for grid in transforms)
+        A, B = (np.fft.rfftn(measure._grid_embed(m, (16,))) for m in (a, b))
         (got,) = products
-        assert got.tobytes() == ((A * (A * A)) * B).tobytes()
+        assert got.tobytes() == (((A * A) * A) * B).tobytes()
 
     def test_product_heavy_frequencies(self, monkeypatch):
         mus = equal_law_pieces()
