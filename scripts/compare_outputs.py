@@ -12,8 +12,10 @@ file that only one side wrote.  After the count it prints the largest
 relative change |new - old| / max(|old|, |new|) of any number on a
 differing line pair (a line replaced by one line that differs from it
 only in its numbers), with its file and both values, and how many
-differing lines are not such a numeric change.  Exit status is 1 on any
-difference, a missing file or a different suite exit status, else 0.
+differing lines are not such a numeric change.  Two values both below
+NOISE_FLOOR in magnitude are zeros at roundoff level, not a move, and
+are never named.  Exit status is 1 on any difference, a missing file or
+a different suite exit status, else 0.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ def body(path: Path) -> list[str]:
 
 # a decimal number, as the tables print them, or nan / inf
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+# below this magnitude a table value is roundoff around zero, such as a
+# span error of 1e-34
+NOISE_FLOOR = 1e-30
 
 
 def compare(old: Path, new: Path) -> tuple[int, list]:
@@ -83,7 +88,7 @@ def compare(old: Path, new: Path) -> tuple[int, list]:
 def largest_change(pairs: list) -> tuple[tuple | None, int]:
     """The (relative change, file, old, new) of the number that moved most
     over the line pairs that differ only in their numbers, and how many
-    pairs do."""
+    pairs do.  Values both below NOISE_FLOOR in magnitude are skipped."""
     best, numeric = None, 0
     for name, x, y in pairs:
         xs, ys = NUMBER.findall(x), NUMBER.findall(y)
@@ -93,7 +98,9 @@ def largest_change(pairs: list) -> tuple[tuple | None, int]:
         for u, v in zip(xs, ys):
             fu, fv = float(u), float(v)
             scale = max(abs(fu), abs(fv))
-            rel = abs(fu - fv) / scale if scale else 0.0
+            if scale < NOISE_FLOOR:
+                continue
+            rel = abs(fu - fv) / scale
             if u != v and (best is None or rel > best[0]):
                 best = (rel, name, u, v)
     return best, numeric

@@ -1,9 +1,16 @@
 """Discrete Gaussian primitives on Z^n.
 
-The normalizer of gamma_R on tail-certified boxes, an exact truncated
-sampler with a batched form that draws every seed's numpy PCG64 stream
-with one array kernel, and the two lattice-Gaussian checks (Poisson
-summation, convolution domination) that `verify-lemmas` runs.
+The normalizer of gamma_R on tail-certified boxes, the seeded random
+stream, an exact truncated sampler with a batched form, and the two
+lattice-Gaussian checks (Poisson summation, convolution domination) that
+`verify-lemmas` runs.
+
+The stream is numpy's default_rng(entropy), the SeedSequence-seeded
+PCG64, reproduced bit for bit by one array kernel (`pcg64_raw`) that
+jumps to any window of draws for many entropies at once, so the pipeline
+never imports numpy.random.  `pcg64_uniforms` reads a window as
+Generator.random does, and `choice_indices` as Generator.choice(p=...)
+does; Generator.integers(2**63) is a raw draw's top 63 bits.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +29,8 @@ __all__ = [
     "box_points",
     "gamma_normalizer",
     "pcg64_raw",
+    "pcg64_uniforms",
+    "choice_indices",
     "sample_truncated",
     "sample_truncated_many",
     "PoissonCheck",
@@ -33,12 +42,20 @@ __all__ = [
 DEFAULT_TAIL_MASS = 1e-12
 
 # numpy's SeedSequence hash constants (32-bit words) and PCG64's 128-bit
-# LCG multiplier as (high, low) 64-bit words
+# LCG multiplier
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924, 4865540595714422341)
-_LOW32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32, _LOW64, _LOW128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+# the 128-bit products' operands as 0-d arrays, which numpy applies
+# faster than Python ints
+_MASK32, _SHIFT32 = (np.array(c, dtype=np.uint64) for c in (_LOW32, 32))
+# a 32-bit word of SeedSequence's hash: a Python int or a uint64 array
+_Word = int | np.ndarray
+# rows per acceptance check of sample_truncated, and batches per stream
+# window, which keeps a window's 128-bit temporaries near 1 MB per axis
+_BATCH, _WINDOW_BATCHES = 1024, 16
 
 
 @dataclass(frozen=True)
@@ -125,113 +142,266 @@ def _candidates(
 def sample_truncated(
     radius: float,
     policy: TruncationPolicy,
-    seed: int,
+    seed: int | tuple[int, ...],
     count: int,
 ) -> np.ndarray:
     """`count` exact samples from gamma_R conditioned on
     ||x||_2 <= policy.radius, shape (count, n).
 
     Coordinate-wise inverse CDF over the enumerated 1-D support, then
-    rejection on the Euclidean ball. The accepted sequence is a pure
-    function of the seed, so prefixes agree across different counts.
+    rejection on the Euclidean ball.  The rows are read off the seed's
+    stream (any entropy pcg64_raw takes) in batches of _BATCH rows, as
+    default_rng(seed).random((_BATCH, n)) draws them, and after each
+    batch the acceptance guard raises once a million rows or more have
+    been drawn with fewer than one in a million accepted.  The batches
+    come in pcg64_uniforms windows of up to _WINDOW_BATCHES, each
+    continuing the stream where the last stopped; a window holds no more
+    batches than the missing rows need, so it ends where a
+    batch-by-batch loop would stop or earlier.  The accepted sequence is
+    a pure function of the seed, so prefixes agree across different
+    counts.
     """
     support, cdf = _inverse_cdf(radius, policy)
     n = policy.dimension
-    rng = np.random.default_rng(seed)
-    rows: list[np.ndarray] = []
-    have = 0
-    drawn = 0
     r2 = policy.radius * policy.radius
+    rows: list[np.ndarray] = []
+    have = drawn = 0
     while have < count:
-        batch = 1024
-        cand, inside = _candidates(support, cdf, rng.random((batch, n)), r2)
-        keep = cand[inside]
-        drawn += batch
-        if keep.size:
-            rows.append(keep)
-            have += keep.shape[0]
-        if drawn >= 1_000_000 and have < max(1, drawn * 1e-6):
+        batches = min(-(-(count - have) // _BATCH), _WINDOW_BATCHES)
+        size = batches * _BATCH
+        uniforms = pcg64_uniforms([seed], size * n, drawn * n).reshape(size, n)
+        cand, inside = _candidates(support, cdf, uniforms, r2)
+        totals = have + np.cumsum(inside.reshape(batches, _BATCH).sum(axis=1))
+        ends = drawn + _BATCH * np.arange(1, batches + 1)
+        if ((ends >= 1_000_000) & (totals < np.maximum(1, ends * 1e-6))).any():
             raise ValueError("acceptance probability below 1e-6: ball too small")
+        rows.append(cand[inside])
+        have, drawn = int(totals[-1]), int(ends[-1])
     return np.concatenate(rows, axis=0)[:count]
 
 
-def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    """SeedSequence's hashmix on uint32 arrays: each call xors the current
-    constant in, steps it by `mult` and multiplies by the new one."""
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _LOW32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return out ^ (out >> np.uint32(16))
+def _entropy_words(entropy: int | tuple[int, ...]) -> list[int]:
+    """SeedSequence's 32-bit words of an entropy: each nonnegative int
+    least significant word first (0 is the one word 0), a tuple's ints
+    one after another."""
+    words = []
+    for x in entropy if isinstance(entropy, tuple) else (entropy,):
+        x = operator.index(x)  # TypeError for a non-integer
+        if x < 0:
+            raise ValueError(f"seed entropy must be nonnegative, got {x}")
+        while True:
+            words.append(x & _LOW32)
+            x >>= 32
+            if not x:
+                break
+    return words
 
 
-def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
+def _entropy_table(
+    entropies: Sequence[int | tuple[int, ...]],
+) -> tuple[np.ndarray, list[int]]:
+    """Every entropy's 32-bit words, zero padded to one uint64 table of at
+    least four columns, and each row's word count.
+
+    Zero padding up to four words leaves SeedSequence's hash as it is, so
+    an integer array, whose entries lie below 2^64, is split into two
+    words per row at once."""
+    if isinstance(entropies, np.ndarray):
+        if entropies.dtype.kind not in "iu":
+            raise TypeError(f"seed entropies must be integers, not {entropies.dtype}")
+        if (entropies < 0).any():
+            raise ValueError("seed entropy must be nonnegative")
+        seeds = entropies.astype(np.uint64)
+        table = np.zeros((seeds.size, 4), dtype=np.uint64)
+        table[:, 0], table[:, 1] = seeds & _MASK32, seeds >> _SHIFT32
+        return table, [4] * seeds.size
+    words = [_entropy_words(e) for e in entropies]
+    lengths = [len(w) for w in words]
+    width = max([4, *lengths])
+    table = np.array([w + [0] * (width - len(w)) for w in words], dtype=np.uint64)
+    return table.reshape(len(words), width), lengths
+
+
+@lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, count: int) -> tuple[int, ...]:
+    """The first `count` constants of a SeedSequence hash: `init`, then
+    each the last one times `mult`, mod 2^32.  Hashmix call k xors
+    constant k in and multiplies by constant k + 1."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _LOW32)
+    return tuple(out)
+
+
+def _hashmix(value: _Word, xor: int, mul: int) -> _Word:
+    """SeedSequence's hashmix on a 32-bit word: xor one hash constant in,
+    multiply by the next, fold the high half down."""
+    value = (value ^ xor) * mul & _LOW32
+    return value ^ (value >> 16)
+
+
+def _mix(x: _Word, y: _Word) -> _Word:
+    out = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _LOW32
+    return out ^ (out >> 16)
+
+
+def _seed_words(
+    entropies: Sequence[int | tuple[int, ...]],
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """PCG64's initial state and increment as SeedSequence(e) makes them
+    for every entropy e, as (high, low) pairs of uint64 columns.
+
+    SeedSequence hashes the first four words into a pool of four, mixes
+    every pool word into every other, mixes each further word into every
+    pool word (here only in the rows that have it), and hashes the pool
+    into four 64-bit words.  A word is a Python int for one entropy,
+    which costs less than a one-element array, and a uint64 column for a
+    batch; both are masked to 32 bits after every product, as numpy's
+    uint32 arithmetic wraps.
+    """
+    table, lengths = _entropy_table(entropies)
+    width = table.shape[1]
+    cols = table[0].tolist() if len(table) == 1 else list(table.T)
+    shortest = min(lengths, default=width)
+    c = _hash_constants(_HASH_INIT_A, _HASH_MULT_A, 4 * width + 1)
+    pool = [_hashmix(cols[i], c[i], c[i + 1]) for i in range(4)]
+    call = 4
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                mixed = _hashmix(pool[src], c[call], c[call + 1])
+                pool[dst] = _mix(pool[dst], mixed)
+                call += 1
+    for src in range(4, width):
+        for dst in range(4):
+            mixed = _mix(pool[dst], _hashmix(cols[src], c[call], c[call + 1]))
+            call += 1
+            if src >= shortest:  # rows without this word keep their pool
+                mixed = np.where(np.array(lengths) > src, mixed, pool[dst])
+            pool[dst] = mixed
+    c = _hash_constants(_HASH_INIT_B, _HASH_MULT_B, 9)
+    h = [_hashmix(pool[k % 4], c[k], c[k + 1]) for k in range(8)]
+    v0, v1, v2, v3 = (h[k] | h[k + 1] << 32 for k in (0, 2, 4, 6))
+    inc = ((v2 << 1 | v3 >> 63) & _LOW64, (v3 << 1 | 1) & _LOW64)
+    init_hi, init_lo, inc_hi, inc_lo = (
+        np.asarray(w, dtype=np.uint64).reshape(-1, 1) for w in (v0, v1, *inc)
+    )
+    return (init_hi, init_lo), (inc_hi, inc_lo)
+
+
+def _mul_high(a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
     """The high 64 bits of each a * b, from 32-bit limbs."""
-    a0, a1 = a & _LOW32, a >> 32
-    b0, b1 = b & _LOW32, b >> 32
+    a0, a1 = a & _MASK32, a >> _SHIFT32
+    b0, b1 = b & _MASK32, b >> _SHIFT32
     p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    mid = (p00 >> _SHIFT32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+
+
+def _mul128(
+    x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray | int, np.ndarray | int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """x * y mod 2^128 on (high, low) uint64 word pairs, broadcast."""
+    (x_hi, x_lo), (y_hi, y_lo) = x, y
+    return _mul_high(x_lo, y_lo) + x_hi * y_lo + x_lo * y_hi, x_lo * y_lo
 
 
 def _add128(
-    hi: np.ndarray, lo: np.ndarray, add_hi: np.ndarray, add_lo: np.ndarray
+    x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray | int, np.ndarray | int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    low = lo + add_lo
-    return hi + add_hi + (low < lo).astype(np.uint64), low
+    """x + y mod 2^128 on (high, low) uint64 word pairs, broadcast."""
+    low = x[1] + y[1]
+    return x[0] + y[0] + (low < x[1]).astype(np.uint64), low
 
 
-def _lcg_step(
-    state: tuple[np.ndarray, np.ndarray], inc: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """state * _PCG_MULT + inc mod 2^128, on (high, low) word pairs."""
-    hi, lo = state
-    m_hi, m_lo = _PCG_MULT
-    return _add128(_mul_high(lo, m_lo) + hi * m_lo + lo * m_hi, lo * m_lo, *inc)
+def _words(c: int) -> tuple[int, int]:
+    """A 128-bit int as its (high, low) 64-bit words."""
+    return c >> 64, c & _LOW64
 
 
-def pcg64_raw(seeds: Sequence[int], count: int) -> np.ndarray:
-    """`np.random.PCG64(s).random_raw(count)` for every seed s in
-    [0, 2^64), shape (len(seeds), count), uint64.
+def _jump(steps: int) -> tuple[int, int]:
+    """(a^t, (a^t - 1)/(a - 1)) mod 2^128 for t = steps and a = _PCG_MULT:
+    t LCG steps take a state s to a^t s + (a^t - 1)/(a - 1) inc.
 
-    One array pass per step for all seeds: SeedSequence(s) mixes the
-    seed's two 32-bit words into a pool of four and hashes the pool into
-    the 128-bit initial state and increment, PCG64 seeds its LCG from
-    them, and each draw is one LCG step followed by the XSL-RR output.
-    The hash runs on uint32 arrays, the 128-bit LCG on pairs of uint64
-    arrays, and both wrap as numpy's C code does.
+    Brown's jump-ahead: square the one-step map (a, 1) once per bit of t
+    and compose it in where the bit is set."""
+    mult, plus = 1, 0
+    a, g = _PCG_MULT, 1
+    while steps:
+        if steps & 1:
+            mult, plus = mult * a & _LOW128, (plus * a + g) & _LOW128
+        a, g = a * a & _LOW128, g * (a + 1) & _LOW128
+        steps >>= 1
+    return mult, plus
+
+
+@lru_cache(maxsize=None)
+def _step_table(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a^t, (a^t - 1)/(a - 1)) mod 2^128 for t = 0 .. 2^bits - 1, as
+    (high, low) uint64 word pairs of shape (2, 2^bits), built by doubling:
+    the first m entries jumped by m give the next m."""
+    size = 1 << bits
+    mult = np.zeros((2, size), dtype=np.uint64)
+    plus = np.zeros((2, size), dtype=np.uint64)
+    mult[1, 0] = 1
+    filled = 1
+    while filled < size:
+        m, g = _jump(filled)
+        ahead = slice(filled, 2 * filled)
+        mult[:, ahead] = _mul128(mult[:, :filled], _words(m))
+        plus[:, ahead] = _add128(_mul128(plus[:, :filled], _words(m)), _words(g))
+        filled *= 2
+    mult.flags.writeable = plus.flags.writeable = False
+    return mult, plus
+
+
+def pcg64_raw(
+    entropies: Sequence[int | tuple[int, ...]], count: int, start: int = 0
+) -> np.ndarray:
+    """Draws start .. start + count - 1 of
+    `np.random.default_rng(e).bit_generator.random_raw` for every entropy
+    e, shape (len(entropies), count), uint64.
+
+    An entropy is what numpy's SeedSequence takes: a nonnegative int of
+    any size, or a tuple of them.  PCG64 seeds its LCG by stepping from
+    state 0, adding the hashed initial state s and stepping again, and
+    steps once before each draw, so draw k is the XSL-RR output of
+    a^(k+2) s + G_(k+3) inc, where a is the multiplier and
+    G_t = (a^t - 1)/(a - 1) mod 2^128 (_jump).  The window's (a^t, G_t)
+    are read off one table built by doubling (_step_table: O(log count)
+    array passes, once per size) and jumped ahead by `start`, so any
+    window takes a fixed number of array passes for all entropies
+    together.  The 128-bit arithmetic runs on pairs of uint64 arrays and
+    wraps as numpy's C code does.
     """
-    # OverflowError for a seed outside [0, 2^64), TypeError for a non-integer
-    s = np.array([operator.index(x) for x in seeds], dtype=np.uint64)
-    hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
-    zero = np.zeros(s.size, dtype=np.uint32)
-    words = [(s & _LOW32).astype(np.uint32), (s >> 32).astype(np.uint32), zero, zero]
-    pool = [hashmix(w) for w in words]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    hashmix = _hasher(_HASH_INIT_B, _HASH_MULT_B)
-    half = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    v0, v1, v2, v3 = (half[2 * k] | (half[2 * k + 1] << 32) for k in range(4))
-    inc = ((v2 << 1) | (v3 >> 63), (v3 << 1) | 1)
-    state = _lcg_step(_add128(*inc, v0, v1), inc)
-    out = np.empty((s.size, count), dtype=np.uint64)
-    for k in range(count):
-        state = _lcg_step(state, inc)
-        hi, lo = state
-        x, rot = hi ^ lo, hi >> 58
-        out[:, k] = (x >> rot) | (x << ((64 - rot) & 63))
-    return out
+    init, inc = _seed_words(entropies)
+    mult, plus = _step_table((count + 2).bit_length())
+    mult, plus = mult[:, 2 : count + 2], plus[:, 3 : count + 3]
+    if start:
+        m, g = _jump(start)
+        mult = _mul128(mult, _words(m))
+        plus = _add128(_mul128(plus, _words(m)), _words(g))
+    hi, lo = _add128(_mul128(init, mult), _mul128(inc, plus))
+    lo ^= hi
+    hi >>= 58  # the rotation
+    return (lo >> hi) | (lo << ((64 - hi) & 63))
+
+
+def pcg64_uniforms(
+    entropies: Sequence[int | tuple[int, ...]], count: int, start: int = 0
+) -> np.ndarray:
+    """`default_rng(e).random(count)` after `start` draws, for every
+    entropy e, shape (len(entropies), count): the top 53 bits of each raw
+    draw times 2^-53."""
+    return (pcg64_raw(entropies, count, start) >> 11) * 2.0**-53
+
+
+def choice_indices(p: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """`Generator.choice(p.size, p=p)` read off the given uniforms: each
+    one's index in the CDF of p, built as choice builds it."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, side="right")
 
 
 def sample_truncated_many(
@@ -240,20 +410,18 @@ def sample_truncated_many(
     seeds: Sequence[int],
     count: int,
 ) -> np.ndarray:
-    """`sample_truncated(radius, policy, s, count=count)` for every seed s
-    in [0, 2^64), stacked into shape (len(seeds), count, n).
+    """`sample_truncated(radius, policy, s, count=count)` for every seed
+    s, stacked into shape (len(seeds), count, n).
 
-    pcg64_raw draws each seed's first `count` rows at once, read as
-    default_rng(s).random does (the top 53 bits times 2^-53), and all of
-    them go through one inverse-CDF lookup and one ball test.  A seed
+    pcg64_uniforms draws each seed's first `count` rows at once, and all
+    of them go through one inverse-CDF lookup and one ball test.  A seed
     with a rejected row is redrawn by `sample_truncated`, which continues
     that seed's stream past the rejection, so every slice equals the
     single-seed draw bit for bit.
     """
     support, cdf = _inverse_cdf(radius, policy)
     n = policy.dimension
-    raw = pcg64_raw(seeds, count * n)
-    uniforms = ((raw >> 11) * 2.0**-53).reshape(raw.shape[0], count, n)
+    uniforms = pcg64_uniforms(seeds, count * n).reshape(len(seeds), count, n)
     out, inside = _candidates(support, cdf, uniforms, policy.radius * policy.radius)
     for k in np.flatnonzero(~inside.all(axis=1)).tolist():
         out[k] = sample_truncated(radius, policy, int(seeds[k]), count=count)

@@ -250,6 +250,16 @@ def _grid_embed(mu: SparseMeasure, shape: Sequence[int]) -> np.ndarray:
     return arr
 
 
+def _grid_spectrum(mu: SparseMeasure, shape: Sequence[int]) -> np.ndarray:
+    """rfftn of mu's grid (_grid_embed) into one preallocated half, so the
+    complex passes run in place, with the real grid freed on return: one
+    grid and one half are alive at once, not a grid and two halves.  The
+    result is bit for bit rfftn's."""
+    grid = _grid_embed(mu, shape)
+    half = np.empty(grid.shape[:-1] + (grid.shape[-1] // 2 + 1,), dtype=complex)
+    return np.fft.rfftn(grid, out=half)
+
+
 def _covering_exponent(mus: Sequence[SparseMeasure], exponent: int) -> int:
     """The least grid exponent at or above `exponent` whose 2^e side covers
     the widest support among mus, so each embeds in its own grid."""
@@ -408,7 +418,7 @@ def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     shape = (side,) * n
     prod = None
     for m, count in laws:
-        spec = np.fft.rfftn(_grid_embed(m, shape))
+        spec = _grid_spectrum(m, shape)
         if prod is None:
             prod, count = spec.copy(), count - 1
         for _ in range(count):
@@ -635,7 +645,7 @@ def large_spectrum_scan(
     side = 2**grid_exponent
     n = mu.dimension
     # the forward transform's phase matches mu_hat, so |F[k]| = |mu_hat(k/side)|
-    mag = np.abs(np.fft.rfftn(_grid_embed(mu, (side,) * n)))
+    mag = np.abs(_grid_spectrum(mu, (side,) * n))
     threshold = 1.0 - 1.0 / K
     index, source = _half_spectrum_cells(mag >= threshold, side)
     grid_mag = mag[tuple(source.T)]

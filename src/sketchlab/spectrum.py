@@ -22,7 +22,7 @@ from .measure import (
     _BLOCK_CELLS,
     ScanReport,
     SparseMeasure,
-    _grid_embed,
+    _grid_spectrum,
     _half_spectrum_cells,
     _law_key,
     _reduce_torus,
@@ -758,7 +758,7 @@ def product_heavy_frequencies(
     for m in mus:
         key = _law_key(m)
         if key not in mags:
-            mags[key] = np.abs(np.fft.rfftn(_grid_embed(m, shape)))
+            mags[key] = np.abs(_grid_spectrum(m, shape))
         prod = prod * mags[key]
     cells, _ = _half_spectrum_cells(prod >= threshold, side)
     return _reduce_torus(cells / side)

@@ -18,7 +18,9 @@ import numpy as np
 
 from .dgauss import (
     TruncationPolicy,
+    choice_indices,
     pcg64_raw,
+    pcg64_uniforms,
     sample_truncated,
     sample_truncated_many,
 )
@@ -252,10 +254,11 @@ class StreamSample:
     deltas: tuple[tuple[int, ...], ...]
 
 
-def _subseeds(seeds: Sequence[int], count: int) -> np.ndarray:
-    """`default_rng(s).integers(0, 2**63, size=count)` for every seed s,
-    shape (len(seeds), count).  On the range 2^63 Lemire's bounded draw
-    never rejects and keeps the top 63 bits of each raw draw."""
+def _subseeds(seeds: Sequence[int | tuple[int, ...]], count: int) -> np.ndarray:
+    """`default_rng(s).integers(0, 2**63, size=count)` for every seed s
+    (any entropy pcg64_raw takes), shape (len(seeds), count).  On the
+    range 2^63 Lemire's bounded draw never rejects and keeps the top 63
+    bits of each raw draw."""
     return (pcg64_raw(seeds, count) >> 1).astype(np.int64)
 
 
@@ -265,10 +268,10 @@ def _check_target(mu: SparseMeasure) -> None:
 
 
 def _draw_target(mu: SparseMeasure, seed: int) -> tuple[int, ...]:
+    """`default_rng(seed).choice(p=...)` over mu's points, by mass."""
     _check_target(mu)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(mu.masses.size, p=mu.masses / mu.total_mass)
-    return tuple(int(c) for c in mu.points[idx])
+    idx = choice_indices(mu.masses / mu.total_mass, pcg64_uniforms([seed], 1)[0])
+    return tuple(int(c) for c in mu.points[idx[0]])
 
 
 def exact_stream_sample(
@@ -486,9 +489,7 @@ def _convolution_rows(
         rows_of.setdefault(id(law), []).append(i)
     for rows in rows_of.values():
         law = laws[rows[0]]
-        cdf = (law.masses / law.masses.sum()).cumsum()
-        cdf /= cdf[-1]
-        idx = cdf.searchsorted(uniforms[..., rows, :], side="right")
+        idx = choice_indices(law.masses / law.masses.sum(), uniforms[..., rows, :])
         out += law.points[idx].sum(axis=-3)
     return out
 
@@ -497,14 +498,16 @@ def resample_convolution(
     dimension: int,
     laws: Sequence[SparseMeasure],
     count: int,
-    rng: np.random.Generator,
+    entropy: int | tuple[int, ...],
 ) -> np.ndarray:
     """Rows of X_1 + ... + X_k with independent X_i from the given laws.
 
-    One rng.random((k, count)) draw feeds _convolution_rows, so the rows
-    are index for index those of one rng.choice(count, p=...) per law in
-    order."""
-    return _convolution_rows(dimension, laws, rng.random((len(laws), count)))
+    The first k * count uniforms of the entropy's stream feed
+    _convolution_rows, so the rows are index for index those of one
+    default_rng(entropy).choice(count, p=...) per law in order, and the
+    stream continues at draw k * count."""
+    uniforms = pcg64_uniforms([entropy], len(laws) * count)
+    return _convolution_rows(dimension, laws, uniforms.reshape(len(laws), count))
 
 
 def _success_estimate(
@@ -514,19 +517,21 @@ def _success_estimate(
     laws: Sequence[SparseMeasure],
     states: tuple[int, ...],
     landings: int,
-    rng: np.random.Generator,
+    entropy: tuple[int, ...],
     memo: dict,
 ) -> float:
     """Mass-weighted validity of the closing answer over resampled landings.
 
-    Every target point's landings come from one uniform draw, in the
-    order of one resample_convolution call per point, and are folded in
-    one fold_deltas call; each point checks each distinct end state once.
+    Every target point's landings come from one window of the entropy's
+    uniforms, in the order of one default_rng(entropy).choice per law and
+    point, and are folded in one fold_deltas call; each point checks
+    each distinct end state once.
     """
     closing_index = len(states) - 1
     weight = target.total_mass
     ys = target.points
-    uniforms = rng.random((ys.shape[0], len(laws), landings))
+    uniforms = pcg64_uniforms([entropy], ys.shape[0] * len(laws) * landings)
+    uniforms = uniforms.reshape(ys.shape[0], len(laws), landings)
     deltas = ys[:, None, :] - _convolution_rows(alg.dimension, laws, uniforms)
     ends = fold_deltas(
         alg, deltas.reshape(-1, alg.dimension), closing_index, states[-1], memo
@@ -555,32 +560,31 @@ def select_state_sequence(
 ) -> StateSequence:
     """Pick the observed boundary-state sequence with the best success.
 
-    The census draws the prefix blocks of `samples` exact streams in one
-    batched draw from the truncated Gaussian of the radius (each stream
-    keeps its own seed, so the draws equal `exact_stream_sample`'s),
-    folds them block by block, and groups them by their states at block
+    The census streams' seeds are the first `samples` draws of the seed's
+    stream (`_subseeds`, as default_rng(seed).integers(0, 2**63, samples)
+    draws them), and their prefix blocks come in one batched draw from
+    the truncated Gaussian of the radius (each stream keeps its own
+    seed, so the draws equal `exact_stream_sample`'s).  The census folds
+    them block by block and groups them by their states at block
     boundaries.
     Sequences whose empirical share falls below `threshold` are dropped;
     the default is half of 2^-blocks, the share each sequence would keep
     if every block branched two ways, so algorithms that branch more
     densely need a lower threshold.  Survivors get their success
     estimated from SELECTION_LANDINGS resampled closing blocks per target
-    point, reseeded per candidate from its own states so the aggregation
-    is order independent.  The best estimate wins; exact ties go to the
-    lexicographically smallest states.  The census and the survivors share
-    one fold table, so each distinct transition is stepped once and its
-    posterior law built and certified once, however many survivors pass
-    through it.
+    point, drawn from the stream of the entropy (seed, *states), so the
+    aggregation is order independent.  The best estimate wins; exact ties
+    go to the lexicographically smallest states.  The census and the
+    survivors share one fold table, so each distinct transition is stepped
+    once and its posterior law built and certified once, however many
+    survivors pass through it.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     _check_horizon(alg, blocks)
     pol = TruncationPolicy.for_gaussian(alg.dimension, radius)
     _check_target(target)
-    seed_rng = np.random.default_rng(seed)
-    prefixes = _prefix_blocks(
-        radius, blocks, pol, seed_rng.integers(0, 2**63, size=samples)
-    )
+    prefixes = _prefix_blocks(radius, blocks, pol, _subseeds([seed], samples)[0])
     table = _FoldTable(alg, gamma_truncated(alg.dimension, radius))
     paths = np.empty((samples, blocks + 1), dtype=np.int64)
     paths[:, 0] = alg.initial_state
@@ -604,7 +608,7 @@ def select_state_sequence(
             laws,
             states,
             SELECTION_LANDINGS,
-            np.random.default_rng((seed, *states)),
+            (seed, *states),
             table.memo,
         )
         candidate = StateSequence(

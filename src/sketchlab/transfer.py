@@ -18,7 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dgauss import TruncationPolicy, sample_truncated
+from .dgauss import (
+    TruncationPolicy,
+    choice_indices,
+    pcg64_raw,
+    pcg64_uniforms,
+    sample_truncated,
+)
 # convolve_many_fft is unused here, but benchmark/test_benchmark.py checks
 # that its tracer patches the transfer.convolve_many_fft alias
 from .measure import SparseMeasure, convolve_many_fft, gamma_truncated  # noqa: F401
@@ -192,14 +198,20 @@ def verify_smoothness(
     seed: int,
 ) -> SmoothnessCheck:
     """Estimate Pr[answers of Y and Y+Z are compatible] for Z ~ gamma noise,
-    over SMOOTHNESS_TRIALS draws."""
+    over SMOOTHNESS_TRIALS draws.
+
+    The seed's stream is read as default_rng(seed) would be by
+    choice(size=SMOOTHNESS_TRIALS, p=...) for the Y draws, then
+    integers(2**63) for the seed of the noise sampler: the first trials
+    uniforms, and the next raw draw's top 63 bits."""
     trials = SMOOTHNESS_TRIALS
     n = target.dimension
     pol = TruncationPolicy.for_gaussian(n, radius)
     deficit = gamma_truncated(n, radius).deficit
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(target.masses.size, size=trials, p=target.masses / target.total_mass)
-    noise = sample_truncated(radius, pol, int(rng.integers(2**63)), count=trials)
+    uniforms = pcg64_uniforms([seed], trials)[0]
+    idx = choice_indices(target.masses / target.total_mass, uniforms)
+    noise_seed = int(pcg64_raw([seed], 1, trials)[0, 0] >> 1)
+    noise = sample_truncated(radius, pol, noise_seed, count=trials)
     failures = 0
     for i in range(trials):
         y = tuple(int(c) for c in target.points[idx[i]])
@@ -293,14 +305,16 @@ def _build_decoder(
     conflicts: list[FiberConflict] = []
     for fiber_index, (value, members) in enumerate(fibers.items()):
         y_rep = members[0]
-        rng = np.random.default_rng((seed, fiber_index))
+        entropy = (seed, fiber_index)
         draws = resample_convolution(
-            sketch.structure.dimension, laws, DECODER_LANDINGS, rng
+            sketch.structure.dimension, laws, DECODER_LANDINGS, entropy
         )
         deltas = np.asarray(y_rep, dtype=np.int64) - draws
         if sketch.structure.route == "mollified":
+            # integers(2**63) where resample_convolution left the stream
+            raw = pcg64_raw([entropy], 1, len(laws) * DECODER_LANDINGS)[0, 0]
             deltas = deltas + sample_truncated(
-                radius, policy, int(rng.integers(2**63)), count=DECODER_LANDINGS
+                radius, policy, int(raw >> 1), count=DECODER_LANDINGS
             )
         ends = fold_deltas(alg, deltas, close_index, last_state, memo)
         outputs = [alg.output(s) for s in ends.tolist()]

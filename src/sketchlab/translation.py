@@ -21,7 +21,7 @@ from .measure import (
     SparseMeasure,
     _covering_exponent,
     _gamma,
-    _grid_embed,
+    _grid_spectrum,
     _half_spectrum_cells,
     _lex_groups,
     _reduce_torus,
@@ -329,7 +329,7 @@ def measured_structure_spread(
     neighborhood radius, not a certificate between grid points.
     """
     side = 2 ** _covering_exponent([nu], GRID_EXPONENT)
-    mags = np.abs(np.fft.rfftn(_grid_embed(nu, (side,) * nu.dimension)))
+    mags = np.abs(_grid_spectrum(nu, (side,) * nu.dimension))
     heavy, _ = _half_spectrum_cells(mags > eta + 1e-12, side)
     if heavy.shape[0] == 0:
         return HeavySpread(eta, 0, 0.0)

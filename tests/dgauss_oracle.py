@@ -1,6 +1,8 @@
 """Closed forms of gamma_R that the sampler, the truncation policy and
 the convolution-domination check are tested against: the probability
-mass function and the tail bound the truncation radius is solved from."""
+mass function and the tail bound the truncation radius is solved from;
+and the truncated sampler as it was on numpy's own Generator, which the
+array stream must reproduce."""
 
 from __future__ import annotations
 
@@ -9,7 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from sketchlab.dgauss import gamma_normalizer
+from sketchlab import dgauss
+from sketchlab.dgauss import TruncationPolicy, gamma_normalizer
 
 
 def gamma_tail_bound(dimension: int, radius: float, cutoff: float) -> float:
@@ -31,3 +34,30 @@ def gamma_pmf(radius: float, x: Sequence[int]) -> float:
     return math.exp(-math.pi * float(xv @ xv) / (radius * radius)) / gamma_normalizer(
         xv.size, radius
     )
+
+
+def batch_sample_truncated(
+    radius: float, policy: TruncationPolicy, seed: int, count: int
+) -> np.ndarray:
+    """`dgauss.sample_truncated` as it was on numpy's Generator: one
+    default_rng(seed).random((1024, n)) batch per acceptance check.  It
+    reads the inverse CDF and the ball test from the module at call time,
+    so a test that patches them patches both samplers."""
+    support, cdf = dgauss._inverse_cdf(radius, policy)
+    n = policy.dimension
+    rng = np.random.default_rng(seed)
+    rows: list[np.ndarray] = []
+    have = 0
+    drawn = 0
+    r2 = policy.radius * policy.radius
+    while have < count:
+        batch = 1024
+        cand, inside = dgauss._candidates(support, cdf, rng.random((batch, n)), r2)
+        keep = cand[inside]
+        drawn += batch
+        if keep.size:
+            rows.append(keep)
+            have += keep.shape[0]
+        if drawn >= 1_000_000 and have < max(1, drawn * 1e-6):
+            raise ValueError("acceptance probability below 1e-6: ball too small")
+    return np.concatenate(rows, axis=0)[:count]

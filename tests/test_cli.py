@@ -1050,3 +1050,49 @@ class TestOneThread:
                 f"verify-lemmas --config {desk} --out {suite_dir() / 'idle-lemmas'}",
             ]
         )
+
+
+# Runs verbs in one interpreter and prints their exit codes and whether
+# numpy.random was imported on the way.
+RANDOM_PROBE = """
+import sys
+from sketchlab.cli import main
+
+codes = [main(args.split()) for args in sys.argv[1:]]
+print(codes, "numpy.random" in sys.modules)
+"""
+
+
+def test_extract_and_sweep_never_import_numpy_random(tmp_path):
+    # every draw on these verbs comes from dgauss's array stream; the
+    # configs are the benchmark's three workloads
+    root = Path(__file__).resolve().parents[1]
+    desk = (root / "configs" / "desk.cfg").read_text()
+    configs = {
+        "parity": desk.replace("M = 8", "M = 3"),
+        "capped": desk.replace("M = 8", "M = 2")
+        .replace("scenario = parity", "scenario = capped-norm")
+        .replace("route = exact", "route = mollified")
+        .replace("Q = 2048", "Q = 8"),
+        "sweep": desk.replace("M = 8", "M = 2").replace(
+            "scenario = parity", "scenario = constant"
+        ),
+    }
+    commands = []
+    for verb, name in (
+        ("extract", "parity"),
+        ("extract", "capped"),
+        ("tv-sweep", "sweep"),
+    ):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(configs[name])
+        commands.append(f"{verb} --config {cfg} --out {tmp_path / name}")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", RANDOM_PROBE, *commands],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"

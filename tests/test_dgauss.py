@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dgauss_oracle import gamma_pmf, gamma_tail_bound
+from dgauss_oracle import batch_sample_truncated, gamma_pmf, gamma_tail_bound
 from sketchlab import dgauss
 from sketchlab.measure import gamma_truncated
 
@@ -179,6 +179,57 @@ class TestSampler:
         with pytest.raises(ValueError):
             dgauss.sample_truncated(2.0, pol, 3, count=1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("tight", [False, True])
+    @pytest.mark.parametrize("count", [1, 1023, 1025, 20_000])
+    def test_matches_generator_batches(self, n, tight, count):
+        # the ball of radius 2.9 at R = 2.9 rejects every row with a
+        # coordinate of 3; 20 000 rows take more than one stream window
+        pol = (
+            dgauss.TruncationPolicy(n, 1e-3, 2.9)
+            if tight
+            else dgauss.TruncationPolicy.for_gaussian(n, 2.9)
+        )
+        for seed in (0, (5, 2**40)):
+            got = dgauss.sample_truncated(2.9, pol, seed, count=count)
+            assert np.array_equal(got, batch_sample_truncated(2.9, pol, seed, count))
+
+    def test_acceptance_guard_matches_generator_batches(self, monkeypatch):
+        # a ball test that rejects every row trips the 1e-6 guard after
+        # the first million rows, in both samplers
+        real = dgauss._candidates
+
+        def reject_all(*args):
+            cand, inside = real(*args)
+            return cand, np.zeros_like(inside)
+
+        monkeypatch.setattr(dgauss, "_candidates", reject_all)
+        pol = dgauss.TruncationPolicy.for_gaussian(1, 2.0)
+        for sampler in (dgauss.sample_truncated, batch_sample_truncated):
+            with pytest.raises(ValueError, match="below 1e-6"):
+                sampler(2.0, pol, 3, 1)
+
+
+def numpy_raw(entropy, count: int, start: int = 0) -> np.ndarray:
+    """numpy's own draws start .. start + count - 1 of the entropy's
+    stream: PCG64's jump-ahead, then its random_raw."""
+    bits = np.random.default_rng(entropy).bit_generator
+    bits.advance(start)
+    return bits.random_raw(count)
+
+
+# one and two 32-bit words, the top of 64 bits, and three words
+INT_ENTROPY_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5]
+# 0, 1 and 2^k +- 1, and 2^k - 3 and 2^k - 2, where the step table (count
+# + 3 entries) fills a power of two exactly and where it grows to the next
+WINDOW_COUNTS = [0, 1] + [2**k + d for k in range(2, 12) for d in (-3, -2, -1, 1)]
+WORDS = st.integers(0, 2**32 - 1)
+ENTROPIES = st.one_of(
+    st.sampled_from(INT_ENTROPY_EDGES),
+    st.integers(0, 2**160),
+    st.lists(WORDS, min_size=1, max_size=9).map(tuple),
+)
+
 
 class TestPcg64Raw:
     """The seed kernel against numpy's own PCG64, the generator it
@@ -202,10 +253,76 @@ class TestPcg64Raw:
         want = [np.random.PCG64(s).random_raw(count) for s in seeds]
         assert np.array_equal(dgauss.pcg64_raw(seeds, count), want)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_rejects_seeds_outside_64_bits(self, seed):
-        with pytest.raises(OverflowError):
-            dgauss.pcg64_raw([0, seed], 1)
+    @pytest.mark.parametrize("count", WINDOW_COUNTS)
+    def test_int_entropy_edges(self, count):
+        got = dgauss.pcg64_raw(INT_ENTROPY_EDGES, count)
+        assert got.shape == (len(INT_ENTROPY_EDGES), count)
+        for entropy, row in zip(INT_ENTROPY_EDGES, got):
+            assert np.array_equal(row, numpy_raw(entropy, count))
+
+    @given(
+        st.lists(ENTROPIES, min_size=1, max_size=6),
+        st.sampled_from(WINDOW_COUNTS),
+        st.one_of(st.integers(0, 5000), st.integers(0, 2**130)),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_windows_match_numpy(self, batch, count, start):
+        # entropies of different word counts share one call, so the
+        # words past the fourth are mixed into their own rows only
+        got = dgauss.pcg64_raw(batch, count, start)
+        assert got.dtype == np.uint64
+        for entropy, row in zip(batch, got):
+            assert np.array_equal(row, numpy_raw(entropy, count, start))
+
+    @given(ENTROPIES, st.lists(st.sampled_from(WINDOW_COUNTS), max_size=5))
+    @settings(deadline=None, max_examples=60)
+    def test_windows_continue_across_calls(self, entropy, counts):
+        bits = np.random.default_rng(entropy).bit_generator
+        start = 0
+        for count in counts:
+            got = dgauss.pcg64_raw([entropy], count, start)[0]
+            assert np.array_equal(got, bits.random_raw(count))
+            start += count
+
+    @given(ENTROPIES, st.sampled_from(WINDOW_COUNTS), st.integers(0, 3000))
+    @settings(deadline=None, max_examples=60)
+    def test_uniforms_match_random(self, entropy, count, start):
+        rng = np.random.default_rng(entropy)
+        rng.bit_generator.advance(start)
+        got = dgauss.pcg64_uniforms([entropy], count, start)[0]
+        assert np.array_equal(got, rng.random(count))
+
+    @given(ENTROPIES, st.integers(1, 40))
+    @settings(deadline=None, max_examples=60)
+    def test_top_63_bits_match_integers(self, entropy, count):
+        # the scalar draw integers(2**63), as the decoder and the
+        # smoothness check take a noise seed
+        rng = np.random.default_rng(entropy)
+        want = [int(rng.integers(2**63)) for _ in range(count)]
+        assert (dgauss.pcg64_raw([entropy], count)[0] >> 1).tolist() == want
+
+    @given(
+        ENTROPIES,
+        st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=12),
+        st.integers(1, 300),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_choice_indices_match_choice(self, entropy, weights, count):
+        p = np.array(weights) / math.fsum(weights)
+        rng = np.random.default_rng(entropy)
+        want = rng.choice(p.size, size=count, p=p)
+        single = rng.choice(p.size, p=p)  # size None: one more draw
+        uniforms = dgauss.pcg64_uniforms([entropy], count + 1)[0]
+        got = dgauss.choice_indices(p, uniforms)
+        assert np.array_equal(got[:count], want)
+        assert got[count] == single
+
+    @pytest.mark.parametrize("entropy", [-1, (3, -1)])
+    def test_rejects_negative_entropy(self, entropy):
+        with pytest.raises(ValueError):
+            np.random.default_rng(entropy)
+        with pytest.raises(ValueError, match="nonnegative"):
+            dgauss.pcg64_raw([0, entropy], 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_batched_sampler_matches_single_seed_draws(self, monkeypatch, n):

@@ -2,7 +2,7 @@
 rest on: `scripts/run_suite.py` leaves no config copy behind, and
 `scripts/compare_outputs.py` counts a changed table line, ignores a
 CSV's timestamp comment, reports a file that one side lacks and names
-the number that moved most."""
+the number that moved most, passing over zeros at roundoff level."""
 
 from __future__ import annotations
 
@@ -104,3 +104,26 @@ def test_compare_names_the_largest_numeric_move(tmp_path, capsys):
     assert best == (abs(5.15e-10 - 5.13e-10) / 5.15e-10, "lemmas.csv", "5.13e-10", "5.15e-10")
     assert numeric == 3
     assert compare_outputs.largest_change([("a.txt", "route exact", "route mollified")]) == (None, 0)
+
+
+def test_compare_skips_moves_between_noise_level_zeros():
+    compare_outputs = load("compare_outputs")
+    pairs = [
+        (
+            "constant/sketch.txt",
+            "span_error=1.4444474582904269e-34",
+            "span_error=7.7037197775489434e-34",
+        ),
+        (
+            "parity/sketch.txt",
+            "lattice_s_certified 2.0000003",
+            "lattice_s_certified 2.0055",
+        ),
+    ]
+    best, numeric = compare_outputs.largest_change(pairs)
+    # the span error moved by 0.81 relative, but both values are zero at
+    # roundoff level; the real move is the lattice's
+    rel = abs(2.0055 - 2.0000003) / 2.0055
+    assert best == (rel, "parity/sketch.txt", "2.0000003", "2.0055")
+    assert numeric == 2
+    assert compare_outputs.largest_change(pairs[:1]) == (None, 1)

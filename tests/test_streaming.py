@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from dgauss_oracle import batch_sample_truncated
 from streaming_oracle import canonical_realization, fold_block, identity_box_algorithm
 from sketchlab.dgauss import TruncationPolicy
 from sketchlab.measure import SparseMeasure, density_certificate, gamma_truncated
 from sketchlab.streaming import (
+    SELECTION_LANDINGS,
     ImpossibleSequence,
     ProblemSpec,
     SelectionFailed,
@@ -375,18 +377,18 @@ def law_lists(draw):
 @settings(max_examples=60, deadline=None)
 def test_resample_convolution_matches_choice_draws(case, count, seed):
     n, laws = case
-    rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = resample_convolution(n, laws, count, rng)
+    old = np.random.default_rng(seed)
+    got = resample_convolution(n, laws, count, seed)
     want = choice_resample_convolution(n, laws, count, old)
     assert got.shape == want.shape == (count, n)
     assert np.array_equal(got, want)
-    # the generators consumed the same stream
-    assert rng.random() == old.random()
+    # the stream continues where the choice draws left the generator
+    assert dgauss.pcg64_uniforms([seed], 1, len(laws) * count)[0, 0] == old.random()
 
 
 def test_resample_convolution_matches_laws():
     laws = posterior_laws(parity_algorithm(2), (0, 1, 0), 8.0, 2)
-    rows = resample_convolution(2, laws, 256, np.random.default_rng(3))
+    rows = resample_convolution(2, laws, 256, 3)
     assert rows.shape == (256, 2)
     # both blocks have odd coordinate sums, so every row sums even
     assert all(int(r.sum()) % 2 == 0 for r in rows)
@@ -551,11 +553,9 @@ IDENTITY_STATES = (IDENTITY.initial_state, _S1, fold_block(IDENTITY, 1, _S1, (2,
 )
 def test_success_estimate_matches_per_row_loop(alg, states, problem):
     laws = posterior_laws(alg, states, 8.0, 2)
-    q = _success_estimate(
-        alg, problem, TARGET4, laws, states, 64, np.random.default_rng(9), {}
-    )
+    q = _success_estimate(alg, problem, TARGET4, laws, states, 64, (9, *states), {})
     want = loop_success_estimate(
-        alg, problem, TARGET4, laws, states, 64, np.random.default_rng(9)
+        alg, problem, TARGET4, laws, states, 64, np.random.default_rng((9, *states))
     )
     assert q == want
     assert 0.0 < q <= 1.0
@@ -579,16 +579,14 @@ def test_success_estimate_checks_each_end_state_once(monkeypatch):
         return valid(self, y, output)
 
     monkeypatch.setattr(ProblemSpec, "valid", spy)
-    q = _success_estimate(
-        alg, problem, TARGET4, laws, states, 64, np.random.default_rng(9), {}
-    )
+    q = _success_estimate(alg, problem, TARGET4, laws, states, 64, (9, *states), {})
     # the output is the state: one check per target point and distinct
     # end state, at most 2^state_bits per point, not one per landing
     assert len(checked) == len(set(checked))
     assert len(checked) <= 4 * 2**alg.state_bits < 4 * 64
     monkeypatch.setattr(ProblemSpec, "valid", valid)
     want = loop_success_estimate(
-        alg, problem, TARGET4, laws, states, 64, np.random.default_rng(9)
+        alg, problem, TARGET4, laws, states, 64, np.random.default_rng((9, *states))
     )
     assert q == want
 
@@ -617,6 +615,59 @@ def test_selection_census_matches_per_update_loop(alg):
     assert len(census) > 1
     ranked = sorted(census.items(), key=lambda kv: (-kv[1], kv[0]))
     assert err.value.census == tuple(ranked)
+
+
+def numpy_seeded_selection(alg, problem, radius, blocks, samples, seed):
+    """`select_state_sequence` over TARGET4 at the default threshold as it
+    was with numpy's Generator drawing every stream: the census streams'
+    seeds, each stream's prefix blocks (`batch_sample_truncated` on the
+    first of its three subseeds), and each survivor's landings
+    (`loop_success_estimate` on default_rng((seed, *states))).  Returns
+    the winning states and their success estimate."""
+    pol = TruncationPolicy.for_gaussian(alg.dimension, radius)
+    census: Counter = Counter()
+    for s in np.random.default_rng(seed).integers(0, 2**63, size=samples).tolist():
+        sx = int(np.random.default_rng(s).integers(0, 2**63, size=3)[0])
+        path = [alg.initial_state]
+        for j, d in enumerate(batch_sample_truncated(radius, pol, sx, blocks)):
+            path.append(fold_block(alg, j, path[-1], d))
+        census[tuple(path)] += 1
+    cut = 0.5 * 0.5**blocks
+    best = None
+    for states in sorted(st for st, c in census.items() if c / samples >= cut):
+        laws = posterior_laws(alg, states, radius, blocks)
+        rng = np.random.default_rng((seed, *states))
+        q = loop_success_estimate(
+            alg, problem, TARGET4, laws, states, SELECTION_LANDINGS, rng
+        )
+        if best is None or q > best[1]:
+            best = (states, q)
+    return best
+
+
+@pytest.mark.parametrize("seed", [4, 2**64])
+@pytest.mark.parametrize(
+    "alg, problem",
+    [
+        (parity_algorithm(2), PARITY_PROBLEM),
+        (
+            alternating_algorithm(2, horizon=3),
+            ProblemSpec.metric_approximation(
+                target=lambda y: 0,
+                metric=lambda a, b: abs(a - b),
+                outputs=tuple(range(6)),
+                epsilon=2.0,
+            ),
+        ),
+    ],
+    ids=["parity", "alternating"],
+)
+def test_selection_matches_numpy_seeded_oracle(alg, problem, seed):
+    # 2^64 is past the old kernel's 64-bit seeds, but numpy seeded it
+    got = select_state_sequence(alg, TARGET4, problem, 8.0, 2, samples=64, seed=seed)
+    states, q = numpy_seeded_selection(alg, problem, 8.0, 2, 64, seed)
+    assert got.states == states
+    assert got.success_estimate == q
 
 
 @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=16))
