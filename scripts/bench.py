@@ -7,7 +7,10 @@
 Each side is a checkout with its own `benchmark/run.py`, and each run is
 `python3 benchmark/run.py --workload all --seed 3 --seconds <run_seconds>
 --trace 0` in that checkout, with `run_seconds` read from the change's
-BENCHMARK.json, so every workload of the benchmark runs.  Ten pairs run,
+BENCHMARK.json, so every workload of the benchmark runs.  The two
+checkouts must sit at resolved paths of equal length: peak RSS moves with
+the length of the checkout path, so the script exits 2 with one line on
+stderr, before any run, when they differ.  Ten pairs run,
 the two sides alternately, pair i starting with the parent when i is odd,
 so drift of the host lands on both.  One sample is the value a run prints
 for a workload: the median over that run's passes.
@@ -16,8 +19,9 @@ Every run is recorded, also one that exits non-zero or fails its gate:
 the file keeps each side's runs with their exit status and attempted and
 failed passes, then per workload every sample (null where a run printed
 no metrics), the median and quartiles of each side, and how many pairs
-the change won on solve_s; and the machine (CPU model, nproc, thread cap)
-with the Python, numpy, scipy and BLAS versions that `run.py` reports.
+the change won on solve_s; both checkout paths; and the machine (CPU
+model, nproc, thread cap) with the Python, numpy, scipy and BLAS versions
+that `run.py` reports.
 It is written to the change checkout, and the script exits 1 when any
 run failed or failed its gate.
 """
@@ -153,6 +157,16 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    lengths = {side: len(str(path)) for side, path in checkouts.items()}
+    if lengths["parent"] != lengths["change"]:
+        print(
+            f"bench.py: checkout paths differ in length (parent {checkouts['parent']} "
+            f"is {lengths['parent']} characters, change {checkouts['change']} is "
+            f"{lengths['change']}); peak RSS moves with path length, so put both "
+            "checkouts at paths of equal length",
+            file=sys.stderr,
+        )
+        return 2
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = float(spec["run_seconds"])
     runs = collect(checkouts, seconds)
@@ -161,6 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "change": args.note,
         "parent": git_head(checkouts["parent"]),
+        "checkouts": {side: str(path) for side, path in checkouts.items()},
         "command": " ".join(["python3", *run_args(seconds)]),
         "seed": SEED,
         "pairs": PAIRS,

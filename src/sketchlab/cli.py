@@ -56,7 +56,6 @@ from .streaming import (
     constant_algorithm,
     mod_counter_algorithm,
     parity_algorithm,
-    posterior_laws,
     select_state_sequence,
 )
 from .transfer import (
@@ -754,13 +753,12 @@ def _invariance_rows(cfg: ExperimentConfig) -> list[tuple]:
                 rec.passed,
             )
         )
-    # the certified product; on the mollified route it carries the
+    # the certified factors; on the mollified route they carry the
     # reference factor, so the row's level, center and radius take it in too
-    factors = mus if cfg.route == "exact" else mus + [gamma_truncated(n, cfg.R)]
     level = max(
-        1.0, math.sqrt(2.0 * math.log(2.0 * len(factors) / cfg.tail_mass_target))
+        1.0, math.sqrt(2.0 * math.log(2.0 * len(report.pieces) / cfg.tail_mass_target))
     )
-    tail = convolution_tail_center(factors, cfg.R, level, report.convolution)
+    tail = convolution_tail_center(report.pieces, cfg.R, level, report.convolution)
     rows.append(
         _lemma_row(
             "convolution-tail",
@@ -923,9 +921,8 @@ def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
                 alg, target, problem, R, cfg.M, SAMPLES, cfg.seed,
                 threshold=tcfg.selection_threshold,
             )
-            laws = posterior_laws(alg, sigma, R, cfg.M)
             structure = _structure_config(cfg, R)
-            report = translation_invariance_certify(laws, cfg.route, structure, cfg.D)
+            report = translation_invariance_certify(sigma.laws, cfg.route, structure, cfg.D)
         except (ValueError, RuntimeError) as exc:
             print(
                 f"tv-sweep failed for scenario {scenario.name!r} at R={R:g}: {exc}",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "exact_stream_sample",
     "posterior_laws",
     "select_state_sequence",
-    "resample_convolution",
     "constant_algorithm",
     "parity_algorithm",
     "mod_counter_algorithm",
@@ -344,17 +343,22 @@ class StateSequence:
     """States at block boundaries, with the law that produced them.
 
     `probability` is the chance of traversing exactly these states and
-    must factor into the per-block conditional masses.
+    must factor into the per-block conditional masses.  `laws`, one per
+    block, are the posterior laws selection certified (none once read
+    back from a report); they take no part in equality.
     """
 
     states: tuple[int, ...]
     probability: float
     per_block_densities: tuple[float, ...]
     success_estimate: float
+    laws: tuple[SparseMeasure, ...] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.states) != len(self.per_block_densities) + 1:
             raise ValueError("need exactly one state per block boundary")
+        if self.laws and len(self.laws) != self.block_count:
+            raise ValueError(f"need one law per block, got {len(self.laws)}")
         prod = math.prod(self.per_block_densities)
         if abs(self.probability - prod) > 1e-10:
             raise ValueError("probability must factor into the block densities")
@@ -468,6 +472,7 @@ def posterior_laws(
     canonical block moves state i to state i+1, renormalized.  The
     removed masses multiply to the probability of the sequence; a pair
     of states joined by no delta at all is an impossible sequence.
+    Selection hands its winner's laws on as `StateSequence.laws`.
     """
     states = _check_states(alg, sigma, blocks)
     table = _FoldTable(alg, gamma_truncated(alg.dimension, radius))
@@ -481,7 +486,8 @@ def _convolution_rows(
     """Rows of X_1 + ... + X_k from uniforms of shape (..., k, count):
     X_i's index is the searchsorted(side="right") of row i of the
     uniforms in law i's CDF, built as Generator.choice(p=...) builds it,
-    once per distinct law."""
+    once per distinct law.  Fed an entropy's first k * count uniforms,
+    they are one default_rng(entropy).choice(count, p=...) per law."""
     shape = uniforms.shape[:-2] + (uniforms.shape[-1], dimension)
     out = np.zeros(shape, dtype=np.int64)
     rows_of: dict[int, list[int]] = {}
@@ -492,22 +498,6 @@ def _convolution_rows(
         idx = choice_indices(law.masses / law.masses.sum(), uniforms[..., rows, :])
         out += law.points[idx].sum(axis=-3)
     return out
-
-
-def resample_convolution(
-    dimension: int,
-    laws: Sequence[SparseMeasure],
-    count: int,
-    entropy: int | tuple[int, ...],
-) -> np.ndarray:
-    """Rows of X_1 + ... + X_k with independent X_i from the given laws.
-
-    The first k * count uniforms of the entropy's stream feed
-    _convolution_rows, so the rows are index for index those of one
-    default_rng(entropy).choice(count, p=...) per law in order, and the
-    stream continues at draw k * count."""
-    uniforms = pcg64_uniforms([entropy], len(laws) * count)
-    return _convolution_rows(dimension, laws, uniforms.reshape(len(laws), count))
 
 
 def _success_estimate(
@@ -577,7 +567,7 @@ def select_state_sequence(
     go to the lexicographically smallest states.  The census and the
     survivors share one fold table, so each distinct transition is stepped
     once and its posterior law built and certified once, however many
-    survivors pass through it.
+    survivors pass through it; the winner carries its laws on.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -616,6 +606,7 @@ def select_state_sequence(
             probability=math.prod(densities),
             per_block_densities=tuple(densities),
             success_estimate=q,
+            laws=tuple(laws),
         )
         if best is None or q > best.success_estimate:
             best = candidate

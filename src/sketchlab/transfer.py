@@ -24,6 +24,7 @@ from .dgauss import (
     pcg64_raw,
     pcg64_uniforms,
     sample_truncated,
+    sample_truncated_many,
 )
 # convolve_many_fft is unused here, but benchmark/test_benchmark.py checks
 # that its tracer patches the transfer.convolve_many_fft alias
@@ -33,9 +34,8 @@ from .streaming import (
     ProblemSpec,
     StateSequence,
     TurnstileAlgorithm,
+    _convolution_rows,
     fold_deltas,
-    posterior_laws,
-    resample_convolution,
     select_state_sequence,
 )
 from .translation import (
@@ -288,37 +288,36 @@ def _build_decoder(
     sketch: ExtractedSketch,
     target: SparseMeasure,
     problem: ProblemSpec,
-    laws: Sequence[SparseMeasure],
     seed: int,
     landing_law: SparseMeasure,
 ) -> FiberDecoder:
+    """Fiber i lands its first member minus draws of the conditioned laws'
+    convolution from the entropy (seed, i), plus, on the mollified route,
+    noise seeded by that stream's next draw; all fibers draw in one window
+    and fold in one call."""
     fibers: dict[tuple, list[tuple[int, ...]]] = {}
     for y in map(tuple, target.points.tolist()):
         fibers.setdefault(sketch_apply(sketch, y), []).append(y)
-    close_index = sketch.sigma.block_count
-    last_state = sketch.sigma.states[-1]
-    radius = sketch.provenance.radius
-    policy = TruncationPolicy.for_gaussian(sketch.structure.dimension, radius)
+    n, sigma = sketch.structure.dimension, sketch.sigma
+    entropies = [(seed, i) for i in range(len(fibers))]
+    draws = len(sigma.laws) * DECODER_LANDINGS
+    uniforms = pcg64_uniforms(entropies, draws)
+    uniforms = uniforms.reshape(len(fibers), len(sigma.laws), DECODER_LANDINGS)
+    reps = np.array([members[0] for members in fibers.values()], dtype=np.int64)
+    deltas = reps[:, None, :] - _convolution_rows(n, sigma.laws, uniforms)
+    if sketch.structure.route == "mollified":
+        radius = sketch.provenance.radius
+        policy = TruncationPolicy.for_gaussian(n, radius)
+        noise_seeds = (pcg64_raw(entropies, 1, draws)[:, 0] >> 1).astype(np.int64)
+        deltas += sample_truncated_many(radius, policy, noise_seeds, DECODER_LANDINGS)
+    ends = fold_deltas(alg, deltas.reshape(-1, n), sigma.block_count, sigma.states[-1], {})
+    ends = ends.reshape(len(fibers), DECODER_LANDINGS)
     table: dict = {}
-    memo: dict = {}
     representative: dict = {}
     conflicts: list[FiberConflict] = []
-    for fiber_index, (value, members) in enumerate(fibers.items()):
+    for (value, members), row in zip(fibers.items(), ends.tolist()):
         y_rep = members[0]
-        entropy = (seed, fiber_index)
-        draws = resample_convolution(
-            sketch.structure.dimension, laws, DECODER_LANDINGS, entropy
-        )
-        deltas = np.asarray(y_rep, dtype=np.int64) - draws
-        if sketch.structure.route == "mollified":
-            # integers(2**63) where resample_convolution left the stream
-            raw = pcg64_raw([entropy], 1, len(laws) * DECODER_LANDINGS)[0, 0]
-            deltas = deltas + sample_truncated(
-                radius, policy, int(raw >> 1), count=DECODER_LANDINGS
-            )
-        ends = fold_deltas(alg, deltas, close_index, last_state, memo)
-        outputs = [alg.output(s) for s in ends.tolist()]
-        table[value] = _modal_output(outputs, problem, y_rep)
+        table[value] = _modal_output([alg.output(s) for s in row], problem, y_rep)
         representative[value] = y_rep
         if problem.kind == "promise":
             labeled = [(y, problem.label(y)) for y in members]
@@ -353,10 +352,9 @@ def _build_decoder(
 @dataclass(frozen=True)
 class ExtractionReport:
     """What a run measured beyond the sketch and its decoder: the
-    conditioned laws, the smoothness check (mollified route only) and the
-    translation certificates."""
+    smoothness check (mollified route only) and the translation
+    certificates."""
 
-    laws: tuple[SparseMeasure, ...]
     smoothness: SmoothnessCheck | None
     translation: TranslationReport
 
@@ -384,9 +382,10 @@ def extract_sketch(
 ) -> tuple[ExtractedSketch, FiberDecoder, ExtractionReport]:
     """Run the full reduction for one algorithm on one input distribution.
 
-    The sketch is the frequency structure that the translation
-    certification extracts and certifies, and the decoder's landing law
-    is the convolution it measured, so both are built once per run.
+    The laws are the ones selection certified, the sketch is the frequency
+    structure that the translation certification extracts and certifies,
+    and the decoder's landing law is the convolution it measured, so
+    each is built once per run.
     Selection failures, certified-bound violations, failed smoothness
     checks, and in-theorem decoder conflicts all raise; the conflict
     gate only fires when the landing laws overlap (tv below 1/2 minus
@@ -421,21 +420,18 @@ def extract_sketch(
         seed,
         threshold=cfg.selection_threshold,
     )
-    laws = tuple(posterior_laws(alg, sigma, cfg.radius, cfg.blocks))
     structure_cfg = StructureConfig(
         K=cfg.K, Q=cfg.Q, R=cfg.radius, q=cfg.q, B=cfg.B, kappa=cfg.kappa
     )
     translation = translation_invariance_certify(
-        laws,
+        sigma.laws,
         route,
         structure_cfg,
         max(1, math.ceil(diameter)),
         max_kernel=64,
     )
     sketch = ExtractedSketch(translation.structure, sigma, cfg)
-    decoder = _build_decoder(
-        alg, sketch, target, problem, laws, seed, translation.convolution
-    )
+    decoder = _build_decoder(alg, sketch, target, problem, seed, translation.convolution)
     hard = [
         c
         for c in decoder.conflicts
@@ -444,7 +440,7 @@ def extract_sketch(
     ]
     if hard:
         raise DecoderConflict(hard, sigma.success_estimate)
-    return sketch, decoder, ExtractionReport(laws, smoothness, translation)
+    return sketch, decoder, ExtractionReport(smoothness, translation)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -604,7 +600,7 @@ def extraction_from_text(text: str) -> tuple[ExtractedSketch, FiberDecoder]:
     """Rebuild the functional core (sketch and decoder) from a report.
 
     The parsed structure carries no certificate: the basis gets radius
-    bound 0 and the lattice kappa 0.
+    bound 0 and the lattice kappa 0, and the sequence carries no laws.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("sketch-report v"):
@@ -663,6 +659,7 @@ def extraction_from_text(text: str) -> tuple[ExtractedSketch, FiberDecoder]:
         float(head["sigma_probability"]),
         tuple(float(b) for b in head["sigma_densities"].split()),
         float(head["sigma_success"]),
+        laws=(),
     )
     table: dict = {}
     representative: dict = {}

@@ -586,10 +586,11 @@ def convolution_tail_center(
 @dataclass(frozen=True)
 class TranslationReport:
     """Certificates for one product of pieces, together with the frequency
-    structure they were certified against and the convolution they were
-    measured on (the pieces, plus the reference factor on the mollified
-    route).  records pairs each shift's kind, "kernel" or "control", with
-    its ball-reduction report, kernel shifts first; an empty kernel leaves
+    structure they were certified against, the factors they were measured
+    on (`pieces`: the pieces, plus the reference factor on the mollified
+    route) and their convolution.  records pairs each shift's kind,
+    "kernel" or "control", with its ball-reduction report, kernel shifts
+    first; an empty kernel leaves
     no kernel record.  Summaries such as max_kernel_tv are read off the
     records, not stored beside them."""
 
@@ -601,6 +602,7 @@ class TranslationReport:
     records: tuple[tuple[str, BallReductionReport], ...]
     warnings: tuple[str, ...]
     structure: SketchLattice | NearOriginBasis
+    pieces: tuple[SparseMeasure, ...]
     convolution: SparseMeasure
 
     @property
@@ -680,23 +682,23 @@ def translation_invariance_certify(
     extracted = convolution_structure(mus, route, scan_cfg)
     warnings.extend(extracted.warnings)
     if exact:
-        conv_list = list(mus)
+        pieces = tuple(mus)
         eta = math.exp(-M / K)
     else:
-        conv_list = list(mus) + [gamma_truncated(n, R)]
+        pieces = (*mus, gamma_truncated(n, R))
         # Off the kappa ball the reference transform decays below
         # exp(-R^2 kappa^2 / 5), so the mollified heavy set is confined
         # to the certified near-origin span.
         eta = max(math.exp(-M / K), math.exp(-(R**2) * kappa**2 / 5.0))
 
-    nu = convolve_many_fft(conv_list)
+    nu = convolve_many_fft(pieces)
     spread = measured_structure_spread(nu, extracted, eta)
     if spread.count == 0:
         warnings.append("no grid frequency exceeds eta; delta falls back to 1e-12")
     delta = max(spread.worst_distance, 1e-12)
 
-    level = max(1.0, math.log(2.0 * n * len(conv_list)))
-    tail = convolution_tail_center(conv_list, R, level, nu)
+    level = max(1.0, math.log(2.0 * n * len(pieces)))
+    tail = convolution_tail_center(pieces, R, level, nu)
 
     kernels = []
     off_kernel = []
@@ -730,5 +732,6 @@ def translation_invariance_certify(
         records=records,
         warnings=tuple(warnings),
         structure=extracted,
+        pieces=pieces,
         convolution=nu,
     )

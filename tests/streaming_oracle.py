@@ -2,12 +2,17 @@
 block of a delta, folded update by update, which `fold_deltas` must match
 row for row, and a reference algorithm with one state per point of a
 box, so that every distinct frequency vector in the box ends in its own
-state."""
+state.  `choice_resample_convolution` is the closing-block draw as
+numpy's Generator made it, and `same_laws` compares conditioned block
+laws bit for bit."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
+from sketchlab.measure import SparseMeasure
 from sketchlab.streaming import TurnstileAlgorithm, Update
 
 
@@ -80,3 +85,28 @@ def identity_box_algorithm(dimension: int, box_radius: int) -> TurnstileAlgorith
         transition=transition,
         output=lambda s: None if s == 0 else tuple(decode(s)),
     )
+
+
+def same_laws(got: Sequence[SparseMeasure], want: Sequence[SparseMeasure]) -> bool:
+    """Equal law for law in points, masses, deficit and roundoff, bit for bit."""
+    return len(got) == len(want) and all(
+        np.array_equal(a.points, b.points)
+        and np.array_equal(a.masses, b.masses)
+        and a.deficit == b.deficit
+        and a.roundoff == b.roundoff
+        for a, b in zip(got, want)
+    )
+
+
+def choice_resample_convolution(
+    dimension: int, laws: Sequence[SparseMeasure], count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Rows of X_1 + ... + X_k as they were drawn before the shared
+    uniform draw: one `rng.choice(p=...)` per law, each rebuilding that
+    law's CDF."""
+    out = np.zeros((count, dimension), dtype=np.int64)
+    for law in laws:
+        p = law.masses / law.masses.sum()
+        idx = rng.choice(law.masses.size, size=count, p=p)
+        out += law.points[idx]
+    return out

@@ -13,7 +13,6 @@ import math
 import os
 import subprocess
 import sys
-import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -22,7 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sketchlab import cli, translation
+from streaming_oracle import same_laws
+from sketchlab import cli, streaming, transfer, translation
 from sketchlab.cli import (
     KAPPA_FLOOR,
     SCENARIOS,
@@ -41,6 +41,7 @@ from sketchlab.cli import (
     write_table,
 )
 from sketchlab.measure import gamma_truncated
+from sketchlab.streaming import posterior_laws, select_state_sequence
 from sketchlab.spectrum import CertifiedBoundError, chain_length_cap
 from sketchlab.transfer import (
     evaluate_sketch,
@@ -50,9 +51,18 @@ from sketchlab.transfer import (
 )
 
 
-@cache
+_SUITE_DIR: list[Path] = []
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _suite_dir(tmp_path_factory):
+    # the configs and outputs the cached runs share, under pytest's
+    # retention-managed temporary root
+    _SUITE_DIR[:] = [tmp_path_factory.mktemp("sketchlab-cli")]
+
+
 def suite_dir() -> Path:
-    return Path(tempfile.mkdtemp(prefix="sketchlab-cli-"))
+    return _SUITE_DIR[0]
 
 
 def write_cfg(name: str, text: str) -> Path:
@@ -223,6 +233,22 @@ class TestRegistry:
             problem = scenario.problem(cfg)
             assert scenario.target.dimension == scenario.algorithm.dimension
             assert problem.kind in ("promise", "metric-approximation")
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_selected_laws_are_the_posterior_laws_at_the_desk_config(self, name):
+        # oracle: posterior_laws rebuilds the winner's laws from a table
+        # of its own
+        root = Path(__file__).resolve().parents[1]
+        cfg = replace(load_config(root / "configs" / "desk.cfg"), scenario=name)
+        scenario = get_scenario(name)
+        alg = scenario.algorithm
+        sigma = select_state_sequence(
+            alg, scenario.target, scenario.problem(cfg), cfg.R, cfg.M,
+            cli.SAMPLES, cfg.seed,
+            threshold=transfer_config(cfg, scenario).selection_threshold,
+        )
+        assert len(sigma.laws) == cfg.M
+        assert same_laws(sigma.laws, posterior_laws(alg, sigma, cfg.R, cfg.M))
 
     def test_capped_norm_cap_follows_config(self):
         wide = SCENARIOS["capped-norm"].problem(ExperimentConfig(R=8.0))
@@ -609,6 +635,7 @@ class TestInvarianceRows:
         ((mus, conv, tail),) = tails
         (row,) = [r for r in rows if r[0] == "convolution-tail"]
         assert ffts == [len(mus)]
+        assert mus is report.pieces
         assert conv is report.convolution
         d = conv.points - np.asarray(tail.center)
         far = np.sqrt(np.einsum("ij,ij->i", d, d)) > tail.radius
@@ -898,6 +925,31 @@ class TestTvSweep:
         assert controls and kernels
         assert all(float(r[5]) >= 1.0 - 1e-9 for r in controls)
         assert all(r[6] == "true" for r in kernels)
+
+    def test_sweep_reads_the_laws_selection_certified(self, monkeypatch):
+        # each radius builds its laws once, in selection
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("posterior_laws called during tv-sweep")
+
+        for module in (streaming, transfer, cli):
+            monkeypatch.setattr(module, "posterior_laws", rebuilt, raising=False)
+        certified = []
+        real_certify = cli.translation_invariance_certify
+
+        def spy_certify(mus, *args, **kwargs):
+            certified.append(mus)
+            return real_certify(mus, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "translation_invariance_certify", spy_certify)
+        cfg = write_cfg(
+            "laws-sweep.cfg", "n = 2\nM = 2\nsweep = 4, 8\nseed = 3\nscenario = constant\n"
+        )
+        out = suite_dir() / "laws-sweep"
+        assert main(["tv-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [len(mus) for mus in certified] == [2, 2]
+        assert (out / "tv_sweep.json").read_bytes() == (
+            constant_sweep_run()[1] / "tv_sweep.json"
+        ).read_bytes()
 
     def test_single_radius_has_empty_trend(self):
         cfg = write_cfg(

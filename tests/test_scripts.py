@@ -1,12 +1,15 @@
-"""The suite driver and the output comparison that byte-identity claims
-rest on: `scripts/run_suite.py` leaves no config copy behind, and
-`scripts/compare_outputs.py` counts a changed table line, ignores a
-CSV's timestamp comment, reports a file that one side lacks and names
-the number that moved most, passing over zeros at roundoff level."""
+"""The suite driver, the output comparison that byte-identity claims
+rest on, and the benchmark pair driver: `scripts/run_suite.py` leaves no
+config copy behind, `scripts/compare_outputs.py` counts a changed table
+line, ignores a CSV's timestamp comment, reports a file that one side
+lacks and names the number that moved most, passing over zeros at
+roundoff level, and `scripts/bench.py` refuses checkouts whose paths
+differ in length before it runs anything."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import tempfile
 from pathlib import Path
 
@@ -127,3 +130,35 @@ def test_compare_skips_moves_between_noise_level_zeros():
     assert best == (rel, "parity/sketch.txt", "2.0000003", "2.0055")
     assert numeric == 2
     assert compare_outputs.largest_change(pairs[:1]) == (None, 1)
+
+
+def test_bench_refuses_checkout_paths_of_different_length(tmp_path, monkeypatch, capsys):
+    bench = load("bench")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench, "collect", no_run)
+    monkeypatch.setattr(bench, "bench_once", no_run)
+    parent, change = tmp_path / "parent", tmp_path / "chg"
+    for side in (parent, change):
+        side.mkdir()
+    code = bench.main(["--parent", str(parent), "--change", str(change), "--pr", "0"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "differ in length" in err[0]
+    assert str(parent) in err[0] and str(change) in err[0]
+    assert list(change.iterdir()) == []
+
+
+def test_bench_records_both_checkout_paths(tmp_path, monkeypatch, capsys):
+    bench = load("bench")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+    (change / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    monkeypatch.setattr(bench, "collect", lambda checkouts, seconds: {s: [] for s in bench.SIDES})
+    assert bench.main(["--parent", str(parent), "--change", str(change), "--pr", "0"]) == 0
+    record = json.loads((change / "BENCH_0.json").read_text())
+    assert record["checkouts"] == {"parent": str(parent), "change": str(change)}
+    capsys.readouterr()

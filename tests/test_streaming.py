@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from dgauss_oracle import batch_sample_truncated
-from streaming_oracle import canonical_realization, fold_block, identity_box_algorithm
+from streaming_oracle import (
+    canonical_realization,
+    choice_resample_convolution,
+    fold_block,
+    identity_box_algorithm,
+    same_laws,
+)
 from sketchlab.dgauss import TruncationPolicy
 from sketchlab.measure import SparseMeasure, density_certificate, gamma_truncated
 from sketchlab.streaming import (
@@ -34,12 +40,12 @@ from sketchlab.streaming import (
     mod_counter_algorithm,
     parity_algorithm,
     posterior_laws,
-    resample_convolution,
     select_state_sequence,
 )
 from sketchlab import dgauss, streaming
 from sketchlab.streaming import (
     _conditional_blocks,
+    _convolution_rows,
     _FoldTable,
     _prefix_blocks,
     _subseeds,
@@ -348,17 +354,6 @@ def test_nonuniform_posteriors_differ_across_blocks():
     assert set(laws[0].atoms) != set(laws[1].atoms)
 
 
-def choice_resample_convolution(dimension, laws, count, rng):
-    """`resample_convolution` as it was before the shared uniform draw:
-    one `rng.choice(p=...)` per law, each rebuilding that law's CDF."""
-    out = np.zeros((count, dimension), dtype=np.int64)
-    for law in laws:
-        p = law.masses / law.masses.sum()
-        idx = rng.choice(law.masses.size, size=count, p=p)
-        out += law.points[idx]
-    return out
-
-
 @st.composite
 def law_lists(draw):
     # a few distinct laws, repeated as the posterior laws of a path repeat
@@ -375,20 +370,24 @@ def law_lists(draw):
 
 @given(law_lists(), st.integers(0, 300), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_resample_convolution_matches_choice_draws(case, count, seed):
+def test_convolution_rows_match_choice_draws(case, count, seed):
+    # one batched window over two entropies, each row its own stream
     n, laws = case
-    old = np.random.default_rng(seed)
-    got = resample_convolution(n, laws, count, seed)
-    want = choice_resample_convolution(n, laws, count, old)
-    assert got.shape == want.shape == (count, n)
-    assert np.array_equal(got, want)
-    # the stream continues where the choice draws left the generator
-    assert dgauss.pcg64_uniforms([seed], 1, len(laws) * count)[0, 0] == old.random()
+    entropies = [seed, (seed, 1)]
+    uniforms = dgauss.pcg64_uniforms(entropies, len(laws) * count)
+    got = _convolution_rows(n, laws, uniforms.reshape(2, len(laws), count))
+    assert got.shape == (2, count, n)
+    for rows, entropy in zip(got, entropies):
+        old = np.random.default_rng(entropy)
+        assert np.array_equal(rows, choice_resample_convolution(n, laws, count, old))
+        # the stream continues where the choice draws left the generator
+        assert dgauss.pcg64_uniforms([entropy], 1, len(laws) * count)[0, 0] == old.random()
 
 
-def test_resample_convolution_matches_laws():
+def test_convolution_rows_match_laws():
     laws = posterior_laws(parity_algorithm(2), (0, 1, 0), 8.0, 2)
-    rows = resample_convolution(2, laws, 256, 3)
+    uniforms = dgauss.pcg64_uniforms([3], 2 * 256).reshape(2, 256)
+    rows = _convolution_rows(2, laws, uniforms)
     assert rows.shape == (256, 2)
     # both blocks have odd coordinate sums, so every row sums even
     assert all(int(r.sum()) % 2 == 0 for r in rows)
@@ -777,11 +776,45 @@ def test_selection_steps_each_distinct_transition_once(alg, blocks):
 
 def test_state_sequence_validation():
     with pytest.raises(ValueError, match="factor"):
-        StateSequence((0, 1), 0.4, (0.5,), 1.0)
+        StateSequence((0, 1), 0.4, (0.5,), 1.0, ())
     with pytest.raises(ValueError, match="boundary"):
-        StateSequence((0, 1), 0.25, (0.5, 0.5), 1.0)
-    seq = StateSequence((0, 1, 0), 0.25, (0.5, 0.5), 1.0)
+        StateSequence((0, 1), 0.25, (0.5, 0.5), 1.0, ())
+    seq = StateSequence((0, 1, 0), 0.25, (0.5, 0.5), 1.0, ())
     assert seq.block_count == 2
+
+
+def test_state_sequence_needs_one_law_per_block():
+    law = gamma_truncated(2, 4.0)
+    with pytest.raises(ValueError, match="one law per block, got 1"):
+        StateSequence((0, 1, 0), 0.25, (0.5, 0.5), 1.0, (law,))
+    with pytest.raises(ValueError, match="one law per block, got 3"):
+        StateSequence((0, 1, 0), 0.25, (0.5, 0.5), 1.0, (law,) * 3)
+    seq = StateSequence((0, 1, 0), 0.25, (0.5, 0.5), 1.0, (law, law))
+    # the laws take no part in equality or the repr
+    assert seq == StateSequence((0, 1, 0), 0.25, (0.5, 0.5), 1.0, ())
+    assert "laws" not in repr(seq)
+
+
+@given(
+    st.sampled_from(
+        [
+            (parity_algorithm(2), 3),
+            (mod_counter_algorithm(2, 3), 2),
+            (alternating_algorithm(2, horizon=3), 2),
+        ]
+    ),
+    st.integers(0, 2**64),
+)
+@settings(max_examples=30, deadline=None)
+def test_selected_sequence_carries_its_posterior_laws(case, seed):
+    # oracle: posterior_laws rebuilds the laws from a table of its own
+    alg, blocks = case
+    sigma = select_state_sequence(
+        alg, TARGET4, ProblemSpec.promise(lambda y: "*"),
+        4.0, blocks, samples=64, seed=seed, threshold=1.0 / 64,
+    )
+    assert len(sigma.laws) == blocks
+    assert same_laws(sigma.laws, posterior_laws(alg, sigma, 4.0, blocks))
 
 
 def test_select_constant_unique_sequence():

@@ -1,10 +1,10 @@
 """Sketch extraction pipeline tests.
 
 Oracles: brute-force stream simulation for the decoder labels, the
-per-row `fold_block` loop for the decoder's landing folds, direct
-landing-law recomputation for the kernel TV coupling, exhaustive fiber
-analysis for the adversarial information ceiling, and direct residue
-arithmetic for the homomorphism checks.
+per-fiber numpy Generator draws and the per-row `fold_block` loop for
+the decoder's landings, direct landing-law recomputation for the kernel
+TV coupling, exhaustive fiber analysis for the adversarial information
+ceiling, and direct residue arithmetic for the homomorphism checks.
 """
 
 import functools
@@ -19,9 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from measure_oracle import from_atoms
-from streaming_oracle import fold_block, identity_box_algorithm
+from streaming_oracle import (
+    choice_resample_convolution,
+    fold_block,
+    identity_box_algorithm,
+)
 from structure_oracle import sketch_value_add
-from sketchlab import transfer
+from sketchlab import streaming, transfer
+from sketchlab.dgauss import TruncationPolicy, sample_truncated
 from sketchlab.measure import SparseMeasure, convolve_many_fft
 from sketchlab.spectrum import NearOriginBasis, SketchLattice, StructureConfig
 from sketchlab.streaming import (
@@ -141,7 +146,7 @@ def test_additivity_mollified_matrix():
     basis = NearOriginBasis(
         dimension=2, numerators=((3, -1), (0, 2)), denominator=8, radius_bound=0.0
     )
-    sigma = StateSequence((0, 0, 0), 1.0, (1.0, 1.0), 1.0)
+    sigma = StateSequence((0, 0, 0), 1.0, (1.0, 1.0), 1.0, ())
     sketch = ExtractedSketch(basis, sigma, TransferConfig(Q=8))
     rng = np.random.default_rng(7)
     pairs = rng.integers(-40, 41, size=(1000, 2, 2))
@@ -409,7 +414,9 @@ def test_small_scan_grid_is_raised_to_cover_the_pieces(route, monkeypatch):
     small = StructureConfig(
         K=cfg.K, Q=cfg.Q, R=cfg.radius, q=cfg.q, B=cfg.B, kappa=cfg.kappa, grid_exponent=6
     )
-    raised = translation_invariance_certify(report.laws, route, small, 3, max_kernel=64)
+    raised = translation_invariance_certify(
+        sketch.sigma.laws, route, small, 3, max_kernel=64
+    )
     assert "scan grid exponent raised to 7 to cover the pieces" in raised.warnings
     if route == "exact":
         assert raised.structure.generators == sketch.structure.generators
@@ -421,13 +428,56 @@ def test_small_scan_grid_is_raised_to_cover_the_pieces(route, monkeypatch):
 
 def test_landing_law_is_the_certified_convolution():
     # oracle: the pieces convolved again, apart from the certification
-    _, _, report = parity_extraction()
-    nu = convolve_many_fft(list(report.laws))
+    sketch, _, report = parity_extraction()
+    nu = convolve_many_fft(list(sketch.sigma.laws))
     assert np.array_equal(report.translation.convolution.points, nu.points)
     assert np.array_equal(report.translation.convolution.masses, nu.masses)
 
 
 # -- kernel-TV coupling -------------------------------------------------------
+
+
+def per_fiber_decoder(alg, sketch, target, problem, seed, landing_law):
+    """The decoder as it was built one fiber at a time with numpy's
+    Generator: default_rng((seed, i)).choice(p=...) once per law for
+    fiber i's landings, then integers(2**63) to seed its noise sampler on
+    the mollified route, and one fold_block per landing."""
+    fibers: dict = {}
+    for y in map(tuple, target.points.tolist()):
+        fibers.setdefault(sketch_apply(sketch, y), []).append(y)
+    sigma, radius = sketch.sigma, sketch.provenance.radius
+    policy = TruncationPolicy.for_gaussian(alg.dimension, radius)
+    table, representative, conflicts = {}, {}, []
+    for i, (value, members) in enumerate(fibers.items()):
+        rng = np.random.default_rng((seed, i))
+        rows = choice_resample_convolution(
+            alg.dimension, sigma.laws, transfer.DECODER_LANDINGS, rng
+        )
+        deltas = np.asarray(members[0]) - rows
+        if sketch.structure.route == "mollified":
+            noise_seed = int(rng.integers(2**63))
+            deltas = deltas + sample_truncated(
+                radius, policy, noise_seed, count=transfer.DECODER_LANDINGS
+            )
+        outputs = [
+            alg.output(fold_block(alg, sigma.block_count, sigma.states[-1], d))
+            for d in deltas.tolist()
+        ]
+        table[value] = transfer._modal_output(outputs, problem, members[0])
+        representative[value] = members[0]
+        labels = [problem.label(y) for y in members] if problem.kind == "promise" else []
+        if len({lab for lab in labels if lab != "*"}) > 1:
+            tv = min(
+                tv_distance(landing_law, tuple(a - b for a, b in zip(y1, y2)))
+                for j, (y1, l1) in enumerate(zip(members, labels))
+                for y2, l2 in zip(members[j + 1 :], labels[j + 1 :])
+                if "*" not in (l1, l2) and l1 != l2
+            )
+            conflicts.append(
+                transfer.FiberConflict(value, tuple(members), tuple(labels), tv)
+            )
+    default = problem.outputs[0] if problem.outputs else None
+    return table, representative, default, tuple(conflicts)
 
 
 def per_row_fold(alg, deltas, block_index, state, memo):
@@ -451,17 +501,10 @@ def test_decoder_table_matches_per_row_loop(
     extraction, alg, target, problem, seed, monkeypatch
 ):
     sketch, decoder, report = extraction()
+    landing_law = report.translation.convolution
 
     def build():
-        return _build_decoder(
-            alg,
-            sketch,
-            target,
-            problem,
-            report.laws,
-            seed,
-            report.translation.convolution,
-        )
+        return _build_decoder(alg, sketch, target, problem, seed, landing_law)
 
     # the modal vote hides most fold errors, so the landing outputs it is
     # handed are compared too
@@ -475,6 +518,11 @@ def test_decoder_table_matches_per_row_loop(
     def fields(d: FiberDecoder) -> tuple:
         return d.table, d.representative, d.default, d.conflicts
 
+    # oracle: the per-fiber numpy draws, fibers in first-met order
+    want = per_fiber_decoder(alg, sketch, target, problem, seed, landing_law)
+    assert fields(decoder) == want and list(decoder.table) == list(want[0])
+    if alg.name == "parity" and problem is MOD3_PROBLEM:
+        assert decoder.conflicts  # the adversarial case exercises conflicts
     monkeypatch.setattr(transfer, "_modal_output", recording_modal)
     assert fields(build()) == fields(decoder)
     array_outputs, seen[:] = seen[:], []
@@ -483,10 +531,25 @@ def test_decoder_table_matches_per_row_loop(
     assert seen == array_outputs
 
 
+def test_extract_reads_the_laws_selection_certified(monkeypatch):
+    # the laws are built once, in selection, and handed on with the sequence
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("posterior_laws called during extraction")
+
+    for module in (streaming, transfer):
+        monkeypatch.setattr(module, "posterior_laws", rebuilt, raising=False)
+    cfg = TransferConfig(radius=8.0, blocks=2, label="parity-unit")
+    sketch, _, report = extract_sketch(
+        parity_algorithm(2), TARGET4, PARITY_PROBLEM, "exact", cfg, seed=11
+    )
+    assert len(sketch.sigma.laws) == cfg.blocks
+    assert all(a is b for a, b in zip(report.translation.pieces, sketch.sigma.laws))
+
+
 def test_same_fiber_tv_matches_certificates():
     # oracle: landing-law TV recomputed from the posterior convolution
     sketch, _, report = parity_extraction()
-    nu = convolve_many_fft(list(report.laws))
+    nu = convolve_many_fft(list(sketch.sigma.laws))
     record_tv = {r.direction: r.actual_tv for _, r in report.translation.records}
     supp = sorted(TARGET4.atoms)
     pairs_checked = 0
@@ -558,6 +621,8 @@ def test_report_roundtrip_exact():
     assert text.startswith("sketch-report v3\n")
     parsed, dec2 = extraction_from_text(text)
     assert parsed.sigma == sketch.sigma
+    # a parsed sequence carries no laws, as a parsed lattice no certificate
+    assert parsed.sigma.laws == () and len(sketch.sigma.laws) == 2
     assert parsed.provenance == sketch.provenance
     lat, lat2 = sketch.structure, parsed.structure
     assert lat2.route == "exact"
