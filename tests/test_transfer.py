@@ -518,14 +518,16 @@ def test_decoder_table_matches_per_row_loop(
     def fields(d: FiberDecoder) -> tuple:
         return d.table, d.representative, d.default, d.conflicts
 
+    monkeypatch.setattr(transfer, "_modal_output", recording_modal)
     # oracle: the per-fiber numpy draws, fibers in first-met order
     want = per_fiber_decoder(alg, sketch, target, problem, seed, landing_law)
+    oracle_outputs, seen[:] = seen[:], []
     assert fields(decoder) == want and list(decoder.table) == list(want[0])
     if alg.name == "parity" and problem is MOD3_PROBLEM:
         assert decoder.conflicts  # the adversarial case exercises conflicts
-    monkeypatch.setattr(transfer, "_modal_output", recording_modal)
     assert fields(build()) == fields(decoder)
     array_outputs, seen[:] = seen[:], []
+    assert array_outputs == oracle_outputs
     monkeypatch.setattr(transfer, "fold_deltas", per_row_fold)
     assert fields(build()) == fields(decoder)
     assert seen == array_outputs
