@@ -915,7 +915,10 @@ def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     problem = scenario.problem(cfg)
     raw: list[tuple[float, tuple[int, ...], str, float, bool]] = []
     failed = 0
-    for R in sorted(_radii(cfg)):
+    # largest radius first, each radius's laws and report dropped before
+    # the next: the sweep peaks at its largest radius on a fresh heap, and
+    # the smaller radii reuse the space it freed
+    for R in sorted(_radii(cfg), reverse=True):
         try:
             sigma = select_state_sequence(
                 alg, target, problem, R, cfg.M, SAMPLES, cfg.seed,
@@ -932,6 +935,7 @@ def cmd_tv_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         for kind, rec in report.records:
             raw.append((R, rec.direction, kind, rec.actual_tv, rec.passed))
         failed += _report_kernel_failures(report, f" at R={R:g}")
+        del sigma, report
     trends: dict[tuple[str, tuple[int, ...]], str] = {}
     for kind, vector in {(r[2], r[1]) for r in raw}:
         series = sorted(

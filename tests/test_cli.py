@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -950,6 +951,28 @@ class TestTvSweep:
         assert (out / "tv_sweep.json").read_bytes() == (
             constant_sweep_run()[1] / "tv_sweep.json"
         ).read_bytes()
+
+    def test_sweep_runs_its_largest_radius_first_and_drops_each(self, monkeypatch):
+        # the sweep peaks at its largest radius: that radius runs first, and
+        # no radius's laws are alive when the next one is selected
+        radii, alive, refs = [], [], []
+        real_select = cli.select_state_sequence
+
+        def spy_select(alg, target, problem, R, *args, **kwargs):
+            radii.append(R)
+            alive.append(sum(ref() is not None for ref in refs))
+            sigma = real_select(alg, target, problem, R, *args, **kwargs)
+            refs.extend(weakref.ref(law.points) for law in sigma.laws)
+            return sigma
+
+        monkeypatch.setattr(cli, "select_state_sequence", spy_select)
+        cfg = write_cfg(
+            "order-sweep.cfg", "n = 2\nM = 2\nsweep = 4, 16, 8\nseed = 3\nscenario = constant\n"
+        )
+        out = suite_dir() / "order-sweep"
+        assert main(["tv-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert radii == [16.0, 8.0, 4.0]
+        assert alive == [0, 0, 0]
 
     def test_single_radius_has_empty_trend(self):
         cfg = write_cfg(
