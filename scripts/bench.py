@@ -21,7 +21,10 @@ failed passes, then per workload every sample (null where a run printed
 no metrics), the median and quartiles of each side, and how many pairs
 the change won on solve_s; both checkout paths; and the machine (CPU
 model, nproc, thread cap) with the Python, numpy, scipy and BLAS versions
-that `run.py` reports.
+that `run.py` reports; and the bytecode mode, which moves peak RSS: the
+value of PYTHONDONTWRITEBYTECODE the runs inherit, and per checkout
+whether `src/sketchlab/__pycache__` held compiled modules before the
+first pair.
 It is written to the change checkout, and the script exits 1 when any
 run failed or failed its gate.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -103,6 +107,18 @@ def spread(values: list) -> dict | None:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def bytecode_mode(checkouts: dict) -> dict:
+    """PYTHONDONTWRITEBYTECODE as the runs inherit it (None when unset),
+    and per checkout whether its package cache holds compiled modules."""
+    return {
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "compiled": {
+            side: any((path / "src/sketchlab/__pycache__").glob("*.pyc"))
+            for side, path in checkouts.items()
+        },
+    }
+
+
 def collect(checkouts: dict, seconds: float) -> dict:
     """runs[side]: every run of that side, in pair order."""
     runs: dict = {side: [] for side in SIDES}
@@ -169,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = float(spec["run_seconds"])
+    bytecode = bytecode_mode(checkouts)
     runs = collect(checkouts, seconds)
     workloads = by_workload(runs)
     env = next((run["env"] for side in SIDES for run in runs[side] if "env" in run), {})
@@ -185,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             "median over its passes, null where that run printed no metrics"
         ),
         "env": env,
+        "bytecode": bytecode,
         "passes": {
             side: {
                 "runs": [

@@ -8,6 +8,9 @@ into three stripes, the constant scenario into a single cell.
 
 Usage:
     python scripts/fiber_atlas.py [scenario] [route] [window]
+
+An unknown scenario or route, or a window that is not a positive
+integer, exits 2 with one line on stderr.
 """
 
 import sys
@@ -17,19 +20,28 @@ from sketchlab.cli import ExperimentConfig, get_scenario, transfer_config
 from sketchlab.transfer import extract_sketch, fiber_census
 
 
-def main() -> int:
-    scenario_name = sys.argv[1] if len(sys.argv) > 1 else "parity"
-    route = sys.argv[2] if len(sys.argv) > 2 else "exact"
-    window = int(sys.argv[3]) if len(sys.argv) > 3 else 3
-    cfg = ExperimentConfig(M=2, Q=8 if route == "mollified" else 2048,
-                           scenario=scenario_name, route=route)
-    scenario = get_scenario(scenario_name)
+def main(argv: list[str]) -> int:
+    scenario_name = argv[0] if len(argv) > 0 else "parity"
+    route = argv[1] if len(argv) > 1 else "exact"
+    try:
+        window = int(argv[2]) if len(argv) > 2 else 3
+        if window < 1:
+            raise ValueError(f"window must be positive, got {window}")
+        cfg = ExperimentConfig(M=2, Q=8 if route == "mollified" else 2048,
+                               scenario=scenario_name, route=route)
+        scenario = get_scenario(scenario_name)
+        tcfg = transfer_config(cfg, scenario)
+    except ValueError as exc:
+        # UsageError and ConfigError are ValueErrors; a ConfigError lists
+        # its violations on several lines
+        print(f"fiber_atlas.py: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
     sketch, decoder, _ = extract_sketch(
         scenario.algorithm,
         scenario.target,
         scenario.problem(cfg),
         route,
-        transfer_config(cfg, scenario),
+        tcfg,
         cfg.seed,
     )
     domain = list(product(range(window), repeat=2))
@@ -46,4 +58,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -298,12 +298,9 @@ class Scenario:
     The algorithm and the target distribution are fixed values; the
     problem is built from the run's config, because capped-norm reads
     epsilon, R and delta.  The scenario's dimension is its algorithm's.
-    `branching` is the per-block state fan-out; the default selection
-    threshold keeps half of the uniform share `branching**-M`.
     """
 
     name: str
-    branching: int
     algorithm: TurnstileAlgorithm
     target: SparseMeasure
     problem: Callable[[ExperimentConfig], ProblemSpec]
@@ -324,7 +321,6 @@ SCENARIOS: dict[str, Scenario] = {
     # coordinate-sum parity promise on a four-point staircase
     "parity": Scenario(
         name="parity",
-        branching=2,
         algorithm=parity_algorithm(2),
         target=SparseMeasure.uniform([(0, 0), (1, 0), (1, 1), (2, 1)]),
         problem=lambda cfg: ProblemSpec.promise(lambda y: (y[0] + y[1]) % 2),
@@ -332,7 +328,6 @@ SCENARIOS: dict[str, Scenario] = {
     # first-coordinate mod-3 indicator on an axis segment
     "mod-3": Scenario(
         name="mod-3",
-        branching=3,
         algorithm=dataclasses.replace(
             mod_counter_algorithm(2, 3), output=lambda s: 1 if s == 0 else 0
         ),
@@ -344,7 +339,6 @@ SCENARIOS: dict[str, Scenario] = {
     # state-free algorithm answering 0 everywhere
     "constant": Scenario(
         name="constant",
-        branching=1,
         algorithm=constant_algorithm(2),
         target=SparseMeasure.uniform([(0, 0), (1, 1)]),
         problem=lambda cfg: ProblemSpec.promise(lambda y: 0),
@@ -352,7 +346,6 @@ SCENARIOS: dict[str, Scenario] = {
     # parity algorithm scored against a mod-3 promise it cannot see
     "adversarial": Scenario(
         name="adversarial",
-        branching=2,
         algorithm=parity_algorithm(2),
         target=SparseMeasure.uniform([(0, 0), (1, 0), (2, 0), (3, 0)]),
         problem=lambda cfg: ProblemSpec.promise(
@@ -362,7 +355,6 @@ SCENARIOS: dict[str, Scenario] = {
     # norm capped at epsilon, smooth enough for the mollified route
     "capped-norm": Scenario(
         name="capped-norm",
-        branching=2,
         algorithm=parity_algorithm(2),
         target=SparseMeasure.uniform([(0, 0), (1, 0), (1, 1), (2, 1)]),
         problem=_capped_norm_problem,
@@ -376,12 +368,6 @@ def get_scenario(name: str) -> Scenario:
     except KeyError:
         known = ", ".join(sorted(SCENARIOS))
         raise UsageError(f"unknown scenario {name!r}; known scenarios: {known}")
-
-
-def _selection_threshold(cfg: ExperimentConfig, scenario: Scenario) -> float:
-    if cfg.selection_threshold is not None:
-        return cfg.selection_threshold
-    return 0.5 * float(scenario.branching) ** -cfg.M
 
 
 def transfer_config(cfg: ExperimentConfig, scenario: Scenario) -> TransferConfig:
@@ -400,7 +386,7 @@ def transfer_config(cfg: ExperimentConfig, scenario: Scenario) -> TransferConfig
         q=cfg.q,
         kappa=cfg.kappa,
         B=cfg.B,
-        selection_threshold=_selection_threshold(cfg, scenario),
+        selection_threshold=cfg.selection_threshold,
         tv_margin=cfg.tv_margin,
         label=scenario.name,
     )

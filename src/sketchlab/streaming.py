@@ -342,26 +342,28 @@ class SelectionFailed(RuntimeError):
 class StateSequence:
     """States at block boundaries, with the law that produced them.
 
-    `probability` is the chance of traversing exactly these states and
-    must factor into the per-block conditional masses.  `laws`, one per
-    block, are the posterior laws selection certified (none once read
-    back from a report); they take no part in equality.
+    `laws`, one per block, are the posterior laws selection certified
+    (none once read back from a report), and `threshold` is the census
+    share the sequence cleared; neither takes part in equality.
     """
 
     states: tuple[int, ...]
-    probability: float
     per_block_densities: tuple[float, ...]
     success_estimate: float
     laws: tuple[SparseMeasure, ...] = field(compare=False, repr=False)
+    threshold: float = field(compare=False)
 
     def __post_init__(self) -> None:
         if len(self.states) != len(self.per_block_densities) + 1:
             raise ValueError("need exactly one state per block boundary")
         if self.laws and len(self.laws) != self.block_count:
             raise ValueError(f"need one law per block, got {len(self.laws)}")
-        prod = math.prod(self.per_block_densities)
-        if abs(self.probability - prod) > 1e-10:
-            raise ValueError("probability must factor into the block densities")
+
+    @property
+    def probability(self) -> float:
+        """The chance of traversing exactly these states: the product of
+        the per-block conditional masses."""
+        return math.prod(self.per_block_densities)
 
     @property
     def block_count(self) -> int:
@@ -558,9 +560,9 @@ def select_state_sequence(
     them block by block and groups them by their states at block
     boundaries.
     Sequences whose empirical share falls below `threshold` are dropped;
-    the default is half of 2^-blocks, the share each sequence would keep
-    if every block branched two ways, so algorithms that branch more
-    densely need a lower threshold.  Survivors get their success
+    the default is half of b^-blocks, b the number of distinct states the
+    census visits: the share each sequence would keep if every block
+    branched b ways.  Survivors get their success
     estimated from SELECTION_LANDINGS resampled closing blocks per target
     point, drawn from the stream of the entropy (seed, *states), so the
     aggregation is order independent.  The best estimate wins; exact ties
@@ -581,13 +583,12 @@ def select_state_sequence(
     for j in range(blocks):
         paths[:, j + 1] = fold_deltas(alg, prefixes[:, j], j, paths[:, j], table.memo)
     census = Counter(map(tuple, paths.tolist()))
-    cut = 0.5 * 0.5**blocks if threshold is None else threshold
-    survivors = sorted(
-        st for st, c in census.items() if c / samples >= cut
-    )
+    if threshold is None:
+        threshold = 0.5 * float(len({s for st in census for s in st})) ** -blocks
+    survivors = sorted(st for st, c in census.items() if c / samples >= threshold)
     if not survivors:
         ranked = sorted(census.items(), key=lambda kv: (-kv[1], kv[0]))
-        raise SelectionFailed(cut, samples, tuple(ranked))
+        raise SelectionFailed(threshold, samples, tuple(ranked))
     best: StateSequence | None = None
     for states in survivors:
         laws, densities = _conditional_blocks(table, states, radius)
@@ -603,10 +604,10 @@ def select_state_sequence(
         )
         candidate = StateSequence(
             states=states,
-            probability=math.prod(densities),
             per_block_densities=tuple(densities),
             success_estimate=q,
             laws=tuple(laws),
+            threshold=threshold,
         )
         if best is None or q > best.success_estimate:
             best = candidate

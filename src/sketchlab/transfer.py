@@ -12,7 +12,7 @@ import ast
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -127,7 +127,8 @@ class TransferConfig:
 class ExtractedSketch:
     """Linear sketch read off the conditioned block structure: the
     structure the translation certification certified, the state
-    sequence it was conditioned on, and the config of the run.
+    sequence it was conditioned on, and the config of the run with the
+    selection cut the sequence cleared.
 
     Exact route: a SketchLattice; the sketch value of y is the tuple of
     residues <t_j, y> mod 1, and the image has at most prod k_j fibers.
@@ -430,7 +431,8 @@ def extract_sketch(
         max(1, math.ceil(diameter)),
         max_kernel=64,
     )
-    sketch = ExtractedSketch(translation.structure, sigma, cfg)
+    provenance = replace(cfg, selection_threshold=sigma.threshold)
+    sketch = ExtractedSketch(translation.structure, sigma, provenance)
     decoder = _build_decoder(alg, sketch, target, problem, seed, translation.convolution)
     hard = [
         c
@@ -601,6 +603,9 @@ def extraction_from_text(text: str) -> tuple[ExtractedSketch, FiberDecoder]:
 
     The parsed structure carries no certificate: the basis gets radius
     bound 0 and the lattice kappa 0, and the sequence carries no laws.
+    The sequence's threshold is the recorded `selection_threshold`; its
+    probability is the product of the densities, so the
+    `sigma_probability` line is not read.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("sketch-report v"):
@@ -656,10 +661,10 @@ def extraction_from_text(text: str) -> tuple[ExtractedSketch, FiberDecoder]:
         )
     sigma = StateSequence(
         tuple(int(s) for s in head["sigma"].split()),
-        float(head["sigma_probability"]),
         tuple(float(b) for b in head["sigma_densities"].split()),
         float(head["sigma_success"]),
         laws=(),
+        threshold=cfg_kwargs["selection_threshold"],
     )
     table: dict = {}
     representative: dict = {}

@@ -665,20 +665,18 @@ def translation_invariance_certify(
     warnings: list[str] = []
 
     R, K = structure.R, structure.K
-    S = max(density_certificate(m, R).S for m in mus)
-    kappa = structure.kappa if structure.kappa is not None else 3.0 * math.sqrt(S) / R
     grid_exponent = _covering_exponent(mus, structure.grid_exponent)
     if grid_exponent != structure.grid_exponent:
         warnings.append(f"scan grid exponent raised to {grid_exponent} to cover the pieces")
     if route not in ("exact", "mollified"):
         raise ValueError("unknown route")
     exact = route == "exact"
-    # an unset kappa on the exact route is derived from the symmetrized law
-    scan_cfg = replace(
-        structure,
-        grid_exponent=grid_exponent,
-        kappa=structure.kappa if exact else kappa,
-    )
+    # an unset kappa on the exact route is derived from the symmetrized
+    # law, on the mollified route from the pieces' density certificates
+    kappa = structure.kappa
+    if kappa is None and not exact:
+        kappa = 3.0 * math.sqrt(max(density_certificate(m, R).S for m in mus)) / R
+    scan_cfg = replace(structure, grid_exponent=grid_exponent, kappa=kappa)
     extracted = convolution_structure(mus, route, scan_cfg)
     warnings.extend(extracted.warnings)
     if exact:

@@ -167,7 +167,7 @@ def test_c06_small_ball():
         assert chk.trials == 1_000_000
         assert chk.probability <= chk.bound + 3.0 * chk.stderr + 1e-3, name
         assert chk.passed, name
-    budget(6.7, start)
+    budget(5.0, start)
 
 
 def test_c07_line_parseval():

@@ -8,6 +8,7 @@ reproducibility measured byte-for-byte on rerun output.
 
 import csv
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -18,9 +19,12 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streaming_oracle import same_laws
 from sketchlab import cli, streaming, transfer, translation
@@ -32,7 +36,6 @@ from sketchlab.cli import (
     ExperimentConfig,
     UsageError,
     _cell,
-    _selection_threshold,
     _trend,
     get_scenario,
     load_config,
@@ -42,9 +45,10 @@ from sketchlab.cli import (
     write_table,
 )
 from sketchlab.measure import gamma_truncated
-from sketchlab.streaming import posterior_laws, select_state_sequence
+from sketchlab.streaming import SelectionFailed, posterior_laws, select_state_sequence
 from sketchlab.spectrum import CertifiedBoundError, chain_length_cap
 from sketchlab.transfer import (
+    TransferConfig,
     evaluate_sketch,
     extract_sketch,
     extraction_from_text,
@@ -199,6 +203,29 @@ class TestConfig:
         assert cfg.route == "mollified"
 
 
+# The per-block state fan-out each scenario's registry entry used to
+# declare; the cut selection derives must be 0.5 * b**-M with these b.
+BRANCHING = {"parity": 2, "mod-3": 3, "constant": 1, "adversarial": 2, "capped-norm": 2}
+RADII = (1.0, 2.0, 4.0, 8.0, 16.0)
+BLOCKS = (1, 2, 3, 4, 8)
+
+
+def derived_cut(name: str, R: float, M: int, seed: int) -> float:
+    """The cut selection derives for a registry scenario, read off the
+    selected sequence or the failure.  The survivors' success estimates
+    play no part in the cut, so they are stubbed out to keep the grid
+    cheap."""
+    scenario = get_scenario(name)
+    problem = scenario.problem(ExperimentConfig())
+    with mock.patch.object(streaming, "_success_estimate", lambda *args: 0.0):
+        try:
+            return select_state_sequence(
+                scenario.algorithm, scenario.target, problem, R, M, cli.SAMPLES, seed
+            ).threshold
+        except SelectionFailed as exc:
+            return exc.threshold
+
+
 class TestRegistry:
     def test_unknown_scenario_lists_registry(self):
         with pytest.raises(UsageError) as err:
@@ -209,12 +236,42 @@ class TestRegistry:
             assert name in msg
 
     def test_threshold_matches_branching(self):
-        parity = get_scenario("parity")
-        mod3 = get_scenario("mod-3")
-        assert _selection_threshold(ExperimentConfig(M=8), parity) == 0.5 * 2**-8
-        assert _selection_threshold(ExperimentConfig(M=4), mod3) == 0.5 * 3**-4
-        pinned = ExperimentConfig(selection_threshold=0.2)
-        assert _selection_threshold(pinned, mod3) == 0.2
+        # every registry scenario at every R and M of the grid, seed 0
+        for name, R, M in itertools.product(BRANCHING, RADII, BLOCKS):
+            assert derived_cut(name, R, M, 0) == 0.5 * float(BRANCHING[name]) ** -M
+
+    @given(
+        st.sampled_from(sorted(BRANCHING)),
+        st.sampled_from(RADII),
+        st.sampled_from(BLOCKS),
+        st.integers(0, 2**64),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_threshold_matches_branching_at_any_seed(self, name, R, M, seed):
+        assert derived_cut(name, R, M, seed) == 0.5 * float(BRANCHING[name]) ** -M
+
+    def test_pinned_threshold_overrides_the_derived_cut(self):
+        scenario = get_scenario("mod-3")
+        cfg = ExperimentConfig(M=2, selection_threshold=0.1)
+        assert transfer_config(cfg, scenario).selection_threshold == 0.1
+        sigma = select_state_sequence(
+            scenario.algorithm, scenario.target, scenario.problem(cfg), cfg.R,
+            cfg.M, cli.SAMPLES, cfg.seed, threshold=0.1,
+        )
+        assert sigma.threshold == 0.1
+
+    def test_library_default_cut_extracts_mod3(self):
+        # a binary cut, 0.5 * 2**-3, rejected every mod-3 sequence here:
+        # the best census share is 24/512
+        scenario = get_scenario("mod-3")
+        sketch, _, _ = extract_sketch(
+            scenario.algorithm, scenario.target,
+            scenario.problem(ExperimentConfig()), "exact",
+            TransferConfig(blocks=3, label="mod-3"), 0,
+        )
+        assert sketch.structure.rank == 1
+        assert sketch.sigma.threshold == 0.5 * 3.0**-3
+        assert sketch.provenance.selection_threshold == sketch.sigma.threshold
 
     def test_transfer_config_mapping(self):
         cfg = ExperimentConfig(R=4.0, M=3, D=2, Q=64, seed=5)
@@ -222,7 +279,8 @@ class TestRegistry:
         assert tcfg.radius == 4.0 and tcfg.blocks == 3
         assert tcfg.diameter == 2 and tcfg.Q == 64
         assert tcfg.label == "parity"
-        assert tcfg.selection_threshold == 0.5 * 2**-3
+        # unset, so selection derives the cut from its census
+        assert tcfg.selection_threshold is None
 
     def test_transfer_config_dimension_mismatch(self):
         with pytest.raises(UsageError, match="2-dimensional"):

@@ -3,13 +3,17 @@ rest on, and the benchmark pair driver: `scripts/run_suite.py` leaves no
 config copy behind, `scripts/compare_outputs.py` counts a changed table
 line, ignores a CSV's timestamp comment, reports a file that one side
 lacks and names the number that moved most, passing over zeros at
-roundoff level, and `scripts/bench.py` refuses checkouts whose paths
-differ in length before it runs anything."""
+roundoff level, `scripts/bench.py` refuses checkouts whose paths
+differ in length before it runs anything and records its bytecode mode,
+and `scripts/fiber_atlas.py` prints its atlas or fails in one line."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -162,3 +166,67 @@ def test_bench_records_both_checkout_paths(tmp_path, monkeypatch, capsys):
     record = json.loads((change / "BENCH_0.json").read_text())
     assert record["checkouts"] == {"parent": str(parent), "change": str(change)}
     capsys.readouterr()
+
+
+def test_bench_records_bytecode_mode_before_the_first_pair(tmp_path, monkeypatch, capsys):
+    bench = load("bench")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    cache = change / "src" / "sketchlab" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "cli.cpython-312.pyc").write_bytes(b"")
+    parent.mkdir()
+    (change / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+
+    def compile_parent(checkouts, seconds):
+        # a run that writes bytecode must not change the recorded mode
+        (parent / "src" / "sketchlab" / "__pycache__").mkdir(parents=True)
+        (parent / "src" / "sketchlab" / "__pycache__" / "cli.cpython-312.pyc").write_bytes(b"")
+        return {s: [] for s in bench.SIDES}
+
+    monkeypatch.setattr(bench, "collect", compile_parent)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench.main(["--parent", str(parent), "--change", str(change), "--pr", "0"]) == 0
+    record = json.loads((change / "BENCH_0.json").read_text())
+    assert record["bytecode"] == {
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "compiled": {"parent": False, "change": True},
+    }
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench.bytecode_mode({"parent": parent})["PYTHONDONTWRITEBYTECODE"] is None
+    capsys.readouterr()
+
+
+def run_atlas(*args: str) -> subprocess.CompletedProcess:
+    src = str(SCRIPTS.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "fiber_atlas.py"), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def test_fiber_atlas_prints_the_parity_fibers():
+    done = run_atlas("parity", "exact", "3")
+    assert done.returncode == 0, done.stderr
+    rows = [line.strip() for line in done.stdout.splitlines()[1:]]
+    assert rows == [
+        "(Fraction(0, 1),) -> 0: (0, 0) (0, 2) (1, 1) (2, 0) (2, 2)",
+        "(Fraction(1, 2),) -> 1: (0, 1) (1, 0) (1, 2) (2, 1)",
+    ]
+
+
+def test_fiber_atlas_fails_in_one_line():
+    for args, needle in (
+        (("nope",), "unknown scenario 'nope'"),
+        (("parity", "sideways"), "unknown route 'sideways'"),
+        (("parity", "exact", "x"), "'x'"),
+        (("parity", "exact", "0"), "window must be positive"),
+    ):
+        done = run_atlas(*args)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and needle in err[0], done.stderr

@@ -775,23 +775,24 @@ def test_selection_steps_each_distinct_transition_once(alg, blocks):
 
 
 def test_state_sequence_validation():
-    with pytest.raises(ValueError, match="factor"):
-        StateSequence((0, 1), 0.4, (0.5,), 1.0, ())
     with pytest.raises(ValueError, match="boundary"):
-        StateSequence((0, 1), 0.25, (0.5, 0.5), 1.0, ())
-    seq = StateSequence((0, 1, 0), 0.25, (0.5, 0.5), 1.0, ())
+        StateSequence((0, 1), (0.5, 0.5), 1.0, (), 0.1)
+    seq = StateSequence((0, 1, 0), (0.5, 0.3), 1.0, (), 0.1)
     assert seq.block_count == 2
+    # the probability is the product of the block densities, bit for bit
+    assert seq.probability == 0.5 * 0.3
 
 
 def test_state_sequence_needs_one_law_per_block():
     law = gamma_truncated(2, 4.0)
     with pytest.raises(ValueError, match="one law per block, got 1"):
-        StateSequence((0, 1, 0), 0.25, (0.5, 0.5), 1.0, (law,))
+        StateSequence((0, 1, 0), (0.5, 0.5), 1.0, (law,), 0.1)
     with pytest.raises(ValueError, match="one law per block, got 3"):
-        StateSequence((0, 1, 0), 0.25, (0.5, 0.5), 1.0, (law,) * 3)
-    seq = StateSequence((0, 1, 0), 0.25, (0.5, 0.5), 1.0, (law, law))
-    # the laws take no part in equality or the repr
-    assert seq == StateSequence((0, 1, 0), 0.25, (0.5, 0.5), 1.0, ())
+        StateSequence((0, 1, 0), (0.5, 0.5), 1.0, (law,) * 3, 0.1)
+    seq = StateSequence((0, 1, 0), (0.5, 0.5), 1.0, (law, law), 0.1)
+    # the laws and the threshold take no part in equality; the laws not
+    # in the repr either
+    assert seq == StateSequence((0, 1, 0), (0.5, 0.5), 1.0, (), 0.2)
     assert "laws" not in repr(seq)
 
 
@@ -843,11 +844,24 @@ def test_select_identity_fails_at_small_budget():
     alg = identity_box_algorithm(2, 40)
     with pytest.raises(SelectionFailed) as err:
         select_state_sequence(
-            alg, TARGET4, PARITY_PROBLEM, 8.0, 2, samples=128, seed=5
+            alg, TARGET4, PARITY_PROBLEM, 8.0, 2, samples=128, seed=5, threshold=0.125
         )
     assert err.value.threshold == 0.125
     assert err.value.samples == 128
     assert max(c for _, c in err.value.census) * 8 < 128
+
+
+def test_default_cut_counts_the_states_the_census_visits():
+    # oracle: the distinct states of the census a failed selection reports
+    alg = identity_box_algorithm(2, 40)
+    with pytest.raises(SelectionFailed) as err:
+        select_state_sequence(
+            alg, TARGET4, PARITY_PROBLEM, 8.0, 2, samples=16, seed=5, threshold=1.0
+        )
+    b = len({s for states, _ in err.value.census for s in states})
+    assert b > 10
+    seq = select_state_sequence(alg, TARGET4, PARITY_PROBLEM, 8.0, 2, samples=16, seed=5)
+    assert seq.threshold == 0.5 * float(b) ** -2
 
 
 def test_select_lowered_threshold_recovers():

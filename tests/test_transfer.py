@@ -146,7 +146,7 @@ def test_additivity_mollified_matrix():
     basis = NearOriginBasis(
         dimension=2, numerators=((3, -1), (0, 2)), denominator=8, radius_bound=0.0
     )
-    sigma = StateSequence((0, 0, 0), 1.0, (1.0, 1.0), 1.0, ())
+    sigma = StateSequence((0, 0, 0), (1.0, 1.0), 1.0, (), 0.125)
     sketch = ExtractedSketch(basis, sigma, TransferConfig(Q=8))
     rng = np.random.default_rng(7)
     pairs = rng.integers(-40, 41, size=(1000, 2, 2))
@@ -367,7 +367,9 @@ def test_in_theorem_conflict_raises():
 
 
 def test_selection_failure_propagates():
-    cfg = TransferConfig(radius=8.0, blocks=2, label="identity-unit")
+    # the identity box visits hundreds of states, so the cut derived from
+    # the census keeps its sequences; a pinned cut rejects them all
+    cfg = TransferConfig(radius=8.0, blocks=2, selection_threshold=0.125, label="identity-unit")
     with pytest.raises(SelectionFailed):
         extract_sketch(
             identity_box_algorithm(2, 40), TARGET4, PARITY_PROBLEM, "exact", cfg, seed=5
@@ -626,6 +628,11 @@ def test_report_roundtrip_exact():
     # a parsed sequence carries no laws, as a parsed lattice no certificate
     assert parsed.sigma.laws == () and len(sketch.sigma.laws) == 2
     assert parsed.provenance == sketch.provenance
+    # the provenance records the cut selection derived, and a parsed
+    # sequence reads it back
+    assert sketch.provenance.selection_threshold == sketch.sigma.threshold == 0.5 * 2.0**-2
+    assert parsed.sigma.threshold == parsed.provenance.selection_threshold
+    assert parsed.sigma.probability == sketch.sigma.probability
     lat, lat2 = sketch.structure, parsed.structure
     assert lat2.route == "exact"
     assert lat2.generators == lat.generators
@@ -681,6 +688,7 @@ def test_report_roundtrip_mollified():
     assert parsed.structure.radius_bound == 0.0
     assert parsed.sigma == sketch.sigma
     assert parsed.provenance == sketch.provenance
+    assert parsed.sigma.threshold == parsed.provenance.selection_threshold
     assert dec2.table == decoder.table
 
 

@@ -1112,3 +1112,35 @@ def test_certify_records_carry_the_shared_parameters():
 def test_certify_deficit_reported():
     rep = parity_report()
     assert 0.0 <= rep.convolution.deficit < 1e-6
+
+
+def test_certify_reads_density_certificates_only_for_an_unset_mollified_kappa(
+    monkeypatch,
+):
+    # oracle: an unset kappa on the mollified route stands for
+    # 3 sqrt(S) / R, S the largest density certificate of the pieces
+    from sketchlab.measure import density_certificate
+
+    pieces = [gamma2()] * 2
+    R = STRUCTURE.R
+    S = max(density_certificate(m, R).S for m in pieces)
+    real = translation.density_certificate
+
+    def certify(route, kappa):
+        calls = []
+        monkeypatch.setattr(
+            translation, "density_certificate", lambda m, r: calls.append(m) or real(m, r)
+        )
+        structure = dataclasses.replace(STRUCTURE, kappa=kappa)
+        rep = translation_invariance_certify(pieces, route, structure, 1, controls=0)
+        monkeypatch.undo()
+        rows = [(k, r.direction, r.actual_tv, r.bound) for k, r in rep.records]
+        return (rep.eta, rep.delta, rows), len(calls)
+
+    derived, unset_calls = certify("mollified", None)
+    pinned, pinned_calls = certify("mollified", 3.0 * math.sqrt(S) / R)
+    assert derived == pinned
+    assert unset_calls == pinned_calls + len(pieces)
+    # with kappa set, the only certificates are the tail center's, one
+    # per piece
+    assert certify("exact", 0.25)[1] == len(pieces)
