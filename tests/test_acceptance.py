@@ -307,7 +307,7 @@ def test_c14_homomorphism_and_reproducibility(tmp_path):
     assert (tmp_path / "one" / "smallball.json").read_bytes() == (
         tmp_path / "two" / "smallball.json"
     ).read_bytes()
-    budget(7.0, start)
+    budget(5.0, start)
 
 
 def test_c15_scan_polish_at_a_low_threshold(monkeypatch):
