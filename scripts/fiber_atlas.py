@@ -10,14 +10,16 @@ Usage:
     python scripts/fiber_atlas.py [scenario] [route] [window]
 
 An unknown scenario or route, or a window that is not a positive
-integer, exits 2 with one line on stderr.
+integer, exits 2 with one line on stderr; an extraction that fails exits
+1 with one line naming the scenario, the route and the failure.
 """
 
 import sys
 from itertools import product
 
 from sketchlab.cli import ExperimentConfig, get_scenario, transfer_config
-from sketchlab.transfer import extract_sketch, fiber_census
+from sketchlab.streaming import SelectionFailed
+from sketchlab.transfer import SketchExtractionError, extract_sketch, fiber_census
 
 
 def main(argv: list[str]) -> int:
@@ -36,14 +38,19 @@ def main(argv: list[str]) -> int:
         # its violations on several lines
         print(f"fiber_atlas.py: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
-    sketch, decoder, _ = extract_sketch(
-        scenario.algorithm,
-        scenario.target,
-        scenario.problem(cfg),
-        route,
-        tcfg,
-        cfg.seed,
-    )
+    try:
+        sketch, decoder, _ = extract_sketch(
+            scenario.algorithm,
+            scenario.target,
+            scenario.problem(cfg),
+            route,
+            tcfg,
+            cfg.seed,
+        )
+    except (SketchExtractionError, SelectionFailed, ValueError, RuntimeError) as exc:
+        print(f"fiber_atlas.py: extract failed for scenario {scenario_name!r} "
+              f"on the {route} route: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 1
     domain = list(product(range(window), repeat=2))
     census = fiber_census(sketch, domain)
     print(f"{scenario_name} [{route}]: dimension {sketch.structure.rank}, "

@@ -10,8 +10,9 @@ Every pipeline convolution is an FFT product on a grid sized by a
 certified tail window, which clips dust into the deficit and charges its
 wrap-around and roundoff there too.  convolve, the exact shift-and-add
 that no pipeline code calls, sums each cell in scipy's direct order; it
-is the reference.  The scans transform real grids by rfftn and read the
-other half of the spectrum as its mirror image.  The scan polish is
+is the reference.  Every read of heavy grid frequencies goes through
+heavy_cells, which transforms real grids by rfftn and reads the other
+half of the spectrum as its mirror image.  The scan polish is
 coordinate ascent on arrays: each pass contracts the box of mu with
 per-axis exponentials down to a 1-d trigonometric sum per hit, and
 maximizes it by sampling plus safeguarded Newton steps, so the module
@@ -40,6 +41,7 @@ __all__ = [
     "convolve",
     "convolve_many_fft",
     "density_certificate",
+    "heavy_cells",
     "large_spectrum_scan",
     "symmetrize",
 ]
@@ -614,6 +616,28 @@ def _half_spectrum_cells(
     return cells[order], source[order]
 
 
+def heavy_cells(
+    mus: Sequence[SparseMeasure], level: float, grid_exponent: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of the 2^grid_exponent grid where prod_i |mu_i_hat| >= level,
+    in the C order of the full grid, with the product at each; cell k is
+    the frequency k / side, as the forward transform's phase matches mu_hat.
+    The product is formed on rfftn halves in the order of mus, each distinct
+    law (_law_key) transformed once, and the other half of the grid is read
+    as its mirror image (_half_spectrum_cells)."""
+    side = 2**grid_exponent
+    shape = (side,) * mus[0].dimension
+    first: dict[tuple, int] = {}
+    law = [first.setdefault(_law_key(m), i) for i, m in enumerate(mus)]
+    del first  # the keys copy every law's arrays: drop them before transforming
+    mags = {i: np.abs(_grid_spectrum(mus[i], shape)) for i in dict.fromkeys(law)}
+    prod = mags[law[0]]
+    for i in law[1:]:
+        prod = prod * mags[i]
+    cells, source = _half_spectrum_cells(prod >= level, side)
+    return cells, prod[tuple(source.T)]
+
+
 def large_spectrum_scan(
     mu: SparseMeasure,
     K: float,
@@ -623,10 +647,7 @@ def large_spectrum_scan(
     """All grid frequencies with |mu_hat| >= 1 - 1/K, optionally polished
     by local coordinate ascent.
 
-    The grid is transformed by rfftn, so no full-size complex array is
-    formed: hits are found in the half spectrum and the other half is
-    read as its mirror image (_half_spectrum_cells), in the C order of
-    the full grid.
+    The hits are heavy_cells of mu alone, in the C order of the full grid.
 
     With refine, every hit is polished at once by _polish (coordinate
     ascent within half a grid cell per pass, each pass a sampled
@@ -644,11 +665,8 @@ def large_spectrum_scan(
         raise ValueError("K must be at least 2")
     side = 2**grid_exponent
     n = mu.dimension
-    # the forward transform's phase matches mu_hat, so |F[k]| = |mu_hat(k/side)|
-    mag = np.abs(_grid_spectrum(mu, (side,) * n))
     threshold = 1.0 - 1.0 / K
-    index, source = _half_spectrum_cells(mag >= threshold, side)
-    grid_mag = mag[tuple(source.T)]
+    index, grid_mag = heavy_cells([mu], threshold, grid_exponent)
     zetas = _reduce_torus(index / side)
     mags = grid_mag
     if refine:

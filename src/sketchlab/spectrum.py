@@ -22,12 +22,10 @@ from .measure import (
     _BLOCK_CELLS,
     ScanReport,
     SparseMeasure,
-    _grid_spectrum,
-    _half_spectrum_cells,
-    _law_key,
     _reduce_torus,
     density_certificate,
     fourier_at,
+    heavy_cells,
     large_spectrum_scan,
     symmetrize,
 )
@@ -366,7 +364,8 @@ class StructureConfig:
     """Parameters of both structure extractors.
 
     The exact route reads q and takes kappa = 5 sqrt(S)/R when kappa is
-    None; the near-origin route reads B and needs kappa set.
+    None; the near-origin route reads B and needs kappa set, which
+    convolution_structure derives when it is None.
     """
 
     K: float
@@ -743,27 +742,6 @@ def small_ball_exact_1d(
     return SmallBallCheck(prob, bound, prob <= bound + 1e-12, 0, -1, 0.0)
 
 
-def product_heavy_frequencies(
-    mus: Sequence[SparseMeasure],
-    threshold: float,
-    grid_exponent: int,
-) -> np.ndarray:
-    """Grid frequencies where prod_i |mu_i_hat| >= threshold, as reduced
-    rows in the C order of the grid; equal laws are transformed once, by
-    rfftn, and the other half of the grid is read as the mirror image."""
-    side = 2**grid_exponent
-    shape = (side,) * mus[0].dimension
-    prod = np.ones(shape[:-1] + (side // 2 + 1,))
-    mags: dict[tuple, np.ndarray] = {}
-    for m in mus:
-        key = _law_key(m)
-        if key not in mags:
-            mags[key] = np.abs(_grid_spectrum(m, shape))
-        prod = prod * mags[key]
-    cells, _ = _half_spectrum_cells(prod >= threshold, side)
-    return _reduce_torus(cells / side)
-
-
 def convolution_structure(
     mus: Sequence[SparseMeasure], route: str, cfg: StructureConfig
 ) -> SketchLattice | NearOriginBasis:
@@ -773,7 +751,9 @@ def convolution_structure(
     single-measure extractor with threshold K/4, ambient radius sqrt(2) R
     and a scan grid one exponent finer (the support spread of mu_sym
     doubles), then certifies the result against the product-heavy set
-    {zeta : prod |mu_i_hat(zeta)| >= e^{-M/K}}.
+    {zeta : prod |mu_i_hat(zeta)| >= e^{-M/K}}.  An unset kappa on the
+    mollified route is 3 sqrt(S)/R, S the largest density certificate of
+    the pieces; the basis carries the kappa it used.
     """
     if not mus:
         raise ValueError("empty measure list")
@@ -785,16 +765,19 @@ def convolution_structure(
         R=math.sqrt(2.0) * cfg.R,
         grid_exponent=cfg.grid_exponent + 1,
     )
-    heavy_prod = product_heavy_frequencies(
-        mus, math.exp(-M / cfg.K), cfg.grid_exponent
-    )
+    cells, _ = heavy_cells(mus, math.exp(-M / cfg.K), cfg.grid_exponent)
+    heavy_prod = _reduce_torus(cells / 2**cfg.grid_exponent)
     if route == "exact":
         lattice = extract_exact_structure(sym, sub)
         worst = float(np.max(lattice.distance(heavy_prod), initial=0.0))
         return replace(lattice, span_error=max(lattice.span_error, worst))
     if route == "mollified":
-        basis = extract_near_origin_structure(sym, sub)
-        near = heavy_prod[np.linalg.norm(heavy_prod, axis=1) <= cfg.kappa]
+        kappa = cfg.kappa
+        if kappa is None:
+            S = max(density_certificate(m, cfg.R).S for m in mus)
+            kappa = 3.0 * math.sqrt(S) / cfg.R
+        basis = extract_near_origin_structure(sym, replace(sub, kappa=kappa))
+        near = heavy_prod[np.linalg.norm(heavy_prod, axis=1) <= kappa]
         if (basis.distance(near) > basis.radius_bound + 1e-12).any():
             raise RuntimeError(
                 "product-heavy near-origin frequency escapes the span radius"

@@ -21,13 +21,12 @@ from .measure import (
     SparseMeasure,
     _covering_exponent,
     _gamma,
-    _grid_spectrum,
-    _half_spectrum_cells,
     _lex_groups,
     _reduce_torus,
     convolve_many_fft,
     density_certificate,
     gamma_truncated,
+    heavy_cells,
 )
 from .spectrum import (
     GRID_EXPONENT,
@@ -322,18 +321,19 @@ def measured_structure_spread(
 ) -> HeavySpread:
     """Scan the transform of nu on a power-of-two grid of side at least
     128 that covers its support, and report how far the frequencies above
-    eta stray from the structure.  The grid is transformed by rfftn and
-    the other half read as the mirror image.
+    eta stray from the structure (heavy_cells).
 
     Grid points only; the spread is a measured proxy for the theoretical
     neighborhood radius, not a certificate between grid points.
     """
-    side = 2 ** _covering_exponent([nu], GRID_EXPONENT)
-    mags = np.abs(_grid_spectrum(nu, (side,) * nu.dimension))
-    heavy, _ = _half_spectrum_cells(mags > eta + 1e-12, side)
+    exponent = _covering_exponent([nu], GRID_EXPONENT)
+    # no float lies between eta + 1e-12 and the next one up, so >= that
+    # is the strict > eta + 1e-12
+    level = np.nextafter(eta + 1e-12, np.inf)
+    heavy, _ = heavy_cells([nu], level, exponent)
     if heavy.shape[0] == 0:
         return HeavySpread(eta, 0, 0.0)
-    zetas = _reduce_torus(heavy.astype(float) / side)
+    zetas = _reduce_torus(heavy / 2**exponent)
     return HeavySpread(eta, int(heavy.shape[0]), float(W.distance(zetas).max()))
 
 
@@ -671,12 +671,7 @@ def translation_invariance_certify(
     if route not in ("exact", "mollified"):
         raise ValueError("unknown route")
     exact = route == "exact"
-    # an unset kappa on the exact route is derived from the symmetrized
-    # law, on the mollified route from the pieces' density certificates
-    kappa = structure.kappa
-    if kappa is None and not exact:
-        kappa = 3.0 * math.sqrt(max(density_certificate(m, R).S for m in mus)) / R
-    scan_cfg = replace(structure, grid_exponent=grid_exponent, kappa=kappa)
+    scan_cfg = replace(structure, grid_exponent=grid_exponent)
     extracted = convolution_structure(mus, route, scan_cfg)
     warnings.extend(extracted.warnings)
     if exact:
@@ -687,7 +682,7 @@ def translation_invariance_certify(
         # Off the kappa ball the reference transform decays below
         # exp(-R^2 kappa^2 / 5), so the mollified heavy set is confined
         # to the certified near-origin span.
-        eta = max(math.exp(-M / K), math.exp(-(R**2) * kappa**2 / 5.0))
+        eta = max(math.exp(-M / K), math.exp(-(R**2) * extracted.kappa**2 / 5.0))
 
     nu = convolve_many_fft(pieces)
     spread = measured_structure_spread(nu, extracted, eta)

@@ -5,7 +5,9 @@ used by the program itself, so API that only its own unit test calls
 cannot grow back.  Likewise every defaulted parameter of a public
 function or method is passed by some call in the program, so an option
 that only tests set cannot grow back either, and every dataclass field
-is read somewhere, so a stored value that nothing reads cannot either."""
+is read somewhere, so a stored value that nothing reads cannot either.
+The grid layout of the heavy-frequency reads (the embedding, the rfftn
+half and its mirror, the content key of a law) stays inside `measure`."""
 
 import ast
 import functools
@@ -260,3 +262,30 @@ def test_every_dataclass_field_is_read():
         "dataclass fields that nothing in src/, scripts/, benchmark/ or tests/ "
         "reads as an attribute; delete them, or derive them where they are needed"
     )
+
+
+GRID_LAYOUT = ("_grid_spectrum", "_half_spectrum_cells", "_law_key")
+
+
+def test_grid_layout_stays_in_measure():
+    """Outside measure.py, heavy grid frequencies are read through
+    measure.heavy_cells: no program file imports or names the helpers
+    that know the half-spectrum layout."""
+    measure_py = ROOT / "src" / "sketchlab" / "measure.py"
+    found = []
+    for d in ("src", "scripts"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if path == measure_py:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.alias):
+                    word = node.name
+                elif isinstance(node, ast.Name):
+                    word = node.id
+                elif isinstance(node, ast.Attribute):
+                    word = node.attr
+                else:
+                    continue
+                if word in GRID_LAYOUT:
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno} {word}")
+    assert found == [], "grid layout helpers used outside measure.py"

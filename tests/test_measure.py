@@ -28,8 +28,9 @@ from measure_oracle import (
     scalar_polish,
     translate,
 )
+from structure_oracle import heavy_product
 from sketchlab import measure
-from sketchlab.spectrum import GRID_EXPONENT, SketchLattice, product_heavy_frequencies
+from sketchlab.spectrum import GRID_EXPONENT, SketchLattice
 from sketchlab.translation import measured_structure_spread
 
 
@@ -594,15 +595,17 @@ class TestHalfSpectrumScans:
 
     @settings(max_examples=40, deadline=None)
     @given(scan_inputs())
-    def test_product_heavy_frequencies(self, inputs):
+    def test_heavy_cells(self, inputs):
         mus, exponent, K = inputs
         side = 2**exponent
         mags = functools.reduce(np.multiply, [full_spectrum(m, side) for m in mus])
-        got = product_heavy_frequencies(mus, 1.0 - 1.0 / K, exponent)
-        cells = np.rint(got * side).astype(np.int64) % side
+        cells, values = measure.heavy_cells(mus, 1.0 - 1.0 / K, exponent)
         assert_same_hits(cells, mags, 1.0 - 1.0 / K)
-        # in the C order of the full grid
-        assert list(map(tuple, cells.tolist())) == sorted(map(tuple, cells.tolist()))
+        # in the C order of the full grid, each cell with the bits of the
+        # per-piece rfftn product
+        want = heavy_product(mus, exponent)
+        assert cells.tolist() == np.argwhere(want >= 1.0 - 1.0 / K).tolist()
+        assert values.tobytes() == want[tuple(cells.T)].tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(scan_inputs(max_n=2))  # the spread scans at side 128 at least
@@ -622,6 +625,21 @@ class TestHalfSpectrumScans:
             rows = measure._reduce_torus(np.argwhere(mags > level) / side)
             want = float(np.sqrt(np.einsum("ij,ij->i", rows, rows)).max())
             assert spread.worst_distance == pytest.approx(want, abs=1e-12)
+
+    def test_measured_structure_spread_is_strict(self):
+        # a cell whose magnitude is eta + 1e-12 exactly is not counted
+        mu = measure.SparseMeasure(
+            1, np.array([[0], [1], [3]]), np.array([0.5, 0.25, 0.25])
+        )
+        exponent = measure._covering_exponent([mu], GRID_EXPONENT)
+        _, mags = measure.heavy_cells([mu], 0.0, exponent)  # every cell
+        value = float(np.sort(mags)[mags.size // 2])
+        near = value - 1e-12
+        eta = next(e for e in (near, *np.nextafter(near, [-1.0, 2.0])) if e + 1e-12 == value)
+        origin = SketchLattice(1, (), (), (), span_error=0.0, s_certified=0.0)
+        spread = measured_structure_spread(mu, origin, eta)
+        assert spread.count == np.count_nonzero(mags > value)
+        assert spread.count < np.count_nonzero(mags >= value)
 
 
 class TestLargeSpectrumScan:

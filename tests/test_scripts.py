@@ -230,3 +230,14 @@ def test_fiber_atlas_fails_in_one_line():
         assert done.stdout == ""
         err = done.stderr.splitlines()
         assert len(err) == 1 and needle in err[0], done.stderr
+
+
+def test_fiber_atlas_fails_in_one_line_when_extraction_fails():
+    # parity is not smooth, so the mollified route refuses it
+    done = run_atlas("parity", "mollified", "3")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    err = done.stderr.splitlines()
+    assert len(err) == 1, done.stderr
+    assert "'parity'" in err[0] and "mollified" in err[0] and "smooth" in err[0]

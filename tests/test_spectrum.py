@@ -40,7 +40,6 @@ from sketchlab.spectrum import (
     extract_near_origin_structure,
     greedy_dissociated_subset,
     is_kappa_dissociated,
-    product_heavy_frequencies,
     small_ball_check,
     small_ball_exact_1d,
 )
@@ -496,7 +495,8 @@ class TestSmallBall:
 
 class TestConvolution:
     def test_all_gamma_empty(self):
-        heavy = product_heavy_frequencies([gamma2()] * 4, math.exp(-4 / 512.0), 7)
+        cells, _ = measure.heavy_cells([gamma2()] * 4, math.exp(-4 / 512.0), 7)
+        heavy = _reduce_torus(cells / 2**7)
         assert (np.linalg.norm(heavy, axis=1) <= 0.25).all()
         lat = convolution_structure(
             [gamma2()] * 4, "exact", StructureConfig(**SCENARIO)
@@ -633,13 +633,14 @@ class TestArrayPathsMatchOracles:
         threshold=st.sampled_from([0.1, 0.5, 0.9]),
         grid_exponent=st.integers(3, 4),
     )
-    def test_product_heavy_frequencies_is_the_per_index_loop(
-        self, atoms, threshold, grid_exponent
-    ):
+    def test_heavy_cells_is_the_per_index_loop(self, atoms, threshold, grid_exponent):
         mus = [SparseMeasure.uniform(pts) for pts in atoms]
-        got = product_heavy_frequencies(mus, threshold, grid_exponent)
+        cells, values = measure.heavy_cells(mus, threshold, grid_exponent)
+        got = _reduce_torus(cells / 2**grid_exponent)
         want = oracle.heavy_frequencies(mus, threshold, grid_exponent)
         assert list(map(tuple, got.tolist())) == want
+        prod = oracle.heavy_product(mus, grid_exponent)
+        assert values.tobytes() == prod[tuple(cells.T)].tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -713,17 +714,18 @@ class TestEqualLawsTransformOnce:
         (got,) = products
         assert got.tobytes() == (((A * A) * A) * B).tobytes()
 
-    def test_product_heavy_frequencies(self, monkeypatch):
+    def test_heavy_cells(self, monkeypatch):
         mus = equal_law_pieces()
         want = oracle.heavy_product(mus, 3)
         transforms = spy_on(monkeypatch, np.fft, "rfftn")
-        product_heavy_frequencies(mus, 0.5, 3)
+        cells, values = measure.heavy_cells(mus, 0.5, 3)
         monkeypatch.undo()
         assert len(transforms) == 2
-        # cell c is heavy at threshold t exactly when prod[c] >= t, so
-        # membership at want[c] and not at the next float up pins prod[c]
+        assert cells.tolist() == np.argwhere(want >= 0.5).tolist()
+        assert values.tobytes() == want[tuple(cells.T)].tobytes()
+        # cell c is heavy at level t exactly when prod[c] >= t: it is in
+        # at its own value and out at the next float up
         for c, value in enumerate(want.tolist()):
-            zeta = _reduce_torus(np.array([c / 8])).tolist()
-            at = product_heavy_frequencies(mus, value, 3).tolist()
-            above = product_heavy_frequencies(mus, np.nextafter(value, np.inf), 3)
-            assert zeta in at and zeta not in above.tolist()
+            at, _ = measure.heavy_cells(mus, value, 3)
+            above, _ = measure.heavy_cells(mus, np.nextafter(value, np.inf), 3)
+            assert [c] in at.tolist() and [c] not in above.tolist()

@@ -33,7 +33,7 @@ from sketchlab.measure import (
     gamma_truncated,
     reflect,
 )
-from sketchlab import translation
+from sketchlab import spectrum, translation
 from sketchlab.spectrum import SketchLattice, StructureConfig
 from sketchlab.translation import (
     HeavySpread,
@@ -1124,13 +1124,19 @@ def test_certify_reads_density_certificates_only_for_an_unset_mollified_kappa(
     pieces = [gamma2()] * 2
     R = STRUCTURE.R
     S = max(density_certificate(m, R).S for m in pieces)
-    real = translation.density_certificate
 
     def certify(route, kappa):
+        # the pieces' certificates, read in either module; the structure
+        # extractors' certificate of the symmetrized law is not a piece's
         calls = []
-        monkeypatch.setattr(
-            translation, "density_certificate", lambda m, r: calls.append(m) or real(m, r)
-        )
+
+        def spy(m, r):
+            if any(m is p for p in pieces):
+                calls.append(m)
+            return density_certificate(m, r)
+
+        for module in (spectrum, translation):
+            monkeypatch.setattr(module, "density_certificate", spy)
         structure = dataclasses.replace(STRUCTURE, kappa=kappa)
         rep = translation_invariance_certify(pieces, route, structure, 1, controls=0)
         monkeypatch.undo()
