@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .dgauss import (
+    exact_sum,
     gamma_conv_domination_check,
     poisson_identity_check,
 )
@@ -690,7 +691,7 @@ def _parseval_rows(cfg: ExperimentConfig) -> list[tuple]:
     for v in ((1, 0), (1, 1), (1, -1)) if n == 2 else ((1,), (2,)):
         dec = line_decomposition(nu, v)
         direct = dec.total_energy
-        quad = math.fsum(dec.quadrature_energies)
+        quad = exact_sum(dec.quadrature_energies)
         rel = abs(direct - quad) / max(direct, 1e-300)
         rows.append(
             _lemma_row(

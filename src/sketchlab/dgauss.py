@@ -3,7 +3,8 @@
 The normalizer of gamma_R on tail-certified boxes, the seeded random
 stream, an exact truncated sampler with a batched form, and the two
 lattice-Gaussian checks (Poisson summation, convolution domination) that
-`verify-lemmas` runs.
+`verify-lemmas` runs, and `exact_sum`, the exactly rounded array sum
+that every mass total, normalizer and TV in the package goes through.
 
 The stream is numpy's default_rng(entropy), the SeedSequence-seeded
 PCG64, reproduced bit for bit by one array kernel (`pcg64_raw`) that
@@ -24,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "exact_sum",
     "TruncationPolicy",
     "auto_box",
     "box_points",
@@ -56,6 +58,57 @@ _Word = int | np.ndarray
 # rows per acceptance check of sample_truncated, and batches per stream
 # window, which keeps a window's 128-bit temporaries near 1 MB per axis
 _BATCH, _WINDOW_BATCHES = 1024, 16
+# exact_sum reads its values in chunks of _SUM_CHUNK, whose temporaries
+# (64 KB at most) stay below glibc's mmap threshold, so they reuse heap
+# memory instead of faulting in fresh pages on every call; and so few
+# that every limb sum of a chunk is exact (below 2^47 units).
+_SUM_CHUNK = 1 << 13
+
+
+def exact_sum(values) -> float:
+    """The sum of the values rounded once, to nearest with ties to even:
+    bit for bit math.fsum of them, without a list or a per-value loop.
+
+    Each value is m 2^e (frexp, |m| in [1/2, 1), 2^53 m an integer), and
+    e + 1073 >= 0 splits into 8 q + r with r in [0, 8): the value is
+    m 2^r 2^(8 q - 1073).  m 2^(r + 27) splits into an integer high limb,
+    below 2^34 in magnitude, and a low limb in [0, 1), a multiple of
+    2^-26.  bincount sums each limb per q, exactly, and the sums are
+    shifted together into one Python int in units of 2^-1126, which one
+    int division rounds correctly (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 4: the exactly rounded sum has one value,
+    whatever the order).
+
+    Values that are not finite, or of magnitude 2^(1023 - b) or more, b
+    the bit length of their count (so that their magnitudes could sum to
+    2^1023, where fsum's own partials may overflow), raise a ValueError.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    # max and min propagate NaN, and NaN fails the comparison
+    if x.size and not max(x.max(), -x.min()) < 2.0 ** (1023 - x.size.bit_length()):
+        raise ValueError(
+            "exact_sum needs finite values below 2**(1023 - bit length "
+            "of their count) in magnitude"
+        )
+    total = 0
+    for start in range(0, x.size, _SUM_CHUNK):
+        m, e = np.frexp(x[start : start + _SUM_CHUNK])
+        e += 1073
+        m = np.ldexp(m, e & 7)
+        e >>= 3
+        low = int(e.min())
+        e -= low
+        m *= 2.0**27
+        high = np.floor(m)
+        m -= high
+        highs = np.bincount(e, weights=high)[::-1].tolist()
+        lows = (np.bincount(e, weights=m)[::-1] * 2.0**26).tolist()
+        # Horner's rule from the top q down, 2^8 per step
+        acc = 0
+        for h, lo in zip(highs, lows):
+            acc = (acc << 8) + (int(h) << 26) + int(lo)
+        total += acc << (8 * low)
+    return total / (1 << 1126)
 
 
 @dataclass(frozen=True)
@@ -101,7 +154,7 @@ def box_points(box: Sequence[tuple[int, int]]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _normalizer_1d(radius: float, lo: int, hi: int) -> float:
     xs = np.arange(lo, hi + 1, dtype=float)
-    return math.fsum(np.exp(-math.pi * xs * xs / (radius * radius)))
+    return exact_sum(np.exp(-math.pi * xs * xs / (radius * radius)))
 
 
 def gamma_normalizer(dimension: int, radius: float) -> float:
@@ -435,7 +488,7 @@ def _rho_sum(sigma: np.ndarray, box: Sequence[tuple[int, int]]) -> float:
     Poisson lhs sums over inv(inv(M)) and its n = 2 rows keep their bits."""
     x = box_points(box).astype(float)
     q = np.einsum("ij,jk,ik->i", x, np.linalg.inv(sigma), x)
-    return math.fsum(np.exp(-math.pi * q))
+    return exact_sum(np.exp(-math.pi * q))
 
 
 @dataclass(frozen=True)

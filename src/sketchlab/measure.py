@@ -4,7 +4,10 @@ large-spectrum scans with a non-omission margin.
 
 A measure is stored as two arrays only: distinct int64 points sorted as
 Python tuples sort, and their masses.  Every producer hands its arrays
-straight to the constructor, which sums repeated points in input order.
+straight to the constructor, which sums repeated points in input order,
+and stores copies of input that is already distinct, sorted and
+positive as it is.  Mass totals are dgauss.exact_sum, math.fsum's
+correctly rounded sum taken on the array.
 
 Every pipeline convolution is an FFT product on a grid sized by a
 certified tail window, which clips dust into the deficit and charges its
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dgauss import TruncationPolicy, auto_box, box_points, gamma_normalizer
+from .dgauss import TruncationPolicy, auto_box, box_points, exact_sum, gamma_normalizer
 
 __all__ = [
     "SparseMeasure",
@@ -72,6 +75,36 @@ def _reduce_torus(arr: np.ndarray) -> np.ndarray:
     return arr - np.floor(arr + 0.5)
 
 
+def _corners(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis minimum and maximum of integer rows, a column at a time:
+    an axis-0 reduction over a narrow 2-d array takes many times as long
+    as the 1-d reductions of its columns."""
+    cols = points.T
+    return np.array([c.min() for c in cols]), np.array([c.max() for c in cols])
+
+
+def _packed_key(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """One int64 mixed-radix key per row of integer columns (`rows.T` of a
+    2-d array), whose digit j runs over column j's span max - min + 1, so
+    keys order the rows as Python tuples sort; and the spans.
+
+    The product of the spans is checked in Python integers first; if it
+    exceeds the int64 range a ValueError names the spans.  Any support
+    that _grid_embed can hold is far inside that range.  Columns are
+    reduced one at a time: a 1-d min or max is far cheaper than an axis
+    reduction over a narrow 2-d array.
+    """
+    lows = [int(c.min()) for c in columns]
+    spans = [int(c.max()) - lo + 1 for c, lo in zip(columns, lows)]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        raise ValueError(f"packed sort key overflows int64: column spans {spans}")
+    key = np.zeros(columns[0].size, dtype=np.int64)
+    for c, lo, span in zip(columns, lows, spans):
+        key *= span
+        key += c - lo
+    return key, spans
+
+
 def _lex_groups(
     columns: Sequence[np.ndarray], minor: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -80,27 +113,13 @@ def _lex_groups(
     else kept in input order), and flags marking where each distinct row
     starts in that order.
 
-    Each row, then its minor key, is packed into one int64 mixed-radix
-    key whose digit j runs over column j's span max - min + 1, and the
-    keys are sorted stably, so equal keys keep their input order.  The
-    product of the spans is checked in Python integers first; if it
-    exceeds the int64 range a ValueError names the spans.  Any support
-    that _grid_embed can hold is far inside that range.  Columns are
-    reduced one at a time: a 1-d min or max is far cheaper than an axis
-    reduction over a narrow 2-d array.
+    Each row, then its minor key, is packed into one _packed_key, and the
+    keys are sorted stably, so equal keys keep their input order.
     """
     cols = list(columns) + ([] if minor is None else [minor])
-    count = cols[0].size
-    if count == 0:
+    if cols[0].size == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
-    lows = [int(c.min()) for c in cols]
-    spans = [int(c.max()) - lo + 1 for c, lo in zip(cols, lows)]
-    if math.prod(spans) > np.iinfo(np.int64).max:
-        raise ValueError(f"packed sort key overflows int64: column spans {spans}")
-    key = np.zeros(count, dtype=np.int64)
-    for c, lo, span in zip(cols, lows, spans):
-        key *= span
-        key += c - lo
+    key, spans = _packed_key(cols)
     order = np.argsort(key, kind="stable")
     # the rows' own digits: drop the minor key's
     s = key[order] if minor is None else key[order] // spans[-1]
@@ -119,13 +138,24 @@ def _sum_repeats(points: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np
     return points[order][starts], sums
 
 
+def _strictly_sorted(points: np.ndarray) -> bool:
+    """Whether the rows are distinct and in the order _sum_repeats sorts
+    them to."""
+    if points.shape[0] < 2:
+        return True
+    key, _ = _packed_key(points.T)
+    return bool((key[1:] > key[:-1]).all())
+
+
 class SparseMeasure:
     """Sub-probability measure with finite support on Z^n.
 
     The atoms are `points`, distinct int64 rows sorted as Python tuples
-    sort, and their positive `masses`.  Mass removed by truncation is
-    tracked in `deficit` instead of being renormalized away; total mass +
-    deficit must be 1 up to slack.  `roundoff` bounds how far each stored
+    sort, and their positive `masses`, both copies of the input: input in
+    that form already is stored as it is, any other has its repeated rows
+    summed and its zero masses dropped (_sum_repeats).  Mass removed by
+    truncation is tracked in `deficit` instead of being renormalized
+    away; total mass + deficit must be 1 up to slack.  `roundoff` bounds how far each stored
     mass may lie from the exact value of the operation that built it (0
     for masses taken as given; an FFT product's a-priori bound).
     """
@@ -147,7 +177,12 @@ class SparseMeasure:
         if (ms < -1e-12).any():
             raise ValueError("negative mass")
         keep = ms > 0.0
-        self.points, self.masses = _sum_repeats(pts[keep], ms[keep])
+        if ms.shape == pts.shape[:1] and keep.all() and _strictly_sorted(pts):
+            # already distinct and sorted, as an unwrapped FFT product's
+            # argwhere cells are: _sum_repeats would copy them unchanged
+            self.points, self.masses = pts.copy(), ms.copy()
+        else:
+            self.points, self.masses = _sum_repeats(pts[keep], ms[keep])
         if abs(self.total_mass + deficit - 1.0) > 1e-8:
             raise ValueError("mass + deficit must equal 1")
         self.dimension = dimension
@@ -167,8 +202,7 @@ class SparseMeasure:
 
     @property
     def total_mass(self) -> float:
-        # a list, which math.fsum walks faster than an ndarray
-        return math.fsum(self.masses.tolist())
+        return exact_sum(self.masses)
 
     @classmethod
     def uniform(cls, points: Sequence[Sequence[int]]) -> "SparseMeasure":
@@ -178,8 +212,7 @@ class SparseMeasure:
         return cls(pts.shape[-1], pts, np.full(len(pts), 1.0 / len(pts)))
 
     def bounding_box(self) -> tuple[tuple[int, int], ...]:
-        lo = self.points.min(axis=0)
-        hi = self.points.max(axis=0)
+        lo, hi = _corners(self.points)
         return tuple((int(a), int(b)) for a, b in zip(lo, hi))
 
 
@@ -197,7 +230,7 @@ def gamma_truncated(
     pts, norms2 = pts[keep], norms2[keep]
     z = gamma_normalizer(dimension, radius)
     masses = np.exp(-math.pi * norms2 / (radius * radius)) / z
-    total = math.fsum(masses.tolist())
+    total = exact_sum(masses)
     return SparseMeasure(dimension, pts, masses, deficit=max(0.0, 1.0 - total))
 
 
@@ -244,11 +277,11 @@ def _law_key(mu: SparseMeasure) -> tuple:
 def _grid_embed(mu: SparseMeasure, shape: Sequence[int]) -> np.ndarray:
     """mu's masses on a zero array of `shape`, its bounding box's lower
     corner at the origin; errors if the box does not fit."""
-    offsets = mu.points - mu.points.min(axis=0)
-    if (offsets.max(axis=0) >= np.asarray(shape)).any():
+    lo, hi = _corners(mu.points)
+    if (hi - lo >= np.asarray(shape)).any():
         raise ValueError("grid smaller than support")
     arr = np.zeros(tuple(shape))
-    arr[tuple(offsets.T)] = mu.masses
+    arr[tuple(c - c0 for c, c0 in zip(mu.points.T, lo))] = mu.masses
     return arr
 
 
@@ -265,9 +298,10 @@ def _grid_spectrum(mu: SparseMeasure, shape: Sequence[int]) -> np.ndarray:
 def _covering_exponent(mus: Sequence[SparseMeasure], exponent: int) -> int:
     """The least grid exponent at or above `exponent` whose 2^e side covers
     the widest support among mus, so each embeds in its own grid."""
-    widest = max(
-        int((m.points.max(axis=0) - m.points.min(axis=0)).max()) + 1 for m in mus
-    )
+    widest = 0
+    for m in mus:
+        lo, hi = _corners(m.points)
+        widest = max(widest, int((hi - lo).max()) + 1)
     while 2**exponent < widest:
         exponent += 1
     return exponent
@@ -288,9 +322,9 @@ def convolve(mu1: SparseMeasure, mu2: SparseMeasure) -> SparseMeasure:
     if mu1.dimension != mu2.dimension:
         raise ValueError("dimension mismatch")
     n = mu1.dimension
-    lo1, lo2 = mu1.points.min(axis=0), mu2.points.min(axis=0)
-    a1 = _grid_embed(mu1, mu1.points.max(axis=0) - lo1 + 1)
-    a2 = _grid_embed(mu2, mu2.points.max(axis=0) - lo2 + 1)
+    (lo1, hi1), (lo2, hi2) = _corners(mu1.points), _corners(mu2.points)
+    a1 = _grid_embed(mu1, hi1 - lo1 + 1)
+    a2 = _grid_embed(mu2, hi2 - lo2 + 1)
     if n == 1:
         conv = np.convolve(a1, a2)
     else:
@@ -303,7 +337,7 @@ def convolve(mu1: SparseMeasure, mu2: SparseMeasure) -> SparseMeasure:
     idx = np.argwhere(conv > 0.0)
     pts = idx + lo
     masses = conv[tuple(idx.T)]
-    total = math.fsum(masses)
+    total = exact_sum(masses)
     return SparseMeasure(n, pts, masses, deficit=max(0.0, 1.0 - total))
 
 
@@ -408,8 +442,9 @@ def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     for m in mus:
         counts.setdefault(_law_key(m), [m, 0])[1] += 1
     laws = [(m, c) for m, c in counts.values()]  # first-seen order
-    lo = np.sum([m.points.min(axis=0) for m in mus], axis=0)
-    hi = np.sum([m.points.max(axis=0) for m in mus], axis=0)
+    corners = [_corners(m.points) for m in mus]
+    lo = np.sum([c[0] for c in corners], axis=0)
+    hi = np.sum([c[1] for c in corners], axis=0)
     a, b = _tail_window(laws, n)
     a, b = np.maximum(a, lo), np.minimum(b, hi)
     # the least power of two that covers every piece and the window
@@ -432,7 +467,7 @@ def convolve_many_fft(mus: Sequence[SparseMeasure]) -> SparseMeasure:
     # cell i holds the points lo + i (mod side); read each inside [a, a + side)
     pts = a + (idx + (lo - a)) % side
     masses = conv[tuple(idx.T)]
-    total = math.fsum(masses.tolist())
+    total = exact_sum(masses)
     err = _product_error(side**n, laws)
     wrap = WRAP_MASS if wrapped.any() else 0.0
     charge = 2.0 * math.sqrt(idx.shape[0]) * err + 2.0 * wrap
@@ -581,7 +616,8 @@ def _polish(mu: SparseMeasure, starts: np.ndarray, step: float) -> np.ndarray:
     of about _BLOCK_CELLS box cells.
     """
     zs = np.array(starts, dtype=float)
-    box = _grid_embed(mu, mu.points.max(axis=0) - mu.points.min(axis=0) + 1)
+    low, high = _corners(mu.points)
+    box = _grid_embed(mu, high - low + 1)
     # coordinates centred on the box, so phases and derivatives stay small
     centred = [np.arange(size) - 0.5 * (size - 1) for size in box.shape]
     block = max(1, _BLOCK_CELLS // box.size)
@@ -717,6 +753,6 @@ def symmetrize(mus: Sequence[SparseMeasure]) -> SparseMeasure:
         mus[0].dimension,
         pts,
         masses,
-        deficit=deficit + gamma * math.fsum(masses.tolist()),
+        deficit=deficit + gamma * exact_sum(masses),
         roundoff=roundoff + gamma * float(masses.max()),
     )

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dgauss import TruncationPolicy, sample_truncated
+from .dgauss import TruncationPolicy, exact_sum, sample_truncated
 from .measure import (
     _BLOCK_CELLS,
     ScanReport,
@@ -736,9 +736,9 @@ def small_ball_exact_1d(
     width = int(math.ceil(TruncationPolicy.for_gaussian(1, R, 1e-16).radius))
     ys = np.arange(-width, width + 1, dtype=float)
     weights = np.exp(-math.pi * ys * ys / (R * R))
-    weights /= math.fsum(weights)
+    weights /= exact_sum(weights)
     mask = np.abs(a * ys - b) <= u
-    prob = float(math.fsum(weights[mask]))
+    prob = exact_sum(weights[mask])
     return SmallBallCheck(prob, bound, prob <= bound + 1e-12, 0, -1, 0.0)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .dgauss import (
     TruncationPolicy,
     choice_indices,
+    exact_sum,
     pcg64_raw,
     pcg64_uniforms,
     sample_truncated,
@@ -413,7 +414,7 @@ class _FoldTable:
                 f"no block delta moves state {state} to {nxt} in block "
                 f"{block_index}"
             )
-        beta = math.fsum(support.masses[mask].tolist())
+        beta = exact_sum(support.masses[mask])
         law = SparseMeasure(
             support.dimension, support.points[mask], support.masses[mask] / beta
         )

@@ -16,12 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .dgauss import exact_sum
 from .measure import (
     UNIT_ROUNDOFF,
     SparseMeasure,
     _covering_exponent,
     _gamma,
-    _lex_groups,
+    _packed_key,
     _reduce_torus,
     convolve_many_fft,
     density_certificate,
@@ -75,16 +76,26 @@ def _line_layout(
 
     The representative of {x + l v} is the point whose projection onto v
     lands in (-|v|^2/2, |v|^2/2], found in exact integer arithmetic.
+    Each (representative, ell) holds one atom, so their packed keys are
+    distinct.  Within a line the key steps by exactly the ell step; a new
+    line adds a positive multiple of the ell span to it, so key and ell
+    steps differ exactly where a line starts.
     """
     vv = sum(c * c for c in v)
-    varr = np.asarray(v, dtype=np.int64)
-    q, r0 = np.divmod(nu.points @ varr, vv)
-    # the remainder r0 - vv when r0 > vv/2, so one step further along v
-    ell = q + (2 * r0 > vv)
-    order, starts = _lex_groups(nu.points.T - varr[:, None] * ell, minor=ell)
-    firsts = order[starts]
-    reps = nu.points[firsts] - ell[firsts, None] * varr
-    return reps, ell[order], nu.masses[order], starts
+    cols = [nu.points[:, j] for j in range(len(v))]
+    # ell = ceil((<p, v> - vv/2) / vv), which leaves the projection of
+    # rep = p - ell v in (-vv/2, vv/2]
+    proj = sum(c * w for c, w in zip(cols, v) if w)
+    ell = -((vv - 2 * proj) // (2 * vv))
+    key, _ = _packed_key([c - w * ell if w else c for c, w in zip(cols, v)] + [ell])
+    # stable: as fast as the unstable sort on these nearly sorted keys or
+    # faster, and the keys are distinct, so the order is the same
+    order = np.argsort(key, kind="stable")
+    key, ell = key[order], ell[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = key[1:] - key[:-1] != ell[1:] - ell[:-1]
+    reps = nu.points[order[starts]] - ell[starts, None] * np.asarray(v, dtype=np.int64)
+    return reps, ell, nu.masses[order], starts
 
 
 def _layout_tv(ell: np.ndarray, mass: np.ndarray, starts: np.ndarray) -> float:
@@ -94,20 +105,19 @@ def _layout_tv(ell: np.ndarray, mass: np.ndarray, starts: np.ndarray) -> float:
     An atom whose line predecessor sits one step back gives the single
     subtraction of the two masses, any other atom its bare mass, and an
     atom whose next position is empty gives minus its mass: the nonzero
-    steps of each line's zero-bordered row.  math.fsum is exactly
-    rounded, so their order does not matter.
+    steps of each line's zero-bordered row.  exact_sum rounds their sum
+    once, so their order does not matter.
     """
-    follows = ~starts[1:] & (np.diff(ell) == 1)
+    follows = ~starts[1:] & (ell[1:] - ell[:-1] == 1)
     rises = mass[1:] - np.where(follows, mass[:-1], 0.0)
     steps = np.concatenate((mass[:1], np.abs(rises), mass[:-1][~follows], mass[-1:]))
-    # a list, which math.fsum walks faster than an ndarray
-    return 0.5 * math.fsum(steps.tolist())
+    return 0.5 * exact_sum(steps)
 
 
 def tv_distance(nu: SparseMeasure, v: Sequence[int]) -> float:
     """Total variation distance between nu and its translate by v."""
     vv = tuple(int(c) for c in v)
-    if all(c == 0 for c in vv):
+    if all(c == 0 for c in vv) or nu.support_size == 0:
         return 0.0
     _, ell, mass, starts = _line_layout(nu, vv)
     return _layout_tv(ell, mass, starts)
@@ -120,7 +130,9 @@ def _autocorrelations(steps: np.ndarray, N: int) -> np.ndarray:
     """r_k = sum_j d_j d_{j+k} of every row d, from one rfft/irfft pair of
     length N; lag k sits in column k."""
     f = np.fft.rfft(steps, n=N, axis=1)
-    return np.fft.irfft(f.real * f.real + f.imag * f.imag, n=N, axis=1)
+    power = f.real * f.real
+    power += f.imag * f.imag
+    return np.fft.irfft(power, n=N, axis=1)
 
 
 def _tail_roundoff(energy: np.ndarray, N: np.ndarray, u: float) -> np.ndarray:
@@ -193,7 +205,7 @@ class LineDecomposition:
 
     @property
     def total_energy(self) -> float:
-        return math.fsum(self.line_energies)
+        return exact_sum(self.line_energies)
 
 
 def line_decomposition(
@@ -202,10 +214,12 @@ def line_decomposition(
     """Split nu into lines along v and compute both energy forms.
 
     Lines are laid out as dense zero-padded rows and grouped by FFT
-    length N; each group takes one batched rfft/irfft for the
-    autocorrelations of its difference sequences, and its line masses and
-    direct energies d . d are sequential row sums (np.cumsum), which the
-    padding zeros leave at each line's own sum.  Every line energy is
+    length N; the lines are ordered by N, and by representative within
+    one N, so each group's rows are one slice of a single buffer,
+    filled by one scatter.  Each group takes one batched rfft/irfft for
+    the autocorrelations of its difference sequences, and its line masses
+    and direct energies d . d are sequential row sums (np.cumsum), which
+    the padding zeros leave at each line's own sum.  Every line energy is
     evaluated twice, directly and spectrally as r_0, and the two must
     agree to 1e-10.  For the longest line of each group the FFT
     autocorrelation is checked lag by lag against np.correlate to 1e-10.
@@ -217,55 +231,65 @@ def line_decomposition(
     u = 0.0 if split is None else float(split)
     with_tail = split is not None and u < 0.5
     reps, ell, mass, starts = _line_layout(nu, vv)
-    line = np.cumsum(starts) - 1
     bounds = np.flatnonzero(np.append(starts, True))
-    first, end = bounds[:-1], bounds[1:]
+    first, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
     lo = ell[first]
-    lengths = ell[end - 1] - lo + 1
-    # column of each atom in its line's row, which has a zero on each side
-    col = ell - lo[line] + 1
+    lengths = ell[bounds[1:] - 1] - lo + 1
     # N = 1 << bit_length(2 L + 1), the smallest power of two holding the
     # linear autocorrelation of L + 1 differences without wrap-around;
     # frexp's exponent of an integer below 2^53 is its bit length
     exponent = np.frexp(2 * lengths + 1)[1]
     fft_len = np.left_shift(1, exponent.astype(np.int64))
     count = first.size
+    # the lines by N, in representative order within one N; a group's
+    # rows are K + 2 wide, K its longest line, with a zero on each side
+    by_len = np.argsort(exponent, kind="stable")
+    span = lengths[by_len]
+    per_exponent = np.bincount(exponent)
+    members = per_exponent[per_exponent > 0]
+    heads = np.cumsum(members) - members
+    longest = np.maximum.reduceat(span, heads)
+    width = np.repeat(longest + 2, members)
+    row_at = np.cumsum(width) - width
+    origin = np.empty(count, dtype=np.int64)
+    origin[by_len] = row_at - lo[by_len] + 1
+    cells = np.zeros(int(row_at[-1] + width[-1]))
+    # Each (representative, ell) holds exactly one atom, so this is a
+    # scatter, never a sum.
+    cells[np.repeat(origin, sizes) + ell] = mass
     r0 = np.empty(count)
     tails = np.zeros(count)
     energies = np.empty(count)
     masses = np.empty(count)
-    k = np.arange(1, int(lengths.max()) + 1, dtype=float)
+    k = np.arange(1, int(longest[-1]) + 1, dtype=float)
     weights = np.sin(2.0 * math.pi * u * k) / (math.pi * k)
     checks = []
 
-    # the distinct exponents in increasing order; bincount, not np.unique,
-    # which imports numpy.ma
-    for e in np.flatnonzero(np.bincount(exponent)).tolist():
-        N = 1 << e
-        in_group = exponent == e
-        members = np.flatnonzero(in_group)
-        atoms = np.flatnonzero(in_group[line])
-        span = lengths[members]
-        K = int(span.max())
-        rows = np.zeros((members.size, K + 2))
-        # Each (representative, ell) holds exactly one atom, so this is a
-        # scatter, never a sum.
-        rows[(np.cumsum(in_group) - 1)[line[atoms]], col[atoms]] = mass[atoms]
-        steps = np.diff(rows, axis=1)
+    groups = zip(heads.tolist(), members.tolist(), longest.tolist())
+    for a, m, K in groups:
+        b = a + m
+        N = int(fft_len[by_len[a]])
+        at = int(row_at[a])
+        rows = cells[at : at + m * (K + 2)].reshape(m, K + 2)
+        steps = rows[:, 1:] - rows[:, :-1]
         # Sequential left-to-right row sums: the zeros that pad a short
         # line's row add exactly, so each line gets its own loop's sum.
-        energies[members] = np.cumsum(steps * steps, axis=1)[:, -1]
-        masses[members] = np.cumsum(rows, axis=1)[:, -1]
+        energies[a:b] = np.cumsum(steps * steps, axis=1)[:, -1]
+        masses[a:b] = np.cumsum(rows, axis=1)[:, -1]
         r = _autocorrelations(steps, N)
-        r0[members] = r[:, 0]
+        r0[a:b] = r[:, 0]
         if with_tail:
             # a running sum, so the trailing zeros of a short line's row
             # leave its partial sum at column L - 1 untouched
             run = np.cumsum(r[:, 1 : K + 1] * weights[:K], axis=1)
-            part = run[np.arange(members.size), span - 1]
-            tails[members] = r[:, 0] * (1.0 - 2.0 * u) - 2.0 * part
-        j = int(np.argmax(span))
-        checks.append((members[j], N, r[j, : span[j] + 1], steps[j, : span[j] + 1]))
+            part = run[np.arange(m), span[a:b] - 1]
+            tails[a:b] = r[:, 0] * (1.0 - 2.0 * u) - 2.0 * part
+        j = int(np.argmax(span[a:b]))
+        checks.append((int(by_len[a + j]), N, r[j, : K + 1], steps[j, : K + 1]))
+    # back to representative order
+    rank = np.empty(count, dtype=np.intp)
+    rank[by_len] = np.arange(count)
+    energies, masses, r0, tails = energies[rank], masses[rank], r0[rank], tails[rank]
 
     gap = np.abs(energies - r0)
     bad = np.flatnonzero(gap > 1e-10)
@@ -456,6 +480,12 @@ class BallReductionReport:
     passed: bool
 
 
+def _center_distances(nu: SparseMeasure, center: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each atom of nu to the center."""
+    d = nu.points - center
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
 def ball_reduction_tv_bound(
     nu: SparseMeasure,
     v: Sequence[int],
@@ -465,6 +495,8 @@ def ball_reduction_tv_bound(
     center: Sequence[float],
     H: float,
     spread: HeavySpread,
+    *,
+    distances: np.ndarray | None = None,
 ) -> BallReductionReport:
     """Bound the translation TV by concentrating the comparison on a ball.
 
@@ -479,6 +511,9 @@ def ball_reduction_tv_bound(
     inequality is asserted; precondition failures downgrade to a report
     with passed=False.  The actual TV is read off the line decomposition
     the spectral check builds, so the support is sorted along v once.
+    `distances` are the atoms' distances to the center (_center_distances),
+    for a caller that bounds many shifts around one center; they are
+    computed here when absent.
     """
     vv = _direction(v)
     n = nu.dimension
@@ -489,8 +524,9 @@ def ball_reduction_tv_bound(
     spectral = spectral_energy_bound_check(nu, W, delta, eta, vv, spread=spread)
     main = math.pi * math.sqrt(2.0 * H) * norm_v * delta**1.5
     spectral_term = (4.0 * H) ** ((n + 1) / 2.0) * eta
-    d = nu.points - carr
-    far = np.sqrt(np.einsum("ij,ij->i", d, d)) > H - norm_v
+    if distances is None:
+        distances = _center_distances(nu, carr)
+    far = distances > H - norm_v
     mass_term = float(nu.masses[far].sum()) + nu.deficit
     bound = main + spectral_term + mass_term
     actual = spectral.decomposition.tv
@@ -706,11 +742,20 @@ def translation_invariance_certify(
         )
         kernels = kernels[:max_kernel]
 
+    distances = _center_distances(nu, np.asarray(tail.center))
     records = tuple(
         (
             kind,
             ball_reduction_tv_bound(
-                nu, v, extracted, delta, eta, tail.center, tail.radius, spread=spread
+                nu,
+                v,
+                extracted,
+                delta,
+                eta,
+                tail.center,
+                tail.radius,
+                spread=spread,
+                distances=distances,
             ),
         )
         for kind, vs in (("kernel", kernels), ("control", off_kernel))

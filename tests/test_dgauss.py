@@ -36,6 +36,96 @@ def shapes(draw) -> np.ndarray:
     return A @ A.T + draw(st.floats(0.1, 2.0)) * np.eye(n)
 
 
+def same_float(a: float, b: float) -> bool:
+    """Equal bit patterns, so 0.0 and -0.0 differ."""
+    return math.copysign(1.0, a) == math.copysign(1.0, b) and a == b
+
+
+@st.composite
+def spread_floats(draw):
+    """Finite signed doubles of mantissa m in [1, 10) and decade -300 to
+    300, zeros of both signs, subnormals and values of equal magnitude
+    and opposite sign, so sums cancel."""
+    value = (
+        st.builds(
+            lambda m, k, s: s * m * 10.0**k,
+            st.floats(1.0, 10.0, exclude_max=True),
+            st.integers(-300, 300),
+            st.sampled_from([1.0, -1.0]),
+        )
+        | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+        | st.floats(-1e-307, 1e-307)
+        | st.floats(-1e300, 1e300)
+    )
+    xs = draw(st.lists(value, max_size=40))
+    return xs + [-x for x in draw(st.lists(st.sampled_from(xs), max_size=5))] if xs else xs
+
+
+class TestExactSum:
+    """dgauss.exact_sum against math.fsum, bit for bit."""
+
+    @given(spread_floats())
+    @settings(deadline=None, max_examples=500)
+    def test_matches_fsum(self, xs):
+        assert same_float(dgauss.exact_sum(np.array(xs, dtype=float)), math.fsum(xs))
+
+    def test_empty(self):
+        assert same_float(dgauss.exact_sum(np.zeros(0)), math.fsum([]))
+        assert same_float(dgauss.exact_sum([]), 0.0)
+
+    def test_signed_zeros_sum_to_positive_zero(self):
+        assert same_float(dgauss.exact_sum(np.array([-0.0, -0.0])), math.fsum([-0.0, -0.0]))
+
+    def test_ties_round_to_even(self):
+        # 1 + 2^-53 lies halfway between 1 and its successor; so does the
+        # sum with 2^-52 + 2^-53, which rounds up to the even neighbour
+        for xs in ([1.0, 2.0**-53], [1.0, 2.0**-52, 2.0**-53], [1.0, 2.0**-53, 2.0**-120]):
+            assert same_float(dgauss.exact_sum(np.array(xs)), math.fsum(xs))
+
+    def test_subnormal_results(self):
+        xs = [5e-324, 5e-324, -1e-323, 2.5e-308, -2.5e-308, 7e-320]
+        assert same_float(dgauss.exact_sum(np.array(xs)), math.fsum(xs))
+
+    @pytest.mark.parametrize("size", [8192, 8193, 3 * 8192 + 5])
+    def test_across_chunks(self, size):
+        rng = np.random.default_rng(size)
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+        assert same_float(dgauss.exact_sum(x), math.fsum(x.tolist()))
+
+    def test_across_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(dgauss, "_SUM_CHUNK", 64)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000)
+        assert same_float(dgauss.exact_sum(x), math.fsum(x.tolist()))
+
+    def test_reads_any_shape(self):
+        x = np.arange(12.0).reshape(3, 4) / 7.0
+        assert same_float(dgauss.exact_sum(x), math.fsum(x.ravel().tolist()))
+        assert same_float(dgauss.exact_sum([0.1, 0.2, 0.3]), math.fsum([0.1, 0.2, 0.3]))
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [math.inf],
+            [1.0, -math.inf],
+            [math.nan, 1.0],
+            [math.inf, -math.inf],
+            [1.7e308, 1.7e308],
+            [1e308, -1e308],
+            [2.0**1021, 2.0**1021],
+        ],
+    )
+    def test_refuses_non_finite_and_near_overflow(self, xs):
+        with pytest.raises(ValueError, match="exact_sum needs finite values"):
+            dgauss.exact_sum(np.array(xs))
+
+    def test_largest_accepted_magnitude(self):
+        # two values: the bit length of the count is 2, so magnitudes
+        # below 2^1021 are accepted and sum exactly as fsum does
+        xs = [2.0**1021 * (1.0 - 2.0**-53)] * 2
+        assert same_float(dgauss.exact_sum(np.array(xs)), math.fsum(xs))
+
+
 class TestShapes:
     def test_truncation_policy_certificate(self):
         pol = dgauss.TruncationPolicy.for_gaussian(2, 8.0, 1e-12)

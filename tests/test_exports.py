@@ -7,7 +7,9 @@ function or method is passed by some call in the program, so an option
 that only tests set cannot grow back either, and every dataclass field
 is read somewhere, so a stored value that nothing reads cannot either.
 The grid layout of the heavy-frequency reads (the embedding, the rfftn
-half and its mirror, the content key of a law) stays inside `measure`."""
+half and its mirror, the content key of a law) stays inside `measure`,
+and array sums go through `dgauss.exact_sum`, never math.fsum over a
+list copy."""
 
 import ast
 import functools
@@ -289,3 +291,26 @@ def test_grid_layout_stays_in_measure():
                 if word in GRID_LAYOUT:
                     found.append(f"{path.relative_to(ROOT)}:{node.lineno} {word}")
     assert found == [], "grid layout helpers used outside measure.py"
+
+
+def test_no_fsum_over_a_list_copy_of_an_array():
+    """Array sums go through dgauss.exact_sum, which rounds the same way as
+    math.fsum without copying the array into a list first: no program file
+    under src/ calls math.fsum(<x>.tolist())."""
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            f, arg = node.func, node.args[0]
+            fsum = (isinstance(f, ast.Attribute) and f.attr == "fsum") or (
+                isinstance(f, ast.Name) and f.id == "fsum"
+            )
+            listed = (
+                isinstance(arg, ast.Call)
+                and isinstance(arg.func, ast.Attribute)
+                and arg.func.attr == "tolist"
+            )
+            if fsum and listed:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == [], "math.fsum over .tolist(); call dgauss.exact_sum on the array"

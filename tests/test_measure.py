@@ -108,6 +108,25 @@ def atom_arrays(draw):
 
 
 @st.composite
+def sorted_atoms(draw):
+    # distinct rows in the order Python sorts tuples, masses over decades
+    n = draw(st.integers(1, 3))
+    pool = draw(
+        st.lists(
+            st.tuples(*(st.integers(-40, 40) for _ in range(n))),
+            min_size=1,
+            max_size=30,
+            unique=True,
+        )
+    )
+    rows = sorted(pool)
+    raw = np.array(
+        [draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-12, 0)) for _ in rows]
+    )
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n), raw / math.fsum(raw)
+
+
+@st.composite
 def grouping_rows(draw):
     # few distinct rows with negative coordinates, so most repeat; a minor
     # key about half the time, itself with ties
@@ -194,6 +213,70 @@ class TestSparseMeasure:
         assert np.array_equal(got.points, want[0])
         assert got.masses.tobytes() == want[1].tobytes()
         assert got.deficit == want[2]
+
+    @given(sorted_atoms())
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_input_skips_the_repeat_sum(self, case):
+        # distinct rows in sorted order with positive masses, as an
+        # unwrapped FFT product's argwhere cells come: the constructor
+        # stores them as _sum_repeats would, without calling it
+        points, masses = case
+        want_points, want_masses = measure._sum_repeats(points, masses)
+        calls = []
+        real = measure._sum_repeats
+        try:
+            measure._sum_repeats = lambda *a: calls.append(a) or real(*a)
+            mu = measure.SparseMeasure(points.shape[1], points, masses, deficit=0.0)
+        finally:
+            measure._sum_repeats = real
+        assert calls == []
+        assert mu.points.dtype == want_points.dtype
+        assert mu.points.tobytes() == want_points.tobytes()
+        assert mu.points.shape == want_points.shape
+        assert mu.masses.tobytes() == want_masses.tobytes()
+
+    @pytest.mark.parametrize(
+        "points, masses",
+        [
+            ([[1, 0], [0, 5]], [0.5, 0.5]),  # unsorted
+            ([[0, 1], [0, 1], [2, 0]], [0.25, 0.25, 0.5]),  # repeated
+            ([[0, 1], [1, 0], [2, 0]], [0.5, 0.0, 0.5]),  # a zero mass
+            ([[0, 1], [1, 0]], [1.0, -1e-13]),  # a mass just below zero
+        ],
+    )
+    def test_other_input_is_summed(self, points, masses, monkeypatch):
+        calls = []
+        real = measure._sum_repeats
+        monkeypatch.setattr(measure, "_sum_repeats", lambda *a: calls.append(a) or real(*a))
+        mu = measure.SparseMeasure(2, np.array(points), np.array(masses))
+        want = dict_canonical(2, zip(points, masses))
+        assert len(calls) == 1
+        assert np.array_equal(mu.points, want[0])
+        assert mu.masses.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "points, masses",
+        [([[0, 1], [1, 0]], [0.25, 0.75]), ([[1, 0], [0, 1]], [0.25, 0.75])],
+    )
+    def test_stores_copies(self, points, masses):
+        # sorted (no repeat sum) and unsorted input alike
+        pts = np.array(points, dtype=np.int64)
+        ms = np.array(masses)
+        mu = measure.SparseMeasure(2, pts, ms)
+        before = (mu.points.copy(), mu.masses.copy())
+        pts[:] = 7
+        ms[:] = 0.5
+        assert np.array_equal(mu.points, before[0])
+        assert np.array_equal(mu.masses, before[1])
+
+    @given(atom_arrays())
+    @settings(max_examples=100, deadline=None)
+    def test_corners_are_the_axis_extremes(self, case):
+        _, points, _, _ = case
+        lo, hi = measure._corners(points)
+        assert np.array_equal(lo, points.min(axis=0))
+        assert np.array_equal(hi, points.max(axis=0))
+        assert lo.dtype == hi.dtype == points.dtype
 
     def test_gamma_truncated_deficit_below_target(self):
         g = measure.gamma_truncated(2, 4.0)

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import translation_oracle
 from measure_oracle import from_atoms, restrict, translate
 from sketchlab.dgauss import TruncationPolicy
 from sketchlab.measure import (
@@ -265,6 +266,57 @@ def test_tv_matches_dict_oracle(case):
 
 
 # -- line decomposition ----------------------------------------------------------
+
+
+def assert_same_decomposition(got, want):
+    """Every field of two LineDecompositions equal byte for byte."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b) and repr(a) == repr(b), field.name
+
+
+def assert_same_layout(nu, v):
+    got = translation._line_layout(nu, v)
+    want = translation_oracle._line_layout(nu, v)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+splits = st.none() | st.sampled_from([0.0, 0.5, 0.75]) | st.floats(0.0, 0.5)
+
+
+@settings(deadline=None, max_examples=300)
+@given(measure_and_direction, splits)
+def test_line_decomposition_matches_parent_oracle(case, split):
+    # n in {1, 2, 3}; directions up to 3 per axis, so non-primitive and
+    # negative ones, with and without a split
+    mu, v = case
+    assert_same_layout(mu, v)
+    assert_same_decomposition(
+        line_decomposition(mu, v, split=split),
+        translation_oracle.line_decomposition(mu, v, split=split),
+    )
+    assert tv_distance(mu, v) == translation_oracle._layout_tv(
+        *translation_oracle._line_layout(mu, v)[1:]
+    )
+
+
+@pytest.mark.parametrize("split", [None, 0.01, 0.2])
+@pytest.mark.parametrize("build", [gamma2, parity_conv2, mod3_measure])
+def test_line_decomposition_matches_parent_oracle_on_convolutions(build, split):
+    # dense supports: many lines in four to six FFT groups per direction
+    nu = build()
+    for v in translation._integer_ball(2, 3):
+        assert_same_layout(nu, v)
+        assert_same_decomposition(
+            line_decomposition(nu, v, split=split),
+            translation_oracle.line_decomposition(nu, v, split=split),
+        )
 
 
 def test_line_masses_sum_to_total():
@@ -902,6 +954,27 @@ def test_ball_reduction_bound_assembly():
     assert rep.main_term == pytest.approx(
         math.pi * math.sqrt(200.0) * math.sqrt(2.0) * rep.spectral.delta**1.5
     )
+
+
+@pytest.mark.parametrize("report", [parity_report, mod3_report])
+def test_certification_distances_match_per_shift_ones(report):
+    # the certification hands every shift the atom distances it computed
+    # once; each record equals the bound computed with its own distances
+    rep = report()
+    for _, r in rep.records:
+        alone = ball_reduction_tv_bound(
+            rep.convolution,
+            r.direction,
+            rep.structure,
+            rep.delta,
+            rep.eta,
+            rep.center,
+            rep.H,
+            spread=measured_structure_spread(rep.convolution, rep.structure, rep.eta),
+        )
+        for name in ("mass_term", "bound", "actual_tv", "main_term", "spectral_term"):
+            assert repr(getattr(alone, name)) == repr(getattr(r, name)), name
+        assert alone.passed == r.passed
 
 
 # -- convolution tail center --------------------------------------------------------
