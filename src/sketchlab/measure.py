@@ -105,24 +105,19 @@ def _packed_key(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     return key, spans
 
 
-def _lex_groups(
-    columns: Sequence[np.ndarray], minor: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _lex_groups(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Order that sorts integer rows, given as their int64 columns (`rows.T`
-    of a 2-d array), as Python tuples sort (ties broken by the minor key,
-    else kept in input order), and flags marking where each distinct row
-    starts in that order.
+    of a 2-d array), as Python tuples sort (ties kept in input order), and
+    flags marking where each distinct row starts in that order.
 
-    Each row, then its minor key, is packed into one _packed_key, and the
-    keys are sorted stably, so equal keys keep their input order.
+    Each row is packed into one _packed_key, and the keys are sorted
+    stably, so equal keys keep their input order.
     """
-    cols = list(columns) + ([] if minor is None else [minor])
-    if cols[0].size == 0:
+    if columns[0].size == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
-    key, spans = _packed_key(cols)
+    key, _ = _packed_key(columns)
     order = np.argsort(key, kind="stable")
-    # the rows' own digits: drop the minor key's
-    s = key[order] if minor is None else key[order] // spans[-1]
+    s = key[order]
     starts = np.ones(s.size, dtype=bool)
     starts[1:] = s[1:] != s[:-1]
     return order, starts
@@ -155,9 +150,10 @@ class SparseMeasure:
     that form already is stored as it is, any other has its repeated rows
     summed and its zero masses dropped (_sum_repeats).  Mass removed by
     truncation is tracked in `deficit` instead of being renormalized
-    away; total mass + deficit must be 1 up to slack.  `roundoff` bounds how far each stored
-    mass may lie from the exact value of the operation that built it (0
-    for masses taken as given; an FFT product's a-priori bound).
+    away; total mass + deficit must be 1 up to slack.  `roundoff` bounds
+    how far each stored mass may lie from the exact value of the
+    operation that built it (0 for masses taken as given; an FFT
+    product's a-priori bound).
     """
 
     __slots__ = ("dimension", "points", "masses", "deficit", "roundoff")

@@ -87,7 +87,8 @@ def _line_layout(
     # rep = p - ell v in (-vv/2, vv/2]
     proj = sum(c * w for c, w in zip(cols, v) if w)
     ell = -((vv - 2 * proj) // (2 * vv))
-    key, _ = _packed_key([c - w * ell if w else c for c, w in zip(cols, v)] + [ell])
+    reps_cols = [c - w * ell if w else c for c, w in zip(cols, v)]
+    key, _ = _packed_key(reps_cols + [ell])
     # stable: as fast as the unstable sort on these nearly sorted keys or
     # faster, and the keys are distinct, so the order is the same
     order = np.argsort(key, kind="stable")
@@ -245,6 +246,7 @@ def line_decomposition(
     # rows are K + 2 wide, K its longest line, with a zero on each side
     by_len = np.argsort(exponent, kind="stable")
     span = lengths[by_len]
+    # bincount, not np.unique, which imports numpy.ma
     per_exponent = np.bincount(exponent)
     members = per_exponent[per_exponent > 0]
     heads = np.cumsum(members) - members
@@ -265,8 +267,7 @@ def line_decomposition(
     weights = np.sin(2.0 * math.pi * u * k) / (math.pi * k)
     checks = []
 
-    groups = zip(heads.tolist(), members.tolist(), longest.tolist())
-    for a, m, K in groups:
+    for a, m, K in zip(heads.tolist(), members.tolist(), longest.tolist()):
         b = a + m
         N = int(fft_len[by_len[a]])
         at = int(row_at[a])

@@ -82,8 +82,8 @@ def lexsort_groups(
     rows: np.ndarray, minor: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """measure._lex_groups by np.lexsort over one key per column (ties
-    broken by the minor key, else kept in input order), and the flags
-    marking where each distinct row starts in that order."""
+    broken by the minor key if one is given, else kept in input order),
+    and the flags marking where each distinct row starts in that order."""
     keys = tuple(rows[:, j] for j in range(rows.shape[1] - 1, -1, -1))
     order = np.lexsort(keys if minor is None else (minor,) + keys)
     s = rows[order]

@@ -58,7 +58,9 @@ def spread_floats(draw):
         | st.floats(-1e300, 1e300)
     )
     xs = draw(st.lists(value, max_size=40))
-    return xs + [-x for x in draw(st.lists(st.sampled_from(xs), max_size=5))] if xs else xs
+    if not xs:
+        return xs
+    return xs + [-x for x in draw(st.lists(st.sampled_from(xs), max_size=5))]
 
 
 class TestExactSum:
@@ -74,12 +76,14 @@ class TestExactSum:
         assert same_float(dgauss.exact_sum([]), 0.0)
 
     def test_signed_zeros_sum_to_positive_zero(self):
-        assert same_float(dgauss.exact_sum(np.array([-0.0, -0.0])), math.fsum([-0.0, -0.0]))
+        xs = [-0.0, -0.0]
+        assert same_float(dgauss.exact_sum(np.array(xs)), math.fsum(xs))
 
     def test_ties_round_to_even(self):
         # 1 + 2^-53 lies halfway between 1 and its successor; so does the
         # sum with 2^-52 + 2^-53, which rounds up to the even neighbour
-        for xs in ([1.0, 2.0**-53], [1.0, 2.0**-52, 2.0**-53], [1.0, 2.0**-53, 2.0**-120]):
+        cases = ([1.0, 2.0**-53], [1.0, 2.0**-52, 2.0**-53], [1.0, 2.0**-53, 2.0**-120])
+        for xs in cases:
             assert same_float(dgauss.exact_sum(np.array(xs)), math.fsum(xs))
 
     def test_subnormal_results(self):

@@ -128,22 +128,14 @@ def sorted_atoms(draw):
 
 @st.composite
 def grouping_rows(draw):
-    # few distinct rows with negative coordinates, so most repeat; a minor
-    # key about half the time, itself with ties
+    # few distinct rows with negative coordinates, so most repeat
     n = draw(st.integers(1, 3))
     # the largest scale overflows the packed key from n = 2 on
     scale = draw(st.sampled_from([1, 3, 1000, 2**40]))
     coord = st.integers(-3, 3).map(lambda c: c * scale)
     pool = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=5))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
-    rows = np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), n)
-    minor = draw(st.none() | st.just(len(picks)))
-    if minor is not None:
-        minor = np.array(
-            draw(st.lists(st.integers(-4, 4), min_size=minor, max_size=minor)),
-            dtype=np.int64,
-        )
-    return rows, minor
+    return np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), n)
 
 
 class TestLexGroups:
@@ -151,22 +143,20 @@ class TestLexGroups:
 
     @given(grouping_rows())
     @settings(max_examples=300, deadline=None)
-    def test_matches_lexsort_oracle(self, case):
-        rows, minor = case
-        cols = rows if minor is None else np.column_stack((rows, minor))
-        spans = [int(c.max()) - int(c.min()) + 1 for c in cols.T]
+    def test_matches_lexsort_oracle(self, rows):
+        spans = [int(c.max()) - int(c.min()) + 1 for c in rows.T]
         if math.prod(spans) >= 2**63:
             with pytest.raises(ValueError, match="overflows int64"):
-                measure._lex_groups(rows.T, minor=minor)
+                measure._lex_groups(rows.T)
             return
-        order, starts = measure._lex_groups(rows.T, minor=minor)
-        want_order, want_starts = lexsort_groups(rows, minor=minor)
+        order, starts = measure._lex_groups(rows.T)
+        want_order, want_starts = lexsort_groups(rows)
         # the same permutation, so equal keys keep their input order
         assert np.array_equal(order, want_order)
         assert np.array_equal(starts, want_starts)
 
     def test_single_row(self):
-        order, starts = measure._lex_groups(np.array([[-5, 7]]).T, minor=np.array([-2]))
+        order, starts = measure._lex_groups(np.array([[-5, 7]]).T)
         assert order.tolist() == [0] and starts.tolist() == [True]
 
     def test_ties_keep_input_order(self):
@@ -247,7 +237,8 @@ class TestSparseMeasure:
     def test_other_input_is_summed(self, points, masses, monkeypatch):
         calls = []
         real = measure._sum_repeats
-        monkeypatch.setattr(measure, "_sum_repeats", lambda *a: calls.append(a) or real(*a))
+        spy = lambda *a: calls.append(a) or real(*a)  # noqa: E731
+        monkeypatch.setattr(measure, "_sum_repeats", spy)
         mu = measure.SparseMeasure(2, np.array(points), np.array(masses))
         want = dict_canonical(2, zip(points, masses))
         assert len(calls) == 1

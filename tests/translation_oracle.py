@@ -1,10 +1,11 @@
 """The line layout and line decomposition that the sorted-group paths in
-translation replaced: one stable packed-key sort with a minor key per
-layout, line starts read off the quotient of the sorted keys, the TV as
-math.fsum over a list, and FFT groups picked out by full-length masks
-(`in_group[line]`, `flatnonzero`, `cumsum(in_group)`) once per FFT length.
-`line_decomposition` must match every field of it byte for byte and raise
-the same messages."""
+translation replaced: one stable sort of the atoms by representative,
+then ell, per layout (np.lexsort here, which orders them as the packed
+key with ell as its minor digit did), line starts where the
+representative changes, the TV as math.fsum over a list, and FFT groups
+picked out by full-length masks (`in_group[line]`, `flatnonzero`,
+`cumsum(in_group)`) once per FFT length.  `line_decomposition` must
+match every field of it byte for byte and raise the same messages."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from sketchlab.measure import SparseMeasure, _lex_groups
+from measure_oracle import lexsort_groups
+from sketchlab.measure import SparseMeasure
 from sketchlab.translation import LineDecomposition, _autocorrelations, _direction
 
 
@@ -33,7 +35,7 @@ def _line_layout(
     q, r0 = np.divmod(nu.points @ varr, vv)
     # the remainder r0 - vv when r0 > vv/2, so one step further along v
     ell = q + (2 * r0 > vv)
-    order, starts = _lex_groups(nu.points.T - varr[:, None] * ell, minor=ell)
+    order, starts = lexsort_groups(nu.points - ell[:, None] * varr, minor=ell)
     firsts = order[starts]
     reps = nu.points[firsts] - ell[firsts, None] * varr
     return reps, ell[order], nu.masses[order], starts
